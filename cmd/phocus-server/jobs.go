@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -174,16 +173,11 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(w, r, s.maxBody)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		var he *httpError
+		errors.As(err, &he)
+		http.Error(w, he.Error(), he.status)
 		return
 	}
 	if len(body) == 0 {
@@ -362,7 +356,7 @@ func (s *server) runJob(ctx context.Context, job jobs.Job) ([]byte, error) {
 		}
 		return json.Marshal(resp)
 	case "retention":
-		resp, err := s.solveCore(ctx, job.Tenant, bytes.NewReader(job.Body), params.solve, 0)
+		resp, err := s.solveCore(ctx, job.Tenant, job.Body, time.Now(), params.solve, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -388,7 +382,7 @@ func (s *server) runJob(ctx context.Context, job jobs.Job) ([]byte, error) {
 		}
 		return json.Marshal(out)
 	default:
-		resp, err := s.solveCore(ctx, job.Tenant, bytes.NewReader(job.Body), params.solve, 0)
+		resp, err := s.solveCore(ctx, job.Tenant, job.Body, time.Now(), params.solve, 0)
 		if err != nil {
 			return nil, err
 		}

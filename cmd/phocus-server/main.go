@@ -41,6 +41,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -722,8 +723,13 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	resp, err := s.solveCore(ctx, tenant, r.Body, params, s.solveTimeout)
+	// The body read belongs to the decode stage: its span starts here.
+	start := time.Now()
+	body, err := readBody(w, r, s.maxBody)
+	var resp *solveResponse
+	if err == nil {
+		resp, err = s.solveCore(ctx, tenant, body, start, params, s.solveTimeout)
+	}
 	if err != nil {
 		var he *httpError
 		switch {
@@ -750,44 +756,73 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	encodeSpan.End()
 }
 
-// solveCore is the decode → prepare → solve pipeline shared by the
-// synchronous /solve handler and the async job runner: it streams the body
-// through sha256 into the prepared-instance cache key, prepares through the
-// cache's singleflight (concurrent identical archives prepare once), runs
-// the solver under ctx (plus timeout when positive), and reports the shared
-// solve metrics. Failures that have a defined HTTP status come back as
-// *httpError; context errors come back verbatim for the caller to classify.
-//
-// The tenant is mixed into the instance digest (ahead of the body bytes),
-// so prepared instances, cache entries and snapshot files are all
-// tenant-scoped: two tenants uploading the same archive never share a
-// fingerprint, and a delta handle minted for one tenant cannot collide with
-// another's. The default tenant mixes nothing, keeping every pre-tenancy
-// digest — and the snapshots on disk keyed by them — valid across the
-// upgrade.
-func (s *server) solveCore(ctx context.Context, tenant string, body io.Reader, params solveParams, timeout time.Duration) (*solveResponse, error) {
-	ctx, decodeSpan := obs.StartSpan(ctx, "decode")
-	// The body streams through sha256 while decoding: the digest keys the
-	// prepared-instance cache without a second serialization pass.
-	hasher := sha256.New()
-	if tenant != "" && tenant != fleet.DefaultTenant {
-		fmt.Fprintf(hasher, "phocus/tenant/v1|%s\n", tenant)
+// maxBodyPresize caps how much of a declared Content-Length readBody
+// reserves before the bytes arrive; larger bodies grow by doubling.
+const maxBodyPresize = 16 << 20
+
+// readBody reads the whole request body under the -max-body cap. A
+// Content-Length within the cap sizes the buffer up front, up to
+// maxBodyPresize, so a typical body lands in one allocation while a client
+// that only declares a large body cannot make the server reserve it.
+// Failures are *httpError: 413 past the cap, 400 for any other read error.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if r.ContentLength > 0 && r.ContentLength <= limit {
+		// ReadFrom grows the buffer unless MinRead bytes are free for the
+		// read that returns EOF.
+		buf.Grow(int(min(r.ContentLength, maxBodyPresize)) + bytes.MinRead)
 	}
-	inst, vecs, err := par.ReadJSONVectors(io.TeeReader(body, hasher))
-	if err != nil {
-		decodeSpan.End("err", err.Error())
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, &httpError{http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)}
 		}
+		return nil, &httpError{http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)}
+	}
+	return buf.Bytes(), nil
+}
+
+// instanceDigest is the prepared-instance cache's content key for a body:
+// sha256 over the tenant prefix and the whole body. Mixing the tenant in
+// ahead of the body bytes scopes prepared instances, cache entries and
+// snapshot files to their tenant: two tenants uploading the same archive
+// never share a fingerprint, and a delta handle minted for one tenant
+// cannot collide with another's. The default tenant mixes nothing, keeping
+// every pre-tenancy digest — and the snapshots on disk keyed by them —
+// valid across the upgrade.
+func instanceDigest(tenant string, body []byte) string {
+	h := sha256.New()
+	if tenant != "" && tenant != fleet.DefaultTenant {
+		fmt.Fprintf(h, "phocus/tenant/v1|%s\n", tenant)
+	}
+	h.Write(body)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// solveCore is the decode → prepare → solve pipeline shared by the
+// synchronous /solve handler and the async job runner: it decodes the body
+// and digests it into the prepared-instance cache key (instanceDigest),
+// prepares through the cache's singleflight (concurrent identical archives
+// prepare once), runs the solver under ctx (plus timeout when positive),
+// and reports the shared solve metrics. The decode span starts at start, so
+// a caller that read the body first counts the read as decode time.
+// Failures that have a defined HTTP status come back as *httpError; context
+// errors come back verbatim for the caller to classify.
+func (s *server) solveCore(ctx context.Context, tenant string, body []byte, start time.Time, params solveParams, timeout time.Duration) (*solveResponse, error) {
+	ctx, decodeSpan := obs.StartSpanAt(ctx, "decode", start)
+	inst, vecs, err := par.DecodeJSONVectors(body)
+	if err != nil {
+		decodeSpan.End("err", err.Error())
 		return nil, &httpError{http.StatusBadRequest, err}
 	}
+	digest := instanceDigest(tenant, body)
 	decodeSpan.End("photos", inst.NumPhotos(), "subsets", len(inst.Subsets))
 
 	if params.budget > 0 {
-		inst.Budget = params.budget
-		if err := inst.Finalize(); err != nil {
+		// Only the S0 ≤ B check depends on the budget, so re-budget in
+		// place instead of re-running Finalize's full validation.
+		if err := inst.ViewInto(inst, params.budget); err != nil {
 			return nil, &httpError{http.StatusBadRequest,
 				fmt.Errorf("invalid budget %g: %v", params.budget, err)}
 		}
@@ -802,7 +837,7 @@ func (s *server) solveCore(ctx context.Context, tenant string, body io.Reader, p
 		UseLSH:         params.lsh,
 		Seed:           params.seed,
 		Workers:        s.workers,
-		InstanceDigest: hex.EncodeToString(hasher.Sum(nil)),
+		InstanceDigest: digest,
 		Metrics:        s.reg,
 		Quantize:       s.quantize,
 		BlockRows:      s.blockRows,

@@ -11,11 +11,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"phocus/internal/dataset"
+	"phocus/internal/fleet"
 	"phocus/internal/par"
 	"phocus/internal/solvertest"
 )
@@ -148,11 +150,15 @@ func TestSolveErrors(t *testing.T) {
 	_, h := newTestServer(t, nil)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
+	valid := instanceBody(t, 3.0).String()
 	cases := []struct {
 		name, url, body string
 		wantStatus      int
 	}{
 		{"bad json", "/solve", "{", http.StatusBadRequest},
+		// Only whitespace may follow the instance.
+		{"trailing junk", "/solve", valid + " garbage", http.StatusBadRequest},
+		{"second instance", "/solve", valid + valid, http.StatusBadRequest},
 		{"bad algo", "/solve?algo=magic", "", http.StatusBadRequest},
 		{"bad budget", "/solve?budget=-3", "", http.StatusBadRequest},
 		{"bad tau", "/solve?tau=7", "", http.StatusBadRequest},
@@ -160,7 +166,7 @@ func TestSolveErrors(t *testing.T) {
 	for _, tc := range cases {
 		body := tc.body
 		if body == "" {
-			body = instanceBody(t, 3.0).String()
+			body = valid
 		}
 		resp, err := http.Post(srv.URL+tc.url, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -725,5 +731,98 @@ func TestPprofGated(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof on: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestSolveFingerprintCarriesOver: the digest covers the whole body. For a
+// WriteJSON body, which ends in a newline, that is what the streaming
+// decoder used to hash, so fingerprints and the snapshot files keyed by
+// them stay valid. The golden values were recorded before the decoder
+// moved to whole-body reads.
+func TestSolveFingerprintCarriesOver(t *testing.T) {
+	_, h := newTestServer(t, nil)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	body := instanceBody(t, 8.2).String()
+	if !strings.HasSuffix(body, "\n") {
+		t.Fatal("WriteJSON body does not end in a newline")
+	}
+	for tenant, want := range map[string]string{
+		"":     "05f618f805ba57961ad0ec7eebc1045e746322c26e8d7dfcb39cb7d225fa688d",
+		"acme": "c752b3e93319e4be6d5490e6689a949c4a02b1f31828901ea59439ad7ff55d1d",
+	} {
+		req, err := http.NewRequest("POST", srv.URL+"/solve?tau=0.6&budget=2.6", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tenant != "" {
+			req.Header.Set(fleet.TenantHeader, tenant)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out solveResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Fingerprint != want {
+			t.Errorf("tenant %q: fingerprint %s, want %s", tenant, out.Fingerprint, want)
+		}
+	}
+}
+
+// TestSolveBudgetBelowRetainedCost pins the 400 for a ?budget= below the
+// retained set's cost C(S0), which the budget override checks without a
+// second Finalize.
+func TestSolveBudgetBelowRetainedCost(t *testing.T) {
+	_, h := newTestServer(t, nil)
+	inst := par.Figure1Instance()
+	inst.Retained = []par.PhotoID{2} // C(S0) = 2.1
+	inst.Budget = 8.2
+	if err := inst.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := par.WriteJSON(&body, inst); err != nil {
+		t.Fatal(err)
+	}
+	for budget, want := range map[string]string{
+		"0.5": "invalid budget 0.5: par: retained set S0 costs 2 bytes, exceeding budget 0\n",
+		"2":   "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2\n",
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/solve?budget="+budget, bytes.NewReader(body.Bytes())))
+		if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+			t.Errorf("budget %s: %d %q, want 400 %q", budget, rec.Code, rec.Body.String(), want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/solve?budget=2.1", bytes.NewReader(body.Bytes())))
+	if rec.Code != http.StatusOK {
+		t.Errorf("budget 2.1 = C(S0): status %d %q, want 200", rec.Code, rec.Body.String())
+	}
+}
+
+// TestSolveDeclaredLengthNotReserved: a request that declares a body as
+// large as -max-body but sends two bytes gets a 400, and the server does
+// not reserve the declared size before the bytes arrive.
+func TestSolveDeclaredLengthNotReserved(t *testing.T) {
+	s, h := newTestServer(t, nil)
+	req := httptest.NewRequest("POST", "/solve", strings.NewReader("{}"))
+	req.ContentLength = s.maxBody
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d %q, want 400", rec.Code, rec.Body.String())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*maxBodyPresize {
+		t.Errorf("request allocated %d MB for a 2-byte body declaring %d MB",
+			got>>20, s.maxBody>>20)
 	}
 }

@@ -83,6 +83,14 @@ func TestSLOBreachOn429Storm(t *testing.T) {
 	// submissions drives the 429 fraction far past the 5% objective; both
 	// horizons see only storm traffic, so the objective reports breach.
 	s, srv := jobsTestServer(t, serverConfig{Workers: 1, JobWorkers: 1, QueueDepth: 1})
+	// Hold the solver slot so the queue cannot drain between submissions:
+	// a job that finishes first frees its place for the next one, and the
+	// burst then sees too few 429s to breach.
+	sem := s.jobs.Sem()
+	if !sem.TryAcquire() {
+		t.Fatal("could not occupy solver slot")
+	}
+	defer sem.Release()
 	body := instanceBody(t, 3.0).String()
 	saw429 := false
 	for i := 0; i < 30; i++ {

@@ -70,6 +70,13 @@ type Span struct {
 // StartSpan begins a span and returns a derived context carrying it (so
 // child spans nest under it). The span logs nothing until End.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+	return StartSpanAt(ctx, name, time.Now())
+}
+
+// StartSpanAt is StartSpan for a stage that began at start, before the span
+// could be opened: a request body read ahead of the pipeline that decodes
+// it, say.
+func StartSpanAt(ctx context.Context, name string, start time.Time) (context.Context, *Span) {
 	parent := ""
 	if p, ok := ctx.Value(spanKey).(*Span); ok && p != nil {
 		parent = p.id
@@ -81,7 +88,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		reqID:  RequestID(ctx),
 		logger: Logger(ctx),
 		trace:  traceStoreFrom(ctx),
-		start:  time.Now(),
+		start:  start,
 	}
 	return context.WithValue(ctx, spanKey, s), s
 }

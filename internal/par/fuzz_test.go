@@ -1,46 +1,185 @@
-package par
+package par_test
 
 import (
 	"bytes"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"phocus/internal/dataset"
+	"phocus/internal/par"
 )
 
-// FuzzReadJSON checks the JSON loader never panics and only ever returns
-// finalized, internally consistent instances.
+// p1kBody returns the wire form of the P-1K public dataset (1000 photos,
+// S0 = 2% of them), generated once per test binary.
+var p1kBody = sync.OnceValues(func() ([]byte, error) {
+	spec := dataset.PublicSpecs(1)[0]
+	spec.RetainFrac = 0.02
+	ds, err := dataset.GeneratePublic(spec)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = par.WriteJSON(&buf, ds.Instance)
+	return buf.Bytes(), err
+})
+
+// twoMembers is a one-subset, two-photo instance whose single similarity
+// triple is spliced in as its %s.
+const twoMembers = `{"costs":[1,1],"budget":2,"subsets":[{"name":"q","weight":1,"members":[0,1],"relevance":[0.5,0.5],"sim":[%s]}]}`
+
+// FuzzReadJSON holds DecodeJSONVectors to the encoding/json reference
+// decoder: on every input both fail, or both succeed with identical
+// instances, similarity rows and vectors. A loaded instance must also score
+// within the objective's range and survive a round trip.
 func FuzzReadJSON(f *testing.F) {
-	var valid bytes.Buffer
-	if err := WriteJSON(&valid, Figure1Instance()); err != nil {
+	var fig bytes.Buffer
+	if err := par.WriteJSON(&fig, par.Figure1Instance()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.String())
-	f.Add(`{}`)
-	f.Add(`{"costs":[1],"budget":1,"subsets":[{"name":"q","weight":1,"members":[0],"relevance":[1],"sim":[]}]}`)
-	f.Add(`{"costs":[1,2],"budget":-5,"subsets":[]}`)
-	f.Add(`{"costs":[1,1],"budget":2,"subsets":[{"name":"q","weight":1,"members":[0,1],"relevance":[0.5,0.5],"sim":[{"i":0,"j":1,"s":2}]}]}`)
+	for n := 0; n <= fig.Len(); n++ {
+		f.Add(fig.String()[:n])
+	}
+	body, err := p1kBody()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(body))
+	pair := func(p string) string { return strings.Replace(twoMembers, "%s", p, 1) }
+	deep := func(n int) string {
+		return `{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `,"costs":[1],"budget":1,"subsets":[]}`
+	}
+	for _, s := range []string{
+		`{}`, `null`, ` `, `[]`, `"x"`, `{"costs":1}`,
+		`{"costs":[1],"budget":1,"subsets":[{"name":"q","weight":1,"members":[0],"relevance":[1],"sim":[]}]}`,
+		`{"costs":[1,2],"budget":-5,"subsets":[]}`,
+		pair(`{"i":0,"j":1,"s":2}`),
+		// Keys: case folding, escapes, Unicode folds (ſ folds to s).
+		`{"Costs":[1],"BUDGET":1,"Subsets":[{"Name":"q","WEIGHT":1,"Members":[0],"Relevance":[1],"SIM":[{"I":0,"J":0,"S":0.5}]}]}`,
+		`{"costs":[1,1],"budget":2,"subsets":[{"name":"q","weight":1,"members":[0,1],"relevance":[0.5,0.5],"ſim":[{"i":0,"j":1,"ſ":0.5}]}]}`,
+		// Unknown fields, at every level.
+		`{"costs":[1],"extra":{"a":[1,{"b":null}],"c":"x","d":-1.5e3},"budget":1,"subsets":[{"name":"q","weight":1,"members":[0],"relevance":[1],"tags":[true,false],"sim":[{"i":0,"j":0,"s":1,"note":"diag"}]}]}`,
+		// null arrays and scalars.
+		`{"costs":[1],"retained":null,"budget":null,"subsets":[{"name":null,"weight":1,"members":[0],"relevance":[1],"sim":null,"vectors":null}]}`,
+		`{"costs":[1],"budget":1,"subsets":[null]}`,
+		`{"costs":[1,1],"budget":2,"subsets":[{"name":"q","weight":1,"members":[0,1],"relevance":[0.5,null],"sim":[null]}]}`,
+		// Duplicate keys decode again into the same value.
+		`{"costs":[5,6],"costs":[1],"budget":1,"budget":2,"subsets":[{"name":"a","weight":1,"members":[0],"relevance":[1]}],"subsets":[{"name":"b"}]}`,
+		`{"costs":[1,2,3],"costs":[4],"costs":[null,null],"budget":9,"subsets":[]}`,
+		`{"costs":[1,1],"budget":2,"subsets":[{"name":"q","weight":1,"members":[0,1],"relevance":[0.5,0.5],"sim":[{"i":0,"j":1,"s":0.5}],"sim":[{"s":0.7}]}]}`,
+		// A triple missing keys starts from zero, not from another subset's.
+		`{"costs":[1,1],"budget":2,"subsets":[{"name":"a","weight":1,"members":[0,1],"relevance":[0.5,0.5],"sim":[{"i":0,"j":1,"s":0.5}]},{"name":"b","weight":1,"members":[0,1],"relevance":[0.5,0.5],"sim":[{"s":0.5}]}]}`,
+		// Number grammar and integer fields.
+		pair(`{"i":1.0,"j":0,"s":0.5}`), pair(`{"i":1e2,"j":0,"s":0.5}`),
+		pair(`{"i":4294967296,"j":0,"s":0.5}`), pair(`{"i":-0,"j":1,"s":0.5}`),
+		pair(`{"i":+1,"j":0,"s":0.5}`), pair(`{"i":0,"j":1,"s":1e400}`),
+		pair(`{"i":0,"j":1,"s":1e-400}`), pair(`{"i":01,"j":0,"s":0.5}`),
+		pair(`{"i":0,"j":1,"s":.5}`), pair(`{"i":0,"j":1,"s":5E-1}`),
+		pair(`{"i":99999999999999999999,"j":0,"s":0.5}`),
+		`{"costs":[1],"budget":-0,"subsets":[]}`,
+		`{"costs":[1],"retained":[2147483648],"budget":1,"subsets":[]}`,
+		`{"costs":[1],"retained":[-2147483649],"budget":1,"subsets":[]}`,
+		`{"costs":[1],"retained":[4294967296],"budget":1,"subsets":[]}`,
+		`{"costs":[1],"retained":[],"budget":1,"subsets":[]}`,
+		// Strings: escapes, non-ASCII, lone surrogates, invalid UTF-8.
+		`{"costs":[1],"budget":1,"subsets":[{"name":"café \ud800 \udc00x 😀 \/\"\\\n","weight":1,"members":[0],"relevance":[1]}]}`,
+		"{\"costs\":[1],\"budget\":1,\"subsets\":[{\"name\":\"café \xff\xfe\",\"weight\":1,\"members\":[0],\"relevance\":[1]}]}",
+		`{"costs":[1],"budget":1,"subsets":[{"name":"bad \u12","weight":1,"members":[0],"relevance":[1]}]}`,
+		`{"costs":[1],"budget":1,"note":"bad \x escape","subsets":[]}`,
+		`{"costs":[1],"budget":1,"note":"bad \u12 escape","subsets":[]}`,
+		"{\"costs\":[1],\"budget\":1,\"subsets\":[{\"name\":\"tab\there\",\"weight\":1,\"members\":[0],\"relevance\":[1]}]}",
+		// A pair repeated in the other orientation, and which error wins
+		// when a bad pair comes before or after the repeat.
+		pair(`{"i":0,"j":1,"s":0.5},{"i":1,"j":0,"s":0.5}`),
+		pair(`{"i":0,"j":1,"s":0.5},{"i":1,"j":0,"s":0.5},{"i":0,"j":9,"s":0.5}`),
+		pair(`{"i":0,"j":9,"s":0.5},{"i":0,"j":1,"s":0.5},{"i":1,"j":0,"s":0.5}`),
+		pair(`{"i":0,"j":1,"s":0.5},{"i":0,"j":1,"s":0},{"i":1,"j":0,"s":0.5}`),
+		// Pairs out of WriteJSON's order, so rows must be sorted.
+		`{"costs":[1,1,1,1],"budget":4,"subsets":[{"name":"q","weight":1,"members":[0,1,2,3],"relevance":[0.25,0.25,0.25,0.25],"sim":[{"i":3,"j":0,"s":0.3},{"i":2,"j":1,"s":0.5},{"i":0,"j":2,"s":0.4},{"i":1,"j":3,"s":0.9},{"i":1,"j":0,"s":0.2},{"i":3,"j":2,"s":0.7}]}]}`,
+		// Context vectors.
+		`{"costs":[1,1],"budget":2,"subsets":[{"name":"q","weight":1,"members":[0,1],"relevance":[0.5,0.5],"vectors":[[1,0],[0,1]]}]}`,
+		`{"costs":[1,1],"budget":2,"subsets":[{"name":"q","weight":1,"members":[0,1],"relevance":[0.5,0.5],"vectors":[[1,0],[0]]}]}`,
+		// Trailing data and nesting depth.
+		fig.String() + " garbage", fig.String() + fig.String(), fig.String() + " \t\r\n", `{} x`,
+		deep(9999), deep(10000),
+	} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
-		inst, err := ReadJSON(strings.NewReader(data))
+		want, wantVecs, wantErr := par.ReferenceDecodeJSONVectors([]byte(data))
+		inst, vecs, err := par.DecodeJSONVectors([]byte(data))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeJSONVectors error %v, reference error %v", err, wantErr)
+		}
 		if err != nil {
+			// Past the decode both run the same checks in the same order.
+			if !strings.HasPrefix(wantErr.Error(), "par: decoding instance:") && err.Error() != wantErr.Error() {
+				t.Fatalf("error %q, reference %q", err, wantErr)
+			}
 			return
+		}
+		sameInstance(t, inst, want)
+		if !reflect.DeepEqual(vecs, wantVecs) {
+			t.Fatalf("vectors %v, reference %v", vecs, wantVecs)
 		}
 		// A successfully loaded instance must behave: scoring any prefix
 		// solution must not panic and must be within the objective's range.
 		n := inst.NumPhotos()
-		sol := make([]PhotoID, 0, n)
+		sol := make([]par.PhotoID, 0, n)
 		for p := 0; p < n && p < 8; p++ {
-			sol = append(sol, PhotoID(p))
+			sol = append(sol, par.PhotoID(p))
 		}
-		score := Score(inst, sol)
+		score := par.Score(inst, sol)
 		if score < 0 || score > inst.TotalWeight()+1e-9 {
 			t.Fatalf("score %g outside [0, %g]", score, inst.TotalWeight())
 		}
 		// Round-trip must stay loadable.
 		var buf bytes.Buffer
-		if err := WriteJSON(&buf, inst); err != nil {
+		if err := par.WriteJSON(&buf, inst); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		if _, err := ReadJSON(&buf); err != nil {
+		if _, err := par.ReadJSON(&buf); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 	})
+}
+
+// sameInstance fails t unless got equals want: similarity rows compared
+// entry by entry, every float bit for bit, everything else deeply.
+func sameInstance(t *testing.T, got, want *par.Instance) {
+	t.Helper()
+	if len(got.Subsets) != len(want.Subsets) {
+		t.Fatalf("%d subsets, reference %d", len(got.Subsets), len(want.Subsets))
+	}
+	g, w := *got, *want
+	g.Subsets, w.Subsets = slices.Clone(got.Subsets), slices.Clone(want.Subsets)
+	for qi := range g.Subsets {
+		gs, ws := g.Subsets[qi].Sim.(par.NeighborLister), w.Subsets[qi].Sim.(par.NeighborLister)
+		if gs.Len() != ws.Len() {
+			t.Fatalf("subset %d: similarity over %d members, reference %d", qi, gs.Len(), ws.Len())
+		}
+		for i := 0; i < gs.Len(); i++ {
+			if !slices.Equal(gs.Neighbors(i), ws.Neighbors(i)) {
+				t.Fatalf("subset %d row %d: %v, reference %v", qi, i, gs.Neighbors(i), ws.Neighbors(i))
+			}
+		}
+		if !sameBits(g.Subsets[qi].Relevance, w.Subsets[qi].Relevance) ||
+			!sameBits([]float64{g.Subsets[qi].Weight}, []float64{w.Subsets[qi].Weight}) {
+			t.Fatalf("subset %d: weight or relevance differ in bits", qi)
+		}
+		g.Subsets[qi].Sim, w.Subsets[qi].Sim = nil, nil
+	}
+	if !sameBits(g.Cost, w.Cost) || !sameBits([]float64{g.Budget}, []float64{w.Budget}) {
+		t.Fatalf("costs or budget differ in bits")
+	}
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("instance %+v, reference %+v", g, w)
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -100,15 +101,34 @@ func ReadJSON(r io.Reader) (*Instance, error) {
 }
 
 // ReadJSONVectors is ReadJSON returning the optional per-subset context
-// vectors alongside the instance. vectors is nil when no subset carried
-// any; otherwise it has one (possibly nil) group per subset, validated to
-// hold one vector per member with a uniform positive dimension.
+// vectors alongside the instance. It reads r to the end and decodes the
+// bytes with DecodeJSONVectors.
 func ReadJSONVectors(r io.Reader) (*Instance, [][][]float64, error) {
-	var in instanceJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
+	// bytes.Buffer doubles as it grows, where io.ReadAll grows large
+	// buffers by a quarter and so allocates several times the body.
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, nil, fmt.Errorf("par: reading instance: %w", err)
+	}
+	return DecodeJSONVectors(buf.Bytes())
+}
+
+// DecodeJSONVectors parses one wire-format instance from data and finalizes
+// it. Only whitespace may follow the instance object. vectors is nil when
+// no subset carried any; otherwise it has one (possibly nil) group per
+// subset, validated to hold one vector per member with a uniform positive
+// dimension. The result shares no memory with data.
+func DecodeJSONVectors(data []byte) (*Instance, [][][]float64, error) {
+	in, err := decodeInstanceJSON(data)
+	if err != nil {
 		return nil, nil, fmt.Errorf("par: decoding instance: %w", err)
 	}
+	return in.build()
+}
+
+// build validates the decoded wire form and turns it into a finalized
+// instance plus its optional context vectors.
+func (in *instanceJSON) build() (*Instance, [][][]float64, error) {
 	inst := &Instance{
 		Cost:     in.Costs,
 		Retained: in.Retained,
@@ -118,22 +138,11 @@ func ReadJSONVectors(r io.Reader) (*Instance, [][][]float64, error) {
 	var vectors [][][]float64
 	for qi, sj := range in.Subsets {
 		k := len(sj.Members)
-		sim := NewSparseSim(k)
-		for _, p := range sj.Sim {
-			if p.I < 0 || p.I >= k || p.J < 0 || p.J >= k {
-				return nil, nil, fmt.Errorf("par: subset %d similarity pair (%d,%d) out of range", qi, p.I, p.J)
-			}
-			if p.I == p.J {
-				continue // diagonal is implicit
-			}
-			if p.Sim <= 0 || p.Sim > 1 {
-				return nil, nil, fmt.Errorf("par: subset %d similarity %g out of (0,1]", qi, p.Sim)
-			}
-			if sim.Contains(p.I, p.J) {
-				return nil, nil, fmt.Errorf("par: subset %d similarity pair (%d,%d) given twice", qi, p.I, p.J)
-			}
-			sim.Add(p.I, p.J, p.Sim)
+		sim, err := buildSparseSim(qi, k, sj.Sim)
+		if err != nil {
+			return nil, nil, err
 		}
+		in.Subsets[qi].Sim = nil // the triples are garbage from here on
 		inst.Subsets[qi] = Subset{
 			Name:      sj.Name,
 			Weight:    sj.Weight,
@@ -171,4 +180,47 @@ func ReadJSONVectors(r io.Reader) (*Instance, [][][]float64, error) {
 		return nil, nil, err
 	}
 	return inst, vectors, nil
+}
+
+// buildSparseSim turns subset qi's similarity triples over k members into a
+// SparseSim. Pairs are checked in input order — index range, then the
+// implicit diagonal (skipped), then a similarity in (0,1], then a pair
+// given twice in either orientation — and the first bad one is the error.
+func buildSparseSim(qi, k int, pairs []pairJSON) (*SparseSim, error) {
+	b := NewSparseSimBuilder(k)
+	b.Grow(len(pairs))
+	var bad error
+	for _, p := range pairs {
+		if p.I < 0 || p.I >= k || p.J < 0 || p.J >= k {
+			bad = fmt.Errorf("par: subset %d similarity pair (%d,%d) out of range", qi, p.I, p.J)
+			break
+		}
+		if p.I == p.J {
+			continue // diagonal is implicit
+		}
+		if p.Sim <= 0 || p.Sim > 1 {
+			bad = fmt.Errorf("par: subset %d similarity %g out of (0,1]", qi, p.Sim)
+			break
+		}
+		b.Add(p.I, p.J, p.Sim)
+	}
+	sim, err := b.TryBuild()
+	if err != nil {
+		// Name the first pair that repeats an earlier one, as a loader
+		// checking each pair on arrival would. It comes before any bad
+		// pair, since the builder saw only the pairs ahead of that.
+		seen := make(map[[2]int]bool, len(pairs))
+		for _, p := range pairs {
+			key := [2]int{min(p.I, p.J), max(p.I, p.J)}
+			if p.I != p.J && seen[key] {
+				return nil, fmt.Errorf("par: subset %d similarity pair (%d,%d) given twice", qi, p.I, p.J)
+			}
+			seen[key] = true
+		}
+		return nil, err
+	}
+	if bad != nil {
+		return nil, bad
+	}
+	return sim, nil
 }

@@ -1,0 +1,558 @@
+package par
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+)
+
+// jsonDecoder parses the instance wire format in one pass over the bytes,
+// straight into instanceJSON. It accepts exactly what encoding/json's
+// Unmarshal into instanceJSON accepts and produces the same values:
+//
+//   - the full JSON grammar is checked, including inside skipped values,
+//     with the same 10000-level nesting limit; only whitespace may follow
+//     the top-level value;
+//   - keys match field names case-insensitively (Unicode simple folding,
+//     as bytes.EqualFold), after unescaping; unknown keys are skipped;
+//   - null leaves a number, string or struct untouched and sets a slice
+//     to nil; [] gives an empty, non-nil slice;
+//   - a repeated key decodes again into the existing value, so slice
+//     elements are reused and struct elements merge field by field;
+//   - numbers follow the strict JSON grammar and are converted with
+//     strconv like encoding/json: an out-of-range float, a fraction or
+//     exponent in an integer field, or an int32 overflow in a photo ID is
+//     an error;
+//   - a type mismatch (a string where a number belongs, an array for an
+//     object, ...) is an error.
+//
+// Strings with escapes or non-ASCII bytes are unquoted by encoding/json, so
+// invalid UTF-8 and lone surrogates decode to U+FFFD exactly as there.
+type jsonDecoder struct {
+	data  []byte
+	off   int
+	depth int // open objects and arrays, as encoding/json counts them
+	// pairs is the scratch a subset's first "sim" array decodes into
+	// before it is copied out at its exact length.
+	pairs []pairJSON
+}
+
+// maxJSONDepth is encoding/json's nesting limit.
+const maxJSONDepth = 10000
+
+// decodeInstanceJSON parses data into a fresh instanceJSON.
+func decodeInstanceJSON(data []byte) (*instanceJSON, error) {
+	d := &jsonDecoder{data: data}
+	in := &instanceJSON{}
+	if err := d.instance(in); err != nil {
+		return nil, err
+	}
+	if d.ws() < len(d.data) {
+		return nil, d.syntaxError("after top-level value")
+	}
+	return in, nil
+}
+
+// ws skips whitespace and returns the new offset.
+func (d *jsonDecoder) ws() int {
+	for d.off < len(d.data) {
+		switch d.data[d.off] {
+		case ' ', '\t', '\n', '\r':
+			d.off++
+		default:
+			return d.off
+		}
+	}
+	return d.off
+}
+
+// peek returns the next non-space byte, or 0 at the end of the input (a
+// literal NUL is never valid JSON either, and syntaxError tells the two
+// apart).
+func (d *jsonDecoder) peek() byte {
+	if d.ws() < len(d.data) {
+		return d.data[d.off]
+	}
+	return 0
+}
+
+func (d *jsonDecoder) syntaxError(context string) error {
+	if d.off >= len(d.data) {
+		return errors.New("unexpected end of JSON input")
+	}
+	return fmt.Errorf("invalid character %q %s at offset %d", d.data[d.off], context, d.off)
+}
+
+// begin checks the value that is next before a decoder for a want reads
+// it: ok says it has a want's type. A null is consumed and reported as
+// false, and any other value is an error.
+func (d *jsonDecoder) begin(ok bool, want string) (bool, error) {
+	if ok {
+		return true, nil
+	}
+	switch c := d.peek(); {
+	case c == 'n':
+		return false, d.literal("null")
+	case c == '"' || c == '{' || c == '[' || c == 't' || c == 'f' || isNumber(c):
+		return false, fmt.Errorf("cannot decode the value at offset %d into %s", d.off, want)
+	}
+	return false, d.syntaxError("looking for beginning of value")
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// literal consumes the keyword lit (true, false or null), which must be
+// next.
+func (d *jsonDecoder) literal(lit string) error {
+	d.ws()
+	for i := 0; i < len(lit); i++ {
+		if d.off >= len(d.data) || d.data[d.off] != lit[i] {
+			return d.syntaxError("in literal " + lit)
+		}
+		d.off++
+	}
+	return nil
+}
+
+// open consumes the opening bracket c of an object or array.
+func (d *jsonDecoder) open(c byte) error {
+	if d.peek() != c {
+		return d.syntaxError("looking for beginning of value")
+	}
+	d.off++
+	d.depth++
+	if d.depth > maxJSONDepth {
+		return errors.New("exceeded max depth")
+	}
+	return nil
+}
+
+// more reports whether another element follows in the container closed by
+// end, consuming the separating comma or the closing bracket. first is true
+// before the first element, where only the closing bracket may appear.
+func (d *jsonDecoder) more(end byte, first bool) (bool, error) {
+	c := d.peek()
+	switch {
+	case c == end:
+		d.off++
+		d.depth--
+		return false, nil
+	case first:
+		return true, nil
+	case c == ',':
+		d.off++
+		return true, nil
+	case end == '}':
+		return false, d.syntaxError("after object key:value pair")
+	}
+	return false, d.syntaxError("after array element")
+}
+
+// object decodes the object that is next, calling field with each key,
+// unescaped, and leaving field to consume the value.
+func (d *jsonDecoder) object(field func(key []byte) error) error {
+	if err := d.open('{'); err != nil {
+		return err
+	}
+	for first := true; ; first = false {
+		ok, err := d.more('}', first)
+		if err != nil || !ok {
+			return err
+		}
+		if d.peek() != '"' {
+			return d.syntaxError("looking for beginning of object key string")
+		}
+		key, err := d.key()
+		if err != nil {
+			return err
+		}
+		if d.peek() != ':' {
+			return d.syntaxError("after object key")
+		}
+		d.off++
+		if err := field(key); err != nil {
+			return err
+		}
+	}
+}
+
+// key scans the object key that is next and returns it unescaped; a key
+// of printable ASCII without escapes is a slice of the input.
+func (d *jsonDecoder) key() ([]byte, error) {
+	start := d.off
+	raw, plain, err := d.str()
+	if err != nil || plain {
+		return raw, err
+	}
+	var s string
+	err = json.Unmarshal(d.data[start:d.off], &s)
+	return []byte(s), err
+}
+
+// is reports whether key names the field name, matched as encoding/json
+// matches keys: exactly or under Unicode case folding.
+func is(key []byte, name string) bool { return strings.EqualFold(string(key), name) }
+
+// str scans the string that is next and returns its raw contents between
+// the quotes, and whether they are plain (printable ASCII without escapes)
+// and so equal to the decoded value.
+func (d *jsonDecoder) str() (raw []byte, plain bool, err error) {
+	data, start := d.data, d.ws()+1
+	plain = true
+	for i := start; i < len(data); i++ {
+		c := data[i]
+		switch {
+		case c == '"':
+			d.off = i + 1
+			return data[start:i], plain, nil
+		case c < 0x20:
+			d.off = i
+			return nil, false, d.syntaxError("in string literal")
+		case c >= 0x80:
+			plain = false
+		case c == '\\':
+			plain = false
+			if i+1 >= len(data) {
+				break
+			}
+			i++
+			switch data[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				for k := 0; k < 4 && i+1 < len(data); k++ {
+					if i++; !isHex(data[i]) {
+						d.off = i
+						return nil, false, d.syntaxError(`in \u hexadecimal character escape`)
+					}
+				}
+			default:
+				d.off = i
+				return nil, false, d.syntaxError("in string escape code")
+			}
+		}
+	}
+	d.off = len(data)
+	return nil, false, d.syntaxError("")
+}
+
+func isHex(c byte) bool {
+	return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// string decodes a string field; null leaves it unchanged.
+func (d *jsonDecoder) string(dst *string) error {
+	if ok, err := d.begin(d.peek() == '"', "string"); !ok {
+		return err
+	}
+	start := d.off
+	raw, plain, err := d.str()
+	if err != nil {
+		return err
+	}
+	if plain {
+		*dst = string(raw)
+		return nil
+	}
+	return json.Unmarshal(d.data[start:d.off], dst)
+}
+
+// number scans the number that is next under the strict JSON grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. integral reports the
+// absence of a fraction and exponent.
+func (d *jsonDecoder) number() (tok []byte, integral bool, err error) {
+	data, start := d.data, d.ws()
+	i := start
+	digits := func() bool {
+		j := i
+		for i < len(data) && isDigit(data[i]) {
+			i++
+		}
+		return i > j
+	}
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(data) && data[i] == '0':
+		i++
+	case !digits():
+		d.off = i
+		return nil, false, d.syntaxError("in numeric literal")
+	}
+	integral = true
+	if i < len(data) && data[i] == '.' {
+		integral = false
+		i++
+		if !digits() {
+			d.off = i
+			return nil, false, d.syntaxError("after decimal point in numeric literal")
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		integral = false
+		i++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if !digits() {
+			d.off = i
+			return nil, false, d.syntaxError("in exponent of numeric literal")
+		}
+	}
+	d.off = i
+	return data[start:i], integral, nil
+}
+
+// isNumber reports whether a number starts with c.
+func isNumber(c byte) bool { return c == '-' || isDigit(c) }
+
+// float decodes a float64 field; null leaves it unchanged.
+func (d *jsonDecoder) float(dst *float64) error {
+	if ok, err := d.begin(isNumber(d.peek()), "float64"); !ok {
+		return err
+	}
+	tok, _, err := d.number()
+	if err != nil {
+		return err
+	}
+	f, err := parseFloat(tok)
+	if err != nil {
+		return err
+	}
+	*dst = f
+	return nil
+}
+
+// parseFloat converts a token of the JSON number grammar as encoding/json
+// does; a token beyond float64's range is an error.
+func parseFloat(tok []byte) (float64, error) {
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return 0, fmt.Errorf("number %s out of float64 range", tok)
+	}
+	return f, nil
+}
+
+// integer decodes an integer in [lo, hi]; a fraction or exponent, even one
+// with an integral value, is an error as in encoding/json. null reports
+// ok=false.
+func (d *jsonDecoder) integer(lo, hi int64, want string) (v int64, ok bool, err error) {
+	if ok, err := d.begin(isNumber(d.peek()), want); !ok {
+		return 0, false, err
+	}
+	tok, integral, err := d.number()
+	if err != nil {
+		return 0, false, err
+	}
+	if integral && len(tok) <= 18 {
+		// At most 18 digits cannot overflow int64.
+		neg := tok[0] == '-'
+		if neg {
+			tok = tok[1:]
+		}
+		for _, c := range tok {
+			v = v*10 + int64(c-'0')
+		}
+		if neg {
+			v = -v
+		}
+	} else if integral {
+		if v, err = strconv.ParseInt(string(tok), 10, 64); err != nil {
+			return 0, false, fmt.Errorf("number %s overflows %s", tok, want)
+		}
+	} else {
+		return 0, false, fmt.Errorf("cannot decode number %s into %s", tok, want)
+	}
+	if v < lo || v > hi {
+		return 0, false, fmt.Errorf("number %d overflows %s", v, want)
+	}
+	return v, true, nil
+}
+
+// int decodes an int field; null leaves it unchanged.
+func (d *jsonDecoder) int(dst *int) error {
+	v, ok, err := d.integer(math.MinInt, math.MaxInt, "int")
+	if ok {
+		*dst = int(v)
+	}
+	return err
+}
+
+// photoID decodes a PhotoID (int32) field; null leaves it unchanged.
+func (d *jsonDecoder) photoID(dst *PhotoID) error {
+	v, ok, err := d.integer(math.MinInt32, math.MaxInt32, "PhotoID")
+	if ok {
+		*dst = PhotoID(v)
+	}
+	return err
+}
+
+// array decodes a slice field with encoding/json's rules: null sets it to
+// nil, [] to an empty non-nil slice, and otherwise element i decodes into
+// the existing element i where there is one, the slice growing or being cut
+// to the array's length.
+func array[T any](d *jsonDecoder, dst *[]T, elem func(*T) error) error {
+	if ok, err := d.begin(d.peek() == '[', "array"); !ok {
+		if err == nil {
+			*dst = nil
+		}
+		return err
+	}
+	if err := d.open('['); err != nil {
+		return err
+	}
+	s := *dst
+	i := 0
+	for ; ; i++ {
+		ok, err := d.more(']', i == 0)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if i == cap(s) {
+			// Doubling keeps a large array's copies to one pass over its
+			// final size; append grows large slices by a quarter.
+			s = slices.Grow(s, max(cap(s), 4))
+		}
+		if i == len(s) {
+			s = s[:i+1]
+		}
+		if err := elem(&s[i]); err != nil {
+			return err
+		}
+	}
+	if i == 0 {
+		s = []T{}
+	}
+	*dst = s[:i]
+	return nil
+}
+
+// skip consumes and validates one value of any type.
+func (d *jsonDecoder) skip() error {
+	switch c := d.peek(); {
+	case c == '{':
+		return d.object(func([]byte) error { return d.skip() })
+	case c == '[':
+		if err := d.open('['); err != nil {
+			return err
+		}
+		for first := true; ; first = false {
+			ok, err := d.more(']', first)
+			if err != nil || !ok {
+				return err
+			}
+			if err := d.skip(); err != nil {
+				return err
+			}
+		}
+	case c == '"':
+		_, _, err := d.str()
+		return err
+	case c == 't':
+		return d.literal("true")
+	case c == 'f':
+		return d.literal("false")
+	case c == 'n':
+		return d.literal("null")
+	case isNumber(c):
+		_, _, err := d.number()
+		return err
+	}
+	return d.syntaxError("looking for beginning of value")
+}
+
+// instance decodes the top-level value: an instance object, or null.
+func (d *jsonDecoder) instance(in *instanceJSON) error {
+	if ok, err := d.begin(d.peek() == '{', "instance"); !ok {
+		return err
+	}
+	return d.object(func(key []byte) error {
+		switch {
+		case is(key, "costs"):
+			return array(d, &in.Costs, d.float)
+		case is(key, "retained"):
+			return array(d, &in.Retained, d.photoID)
+		case is(key, "budget"):
+			return d.float(&in.Budget)
+		case is(key, "subsets"):
+			return array(d, &in.Subsets, d.subset)
+		}
+		return d.skip()
+	})
+}
+
+// subset decodes one subset object; null leaves it unchanged.
+func (d *jsonDecoder) subset(q *subsetJSON) error {
+	if ok, err := d.begin(d.peek() == '{', "subset"); !ok {
+		return err
+	}
+	return d.object(func(key []byte) error {
+		switch {
+		case is(key, "name"):
+			return d.string(&q.Name)
+		case is(key, "weight"):
+			return d.float(&q.Weight)
+		case is(key, "members"):
+			return array(d, &q.Members, d.photoID)
+		case is(key, "relevance"):
+			return array(d, &q.Relevance, d.float)
+		case is(key, "sim"):
+			return d.sim(&q.Sim)
+		case is(key, "vectors"):
+			return array(d, &q.Vectors, d.vector)
+		}
+		return d.skip()
+	})
+}
+
+// sim decodes a subset's similarity triples. The first "sim" key of a
+// subset decodes into the scratch the decoder reuses across subsets, so
+// the kept slice is allocated once, at its final length; a repeated key
+// decodes into the triples already there, as encoding/json does.
+func (d *jsonDecoder) sim(dst *[]pairJSON) error {
+	if *dst != nil {
+		return array(d, dst, d.pair)
+	}
+	pairs := d.pairs[:0]
+	err := array(d, &pairs, d.freshPair)
+	*dst = slices.Clone(pairs)
+	if cap(pairs) > cap(d.pairs) {
+		d.pairs = pairs[:0]
+	}
+	return err
+}
+
+// freshPair decodes a triple into a scratch element, clearing what an
+// earlier subset left there.
+func (d *jsonDecoder) freshPair(p *pairJSON) error {
+	*p = pairJSON{}
+	return d.pair(p)
+}
+
+// vector decodes one context vector.
+func (d *jsonDecoder) vector(v *[]float64) error { return array(d, v, d.float) }
+
+// pair decodes one similarity triple; null leaves it unchanged.
+func (d *jsonDecoder) pair(p *pairJSON) error {
+	if ok, err := d.begin(d.peek() == '{', "similarity pair"); !ok {
+		return err
+	}
+	return d.object(func(key []byte) error {
+		switch {
+		case is(key, "i"):
+			return d.int(&p.I)
+		case is(key, "j"):
+			return d.int(&p.J)
+		case is(key, "s"):
+			return d.float(&p.Sim)
+		}
+		return d.skip()
+	})
+}

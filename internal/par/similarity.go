@@ -1,6 +1,11 @@
 package par
 
-import "sort"
+import (
+	"errors"
+	"math"
+	"slices"
+	"sort"
+)
 
 // Similarity is the contextualized similarity function of a single
 // pre-defined subset. Indices are positions within the subset's Members
@@ -197,29 +202,40 @@ func (s *SparseSim) insert(i, j int, sim float64) {
 	s.rows[i] = row
 }
 
-// SparseSimBuilder constructs a SparseSim by appending pairs and sorting
-// each row once at Build time. SparseSim.Add keeps rows sorted per insert,
-// which costs O(deg) copies per pair — O(deg²) per row — and dominates exact
-// sparsification of dense subsets; the builder makes bulk construction
-// O(deg log deg) per row. Use Add for incremental post-Build maintenance;
-// use the builder whenever all pairs are known up front.
+// SparseSimBuilder constructs a SparseSim from pairs known up front.
+// SparseSim.Add keeps rows sorted per insert, which costs O(deg) copies per
+// pair — O(deg²) per row — and dominates exact sparsification of dense
+// subsets; the builder records the pairs and lays all rows out at Build
+// time in one array, sorting each row at most once, so bulk construction is
+// O(deg log deg) per row and a handful of allocations per subset. Use Add
+// for incremental post-Build maintenance; use the builder whenever all pairs
+// are known up front.
 type SparseSimBuilder struct {
-	rows [][]Neighbor
+	n     int
+	pairs []builderPair
+}
+
+// builderPair is one recorded pair, normalized so that i < j.
+type builderPair struct {
+	i, j int32
+	sim  float64
 }
 
 // NewSparseSimBuilder returns a builder over n members, each seeded with its
 // self-neighbour (similarity 1), matching NewSparseSim.
 func NewSparseSimBuilder(n int) *SparseSimBuilder {
-	rows := make([][]Neighbor, n)
-	for i := range rows {
-		rows[i] = []Neighbor{{Index: i, Sim: 1}}
+	if n > math.MaxInt32 {
+		panic("par: SparseSimBuilder over more than MaxInt32 members")
 	}
-	return &SparseSimBuilder{rows: rows}
+	return &SparseSimBuilder{n: n}
 }
 
-// Add records similarity sim for the unordered pair {i, j} in both rows.
-// Argument validation matches SparseSim.Add; duplicate detection is
-// deferred to Build, where the sorted rows make it a linear scan.
+// Grow reserves room for n more pairs, for callers that know the count.
+func (b *SparseSimBuilder) Grow(n int) { b.pairs = slices.Grow(b.pairs, n) }
+
+// Add records similarity sim for the unordered pair {i, j}. Argument
+// validation matches SparseSim.Add; duplicate detection is deferred to
+// Build, where the sorted rows make it a linear scan.
 func (b *SparseSimBuilder) Add(i, j int, sim float64) {
 	if i == j {
 		panic("par: SparseSimBuilder.Add on diagonal")
@@ -227,30 +243,71 @@ func (b *SparseSimBuilder) Add(i, j int, sim float64) {
 	if sim <= 0 || sim > 1 {
 		panic("par: similarity out of (0,1]")
 	}
-	b.rows[i] = append(b.rows[i], Neighbor{Index: j, Sim: sim})
-	b.rows[j] = append(b.rows[j], Neighbor{Index: i, Sim: sim})
+	if i < 0 || j < 0 || i >= b.n || j >= b.n {
+		panic("par: SparseSimBuilder.Add index out of range")
+	}
+	b.pairs = append(b.pairs, builderPair{int32(min(i, j)), int32(max(i, j)), sim})
 }
 
-// Build sorts every row by neighbour index and hands the rows over to a
-// SparseSim; the builder must not be used afterwards. A pair added twice
-// panics here with SparseSim.Add's duplicate message: a duplicate entry
-// would silently double-count the neighbour in every gain computation.
+// Build lays the rows out, sorted by neighbour index, and hands them over
+// to a SparseSim; the builder must not be used afterwards. A pair added
+// twice panics here with SparseSim.Add's duplicate message: a duplicate
+// entry would silently double-count the neighbour in every gain
+// computation.
 func (b *SparseSimBuilder) Build() *SparseSim {
-	for _, row := range b.rows {
-		// Sparsification emits pairs in ascending order, so rows arrive
-		// nearly or fully sorted; checking first skips the sort entirely.
-		if !sort.SliceIsSorted(row, func(x, y int) bool { return row[x].Index < row[y].Index }) {
-			sort.Slice(row, func(x, y int) bool { return row[x].Index < row[y].Index })
+	s, err := b.TryBuild()
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// ErrDuplicatePair is TryBuild's error for a pair added twice.
+var ErrDuplicatePair = errors.New("par: SparseSim.Add of duplicate pair")
+
+// TryBuild is Build for pairs from untrusted input: a pair added twice, in
+// either orientation, returns ErrDuplicatePair instead of panicking.
+func (b *SparseSimBuilder) TryBuild() (*SparseSim, error) {
+	// Row i is [lower neighbours, self, higher neighbours] in one shared
+	// array. Pairs added in ascending order, as sparsification and
+	// WriteJSON produce them, fill every row already sorted.
+	lo := make([]int, b.n) // row i's lower-neighbour count, then fill cursor
+	hi := make([]int, b.n) // row i's higher-neighbour count, then fill cursor
+	for _, p := range b.pairs {
+		lo[p.j]++
+		hi[p.i]++
+	}
+	backing := make([]Neighbor, b.n+2*len(b.pairs))
+	rows := make([][]Neighbor, b.n)
+	off := 0
+	for i := range rows {
+		n := lo[i] + 1 + hi[i]
+		// The capped capacity makes a later Add reallocate the row rather
+		// than overwrite the next one.
+		rows[i] = backing[off : off+n : off+n]
+		rows[i][lo[i]] = Neighbor{Index: i, Sim: 1}
+		lo[i], hi[i] = off, off+lo[i]+1
+		off += n
+	}
+	for _, p := range b.pairs {
+		backing[hi[p.i]] = Neighbor{Index: int(p.j), Sim: p.sim}
+		hi[p.i]++
+		backing[lo[p.j]] = Neighbor{Index: int(p.i), Sim: p.sim}
+		lo[p.j]++
+	}
+	b.pairs = nil
+	byIndex := func(x, y Neighbor) int { return x.Index - y.Index }
+	for _, row := range rows {
+		if !slices.IsSortedFunc(row, byIndex) {
+			slices.SortFunc(row, byIndex)
 		}
 		for t := 1; t < len(row); t++ {
 			if row[t].Index == row[t-1].Index {
-				panic("par: SparseSim.Add of duplicate pair")
+				return nil, ErrDuplicatePair
 			}
 		}
 	}
-	s := &SparseSim{rows: b.rows}
-	b.rows = nil
-	return s
+	return &SparseSim{rows: rows}, nil
 }
 
 // FuncSim adapts an arbitrary function to the Similarity interface. It is

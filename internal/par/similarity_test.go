@@ -106,17 +106,32 @@ func TestSparseSimBuilderMatchesAdd(t *testing.T) {
 		if bulk.Len() != incr.Len() {
 			t.Fatalf("seed %d: Len %d != %d", seed, bulk.Len(), incr.Len())
 		}
-		for i := 0; i < n; i++ {
-			a, b := incr.Neighbors(i), bulk.Neighbors(i)
-			if len(a) != len(b) {
-				t.Fatalf("seed %d: Neighbors(%d) lengths %d != %d", seed, i, len(a), len(b))
-			}
-			for k := range a {
-				if a[k] != b[k] {
-					t.Fatalf("seed %d: Neighbors(%d)[%d] = %v (builder) vs %v (Add)", seed, i, k, b[k], a[k])
+		same := func() {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				a, b := incr.Neighbors(i), bulk.Neighbors(i)
+				if len(a) != len(b) {
+					t.Fatalf("seed %d: Neighbors(%d) lengths %d != %d", seed, i, len(a), len(b))
+				}
+				for k := range a {
+					if a[k] != b[k] {
+						t.Fatalf("seed %d: Neighbors(%d)[%d] = %v (builder) vs %v (Add)", seed, i, k, b[k], a[k])
+					}
 				}
 			}
 		}
+		same()
+		// The built rows share one array; growing one must leave its
+		// neighbours intact.
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if !incr.Contains(i, j) {
+					incr.Add(i, j, 0.5)
+					bulk.Add(i, j, 0.5)
+				}
+			}
+		}
+		same()
 	}
 }
 
@@ -130,6 +145,13 @@ func TestSparseSimBuilderPanics(t *testing.T) {
 		b.Add(1, 0, 0.6)
 		b.Build()
 	})
+	b := NewSparseSimBuilder(3)
+	b.Add(2, 1, 0.5)
+	b.Add(1, 2, 0.6)
+	if _, err := b.TryBuild(); err != ErrDuplicatePair {
+		t.Errorf("TryBuild of a pair added twice: err = %v, want ErrDuplicatePair", err)
+	}
+	assertPanics(t, "out of range", func() { NewSparseSimBuilder(3).Add(0, 3, 0.5) })
 }
 
 func TestUniformAndIdentitySim(t *testing.T) {
