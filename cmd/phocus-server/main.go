@@ -800,38 +800,50 @@ func instanceDigest(tenant string, body []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// solveCore is the decode → prepare → solve pipeline shared by the
-// synchronous /solve handler and the async job runner: it decodes the body
-// and digests it into the prepared-instance cache key (instanceDigest),
-// prepares through the cache's singleflight (concurrent identical archives
-// prepare once), runs the solver under ctx (plus timeout when positive),
-// and reports the shared solve metrics. The decode span starts at start, so
-// a caller that read the body first counts the read as decode time.
+// solveCore is the digest → prepare → solve pipeline shared by the
+// synchronous /solve handler and the async job runner. It digests the body
+// into the prepared-instance cache key (instanceDigest), probes the cache
+// once, and parses the body only when it must: for a cold Prepare after the
+// snapshot store missed, or up front when the request has no ?budget and the
+// answer's budget is the body's own. A hit needs no parse: the key exists
+// only for bytes of this tenant that parsed and prepared under these exact
+// preparation parameters. The cache's singleflight means concurrent
+// identical archives prepare once. The solver runs under ctx (plus timeout
+// when positive), and the shared solve metrics are reported. The decode
+// span starts at start, so a caller that read the body first counts the
+// read as decode time; a parse deferred into the cold Prepare records a
+// decode span of its own.
 // Failures that have a defined HTTP status come back as *httpError; context
 // errors come back verbatim for the caller to classify.
 func (s *server) solveCore(ctx context.Context, tenant string, body []byte, start time.Time, params solveParams, timeout time.Duration) (*solveResponse, error) {
-	ctx, decodeSpan := obs.StartSpanAt(ctx, "decode", start)
-	inst, vecs, err := par.DecodeJSONVectors(body)
-	if err != nil {
-		decodeSpan.End("err", err.Error())
-		return nil, &httpError{http.StatusBadRequest, err}
-	}
+	_, decodeSpan := obs.StartSpanAt(ctx, "decode", start)
 	digest := instanceDigest(tenant, body)
-	decodeSpan.End("photos", inst.NumPhotos(), "subsets", len(inst.Subsets))
-
-	if params.budget > 0 {
-		// Only the S0 ≤ B check depends on the budget, so re-budget in
-		// place instead of re-running Finalize's full validation.
-		if err := inst.ViewInto(inst, params.budget); err != nil {
-			return nil, &httpError{http.StatusBadRequest,
-				fmt.Errorf("invalid budget %g: %v", params.budget, err)}
+	var inst *par.Instance
+	var vecs [][][]float64
+	// parse decodes the body, ending span with parsed=true, and drops the
+	// bytes so the GC can reclaim them while Prepare and Run allocate. A
+	// malformed body is a 400.
+	parse := func(span *obs.Span) error {
+		var err error
+		inst, vecs, err = par.DecodeJSONVectors(body)
+		body = nil
+		if err != nil {
+			span.End("parsed", true, "err", err.Error())
+			return &httpError{http.StatusBadRequest, err}
 		}
+		span.End("parsed", true, "photos", inst.NumPhotos(), "subsets", len(inst.Subsets))
+		return nil
 	}
-	if params.lsh && vecs == nil {
-		return nil, &httpError{http.StatusBadRequest, phocus.ErrNoCtxVectors}
+	budget := params.budget
+	if budget == 0 {
+		if err := parse(decodeSpan); err != nil {
+			return nil, err
+		}
+		budget = inst.Budget
+	} else {
+		decodeSpan.End("parsed", false, "bytes", len(body))
 	}
 
-	ds := &dataset.Dataset{Instance: inst, CtxVectors: toCtxVectors(vecs)}
 	popts := phocus.PrepareOptions{
 		Tau:            params.tau,
 		UseLSH:         params.lsh,
@@ -843,6 +855,13 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 		BlockRows:      s.blockRows,
 	}
 	prepare := func() (*phocus.Prepared, error) {
+		if inst == nil {
+			_, span := obs.StartSpan(ctx, "decode")
+			if err := parse(span); err != nil {
+				return nil, err
+			}
+		}
+		ds := &dataset.Dataset{Instance: inst, CtxVectors: toCtxVectors(vecs)}
 		var span *obs.Span
 		if params.tau > 0 {
 			_, span = obs.StartSpan(ctx, "sparsify")
@@ -879,7 +898,8 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 	}
 	// The cache key excludes the budget (a Run parameter), so a budget
 	// sweep over one archive prepares exactly once; the singleflight means
-	// a burst of jobs over one archive does too.
+	// a burst of jobs over one archive does too. The budget is checked
+	// against C(S0) by Run, on a hit and a miss alike.
 	acquire := func() (*phocus.Prepared, error) {
 		if s.cache == nil {
 			return build()
@@ -911,7 +931,7 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 		solveWorkers = s.workers
 	}
 	ropts := phocus.RunOptions{
-		Budget:        inst.Budget,
+		Budget:        budget,
 		Algorithm:     params.algo,
 		Workers:       s.workers,
 		ExactMaxNodes: s.exactMaxNodes,
@@ -950,6 +970,10 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			obs.RecordSolveCanceled(s.reg, params.algo.DisplayName())
 		}
+		if errors.Is(err, par.ErrRetainedOverBudget) {
+			return nil, &httpError{http.StatusBadRequest,
+				fmt.Errorf("invalid budget %g: %w", params.budget, err)}
+		}
 		return nil, err
 	}
 	elapsed := solveSpan.End("algo", res.Algorithm, "score", res.Solution.Score)
@@ -958,9 +982,9 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 	obs.RecordSolve(s.reg, res.Algorithm, solveWorkers, prep.NumPhotos(),
 		stats.GainEvals, stats.PQPops, elapsed)
 	s.slo.Latency(obs.SLOSolveLatency).Observe(elapsed.Seconds())
-	if inst.Budget > 0 {
+	if budget > 0 {
 		s.reg.Histogram("phocus_solve_budget_utilization", obs.RatioBuckets).
-			Observe(res.Solution.Cost / inst.Budget)
+			Observe(res.Solution.Cost / budget)
 	}
 	s.reg.Gauge("phocus_last_solve_score").Set(res.Solution.Score)
 	if res.OnlineBound > 0 {
@@ -983,7 +1007,7 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 		Archive:     archive,
 		Score:       res.Solution.Score,
 		Cost:        res.Solution.Cost,
-		Budget:      inst.Budget,
+		Budget:      budget,
 		OnlineBound: res.OnlineBound,
 		Stats:       stats,
 	}, nil

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -774,35 +776,67 @@ func TestSolveFingerprintCarriesOver(t *testing.T) {
 	}
 }
 
-// TestSolveBudgetBelowRetainedCost pins the 400 for a ?budget= below the
-// retained set's cost C(S0), which the budget override checks without a
-// second Finalize.
+// TestSolveBudgetBelowRetainedCost pins the answer to a ?budget= below the
+// retained set's cost C(S0). It is the same whether the archive is cold (a
+// cache miss, whose body is parsed) or already prepared (a hit, never
+// parsed): a 400 on /solve, and a failed job with the same text on /jobs.
 func TestSolveBudgetBelowRetainedCost(t *testing.T) {
-	_, h := newTestServer(t, nil)
+	s, srv := jobsTestServer(t, serverConfig{Workers: 1})
 	inst := par.Figure1Instance()
 	inst.Retained = []par.PhotoID{2} // C(S0) = 2.1
 	inst.Budget = 8.2
 	if err := inst.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	var body bytes.Buffer
-	if err := par.WriteJSON(&body, inst); err != nil {
+	var buf bytes.Buffer
+	if err := par.WriteJSON(&buf, inst); err != nil {
 		t.Fatal(err)
 	}
-	for budget, want := range map[string]string{
-		"0.5": "invalid budget 0.5: par: retained set S0 costs 2 bytes, exceeding budget 0\n",
-		"2":   "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2\n",
+	body := buf.Bytes()
+
+	for i, tc := range []struct {
+		route, budget string
+		warm          bool
+		want          string
+	}{
+		{"/solve", "0.5", false, "invalid budget 0.5: par: retained set S0 costs 2 bytes, exceeding budget 0"},
+		{"/solve", "0.5", true, "invalid budget 0.5: par: retained set S0 costs 2 bytes, exceeding budget 0"},
+		{"/solve", "2", false, "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2"},
+		{"/solve", "2", true, "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2"},
+		{"/jobs", "2", false, "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2"},
+		{"/jobs", "2", true, "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2"},
 	} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", "/solve?budget="+budget, bytes.NewReader(body.Bytes())))
-		if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
-			t.Errorf("budget %s: %d %q, want 400 %q", budget, rec.Code, rec.Body.String(), want)
+		name := fmt.Sprintf("%s?budget=%s warm=%v", tc.route, tc.budget, tc.warm)
+		tenant := fmt.Sprintf("budget-%d", i)
+		if tc.warm {
+			if code, msg := postAs(t, srv.URL+"/solve?budget=2.1", tenant, body); code != http.StatusOK {
+				t.Fatalf("%s: warming solve at budget 2.1 = C(S0): %d %q", name, code, msg)
+			}
 		}
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/solve?budget=2.1", bytes.NewReader(body.Bytes())))
-	if rec.Code != http.StatusOK {
-		t.Errorf("budget 2.1 = C(S0): status %d %q, want 200", rec.Code, rec.Body.String())
+		var status, msg string
+		hits, misses := cacheDelta(s, func() {
+			code, out := postAs(t, srv.URL+tc.route+"?budget="+tc.budget, tenant, body)
+			if tc.route == "/solve" {
+				status, msg = strconv.Itoa(code), string(out)
+				return
+			}
+			var doc jobStatusDoc
+			if code != http.StatusAccepted || json.Unmarshal(out, &doc) != nil {
+				t.Fatalf("%s: submit %d %q", name, code, out)
+			}
+			doc = waitJobState(t, srv.URL, doc.ID, "failed")
+			status, msg = doc.State, doc.Error+"\n"
+		})
+		wantStatus := "400"
+		if tc.route == "/jobs" {
+			wantStatus = "failed"
+		}
+		if status != wantStatus || msg != tc.want+"\n" {
+			t.Errorf("%s: %s %q, want %s %q", name, status, msg, wantStatus, tc.want)
+		}
+		if wantHits := map[bool]int64{false: 0, true: 1}[tc.warm]; hits != wantHits || misses != 1-wantHits {
+			t.Errorf("%s: %d hits / %d misses, want %d / %d", name, hits, misses, wantHits, 1-wantHits)
+		}
 	}
 }
 
@@ -824,5 +858,143 @@ func TestSolveDeclaredLengthNotReserved(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4*maxBodyPresize {
 		t.Errorf("request allocated %d MB for a 2-byte body declaring %d MB",
 			got>>20, s.maxBody>>20)
+	}
+}
+
+// postAs POSTs body to url under tenant and returns the status with the
+// response body.
+func postAs(t *testing.T, url, tenant string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(fleet.TenantHeader, tenant)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// cacheDelta runs f and returns the prepare-cache hits and misses it added.
+func cacheDelta(s *server, f func()) (hits, misses int64) {
+	before := s.cache.Stats()
+	f()
+	after := s.cache.Stats()
+	return after.Hits - before.Hits, after.Misses - before.Misses
+}
+
+// decodeSpans returns the parsed attribute of each decode span the trace of
+// request id holds, in recording order.
+func decodeSpans(t *testing.T, s *server, id string) []string {
+	t.Helper()
+	tr, ok := s.trace.Get(id)
+	if !ok {
+		t.Fatalf("no trace for request %s", id)
+	}
+	var parsed []string
+	for _, sp := range tr.Spans {
+		if sp.Name == "decode" {
+			parsed = append(parsed, sp.Attrs["parsed"])
+		}
+	}
+	return parsed
+}
+
+// TestDigestFirstWarmMatchesCold is the conformance test of the digest-first
+// pipeline on a P-1K-shaped archive: one cold Prepare, then the five-rung
+// budget ladder as cache hits that never parse the body, each answer equal
+// bit for bit to a cold solve of the same rung. Around it, every request the
+// reordering could have let through still gets the answer it got before.
+func TestDigestFirstWarmMatchesCold(t *testing.T) {
+	s, srv := jobsTestServer(t, serverConfig{Workers: 2})
+	ds, body := p1kArchive()
+	total := ds.Instance.TotalCost()
+	solve := func(tenant, query string) (solveResponse, string) {
+		t.Helper()
+		code, out := postAs(t, srv.URL+"/solve?tau=0.4"+query, tenant, body)
+		if code != http.StatusOK {
+			t.Fatalf("tenant %s %s: %d %s", tenant, query, code, out)
+		}
+		var r solveResponse
+		if err := json.Unmarshal(out, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r, r.RequestID
+	}
+	rungQuery := func(frac float64) string {
+		return "&budget=" + strconv.FormatFloat(frac*total, 'f', -1, 64)
+	}
+
+	// Warm the archive once, cold.
+	ladder := []float64{0.05, 0.10, 0.15, 0.20, 0.30}
+	var id string
+	if h, m := cacheDelta(s, func() { _, id = solve("warm", rungQuery(ladder[0])) }); h != 0 || m != 1 {
+		t.Fatalf("first solve: %d hits / %d misses, want a miss", h, m)
+	}
+	if got := decodeSpans(t, s, id); len(got) != 2 || got[0] != "false" || got[1] != "true" {
+		t.Errorf("cold solve decode spans parsed=%v, want [false true]", got)
+	}
+	for i, frac := range ladder {
+		cold, _ := solve(fmt.Sprintf("cold-%d", i), rungQuery(frac))
+		var hot solveResponse
+		if h, m := cacheDelta(s, func() { hot, id = solve("warm", rungQuery(frac)) }); h != 1 || m != 0 {
+			t.Fatalf("rung %g: %d hits / %d misses, want a hit", frac, h, m)
+		}
+		if got := decodeSpans(t, s, id); len(got) != 1 || got[0] != "false" {
+			t.Errorf("rung %g: hit decode spans parsed=%v, want [false]", frac, got)
+		}
+		same := fmt.Sprint(hot.Retain) == fmt.Sprint(cold.Retain) &&
+			fmt.Sprint(hot.Archive) == fmt.Sprint(cold.Archive)
+		for _, f := range [][2]float64{
+			{hot.Score, cold.Score}, {hot.Cost, cold.Cost},
+			{hot.Budget, cold.Budget}, {hot.OnlineBound, cold.OnlineBound},
+		} {
+			same = same && math.Float64bits(f[0]) == math.Float64bits(f[1])
+		}
+		if !same {
+			t.Errorf("rung %g: hit %+v differs from cold %+v", frac, hot, cold)
+		}
+	}
+
+	// No ?budget: the body is parsed up front, the probe still hits, and the
+	// answer carries the body's own budget.
+	var noBudget solveResponse
+	if h, _ := cacheDelta(s, func() { noBudget, id = solve("warm", "") }); h != 1 {
+		t.Errorf("no-budget solve missed the cache")
+	}
+	if noBudget.Budget != ds.Instance.Budget {
+		t.Errorf("no-budget answer budget %g, want the body's %g", noBudget.Budget, ds.Instance.Budget)
+	}
+	if got := decodeSpans(t, s, id); len(got) != 1 || got[0] != "true" {
+		t.Errorf("no-budget decode spans parsed=%v, want [true]", got)
+	}
+
+	// The same bytes under a second tenant are a miss and are parsed.
+	if h, m := cacheDelta(s, func() { _, id = solve("second", rungQuery(ladder[1])) }); h != 0 || m != 1 {
+		t.Errorf("second tenant: %d hits / %d misses, want a miss", h, m)
+	}
+	if got := decodeSpans(t, s, id); len(got) != 2 || got[1] != "true" {
+		t.Errorf("second tenant decode spans parsed=%v, want a parse", got)
+	}
+
+	// A malformed body after a valid one is still a 400, with or without a
+	// budget, and lsh=1 on a body without vectors is a 400 too.
+	bad := append([]byte(nil), body[:len(body)/2]...)
+	for _, q := range []string{"?tau=0.4" + rungQuery(ladder[0]), "?tau=0.4"} {
+		if code, out := postAs(t, srv.URL+"/solve"+q, "warm", bad); code != http.StatusBadRequest ||
+			!strings.Contains(string(out), "par: decoding instance") {
+			t.Errorf("truncated body %s: %d %q, want a 400 decode error", q, code, out)
+		}
+	}
+	code, out := postAs(t, srv.URL+"/solve?lsh=1&tau=0.4"+rungQuery(ladder[0]), "warm", body)
+	if code != http.StatusBadRequest || !strings.Contains(string(out), "requires per-subset context vectors") {
+		t.Errorf("lsh=1 without vectors: %d %q, want a 400", code, out)
 	}
 }

@@ -46,8 +46,9 @@ type Store struct {
 
 // StoreOptions tunes durability behaviour.
 type StoreOptions struct {
-	// NoSync skips the fsync after each WAL append (benchmarks only; a
-	// crash may then lose the last few acknowledged records).
+	// NoSync skips the fsyncs after each WAL append and inside compaction
+	// (benchmarks only; a crash may then lose the last few acknowledged
+	// records).
 	NoSync bool
 	// SnapshotEvery compacts the WAL into a snapshot after this many
 	// appends (0 = default 1024).
@@ -331,7 +332,10 @@ func (s *Store) maybeCompact() error {
 }
 
 // compact checkpoints the full job table into snapshot.json (write-temp +
-// rename) and truncates the WAL.
+// rename) and truncates the WAL. Unless NoSync, the temp file is fsynced
+// before the rename and the directory before the truncate: otherwise a power
+// loss could persist the rename without the snapshot's bytes, after the WAL
+// holding the same jobs was already emptied.
 func (s *Store) compact() error {
 	if s.dir == "" {
 		return nil
@@ -342,11 +346,16 @@ func (s *Store) compact() error {
 		return fmt.Errorf("jobs: encode snapshot: %w", err)
 	}
 	tmp := s.snapPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeFile(tmp, data, s.sync); err != nil {
 		return fmt.Errorf("jobs: write snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, s.snapPath()); err != nil {
 		return fmt.Errorf("jobs: install snapshot: %w", err)
+	}
+	if s.sync {
+		if err := syncDir(s.dir); err != nil {
+			return fmt.Errorf("jobs: sync data dir: %w", err)
+		}
 	}
 	if s.wal != nil {
 		s.wal.Close()
@@ -357,6 +366,37 @@ func (s *Store) compact() error {
 	}
 	s.appends = 0
 	return nil
+}
+
+// writeFile is os.WriteFile that, when sync is set, fsyncs the file before
+// closing it.
+func writeFile(path string, data []byte, sync bool) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the renames and creations in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // sortedJobs returns the jobs ordered by submission sequence.

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -293,5 +294,56 @@ func TestStoreTempFileSweep(t *testing.T) {
 	}
 	if stats.TempSwept != 0 {
 		t.Fatalf("clean reopen swept %d temp files, want 0", stats.TempSwept)
+	}
+}
+
+// TestStoreSyncedCompactionRoundTrip runs compaction with fsync on: the
+// snapshot installed by the rename holds every job on its own, with the WAL
+// truncated behind it, and a reopen after an unclean stop recovers the
+// whole table without leaving a temp file.
+func TestStoreSyncedCompactionRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, StoreOptions{SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := submitN(t, s, 3)
+	if _, err := s.Update(&jobUpdate{ID: ids[0], State: StateRunning, Attempts: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Update(&jobUpdate{ID: ids[0], State: StateDone, Result: []byte(`{"ok":1}`)}); err != nil {
+		t.Fatal(err)
+	}
+	// The fourth append reached SnapshotEvery: one compaction ran, and the
+	// WAL holds only the fifth.
+	data, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("installed snapshot does not parse: %v", err)
+	}
+	if len(snap.Jobs) != 3 {
+		t.Errorf("snapshot holds %d jobs, want all 3", len(snap.Jobs))
+	}
+	s.Abandon()
+
+	s2, stats, err := Open(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if stats.Jobs != 3 || stats.Queued != 2 || stats.TempSwept != 0 || stats.Corrupt != 0 {
+		t.Fatalf("replay stats %+v, want 3 jobs / 2 queued / no temp / no corruption", stats)
+	}
+	if j, ok := s2.Get(ids[0]); !ok || j.State != StateDone || string(j.Result) != `{"ok":1}` {
+		t.Errorf("done job after reopen: %+v", j)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.json.tmp")); !os.IsNotExist(err) {
+		t.Errorf("temp snapshot left behind: %v", err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "wal.jsonl")); err != nil || fi.Size() != 0 {
+		t.Errorf("WAL after the reopen's compaction: %v, size %d, want empty", err, fi.Size())
 	}
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -116,10 +117,24 @@ func (in *Instance) Finalize() error {
 		}
 	}
 	if in.retainedCost > in.Budget {
-		return fmt.Errorf("par: retained set S0 costs %.0f bytes, exceeding budget %.0f", in.retainedCost, in.Budget)
+		return &overBudgetError{in.retainedCost, in.Budget}
 	}
 	return nil
 }
+
+// ErrRetainedOverBudget is wrapped by the error Finalize and ViewInto return
+// when the retained set S0 costs more than the budget. errors.Is on it tells
+// an infeasible budget apart from a malformed instance at any layer above.
+var ErrRetainedOverBudget = errors.New("par: retained set S0 exceeds the budget")
+
+// overBudgetError is the S0 > B failure with its figures.
+type overBudgetError struct{ cost, budget float64 }
+
+func (e *overBudgetError) Error() string {
+	return fmt.Sprintf("par: retained set S0 costs %.0f bytes, exceeding budget %.0f", e.cost, e.budget)
+}
+
+func (e *overBudgetError) Unwrap() error { return ErrRetainedOverBudget }
 
 // ViewInto initializes dst as a budget view over in's finalized state: the
 // same photos, subsets, retained set and occurrence index, with Budget
@@ -134,7 +149,7 @@ func (in *Instance) ViewInto(dst *Instance, budget float64) error {
 		return fmt.Errorf("par: ViewInto before Finalize")
 	}
 	if in.retainedCost > budget {
-		return fmt.Errorf("par: retained set S0 costs %.0f bytes, exceeding budget %.0f", in.retainedCost, budget)
+		return &overBudgetError{in.retainedCost, budget}
 	}
 	*dst = *in
 	dst.Budget = budget

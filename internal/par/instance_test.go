@@ -1,6 +1,7 @@
 package par
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -101,6 +102,35 @@ func TestFinalizeErrors(t *testing.T) {
 				t.Errorf("Finalize() error %q does not contain %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestRetainedOverBudgetSentinel: Finalize and ViewInto report S0 > B with
+// the same text, both wrapping ErrRetainedOverBudget; other validation
+// failures do not.
+func TestRetainedOverBudgetSentinel(t *testing.T) {
+	inst := validInstance()
+	inst.Retained = []PhotoID{1, 2}
+	inst.Budget = 4
+	const want = "par: retained set S0 costs 5 bytes, exceeding budget 4"
+	if err := inst.Finalize(); !errors.Is(err, ErrRetainedOverBudget) || err.Error() != want {
+		t.Errorf("Finalize() = %v, want %q wrapping ErrRetainedOverBudget", err, want)
+	}
+	inst.Budget = 5
+	if err := inst.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	var view Instance
+	if err := inst.ViewInto(&view, 4); !errors.Is(err, ErrRetainedOverBudget) || err.Error() != want {
+		t.Errorf("ViewInto(4) = %v, want %q wrapping ErrRetainedOverBudget", err, want)
+	}
+	if err := inst.ViewInto(&view, 5); err != nil {
+		t.Errorf("ViewInto(5) = %v, want nil", err)
+	}
+	bad := validInstance()
+	bad.Cost[0] = -1
+	if err := bad.Finalize(); err == nil || errors.Is(err, ErrRetainedOverBudget) {
+		t.Errorf("invalid cost: Finalize() = %v, want an error not wrapping ErrRetainedOverBudget", err)
 	}
 }
 

@@ -604,8 +604,10 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 		solveInst = &sc.solveView
 	}
 	if err != nil {
+		// par's errors carry their own prefix: a budget below C(S0) reaches
+		// callers worded exactly as Finalize words it.
 		p.scratch.Put(sc)
-		return fmt.Errorf("phocus: %w", err)
+		return err
 	}
 
 	t0 := time.Now()
