@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -586,11 +587,9 @@ func BenchmarkOnlineBoundP1K(b *testing.B) {
 }
 
 // BenchmarkKernelV2 is the Kernel v2 acceptance matrix: snapshot load
-// read-decode vs mmap, end-to-end CELF across quantization × row blocking,
-// and the allocation-free warm RunInto — all at the P-100K bench shape.
-// Selection identity across the matrix is asserted outside the timed
-// regions (the tuned kernels must never change which photos win), so the
-// timings compare equal work.
+// read-decode vs mmap, end-to-end CELF on the canonical f64 kernel, and the
+// allocation-free warm RunInto — all at the P-100K bench shape. The CELF
+// cell asserts its selection against a plain Run outside the timed region.
 func BenchmarkKernelV2(b *testing.B) {
 	spec := dataset.PublicSpecs(0.05)[4] // P-100K shape, 5000 photos
 	ds, err := dataset.GeneratePublic(spec)
@@ -644,62 +643,32 @@ func BenchmarkKernelV2(b *testing.B) {
 		}
 	})
 
-	// End-to-end CELF across the tuning matrix. Tune mutates only the
-	// derived kernel, so one Prepared serves every cell; the selection
-	// assert runs before the timer starts.
-	for _, tn := range []struct {
-		quantize string
-		block    bool
-	}{
-		{"f64", false},
-		{"f64", true},
-		{"f32", false},
-		{"f32", true},
-	} {
-		name := fmt.Sprintf("celf/quant=%s/block=%v", tn.quantize, tn.block)
-		b.Run(name, func(b *testing.B) {
-			if err := p.Tune(tn.quantize, tn.block); err != nil {
-				b.Fatal(err)
+	// End-to-end CELF on the canonical f64 kernel. The selection assert
+	// runs before the timer starts.
+	b.Run("celf", func(b *testing.B) {
+		var res phocus.Result
+		if err := p.RunInto(ctx, ropts, &res); err != nil {
+			b.Fatal(err)
+		}
+		if res.Solution.Score != ref.Solution.Score ||
+			len(res.Solution.Photos) != len(ref.Solution.Photos) {
+			b.Fatalf("selection diverged: %v/%d vs %v/%d",
+				res.Solution.Score, len(res.Solution.Photos),
+				ref.Solution.Score, len(ref.Solution.Photos))
+		}
+		for i := range res.Solution.Photos {
+			if res.Solution.Photos[i] != ref.Solution.Photos[i] {
+				b.Fatalf("selection diverged at %d", i)
 			}
-			// A silent audit fallback would make this cell re-measure f64;
-			// fail instead so the matrix never reports stale labels.
-			want, err := par.ParseQuantMode(tn.quantize)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := p.TunedQuantization(); got != want {
-				b.Fatalf("tune fell back: engaged %v, want %v", got, want)
-			}
-			if got := p.TunedBlocked(); got != tn.block {
-				b.Fatalf("tune fell back: blocked=%v, want %v", got, tn.block)
-			}
-			var res phocus.Result
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if err := p.RunInto(ctx, ropts, &res); err != nil {
 				b.Fatal(err)
 			}
-			if res.Solution.Score != ref.Solution.Score ||
-				len(res.Solution.Photos) != len(ref.Solution.Photos) {
-				b.Fatalf("tuned selection diverged: %v/%d vs %v/%d",
-					res.Solution.Score, len(res.Solution.Photos),
-					ref.Solution.Score, len(ref.Solution.Photos))
-			}
-			for i := range res.Solution.Photos {
-				if res.Solution.Photos[i] != ref.Solution.Photos[i] {
-					b.Fatalf("tuned selection diverged at %d", i)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.RunInto(ctx, ropts, &res); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	if err := p.Tune("", false); err != nil {
-		b.Fatal(err)
-	}
+		}
+	})
 
 	// The allocation-free gate: a warm RunInto must report 0 allocs/op.
 	b.Run("allocs", func(b *testing.B) {
@@ -715,4 +684,60 @@ func BenchmarkKernelV2(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFinalizeCompile prices compiling the gain kernel inside Finalize:
+// Finalize alone against Finalize followed by CompileKernel, on the P-1K
+// instance as the wire decoder builds it and on the scaled P-100K instance
+// (5000 photos). Each op finalizes a fresh shallow view of the decoded
+// subsets, the way Prepare finalizes its base view, so no iteration reuses
+// an occurrence index. Run with -benchmem: the compile's allocations are
+// the memory every finalized instance would carry.
+func BenchmarkFinalizeCompile(b *testing.B) {
+	p1k := dataset.PublicSpecs(1)[0]
+	p1k.RetainFrac = 0.02
+	for _, tc := range []struct {
+		name string
+		spec dataset.PublicSpec
+		wire bool
+	}{
+		{"p1k-wire", p1k, true},
+		{"p100k-0.05", dataset.PublicSpecs(0.05)[4], false},
+	} {
+		ds, err := dataset.GeneratePublic(tc.spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inst := ds.Instance
+		if tc.wire {
+			var buf bytes.Buffer
+			if err := par.WriteJSON(&buf, inst); err != nil {
+				b.Fatal(err)
+			}
+			if inst, _, err = par.DecodeJSONVectors(buf.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		finalize := func(b *testing.B) *par.Instance {
+			v := &par.Instance{Cost: inst.Cost, Retained: inst.Retained, Budget: inst.TotalCost(), Subsets: inst.Subsets}
+			if err := v.Finalize(); err != nil {
+				b.Fatal(err)
+			}
+			return v
+		}
+		b.Run(tc.name+"/finalize", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				finalize(b)
+			}
+		})
+		b.Run(tc.name+"/finalize+compile", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if k := par.CompileKernel(finalize(b)); k.Rows() == 0 {
+					b.Fatal("empty kernel")
+				}
+			}
+		})
+	}
 }

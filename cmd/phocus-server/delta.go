@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"time"
 
 	"phocus/internal/obs"
@@ -113,23 +112,7 @@ func (s *server) applyDeltaCore(ctx context.Context, fp string, d *phocus.Delta)
 		prep, _ = s.cache.Get(fp)
 	}
 	if prep == nil && s.snaps != nil {
-		p, err := s.snaps.Load(fp)
-		switch {
-		case err == nil:
-			s.recordSnapshotLoad(p, p.PrepTime)
-			s.tuneLoaded(fp, p)
-			prep = p
-		case errors.Is(err, phocus.ErrBadSnapshot):
-			obs.RecordSnapshotCorrupt(s.reg)
-			if qerr := s.snaps.Quarantine(fp); qerr != nil {
-				logger.Error("snapshot quarantine failed", "fingerprint", shortFP(fp), "err", qerr)
-			}
-			logger.Warn("corrupt snapshot quarantined during delta apply",
-				"fingerprint", shortFP(fp), "err", err)
-		case !os.IsNotExist(err):
-			logger.Warn("snapshot load failed during delta apply",
-				"fingerprint", shortFP(fp), "err", err)
-		}
+		prep = s.loadSnapshot(ctx, fp)
 	}
 	if prep == nil {
 		return nil, &httpError{http.StatusNotFound,

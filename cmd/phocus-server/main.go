@@ -88,8 +88,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable job-store directory for the async /jobs API (empty = in-memory jobs, no crash recovery)")
 	snapshotDir := flag.String("snapshot-dir", "", "prepared-instance snapshot directory for warm restarts (empty = snapshots off)")
 	mmapSnaps := flag.Bool("mmap-snapshots", false, "mmap snapshot files instead of reading them into the heap (linux/darwin; other platforms fall back to heap reads)")
-	quantize := flag.String("quantize", "", "solve-kernel similarity quantization: f32 or fixed16 (empty/off = f64); instances failing the quantization tie audit silently keep f64")
-	blockRows := flag.Bool("block-rows", false, "reorder kernel rows into degree buckets for cache locality (bit-identical scores)")
 	jobWorkers := flag.Int("job-workers", 0, "async job scheduler worker count (0 = the -workers value)")
 	queueDepth := flag.Int("queue-depth", 32, "job queue depth cap; over it submissions get 429 (0 = unbounded)")
 	queueBytes := flag.Int64("queue-bytes", 1<<30, "job queue total payload byte cap (0 = unbounded)")
@@ -123,8 +121,6 @@ func main() {
 		DataDir:       *dataDir,
 		SnapshotDir:   *snapshotDir,
 		MmapSnapshots: *mmapSnaps,
-		Quantize:      *quantize,
-		BlockRows:     *blockRows,
 		JobWorkers:    *jobWorkers,
 		QueueDepth:    *queueDepth,
 		QueueBytes:    *queueBytes,
@@ -212,12 +208,6 @@ type serverConfig struct {
 	// MmapSnapshots routes snapshot loads through mmap instead of heap
 	// reads (no effect without SnapshotDir).
 	MmapSnapshots bool
-	// Quantize picks the solve-kernel similarity quantization ("f32",
-	// "fixed16", or ""/"f64"/"off"); BlockRows turns on degree-bucketed row
-	// reordering. Both tune cold Prepares and loaded snapshots alike and
-	// never change which photos a solve selects.
-	Quantize  string
-	BlockRows bool
 	// JobWorkers sizes the async scheduler's worker pool (0 = Workers).
 	JobWorkers int
 	// QueueDepth / QueueBytes bound job admission (≤ 0 = unbounded).
@@ -263,11 +253,6 @@ type server struct {
 	jobs          *jobs.Service
 	queueDepth    int
 	snaps         *phocus.SnapshotStore
-	// quantize / blockRows are the validated kernel-tuning knobs applied to
-	// every Prepared the server makes resident (cold prepare, snapshot load,
-	// post-delta compaction all re-derive the tuned kernel from them).
-	quantize  string
-	blockRows bool
 	// deltaMu serializes delta application: ApplyDelta holds the Prepared's
 	// write lock anyway, and serializing here keeps the cache-rekey +
 	// snapshot-replace sequence atomic with respect to other deltas (two
@@ -340,16 +325,9 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 		exactMaxNodes: cfg.ExactMaxNodes,
 		solveTimeout:  cfg.SolveTimeout,
 		queueDepth:    cfg.QueueDepth,
-		quantize:      cfg.Quantize,
-		blockRows:     cfg.BlockRows,
 	}
 	if cfg.ExactMaxNodes < 0 {
 		s.exactMaxNodes = 0
-	}
-	// Fail fast on a bad -quantize value instead of letting every Prepare
-	// reject it at request time.
-	if _, err := par.ParseQuantMode(cfg.Quantize); err != nil {
-		return nil, err
 	}
 	if cfg.CacheEntries > 0 || cfg.CacheBytes > 0 {
 		s.cache = phocus.NewPreparedCache(cfg.CacheEntries, cfg.CacheBytes)
@@ -851,8 +829,6 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 		Workers:        s.workers,
 		InstanceDigest: digest,
 		Metrics:        s.reg,
-		Quantize:       s.quantize,
-		BlockRows:      s.blockRows,
 	}
 	prepare := func() (*phocus.Prepared, error) {
 		if inst == nil {
@@ -880,9 +856,6 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 		if prep.OriginalPairs > 0 {
 			s.reg.Gauge("phocus_sparsify_keep_ratio").
 				Set(float64(prep.SparsifiedPairs) / float64(prep.OriginalPairs))
-		}
-		if prep.TunedQuantization() != par.QuantNone {
-			obs.RecordKernelQuantized(s.reg)
 		}
 		return prep, nil
 	}

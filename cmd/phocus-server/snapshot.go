@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"phocus/internal/obs"
-	"phocus/internal/par"
 	"phocus/internal/phocus"
 )
 
@@ -26,28 +25,6 @@ func (s *server) recordSnapshotLoad(p *phocus.Prepared, d time.Duration) {
 	obs.RecordSnapshotLoad(s.reg, d)
 	if p.MappedBytes() > 0 {
 		obs.RecordSnapshotMmapLoad(s.reg)
-	}
-}
-
-// tuneLoaded re-derives the tuned solve kernel on a snapshot-loaded Prepared:
-// snapshots persist only canonical slabs (tuning is a cheap local derivation,
-// not worth freezing into the wire format), so the server re-applies its
-// -quantize/-block-rows knobs after every load. ErrSnapshotUnmapped means the
-// cache already evicted the mapping out from under us — the value is on its
-// way out, so skipping the tune is correct, not an error.
-func (s *server) tuneLoaded(fp string, p *phocus.Prepared) {
-	if s.quantize == "" && !s.blockRows {
-		return
-	}
-	if err := p.Tune(s.quantize, s.blockRows); err != nil {
-		if !errors.Is(err, phocus.ErrSnapshotUnmapped) {
-			s.logger.Warn("kernel tune failed after snapshot load",
-				"fingerprint", shortFP(fp), "err", err)
-		}
-		return
-	}
-	if p.TunedQuantization() != par.QuantNone {
-		obs.RecordKernelQuantized(s.reg)
 	}
 }
 
@@ -68,7 +45,6 @@ func (s *server) warmFill() {
 	stats, err := s.snaps.WarmFill(s.cache,
 		func(fp string, p *phocus.Prepared, d time.Duration) {
 			s.recordSnapshotLoad(p, d)
-			s.tuneLoaded(fp, p)
 		},
 		func(fp string, err error) {
 			obs.RecordSnapshotCorrupt(s.reg)
@@ -86,11 +62,13 @@ func (s *server) warmFill() {
 		"elapsed", time.Since(t0).Round(time.Millisecond))
 }
 
-// prepareViaSnapshot is the cache-miss path when a snapshot store is
-// attached: load the persisted snapshot if one exists (quarantining and
-// counting corrupt files), otherwise run the cold prepare and write its
-// snapshot back in the background.
-func (s *server) prepareViaSnapshot(ctx context.Context, fp string, prepare func() (*phocus.Prepared, error)) (*phocus.Prepared, error) {
+// loadSnapshot is the request paths' one snapshot load: it returns the
+// persisted Prepared for fp, or nil when the store holds no usable one. A
+// flipped byte anywhere in the file fails a checksum and lands in the
+// ErrBadSnapshot branch: the file is quarantined (renamed *.snap.corrupt)
+// and counted, so unverified bytes never reach a solver. Callers decide what
+// nil means — /solve prepares cold, a delta answers 404.
+func (s *server) loadSnapshot(ctx context.Context, fp string) *phocus.Prepared {
 	logger := obs.Logger(ctx)
 	t0 := time.Now()
 	p, err := s.snaps.Load(fp)
@@ -98,27 +76,31 @@ func (s *server) prepareViaSnapshot(ctx context.Context, fp string, prepare func
 	case err == nil:
 		elapsed := time.Since(t0)
 		s.recordSnapshotLoad(p, elapsed)
-		s.tuneLoaded(fp, p)
 		logger.Info("prepared instance loaded from snapshot",
 			"fingerprint", shortFP(fp), "bytes", p.SizeBytes(),
 			"load", elapsed.Round(time.Millisecond), "mapped", p.MappedBytes() > 0)
-		return p, nil
+		return p
 	case errors.Is(err, phocus.ErrBadSnapshot):
-		// A flipped byte anywhere in the file lands here: quarantine the
-		// evidence, count it, and serve the request from a cold Prepare —
-		// never from unverified bytes.
 		obs.RecordSnapshotCorrupt(s.reg)
 		if qerr := s.snaps.Quarantine(fp); qerr != nil {
 			logger.Error("snapshot quarantine failed", "fingerprint", shortFP(fp), "err", qerr)
 		}
-		logger.Warn("corrupt snapshot quarantined; preparing cold",
-			"fingerprint", shortFP(fp), "err", err)
+		logger.Warn("corrupt snapshot quarantined", "fingerprint", shortFP(fp), "err", err)
 	case !os.IsNotExist(err):
-		// Environmental (permissions, I/O): fall back cold but say why.
-		logger.Warn("snapshot load failed; preparing cold",
-			"fingerprint", shortFP(fp), "err", err)
+		// Environmental (permissions, I/O): the caller falls back, say why.
+		logger.Warn("snapshot load failed", "fingerprint", shortFP(fp), "err", err)
 	}
-	p, err = prepare()
+	return nil
+}
+
+// prepareViaSnapshot is the cache-miss path when a snapshot store is
+// attached: load the persisted snapshot if one exists, otherwise run the
+// cold prepare and write its snapshot back in the background.
+func (s *server) prepareViaSnapshot(ctx context.Context, fp string, prepare func() (*phocus.Prepared, error)) (*phocus.Prepared, error) {
+	if p := s.loadSnapshot(ctx, fp); p != nil {
+		return p, nil
+	}
+	p, err := prepare()
 	if err != nil {
 		return nil, err
 	}

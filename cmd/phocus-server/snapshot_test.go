@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -151,6 +152,71 @@ func TestSnapshotCorruptQuarantine(t *testing.T) {
 	}
 	// The cold Prepare re-persists a fresh snapshot for the next restart.
 	waitFor(t, "snapshot re-write", func() bool { return len(snapFiles(t, dir)) == 1 })
+}
+
+// TestSnapshotCorruptRequestPaths covers the request-time quarantine that
+// TestSnapshotCorruptQuarantine's warm-fill never reaches: the instance is
+// evicted from the prepare cache and one byte of its snapshot flipped, so the
+// next request must load the file itself. Both request paths share one load
+// helper and must quarantine the file and count it once; /solve then answers
+// exactly what the cold solve answered and writes a fresh snapshot back,
+// while a delta answers 404 and leaves no snapshot installed.
+func TestSnapshotCorruptRequestPaths(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		installed int // snapshots in the store once the request settles
+		request   func(t *testing.T, base, fp, body string, cold solveResponse)
+	}{
+		{"solve", 1, func(t *testing.T, base, fp, body string, cold solveResponse) {
+			got := postSolve(t, base+"/solve?tau=0.6", body)
+			got.RequestID, got.Stats = "", nil
+			cold.RequestID, cold.Stats = "", nil
+			if !reflect.DeepEqual(got, cold) {
+				t.Fatalf("solve after quarantine %+v, want the cold answer %+v", got, cold)
+			}
+		}},
+		{"delta", 0, func(t *testing.T, base, fp, body string, cold solveResponse) {
+			if code, _ := postDelta(t, base, fp, growDelta); code != http.StatusNotFound {
+				t.Fatalf("delta after quarantine: status %d, want 404", code)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			body := instanceBody(t, 8.2).String()
+			s, srv := snapServer(t, dir)
+			waitFor(t, "server ready", func() bool { return s.snapWarmed.Load() })
+			cold := postSolve(t, srv.URL+"/solve?tau=0.6", body)
+			waitFor(t, "snapshot write-back", func() bool { return len(snapFiles(t, dir)) == 1 })
+
+			path := snapFiles(t, dir)[0]
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if !s.cache.Remove(cold.Fingerprint) {
+				t.Fatal("the solved instance was not cached")
+			}
+			corrupt := s.reg.Counter("phocus_snapshot_corrupt_total")
+			before := corrupt.Value()
+
+			tc.request(t, srv.URL, cold.Fingerprint, body, cold)
+
+			if got := corrupt.Value() - before; got != 1 {
+				t.Errorf("corrupt snapshots counted = %d, want 1", got)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Errorf("quarantined file missing: %v", err)
+			}
+			// The cold fallback writes its snapshot back off the request
+			// path; let it land before the directory goes.
+			waitFor(t, "settled store", func() bool { return len(snapFiles(t, dir)) == tc.installed })
+		})
+	}
 }
 
 // TestReadyzGatedOnWarmFill: /readyz must answer 503 while the warm-fill is

@@ -37,14 +37,6 @@ func RecordSnapshotMmapLoad(reg *Registry) {
 	reg.Counter("phocus_snapshot_mmap_loads_total").Inc()
 }
 
-// RecordKernelQuantized records one prepared instance whose solve kernel came
-// up quantized (at cold Prepare or after tuning a loaded snapshot):
-//
-//	phocus_kernel_quantized_total
-func RecordKernelQuantized(reg *Registry) {
-	reg.Counter("phocus_kernel_quantized_total").Inc()
-}
-
 // SetPreparedMmapBytes exports the prepare cache's mmap-backed residency —
 // page-cache bytes, deliberately excluded from the cache's heap byte bound:
 //

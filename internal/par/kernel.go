@@ -48,20 +48,6 @@ type Kernel struct {
 	// a canonical compiled kernel. While an overlay is active the kernel is
 	// NOT immutable — the engine serializes mutation against concurrent reads.
 	ov *kernOverlay
-
-	// Tuned-kernel fields (see kernelq.go / kernelblock.go). A tuned kernel
-	// is a derived solver-only twin of a canonical kernel: it may store the
-	// similarity slabs at reduced precision (qmode + simF32/wrF32/simFix —
-	// the f64 slabs are dropped) and/or permute row storage order (perm /
-	// iperm). Tuned kernels are immutable, never serialized, and never carry
-	// a mutation overlay; the canonical f64 kernel always survives alongside
-	// for rescoring, snapshots and delta maintenance.
-	qmode  QuantMode
-	simF32 []float32
-	wrF32  []float32
-	simFix []uint16
-	perm   []int32 // canonical row → physical row; nil = identity
-	iperm  []int32 // physical row → canonical row
 }
 
 // CompileKernel flattens the instance's gain hot path into a Kernel. The
@@ -137,12 +123,6 @@ func (k *Kernel) gain(best []float64, p PhotoID) float64 {
 	if k.ov != nil {
 		return k.ov.gain(k, best, p)
 	}
-	switch k.qmode {
-	case QuantF32:
-		return k.gainF32(best, p)
-	case QuantFixed16:
-		return k.gainFix16(best, p)
-	}
 	var gain float64
 	for _, r := range k.occRow[k.occStart[p]:k.occStart[p+1]] {
 		lo, hi := k.rowStart[r], k.rowStart[r+1]
@@ -165,12 +145,6 @@ func (k *Kernel) gain(best []float64, p PhotoID) float64 {
 func (k *Kernel) add(best []float64, p PhotoID) float64 {
 	if k.ov != nil {
 		return k.ov.add(k, best, p)
-	}
-	switch k.qmode {
-	case QuantF32:
-		return k.addF32(best, p)
-	case QuantFixed16:
-		return k.addFix16(best, p)
 	}
 	var gain float64
 	for _, r := range k.occRow[k.occStart[p]:k.occStart[p+1]] {
@@ -206,21 +180,12 @@ func (k *Kernel) Entries() int {
 func (k *Kernel) SizeBytes() int64 {
 	n := 4*int64(len(k.nbrIdx)) + 8*int64(len(k.nbrSim)) + 8*int64(len(k.nbrWR)) +
 		8*int64(len(k.rowStart)) + 4*int64(len(k.occStart)) + 4*int64(len(k.occRow)) +
-		4*int64(len(k.rowLen)) +
-		4*int64(len(k.simF32)) + 4*int64(len(k.wrF32)) + 2*int64(len(k.simFix)) +
-		4*int64(len(k.perm)) + 4*int64(len(k.iperm))
+		4*int64(len(k.rowLen))
 	if k.ov != nil {
 		n += k.ov.overlayBytes()
 	}
 	return n
 }
-
-// Quantization returns the storage precision of the kernel's similarity
-// slabs (QuantNone for a canonical f64 kernel).
-func (k *Kernel) Quantization() QuantMode { return k.qmode }
-
-// Blocked reports whether the kernel's rows were reordered by BlockRows.
-func (k *Kernel) Blocked() bool { return k.perm != nil }
 
 // AttachKernel attaches a compiled kernel to the instance: evaluators
 // created from it afterwards run the kernel hot path instead of the jagged

@@ -82,15 +82,11 @@ type kentry struct {
 }
 
 // Canonical reports whether the kernel is in its compiled flat layout: no
-// mutation overlay, full-precision slabs, subset-major row order. Overlaid
-// kernels compute identical gains but their row numbering no longer matches
-// the order evaluator best views and the snapshot codec assume; tuned
-// kernels (quantized and/or row-blocked, see kernelq.go / kernelblock.go)
-// additionally drop or permute the f64 slabs, so neither may be serialized
-// or mutated.
-func (k *Kernel) Canonical() bool {
-	return k.ov == nil && k.qmode == QuantNone && k.perm == nil
-}
+// mutation overlay, subset-major row order. Overlaid kernels compute
+// identical gains but their row numbering no longer matches the order
+// evaluator best views and the snapshot codec assume, so they may not be
+// serialized.
+func (k *Kernel) Canonical() bool { return k.ov == nil }
 
 // TotalRows returns the number of (subset, member) rows including appended
 // tail rows.
@@ -135,14 +131,8 @@ func (k *Kernel) LiveFraction() float64 {
 	return 1 - float64(k.ov.dead)/float64(total)
 }
 
-// ensureOverlay materializes the mutation overlay on first use. Tuned
-// kernels are derived read-only artifacts — the engine drops them before
-// mutating the canonical kernel and re-derives them at compaction — so a
-// mutation reaching one is a bug, not a state to support.
+// ensureOverlay materializes the mutation overlay on first use.
 func (k *Kernel) ensureOverlay() *kernOverlay {
-	if k.qmode != QuantNone || k.perm != nil {
-		panic("par: kernel mutation on a tuned (quantized/blocked) kernel")
-	}
 	if k.ov != nil {
 		return k.ov
 	}
@@ -173,9 +163,6 @@ func (k *Kernel) RowOf(q, mi int) int32 {
 		var off int32
 		for qi := 0; qi < q; qi++ {
 			off += k.rowLen[qi]
-		}
-		if k.perm != nil {
-			return k.perm[off+int32(mi)]
 		}
 		return off + int32(mi)
 	}

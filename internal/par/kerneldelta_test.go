@@ -62,6 +62,54 @@ func renorm(rel []float64) {
 	}
 }
 
+// TestKernelCanonicalRowOf pins the canonical layout that the evaluator's
+// subset-major best views and the snapshot codec rely on: a freshly compiled
+// kernel is Canonical, RowOf numbers its rows subset by subset, and the flat
+// best array read through RowOf agrees with the per-subset views. The first
+// mutation makes the kernel non-canonical, and Slabs then refuses it.
+func TestKernelCanonicalRowOf(t *testing.T) {
+	inst := deltaTestInstance(t, 3)
+	kern := CompileKernel(inst)
+	if !kern.Canonical() {
+		t.Fatal("freshly compiled kernel is not canonical")
+	}
+	if err := inst.AttachKernel(kern); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEvaluator(inst)
+	if e.best == nil {
+		t.Fatal("evaluator skipped the subset-major views over a canonical kernel")
+	}
+	e.Add(0)
+	e.Add(5)
+	var row int32
+	for qi := range inst.Subsets {
+		for mi := range inst.Subsets[qi].Members {
+			if got := kern.RowOf(qi, mi); got != row {
+				t.Fatalf("RowOf(%d, %d) = %d, want %d", qi, mi, got, row)
+			}
+			if e.flat[row] != e.best[qi][mi] {
+				t.Fatalf("row %d: flat %v != best view %v", row, e.flat[row], e.best[qi][mi])
+			}
+			row++
+		}
+	}
+	if got := len(kern.Slabs().RowStart) - 1; got != int(row) {
+		t.Fatalf("Slabs spans %d rows, want %d", got, row)
+	}
+
+	kern.TombstoneRow(0, 1)
+	if kern.Canonical() {
+		t.Fatal("kernel still canonical after a mutation")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Slabs on a non-canonical kernel did not panic")
+		}
+	}()
+	kern.Slabs()
+}
+
 // TestKernelOverlayBitIdentical drives the full overlay vocabulary —
 // tombstone a removed photo, append a new photo into an existing subset,
 // append a whole new subset mixing an existing and the new photo — and

@@ -629,12 +629,6 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 		return nil, err
 	}
 
-	// The tuned (quantized/blocked) solve kernel cannot absorb structural
-	// mutations — par.Kernel panics rather than let one through — so it is
-	// dropped for the overlay-active period and re-derived by the next
-	// compaction. Deltas always land on the canonical kernels.
-	p.kernTuned = nil
-
 	// Kernel structural updates mirror the plan entry for entry. Ordering
 	// matters twice over: per photo, rows must be appended in ascending
 	// subset order (memberships first, new subsets after — new subsets have
@@ -802,11 +796,6 @@ func (p *Prepared) compactLocked() error {
 		}
 		p.kernSolve = par.CompileKernel(sv)
 		p.solveTmpl = sv
-	}
-	// Compaction restored canonical kernels, so the tuned solve twin the
-	// delta dropped can exist again.
-	if err := p.retuneLocked(); err != nil {
-		return err
 	}
 	p.KernelBuildTime += time.Since(kt)
 	p.sizeBytes = instanceSizeBytes(p.base.Cost, p.base.Subsets) + simSizeBytes(p.sparse) + p.kernelBytesLocked()

@@ -62,21 +62,6 @@ type PrepareOptions struct {
 	// Metrics, when non-nil, receives stage telemetry
 	// (phocus_kernel_build_seconds). It does not contribute to Fingerprint.
 	Metrics *obs.Registry
-	// Quantize selects a reduced-precision similarity representation for the
-	// CELF solve path: "f32" stores neighbour similarities and fused W·R
-	// weights as float32, "fixed16" additionally packs similarities onto a
-	// 16-bit fixed-point grid; "" (or "f64"/"off") keeps full precision.
-	// Quantization is a runtime tuning knob, not prepared content: it is
-	// excluded from Fingerprint, never serialized into snapshots (call Tune
-	// after loading one), and a kernel whose similarity values collide on the
-	// reduced grid falls back to f64 automatically — selections are invariant
-	// either way. See DESIGN.md §12.
-	Quantize string
-	// BlockRows reorders the solve kernel's rows into degree buckets so the
-	// gain scan's hottest rows share a dense prefix of the best array
-	// (bit-identical gains; see par.Kernel.BlockRows). Like Quantize it is
-	// excluded from Fingerprint and from snapshots.
-	BlockRows bool
 }
 
 // RunOptions configures one Solver-stage run against a Prepared instance.
@@ -136,15 +121,6 @@ type Prepared struct {
 	// budgeted view Run builds.
 	kernBase  *par.Kernel
 	kernSolve *par.Kernel
-
-	// kernTuned is the optional quantized/row-blocked twin of the solve-path
-	// kernel (kernSolve when τ > 0, kernBase otherwise), derived from
-	// opts.Quantize / opts.BlockRows. Only the CELF solve reads it; rescore,
-	// online bound, snapshots and delta maintenance always run the canonical
-	// kernels. nil when no tuning is requested, while a mutation overlay is
-	// active (ApplyDelta drops it; compaction re-derives it), or when the
-	// quantization audit fell back to f64.
-	kernTuned *par.Kernel
 
 	// solveTmpl is the finalized budget-free instance over the sparsified
 	// subsets — the template RunInto stamps budgeted solve views from without
@@ -238,9 +214,6 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 		p.kernBase = par.CompileKernel(base)
 		p.KernelBuildTime = time.Since(kt)
 	}
-	if err := p.retuneLocked(); err != nil {
-		return nil, err
-	}
 	if opts.Metrics != nil {
 		obs.RecordKernelBuild(opts.Metrics, p.KernelBuildTime)
 	}
@@ -292,100 +265,7 @@ func (p *Prepared) kernelBytesLocked() int64 {
 	if p.kernSolve != nil {
 		n += p.kernSolve.SizeBytes()
 	}
-	if p.kernTuned != nil {
-		n += p.kernTuned.SizeBytes()
-	}
 	return n
-}
-
-// retuneLocked re-derives kernTuned from the canonical solve-path kernel per
-// opts.Quantize / opts.BlockRows. It leaves kernTuned nil when no tuning is
-// requested, when the source kernel carries a mutation overlay (the post-delta
-// state; the next compaction re-derives), or when the quantization audit
-// rejects the kernel and no blocking was requested.
-func (p *Prepared) retuneLocked() error {
-	// Parse before touching kernTuned so a bad mode leaves the current
-	// tuning in place (Tune's error contract).
-	mode, err := par.ParseQuantMode(p.opts.Quantize)
-	if err != nil {
-		return err
-	}
-	p.kernTuned = nil
-	if mode == par.QuantNone && !p.opts.BlockRows {
-		return nil
-	}
-	src := p.kernSolve
-	if src == nil {
-		src = p.kernBase
-	}
-	if src == nil || !src.Canonical() {
-		return nil // overlay active: run untuned until the next compaction
-	}
-	t := src
-	if p.opts.BlockRows {
-		t = t.BlockRows()
-	}
-	if mode != par.QuantNone {
-		if q, ok := par.KernelQ(t, mode); ok {
-			t = q
-		} else if !p.opts.BlockRows {
-			// The grid audit found a tie and no blocking was requested:
-			// nothing tuned survives, the canonical kernel serves the solve.
-			return nil
-		}
-	}
-	p.kernTuned = t
-	return nil
-}
-
-// Tune sets the runtime kernel-tuning knobs (similarity quantization, row
-// blocking) and re-derives the tuned solve kernel. Tuning is excluded from
-// the fingerprint and from snapshots, so callers that load snapshots call
-// Tune afterwards to restore it. An unknown quantize mode leaves the
-// Prepared unchanged; on an mmap-backed Prepared whose mapping was already
-// released it returns ErrSnapshotUnmapped.
-func (p *Prepared) Tune(quantize string, blockRows bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.pin(); err != nil {
-		return err
-	}
-	defer p.unpin()
-	var before, after int64
-	if p.kernTuned != nil {
-		before = p.kernTuned.SizeBytes()
-	}
-	prevQ, prevB := p.opts.Quantize, p.opts.BlockRows
-	p.opts.Quantize, p.opts.BlockRows = quantize, blockRows
-	if err := p.retuneLocked(); err != nil {
-		p.opts.Quantize, p.opts.BlockRows = prevQ, prevB
-		return err
-	}
-	if p.kernTuned != nil {
-		after = p.kernTuned.SizeBytes()
-	}
-	p.sizeBytes += after - before
-	return nil
-}
-
-// TunedQuantization reports the quantization mode the tuned solve kernel
-// actually carries — QuantNone when untuned, when an overlay is active, or
-// when the grid audit fell back to f64.
-func (p *Prepared) TunedQuantization() par.QuantMode {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.kernTuned == nil {
-		return par.QuantNone
-	}
-	return p.kernTuned.Quantization()
-}
-
-// TunedBlocked reports whether the tuned solve kernel carries a row-blocking
-// permutation.
-func (p *Prepared) TunedBlocked() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.kernTuned != nil && p.kernTuned.Blocked()
 }
 
 // Fingerprint returns the content fingerprint identifying this Prepared: a
@@ -438,9 +318,7 @@ func InstanceDigest(inst *par.Instance) (string, error) {
 // parameters into the cache key Prepare/Fingerprint use. Callers that
 // digest the wire bytes themselves (phocus-server) call this directly to
 // probe the cache before deciding whether to Prepare at all. The run budget
-// is excluded so budget sweeps share one entry, and so are the kernel-tuning
-// knobs (Quantize, BlockRows): they change how fast a solve runs, never what
-// it selects, so tuned and untuned prepares are interchangeable cache values.
+// is excluded so budget sweeps share one entry.
 func FingerprintFor(digest string, opts PrepareOptions) string {
 	h := sha256.New()
 	io.WriteString(h, "phocus/prepared/v1\x00")
@@ -579,27 +457,9 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 		err = sc.trueView.AttachKernel(p.kernBase)
 	}
 	solveInst := &sc.trueView
-	// The tuned (quantized/row-blocked) kernel accelerates only the CELF
-	// solve; every other algorithm — and the rescore and bound below — runs
-	// the canonical kernels.
-	tuned := p.kernTuned
-	if opts.Algorithm != "" && opts.Algorithm != AlgoCELF {
-		tuned = nil
-	}
 	if err == nil && p.solveTmpl != nil {
-		k := p.kernSolve
-		if tuned != nil {
-			k = tuned
-		}
 		if err = p.solveTmpl.ViewInto(&sc.solveView, budget); err == nil {
-			err = sc.solveView.AttachKernel(k)
-		}
-		solveInst = &sc.solveView
-	} else if err == nil && tuned != nil {
-		// τ == 0: solve on a separate tuned view of the base so the true
-		// view keeps the canonical kernel for the rescore.
-		if err = p.base.ViewInto(&sc.solveView, budget); err == nil {
-			err = sc.solveView.AttachKernel(tuned)
+			err = sc.solveView.AttachKernel(p.kernSolve)
 		}
 		solveInst = &sc.solveView
 	}
@@ -640,7 +500,7 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 	res.SolveTime = time.Since(t0)
 
 	// Rescore under the true objective through the pooled evaluator (the
-	// solver may have optimized the sparsified or quantized surrogate). The
+	// solver may have optimized the sparsified surrogate). The
 	// Add sequence is exactly par.ScoreFast's, so the score is bit-identical
 	// to the allocating path's.
 	if sc.rescore == nil {

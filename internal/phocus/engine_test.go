@@ -3,6 +3,7 @@ package phocus
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -287,5 +288,70 @@ func TestPipelineSolver(t *testing.T) {
 	}
 	if (&PipelineSolver{Algorithm: AlgoExact}).Name() != "Brute-Force" {
 		t.Error("algorithm name not forwarded")
+	}
+}
+
+// TestRunAllocs is the allocation-free Run gate: after one warm-up call, a
+// steady-state RunInto (CELF, sequential, bound skipped) performs zero heap
+// allocations per run.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race CI lane")
+	}
+	ctx := context.Background()
+	for _, tau := range []float64{0, 0.4} {
+		t.Run(fmt.Sprintf("tau=%g", tau), func(t *testing.T) {
+			ds := sweepDataset(t, 29)
+			p, err := Prepare(ctx, ds, PrepareOptions{Tau: tau, Workers: 1, InstanceDigest: "allocs"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := RunOptions{Budget: 0.5 * ds.Instance.TotalCost(), Workers: 1, SkipBound: true}
+			var res Result
+			if err := p.RunInto(ctx, opts, &res); err != nil {
+				t.Fatal(err)
+			}
+			warm := res
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := p.RunInto(ctx, opts, &res); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("warm RunInto allocates %v times per run, want 0", allocs)
+			}
+			if res.Solution.Score != warm.Solution.Score || len(res.Solution.Photos) != len(warm.Solution.Photos) {
+				t.Fatalf("warm runs diverged: %v vs %v", res.Solution, warm.Solution)
+			}
+		})
+	}
+}
+
+// TestRunIntoMatchesRun pins that the scratch-reusing entry point and the
+// allocating wrapper agree field for field, including when the caller's
+// Result still holds a previous run's slices.
+func TestRunIntoMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	ds := sweepDataset(t, 31)
+	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.4, Workers: 1, InstanceDigest: "runinto"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	for _, frac := range []float64{0.2, 0.5, 0.8} {
+		opts := RunOptions{Budget: frac * ds.Instance.TotalCost(), Workers: 1}
+		want, err := p.Run(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.RunInto(ctx, opts, &res); err != nil {
+			t.Fatal(err)
+		}
+		if keyOf(&res) != keyOf(want) {
+			t.Fatalf("budget %.0f%%: RunInto %+v != Run %+v", 100*frac, keyOf(&res), keyOf(want))
+		}
+		if fmt.Sprint(res.Archived) != fmt.Sprint(want.Archived) {
+			t.Fatalf("budget %.0f%%: Archived %v != %v", 100*frac, res.Archived, want.Archived)
+		}
 	}
 }

@@ -7,7 +7,7 @@
 // Lifetime rules (see DESIGN.md §12):
 //
 //   - Every slab-touching operation on a Prepared (Run/RunInto,
-//     EncodeSnapshot, ApplyDelta, View, Tune) pins the mapping for its
+//     EncodeSnapshot, ApplyDelta, View) pins the mapping for its
 //     duration. ReleaseMapping — called by PreparedCache when the last
 //     reference to an mmap-backed entry leaves the cache — marks the mapping
 //     released immediately but unmaps only once the pin count drains, so a

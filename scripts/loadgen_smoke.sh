@@ -19,9 +19,9 @@
 #      gated until then) and answers the same request as a cache hit with
 #      the same score; flipping one byte of the snapshot gets it
 #      quarantined and counted while the request still succeeds cold;
-#   6. the Kernel v2 flags hold the same contract: a restart with
-#      -mmap-snapshots -quantize f32 -block-rows warm-fills through the
-#      mmap path (counted, gauge > 0) and answers the identical score.
+#   6. mmap loading holds the same contract: a restart with
+#      -mmap-snapshots warm-fills through the mmap path (counted,
+#      gauge > 0) and answers the identical score.
 #
 # Requires: go toolchain. JSON is picked apart with sed/grep so the script
 # runs on a bare CI image. The report lands at $LOADGEN_REPORT (default
@@ -174,13 +174,13 @@ metric_ge phocus_prepare_cache_hits_total 1 "restart did not serve from the warm
 echo "    snapshot replayed; score stable at $COLD_SCORE"
 stop_server
 
-echo "==> mmap warm restart: snapshot mapped, tuned, served with the same score"
-# Same snapshot dir, restarted with the Kernel v2 flags: warm-fill must go
+echo "==> mmap warm restart: snapshot mapped, served with the same score"
+# Same snapshot dir, restarted with -mmap-snapshots: warm-fill must go
 # through the mmap load path (counted), the prepared-bytes gauge must show
 # mapped memory discounted from the cache charge, and the solve must still
-# answer the cold score bit-for-bit — quantize/block-rows only retune the
-# derived solve kernel, never the scored result.
-start_snap_server "$WORKDIR/warm-mmap.log" -mmap-snapshots -quantize f32 -block-rows
+# answer the cold score bit-for-bit — the mapped slabs are the same bytes
+# the heap path decodes.
+start_snap_server "$WORKDIR/warm-mmap.log" -mmap-snapshots
 metric_ge phocus_snapshot_mmap_loads_total 1 "restart never took the mmap load path"
 metric_ge phocus_prepared_mmap_bytes 1 "mapped snapshot bytes not reflected in the cache gauge"
 MMAP_SCORE=$(solve_score "$WORKDIR/inst.json")
