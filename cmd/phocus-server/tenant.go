@@ -63,8 +63,8 @@ type statsDoc struct {
 	QueueDepth int   `json:"queue_depth"`
 	QueueBytes int64 `json:"queue_bytes"`
 	// TenantsTracked is the number of live tenant quota buckets.
-	TenantsTracked int `json:"tenants_tracked"`
-	Workers        int `json:"workers"`
+	TenantsTracked int  `json:"tenants_tracked"`
+	Workers        int  `json:"workers"`
 	Ready          bool `json:"ready"`
 }
 

@@ -139,10 +139,12 @@ func TestLazyMatchesEagerQuick(t *testing.T) {
 	}
 }
 
-// TestLazyGreedyKernelSelectionInvariant: attaching a compiled gain kernel
-// must not change a single selection — photos, order, score, cost, or
+// TestLazyGreedyKernelSelectionInvariant: a kernel reassembled from slabs
+// and attached, as a snapshot load does, must not change a single selection
+// against the lazily compiled one — photos, order, score, cost, or
 // gain-eval count — for any variant or worker count. This is the
-// solver-level face of the kernel's bit-identity contract.
+// solver-level face of the kernel's bit-identity contract; the par tests
+// hold the kernel itself to the jagged reference.
 func TestLazyGreedyKernelSelectionInvariant(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -156,36 +158,40 @@ func TestLazyGreedyKernelSelectionInvariant(t *testing.T) {
 		if err := twin.Finalize(); err != nil {
 			t.Fatal(err)
 		}
-		if err := twin.AttachKernel(par.CompileKernel(twin)); err != nil {
+		loaded, err := par.KernelFromSlabs(par.CompileKernel(twin).Slabs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.AttachKernel(loaded); err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range []Variant{UC, CB} {
 			for _, workers := range []int{1, 4} {
-				jag, jagStats, err := LazyGreedyWorkers(inst, v, workers, nil)
+				cmp, cmpStats, err := LazyGreedyWorkers(inst, v, workers, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ker, kerStats, err := LazyGreedyWorkers(twin, v, workers, nil)
+				att, attStats, err := LazyGreedyWorkers(twin, v, workers, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if jag.Score != ker.Score || jag.Cost != ker.Cost {
-					t.Fatalf("seed %d %v workers=%d: score/cost %v/%v (jagged) vs %v/%v (kernel)",
-						seed, v, workers, jag.Score, jag.Cost, ker.Score, ker.Cost)
+				if cmp.Score != att.Score || cmp.Cost != att.Cost {
+					t.Fatalf("seed %d %v workers=%d: score/cost %v/%v (compiled) vs %v/%v (attached)",
+						seed, v, workers, cmp.Score, cmp.Cost, att.Score, att.Cost)
 				}
-				if len(jag.Photos) != len(ker.Photos) {
-					t.Fatalf("seed %d %v workers=%d: %d photos (jagged) vs %d (kernel)",
-						seed, v, workers, len(jag.Photos), len(ker.Photos))
+				if len(cmp.Photos) != len(att.Photos) {
+					t.Fatalf("seed %d %v workers=%d: %d photos (compiled) vs %d (attached)",
+						seed, v, workers, len(cmp.Photos), len(att.Photos))
 				}
-				for i := range jag.Photos {
-					if jag.Photos[i] != ker.Photos[i] {
+				for i := range cmp.Photos {
+					if cmp.Photos[i] != att.Photos[i] {
 						t.Fatalf("seed %d %v workers=%d: selections diverge at %d: %v vs %v",
-							seed, v, workers, i, jag.Photos, ker.Photos)
+							seed, v, workers, i, cmp.Photos, att.Photos)
 					}
 				}
-				if jagStats.GainEvals != kerStats.GainEvals || jagStats.PQPops != kerStats.PQPops {
+				if cmpStats.GainEvals != attStats.GainEvals || cmpStats.PQPops != attStats.PQPops {
 					t.Fatalf("seed %d %v workers=%d: work mismatch: %d/%d evals, %d/%d pops",
-						seed, v, workers, jagStats.GainEvals, kerStats.GainEvals, jagStats.PQPops, kerStats.PQPops)
+						seed, v, workers, cmpStats.GainEvals, attStats.GainEvals, cmpStats.PQPops, attStats.PQPops)
 				}
 			}
 		}

@@ -39,10 +39,14 @@ type Dataset struct {
 	Photos []*imagesim.Photo
 }
 
-// SetBudget sets the instance budget (bytes) and revalidates.
+// SetBudget sets the instance budget (bytes). It re-budgets the finalized
+// layout in place rather than finalizing again, so a budget sweep keeps the
+// instance's compiled kernel.
 func (d *Dataset) SetBudget(b float64) error {
-	d.Instance.Budget = b
-	return d.Instance.Finalize()
+	if b < 0 {
+		return fmt.Errorf("dataset: negative budget %g", b)
+	}
+	return d.Instance.ViewInto(d.Instance, b)
 }
 
 // GlobalSim is the non-contextual photo-level similarity for the Greedy-NCS

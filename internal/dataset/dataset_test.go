@@ -120,6 +120,21 @@ func TestSetBudget(t *testing.T) {
 	if err := ds.SetBudget(-1); err == nil {
 		t.Error("SetBudget(-1) should fail validation")
 	}
+	// A budget sweep re-budgets the layout in place: the compiled kernel
+	// survives, so solvers on ds.Instance compile it once per dataset.
+	k := ds.Instance.Kernel()
+	for _, frac := range []float64{0.05, 0.2, 1} {
+		b := frac * ds.Instance.TotalCost()
+		if err := ds.SetBudget(b); err != nil {
+			t.Fatalf("SetBudget(%g): %v", b, err)
+		}
+		if ds.Instance.Budget != b {
+			t.Fatalf("Budget = %g, want %g", ds.Instance.Budget, b)
+		}
+		if got := ds.Instance.Kernel(); got != k {
+			t.Fatalf("SetBudget(%g) replaced the kernel", b)
+		}
+	}
 }
 
 func TestGlobalSim(t *testing.T) {

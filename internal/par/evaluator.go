@@ -5,27 +5,20 @@ import "phocus/internal/pool"
 // Evaluator incrementally maintains the objective value of a growing
 // solution. It is the workhorse shared by every solver: computing the
 // marginal gain of a candidate photo touches only the subsets containing it,
-// and within each subset only the members with positive similarity to it
-// when the subset's Similarity implements NeighborLister.
+// and within each subset only the members with positive similarity to it.
 //
 // The evaluator tracks, for every (subset, member) pair, the similarity of
 // the member's current nearest neighbour in the solution ("best" value,
 // 0 while the solution contains no member of the subset). Adding photo p
 // raises the best value of every member whose similarity to p exceeds it.
-//
-// When the instance has a compiled Kernel attached (see CompileKernel), the
-// gain/add hot path runs the kernel's flat CSR scan instead of the jagged
-// reference loops below; both paths read and write the same flat best
-// storage and produce bit-identical results, so which one runs is invisible
-// through the public API.
+// Gains and adds run the instance's compiled Kernel (see Instance.Kernel)
+// over one flat best slot per kernel row.
 type Evaluator struct {
 	inst *Instance
-	kern *Kernel // inst.Kernel() at construction; nil → jagged reference path
-	// flat holds one best slot per (subset, member) pair in kernel row order:
-	// subsets in order, members in order within each. best[qi] is a view into
-	// it, so the jagged reference path and the kernel share storage.
+	kern *Kernel // inst.Kernel() at construction
+	// flat holds one best slot per kernel row: SIM(q, p, NN(q,p,S)) for the
+	// (subset, member) pair the row stands for.
 	flat  []float64
-	best  [][]float64 // per subset, per member: SIM(q, p, NN(q,p,S))
 	inSol []bool
 	sol   []PhotoID
 	cost  float64
@@ -37,62 +30,29 @@ type Evaluator struct {
 }
 
 // NewEvaluator returns an evaluator for the empty solution. The instance
-// must be finalized. Retained photos (S0) are NOT pre-added; solvers add
+// must be finalized; its kernel is compiled here if nothing compiled or
+// attached one before. Retained photos (S0) are NOT pre-added; solvers add
 // them explicitly so the gain accounting stays uniform — use Seed for that.
 func NewEvaluator(inst *Instance) *Evaluator {
-	rows := 0
-	for qi := range inst.Subsets {
-		rows += len(inst.Subsets[qi].Members)
-	}
-	e := &Evaluator{
+	kern := inst.Kernel()
+	return &Evaluator{
 		inst:  inst,
-		kern:  inst.kern,
-		flat:  make([]float64, rows),
+		kern:  kern,
+		flat:  make([]float64, kern.TotalRows()),
 		inSol: make([]bool, inst.NumPhotos()),
 	}
-	// Under a kernel mutation overlay (see kerneldelta.go) rows appended
-	// after compile time sit at the tail of the flat array instead of inside
-	// their subset's span, so the canonical subset-major views would lie;
-	// leave them nil — the kernel hot path indexes flat directly and the
-	// jagged reference path is unreachable while a kernel is attached.
-	if e.kern == nil || e.kern.Canonical() {
-		e.best = make([][]float64, len(inst.Subsets))
-		off := 0
-		for qi := range inst.Subsets {
-			k := len(inst.Subsets[qi].Members)
-			e.best[qi] = e.flat[off : off+k : off+k]
-			off += k
-		}
-	}
-	return e
 }
 
 // ResetFor rebinds the evaluator to inst and clears it back to the empty
 // solution, reusing every buffer when shapes match — the allocation-free
 // solve path resets one pooled evaluator per run instead of constructing a
-// fresh one. inst must be finalized; when its shape differs from the
-// evaluator's (row count, photo count, per-subset member counts, or kernel
-// canonicality) the evaluator is rebuilt from scratch instead.
+// fresh one. inst must be finalized; when its row or photo count differs
+// from the evaluator's, the evaluator is rebuilt from scratch instead.
 func (e *Evaluator) ResetFor(inst *Instance) {
-	rows := 0
-	for qi := range inst.Subsets {
-		rows += len(inst.Subsets[qi].Members)
-	}
-	kern := inst.kern
-	wantViews := kern == nil || kern.Canonical()
-	if rows != len(e.flat) || inst.NumPhotos() != len(e.inSol) ||
-		wantViews != (e.best != nil) ||
-		(e.best != nil && len(e.best) != len(inst.Subsets)) {
+	kern := inst.Kernel()
+	if kern.TotalRows() != len(e.flat) || inst.NumPhotos() != len(e.inSol) {
 		*e = *NewEvaluator(inst)
 		return
-	}
-	if e.best != nil {
-		for qi := range e.best {
-			if len(e.best[qi]) != len(inst.Subsets[qi].Members) {
-				*e = *NewEvaluator(inst)
-				return
-			}
-		}
 	}
 	e.inst, e.kern = inst, kern
 	clear(e.flat)
@@ -162,28 +122,7 @@ func (e *Evaluator) gainOf(p PhotoID) float64 {
 	if e.inSol[p] {
 		return 0
 	}
-	if e.kern != nil {
-		return e.kern.gain(e.flat, p)
-	}
-	var gain float64
-	for _, oc := range e.inst.Occurrences(p) {
-		q := &e.inst.Subsets[oc.Subset]
-		best := e.best[oc.Subset]
-		if nl, ok := q.Sim.(NeighborLister); ok {
-			for _, nb := range nl.Neighbors(oc.Index) {
-				if d := nb.Sim - best[nb.Index]; d > 0 {
-					gain += q.Weight * q.Relevance[nb.Index] * d
-				}
-			}
-			continue
-		}
-		for mi := range q.Members {
-			if d := q.Sim.Sim(mi, oc.Index) - best[mi]; d > 0 {
-				gain += q.Weight * q.Relevance[mi] * d
-			}
-		}
-	}
-	return gain
+	return e.kern.gain(e.flat, p)
 }
 
 // Add inserts p into the solution and returns the realized marginal gain.
@@ -193,30 +132,7 @@ func (e *Evaluator) Add(p PhotoID) float64 {
 	if e.inSol[p] {
 		return 0
 	}
-	var gain float64
-	if e.kern != nil {
-		gain = e.kern.add(e.flat, p)
-	} else {
-		for _, oc := range e.inst.Occurrences(p) {
-			q := &e.inst.Subsets[oc.Subset]
-			best := e.best[oc.Subset]
-			if nl, ok := q.Sim.(NeighborLister); ok {
-				for _, nb := range nl.Neighbors(oc.Index) {
-					if d := nb.Sim - best[nb.Index]; d > 0 {
-						gain += q.Weight * q.Relevance[nb.Index] * d
-						best[nb.Index] = nb.Sim
-					}
-				}
-				continue
-			}
-			for mi := range q.Members {
-				if s := q.Sim.Sim(mi, oc.Index); s > best[mi] {
-					gain += q.Weight * q.Relevance[mi] * (s - best[mi])
-					best[mi] = s
-				}
-			}
-		}
-	}
+	gain := e.kern.add(e.flat, p)
 	e.inSol[p] = true
 	e.sol = append(e.sol, p)
 	e.cost += e.inst.Cost[p]
@@ -275,15 +191,6 @@ func (e *Evaluator) Clone() *Evaluator {
 		gainEvals: e.gainEvals,
 	}
 	copy(c.flat, e.flat)
-	if e.best != nil {
-		c.best = make([][]float64, len(e.best))
-		off := 0
-		for qi := range e.best {
-			k := len(e.best[qi])
-			c.best[qi] = c.flat[off : off+k : off+k]
-			off += k
-		}
-	}
 	copy(c.inSol, e.inSol)
 	copy(c.sol, e.sol)
 	return c
@@ -313,24 +220,22 @@ func CoverageVector(inst *Instance, s []PhotoID) [][]float64 {
 		e.Add(p)
 	}
 	out := make([][]float64, len(inst.Subsets))
-	if e.best != nil {
-		for qi := range e.best {
-			out[qi] = make([]float64, len(e.best[qi]))
-			copy(out[qi], e.best[qi])
-		}
-		return out
-	}
-	// Non-canonical kernel: the flat array is indexed by overlay row ids, so
-	// map each (subset, member) slot through the kernel's row lookup.
+	row := 0
 	for qi := range inst.Subsets {
 		out[qi] = make([]float64, len(inst.Subsets[qi].Members))
+		if e.kern.Canonical() {
+			// Rows run subset by subset, member by member.
+			row += copy(out[qi], e.flat[row:])
+			continue
+		}
+		// Under a mutation overlay appended rows sit at the tail of the flat
+		// array, so map each (subset, member) slot through the row lookup.
 		for mi := range out[qi] {
 			// Tombstoned rows can carry stale best values raised through
 			// wr-0 mirror entries; a removed member covers nothing.
-			if e.kern.RowDead(qi, mi) {
-				continue
+			if !e.kern.RowDead(qi, mi) {
+				out[qi][mi] = e.flat[e.kern.RowOf(qi, mi)]
 			}
-			out[qi][mi] = e.flat[e.kern.RowOf(qi, mi)]
 		}
 	}
 	return out

@@ -41,9 +41,9 @@ type Instance struct {
 	// occ maps each photo to its occurrences across subsets; built by
 	// Finalize.
 	occ [][]Occurrence
-	// kern is the attached compiled gain kernel, nil unless AttachKernel was
-	// called after the most recent Finalize.
-	kern *Kernel
+	// kc holds the compiled gain kernel of this finalized layout; Finalize
+	// allocates a fresh cell and ViewInto copies share it (see Kernel).
+	kc *kernelCell
 	// retainedSet marks membership in S0; built by Finalize.
 	retainedSet []bool
 	// retainedCost is C(S0); built by Finalize.
@@ -97,9 +97,10 @@ func (in *Instance) Finalize() error {
 	if err := in.validate(); err != nil {
 		return err
 	}
-	// A structural mutation invalidates any compiled kernel's layout; callers
-	// re-attach via AttachKernel after a successful Finalize.
-	in.kern = nil
+	// A structural mutation invalidates any compiled kernel's layout, so the
+	// finalized layout starts with an empty cell; Kernel compiles into it on
+	// first use.
+	in.kc = &kernelCell{}
 	n := in.NumPhotos()
 	in.occ = make([][]Occurrence, n)
 	for qi := range in.Subsets {
@@ -141,9 +142,8 @@ func (e *overBudgetError) Unwrap() error { return ErrRetainedOverBudget }
 // replaced. Finalize's validation and occurrence rebuild are both
 // budget-independent, so a hot solve path can stamp out per-run views
 // without re-running either (or allocating). The view shares in's internal
-// index structures — it must not outlive a structural mutation of in — and
-// the kernel is cleared exactly as Finalize would; callers attach one
-// explicitly.
+// index structures, its kernel cell included, so every view runs the one
+// kernel of in's layout; it must not outlive a structural mutation of in.
 func (in *Instance) ViewInto(dst *Instance, budget float64) error {
 	if in.occ == nil {
 		return fmt.Errorf("par: ViewInto before Finalize")
@@ -153,7 +153,6 @@ func (in *Instance) ViewInto(dst *Instance, budget float64) error {
 	}
 	*dst = *in
 	dst.Budget = budget
-	dst.kern = nil
 	return nil
 }
 

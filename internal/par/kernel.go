@@ -1,6 +1,10 @@
 package par
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Kernel is the compiled gain kernel: the entire marginal-gain/add hot path
 // of an instance flattened into contiguous arrays at compile time, so that
@@ -21,11 +25,11 @@ import "fmt"
 //	nbrSim[t]                     SIM(q, member, neighbour), in (0, 1]
 //	nbrWR[t]                      W(q)·R(q, neighbour), fused at compile time
 //
-// Entry order within a row matches the reference evaluator's iteration
-// order exactly — a NeighborLister's listed order, ascending member index
-// for dense similarities — and W·R is folded left-associatively the way the
-// reference path multiplies, so kernel gains are bit-identical to the
-// jagged path and solver selections are unchanged.
+// Entry order within a row matches a direct walk of each subset's
+// similarity exactly — a NeighborLister's listed order, ascending member
+// index for dense similarities — and W·R is folded left-associatively as
+// W(q)·R(q,p)·Δ multiplies, so kernel gains are bit-identical to the
+// test-only jagged reference evaluator.
 //
 // Per-photo occurrences are resolved to row spans too: occRow[occStart[p]
 // .. occStart[p+1]] lists, in Occurrences(p) order, the global row of every
@@ -116,7 +120,7 @@ func CompileKernel(inst *Instance) *Kernel {
 }
 
 // gain computes the marginal gain of adding p against the flat best array,
-// without mutating it. It mirrors Evaluator.gainOf's reference path term for
+// without mutating it. It mirrors the jagged reference evaluator term for
 // term; see the layout invariants on Kernel for why results are
 // bit-identical.
 func (k *Kernel) gain(best []float64, p PhotoID) float64 {
@@ -187,13 +191,45 @@ func (k *Kernel) SizeBytes() int64 {
 	return n
 }
 
-// AttachKernel attaches a compiled kernel to the instance: evaluators
-// created from it afterwards run the kernel hot path instead of the jagged
-// reference path. The kernel must have been compiled from this instance or
-// from another finalized view sharing the same Subsets and photo count (the
-// staged engine compiles once per prepared instance and attaches to every
-// budgeted view). Finalize detaches any kernel, since a structural mutation
-// invalidates the compiled layout.
+// kernelCell memoizes the compiled kernel of one finalized layout. It sits
+// behind a pointer so Instance values stay copyable: Finalize allocates a
+// fresh cell, and ViewInto copies share it, so every budget view of a layout
+// runs one kernel.
+type kernelCell struct {
+	mu sync.Mutex // serializes the first compile against AttachKernel
+	k  atomic.Pointer[Kernel]
+}
+
+// Kernel returns the compiled gain kernel of the instance's finalized
+// layout, compiling it on first use. It is never nil and safe for
+// concurrent use; once compiled, the kernel stays with the layout (and its
+// ViewInto views) until the next Finalize. The instance must be finalized.
+func (in *Instance) Kernel() *Kernel {
+	c := in.kc
+	if c == nil {
+		panic("par: Kernel before Finalize")
+	}
+	if k := c.k.Load(); k != nil {
+		return k
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if k := c.k.Load(); k != nil {
+		return k
+	}
+	k := CompileKernel(in)
+	c.k.Store(k)
+	return k
+}
+
+// AttachKernel fills the instance's kernel cell with k, a kernel the caller
+// already holds — loaded from snapshot slabs, carrying a delta overlay, or
+// freshly recompiled by a compaction — so Kernel never compiles one. The
+// kernel must match this instance's layout: the same photo count and the
+// same member count in every subset. The cell is shared by the whole
+// layout, so attaching on any ViewInto view (or on the template) rebinds
+// every view of the layout to k. A first Kernel compile running
+// concurrently finishes before k is stored, and k replaces its result.
 func (in *Instance) AttachKernel(k *Kernel) error {
 	if in.occ == nil {
 		return fmt.Errorf("par: AttachKernel before Finalize")
@@ -210,10 +246,8 @@ func (in *Instance) AttachKernel(k *Kernel) error {
 				qi, k.rowLen[qi], len(in.Subsets[qi].Members))
 		}
 	}
-	in.kern = k
+	in.kc.mu.Lock()
+	in.kc.k.Store(k)
+	in.kc.mu.Unlock()
 	return nil
 }
-
-// Kernel returns the attached compiled kernel, or nil when evaluators run
-// the jagged reference path.
-func (in *Instance) Kernel() *Kernel { return in.kern }

@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // simVariants rewrites every subset's similarity to a different
@@ -52,29 +56,35 @@ func withSims(t testing.TB, inst *Instance, variant func(k int, dense Similarity
 	return out
 }
 
-// kernelTwin returns a finalized view of inst with a freshly compiled
-// kernel attached, sharing all instance data.
-func kernelTwin(t testing.TB, inst *Instance) *Instance {
-	twin := &Instance{
-		Cost:     inst.Cost,
-		Retained: inst.Retained,
-		Budget:   inst.Budget,
-		Subsets:  inst.Subsets,
+// allPhotos lists every photo of inst in ID order.
+func allPhotos(inst *Instance) []PhotoID {
+	all := make([]PhotoID, inst.NumPhotos())
+	for p := range all {
+		all[p] = PhotoID(p)
 	}
-	if err := twin.Finalize(); err != nil {
-		t.Fatalf("Finalize: %v", err)
+	return all
+}
+
+// sameGains fails t unless the production Evaluator's Gains equal the jagged
+// reference's Gain for every photo, bit for bit, at workers 1, 2 and 8.
+func sameGains(t testing.TB, ref *jaggedEvaluator, ker *Evaluator, step string) {
+	t.Helper()
+	all := allPhotos(ref.inst)
+	for _, workers := range []int{1, 2, 8} {
+		got := ker.Gains(all, workers)
+		for i, p := range all {
+			if want := ref.Gain(p); got[i] != want {
+				t.Fatalf("%s workers=%d: Gains[%d] %v (kernel) != %v (jagged)", step, workers, i, got[i], want)
+			}
+		}
 	}
-	if err := twin.AttachKernel(CompileKernel(twin)); err != nil {
-		t.Fatalf("AttachKernel: %v", err)
-	}
-	return twin
 }
 
 // TestKernelDifferential drives the jagged reference evaluator and the
-// compiled kernel through identical Seed/Gain/Gains/Add/Clone sequences on
-// random instances across every similarity implementation and asserts
-// bit-identical (==, not within-tolerance) results: selection invariance
-// for every solver follows from this.
+// production (kernel) Evaluator through identical Seed/Gain/Gains/Add/Clone
+// sequences on random instances across every similarity implementation and
+// asserts bit-identical (==, not within-tolerance) results: selection
+// invariance for every solver follows from this.
 func TestKernelDifferential(t *testing.T) {
 	for name, variant := range simVariants {
 		t.Run(name, func(t *testing.T) {
@@ -88,35 +98,13 @@ func TestKernelDifferential(t *testing.T) {
 					SimDensity: 0.6,
 				})
 				inst := withSims(t, base, variant)
-				twin := kernelTwin(t, inst)
-				if twin.Kernel() == nil {
-					t.Fatal("kernelTwin produced no kernel")
-				}
 
-				ref := NewEvaluator(inst)
-				ker := NewEvaluator(twin)
+				ref := newJaggedEvaluator(inst)
+				ker := NewEvaluator(inst)
 				if g1, g2 := ref.Seed(), ker.Seed(); g1 != g2 {
 					t.Fatalf("trial %d: Seed %v (jagged) != %v (kernel)", trial, g1, g2)
 				}
-
-				all := make([]PhotoID, inst.NumPhotos())
-				for p := range all {
-					all[p] = PhotoID(p)
-				}
-				checkGains := func(step string) {
-					t.Helper()
-					for _, workers := range []int{1, 2, 8} {
-						g1 := ref.Gains(all, workers)
-						g2 := ker.Gains(all, workers)
-						for i := range g1 {
-							if g1[i] != g2[i] {
-								t.Fatalf("trial %d %s workers=%d: Gains[%d] %v (jagged) != %v (kernel)",
-									trial, step, workers, i, g1[i], g2[i])
-							}
-						}
-					}
-				}
-				checkGains("after seed")
+				sameGains(t, ref, ker, fmt.Sprintf("trial %d after seed", trial))
 
 				for step := 0; step < 12; step++ {
 					p := PhotoID(rng.Intn(inst.NumPhotos()))
@@ -130,15 +118,15 @@ func TestKernelDifferential(t *testing.T) {
 						t.Fatalf("trial %d step %d: Score %v (jagged) != %v (kernel)", trial, step, s1, s2)
 					}
 				}
-				checkGains("after adds")
+				sameGains(t, ref, ker, fmt.Sprintf("trial %d after adds", trial))
 
-				// Clones must stay on their evaluator's path and agree too.
+				// Clones must carry their evaluator's state and agree too.
 				ref, ker = ref.Clone(), ker.Clone()
 				p := PhotoID(rng.Intn(inst.NumPhotos()))
 				if g1, g2 := ref.Add(p), ker.Add(p); g1 != g2 {
 					t.Fatalf("trial %d: post-Clone Add(%d) %v (jagged) != %v (kernel)", trial, p, g1, g2)
 				}
-				checkGains("after clone")
+				sameGains(t, ref, ker, fmt.Sprintf("trial %d after clone", trial))
 				if s1, s2 := ref.Score(), ker.Score(); s1 != s2 {
 					t.Fatalf("trial %d: post-Clone Score %v != %v", trial, s1, s2)
 				}
@@ -156,8 +144,7 @@ func TestKernelScoreMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		inst := Random(rng, RandomConfig{Photos: 25, Subsets: 6, SimDensity: 0.5})
-		twin := kernelTwin(t, inst)
-		e := NewEvaluator(twin)
+		e := NewEvaluator(inst)
 		var sol []PhotoID
 		for i := 0; i < 10; i++ {
 			p := PhotoID(rng.Intn(inst.NumPhotos()))
@@ -174,18 +161,21 @@ func TestKernelScoreMatchesReference(t *testing.T) {
 }
 
 // TestCoverageVectorKernelInvariant pins that CoverageVector — which reads
-// the evaluator's best storage directly — is unchanged by kernel attachment.
+// the evaluator's flat best storage by running row offset — matches the
+// jagged reference's per-subset best values exactly.
 func TestCoverageVectorKernelInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	inst := Random(rng, RandomConfig{Photos: 20, Subsets: 5})
-	twin := kernelTwin(t, inst)
 	sol := []PhotoID{1, 4, 9, 13}
-	a := CoverageVector(inst, sol)
-	b := CoverageVector(twin, sol)
-	for qi := range a {
-		for mi := range a[qi] {
-			if a[qi][mi] != b[qi][mi] {
-				t.Fatalf("coverage[%d][%d]: %v (jagged) != %v (kernel)", qi, mi, a[qi][mi], b[qi][mi])
+	ref := newJaggedEvaluator(inst)
+	for _, p := range sol {
+		ref.Add(p)
+	}
+	got := CoverageVector(inst, sol)
+	for qi := range ref.best {
+		for mi := range ref.best[qi] {
+			if got[qi][mi] != ref.best[qi][mi] {
+				t.Fatalf("coverage[%d][%d]: %v (kernel) != %v (jagged)", qi, mi, got[qi][mi], ref.best[qi][mi])
 			}
 		}
 	}
@@ -219,13 +209,120 @@ func TestAttachKernelValidation(t *testing.T) {
 	if inst.Kernel() != k {
 		t.Fatal("Kernel() does not return the attached kernel")
 	}
-	// Finalize invalidates the compiled layout and must detach.
+	// Budget views share the layout's kernel cell.
+	var view Instance
+	if err := inst.ViewInto(&view, inst.Budget/2); err != nil {
+		t.Fatalf("ViewInto: %v", err)
+	}
+	if view.Kernel() != k {
+		t.Fatal("ViewInto view does not share its template's kernel")
+	}
+	// Finalize invalidates the compiled layout: it starts a fresh cell, which
+	// compiles its own kernel on first use and leaves the old views alone.
 	if err := inst.Finalize(); err != nil {
 		t.Fatalf("re-Finalize: %v", err)
 	}
-	if inst.Kernel() != nil {
-		t.Fatal("Finalize did not detach the kernel")
+	if got := inst.Kernel(); got == nil || got == k {
+		t.Fatalf("Kernel() after re-Finalize = %p, want a fresh kernel (old %p)", got, k)
 	}
+	if view.Kernel() != k {
+		t.Fatal("re-Finalize of the template changed an old view's kernel")
+	}
+}
+
+// TestKernelCompilesOnceConcurrently pins the lazy compile's contract:
+// concurrent first calls on views of one layout all get the same kernel.
+func TestKernelCompilesOnceConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	inst := Random(rng, RandomConfig{Photos: 30, Subsets: 8})
+	views := make([]Instance, 8)
+	got := make([]*Kernel, len(views))
+	var wg sync.WaitGroup
+	for i := range views {
+		if err := inst.ViewInto(&views[i], inst.Budget); err != nil {
+			t.Fatalf("ViewInto: %v", err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = views[i].Kernel()
+		}()
+	}
+	wg.Wait()
+	for i, k := range got {
+		if k == nil || k != inst.Kernel() {
+			t.Fatalf("view %d: kernel %p, template's %p", i, k, inst.Kernel())
+		}
+	}
+}
+
+// gatedSim is a UniformSim whose Sim blocks once armed, so a test can hold a
+// first Kernel compile in flight.
+type gatedSim struct {
+	UniformSim
+	armed   *atomic.Bool
+	started chan struct{}
+	release chan struct{}
+}
+
+func (g gatedSim) Sim(i, j int) float64 {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.started)
+		<-g.release
+	}
+	return g.UniformSim.Sim(i, j)
+}
+
+func TestAttachKernelWaitsForInFlightCompile(t *testing.T) {
+	g := gatedSim{UniformSim{N: 2}, new(atomic.Bool), make(chan struct{}), make(chan struct{})}
+	inst := &Instance{
+		Cost:   []float64{1, 1},
+		Budget: 2,
+		Subsets: []Subset{{Name: "q", Weight: 1, Members: []PhotoID{0, 1},
+			Relevance: []float64{0.5, 0.5}, Sim: g}},
+	}
+	if err := inst.Finalize(); err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	attached := CompileKernel(inst)
+	var view Instance
+	if err := inst.ViewInto(&view, 1); err != nil {
+		t.Fatalf("ViewInto: %v", err)
+	}
+
+	g.armed.Store(true)
+	compiled := make(chan *Kernel)
+	go func() { compiled <- inst.Kernel() }()
+	<-g.started
+	attachDone := make(chan error)
+	go func() { attachDone <- view.AttachKernel(attached) }()
+	select {
+	case <-attachDone:
+		t.Fatal("AttachKernel returned while a first compile was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(g.release)
+	if k := <-compiled; k == attached {
+		t.Fatal("in-flight compile returned the kernel attached after it started")
+	}
+	if err := <-attachDone; err != nil {
+		t.Fatalf("AttachKernel: %v", err)
+	}
+	// The attach landed after the compile, so every view of the layout now
+	// runs the attached kernel.
+	if inst.Kernel() != attached || view.Kernel() != attached {
+		t.Fatalf("template kernel %p, view kernel %p, attached %p",
+			inst.Kernel(), view.Kernel(), attached)
+	}
+}
+
+func TestKernelBeforeFinalizePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Kernel on unfinalized instance did not panic")
+		}
+	}()
+	(&Instance{Cost: []float64{1}}).Kernel()
 }
 
 func TestKernelSizeBytes(t *testing.T) {
@@ -244,33 +341,51 @@ func TestKernelSizeBytes(t *testing.T) {
 	}
 }
 
-// FuzzKernelVsReference fuzzes instance shape and solution, comparing the
-// kernel evaluator's incremental score against the first-principles Score.
+// FuzzKernelVsReference fuzzes instance shape, similarity implementation
+// and solution, holding the production Evaluator to the jagged reference
+// with == on every Gain, Add and Gains (workers 1, 2 and 8), and its score
+// to the first-principles Score within tolerance.
 func FuzzKernelVsReference(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(3), uint8(5))
-	f.Add(int64(42), uint8(30), uint8(8), uint8(12))
-	f.Add(int64(-7), uint8(2), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, photos, subsets, picks uint8) {
+	f.Add(int64(1), uint8(10), uint8(3), uint8(5), uint8(0))
+	f.Add(int64(42), uint8(30), uint8(8), uint8(12), uint8(1))
+	f.Add(int64(-7), uint8(2), uint8(1), uint8(1), uint8(2))
+	f.Add(int64(5), uint8(20), uint8(6), uint8(9), uint8(3))
+	f.Add(int64(9), uint8(16), uint8(4), uint8(7), uint8(4))
+	names := make([]string, 0, len(simVariants))
+	for name := range simVariants {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	f.Fuzz(func(t *testing.T, seed int64, photos, subsets, picks, sim uint8) {
 		if photos == 0 || subsets == 0 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		inst := Random(rng, RandomConfig{
+		base := Random(rng, RandomConfig{
 			Photos:     int(photos),
 			Subsets:    int(subsets),
 			SimDensity: 0.4,
 		})
-		twin := kernelTwin(t, inst)
-		e := NewEvaluator(twin)
+		inst := withSims(t, base, simVariants[names[int(sim)%len(names)]])
+		ref, e := newJaggedEvaluator(inst), NewEvaluator(inst)
 		seen := map[PhotoID]bool{}
 		var sol []PhotoID
 		for i := 0; i < int(picks); i++ {
 			p := PhotoID(rng.Intn(inst.NumPhotos()))
+			if g1, g2 := ref.Gain(p), e.Gain(p); g1 != g2 {
+				t.Fatalf("pick %d: Gain(%d) %v (jagged) != %v (kernel)", i, p, g1, g2)
+			}
+			if g1, g2 := ref.Add(p), e.Add(p); g1 != g2 {
+				t.Fatalf("pick %d: Add(%d) %v (jagged) != %v (kernel)", i, p, g1, g2)
+			}
 			if !seen[p] {
 				seen[p] = true
 				sol = append(sol, p)
 			}
-			e.Add(p)
+		}
+		sameGains(t, ref, e, "after picks")
+		if ref.Score() != e.Score() {
+			t.Fatalf("score %v (kernel) != %v (jagged)", e.Score(), ref.Score())
 		}
 		want := Score(inst, sol)
 		tol := floatTol * (1 + math.Abs(want))

@@ -22,8 +22,8 @@ import "fmt"
 // allocates is indexed by these row ids; its total length (base + tail)
 // always equals the instance's total member count, so evaluator allocation
 // is unchanged — only the row→(subset,member) correspondence differs from
-// the canonical subset-major layout, which is why NewEvaluator skips the
-// per-subset best views while an overlay is active (see Kernel.Canonical).
+// the canonical subset-major layout, which is why CoverageVector maps each
+// slot through RowOf while an overlay is active (see Kernel.Canonical).
 //
 // Bit-identity. Overlay gains must equal what a freshly compiled kernel over
 // the updated instance computes, bit for bit. Entry order within a row is
@@ -84,8 +84,8 @@ type kentry struct {
 // Canonical reports whether the kernel is in its compiled flat layout: no
 // mutation overlay, subset-major row order. Overlaid kernels compute
 // identical gains but their row numbering no longer matches the order
-// evaluator best views and the snapshot codec assume, so they may not be
-// serialized.
+// CoverageVector's running offset and the snapshot codec assume, so they may
+// not be serialized.
 func (k *Kernel) Canonical() bool { return k.ov == nil }
 
 // TotalRows returns the number of (subset, member) rows including appended

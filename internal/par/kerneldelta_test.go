@@ -62,10 +62,10 @@ func renorm(rel []float64) {
 	}
 }
 
-// TestKernelCanonicalRowOf pins the canonical layout that the evaluator's
-// subset-major best views and the snapshot codec rely on: a freshly compiled
+// TestKernelCanonicalRowOf pins the canonical layout that CoverageVector's
+// running row offset and the snapshot codec rely on: a freshly compiled
 // kernel is Canonical, RowOf numbers its rows subset by subset, and the flat
-// best array read through RowOf agrees with the per-subset views. The first
+// best array read through RowOf agrees with CoverageVector. The first
 // mutation makes the kernel non-canonical, and Slabs then refuses it.
 func TestKernelCanonicalRowOf(t *testing.T) {
 	inst := deltaTestInstance(t, 3)
@@ -77,19 +77,17 @@ func TestKernelCanonicalRowOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEvaluator(inst)
-	if e.best == nil {
-		t.Fatal("evaluator skipped the subset-major views over a canonical kernel")
-	}
 	e.Add(0)
 	e.Add(5)
+	cov := CoverageVector(inst, []PhotoID{0, 5})
 	var row int32
 	for qi := range inst.Subsets {
 		for mi := range inst.Subsets[qi].Members {
 			if got := kern.RowOf(qi, mi); got != row {
 				t.Fatalf("RowOf(%d, %d) = %d, want %d", qi, mi, got, row)
 			}
-			if e.flat[row] != e.best[qi][mi] {
-				t.Fatalf("row %d: flat %v != best view %v", row, e.flat[row], e.best[qi][mi])
+			if e.flat[row] != cov[qi][mi] {
+				t.Fatalf("row %d: flat %v != coverage %v", row, e.flat[row], cov[qi][mi])
 			}
 			row++
 		}
@@ -209,8 +207,8 @@ func TestKernelOverlayBitIdentical(t *testing.T) {
 		}
 
 		eo, er := NewEvaluator(over), NewEvaluator(ref)
-		if eo.best != nil {
-			t.Fatalf("seed %d: evaluator built subset-major views over a non-canonical kernel", seed)
+		if eo.kern != kern || kern.Canonical() {
+			t.Fatalf("seed %d: evaluator does not run the attached overlay kernel", seed)
 		}
 		n := over.NumPhotos()
 		// Greedy trajectory: at each step compare every photo's gain bit for

@@ -140,9 +140,9 @@ func TestReadBinaryRejectsDuplicatePair(t *testing.T) {
 	var buf bytes.Buffer
 	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
 	buf.WriteString("PAR1")
-	w(float64(3))  // budget
-	w(uint32(3))   // photos
-	w(float64(1))  // costs
+	w(float64(3)) // budget
+	w(uint32(3))  // photos
+	w(float64(1)) // costs
 	w(float64(1))
 	w(float64(1))
 	w(uint32(0)) // retained

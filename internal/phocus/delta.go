@@ -634,7 +634,11 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 	// subset order (memberships first, new subsets after — new subsets have
 	// the highest indices), and W·R rewrites must come after both the
 	// renormalization above and the appends below.
-	kb, ks := p.kernBase, p.kernSolve
+	kb := p.base.Kernel()
+	var ks *par.Kernel
+	if p.solveTmpl != nil {
+		ks = p.solveTmpl.Kernel()
+	}
 	for _, rm := range plan.removals {
 		for _, oc := range rm.occ {
 			kb.TombstoneRow(oc.Subset, oc.Index)
@@ -718,6 +722,11 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 			ks.RewriteWR(qi, q.Weight, q.Relevance)
 		}
 	}
+	// The mutated base kernel now matches the new layout; hand it over so
+	// Kernel never recompiles it.
+	if err := newBase.AttachKernel(kb); err != nil {
+		return nil, fmt.Errorf("phocus: delta kernel: %w", err)
+	}
 
 	// Commit: swap the instance in, grow the removed bitmap, evolve the
 	// fingerprint, recount bytes.
@@ -761,11 +770,14 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 			if err := sv.Finalize(); err != nil {
 				return nil, fmt.Errorf("phocus: delta sparse view: %w", err)
 			}
+			if err := sv.AttachKernel(ks); err != nil {
+				return nil, fmt.Errorf("phocus: delta sparse kernel: %w", err)
+			}
 			p.solveTmpl = sv
 		}
 		p.sizeBytes = instanceSizeBytes(p.base.Cost, p.base.Subsets) + simSizeBytes(p.sparse) + p.kernelBytesLocked()
 	}
-	stats.LiveFraction = p.kernBase.LiveFraction()
+	stats.LiveFraction = p.base.Kernel().LiveFraction()
 	stats.ApplyTime = time.Since(start)
 	return stats, nil
 }
@@ -783,7 +795,9 @@ func (p *Prepared) Compact() error {
 
 func (p *Prepared) compactLocked() error {
 	kt := time.Now()
-	p.kernBase = par.CompileKernel(p.base)
+	if err := p.base.AttachKernel(par.CompileKernel(p.base)); err != nil {
+		return fmt.Errorf("phocus: compact kernel: %w", err)
+	}
 	if p.sparse != nil {
 		sv := &par.Instance{
 			Cost:     p.base.Cost,
@@ -794,7 +808,7 @@ func (p *Prepared) compactLocked() error {
 		if err := sv.Finalize(); err != nil {
 			return fmt.Errorf("phocus: compact sparse view: %w", err)
 		}
-		p.kernSolve = par.CompileKernel(sv)
+		sv.Kernel()
 		p.solveTmpl = sv
 	}
 	p.KernelBuildTime += time.Since(kt)
@@ -807,7 +821,7 @@ func (p *Prepared) compactLocked() error {
 func (p *Prepared) LiveFraction() float64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.kernBase.LiveFraction()
+	return p.base.Kernel().LiveFraction()
 }
 
 // MergeDelta applies d to a standalone finalized instance, producing the

@@ -246,10 +246,10 @@ func TestApplyDeltaCompaction(t *testing.T) {
 	if !compacted {
 		t.Fatal("removal churn never triggered a compaction")
 	}
-	if !live.kernBase.Canonical() {
+	if !live.base.Kernel().Canonical() {
 		t.Fatal("base kernel not canonical after compaction")
 	}
-	if live.kernSolve != nil && !live.kernSolve.Canonical() {
+	if ks := solveKernel(live); ks != nil && !ks.Canonical() {
 		t.Fatal("solve kernel not canonical after compaction")
 	}
 	if lf := live.LiveFraction(); lf != 1 {

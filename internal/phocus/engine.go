@@ -113,18 +113,15 @@ type Prepared struct {
 	removed   []bool
 	ownedSims map[*par.DeltaSim]bool
 
-	// kernBase is the compiled gain kernel over the base (true-objective)
-	// subsets: it accelerates Run's rescore and online-bound passes. kernSolve
-	// covers the sparsified subsets and accelerates the solver; nil when
-	// Tau == 0 (the solver then runs on the base view and uses kernBase).
-	// Kernels index by subset/member layout only, so one compile serves every
-	// budgeted view Run builds.
-	kernBase  *par.Kernel
-	kernSolve *par.Kernel
-
 	// solveTmpl is the finalized budget-free instance over the sparsified
 	// subsets — the template RunInto stamps budgeted solve views from without
 	// re-finalizing; nil when Tau == 0 (the base instance is the template).
+	//
+	// The compiled gain kernels live on the two templates (par.Instance.Kernel):
+	// base's covers the true objective for Run's rescore and online bound,
+	// solveTmpl's the sparsified subsets the solver runs on. Prepare,
+	// DecodeSnapshot, ApplyDelta and compaction compile or attach them, so a
+	// Run's ViewInto views find them already in place.
 	solveTmpl *par.Instance
 
 	// mm is the snapshot mapping backing this Prepared's slabs when it was
@@ -202,18 +199,17 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 		p.solveTmpl = sres.Instance
 		p.OriginalPairs = sres.PairsBefore
 		p.SparsifiedPairs = sres.PairsAfter
-		// The sparsified instance shares Cost/Retained with base and is
-		// already finalized, so its kernel is valid for every budgeted view
-		// Run builds over p.sparse.
-		kt := time.Now()
-		p.kernSolve = par.CompileKernel(sres.Instance)
-		p.kernBase = par.CompileKernel(base)
-		p.KernelBuildTime = time.Since(kt)
-	} else {
-		kt := time.Now()
-		p.kernBase = par.CompileKernel(base)
-		p.KernelBuildTime = time.Since(kt)
 	}
+	// Compile both kernels now, so the first Run pays for neither. The
+	// sparsified instance shares Cost/Retained with base and is already
+	// finalized, so its kernel serves every budgeted view Run builds over
+	// p.sparse.
+	kt := time.Now()
+	if p.solveTmpl != nil {
+		p.solveTmpl.Kernel()
+	}
+	p.base.Kernel()
+	p.KernelBuildTime = time.Since(kt)
 	if opts.Metrics != nil {
 		obs.RecordKernelBuild(opts.Metrics, p.KernelBuildTime)
 	}
@@ -258,12 +254,9 @@ func (p *Prepared) KernelBytes() int64 {
 }
 
 func (p *Prepared) kernelBytesLocked() int64 {
-	var n int64
-	if p.kernBase != nil {
-		n += p.kernBase.SizeBytes()
-	}
-	if p.kernSolve != nil {
-		n += p.kernSolve.SizeBytes()
+	n := p.base.Kernel().SizeBytes()
+	if p.solveTmpl != nil {
+		n += p.solveTmpl.Kernel().SizeBytes()
 	}
 	return n
 }
@@ -348,8 +341,8 @@ func FingerprintFor(digest string, opts PrepareOptions) string {
 }
 
 // View returns a finalized budgeted view of the Prepared's current base
-// instance with the compiled gain kernel attached — the raw material for
-// callers that drive their own evaluators between deltas (internal/dynamic's
+// instance, sharing its compiled gain kernel — the raw material for callers
+// that drive their own evaluators between deltas (internal/dynamic's
 // maintainer). A budget of 0 means "keep everything". The view aliases the
 // Prepared's live structures, so the next ApplyDelta or Compact invalidates
 // it; build a fresh view after every delta.
@@ -363,16 +356,8 @@ func (p *Prepared) View(budget float64) (*par.Instance, error) {
 	if budget == 0 {
 		budget = p.base.TotalCost()
 	}
-	v := &par.Instance{
-		Cost:     p.base.Cost,
-		Retained: p.base.Retained,
-		Budget:   budget,
-		Subsets:  p.base.Subsets,
-	}
-	if err := v.Finalize(); err != nil {
-		return nil, fmt.Errorf("phocus: %w", err)
-	}
-	if err := v.AttachKernel(p.kernBase); err != nil {
+	v := &par.Instance{}
+	if err := p.base.ViewInto(v, budget); err != nil {
 		return nil, fmt.Errorf("phocus: %w", err)
 	}
 	return v, nil
@@ -446,21 +431,13 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 	}
 	// Budgeted views for this run only, stamped from the finalized templates
 	// without re-running Finalize (ViewInto): concurrent Runs hold distinct
-	// scratch, and nothing here mutates the shared Subsets.
-	//
-	// The kernels were compiled once at Prepare time over the same subset
-	// layouts these views share, so attaching is just a validation + pointer
-	// set; the solver, rescore and online-bound passes all run the compiled
-	// hot path.
+	// scratch, and nothing here mutates the shared Subsets. Each view shares
+	// its template's kernel, so the solver, rescore and online-bound passes
+	// all run the kernel compiled (or attached) before this Run.
 	err := p.base.ViewInto(&sc.trueView, budget)
-	if err == nil {
-		err = sc.trueView.AttachKernel(p.kernBase)
-	}
 	solveInst := &sc.trueView
 	if err == nil && p.solveTmpl != nil {
-		if err = p.solveTmpl.ViewInto(&sc.solveView, budget); err == nil {
-			err = sc.solveView.AttachKernel(p.kernSolve)
-		}
+		err = p.solveTmpl.ViewInto(&sc.solveView, budget)
 		solveInst = &sc.solveView
 	}
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"phocus/internal/dataset"
@@ -126,6 +127,116 @@ func TestPreparedCompilesKernel(t *testing.T) {
 	}
 	if p.KernelBytes() <= 0 {
 		t.Error("Prepare without Metrics compiled no kernel")
+	}
+}
+
+// firstCallAllocs counts the heap allocations of a single call of f. Unlike
+// testing.AllocsPerRun it makes no warm-up call first, so a lazy kernel
+// compile on that one call shows.
+func firstCallAllocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// requireKernelsInPlace fails t unless p's base template — and its solve
+// template when p is sparsified — already holds its kernel, so the next
+// Run compiles nothing, and a ViewInto view of each template runs that same
+// kernel.
+func requireKernelsInPlace(t *testing.T, label string, p *Prepared) {
+	t.Helper()
+	tmpls := []*par.Instance{p.base}
+	if p.solveTmpl != nil {
+		tmpls = append(tmpls, p.solveTmpl)
+	}
+	for i, tmpl := range tmpls {
+		if !raceEnabled {
+			if n := firstCallAllocs(func() { tmpl.Kernel() }); n != 0 {
+				t.Fatalf("%s: template %d compiled its kernel lazily (%d allocs)", label, i, n)
+			}
+		}
+		var v par.Instance
+		if err := tmpl.ViewInto(&v, tmpl.TotalCost()); err != nil {
+			t.Fatalf("%s: ViewInto: %v", label, err)
+		}
+		if v.Kernel() != tmpl.Kernel() {
+			t.Fatalf("%s: template %d view runs another kernel than its template", label, i)
+		}
+	}
+}
+
+// TestEnginePathsNeverCompileLazily pins where the engine's kernels come
+// from: every way a Prepared is built or changed — cold Prepare, snapshot
+// read or mmap, ApplyDelta with and without compaction, Compact — leaves
+// each template with its kernel compiled or attached. A path that forgot to
+// attach would still solve correctly, but the next Run would pay a full
+// recompile.
+func TestEnginePathsNeverCompileLazily(t *testing.T) {
+	ctx := context.Background()
+	for _, tau := range []float64{0, 0.3} {
+		t.Run(fmt.Sprintf("tau=%g", tau), func(t *testing.T) {
+			p, rng := preparedForSnapDelta(t, tau)
+			requireKernelsInPlace(t, "cold Prepare", p)
+
+			buf, err := EncodeSnapshot(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := DecodeSnapshot(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireKernelsInPlace(t, "DecodeSnapshot", q)
+
+			store, err := OpenSnapshotStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := store.Save(p); err != nil {
+				t.Fatal(err)
+			}
+			fp, _ := p.Fingerprint()
+			store.Mapped = true
+			mapped, err := store.Load(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireKernelsInPlace(t, "mmap load", mapped)
+
+			// Without compaction a delta carries the kernels over, mutated in
+			// place, rather than compiling new ones anywhere.
+			kb, ks := p.base.Kernel(), solveKernel(p)
+			stats, err := p.ApplyDelta(ctx, randomChurn(rng, p.base, p.removed, 1, 1, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Compacted {
+				t.Fatal("a one-photo delta compacted; the overlay path went untested")
+			}
+			requireKernelsInPlace(t, "ApplyDelta overlay", p)
+			if p.base.Kernel() != kb || solveKernel(p) != ks {
+				t.Fatal("ApplyDelta replaced a kernel instead of carrying its overlay")
+			}
+
+			for batch := 0; !stats.Compacted; batch++ {
+				d := randomChurn(rng, p.base, p.removed, 3, 0, false)
+				if batch == 20 || len(d.Remove) == 0 {
+					t.Fatal("removal churn never triggered a compaction")
+				}
+				if stats, err = p.ApplyDelta(ctx, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireKernelsInPlace(t, "ApplyDelta compaction", p)
+
+			if err := p.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			requireKernelsInPlace(t, "Compact", p)
+		})
 	}
 }
 

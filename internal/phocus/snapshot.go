@@ -508,22 +508,18 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 	if err != nil || len(rawFP) != 32 {
 		return nil, fmt.Errorf("phocus: fingerprint %q is not a sha256 hex digest", fp)
 	}
-	if p.kernBase == nil {
-		return nil, fmt.Errorf("phocus: snapshot requires a compiled kernel")
-	}
 	base := p.base
 
-	kernBase := p.kernBase
+	kernBase := base.Kernel()
 	if !kernBase.Canonical() {
 		kernBase = par.CompileKernel(base)
 	}
-	kernSolve := p.kernSolve
-	if kernSolve != nil && !kernSolve.Canonical() {
-		sv := &par.Instance{Cost: base.Cost, Retained: base.Retained, Budget: base.TotalCost(), Subsets: p.sparse}
-		if err := sv.Finalize(); err != nil {
-			return nil, fmt.Errorf("phocus: snapshot sparse view: %w", err)
+	var kernSolve *par.Kernel
+	if p.solveTmpl != nil {
+		kernSolve = p.solveTmpl.Kernel()
+		if !kernSolve.Canonical() {
+			kernSolve = par.CompileKernel(p.solveTmpl)
 		}
-		kernSolve = par.CompileKernel(sv)
 	}
 
 	var members []par.PhotoID
@@ -562,9 +558,6 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 		secs4 = append(secs4, snapSection{secRemoved, photoBytes(husks)})
 	}
 	if p.sparse != nil {
-		if kernSolve == nil {
-			return nil, fmt.Errorf("phocus: sparsified Prepared is missing its solve kernel")
-		}
 		srs, snbr := simCSR(p.sparse)
 		ks := kernSolve.Slabs()
 		secs8 = append(secs8,
@@ -774,16 +767,18 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := base.AttachKernel(kernBase); err != nil {
+		return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
+	}
 
 	var sparseSubsets []par.Subset
-	var kernSolve *par.Kernel
 	var solveTmpl *par.Instance
 	if m.hasSparse {
 		sparseSubsets, err = decodeSimGroup(sec, secSimSparseRowStart, secSimSparseNbr, m, members, relevance)
 		if err != nil {
 			return nil, err
 		}
-		kernSolve, err = decodeKernel(sec, [7]uint32{secKSRowLen, secKSRowStart, secKSNbrIdx, secKSNbrSim, secKSNbrWR, secKSOccStart, secKSOccRow}, m)
+		kernSolve, err := decodeKernel(sec, [7]uint32{secKSRowLen, secKSRowStart, secKSNbrIdx, secKSNbrSim, secKSNbrWR, secKSOccStart, secKSOccRow}, m)
 		if err != nil {
 			return nil, err
 		}
@@ -793,6 +788,9 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		solveTmpl = &par.Instance{Cost: cost, Retained: retained, Budget: base.Budget, Subsets: sparseSubsets}
 		if err := solveTmpl.Finalize(); err != nil {
 			return nil, fmt.Errorf("phocus: snapshot sparse view invalid: %v: %w", err, ErrBadSnapshot)
+		}
+		if err := solveTmpl.AttachKernel(kernSolve); err != nil {
+			return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
 		}
 	}
 	if len(secs) != 0 {
@@ -810,8 +808,6 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 			Seed:           m.seed,
 			InstanceDigest: m.digest,
 		},
-		kernBase:        kernBase,
-		kernSolve:       kernSolve,
 		OriginalPairs:   int(m.origPairs),
 		SparsifiedPairs: int(m.sparsePairs),
 	}
@@ -871,8 +867,8 @@ func decodeSimGroup(sec func(uint32) ([]byte, error), rsID, nbrID uint32, m *sna
 // decodeKernel rebuilds one compiled kernel from its seven slab sections
 // (rowLen, rowStart, nbrIdx, nbrSim, nbrWR, occStart, occRow) and validates
 // it both internally (par.KernelFromSlabs) and against the instance shape
-// META describes, so AttachKernel at Run time cannot fail on a snapshot this
-// decode accepted.
+// META describes, so attaching it to the decoded instance cannot fail on a
+// snapshot this decode accepted.
 func decodeKernel(sec func(uint32) ([]byte, error), ids [7]uint32, m *snapMeta) (*par.Kernel, error) {
 	var b [7][]byte
 	for i, id := range ids {

@@ -73,6 +73,14 @@ func keyOf(r *Result) runKey {
 	}
 }
 
+// solveKernel returns p's solve kernel, nil when p was prepared without τ.
+func solveKernel(p *Prepared) *par.Kernel {
+	if p.solveTmpl == nil {
+		return nil
+	}
+	return p.solveTmpl.Kernel()
+}
+
 // sameSlabs asserts two kernels are bit-identical, slab by slab.
 func sameSlabs(t *testing.T, label string, want, got *par.Kernel) {
 	t.Helper()
@@ -135,8 +143,8 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 				if err != nil || qfp != pfp {
 					t.Fatalf("fingerprint %q (%v), want %q", qfp, err, pfp)
 				}
-				sameSlabs(t, "kernBase", p.kernBase, q.kernBase)
-				sameSlabs(t, "kernSolve", p.kernSolve, q.kernSolve)
+				sameSlabs(t, "base kernel", p.base.Kernel(), q.base.Kernel())
+				sameSlabs(t, "solve kernel", solveKernel(p), solveKernel(q))
 				if q.OriginalPairs != p.OriginalPairs || q.SparsifiedPairs != p.SparsifiedPairs {
 					t.Fatalf("pair counts %d/%d, want %d/%d",
 						q.OriginalPairs, q.SparsifiedPairs, p.OriginalPairs, p.SparsifiedPairs)
@@ -198,8 +206,8 @@ func TestSnapshotRoundTripLSH(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeSnapshot: %v", err)
 	}
-	sameSlabs(t, "kernBase", p.kernBase, q.kernBase)
-	sameSlabs(t, "kernSolve", p.kernSolve, q.kernSolve)
+	sameSlabs(t, "base kernel", p.base.Kernel(), q.base.Kernel())
+	sameSlabs(t, "solve kernel", solveKernel(p), solveKernel(q))
 	for _, algo := range []Algorithm{AlgoCELF, AlgoSviridenko} {
 		opts := RunOptions{Budget: 0.5 * total, Algorithm: algo}
 		want, err := p.Run(ctx, opts)
@@ -330,7 +338,7 @@ func TestSnapshotStore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Load %d: %v", i, err)
 		}
-		sameSlabs(t, "loaded kernBase", p.kernBase, got.kernBase)
+		sameSlabs(t, "loaded base kernel", p.base.Kernel(), got.base.Kernel())
 	}
 
 	// A third snapshot, corrupted on disk after a clean save.
@@ -494,7 +502,7 @@ func TestSnapshotLoadFaster(t *testing.T) {
 			warm = d
 		}
 	}
-	sameSlabs(t, "kernBase", p.kernBase, q.kernBase)
+	sameSlabs(t, "base kernel", p.base.Kernel(), q.base.Kernel())
 
 	if warm*3 > cold {
 		t.Fatalf("snapshot decode %v not at least 3× faster than cold Prepare %v", warm, cold)
