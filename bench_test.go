@@ -626,6 +626,24 @@ func BenchmarkKernelV2(b *testing.B) {
 		}
 	})
 
+	// The serving shape: a warm RunInto at default workers with the online
+	// bound on, as engine_sweep and the server run it. Its allocs/op are the
+	// concurrent passes' and the bound's goroutine hand-offs.
+	b.Run("run", func(b *testing.B) {
+		opts := phocus.RunOptions{Budget: budget}
+		var res phocus.Result
+		if err := p.RunInto(ctx, opts, &res); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := p.RunInto(ctx, opts, &res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	// The allocation-free gate: a warm RunInto must report 0 allocs/op.
 	b.Run("allocs", func(b *testing.B) {
 		var res phocus.Result

@@ -1,7 +1,8 @@
 package celf
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"phocus/internal/par"
 )
@@ -16,27 +17,61 @@ import (
 // (sort by δ_p/C(p), fill the budget, take the last item fractionally),
 // which is what this function computes. The bound is valid for the output
 // of any algorithm, and the certified ratio G(Ŝ)/OnlineBound is typically
-// far above the (1−1/e)/2 worst-case guarantee.
+// far above the (1−1/e)/2 worst-case guarantee. It is a thin wrapper over
+// BoundScratch.OnlineBound with a fresh evaluator holding Ŝ.
 func OnlineBound(inst *par.Instance, sol []par.PhotoID) float64 {
 	e := par.NewEvaluator(inst)
 	for _, p := range sol {
 		e.Add(p)
 	}
-	type marginal struct {
-		gain, cost float64
-	}
-	margs := make([]marginal, 0, inst.NumPhotos())
+	rest := make([]par.PhotoID, 0, inst.NumPhotos())
 	for p := 0; p < inst.NumPhotos(); p++ {
-		id := par.PhotoID(p)
-		if e.Contains(id) {
-			continue
-		}
-		if g := e.Gain(id); g > 0 {
-			margs = append(margs, marginal{gain: g, cost: inst.Cost[p]})
+		if id := par.PhotoID(p); !e.Contains(id) {
+			rest = append(rest, id)
 		}
 	}
-	sort.Slice(margs, func(i, j int) bool {
-		return margs[i].gain*margs[j].cost > margs[j].gain*margs[i].cost
+	var b BoundScratch
+	return b.OnlineBound(inst, e, rest, 1)
+}
+
+// BoundScratch holds the reusable buffers of the online bound. The zero
+// value is ready to use; a BoundScratch belongs to one goroutine at a time.
+type BoundScratch struct {
+	gains []float64
+	margs []marginal
+}
+
+// marginal is one photo's term in the fractional knapsack.
+type marginal struct {
+	gain, cost float64
+	photo      par.PhotoID
+}
+
+// OnlineBound computes the online bound for the solution Ŝ the evaluator e
+// already holds over inst, without rebuilding it: rest must list every photo
+// outside Ŝ in ascending ID order (the archived complement). Their marginal
+// gains fan out over workers goroutines (≤ 0 means one per CPU). Photos
+// with equal gain-per-cost ratios are taken in photo-ID order, so the bound
+// is bit-identical for every worker count. Once the buffers have grown to
+// the instance's size, a call with workers 1 allocates nothing.
+func (b *BoundScratch) OnlineBound(inst *par.Instance, e *par.Evaluator, rest []par.PhotoID, workers int) float64 {
+	b.gains = slices.Grow(b.gains[:0], len(rest))[:len(rest)]
+	e.GainsInto(b.gains, rest, workers)
+	margs := b.margs[:0]
+	for i, g := range b.gains {
+		if g > 0 {
+			margs = append(margs, marginal{gain: g, cost: inst.Cost[rest[i]], photo: rest[i]})
+		}
+	}
+	b.margs = margs
+	slices.SortFunc(margs, func(x, y marginal) int {
+		if l, r := x.gain*y.cost, y.gain*x.cost; l != r {
+			if l > r {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(x.photo, y.photo)
 	})
 	bound := e.Score()
 	remaining := inst.Budget

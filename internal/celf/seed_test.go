@@ -1,0 +1,235 @@
+package celf
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"phocus/internal/dataset"
+	"phocus/internal/par"
+)
+
+// eventLog records the full observer stream, gains as raw bits.
+type eventLog struct {
+	events []string
+}
+
+func (l *eventLog) Recomputed(p par.PhotoID, gain float64) {
+	l.events = append(l.events, fmt.Sprintf("r %d %x", p, math.Float64bits(gain)))
+}
+
+func (l *eventLog) Selected(p par.PhotoID, gain float64) {
+	l.events = append(l.events, fmt.Sprintf("s %d %x", p, math.Float64bits(gain)))
+}
+
+// solveSeededAndNot solves inst with and without S0 gains at the given
+// worker count and fails t unless both give the same photos, score and cost
+// bits, winner and observer stream. It returns both runs' stats.
+func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, s0 []float64, workers int) (plain, seeded Stats) {
+	t.Helper()
+	var plainLog, seededLog eventLog
+	ps := Solver{Workers: workers, Observer: &plainLog}
+	want, err := ps.Solve(inst)
+	if err != nil {
+		t.Fatalf("%s: unseeded: %v", label, err)
+	}
+	ss := Solver{Workers: workers, Observer: &seededLog, S0Gains: s0, Scratch: &Scratch{}}
+	got, err := ss.Solve(inst)
+	if err != nil {
+		t.Fatalf("%s: seeded: %v", label, err)
+	}
+	if !reflect.DeepEqual(got.Photos, want.Photos) {
+		t.Fatalf("%s: seeded photos %v, unseeded %v", label, got.Photos, want.Photos)
+	}
+	if math.Float64bits(got.Score) != math.Float64bits(want.Score) || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+		t.Fatalf("%s: seeded score/cost %v/%v, unseeded %v/%v", label, got.Score, got.Cost, want.Score, want.Cost)
+	}
+	if ss.LastStats.Winner != ps.LastStats.Winner || ss.LastStats.Selected != ps.LastStats.Selected {
+		t.Fatalf("%s: seeded winner/selected %v/%d, unseeded %v/%d", label,
+			ss.LastStats.Winner, ss.LastStats.Selected, ps.LastStats.Winner, ps.LastStats.Selected)
+	}
+	if !reflect.DeepEqual(seededLog.events, plainLog.events) {
+		t.Fatalf("%s: observer streams differ: %d seeded events, %d unseeded", label, len(seededLog.events), len(plainLog.events))
+	}
+	return ps.LastStats, ss.LastStats
+}
+
+// TestSeededSolverMatchesUnseeded: seeding both passes from S0Gains gives
+// the unseeded solver's selections, score bits and observer stream at every
+// worker count, with retained sets, while doing fewer gain evaluations.
+func TestSeededSolverMatchesUnseeded(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 8; trial++ {
+		inst := par.Random(rng, par.RandomConfig{
+			Photos: 60, Subsets: 20, BudgetFrac: 0.15 + 0.1*float64(trial%4), RetainFrac: 0.1,
+		})
+		for _, workers := range []int{1, 2, 8} {
+			s0 := S0Gains(inst, workers)
+			label := fmt.Sprintf("trial %d workers=%d", trial, workers)
+			plain, seeded := solveSeededAndNot(t, label, inst, s0, workers)
+			if seeded.GainEvals >= plain.GainEvals {
+				t.Errorf("%s: seeded solve made %d gain evals, unseeded %d", label, seeded.GainEvals, plain.GainEvals)
+			}
+		}
+	}
+}
+
+// TestSeededSolverPublicLadders runs the seeded/unseeded comparison on the
+// paper's P-1K shape and a scaled slice of P-100K, at every rung of the
+// budget ladder the engine benchmarks sweep.
+func TestSeededSolverPublicLadders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates public-shape datasets")
+	}
+	p1k := dataset.PublicSpecs(1)[0]
+	p100k := dataset.PublicSpecs(0.01)[4]
+	for _, spec := range []dataset.PublicSpec{p1k, p100k} {
+		spec.RetainFrac = 0.02
+		ds, err := dataset.GeneratePublic(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := ds.Instance
+		var s0 []float64
+		for _, f := range []float64{0.05, 0.10, 0.15, 0.20, 0.30} {
+			var inst par.Instance
+			if err := base.ViewInto(&inst, f*base.TotalCost()); err != nil {
+				t.Fatal(err)
+			}
+			if s0 == nil {
+				s0 = S0Gains(&inst, 0)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				solveSeededAndNot(t, fmt.Sprintf("%s f=%g workers=%d", spec.Name, f, workers), &inst, s0, workers)
+			}
+		}
+	}
+}
+
+// TestSeededObserverOrderCB: CB's unseeded pass recomputes its ∞-keyed
+// candidates cheapest first, so the seeded pass must replay them in that
+// order, not photo-ID order. Costs descending with photo ID make the two
+// orders differ everywhere.
+func TestSeededObserverOrderCB(t *testing.T) {
+	inst := par.Random(rand.New(rand.NewSource(5)), par.RandomConfig{Photos: 12, Subsets: 5, BudgetFrac: 0.5})
+	for p := range inst.Cost {
+		inst.Cost[p] = float64(len(inst.Cost) - p)
+	}
+	inst.Budget = 0.5 * inst.TotalCost()
+	if err := inst.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	s0 := S0Gains(inst, 1)
+	var plain, seeded eventLog
+	if _, _, err := lazyGreedy(context.Background(), inst, CB, 1, nil, &plain, &passScratch{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := lazyGreedy(context.Background(), inst, CB, 1, s0, &seeded, &passScratch{}); err != nil {
+		t.Fatal(err)
+	}
+	if plain.events[0] != fmt.Sprintf("r 11 %x", math.Float64bits(s0[11])) {
+		t.Fatalf("unseeded CB recomputed %q first, want the cheapest photo 11", plain.events[0])
+	}
+	if !reflect.DeepEqual(seeded.events, plain.events) {
+		t.Fatalf("CB streams differ:\nseeded   %v\nunseeded %v", seeded.events, plain.events)
+	}
+}
+
+// TestS0GainsWorkers: the memoizable gains are bit-identical for every
+// worker count and equal to a sequential Gain against S0.
+func TestS0GainsWorkers(t *testing.T) {
+	inst := par.Random(rand.New(rand.NewSource(9)), par.RandomConfig{Photos: 80, Subsets: 30, BudgetFrac: 0.3, RetainFrac: 0.1})
+	e := par.NewEvaluator(inst)
+	e.Seed()
+	for _, workers := range []int{1, 2, 8} {
+		got := S0Gains(inst, workers)
+		for p := range got {
+			if want := e.Gain(par.PhotoID(p)); math.Float64bits(got[p]) != math.Float64bits(want) {
+				t.Fatalf("workers=%d: photo %d gain %v, want %v", workers, p, got[p], want)
+			}
+		}
+	}
+}
+
+// TestSolverRejectsMismatchedS0Gains: gains for another layout fail the
+// solve instead of seeding the queue with wrong keys.
+func TestSolverRejectsMismatchedS0Gains(t *testing.T) {
+	inst := par.Figure1Instance()
+	s := Solver{Workers: 1, S0Gains: make([]float64, inst.NumPhotos()+1)}
+	if _, err := s.Solve(inst); err == nil {
+		t.Fatal("solve with S0 gains of the wrong length succeeded")
+	}
+}
+
+// tieInstance builds photos that each sit alone in a subset whose weight is
+// the photo's cost times a power of two drawn from ratios: every marginal
+// gain per byte is exactly one of ratios, so the online bound's fractional
+// knapsack sees large groups of exact ties, interleaved by photo ID.
+func tieInstance(n int, seed int64, ratios []float64) *par.Instance {
+	rng := rand.New(rand.NewSource(seed))
+	inst := &par.Instance{Cost: make([]float64, n)}
+	for p := 0; p < n; p++ {
+		c := 0.1 + rng.Float64()
+		inst.Cost[p] = c
+		inst.Subsets = append(inst.Subsets, par.Subset{
+			Name: fmt.Sprint(p), Weight: c * ratios[rng.Intn(len(ratios))], Members: []par.PhotoID{par.PhotoID(p)},
+			Relevance: []float64{1}, Sim: par.NewDenseSim(1),
+		})
+	}
+	inst.Budget = 0.5 * inst.TotalCost()
+	if err := inst.Finalize(); err != nil {
+		panic(err)
+	}
+	return inst
+}
+
+// TestOnlineBoundTiesDeterministic: photos with equal gain-per-cost ratios
+// enter the fractional knapsack in photo-ID order, so the bound's bits are
+// the same at every worker count and equal to a fill that walks the ratio
+// groups best first, each in photo-ID order.
+func TestOnlineBoundTiesDeterministic(t *testing.T) {
+	ratios := []float64{4, 2, 1, 0.5}
+	for seed := int64(1); seed <= 5; seed++ {
+		inst := tieInstance(200, seed, ratios)
+		sol := []par.PhotoID{3, 40}
+		var want float64
+		e := par.NewEvaluator(inst)
+		for _, p := range sol {
+			want += e.Add(p)
+		}
+		var rest []par.PhotoID
+		for p := 0; p < inst.NumPhotos(); p++ {
+			if id := par.PhotoID(p); !e.Contains(id) {
+				rest = append(rest, id)
+			}
+		}
+		remaining := inst.Budget
+		for _, r := range ratios {
+			for _, p := range rest {
+				g, c := e.Gain(p), inst.Cost[p]
+				if g != c*r || remaining <= 0 {
+					continue
+				}
+				if c <= remaining {
+					want += g
+					remaining -= c
+				} else {
+					want += g * remaining / c
+					remaining = 0
+				}
+			}
+		}
+		if got := OnlineBound(inst, sol); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d: OnlineBound %v, ID-order fill %v", seed, got, want)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			var b BoundScratch
+			if got := b.OnlineBound(inst, e, rest, workers); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d workers=%d: bound %v, ID-order fill %v", seed, workers, got, want)
+			}
+		}
+	}
+}

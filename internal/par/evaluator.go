@@ -102,16 +102,22 @@ func (e *Evaluator) Gains(ps []PhotoID, workers int) []float64 {
 // fresh result slice per round. dst must have len(ps) slots; dst[i] receives
 // exactly what Gain(ps[i]) would return. Evaluations are fanned out in
 // chunks so a batch costs one closure dispatch per chunk rather than per
-// photo.
+// photo; with one worker the loop runs inline and allocates nothing.
 func (e *Evaluator) GainsInto(dst []float64, ps []PhotoID, workers int) {
 	if len(dst) != len(ps) {
 		panic("par: GainsInto dst length does not match ps")
 	}
-	pool.ForEachChunk(len(ps), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = e.gainOf(ps[i])
+	if pool.Resolve(workers) == 1 {
+		for i, p := range ps {
+			dst[i] = e.gainOf(p)
 		}
-	})
+	} else {
+		pool.ForEachChunk(len(ps), workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				dst[i] = e.gainOf(ps[i])
+			}
+		})
+	}
 	e.gainEvals += int64(len(ps))
 }
 

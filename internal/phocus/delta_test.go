@@ -453,3 +453,93 @@ func TestPublicChurnDifferential(t *testing.T) {
 	}
 	requireSameRun(t, "P-100K 1% churn", live, cold, 0.35*merged.TotalCost(), AlgoCELF)
 }
+
+// TestDeltaDropsS0Gains: the memoized S0 gains belong to one layout. After
+// a Run has filled them, ApplyDelta and a forced Compact must drop them, so
+// the next Run at every worker count matches a cold Prepare of the merged
+// instance bit for bit. The removal-only batches retire the photo a stale
+// memo would rank first while keeping the photo count, so the memo would
+// still fit the new layout's shape.
+func TestDeltaDropsS0Gains(t *testing.T) {
+	ctx := context.Background()
+	for _, tau := range []float64{0, 0.35} {
+		t.Run(fmt.Sprintf("tau=%v", tau), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			inst := par.Random(rng, par.RandomConfig{
+				Photos: 50, Subsets: 14, BudgetFrac: 0.4, RetainFrac: 0.1, SimDensity: 0.7,
+			})
+			opts := PrepareOptions{Tau: tau, Workers: 1, InstanceDigest: fmt.Sprintf("s0-drop-%v", tau)}
+			live, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged := inst
+			var removed []bool
+			compare := func(label string) {
+				t.Helper()
+				cold, err := Prepare(ctx, &dataset.Dataset{Instance: merged}, opts)
+				if err != nil {
+					t.Fatalf("%s: cold Prepare: %v", label, err)
+				}
+				for _, workers := range []int{1, 2, 8} {
+					for _, frac := range []float64{0.25, 0.5} {
+						ro := RunOptions{Budget: frac * merged.TotalCost(), Workers: workers}
+						rl, err := live.Run(ctx, ro)
+						if err != nil {
+							t.Fatalf("%s: live Run: %v", label, err)
+						}
+						rc, err := cold.Run(ctx, ro)
+						if err != nil {
+							t.Fatalf("%s: cold Run: %v", label, err)
+						}
+						if keyOf(rl) != keyOf(rc) {
+							t.Fatalf("%s workers=%d f=%g: live %+v, cold %+v", label, workers, frac, keyOf(rl), keyOf(rc))
+						}
+					}
+				}
+				if live.s0Gains == nil {
+					t.Fatalf("%s: a CELF Run left no S0 gains memoized", label)
+				}
+			}
+			compare("cold")
+			for batch := 0; batch < 4; batch++ {
+				// Even batches retire the photo with the largest memoized
+				// gain whose removal validates: the one a stale memo would
+				// rank first.
+				d := randomChurn(rng, live.base, removed, 2, 2, false)
+				if batch%2 == 0 {
+					order := make([]int, len(live.s0Gains))
+					for p := range order {
+						order[p] = p
+					}
+					sort.SliceStable(order, func(i, j int) bool { return live.s0Gains[order[i]] > live.s0Gains[order[j]] })
+					for _, p := range order {
+						if id := par.PhotoID(p); !live.base.IsRetained(id) && !isRemoved(removed, id) {
+							d = &Delta{Remove: []par.PhotoID{id}}
+							if _, err := resolveDelta(live.base, removed, d); err == nil {
+								break
+							}
+						}
+					}
+				}
+				if _, err := live.ApplyDelta(ctx, d); err != nil {
+					t.Fatalf("batch %d: ApplyDelta: %v", batch, err)
+				}
+				if live.s0Gains != nil {
+					t.Fatalf("batch %d: ApplyDelta kept the S0 gains", batch)
+				}
+				if merged, removed, err = MergeDelta(merged, removed, d); err != nil {
+					t.Fatalf("batch %d: MergeDelta: %v", batch, err)
+				}
+				compare(fmt.Sprintf("batch %d", batch))
+			}
+			if err := live.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if live.s0Gains != nil {
+				t.Fatal("Compact kept the S0 gains")
+			}
+			compare("compact")
+		})
+	}
+}

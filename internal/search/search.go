@@ -62,10 +62,18 @@ func NewIndex(docs []Document) *Index {
 			ix.postings[tok] = append(ix.postings[tok], posting{doc: d.ID, tf: 1 + math.Log(c)})
 		}
 	}
-	// Document norms under TF-IDF weights for cosine normalization.
-	for tok, ps := range ix.postings {
+	// Document norms under TF-IDF weights for cosine normalization. The
+	// squares are summed in token order: map order would change the sum's
+	// rounding, and with it the ranking of near-tied documents, from one
+	// build to the next.
+	toks := make([]string, 0, len(ix.postings))
+	for tok := range ix.postings {
+		toks = append(toks, tok)
+	}
+	sort.Strings(toks)
+	for _, tok := range toks {
 		idf := ix.idf(tok)
-		for _, p := range ps {
+		for _, p := range ix.postings[tok] {
 			w := p.tf * idf
 			ix.docNorm[p.doc] += w * w
 		}
@@ -92,16 +100,23 @@ func (ix *Index) NumDocs() int { return ix.numDocs }
 // the query, highest first, ties broken by ascending document ID. Scores
 // are in (0, 1]; documents sharing no token with the query are omitted.
 func (ix *Index) Search(query string, k int) []Hit {
+	// Distinct query tokens in first-occurrence order: the sums below run
+	// in that order so every search of one query rounds identically.
+	var toks []string
 	qcounts := map[string]float64{}
 	for _, tok := range Tokenize(query) {
+		if qcounts[tok] == 0 {
+			toks = append(toks, tok)
+		}
 		qcounts[tok]++
 	}
-	if len(qcounts) == 0 {
+	if len(toks) == 0 {
 		return nil
 	}
 	var qnorm float64
 	scores := map[int]float64{}
-	for tok, c := range qcounts {
+	for _, tok := range toks {
+		c := qcounts[tok]
 		idf := ix.idf(tok)
 		if idf == 0 {
 			continue

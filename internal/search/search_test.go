@@ -1,7 +1,9 @@
 package search
 
 import (
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -99,5 +101,39 @@ func TestDeterministicTieBreak(t *testing.T) {
 func TestNumDocs(t *testing.T) {
 	if NewIndex(corpus).NumDocs() != 5 {
 		t.Error("NumDocs mismatch")
+	}
+}
+
+// TestScoresReproducible: rebuilding the index and re-running a query must
+// give the same scores bit for bit. Scores are float sums over tokens, so
+// summing in map iteration order let their last bits, and with them the
+// order of near-tied hits, vary between builds.
+func TestScoresReproducible(t *testing.T) {
+	words := []string{"red", "blue", "green", "shirt", "shoe", "nike", "puma", "slim", "loose", "cotton", "wool", "sport"}
+	rng := rand.New(rand.NewSource(1))
+	var docs []Document
+	for d := 0; d < 200; d++ {
+		var text []string
+		for w := range words {
+			if rng.Intn(w+2) == 0 {
+				for r := rng.Intn(3); r >= 0; r-- {
+					text = append(text, words[w])
+				}
+			}
+		}
+		docs = append(docs, Document{ID: d, Text: strings.Join(text, " ")})
+	}
+	query := strings.Join(words, " ")
+	want := NewIndex(docs).Search(query, 0)
+	for build := 0; build < 30; build++ {
+		got := NewIndex(docs).Search(query, 0)
+		if len(got) != len(want) {
+			t.Fatalf("build %d: %d hits, want %d", build, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("build %d: hit %d = %+v, want %+v", build, i, got[i], want[i])
+			}
+		}
 	}
 }
