@@ -62,10 +62,10 @@ type SolveOptions struct {
 	// costs one marginal-gain pass over all photos).
 	SkipBound bool
 	// Workers bounds the pipeline's parallelism: sparsification fans out per
-	// subset and the CELF solver runs its sub-procedures concurrently with
-	// batched gain recomputation. Values ≤ 0 mean one worker per CPU
-	// (runtime.GOMAXPROCS(0)); 1 forces the fully sequential path. Results
-	// are identical for every worker count.
+	// subset and the CELF solver runs its two sub-procedures concurrently.
+	// Values ≤ 0 mean one worker per CPU (runtime.GOMAXPROCS(0)); 1 forces
+	// the fully sequential path. Results are identical for every worker
+	// count.
 	Workers int
 }
 
