@@ -141,7 +141,7 @@ func BenchmarkEagerGreedy(b *testing.B) {
 
 // BenchmarkSolveWorkers runs the full Algorithm 1 solver at increasing
 // worker-pool sizes on the same instance; the sub-benchmark ratios are the
-// parallel speedup of concurrent UC/CB plus batched gain recomputation.
+// parallel speedup of running UC and CB concurrently.
 func BenchmarkSolveWorkers(b *testing.B) {
 	ds := benchInstance(b, 1000)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -157,16 +157,16 @@ func BenchmarkSolveWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSparsifyExactWorkers fans the all-pairs sparsifier over the
-// worker pool; per-subset independence makes this close to embarrassingly
-// parallel.
-func BenchmarkSparsifyExactWorkers(b *testing.B) {
+// BenchmarkSparsifyExact measures all-pairs τ-sparsification at increasing
+// worker-pool sizes; per-subset independence makes this close to
+// embarrassingly parallel.
+func BenchmarkSparsifyExact(b *testing.B) {
 	ds := benchInstance(b, 1000)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sparsify.ExactWorkers(ds.Instance, 0.75, workers, nil); err != nil {
+				if _, err := sparsify.Exact(ds.Instance, 0.75, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -174,28 +174,16 @@ func BenchmarkSparsifyExactWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSparsifyExact measures all-pairs τ-sparsification.
-func BenchmarkSparsifyExact(b *testing.B) {
-	ds := benchInstance(b, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sparsify.Exact(ds.Instance, 0.75); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSparsifyLSH measures SimHash-based sparsification of the same
-// instance; the gap versus BenchmarkSparsifyExact is the paper's "roughly
-// linear time" claim in action.
+// instance; the gap versus BenchmarkSparsifyExact/workers=1 is the paper's
+// "roughly linear time" claim in action.
 func BenchmarkSparsifyLSH(b *testing.B) {
 	ds := benchInstance(b, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		if _, err := sparsify.WithLSH(rng, ds.Instance, ds.CtxVectors, 0.75); err != nil {
+		if _, err := sparsify.WithLSH(rng, ds.Instance, ds.CtxVectors, 0.75, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -36,19 +35,6 @@ type deltaResponse struct {
 	SizeBytes      int64   `json:"size_bytes"`
 }
 
-// validHexFP reports whether fp looks like a sha256 hex fingerprint.
-func validHexFP(fp string) bool {
-	if len(fp) != 64 {
-		return false
-	}
-	for _, c := range fp {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // handleDelta is POST /instances/{fp}/delta: decode the delta batch and run
 // it through the shared apply core. 404 when the fingerprint resolves to
 // neither a cached instance nor a snapshot; 409 for LSH-prepared instances
@@ -56,7 +42,7 @@ func validHexFP(fp string) bool {
 // engine's validation rejects.
 func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
-	if !validHexFP(fp) {
+	if !phocus.ValidFingerprint(fp) {
 		http.Error(w, fmt.Sprintf("invalid fingerprint %q: want 64 hex characters", fp), http.StatusBadRequest)
 		return
 	}
@@ -68,19 +54,19 @@ func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.admitTenant(w, r); !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	var d phocus.Delta
-	if err := json.NewDecoder(r.Body).Decode(&d); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, fmt.Sprintf("invalid delta JSON: %v", err), http.StatusBadRequest)
+	body, err := readBody(w, r, s.maxBody)
+	if err != nil {
+		var he *httpError
+		errors.As(err, &he)
+		http.Error(w, he.Error(), he.status)
 		return
 	}
-	resp, err := s.applyDeltaCore(r.Context(), fp, &d)
+	d, err := decodeDelta(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	resp, err := s.applyDeltaCore(r.Context(), fp, d)
 	if err != nil {
 		var he *httpError
 		switch {
@@ -107,10 +93,7 @@ func (s *server) applyDeltaCore(ctx context.Context, fp string, d *phocus.Delta)
 	defer s.deltaMu.Unlock()
 	logger := obs.Logger(ctx)
 
-	var prep *phocus.Prepared
-	if s.cache != nil {
-		prep, _ = s.cache.Get(fp)
-	}
+	prep, _ := s.cache.Get(fp)
 	if prep == nil && s.snaps != nil {
 		prep = s.loadSnapshot(ctx, fp)
 	}
@@ -150,10 +133,8 @@ func (s *server) applyDeltaCore(ctx context.Context, fp string, d *phocus.Delta)
 	// last reference and release the snapshot mapping while the value is
 	// about to be re-inserted; overlapping the keys keeps the refcount > 0
 	// throughout.
-	if s.cache != nil {
-		s.cache.Put(stats.NewFingerprint, prep)
-		s.cache.Remove(stats.OldFingerprint)
-	}
+	s.cache.Put(stats.NewFingerprint, prep)
+	s.cache.Remove(stats.OldFingerprint)
 	if s.snaps != nil {
 		go s.replaceSnapshot(stats.OldFingerprint, stats.NewFingerprint, prep)
 	}
@@ -189,13 +170,10 @@ func (s *server) replaceSnapshot(oldFP, newFP string, p *phocus.Prepared) {
 	s.saveSnapshot(newFP, p)
 }
 
-// readDelta decodes a delta batch, rejecting empty bodies early with the
-// same message shape the solve path uses.
-func readDelta(body io.Reader) (*phocus.Delta, error) {
-	data, err := io.ReadAll(body)
-	if err != nil {
-		return nil, err
-	}
+// decodeDelta decodes a request body holding exactly one delta batch: both
+// the synchronous endpoint and session jobs reject an empty body, trailing
+// data and a second concatenated batch rather than applying a prefix.
+func decodeDelta(data []byte) (*phocus.Delta, error) {
 	if len(data) == 0 {
 		return nil, errors.New("empty request body: want delta JSON")
 	}

@@ -118,6 +118,65 @@ func TestDeltaValidation(t *testing.T) {
 	}
 }
 
+// TestDeltaBodyDecoding: a delta body must hold exactly one batch, on the
+// synchronous endpoint and on session jobs alike. A second concatenated
+// batch or trailing garbage is rejected whole, never applied as a prefix.
+func TestDeltaBodyDecoding(t *testing.T) {
+	_, srv := jobsTestServer(t, serverConfig{Workers: 1})
+	body := instanceBody(t, 3.0).String()
+	// The valid row comes last: it evolves the fingerprint, and every
+	// rejection must leave the instance untouched for it.
+	cases := []struct {
+		name, body string
+		ok         bool
+	}{
+		{"empty", "", false},
+		{"two batches", growDelta + growDelta, false},
+		{"trailing garbage", growDelta + "garbage", false},
+		{"malformed", `{"add":[`, false},
+		{"valid", growDelta, true},
+	}
+	t.Run("sync", func(t *testing.T) {
+		fp := postSolve(t, srv.URL+"/solve?algo=celf", body).Fingerprint
+		for _, tc := range cases {
+			code, dr := postDelta(t, srv.URL, fp, tc.body)
+			switch {
+			case tc.ok && (code != http.StatusOK || dr.Added != 1):
+				t.Errorf("%s: status %d added %d, want 200 and 1", tc.name, code, dr.Added)
+			case !tc.ok && code != http.StatusBadRequest:
+				t.Errorf("%s: status %d, want 400", tc.name, code)
+			}
+		}
+	})
+	t.Run("session", func(t *testing.T) {
+		fp := postSolve(t, srv.URL+"/solve?algo=celf", body).Fingerprint
+		for _, tc := range cases {
+			if tc.body == "" {
+				// Refused at submit, with a message naming the payload.
+				resp, err := http.Post(srv.URL+"/jobs?kind=session&fp="+fp, "application/json", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "want delta JSON") {
+					t.Errorf("%s: submit status %d (%s), want 400 naming delta JSON", tc.name, resp.StatusCode, msg)
+				}
+				continue
+			}
+			resp, doc := submitJob(t, srv.URL, "?kind=session&fp="+fp, tc.body)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("%s: submit status %d, want 202", tc.name, resp.StatusCode)
+			}
+			want := "failed"
+			if tc.ok {
+				want = "done"
+			}
+			waitJobState(t, srv.URL, doc.ID, want)
+		}
+	})
+}
+
 // TestDeltaReplacesSnapshot: with a snapshot store attached, a delta must
 // retire the pre-churn snapshot and persist the post-churn one, so a
 // restarted server warm-fills only the evolved instance — the stale

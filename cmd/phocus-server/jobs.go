@@ -6,7 +6,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,6 +19,7 @@ import (
 	"phocus/internal/fleet"
 	"phocus/internal/jobs"
 	"phocus/internal/obs"
+	"phocus/internal/phocus"
 )
 
 // jobStatusDoc is the wire format of GET /jobs/{id} (and the body of 202 /
@@ -137,7 +137,7 @@ func parseJobParams(q url.Values) (jobParams, error) {
 		p.solve = sp
 	case "session":
 		p.fp = q.Get("fp")
-		if !validHexFP(p.fp) {
+		if !phocus.ValidFingerprint(p.fp) {
 			return p, fmt.Errorf("invalid fp %q: want the 64-hex fingerprint of a prepared instance", q.Get("fp"))
 		}
 	case "retention":
@@ -165,7 +165,8 @@ func parseJobParams(q url.Values) (jobParams, error) {
 // it. 202 with the job document on success; 429 + Retry-After when the
 // queue caps reject it; 503 while draining.
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if _, err := parseJobParams(r.URL.Query()); err != nil {
+	params, err := parseJobParams(r.URL.Query())
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -181,7 +182,11 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(body) == 0 {
-		http.Error(w, "empty request body: want instance JSON", http.StatusBadRequest)
+		want := "instance"
+		if params.kind == "session" {
+			want = "delta"
+		}
+		http.Error(w, "empty request body: want "+want+" JSON", http.StatusBadRequest)
 		return
 	}
 	job, err := s.jobs.SubmitTenant(tenant, r.URL.RawQuery, body)
@@ -346,7 +351,7 @@ func (s *server) runJob(ctx context.Context, job jobs.Job) ([]byte, error) {
 	}
 	switch params.kind {
 	case "session":
-		d, err := readDelta(bytes.NewReader(job.Body))
+		d, err := decodeDelta(job.Body)
 		if err != nil {
 			return nil, err
 		}

@@ -24,12 +24,6 @@ func jobsTestServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) 
 	if cfg.MaxBody == 0 {
 		cfg.MaxBody = 256 << 20
 	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 16
-	}
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = 1 << 30
-	}
 	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), cfg)
 	srv := httptest.NewServer(s.telemetry(s.mux(false)))
 	t.Cleanup(srv.Close)

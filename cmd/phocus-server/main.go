@@ -83,7 +83,7 @@ func main() {
 	workers := flag.Int("workers", 0, "solve pipeline worker-pool size per request (≤ 0 means one per CPU, 1 forces the sequential path)")
 	exactMaxNodes := flag.Int64("exact-max-nodes", 50_000_000, "node budget for algo=exact branch-and-bound (≤ 0 = unlimited)")
 	solveTimeout := flag.Duration("solve-timeout", 0, "per-request solve deadline (0 = none); expired solves stop mid-run and return 503")
-	cacheEntries := flag.Int("prepare-cache-entries", 64, "prepared-instance cache entry bound (0 with a zero byte bound disables the cache)")
+	cacheEntries := flag.Int("prepare-cache-entries", 64, "prepared-instance cache entry bound (≤ 0 = unbounded; at least one of the two bounds must be positive)")
 	cacheBytes := flag.Int64("prepare-cache-bytes", 1<<30, "prepared-instance cache byte bound")
 	dataDir := flag.String("data-dir", "", "durable job-store directory for the async /jobs API (empty = in-memory jobs, no crash recovery)")
 	snapshotDir := flag.String("snapshot-dir", "", "prepared-instance snapshot directory for warm restarts (empty = snapshots off)")
@@ -195,8 +195,8 @@ type serverConfig struct {
 	ExactMaxNodes int64
 	// SolveTimeout, when positive, deadlines each request's solve stage.
 	SolveTimeout time.Duration
-	// CacheEntries / CacheBytes bound the prepared-instance LRU; both ≤ 0
-	// disables caching.
+	// CacheEntries / CacheBytes bound the prepared-instance LRU; a bound
+	// ≤ 0 is unbounded, and at least one must be positive.
 	CacheEntries int
 	CacheBytes   int64
 	// DataDir is the async job store's durable directory ("" = in-memory).
@@ -317,6 +317,9 @@ func newLogger(w io.Writer, format string) (*slog.Logger, error) {
 }
 
 func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
+	if cfg.CacheEntries <= 0 && cfg.CacheBytes <= 0 {
+		return nil, errors.New("-prepare-cache-entries and -prepare-cache-bytes are both unbounded: set at least one positive bound")
+	}
 	s := &server{
 		logger:        logger,
 		reg:           obs.NewRegistry(),
@@ -325,12 +328,10 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 		exactMaxNodes: cfg.ExactMaxNodes,
 		solveTimeout:  cfg.SolveTimeout,
 		queueDepth:    cfg.QueueDepth,
+		cache:         phocus.NewPreparedCache(cfg.CacheEntries, cfg.CacheBytes),
 	}
 	if cfg.ExactMaxNodes < 0 {
 		s.exactMaxNodes = 0
-	}
-	if cfg.CacheEntries > 0 || cfg.CacheBytes > 0 {
-		s.cache = phocus.NewPreparedCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
 	s.reg.Gauge("phocus_workers").Set(float64(s.workers))
 
@@ -408,7 +409,7 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 
 	// Warm-fill runs in the background so startup stays fast; /readyz keeps
 	// answering 503 until the persisted snapshots are back in the cache.
-	if s.snaps != nil && s.cache != nil {
+	if s.snaps != nil {
 		go s.warmFill()
 	} else {
 		s.snapWarmed.Store(true)
@@ -438,9 +439,7 @@ func (s *server) mux(pprofOn bool) *http.ServeMux {
 		// /slo always tell the same story; same for the cache's mmap
 		// residency, which moves on every insert/evict.
 		s.slo.Export(s.reg)
-		if s.cache != nil {
-			obs.SetPreparedMmapBytes(s.reg, s.cache.MappedBytes())
-		}
+		obs.SetPreparedMmapBytes(s.reg, s.cache.MappedBytes())
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		if err := s.reg.WritePrometheus(w); err != nil {
 			s.logger.Error("write metrics", "err", err)
@@ -874,9 +873,6 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 	// a burst of jobs over one archive does too. The budget is checked
 	// against C(S0) by Run, on a hit and a miss alike.
 	acquire := func() (*phocus.Prepared, error) {
-		if s.cache == nil {
-			return build()
-		}
 		prep, hit, evicted, err := s.cache.GetOrPrepare(key, build)
 		if err == nil {
 			obs.RecordPrepareCache(s.reg, hit)
@@ -931,9 +927,7 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 		// the cache fetch and the solve. The snapshot file itself is intact —
 		// only the mapping died — so drop the stale cache entry and retry
 		// once against a freshly acquired Prepared.
-		if s.cache != nil {
-			s.cache.Remove(key)
-		}
+		s.cache.Remove(key)
 		if prep, err = acquire(); err == nil {
 			res, err = prep.Run(solveCtx, ropts)
 		}

@@ -38,11 +38,15 @@ func newTestServer(t testing.TB, logs io.Writer) (*server, http.Handler) {
 	return s, s.telemetry(s.mux(false))
 }
 
-// mustServer builds a server from cfg (WAL fsync off for test speed) and
-// tears the job service down with the test.
+// mustServer builds a server from cfg (WAL fsync off for test speed, and a
+// 16-entry, 1 GiB prepare cache unless cfg bounds it) and tears the job
+// service down with the test.
 func mustServer(t testing.TB, logger *slog.Logger, cfg serverConfig) *server {
 	t.Helper()
 	cfg.JobStoreNoSync = true
+	if cfg.CacheEntries <= 0 && cfg.CacheBytes <= 0 {
+		cfg.CacheEntries, cfg.CacheBytes = 16, 1<<30
+	}
 	s, err := newServer(logger, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -345,6 +349,22 @@ func TestDebugVarsEndpoint(t *testing.T) {
 	}
 	if _, ok := snap[`phocus_solve_total{algo="PHOcus",workers="2"}`]; !ok {
 		t.Errorf("vars missing solve counter; keys: %d", len(snap))
+	}
+}
+
+// TestNewServerRequiresCacheBound: the prepare cache is not optional, so a
+// configuration leaving both of its bounds unset is a start-up error.
+func TestNewServerRequiresCacheBound(t *testing.T) {
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	for _, cfg := range []serverConfig{
+		{CacheEntries: 0, CacheBytes: 0},
+		{CacheEntries: -1, CacheBytes: 0},
+	} {
+		cfg.MaxBody, cfg.Workers, cfg.JobStoreNoSync = 1<<20, 1, true
+		if s, err := newServer(logger, cfg); err == nil {
+			s.jobs.Close(context.Background())
+			t.Errorf("entries %d bytes %d: newServer succeeded, want a start-up error", cfg.CacheEntries, cfg.CacheBytes)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ type Scratch struct {
 type passScratch struct {
 	eval  *par.Evaluator
 	items []candidate
-	stale []candidate
+	order []candidate // the seeded observer replay's queue
 	seen  []bool
 }
 
@@ -145,7 +145,7 @@ func (s *Solver) Solve(inst *par.Instance) (par.Solution, error) {
 
 // SolveContext is Solve with cooperative cancellation: both sub-procedures
 // check ctx at every priority-queue round, so a canceled context stops the
-// solve within one recompute batch. It implements par.ContextSolver.
+// solve within one gain evaluation. It implements par.ContextSolver.
 func (s *Solver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solution, error) {
 	start := time.Now()
 	workers := pool.Resolve(s.Workers)
@@ -165,13 +165,13 @@ func (s *Solver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solu
 		// Both passes reuse the UC slot's evaluator and queue storage. UC's
 		// solution aliases the evaluator, so it is copied into scratch-owned
 		// storage before CB resets it.
-		solUC, statsUC, err = lazyGreedy(ctx, inst, UC, 1, s.S0Gains, s.Observer, &sc.uc)
+		solUC, statsUC, err = lazyGreedy(ctx, inst, UC, s.S0Gains, s.Observer, &sc.uc)
 		if err != nil {
 			return par.Solution{}, err
 		}
 		sc.solUC = append(sc.solUC[:0], solUC.Photos...)
 		solUC.Photos = sc.solUC
-		solCB, statsCB, err = lazyGreedy(ctx, inst, CB, 1, s.S0Gains, s.Observer, &sc.uc)
+		solCB, statsCB, err = lazyGreedy(ctx, inst, CB, s.S0Gains, s.Observer, &sc.uc)
 	} else {
 		// The concurrent branch lives in its own method: its goroutine
 		// closure must not capture these locals, or escape analysis would
@@ -220,9 +220,9 @@ func (s *Solver) solveConcurrent(ctx context.Context, inst *par.Instance, sc *Sc
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		solCB, statsCB, errCB = lazyGreedy(ctx, inst, CB, 1, s.S0Gains, obsCB, &sc.cb)
+		solCB, statsCB, errCB = lazyGreedy(ctx, inst, CB, s.S0Gains, obsCB, &sc.cb)
 	}()
-	solUC, statsUC, err = lazyGreedy(ctx, inst, UC, 1, s.S0Gains, obsUC, &sc.uc)
+	solUC, statsUC, err = lazyGreedy(ctx, inst, UC, s.S0Gains, obsUC, &sc.uc)
 	<-done
 	if err == nil {
 		err = errCB
@@ -275,34 +275,8 @@ func LazyGreedy(inst *par.Instance, variant Variant) (par.Solution, Stats, error
 
 // LazyGreedyObserved is LazyGreedy with an optional event observer.
 func LazyGreedyObserved(inst *par.Instance, variant Variant, obs Observer) (par.Solution, Stats, error) {
-	return LazyGreedyWorkers(inst, variant, 1, obs)
-}
-
-// LazyGreedyWorkers is Algorithm 2 with batched recomputation: instead of
-// recomputing one stale priority-queue entry at a time, it pops up to batch
-// stale entries from the top of the queue and recomputes them together on
-// the calling goroutine (batch ≤ 1 reproduces the classic sequential
-// schedule exactly, pop for pop). Batching adds no parallelism; it exists to
-// exercise the selection invariance below.
-//
-// Batching is sound and selection-invariant: a photo is only ever selected
-// when a current (exactly recomputed) entry sits at the top of the queue,
-// stale keys upper-bound exact keys by submodularity, and ties are broken
-// deterministically by photo ID — so the selected photo is always the true
-// argmax of the exact marginal-gain key, no matter how many extra entries a
-// batch recomputed first. Extra recomputations only show up in GainEvals and
-// PQPops; the solution is identical for every batch size.
-func LazyGreedyWorkers(inst *par.Instance, variant Variant, batch int, obs Observer) (par.Solution, Stats, error) {
-	return LazyGreedyContext(context.Background(), inst, variant, batch, obs)
-}
-
-// LazyGreedyContext is LazyGreedyWorkers with cooperative cancellation: the
-// context is checked once per priority-queue round — before each pop /
-// recompute batch — so cancellation takes effect within one batch and the
-// context's error is returned unwrapped.
-func LazyGreedyContext(ctx context.Context, inst *par.Instance, variant Variant, batch int, obs Observer) (par.Solution, Stats, error) {
 	var ps passScratch
-	sol, stats, err := lazyGreedy(ctx, inst, variant, batch, nil, obs, &ps)
+	sol, stats, err := lazyGreedy(context.Background(), inst, variant, nil, obs, &ps)
 	if err != nil {
 		return sol, stats, err
 	}
@@ -312,14 +286,14 @@ func LazyGreedyContext(ctx context.Context, inst *par.Instance, variant Variant,
 }
 
 // lazyGreedy is the Algorithm 2 engine behind every public entry point: one
-// pass recomputing up to batch (at least one) stale entries per round. With
-// s0 non-nil (see S0Gains) the queue starts as the state the unseeded pass
+// pass recomputing one stale entry per priority-queue round. With s0
+// non-nil (see S0Gains) the queue starts as the state the unseeded pass
 // reaches just before its first selection — every feasible candidate
-// current against S0 — built with one heapify. All mutable state lives in ps, so a caller that
-// keeps it across runs (Solver.Scratch, the engine's per-solve pools)
-// allocates nothing at steady state; the returned Solution.Photos alias ps's
-// evaluator.
-func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, batch int, s0 []float64, obs Observer, ps *passScratch) (par.Solution, Stats, error) {
+// current against S0 — built with one heapify. All mutable state lives in
+// ps, so a caller that keeps it across runs (Solver.Scratch, the engine's
+// per-solve pools) allocates nothing at steady state; the returned
+// Solution.Photos alias ps's evaluator.
+func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, s0 []float64, obs Observer, ps *passScratch) (par.Solution, Stats, error) {
 	start := time.Now()
 	e := ps.evaluator(inst)
 	e.Seed() // S ← S0
@@ -328,7 +302,6 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, batch 
 	// The queue value lives on the stack; its item storage round-trips
 	// through the scratch so the backing array is reused across runs.
 	pq := gainQueue{variant: variant, cost: inst.Cost, items: ps.items[:0]}
-	stale := ps.stale[:0]
 	if s0 == nil {
 		for p := 0; p < inst.NumPhotos(); p++ {
 			id := par.PhotoID(p)
@@ -357,7 +330,7 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, batch 
 			// Replay the unseeded initial phase's events: its ∞-keyed
 			// entries pop in key order (photo ID order for UC, cost order
 			// for CB), each recomputed to its S0 gain.
-			order := gainQueue{variant: variant, cost: inst.Cost, items: stale}
+			order := gainQueue{variant: variant, cost: inst.Cost, items: ps.order[:0]}
 			for _, c := range pq.items {
 				order.items = append(order.items, order.entry(c.photo, inf, staleEpoch))
 			}
@@ -366,17 +339,17 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, batch 
 				c := order.pop()
 				obs.Recomputed(c.photo, s0[c.photo])
 			}
-			stale = order.items[:0]
+			ps.order = order.items[:0]
 		}
 	}
 
 	var stats Stats
-	// (The buffers are saved back into ps at every return — a deferred
-	// closure would force these locals, and the queue, onto the heap and
-	// defeat the allocation-free path.)
+	// (The queue storage is saved back into ps at every return — a deferred
+	// closure would force the queue onto the heap and defeat the
+	// allocation-free path.)
 	for pq.Len() > 0 {
 		if err := ctx.Err(); err != nil {
-			ps.items, ps.stale = pq.items[:0], stale[:0]
+			ps.items = pq.items[:0]
 			return par.Solution{}, stats, err
 		}
 		top := pq.pop()
@@ -398,41 +371,15 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, batch 
 			}
 			continue
 		}
-		// Recompute δ_p against the current solution and reinsert. With
-		// batch > 1, collect up to batch stale entries from the queue top
-		// and recompute them together; stop early at the first current
-		// entry — everything below it is unlikely to be needed before the
-		// next selection.
-		stale = append(stale[:0], top)
-		var parked candidate
-		hasParked := false
-		for len(stale) < batch && pq.Len() > 0 {
-			c := pq.pop()
-			stats.PQPops++
-			if e.Contains(c.photo) || !e.Fits(c.photo) {
-				continue
-			}
-			if c.epoch == pq.epoch {
-				parked, hasParked = c, true
-				break
-			}
-			stale = append(stale, c)
-		}
-		for _, c := range stale {
-			gain := e.Gain(c.photo)
-			pq.push(pq.entry(c.photo, gain, pq.epoch))
-			if obs != nil {
-				obs.Recomputed(c.photo, gain)
-			}
-		}
-		if hasParked {
-			// No selection happened since the pop, so the entry is still
-			// current against the present solution.
-			pq.push(parked)
+		// Recompute δ_p against the current solution and reinsert.
+		gain := e.Gain(top.photo)
+		pq.push(pq.entry(top.photo, gain, pq.epoch))
+		if obs != nil {
+			obs.Recomputed(top.photo, gain)
 		}
 	}
 
-	ps.items, ps.stale = pq.items[:0], stale[:0]
+	ps.items = pq.items[:0]
 	stats.GainEvals = e.GainEvals()
 	stats.Elapsed = time.Since(start)
 	sol := e.SolutionView()
@@ -526,9 +473,8 @@ func (g *gainQueue) entry(p par.PhotoID, gain float64, epoch int32) candidate {
 func (g *gainQueue) Len() int { return len(g.items) }
 
 // less orders by key descending, breaking exact ties by photo ID so the heap
-// maximum is a deterministic function of the queued entries. The tie-break
-// is what keeps batched and sequential recomputation schedules selecting the
-// same photo when two candidates have identical keys.
+// maximum is a deterministic function of the queued entries: the pop
+// sequence, and so every selection, does not depend on the heap's layout.
 func (g *gainQueue) less(i, j int) bool {
 	a, b := &g.items[i], &g.items[j]
 	if a.key != b.key {

@@ -142,9 +142,9 @@ func TestLazyMatchesEagerQuick(t *testing.T) {
 // TestLazyGreedyKernelSelectionInvariant: a kernel reassembled from slabs
 // and attached, as a snapshot load does, must not change a single selection
 // against the lazily compiled one — photos, order, score, cost, or
-// gain-eval count — for any variant or worker count. This is the
-// solver-level face of the kernel's bit-identity contract; the par tests
-// hold the kernel itself to the jagged reference.
+// gain-eval count — for either variant. This is the solver-level face of
+// the kernel's bit-identity contract; the par tests hold the kernel itself
+// to the jagged reference.
 func TestLazyGreedyKernelSelectionInvariant(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -166,33 +166,31 @@ func TestLazyGreedyKernelSelectionInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range []Variant{UC, CB} {
-			for _, workers := range []int{1, 4} {
-				cmp, cmpStats, err := LazyGreedyWorkers(inst, v, workers, nil)
-				if err != nil {
-					t.Fatal(err)
+			cmp, cmpStats, err := LazyGreedy(inst, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			att, attStats, err := LazyGreedy(twin, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cmp.Score != att.Score || cmp.Cost != att.Cost {
+				t.Fatalf("seed %d %v: score/cost %v/%v (compiled) vs %v/%v (attached)",
+					seed, v, cmp.Score, cmp.Cost, att.Score, att.Cost)
+			}
+			if len(cmp.Photos) != len(att.Photos) {
+				t.Fatalf("seed %d %v: %d photos (compiled) vs %d (attached)",
+					seed, v, len(cmp.Photos), len(att.Photos))
+			}
+			for i := range cmp.Photos {
+				if cmp.Photos[i] != att.Photos[i] {
+					t.Fatalf("seed %d %v: selections diverge at %d: %v vs %v",
+						seed, v, i, cmp.Photos, att.Photos)
 				}
-				att, attStats, err := LazyGreedyWorkers(twin, v, workers, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cmp.Score != att.Score || cmp.Cost != att.Cost {
-					t.Fatalf("seed %d %v workers=%d: score/cost %v/%v (compiled) vs %v/%v (attached)",
-						seed, v, workers, cmp.Score, cmp.Cost, att.Score, att.Cost)
-				}
-				if len(cmp.Photos) != len(att.Photos) {
-					t.Fatalf("seed %d %v workers=%d: %d photos (compiled) vs %d (attached)",
-						seed, v, workers, len(cmp.Photos), len(att.Photos))
-				}
-				for i := range cmp.Photos {
-					if cmp.Photos[i] != att.Photos[i] {
-						t.Fatalf("seed %d %v workers=%d: selections diverge at %d: %v vs %v",
-							seed, v, workers, i, cmp.Photos, att.Photos)
-					}
-				}
-				if cmpStats.GainEvals != attStats.GainEvals || cmpStats.PQPops != attStats.PQPops {
-					t.Fatalf("seed %d %v workers=%d: work mismatch: %d/%d evals, %d/%d pops",
-						seed, v, workers, cmpStats.GainEvals, attStats.GainEvals, cmpStats.PQPops, attStats.PQPops)
-				}
+			}
+			if cmpStats.GainEvals != attStats.GainEvals || cmpStats.PQPops != attStats.PQPops {
+				t.Fatalf("seed %d %v: work mismatch: %d/%d evals, %d/%d pops",
+					seed, v, cmpStats.GainEvals, attStats.GainEvals, cmpStats.PQPops, attStats.PQPops)
 			}
 		}
 	}

@@ -124,10 +124,10 @@ func TestSeededObserverOrderCB(t *testing.T) {
 	}
 	s0 := S0Gains(inst, 1)
 	var plain, seeded eventLog
-	if _, _, err := lazyGreedy(context.Background(), inst, CB, 1, nil, &plain, &passScratch{}); err != nil {
+	if _, _, err := lazyGreedy(context.Background(), inst, CB, nil, &plain, &passScratch{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lazyGreedy(context.Background(), inst, CB, 1, s0, &seeded, &passScratch{}); err != nil {
+	if _, _, err := lazyGreedy(context.Background(), inst, CB, s0, &seeded, &passScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	if plain.events[0] != fmt.Sprintf("r 11 %x", math.Float64bits(s0[11])) {

@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"phocus/internal/embed"
-	"phocus/internal/pool"
 )
 
 // SimHash is a fixed family of random hyperplanes organized in bands.
@@ -67,47 +66,13 @@ func (h *SimHash) Signature(v embed.Vector) []uint64 {
 // Pair is an unordered candidate pair of vector indices with I < J.
 type Pair struct{ I, J int }
 
-// Observer receives per-band candidate-generation events, in band order —
-// the instrumentation hook mirroring celf.Observer. buckets is the number
-// of distinct band signatures and pairs the number of previously unseen
-// candidate pairs the band contributed.
-type Observer interface {
-	BandDone(band, buckets, pairs int)
-}
-
-// Signatures computes the banded signature of every vector, fanning the
-// per-vector hashing — the dominant cost of candidate generation, bands·rows
-// dot products each — out over up to workers goroutines (≤ 0 means one per
-// CPU). The hyperplane family is read-only, so concurrent hashing is safe,
-// and sigs[i] depends only on vectors[i]: output is identical for every
-// worker count.
-func (h *SimHash) Signatures(vectors []embed.Vector, workers int) [][]uint64 {
-	sigs := make([][]uint64, len(vectors))
-	pool.ForEach(len(vectors), workers, func(i int) {
-		sigs[i] = h.Signature(vectors[i])
-	})
-	return sigs
-}
-
 // CandidatePairs hashes all vectors and returns the deduplicated pairs that
 // collide in at least one band, in deterministic (sorted) order.
 func (h *SimHash) CandidatePairs(vectors []embed.Vector) []Pair {
-	return h.CandidatePairsObserved(vectors, nil)
-}
-
-// CandidatePairsObserved is CandidatePairs with an optional per-band event
-// observer.
-func (h *SimHash) CandidatePairsObserved(vectors []embed.Vector, obs Observer) []Pair {
-	return h.CandidatePairsParallel(vectors, 1, obs)
-}
-
-// CandidatePairsParallel is CandidatePairsObserved with the signature
-// computation fanned out over workers goroutines; the banding pass that
-// follows stays sequential (it is a hash-bucket scan, cheap relative to
-// hashing). Pair output and observer events are identical for every worker
-// count.
-func (h *SimHash) CandidatePairsParallel(vectors []embed.Vector, workers int, obs Observer) []Pair {
-	sigs := h.Signatures(vectors, workers)
+	sigs := make([][]uint64, len(vectors))
+	for i, v := range vectors {
+		sigs[i] = h.Signature(v)
+	}
 	seen := make(map[Pair]struct{})
 	buckets := make(map[uint64][]int)
 	for b := 0; b < h.bands; b++ {
@@ -115,20 +80,12 @@ func (h *SimHash) CandidatePairsParallel(vectors []embed.Vector, workers int, ob
 		for i := range vectors {
 			buckets[sigs[i][b]] = append(buckets[sigs[i][b]], i)
 		}
-		fresh := 0
 		for _, members := range buckets {
 			for x := 0; x < len(members); x++ {
 				for y := x + 1; y < len(members); y++ {
-					p := Pair{I: members[x], J: members[y]}
-					if _, dup := seen[p]; !dup {
-						seen[p] = struct{}{}
-						fresh++
-					}
+					seen[Pair{I: members[x], J: members[y]}] = struct{}{}
 				}
 			}
-		}
-		if obs != nil {
-			obs.BandDone(b, len(buckets), fresh)
 		}
 	}
 	pairs := make([]Pair, 0, len(seen))

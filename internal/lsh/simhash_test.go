@@ -179,51 +179,3 @@ func TestNewPanicsOnBadLayout(t *testing.T) {
 		}()
 	}
 }
-
-// bandRecorder records BandDone events.
-type bandRecorder struct {
-	bands []int
-	pairs int
-}
-
-func (b *bandRecorder) BandDone(band, buckets, pairs int) {
-	b.bands = append(b.bands, band)
-	if buckets <= 0 {
-		b.pairs = -1 << 30 // poison: every band has at least one bucket
-	}
-	b.pairs += pairs
-}
-
-// TestCandidatePairsObserved checks the instrumentation hook: one event per
-// band in order, and fresh-pair counts summing to the deduplicated total.
-func TestCandidatePairsObserved(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	h := New(rng, 16, 6, 4)
-	vectors := make([]embed.Vector, 25)
-	for i := range vectors {
-		vectors[i] = embed.RandomUnit(rng, 16)
-	}
-	var rec bandRecorder
-	pairs := h.CandidatePairsObserved(vectors, &rec)
-	if len(rec.bands) != h.Bands() {
-		t.Fatalf("got %d band events, want %d", len(rec.bands), h.Bands())
-	}
-	for i, b := range rec.bands {
-		if b != i {
-			t.Errorf("band event %d reported band %d, want in-order", i, b)
-		}
-	}
-	if rec.pairs != len(pairs) {
-		t.Errorf("fresh-pair events sum to %d, want %d deduplicated pairs", rec.pairs, len(pairs))
-	}
-	// The unobserved path returns the identical pair set.
-	plain := h.CandidatePairs(vectors)
-	if len(plain) != len(pairs) {
-		t.Fatalf("observed %d pairs vs plain %d", len(pairs), len(plain))
-	}
-	for i := range plain {
-		if plain[i] != pairs[i] {
-			t.Fatalf("pair %d differs: %v vs %v", i, plain[i], pairs[i])
-		}
-	}
-}

@@ -35,9 +35,6 @@ func (d *DeltaSim) Len() int { return d.k0 + len(d.rows) }
 // MaskMember zeroes every off-diagonal similarity of member i.
 func (d *DeltaSim) MaskMember(i int) { d.masked[i] = true }
 
-// Masked reports whether member i is masked.
-func (d *DeltaSim) Masked(i int) bool { return d.masked[i] }
-
 // AppendMember adds one member whose similarities to earlier members are
 // given by neighbors (ascending index, self excluded, sims in (0,1]).
 // The slice is retained.

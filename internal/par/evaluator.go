@@ -97,9 +97,9 @@ func (e *Evaluator) Gains(ps []PhotoID, workers int) []float64 {
 	return out
 }
 
-// GainsInto is Gains writing into a caller-owned buffer, for hot loops
-// (CELF's batched stale-entry recompute) that would otherwise allocate a
-// fresh result slice per round. dst must have len(ps) slots; dst[i] receives
+// GainsInto is Gains writing into a caller-owned buffer, for passes that
+// run once per solve (CELF's S0 gains and online bound) and would otherwise
+// allocate a fresh result slice each time. dst must have len(ps) slots; dst[i] receives
 // exactly what Gain(ps[i]) would return. Evaluations are fanned out in
 // chunks so a batch costs one closure dispatch per chunk rather than per
 // photo; with one worker the loop runs inline and allocates nothing.

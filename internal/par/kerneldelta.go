@@ -109,14 +109,6 @@ func (k *Kernel) OverlayEntries() int {
 	return k.ov.extraN
 }
 
-// DeadEntries returns the number of tombstoned similarity entries.
-func (k *Kernel) DeadEntries() int {
-	if k.ov == nil {
-		return 0
-	}
-	return k.ov.dead
-}
-
 // LiveFraction returns the fraction of stored similarity entries that are
 // still live (1 for a canonical kernel). The engine compacts when it drops
 // below its threshold.

@@ -301,33 +301,3 @@ func TestDeltaSim(t *testing.T) {
 		t.Fatal("masking an appended member did not zero its pairs")
 	}
 }
-
-// TestSparseSimDeltaHelpers covers AppendMembers and RemovePair.
-func TestSparseSimDeltaHelpers(t *testing.T) {
-	s := NewSparseSim(3)
-	s.Add(0, 1, 0.4)
-	s.Add(1, 2, 0.6)
-	s.AppendMembers(2)
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", s.Len())
-	}
-	if s.Sim(3, 3) != 1 || s.Sim(4, 4) != 1 {
-		t.Fatal("appended members must self-neighbour")
-	}
-	s.Add(1, 3, 0.9)
-	if s.Sim(3, 1) != 0.9 {
-		t.Fatal("Add after AppendMembers broken")
-	}
-	if sim, ok := s.RemovePair(0, 1); !ok || sim != 0.4 {
-		t.Fatalf("RemovePair(0,1) = %v,%v, want 0.4,true", sim, ok)
-	}
-	if s.Sim(0, 1) != 0 || s.Sim(1, 0) != 0 {
-		t.Fatal("pair not removed from both rows")
-	}
-	if _, ok := s.RemovePair(0, 1); ok {
-		t.Fatal("second RemovePair should report absent")
-	}
-	if s.Sim(1, 2) != 0.6 || s.Sim(1, 3) != 0.9 {
-		t.Fatal("unrelated pairs disturbed")
-	}
-}

@@ -6,16 +6,10 @@ import (
 	"io"
 )
 
-// ReadAuto loads an instance in either supported format, sniffing the
-// binary magic ("PAR1") and falling back to JSON.
-func ReadAuto(r io.Reader) (*Instance, error) {
-	inst, _, err := ReadAutoVectors(r)
-	return inst, err
-}
-
-// ReadAutoVectors is ReadAuto returning the optional per-subset context
-// vectors. The binary format never carries vectors, so it always yields a
-// nil vector slice.
+// ReadAutoVectors loads an instance in either supported format, sniffing
+// the binary magic ("PAR1") and falling back to JSON, together with the
+// optional per-subset context vectors. The binary format never carries
+// vectors, so it always yields a nil vector slice.
 func ReadAutoVectors(r io.Reader) (*Instance, [][][]float64, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)

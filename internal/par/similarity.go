@@ -151,44 +151,6 @@ func (s *SparseSim) Add(i, j int, sim float64) {
 	s.insert(j, i, sim)
 }
 
-// AppendMembers grows the similarity by n new members, each initially
-// neighbouring only itself — the incremental-maintenance mirror of
-// NewSparseSim's seeding. New pairs are recorded with Add.
-func (s *SparseSim) AppendMembers(n int) {
-	for i := 0; i < n; i++ {
-		s.rows = append(s.rows, []Neighbor{{Index: len(s.rows), Sim: 1}})
-	}
-}
-
-// RemovePair deletes the unordered pair {i, j} from both rows, returning the
-// stored similarity and whether the pair was present. Removing the diagonal
-// panics like Add's construction errors. Absent pairs are a no-op (false):
-// delta maintenance removes a member's pairs by enumerating one row while
-// mutating both, so idempotence matters more than strictness here.
-func (s *SparseSim) RemovePair(i, j int) (float64, bool) {
-	if i == j {
-		panic("par: SparseSim.RemovePair on diagonal")
-	}
-	sim, ok := s.removeHalf(i, j)
-	if !ok {
-		return 0, false
-	}
-	s.removeHalf(j, i)
-	return sim, true
-}
-
-// removeHalf deletes {Index: j} from row i if present.
-func (s *SparseSim) removeHalf(i, j int) (float64, bool) {
-	row := s.rows[i]
-	k := sort.Search(len(row), func(x int) bool { return row[x].Index >= j })
-	if k >= len(row) || row[k].Index != j {
-		return 0, false
-	}
-	sim := row[k].Sim
-	s.rows[i] = append(row[:k], row[k+1:]...)
-	return sim, true
-}
-
 // insert places {Index: j, Sim: sim} into row i at its sorted position.
 func (s *SparseSim) insert(i, j int, sim float64) {
 	row := s.rows[i]

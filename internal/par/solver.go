@@ -15,7 +15,7 @@ type Solver interface {
 
 // ContextSolver is a Solver with cooperative cancellation: SolveContext
 // checks ctx.Err() at bounded intervals inside its main loop (per CELF
-// recompute batch, per Sviridenko enumeration step, per branch-and-bound
+// priority-queue round, per Sviridenko enumeration step, per branch-and-bound
 // node) and returns the context's error promptly once the context is done.
 // Plain Solve remains the compatibility path, equivalent to SolveContext
 // with context.Background().

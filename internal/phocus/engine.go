@@ -51,9 +51,6 @@ type PrepareOptions struct {
 	Seed int64
 	// Workers bounds the sparsification fan-out (≤ 0 means one per CPU).
 	Workers int
-	// SparsifyObserver, when non-nil, receives per-subset sparsification
-	// events in subset order.
-	SparsifyObserver sparsify.Observer
 	// InstanceDigest, when non-empty, is a caller-supplied content digest of
 	// the instance (e.g. a sha256 over the raw request body) used verbatim
 	// for Fingerprint instead of re-serializing the instance — callers that
@@ -197,9 +194,9 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 		var err error
 		if opts.UseLSH {
 			rng := rand.New(rand.NewSource(opts.Seed))
-			sres, err = sparsify.WithLSHWorkers(rng, base, ds.CtxVectors, opts.Tau, opts.Workers, opts.SparsifyObserver)
+			sres, err = sparsify.WithLSH(rng, base, ds.CtxVectors, opts.Tau, opts.Workers)
 		} else {
-			sres, err = sparsify.ExactWorkers(base, opts.Tau, opts.Workers, opts.SparsifyObserver)
+			sres, err = sparsify.Exact(base, opts.Tau, opts.Workers)
 		}
 		if err != nil {
 			return nil, err

@@ -159,7 +159,7 @@ func (s *SnapshotStore) WarmFill(cache *PreparedCache, onLoad func(fp string, p 
 			continue
 		}
 		fp, ok := strings.CutSuffix(name, ".snap")
-		if !ok || !validFingerprint(fp) {
+		if !ok || !ValidFingerprint(fp) {
 			continue
 		}
 		info, err := e.Info()
@@ -190,10 +190,10 @@ func (s *SnapshotStore) WarmFill(cache *PreparedCache, onLoad func(fp string, p 
 	return stats, nil
 }
 
-// validFingerprint reports whether the name is a sha256 hex digest — the
-// only filenames the store itself produces; anything else in the directory
-// is ignored rather than parsed.
-func validFingerprint(fp string) bool {
+// ValidFingerprint reports whether fp is a lowercase sha256 hex digest, the
+// form every Prepared fingerprint takes. The snapshot store names its files
+// this way and ignores anything else in its directory.
+func ValidFingerprint(fp string) bool {
 	if len(fp) != 64 {
 		return false
 	}

@@ -26,30 +26,25 @@ func subsetPairs(t *testing.T, inst *par.Instance) [][][]par.Neighbor {
 	return all
 }
 
-// TestExactWorkersEquivalence: the fanned-out exact sparsifier must produce
-// the same counters, observer events and similarity structure as the
-// sequential path for every worker count.
-func TestExactWorkersEquivalence(t *testing.T) {
+// TestExactWorkerCountInvariant: the fanned-out exact sparsifier must
+// produce the same counters and similarity structure as the sequential path
+// for every worker count.
+func TestExactWorkerCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	inst := par.Random(rng, par.RandomConfig{Photos: 50, Subsets: 20, SimDensity: 0.7})
-	var seqObs countingObserver
-	seq, err := ExactWorkers(inst, 0.5, 1, &seqObs)
+	seq, err := Exact(inst, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqRows := subsetPairs(t, seq.Instance)
 	for _, workers := range []int{2, 8} {
-		var obs countingObserver
-		res, err := ExactWorkers(inst, 0.5, workers, &obs)
+		res, err := Exact(inst, 0.5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.PairsBefore != seq.PairsBefore || res.PairsAfter != seq.PairsAfter {
 			t.Errorf("workers=%d: pairs %d/%d, sequential %d/%d",
 				workers, res.PairsAfter, res.PairsBefore, seq.PairsAfter, seq.PairsBefore)
-		}
-		if !reflect.DeepEqual(obs, seqObs) {
-			t.Errorf("workers=%d: observer events diverge", workers)
 		}
 		if !reflect.DeepEqual(subsetPairs(t, res.Instance), seqRows) {
 			t.Errorf("workers=%d: sparsified similarities diverge", workers)
@@ -57,29 +52,25 @@ func TestExactWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestWithLSHWorkersEquivalence: with the same seed, the LSH sparsifier is
-// byte-identical for every worker count — the hasher families are drawn
+// TestWithLSHWorkerCountInvariant: with the same seed, the LSH sparsifier
+// is byte-identical for every worker count — the hasher families are drawn
 // before the fan-out, so the worker schedule cannot touch the randomness.
-func TestWithLSHWorkersEquivalence(t *testing.T) {
+func TestWithLSHWorkerCountInvariant(t *testing.T) {
 	inst, vecs := randomEmbeddedInstance(rand.New(rand.NewSource(5)), 60, 6)
-	run := func(workers int) (Result, countingObserver) {
-		var obs countingObserver
-		res, err := WithLSHWorkers(rand.New(rand.NewSource(99)), inst, vecs, 0.7, workers, &obs)
+	run := func(workers int) Result {
+		res, err := WithLSH(rand.New(rand.NewSource(99)), inst, vecs, 0.7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, obs
+		return res
 	}
-	seq, seqObs := run(1)
+	seq := run(1)
 	seqRows := subsetPairs(t, seq.Instance)
 	for _, workers := range []int{2, 8} {
-		res, obs := run(workers)
+		res := run(workers)
 		if res.PairsBefore != seq.PairsBefore || res.PairsAfter != seq.PairsAfter {
 			t.Errorf("workers=%d: pairs %d/%d, sequential %d/%d",
 				workers, res.PairsAfter, res.PairsBefore, seq.PairsAfter, seq.PairsBefore)
-		}
-		if !reflect.DeepEqual(obs, seqObs) {
-			t.Errorf("workers=%d: observer events diverge", workers)
 		}
 		if !reflect.DeepEqual(subsetPairs(t, res.Instance), seqRows) {
 			t.Errorf("workers=%d: sparsified similarities diverge", workers)
@@ -94,7 +85,7 @@ func TestWithLSHWorkersEquivalence(t *testing.T) {
 func TestWithLSHReportsPairsBefore(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	inst, vecs := randomEmbeddedInstance(rng, 60, 6)
-	res, err := WithLSH(rng, inst, vecs, 0.7)
+	res, err := WithLSH(rng, inst, vecs, 0.7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +112,7 @@ func TestWithLSHMixedDims(t *testing.T) {
 			vecsA[qi][mi] = v
 		}
 	}
-	res, err := WithLSH(rand.New(rand.NewSource(8)), instA, vecsA, 0.7)
+	res, err := WithLSH(rand.New(rand.NewSource(8)), instA, vecsA, 0.7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

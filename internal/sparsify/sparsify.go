@@ -37,96 +37,25 @@ type Result struct {
 	Elapsed     time.Duration
 }
 
-// subsetResult carries one subset's sparsification out of the worker pool;
-// the sequential reduce that follows assembles them in subset order, so
-// observer events, counters and the output instance are byte-identical for
-// every worker count.
-type subsetResult struct {
-	sparse   *par.SparseSim
-	before   int // pairs with positive true similarity
-	examined int
-	kept     int
-}
-
-// Observer receives per-subset sparsification events, in subset order — the
-// instrumentation hook mirroring celf.Observer. examined is the number of
-// pairs whose true similarity was checked against τ (all positive pairs for
-// Exact, LSH candidate pairs for WithLSH); kept is how many survived.
-type Observer interface {
-	SubsetSparsified(name string, examined, kept int)
-}
-
 // Exact builds the τ-sparsified instance by enumerating every pair of every
-// subset. Costs, retained set, budget, weights and relevances are shared
-// with the input instance; only similarities are replaced (by SparseSim, so
-// solvers automatically benefit from neighbour iteration).
-func Exact(inst *par.Instance, tau float64) (Result, error) {
-	return ExactObserved(inst, tau, nil)
-}
-
-// ExactObserved is Exact with an optional per-subset event observer.
-func ExactObserved(inst *par.Instance, tau float64, obs Observer) (Result, error) {
-	return ExactWorkers(inst, tau, 1, obs)
-}
-
-// ExactWorkers is ExactObserved with the per-subset pair enumeration fanned
-// out over up to workers goroutines (≤ 0 means one per CPU). Each subset is
-// sparsified independently into its own SparseSim and the results are
-// reduced in subset order, so the output instance, the counters and the
-// observer event stream are byte-identical for every worker count.
-func ExactWorkers(inst *par.Instance, tau float64, workers int, obs Observer) (Result, error) {
-	start := time.Now()
-	res := Result{}
-	out := &par.Instance{
-		Cost:     inst.Cost,
-		Retained: inst.Retained,
-		Budget:   inst.Budget,
-		Subsets:  make([]par.Subset, len(inst.Subsets)),
-	}
-	perSubset := make([]subsetResult, len(inst.Subsets))
-	pool.ForEach(len(inst.Subsets), workers, func(qi int) {
+// subset, with the subsets fanned out over up to workers goroutines (≤ 0
+// means one per CPU). Costs, retained set, budget, weights and relevances
+// are shared with the input instance; only similarities are replaced (by
+// SparseSim, so solvers automatically benefit from neighbour iteration). The
+// output is byte-identical for every worker count.
+func Exact(inst *par.Instance, tau float64, workers int) (Result, error) {
+	return sparsifySubsets(time.Now(), inst, tau, workers, func(qi int, f *pairFilter) {
 		q := &inst.Subsets[qi]
 		k := len(q.Members)
-		sr := subsetResult{}
-		// Bulk-build the sparse rows: pairs arrive in ascending order, so the
-		// builder's sort-once Build is linear here, versus the O(deg²) sorted
-		// inserts SparseSim.Add would pay per row.
-		bld := par.NewSparseSimBuilder(k)
+		// Pairs arrive in ascending order, so the builder's sort-once Build
+		// is linear here, versus the O(deg²) sorted inserts SparseSim.Add
+		// would pay per row.
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
-				s := q.Sim.Sim(i, j)
-				if s > 0 {
-					sr.before++
-					sr.examined++
-				}
-				if s >= tau && s > 0 {
-					bld.Add(i, j, s)
-					sr.kept++
-				}
+				f.offer(i, j, q.Sim.Sim(i, j))
 			}
 		}
-		sr.sparse = bld.Build()
-		perSubset[qi] = sr
 	})
-	for qi := range inst.Subsets {
-		q := &inst.Subsets[qi]
-		sr := &perSubset[qi]
-		res.PairsBefore += sr.before
-		res.PairsAfter += sr.kept
-		if obs != nil {
-			obs.SubsetSparsified(q.Name, sr.examined, sr.kept)
-		}
-		out.Subsets[qi] = par.Subset{
-			Name: q.Name, Weight: q.Weight, Members: q.Members,
-			Relevance: q.Relevance, Sim: sr.sparse,
-		}
-	}
-	if err := out.Finalize(); err != nil {
-		return Result{}, fmt.Errorf("sparsify: %w", err)
-	}
-	res.Instance = out
-	res.Elapsed = time.Since(start)
-	return res, nil
 }
 
 // WithLSH builds the τ-sparsified instance without computing all pairwise
@@ -137,23 +66,13 @@ func ExactWorkers(inst *par.Instance, tau float64, workers int, obs Observer) (R
 // tuned banding layout almost all pairs with similarity ≥ τ are recovered;
 // missed pairs only lower similarities (never raise them), so the result is
 // a valid — slightly more aggressive — sparsification.
-func WithLSH(rng *rand.Rand, inst *par.Instance, ctxVectors [][]embed.Vector, tau float64) (Result, error) {
-	return WithLSHObserved(rng, inst, ctxVectors, tau, nil)
-}
-
-// WithLSHObserved is WithLSH with an optional per-subset event observer.
-func WithLSHObserved(rng *rand.Rand, inst *par.Instance, ctxVectors [][]embed.Vector, tau float64, obs Observer) (Result, error) {
-	return WithLSHWorkers(rng, inst, ctxVectors, tau, 1, obs)
-}
-
-// WithLSHWorkers is WithLSHObserved with the per-subset candidate generation
-// and verification fanned out over up to workers goroutines (≤ 0 means one
-// per CPU). All randomness is consumed up front: one SimHash family is drawn
-// per distinct embedding dimension, seeded from the caller's rng in the
-// deterministic first-seen subset order, and shared read-only by every
-// worker. The output instance, counters and observer event stream are
-// therefore byte-identical for every worker count.
-func WithLSHWorkers(rng *rand.Rand, inst *par.Instance, ctxVectors [][]embed.Vector, tau float64, workers int, obs Observer) (Result, error) {
+//
+// The subsets fan out over up to workers goroutines (≤ 0 means one per
+// CPU). All randomness is consumed up front: one SimHash family is drawn per
+// distinct embedding dimension, seeded from rng in first-seen subset order,
+// and shared read-only by every worker, so the output is byte-identical for
+// every worker count.
+func WithLSH(rng *rand.Rand, inst *par.Instance, ctxVectors [][]embed.Vector, tau float64, workers int) (Result, error) {
 	start := time.Now()
 	if len(ctxVectors) != len(inst.Subsets) {
 		return Result{}, fmt.Errorf("sparsify: %d vector groups for %d subsets", len(ctxVectors), len(inst.Subsets))
@@ -164,17 +83,9 @@ func WithLSHWorkers(rng *rand.Rand, inst *par.Instance, ctxVectors [][]embed.Vec
 				qi, len(inst.Subsets[qi].Members), len(ctxVectors[qi]))
 		}
 	}
-	res := Result{}
 	bands, rows := lsh.Tune(tau, 32, 16)
-	out := &par.Instance{
-		Cost:     inst.Cost,
-		Retained: inst.Retained,
-		Budget:   inst.Budget,
-		Subsets:  make([]par.Subset, len(inst.Subsets)),
-	}
-	// Hyperplanes are drawn once per distinct dimension (no rebuild
-	// thrashing when consecutive subsets alternate dims) in subset order, so
-	// the families do not depend on the worker schedule.
+	// One family per dimension, not per subset: no rebuild thrashing when
+	// consecutive subsets alternate dims.
 	hashers := make(map[int]*lsh.SimHash)
 	for qi := range inst.Subsets {
 		if len(inst.Subsets[qi].Members) < 2 {
@@ -185,44 +96,70 @@ func WithLSHWorkers(rng *rand.Rand, inst *par.Instance, ctxVectors [][]embed.Vec
 			hashers[dim] = lsh.New(rand.New(rand.NewSource(rng.Int63())), dim, bands, rows)
 		}
 	}
-	// Divide the pool between the subset fan-out and the per-subset
-	// signature hashing so a dataset with one huge subset still parallelizes.
-	workers = pool.Resolve(workers)
-	inner := 1
-	if len(inst.Subsets) > 0 {
-		inner = 1 + (workers-1)/len(inst.Subsets)
+	return sparsifySubsets(start, inst, tau, workers, func(qi int, f *pairFilter) {
+		vecs := ctxVectors[qi]
+		if len(vecs) < 2 {
+			return
+		}
+		sim := inst.Subsets[qi].Sim
+		for _, pair := range hashers[len(vecs[0])].CandidatePairs(vecs) {
+			f.offer(pair.I, pair.J, sim.Sim(pair.I, pair.J))
+		}
+	})
+}
+
+// pairFilter thresholds one subset's pairs at τ into its sparse similarity
+// structure.
+type pairFilter struct {
+	tau    float64
+	bld    *par.SparseSimBuilder
+	before int // pairs with positive true similarity
+	kept   int // pairs ≥ τ
+}
+
+// offer counts the pair (i, j) of true similarity s and keeps it when s ≥ τ.
+func (f *pairFilter) offer(i, j int, s float64) {
+	if s <= 0 {
+		return
 	}
+	f.before++
+	if s >= f.tau {
+		f.bld.Add(i, j, s)
+		f.kept++
+	}
+}
+
+// subsetResult is one subset's sparsification, carried out of the worker
+// pool.
+type subsetResult struct {
+	sparse       *par.SparseSim
+	before, kept int
+}
+
+// sparsifySubsets is the one construction behind Exact and WithLSH: it runs
+// filter over every subset on up to workers goroutines, then assembles the
+// results in subset order and finalizes, so the output instance and the
+// counters do not depend on the worker schedule. start is when the caller's
+// sparsification began, for Result.Elapsed.
+func sparsifySubsets(start time.Time, inst *par.Instance, tau float64, workers int, filter func(qi int, f *pairFilter)) (Result, error) {
 	perSubset := make([]subsetResult, len(inst.Subsets))
 	pool.ForEach(len(inst.Subsets), workers, func(qi int) {
-		q := &inst.Subsets[qi]
-		k := len(q.Members)
-		sr := subsetResult{}
-		bld := par.NewSparseSimBuilder(k)
-		if k > 1 {
-			hasher := hashers[len(ctxVectors[qi][0])]
-			for _, pair := range hasher.CandidatePairsParallel(ctxVectors[qi], inner, nil) {
-				sr.examined++
-				s := q.Sim.Sim(pair.I, pair.J)
-				if s > 0 {
-					sr.before++
-				}
-				if s >= tau && s > 0 {
-					bld.Add(pair.I, pair.J, s)
-					sr.kept++
-				}
-			}
-		}
-		sr.sparse = bld.Build()
-		perSubset[qi] = sr
+		f := pairFilter{tau: tau, bld: par.NewSparseSimBuilder(len(inst.Subsets[qi].Members))}
+		filter(qi, &f)
+		perSubset[qi] = subsetResult{sparse: f.bld.Build(), before: f.before, kept: f.kept}
 	})
+	res := Result{}
+	out := &par.Instance{
+		Cost:     inst.Cost,
+		Retained: inst.Retained,
+		Budget:   inst.Budget,
+		Subsets:  make([]par.Subset, len(inst.Subsets)),
+	}
 	for qi := range inst.Subsets {
 		q := &inst.Subsets[qi]
 		sr := &perSubset[qi]
 		res.PairsBefore += sr.before
 		res.PairsAfter += sr.kept
-		if obs != nil {
-			obs.SubsetSparsified(q.Name, sr.examined, sr.kept)
-		}
 		out.Subsets[qi] = par.Subset{
 			Name: q.Name, Weight: q.Weight, Members: q.Members,
 			Relevance: q.Relevance, Sim: sr.sparse,

@@ -15,7 +15,7 @@ import (
 
 func TestExactFigure1(t *testing.T) {
 	inst := par.Figure1Instance()
-	res, err := Exact(inst, 0.6)
+	res, err := Exact(inst, 0.6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestSparsifiedScoreDominatedQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		inst := par.Random(rng, par.RandomConfig{Photos: 12, Subsets: 6})
-		res0, err := Exact(inst, 0)
+		res0, err := Exact(inst, 0, 1)
 		if err != nil {
 			return false
 		}
-		resT, err := Exact(inst, 0.5)
+		resT, err := Exact(inst, 0.5, 1)
 		if err != nil {
 			return false
 		}
@@ -116,11 +116,11 @@ func TestWithLSHMatchesExactOnCosineSim(t *testing.T) {
 	}
 
 	const tau = 0.85
-	exactRes, err := Exact(inst, tau)
+	exactRes, err := Exact(inst, tau, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lshRes, err := WithLSH(rng, inst, ctxVectors, tau)
+	lshRes, err := WithLSH(rng, inst, ctxVectors, tau, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestWithLSHMatchesExactOnCosineSim(t *testing.T) {
 func TestWithLSHShapeErrors(t *testing.T) {
 	inst := par.Figure1Instance()
 	rng := rand.New(rand.NewSource(1))
-	if _, err := WithLSH(rng, inst, nil, 0.5); err == nil {
+	if _, err := WithLSH(rng, inst, nil, 0.5, 1); err == nil {
 		t.Error("expected error for missing vector groups")
 	}
 	bad := make([][]embed.Vector, len(inst.Subsets))
-	if _, err := WithLSH(rng, inst, bad, 0.5); err == nil {
+	if _, err := WithLSH(rng, inst, bad, 0.5, 1); err == nil {
 		t.Error("expected error for wrong group sizes")
 	}
 }
@@ -172,7 +172,7 @@ func TestBoundHolds(t *testing.T) {
 		if rep.Alpha == 0 {
 			continue // bound is vacuous
 		}
-		res, err := Exact(inst, tau)
+		res, err := Exact(inst, tau, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestSparsifiedSolveQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exact(inst, 0.4)
+	res, err := Exact(inst, 0.4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,39 +234,6 @@ func TestSparsifiedSolveQuality(t *testing.T) {
 	if sparseScore < 0.85*fullScore {
 		t.Errorf("sparsified solve lost %.0f%% quality (%.3f vs %.3f)",
 			100*(1-sparseScore/fullScore), sparseScore, fullScore)
-	}
-}
-
-// countingObserver records SubsetSparsified events.
-type countingObserver struct {
-	names    []string
-	examined int
-	kept     int
-}
-
-func (c *countingObserver) SubsetSparsified(name string, examined, kept int) {
-	c.names = append(c.names, name)
-	c.examined += examined
-	c.kept += kept
-}
-
-// TestExactObserverEvents checks the instrumentation hook: one event per
-// subset, with totals matching the Result counters.
-func TestExactObserverEvents(t *testing.T) {
-	inst := par.Figure1Instance()
-	var obs countingObserver
-	res, err := ExactObserved(inst, 0.6, &obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs.names) != len(inst.Subsets) {
-		t.Fatalf("got %d events for %d subsets", len(obs.names), len(inst.Subsets))
-	}
-	if obs.examined != res.PairsBefore {
-		t.Errorf("examined = %d, want PairsBefore %d", obs.examined, res.PairsBefore)
-	}
-	if obs.kept != res.PairsAfter {
-		t.Errorf("kept = %d, want PairsAfter %d", obs.kept, res.PairsAfter)
 	}
 }
 
@@ -312,26 +279,4 @@ func randomEmbeddedInstance(rng *rand.Rand, n, subsets int) (*par.Instance, [][]
 		panic(err)
 	}
 	return inst, ctxVectors
-}
-
-// TestWithLSHObserverEvents checks the hook on the LSH path: one event per
-// subset, kept totals matching, and examined counting candidates (which may
-// exceed kept but never the all-pairs count).
-func TestWithLSHObserverEvents(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	inst, vecs := randomEmbeddedInstance(rng, 40, 4)
-	var obs countingObserver
-	res, err := WithLSHObserved(rng, inst, vecs, 0.7, &obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs.names) != len(inst.Subsets) {
-		t.Fatalf("got %d events for %d subsets", len(obs.names), len(inst.Subsets))
-	}
-	if obs.kept != res.PairsAfter {
-		t.Errorf("kept = %d, want PairsAfter %d", obs.kept, res.PairsAfter)
-	}
-	if obs.examined < obs.kept {
-		t.Errorf("examined %d < kept %d", obs.examined, obs.kept)
-	}
 }
