@@ -531,7 +531,7 @@ func BenchmarkOnlineBoundP1K(b *testing.B) {
 }
 
 // BenchmarkKernelV2 is the Kernel v2 acceptance matrix: snapshot load
-// read-decode vs mmap, end-to-end CELF on the canonical f64 kernel, and the
+// (read and decode), end-to-end CELF on the canonical f64 kernel, and the
 // allocation-free warm RunInto — all at the P-100K bench shape. The CELF
 // cell asserts its selection against a plain Run outside the timed region.
 func BenchmarkKernelV2(b *testing.B) {
@@ -562,10 +562,8 @@ func BenchmarkKernelV2(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// Snapshot load: the heap path re-reads, checksums and decodes into
-	// fresh slabs every iteration; the mmap path maps, checksums and builds
-	// typed views over the page cache. Each mapped iteration releases its
-	// mapping so iterations stay identical.
+	// Snapshot load: every iteration re-reads, checksums and decodes into
+	// fresh slabs.
 	b.Run("load=read", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(size)
@@ -573,17 +571,6 @@ func BenchmarkKernelV2(b *testing.B) {
 			if _, err := phocus.LoadSnapshot(path); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("load=mmap", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(size)
-		for i := 0; i < b.N; i++ {
-			q, err := phocus.LoadSnapshotMapped(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q.ReleaseMapping()
 		}
 	})
 

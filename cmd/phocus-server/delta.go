@@ -128,11 +128,7 @@ func (s *server) applyDeltaCore(ctx context.Context, fp string, d *phocus.Delta)
 	obs.SetDeltaLiveFraction(s.reg, stats.LiveFraction)
 
 	// Rekey: the pre-churn fingerprint must stop resolving the moment the
-	// instance stops matching it. Put-before-Remove order matters for
-	// mmap-backed values: removing the old key first could drop the cache's
-	// last reference and release the snapshot mapping while the value is
-	// about to be re-inserted; overlapping the keys keeps the refcount > 0
-	// throughout.
+	// instance stops matching it.
 	s.cache.Put(stats.NewFingerprint, prep)
 	s.cache.Remove(stats.OldFingerprint)
 	if s.snaps != nil {

@@ -295,7 +295,7 @@ func TestSessionJobValidation(t *testing.T) {
 
 // TestRetentionJob follows a three-run recurrence: each run solves, stores
 // its result with the chain bookkeeping, and schedules its successor via
-// SubmitAt; the last run stops the chain.
+// a deferred Submit; the last run stops the chain.
 func TestRetentionJob(t *testing.T) {
 	_, srv := jobsTestServer(t, serverConfig{Workers: 2})
 	body := instanceBody(t, 3.0).String()

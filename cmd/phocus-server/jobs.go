@@ -189,7 +189,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty request body: want "+want+" JSON", http.StatusBadRequest)
 		return
 	}
-	job, err := s.jobs.SubmitTenant(tenant, r.URL.RawQuery, body)
+	job, err := s.jobs.Submit(tenant, r.URL.RawQuery, body, time.Time{})
 	if err != nil {
 		s.rejectSaturated(w, err)
 		return
@@ -333,10 +333,10 @@ type retentionResult struct {
 // runJob is the scheduler's Runner, dispatching on the job's kind: solve
 // jobs run one attempt through the shared solveCore, session jobs apply a
 // delta batch through applyDeltaCore, and retention jobs solve and then
-// schedule their own successor with SubmitAt (runs−1, NotBefore now+every)
-// so the chain survives restarts in the job WAL. The job ID doubles as the
-// request ID so the job's spans and log lines correlate exactly like a
-// synchronous request's. The per-job deadline is enforced by the
+// schedule their own successor with a deferred Submit (runs−1, NotBefore
+// now+every) so the chain survives restarts in the job WAL. The job ID
+// doubles as the request ID so the job's spans and log lines correlate
+// exactly like a synchronous request's. The per-job deadline is enforced by the
 // scheduler's context, so no extra timeout is layered here.
 func (s *server) runJob(ctx context.Context, job jobs.Job) ([]byte, error) {
 	ctx = obs.WithRequestID(ctx, job.ID)
@@ -370,7 +370,7 @@ func (s *server) runJob(ctx context.Context, job jobs.Job) ([]byte, error) {
 			q.Set("runs", strconv.Itoa(params.runs-1))
 			// The successor inherits the tenant: a retention chain never
 			// migrates across tenants.
-			next, err := s.jobs.SubmitTenantAt(job.Tenant, q.Encode(), job.Body, time.Now().Add(params.every))
+			next, err := s.jobs.Submit(job.Tenant, q.Encode(), job.Body, time.Now().Add(params.every))
 			switch {
 			case errors.Is(err, jobs.ErrDraining):
 				// Shutdown raced the reschedule: end the chain rather than

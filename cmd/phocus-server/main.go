@@ -87,7 +87,6 @@ func main() {
 	cacheBytes := flag.Int64("prepare-cache-bytes", 1<<30, "prepared-instance cache byte bound")
 	dataDir := flag.String("data-dir", "", "durable job-store directory for the async /jobs API (empty = in-memory jobs, no crash recovery)")
 	snapshotDir := flag.String("snapshot-dir", "", "prepared-instance snapshot directory for warm restarts (empty = snapshots off)")
-	mmapSnaps := flag.Bool("mmap-snapshots", false, "mmap snapshot files instead of reading them into the heap (linux/darwin; other platforms fall back to heap reads)")
 	jobWorkers := flag.Int("job-workers", 0, "async job scheduler worker count (0 = the -workers value)")
 	queueDepth := flag.Int("queue-depth", 32, "job queue depth cap; over it submissions get 429 (0 = unbounded)")
 	queueBytes := flag.Int64("queue-bytes", 1<<30, "job queue total payload byte cap (0 = unbounded)")
@@ -120,7 +119,6 @@ func main() {
 		CacheBytes:    *cacheBytes,
 		DataDir:       *dataDir,
 		SnapshotDir:   *snapshotDir,
-		MmapSnapshots: *mmapSnaps,
 		JobWorkers:    *jobWorkers,
 		QueueDepth:    *queueDepth,
 		QueueBytes:    *queueBytes,
@@ -205,9 +203,6 @@ type serverConfig struct {
 	// enables write-back of cold Prepares and warm-fill of the prepare
 	// cache at startup ("" = snapshots off).
 	SnapshotDir string
-	// MmapSnapshots routes snapshot loads through mmap instead of heap
-	// reads (no effect without SnapshotDir).
-	MmapSnapshots bool
 	// JobWorkers sizes the async scheduler's worker pool (0 = Workers).
 	JobWorkers int
 	// QueueDepth / QueueBytes bound job admission (≤ 0 = unbounded).
@@ -378,7 +373,6 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 		if err != nil {
 			return nil, err
 		}
-		store.Mapped = cfg.MmapSnapshots
 		s.snaps = store
 	}
 
@@ -436,10 +430,8 @@ func (s *server) mux(pprofOn bool) *http.ServeMux {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Refresh the phocus_slo_* gauges on every scrape so /metrics and
-		// /slo always tell the same story; same for the cache's mmap
-		// residency, which moves on every insert/evict.
+		// /slo always tell the same story.
 		s.slo.Export(s.reg)
-		obs.SetPreparedMmapBytes(s.reg, s.cache.MappedBytes())
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		if err := s.reg.WritePrometheus(w); err != nil {
 			s.logger.Error("write metrics", "err", err)
@@ -872,21 +864,15 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 	// sweep over one archive prepares exactly once; the singleflight means
 	// a burst of jobs over one archive does too. The budget is checked
 	// against C(S0) by Run, on a hit and a miss alike.
-	acquire := func() (*phocus.Prepared, error) {
-		prep, hit, evicted, err := s.cache.GetOrPrepare(key, build)
-		if err == nil {
-			obs.RecordPrepareCache(s.reg, hit)
-			obs.RecordPrepareCacheEvictions(s.reg, int64(evicted))
-		}
-		return prep, err
-	}
-	prep, err := acquire()
+	prep, hit, evicted, err := s.cache.GetOrPrepare(key, build)
 	if err != nil {
 		if errors.Is(err, phocus.ErrNoCtxVectors) {
 			return nil, &httpError{http.StatusBadRequest, err}
 		}
 		return nil, err
 	}
+	obs.RecordPrepareCache(s.reg, hit)
+	obs.RecordPrepareCacheEvictions(s.reg, int64(evicted))
 
 	// The solve is the expensive stage: if the caller already went away,
 	// stop here instead of burning CPU on an unwanted answer.
@@ -922,16 +908,6 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 	}
 	solveCtx, solveSpan := obs.StartSpan(solveCtx, "solve")
 	res, err := prep.Run(solveCtx, ropts)
-	if errors.Is(err, phocus.ErrSnapshotUnmapped) {
-		// The mmap-backed entry was evicted and its mapping released between
-		// the cache fetch and the solve. The snapshot file itself is intact —
-		// only the mapping died — so drop the stale cache entry and retry
-		// once against a freshly acquired Prepared.
-		s.cache.Remove(key)
-		if prep, err = acquire(); err == nil {
-			res, err = prep.Run(solveCtx, ropts)
-		}
-	}
 	if err != nil {
 		solveSpan.End("algo", params.algo.DisplayName(), "err", err.Error())
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -19,15 +19,6 @@ import (
 	"phocus/internal/phocus"
 )
 
-// recordSnapshotLoad counts one successful snapshot load, plus the mmap
-// variant when the Prepared came back mapped.
-func (s *server) recordSnapshotLoad(p *phocus.Prepared, d time.Duration) {
-	obs.RecordSnapshotLoad(s.reg, d)
-	if p.MappedBytes() > 0 {
-		obs.RecordSnapshotMmapLoad(s.reg)
-	}
-}
-
 // shortFP abbreviates a fingerprint for log lines.
 func shortFP(fp string) string {
 	if len(fp) > 12 {
@@ -44,7 +35,7 @@ func (s *server) warmFill() {
 	t0 := time.Now()
 	stats, err := s.snaps.WarmFill(s.cache,
 		func(fp string, p *phocus.Prepared, d time.Duration) {
-			s.recordSnapshotLoad(p, d)
+			obs.RecordSnapshotLoad(s.reg, d)
 		},
 		func(fp string, err error) {
 			obs.RecordSnapshotCorrupt(s.reg)
@@ -75,10 +66,10 @@ func (s *server) loadSnapshot(ctx context.Context, fp string) *phocus.Prepared {
 	switch {
 	case err == nil:
 		elapsed := time.Since(t0)
-		s.recordSnapshotLoad(p, elapsed)
+		obs.RecordSnapshotLoad(s.reg, elapsed)
 		logger.Info("prepared instance loaded from snapshot",
 			"fingerprint", shortFP(fp), "bytes", p.SizeBytes(),
-			"load", elapsed.Round(time.Millisecond), "mapped", p.MappedBytes() > 0)
+			"load", elapsed.Round(time.Millisecond))
 		return p
 	case errors.Is(err, phocus.ErrBadSnapshot):
 		obs.RecordSnapshotCorrupt(s.reg)

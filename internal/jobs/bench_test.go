@@ -34,7 +34,7 @@ func benchThroughput(b *testing.B, dir string) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Submit(fmt.Sprintf("n=%d", i), payload); err != nil {
+		if _, err := s.Submit("", fmt.Sprintf("n=%d", i), payload, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-func TestSubmitAtRunsAfterDeadline(t *testing.T) {
+func TestSubmitNotBeforeRunsAfterDeadline(t *testing.T) {
 	ran := make(chan time.Time, 1)
 	s := newTestService(t, func(ctx context.Context, j Job) ([]byte, error) {
 		ran <- time.Now()
 		return []byte("{}"), nil
 	}, nil)
 	at := time.Now().Add(40 * time.Millisecond)
-	j, err := s.SubmitAt("kind=retention", []byte("{}"), at)
+	j, err := s.Submit("", "kind=retention", []byte("{}"), at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,16 +35,16 @@ func TestSubmitAtRunsAfterDeadline(t *testing.T) {
 	}
 }
 
-func TestSubmitAtPastDeadlineRunsImmediately(t *testing.T) {
+func TestSubmitNotBeforePastDeadlineRunsImmediately(t *testing.T) {
 	s := newTestService(t, func(ctx context.Context, j Job) ([]byte, error) {
 		return []byte("{}"), nil
 	}, nil)
-	j, err := s.SubmitAt("", []byte("{}"), time.Now().Add(-time.Second))
+	j, err := s.Submit("", "", []byte("{}"), time.Now().Add(-time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !j.NotBefore.IsZero() {
-		t.Errorf("past deadline should degrade to plain Submit, got NotBefore %v", j.NotBefore)
+		t.Errorf("past deadline should admit the job as runnable now, got NotBefore %v", j.NotBefore)
 	}
 	waitState(t, s, j.ID, StateDone)
 }
@@ -55,7 +55,7 @@ func TestCancelDeferredJob(t *testing.T) {
 		ran <- struct{}{}
 		return []byte("{}"), nil
 	}, nil)
-	j, err := s.SubmitAt("", []byte("{}"), time.Now().Add(50*time.Millisecond))
+	j, err := s.Submit("", "", []byte("{}"), time.Now().Add(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestDeferredSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	future, err := s1.SubmitAt("later", []byte("{}"), time.Now().Add(250*time.Millisecond))
+	future, err := s1.Submit("", "later", []byte("{}"), time.Now().Add(250*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pastDue, err := s1.SubmitAt("soon", []byte("{}"), time.Now().Add(20*time.Millisecond))
+	pastDue, err := s1.Submit("", "soon", []byte("{}"), time.Now().Add(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +132,12 @@ func TestDeferredSurvivesRestart(t *testing.T) {
 	}
 }
 
-func TestSubmitAtWhileDrainingRejected(t *testing.T) {
+func TestSubmitNotBeforeWhileDrainingRejected(t *testing.T) {
 	s := newTestService(t, func(ctx context.Context, j Job) ([]byte, error) {
 		return []byte("{}"), nil
 	}, nil)
 	s.BeginDrain()
-	if _, err := s.SubmitAt("", []byte("{}"), time.Now().Add(time.Hour)); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit("", "", []byte("{}"), time.Now().Add(time.Hour)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("err %v, want ErrDraining", err)
 	}
 }

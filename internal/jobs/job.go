@@ -89,7 +89,8 @@ type Job struct {
 	// (outside the runnable queue) until the deadline passes. Deferral
 	// survives restarts — replay re-arms a future deadline and immediately
 	// requeues a past-due one. Recurring work (phocus-server's retention
-	// jobs) is built on it: each run schedules its successor with SubmitAt.
+	// jobs) is built on it: each run schedules its successor with a
+	// deferred Submit.
 	NotBefore time.Time `json:"not_before,omitempty"`
 }
 

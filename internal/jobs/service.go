@@ -81,11 +81,11 @@ type Service struct {
 	mu      sync.Mutex
 	store   *Store
 	cancels map[string]context.CancelCauseFunc
-	// timers holds the deferral timer of every SubmitAt job still waiting
+	// timers holds the deferral timer of every deferred job still waiting
 	// out its NotBefore deadline; firing moves the job into the runnable
-	// queue. An entry's absence after SubmitAt means the job was canceled
-	// or the service stopped (the job then stays queued in the WAL and the
-	// next boot re-arms it).
+	// queue. An entry's absence after a deferred Submit means the job was
+	// canceled or the service stopped (the job then stays queued in the WAL
+	// and the next boot re-arms it).
 	timers map[string]*time.Timer
 	killed bool
 
@@ -212,15 +212,16 @@ func (s *Service) QueueDepthCap() int { return s.cfg.QueueDepth }
 // finished and shutdown has not begun. /readyz keys off it.
 func (s *Service) Ready() bool { return s.ready.Load() && !s.draining.Load() }
 
-// Submit admits a new job for the default tenant; see SubmitTenant.
-func (s *Service) Submit(params string, body []byte) (Job, error) {
-	return s.SubmitTenant(fleet.DefaultTenant, params, body)
-}
-
-// SubmitTenant admits a new job owned by the given tenant: admission
-// control first (ErrQueueFull →  429), then the WAL submit record, then the
-// queue. The returned Job is the accepted snapshot (state queued).
-func (s *Service) SubmitTenant(tenant, params string, body []byte) (Job, error) {
+// Submit admits a new job owned by the given tenant ("" = the default
+// tenant). A zero or past notBefore admits it as runnable now: admission
+// control first (ErrQueueFull → 429), then the WAL submit record, then the
+// queue. A future notBefore defers it: the job lands durably in the WAL
+// (state queued, NotBefore set) but enters the runnable queue only when the
+// deadline passes. Deferred jobs bypass the queue caps when they fire —
+// they were admitted at submit time, like a requeue — and survive restarts:
+// replay re-arms pending deadlines and requeues past-due ones. The returned
+// Job is the accepted snapshot (state queued).
+func (s *Service) Submit(tenant, params string, body []byte, notBefore time.Time) (Job, error) {
 	if !s.Ready() {
 		return Job{}, ErrDraining
 	}
@@ -236,10 +237,27 @@ func (s *Service) SubmitTenant(tenant, params string, body []byte) (Job, error) 
 		State:       StateQueued,
 		SubmittedAt: time.Now(),
 	}
+	deferred := notBefore.After(job.SubmittedAt)
+	if deferred {
+		job.NotBefore = notBefore
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.killed {
 		return Job{}, ErrDraining
+	}
+	if deferred {
+		if err := s.store.Submit(job); err != nil {
+			return Job{}, err
+		}
+		s.armTimer(job.ID, time.Until(notBefore), job.BodyBytes)
+		obs.RecordJobDeferred(s.reg, len(s.timers))
+		s.cfg.Trace.Add(job.ID, obs.SpanRecord{
+			Name: "defer", Start: job.SubmittedAt,
+			Attrs: map[string]string{"not_before": notBefore.Format(time.RFC3339)},
+		})
+		s.logger.Info("job deferred", "job_id", job.ID, "not_before", notBefore, "bytes", job.BodyBytes)
+		return *job, nil
 	}
 	// Push before the WAL write reserves the slot atomically under mu; a
 	// worker popping the ID blocks on mu until the store insert lands.
@@ -263,57 +281,6 @@ func (s *Service) SubmitTenant(tenant, params string, body []byte) (Job, error) 
 		},
 	})
 	s.logger.Info("job enqueued", "job_id", job.ID, "bytes", job.BodyBytes, "depth", s.queue.Depth())
-	return *job, nil
-}
-
-// SubmitAt admits a deferred job for the default tenant; see
-// SubmitTenantAt.
-func (s *Service) SubmitAt(params string, body []byte, at time.Time) (Job, error) {
-	return s.SubmitTenantAt(fleet.DefaultTenant, params, body, at)
-}
-
-// SubmitTenantAt admits a tenant-owned job that must not run before the
-// given time: it lands durably in the WAL (state queued, NotBefore set) but
-// enters the runnable queue only when the deadline passes. A zero or past
-// deadline degrades to a plain SubmitTenant. Deferred jobs bypass the queue
-// caps when they fire — they were admitted at submit time, like a requeue —
-// and survive restarts: replay re-arms pending deadlines and requeues
-// past-due ones.
-func (s *Service) SubmitTenantAt(tenant, params string, body []byte, at time.Time) (Job, error) {
-	if at.IsZero() || !at.After(time.Now()) {
-		return s.SubmitTenant(tenant, params, body)
-	}
-	if !s.Ready() {
-		return Job{}, ErrDraining
-	}
-	if tenant == "" {
-		tenant = fleet.DefaultTenant
-	}
-	job := &Job{
-		ID:          newJobID(),
-		Tenant:      tenant,
-		Params:      params,
-		Body:        body,
-		BodyBytes:   int64(len(body)),
-		State:       StateQueued,
-		SubmittedAt: time.Now(),
-		NotBefore:   at,
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.killed {
-		return Job{}, ErrDraining
-	}
-	if err := s.store.Submit(job); err != nil {
-		return Job{}, err
-	}
-	s.armTimer(job.ID, time.Until(at), job.BodyBytes)
-	obs.RecordJobDeferred(s.reg, len(s.timers))
-	s.cfg.Trace.Add(job.ID, obs.SpanRecord{
-		Name: "defer", Start: job.SubmittedAt,
-		Attrs: map[string]string{"not_before": at.Format(time.RFC3339)},
-	})
-	s.logger.Info("job deferred", "job_id", job.ID, "not_before", at, "bytes", job.BodyBytes)
 	return *job, nil
 }
 

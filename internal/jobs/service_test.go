@@ -65,7 +65,7 @@ func TestServiceRunsJobToDone(t *testing.T) {
 	s := newTestService(t, func(ctx context.Context, j Job) ([]byte, error) {
 		return []byte(`{"echo":"` + j.Params + `"}`), nil
 	}, nil)
-	j, err := s.Submit("algo=celf", []byte("{}"))
+	j, err := s.Submit("", "algo=celf", []byte("{}"), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestServiceRetriesTransient(t *testing.T) {
 		}
 		return []byte("ok"), nil
 	}, nil)
-	j, err := s.Submit("", []byte("x"))
+	j, err := s.Submit("", "", []byte("x"), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestServiceTransientExhaustion(t *testing.T) {
 		calls.Add(1)
 		return nil, MarkTransient(errors.New("still down"))
 	}, func(c *Config) { c.MaxAttempts = 2 })
-	j, _ := s.Submit("", []byte("x"))
+	j, _ := s.Submit("", "", []byte("x"), time.Time{})
 	failed := waitState(t, s, j.ID, StateFailed)
 	if failed.Attempts != 2 || calls.Load() != 2 {
 		t.Errorf("attempts %d / calls %d, want 2/2", failed.Attempts, calls.Load())
@@ -142,7 +142,7 @@ func TestServicePermanentFailureNoRetry(t *testing.T) {
 		calls.Add(1)
 		return nil, errors.New("bad instance")
 	}, nil)
-	j, _ := s.Submit("", []byte("x"))
+	j, _ := s.Submit("", "", []byte("x"), time.Time{})
 	failed := waitState(t, s, j.ID, StateFailed)
 	if failed.Attempts != 1 || calls.Load() != 1 {
 		t.Errorf("permanent failure retried: attempts %d calls %d", failed.Attempts, calls.Load())
@@ -164,9 +164,9 @@ func blockingRunner(started chan<- string) Runner {
 func TestServiceCancelQueued(t *testing.T) {
 	started := make(chan string, 4)
 	s := newTestService(t, blockingRunner(started), func(c *Config) { c.Workers = 1 })
-	blocker, _ := s.Submit("", []byte("x"))
+	blocker, _ := s.Submit("", "", []byte("x"), time.Time{})
 	<-started // the single worker is now occupied
-	victim, err := s.Submit("", []byte("y"))
+	victim, err := s.Submit("", "", []byte("y"), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestServiceCancelQueued(t *testing.T) {
 func TestServiceCancelRunning(t *testing.T) {
 	started := make(chan string, 1)
 	s := newTestService(t, blockingRunner(started), nil)
-	j, _ := s.Submit("", []byte("x"))
+	j, _ := s.Submit("", "", []byte("x"), time.Time{})
 	<-started
 	if _, err := s.Cancel(j.ID); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestServiceJobTimeout(t *testing.T) {
 	s := newTestService(t, blockingRunner(started), func(c *Config) {
 		c.JobTimeout = 20 * time.Millisecond
 	})
-	j, _ := s.Submit("", []byte("x"))
+	j, _ := s.Submit("", "", []byte("x"), time.Time{})
 	<-started
 	failed := waitState(t, s, j.ID, StateFailed)
 	if !strings.Contains(failed.Error, context.DeadlineExceeded.Error()) {
@@ -235,10 +235,10 @@ func TestServiceJobTimeout(t *testing.T) {
 func TestServiceQueuePosition(t *testing.T) {
 	started := make(chan string, 1)
 	s := newTestService(t, blockingRunner(started), func(c *Config) { c.Workers = 1 })
-	blocker, _ := s.Submit("", []byte("x"))
+	blocker, _ := s.Submit("", "", []byte("x"), time.Time{})
 	<-started
-	a, _ := s.Submit("", []byte("a"))
-	b, _ := s.Submit("", []byte("b"))
+	a, _ := s.Submit("", "", []byte("a"), time.Time{})
+	b, _ := s.Submit("", "", []byte("b"), time.Time{})
 	if _, pos, _ := s.Get(a.ID); pos != 0 {
 		t.Errorf("position(a) = %d, want 0", pos)
 	}
@@ -272,7 +272,7 @@ func TestServiceBurstAdmission(t *testing.T) {
 	var admitted []string
 	rejected := 0
 	for i := 0; i < 100; i++ {
-		j, err := s.Submit("", []byte(fmt.Sprintf(`{"n":%d}`, i)))
+		j, err := s.Submit("", "", []byte(fmt.Sprintf(`{"n":%d}`, i)), time.Time{})
 		switch {
 		case err == nil:
 			admitted = append(admitted, j.ID)
@@ -324,7 +324,7 @@ func TestServiceCrashRecovery(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 5; i++ {
-		j, err := s.Submit("", []byte(fmt.Sprintf(`{"n":%d}`, i)))
+		j, err := s.Submit("", "", []byte(fmt.Sprintf(`{"n":%d}`, i)), time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func TestServiceDrainCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := s.Submit("", []byte("x"))
+	j, err := s.Submit("", "", []byte("x"), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestServiceSubmitWhileDraining(t *testing.T) {
 	if s.Ready() {
 		t.Error("ready while draining")
 	}
-	if _, err := s.Submit("", []byte("x")); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit("", "", []byte("x"), time.Time{}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining: %v, want ErrDraining", err)
 	}
 }
@@ -432,7 +432,7 @@ func TestServiceList(t *testing.T) {
 	defer close(gate)
 	var ids []string
 	for i := 0; i < 5; i++ {
-		j, err := s.Submit("", []byte("x"))
+		j, err := s.Submit("", "", []byte("x"), time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,21 +63,21 @@ func TestSubmitTenantThreadsThrough(t *testing.T) {
 	}
 	defer s.Close(context.Background())
 
-	ja, err := s.SubmitTenant("alice", "algo=greedy", []byte("{}"))
+	ja, err := s.Submit("alice", "algo=greedy", []byte("{}"), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ja.Tenant != "alice" {
 		t.Fatalf("submitted tenant %q", ja.Tenant)
 	}
-	jb, err := s.Submit("", []byte("{}"))
+	jb, err := s.Submit("", "", []byte("{}"), time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jb.Tenant != fleet.DefaultTenant {
-		t.Fatalf("legacy Submit tenant %q, want default", jb.Tenant)
+		t.Fatalf("empty tenant stored as %q, want default", jb.Tenant)
 	}
-	jc, err := s.SubmitTenantAt("carol", "", []byte("{}"), time.Now().Add(time.Hour))
+	jc, err := s.Submit("carol", "", []byte("{}"), time.Now().Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

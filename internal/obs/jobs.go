@@ -13,7 +13,7 @@ import "time"
 //	phocus_jobs_canceled_total            jobs reaching state canceled
 //	phocus_jobs_retried_total             transient-failure retries
 //	phocus_jobs_requeued_total            running jobs checkpointed back to queued
-//	phocus_jobs_deferred_total            SubmitAt admissions (retention reruns included)
+//	phocus_jobs_deferred_total            deferred admissions (retention reruns included)
 //	phocus_jobs_deferred                  gauge: jobs waiting out a NotBefore deadline
 //	phocus_jobs_wal_corrupt_total         WAL records skipped during replay
 //	phocus_jobs_queue_depth               gauge: queued jobs
@@ -84,7 +84,7 @@ func SetJobsRunning(reg *Registry, n int64) {
 	reg.Gauge("phocus_jobs_running").Set(float64(n))
 }
 
-// RecordJobDeferred counts one SubmitAt admission and refreshes the
+// RecordJobDeferred counts one deferred admission and refreshes the
 // pending-deferral gauge (phocus_jobs_deferred_total / phocus_jobs_deferred).
 func RecordJobDeferred(reg *Registry, pending int) {
 	reg.Counter("phocus_jobs_deferred_total").Inc()

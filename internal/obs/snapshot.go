@@ -29,22 +29,6 @@ func RecordSnapshotWrite(reg *Registry, bytes int64) {
 	}
 }
 
-// RecordSnapshotMmapLoad records one snapshot load served through the mmap
-// path (counted alongside the plain load counter, never instead of it):
-//
-//	phocus_snapshot_mmap_loads_total
-func RecordSnapshotMmapLoad(reg *Registry) {
-	reg.Counter("phocus_snapshot_mmap_loads_total").Inc()
-}
-
-// SetPreparedMmapBytes exports the prepare cache's mmap-backed residency —
-// page-cache bytes, deliberately excluded from the cache's heap byte bound:
-//
-//	phocus_prepared_mmap_bytes
-func SetPreparedMmapBytes(reg *Registry, bytes int64) {
-	reg.Gauge("phocus_prepared_mmap_bytes").Set(float64(bytes))
-}
-
 // RecordSnapshotCorrupt records one snapshot rejected by verification and
 // quarantined.
 func RecordSnapshotCorrupt(reg *Registry) {

@@ -8,9 +8,9 @@ import (
 // CSRSim is a read-only NeighborLister over flat CSR slabs: one shared
 // neighbour array for a whole group of subsets plus a per-subset window of
 // absolute row offsets into it. It is the similarity representation of
-// loaded prepared snapshots — the slabs are views straight into the mapped
-// file region, so constructing a CSRSim copies nothing and allocates only
-// the two slice headers.
+// loaded prepared snapshots — the slabs are views straight into the
+// snapshot's read buffer, so constructing a CSRSim copies nothing and
+// allocates only the two slice headers.
 //
 // rowStart holds k+1 absolute offsets into nbrs; row i of the subset is
 // nbrs[rowStart[i]:rowStart[i+1]], sorted ascending by neighbour index and

@@ -8,35 +8,24 @@ import (
 // PreparedCache is a bounded LRU of Prepared instances keyed by fingerprint
 // (the same reactive eviction idiom as internal/storage's LRUCache, applied
 // to prepared pipelines instead of photos). It bounds both the entry count
-// and the summed charged bytes of the cached values, evicting least recently
+// and the summed SizeBytes of the cached values, evicting least recently
 // used entries until both bounds hold. All methods are safe for concurrent
-// use; a Prepared itself is immutable, so cached values can be Run by many
-// requests at once.
+// use, and so is a cached Prepared: many requests Run one value at once, and
+// an ApplyDelta mutates it in place under its own write lock.
 //
-// Byte accounting. An entry is charged SizeBytes − MappedBytes: the slabs of
-// an mmap-backed Prepared live in the page cache, not the Go heap, so
-// charging them against the heap byte bound would evict real heap residents
-// to make room for memory the OS already reclaims on its own. Charges are
-// memoized at insert time — a later ApplyDelta may change the live value's
-// SizeBytes, and the cache must subtract at eviction exactly what it added
-// at insert or usedBytes drifts.
-//
-// Reference tracking. The cache counts how many entries hold each distinct
-// *Prepared (the delta rekey path briefly holds one value under two keys).
-// When the last reference leaves the cache, the value's snapshot mapping is
-// released: in-flight pinned operations finish against the mapping, new ones
-// fail with ErrSnapshotUnmapped, and callers re-prepare.
+// Byte accounting. An entry is charged its SizeBytes, memoized at insert
+// time — a later ApplyDelta may change the live value's SizeBytes, and the
+// cache must subtract at eviction exactly what it added at insert or
+// usedBytes drifts.
 type PreparedCache struct {
-	mu          sync.Mutex
-	maxEntries  int
-	maxBytes    int64
-	usedBytes   int64
-	mappedBytes int64
-	order       *list.List // front = most recently used
-	elems       map[string]*list.Element
-	refs        map[*Prepared]int
-	stats       CacheStats
-	flights     map[string]*flight
+	mu         sync.Mutex
+	maxEntries int
+	maxBytes   int64
+	usedBytes  int64
+	order      *list.List // front = most recently used
+	elems      map[string]*list.Element
+	stats      CacheStats
+	flights    map[string]*flight
 }
 
 // flight is one in-progress Prepare shared by every concurrent
@@ -57,10 +46,7 @@ type CacheStats struct {
 type cacheEntry struct {
 	key  string
 	prep *Prepared
-	// size/mapped memoize the charged heap bytes (SizeBytes − MappedBytes)
-	// and the mmap-backed bytes at insert time; see the type comment.
-	size   int64
-	mapped int64
+	size int64 // SizeBytes at insert time; see the type comment
 }
 
 // NewPreparedCache returns an empty cache bounded by maxEntries entries and
@@ -72,18 +58,7 @@ func NewPreparedCache(maxEntries int, maxBytes int64) *PreparedCache {
 		maxBytes:   maxBytes,
 		order:      list.New(),
 		elems:      make(map[string]*list.Element),
-		refs:       make(map[*Prepared]int),
 		flights:    make(map[string]*flight),
-	}
-}
-
-// releaseLocked drops one reference to p, releasing its snapshot mapping
-// when the last cache reference is gone.
-func (c *PreparedCache) releaseLocked(p *Prepared) {
-	c.refs[p]--
-	if c.refs[p] <= 0 {
-		delete(c.refs, p)
-		p.ReleaseMapping()
 	}
 }
 
@@ -104,14 +79,9 @@ func (c *PreparedCache) Get(key string) (*Prepared, bool) {
 // Put inserts (or refreshes) a Prepared under the key and evicts least
 // recently used entries until the bounds hold again, returning how many
 // entries were evicted. Values too large for the byte bound are dropped
-// without disturbing the cache (their mapping, if any, stays alive for the
-// caller and is reclaimed by the finalizer backstop).
+// without disturbing the cache.
 func (c *PreparedCache) Put(key string, p *Prepared) (evicted int) {
-	mapped := p.MappedBytes()
-	size := p.SizeBytes() - mapped
-	if size < 0 {
-		size = 0
-	}
+	size := p.SizeBytes()
 	if c.maxBytes > 0 && size > c.maxBytes {
 		return 0
 	}
@@ -119,19 +89,12 @@ func (c *PreparedCache) Put(key string, p *Prepared) (evicted int) {
 	defer c.mu.Unlock()
 	if el, ok := c.elems[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		if ent.prep != p {
-			c.refs[p]++
-			c.releaseLocked(ent.prep)
-		}
 		c.usedBytes += size - ent.size
-		c.mappedBytes += mapped - ent.mapped
-		ent.prep, ent.size, ent.mapped = p, size, mapped
+		ent.prep, ent.size = p, size
 		c.order.MoveToFront(el)
 	} else {
-		c.elems[key] = c.order.PushFront(&cacheEntry{key: key, prep: p, size: size, mapped: mapped})
+		c.elems[key] = c.order.PushFront(&cacheEntry{key: key, prep: p, size: size})
 		c.usedBytes += size
-		c.mappedBytes += mapped
-		c.refs[p]++
 	}
 	for c.order.Len() > 0 &&
 		((c.maxEntries > 0 && c.order.Len() > c.maxEntries) ||
@@ -141,8 +104,6 @@ func (c *PreparedCache) Put(key string, p *Prepared) (evicted int) {
 		c.order.Remove(back)
 		delete(c.elems, ent.key)
 		c.usedBytes -= ent.size
-		c.mappedBytes -= ent.mapped
-		c.releaseLocked(ent.prep)
 		c.stats.Evictions++
 		evicted++
 	}
@@ -204,10 +165,7 @@ func (c *PreparedCache) Remove(key string) bool {
 	}
 	c.order.Remove(el)
 	delete(c.elems, key)
-	ent := el.Value.(*cacheEntry)
-	c.usedBytes -= ent.size
-	c.mappedBytes -= ent.mapped
-	c.releaseLocked(ent.prep)
+	c.usedBytes -= el.Value.(*cacheEntry).size
 	return true
 }
 
@@ -218,20 +176,12 @@ func (c *PreparedCache) Len() int {
 	return c.order.Len()
 }
 
-// UsedBytes returns the summed charged bytes (SizeBytes − MappedBytes at
-// insert time) of the cached entries.
+// UsedBytes returns the summed charged bytes (SizeBytes at insert time) of
+// the cached entries.
 func (c *PreparedCache) UsedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.usedBytes
-}
-
-// MappedBytes returns the summed mmap-backed bytes of the cached entries —
-// page-cache residency, exported as the phocus_prepared_mmap_bytes gauge.
-func (c *PreparedCache) MappedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mappedBytes
 }
 
 // Stats returns a copy of the accumulated access statistics.

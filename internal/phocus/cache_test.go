@@ -3,6 +3,7 @@ package phocus
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,6 +118,51 @@ func TestPreparedCacheUnbounded(t *testing.T) {
 	}
 	if c.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", c.Len())
+	}
+}
+
+// TestPreparedCacheDeltaAccounting: the cache charges each entry its
+// insert-time SizeBytes, so removal returns UsedBytes to exactly zero even
+// when an ApplyDelta changes the live value's SizeBytes in between.
+func TestPreparedCacheDeltaAccounting(t *testing.T) {
+	ctx := context.Background()
+	ds := snapDataset(t, 59, snapSimVariants["dense"])
+	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.5, InstanceDigest: "cache-delta"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenSnapshotStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Save(p); err != nil {
+		t.Fatal(err)
+	}
+	fp, _ := p.Fingerprint()
+	loaded, err := store.Load(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := NewPreparedCache(8, 1<<40)
+	c.Put(fp, loaded)
+	before := loaded.SizeBytes()
+	if got := c.UsedBytes(); got != before {
+		t.Fatalf("UsedBytes = %d, want SizeBytes %d", got, before)
+	}
+	rng := rand.New(rand.NewSource(61))
+	if _, err := loaded.ApplyDelta(ctx, randomChurn(rng, loaded.base, nil, 1, 3, true)); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.SizeBytes() == before {
+		t.Fatal("the delta left SizeBytes unchanged; the memoized charge went untested")
+	}
+	c.Remove(fp)
+	if got := c.UsedBytes(); got != 0 {
+		t.Fatalf("UsedBytes = %d after removing the only entry, want 0", got)
+	}
+	if c.Len() != 0 {
+		t.Fatal("cache not empty")
 	}
 }
 

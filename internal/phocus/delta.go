@@ -595,10 +595,6 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 	if p.opts.UseLSH {
 		return nil, ErrDeltaLSH
 	}
-	if err := p.pin(); err != nil {
-		return nil, err
-	}
-	defer p.unpin()
 	start := time.Now()
 
 	// The evolved fingerprint chains from the current one, so force it to

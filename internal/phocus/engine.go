@@ -121,10 +121,6 @@ type Prepared struct {
 	// Run's ViewInto views find them already in place.
 	solveTmpl *par.Instance
 
-	// mm is the snapshot mapping backing this Prepared's slabs when it was
-	// loaded via mmap; nil for heap-backed values. See mmapsnap.go.
-	mm *snapMapping
-
 	// scratch pools per-Run working state (budgeted views, the rescore
 	// evaluator, the CELF solver's heap) for the allocation-free Run path.
 	// Entries self-heal on shape changes (Evaluator.ResetFor rebuilds on
@@ -355,10 +351,6 @@ func FingerprintFor(digest string, opts PrepareOptions) string {
 func (p *Prepared) View(budget float64) (*par.Instance, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if err := p.pin(); err != nil {
-		return nil, err
-	}
-	defer p.unpin()
 	if budget == 0 {
 		budget = p.base.TotalCost()
 	}
@@ -425,19 +417,13 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 // allocations per call (testing.AllocsPerRun reports 0; the bench suite pins
 // it). At more workers only the CELF passes' and the bound's goroutine
 // hand-offs allocate, a few dozen objects per call. The previous
-// contents of res are gone after the call, error or not. On an mmap-backed
-// Prepared whose mapping was released by cache eviction it fails fast with
-// ErrSnapshotUnmapped — callers re-prepare and retry.
+// contents of res are gone after the call, error or not.
 func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if err := p.pin(); err != nil {
-		return err
-	}
-	defer p.unpin()
 
 	photos := res.Solution.Photos[:0]
 	archived := res.Archived[:0]

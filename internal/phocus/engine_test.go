@@ -172,7 +172,7 @@ func requireKernelsInPlace(t *testing.T, label string, p *Prepared) {
 
 // TestEnginePathsNeverCompileLazily pins where the engine's kernels come
 // from: every way a Prepared is built or changed — cold Prepare, snapshot
-// read or mmap, ApplyDelta with and without compaction, Compact — leaves
+// load, ApplyDelta with and without compaction, Compact — leaves
 // each template with its kernel compiled or attached. A path that forgot to
 // attach would still solve correctly, but the next Run would pay a full
 // recompile.
@@ -201,12 +201,11 @@ func TestEnginePathsNeverCompileLazily(t *testing.T) {
 				t.Fatal(err)
 			}
 			fp, _ := p.Fingerprint()
-			store.Mapped = true
-			mapped, err := store.Load(fp)
+			loaded, err := store.Load(fp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireKernelsInPlace(t, "mmap load", mapped)
+			requireKernelsInPlace(t, "store load", loaded)
 
 			// Without compaction a delta carries the kernels over, mutated in
 			// place, rather than compiling new ones anywhere.

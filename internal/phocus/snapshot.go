@@ -496,10 +496,6 @@ func decodeSnapMeta(b []byte) (*snapMeta, error) {
 func EncodeSnapshot(p *Prepared) ([]byte, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if err := p.pin(); err != nil {
-		return nil, err
-	}
-	defer p.unpin()
 	fp, err := p.fingerprintLocked()
 	if err != nil {
 		return nil, fmt.Errorf("phocus: snapshot fingerprint: %w", err)

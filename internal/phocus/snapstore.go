@@ -20,13 +20,6 @@ import (
 // that failed its checksums.
 type SnapshotStore struct {
 	dir string
-
-	// Mapped routes Load (and therefore WarmFill) through
-	// LoadSnapshotMapped: snapshots are mmap'd instead of read into the
-	// heap. Set it once right after OpenSnapshotStore, before concurrent
-	// use. On platforms without mmap support loads transparently fall back
-	// to the heap path.
-	Mapped bool
 }
 
 // OpenSnapshotStore opens (creating if needed) the snapshot directory.
@@ -70,24 +63,16 @@ func (s *SnapshotStore) Save(p *Prepared) (path string, size int64, err error) {
 	return path, int64(len(data)), nil
 }
 
-// Load reads and decodes the snapshot for the fingerprint — through an mmap
-// when the store is Mapped, a heap read otherwise. A missing file returns an
-// error satisfying os.IsNotExist; a corrupt one wraps ErrBadSnapshot (the
+// Load reads and decodes the snapshot for the fingerprint. A missing file
+// returns an error satisfying os.IsNotExist; a corrupt one wraps ErrBadSnapshot (the
 // embedded fingerprint disagreeing with the filename counts as corruption —
 // it means the file was renamed or its header tampered with).
 func (s *SnapshotStore) Load(fp string) (*Prepared, error) {
-	var p *Prepared
-	var err error
-	if s.Mapped {
-		p, err = LoadSnapshotMapped(s.Path(fp))
-	} else {
-		p, err = LoadSnapshot(s.Path(fp))
-	}
+	p, err := LoadSnapshot(s.Path(fp))
 	if err != nil {
 		return nil, err
 	}
 	if got, _ := p.Fingerprint(); got != fp {
-		p.ReleaseMapping()
 		return nil, fmt.Errorf("phocus: snapshot named %.12s… embeds fingerprint %.12s…: %w", fp, got, ErrBadSnapshot)
 	}
 	return p, nil
