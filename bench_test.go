@@ -102,14 +102,14 @@ func BenchmarkEvaluatorGain(b *testing.B) {
 // same score, which the benchmark asserts outside the timed region.
 func BenchmarkLazyGreedy(b *testing.B) {
 	ds := benchInstance(b, 1000)
-	want, _, err := celf.LazyGreedy(ds.Instance, celf.CB)
+	want, _, err := celf.LazyGreedy(context.Background(), ds.Instance, celf.CB, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, _, err := celf.LazyGreedy(ds.Instance, celf.CB)
+		sol, _, err := celf.LazyGreedy(context.Background(), ds.Instance, celf.CB, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkSolveWorkers(b *testing.B) {
 			s := celf.Solver{Workers: workers}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Solve(ds.Instance); err != nil {
+				if _, err := s.Solve(context.Background(), ds.Instance); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -190,8 +190,8 @@ func BenchmarkSparsifyLSH(b *testing.B) {
 }
 
 // BenchmarkPreparedSweep measures the staged engine's reason to exist: a
-// budget sweep that re-prepares for every budget (cold — what one-shot
-// Solve calls amount to) versus one that prepares once and reuses the
+// budget sweep that re-prepares for every budget (cold — a fresh Prepare +
+// Run per budget) versus one that prepares once and reuses the
 // Prepared across budgets (warm — what the server's prepared-instance
 // cache buys). The per-sweep gap is the τ-sparsification cost paid once
 // instead of once per budget; warm should run at least 2× faster.
@@ -519,7 +519,7 @@ func BenchmarkSimHashSignature(b *testing.B) {
 func BenchmarkOnlineBoundP1K(b *testing.B) {
 	ds := benchInstance(b, 1000)
 	var s celf.Solver
-	sol, err := s.Solve(ds.Instance)
+	sol, err := s.Solve(context.Background(), ds.Instance)
 	if err != nil {
 		b.Fatal(err)
 	}

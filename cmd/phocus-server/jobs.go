@@ -2,7 +2,7 @@
 // with a job ID immediately; the solve runs on the job scheduler's worker
 // pool through the same solveCore as /solve, status and result are polled
 // by ID, and DELETE cancels (the cancel propagates into the solver through
-// par.ContextSolver, so even a mid-run job stops promptly).
+// par.Solver's ctx, so even a mid-run job stops promptly).
 package main
 
 import (

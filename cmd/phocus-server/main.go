@@ -602,18 +602,11 @@ func parseSolveParams(q url.Values) (solveParams, error) {
 		}
 		p.tau = v
 	}
-	switch algo := q.Get("algo"); algo {
-	case "", "celf":
-		p.algo = phocus.AlgoCELF
-	case "sviridenko":
-		p.algo = phocus.AlgoSviridenko
-	case "exact":
-		p.algo = phocus.AlgoExact
-	case "streaming":
-		p.algo = phocus.AlgoStreaming
-	default:
-		return p, fmt.Errorf("unknown algo %q: want celf, sviridenko, exact or streaming", algo)
+	algo, err := phocus.ParseAlgorithm(q.Get("algo"))
+	if err != nil {
+		return p, err
 	}
+	p.algo = algo
 	switch l := q.Get("lsh"); l {
 	case "", "0":
 	case "1":

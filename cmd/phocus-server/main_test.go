@@ -819,12 +819,12 @@ func TestSolveBudgetBelowRetainedCost(t *testing.T) {
 		warm          bool
 		want          string
 	}{
-		{"/solve", "0.5", false, "invalid budget 0.5: par: retained set S0 costs 2 bytes, exceeding budget 0"},
-		{"/solve", "0.5", true, "invalid budget 0.5: par: retained set S0 costs 2 bytes, exceeding budget 0"},
-		{"/solve", "2", false, "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2"},
-		{"/solve", "2", true, "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2"},
-		{"/jobs", "2", false, "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2"},
-		{"/jobs", "2", true, "invalid budget 2: par: retained set S0 costs 2 bytes, exceeding budget 2"},
+		{"/solve", "0.5", false, "invalid budget 0.5: par: retained set S0 costs 2.1 bytes, exceeding budget 0.5"},
+		{"/solve", "0.5", true, "invalid budget 0.5: par: retained set S0 costs 2.1 bytes, exceeding budget 0.5"},
+		{"/solve", "2", false, "invalid budget 2: par: retained set S0 costs 2.1 bytes, exceeding budget 2"},
+		{"/solve", "2", true, "invalid budget 2: par: retained set S0 costs 2.1 bytes, exceeding budget 2"},
+		{"/jobs", "2", false, "invalid budget 2: par: retained set S0 costs 2.1 bytes, exceeding budget 2"},
+		{"/jobs", "2", true, "invalid budget 2: par: retained set S0 costs 2.1 bytes, exceeding budget 2"},
 	} {
 		name := fmt.Sprintf("%s?budget=%s warm=%v", tc.route, tc.budget, tc.warm)
 		tenant := fmt.Sprintf("budget-%d", i)

@@ -3,7 +3,8 @@
 //
 // Usage:
 //
-//	phocus -input instance.json [-budget 5e6] [-algo celf|sviridenko|exact]
+//	phocus -input instance.json [-budget 5e6]
+//	       [-algo celf|sviridenko|exact|streaming]
 //	       [-tau 0.75] [-lsh -seed 1] [-retained 0,5,9] [-workers 4]
 //	       [-solve-timeout 30s] [-json]
 //
@@ -41,7 +42,7 @@ func main() {
 	var (
 		input    = flag.String("input", "", "instance JSON file (required; '-' for stdin)")
 		budget   = flag.Float64("budget", 0, "override budget in bytes (0 = keep file budget)")
-		algo     = flag.String("algo", "celf", "solver: celf, sviridenko or exact")
+		algo     = flag.String("algo", "celf", "solver: celf, sviridenko, exact or streaming")
 		tau      = flag.Float64("tau", 0, "τ-sparsification threshold (0 = off)")
 		lsh      = flag.Bool("lsh", false, "use SimHash candidate generation for the sparsification (needs context vectors in the input)")
 		seed     = flag.Int64("seed", 0, "LSH randomness seed")
@@ -60,25 +61,19 @@ func main() {
 		}
 		return
 	}
-	opts := phocus.SolveOptions{
-		Budget:    0, // the budget override is applied while loading
-		Algorithm: phocus.Algorithm(*algo),
-		Tau:       *tau,
-		UseLSH:    *lsh,
-		Seed:      *seed,
-		Workers:   *workers,
-	}
-	if err := run(os.Stdout, *input, *budget, *retained, opts, *asJSON, *stats, *timeout); err != nil {
+	opts := phocus.PrepareOptions{Tau: *tau, UseLSH: *lsh, Seed: *seed, Workers: *workers}
+	if err := run(os.Stdout, *input, *budget, *retained, *algo, opts, *asJSON, *stats, *timeout); err != nil {
 		fmt.Fprintln(os.Stderr, "phocus:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, input string, budget float64, retained string, opts phocus.SolveOptions, asJSON bool, stats bool, timeout time.Duration) error {
-	switch opts.Algorithm {
-	case phocus.AlgoCELF, phocus.AlgoSviridenko, phocus.AlgoExact:
-	default:
-		return fmt.Errorf("unknown -algo %q", opts.Algorithm)
+// run prepares the instance with opts and solves it once with algo, the
+// budget applied while loading and opts.Workers as the solver's workers.
+func run(w io.Writer, input string, budget float64, retained, algo string, opts phocus.PrepareOptions, asJSON bool, stats bool, timeout time.Duration) error {
+	algorithm, err := phocus.ParseAlgorithm(algo)
+	if err != nil {
+		return err
 	}
 	ds, err := loadDataset(input, budget, retained)
 	if err != nil {
@@ -96,8 +91,11 @@ func run(w io.Writer, input string, budget float64, retained string, opts phocus
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	opts.Budget = inst.Budget
-	res, err := phocus.SolveContext(ctx, ds, opts)
+	p, err := phocus.Prepare(ctx, ds, opts)
+	if err != nil {
+		return err
+	}
+	res, err := p.Run(ctx, phocus.RunOptions{Budget: inst.Budget, Algorithm: algorithm, Workers: opts.Workers})
 	if err != nil {
 		return err
 	}
@@ -187,7 +185,8 @@ func loadInstance(input string, budget float64, retained string) (*par.Instance,
 }
 
 // runCompare solves the instance with every algorithm and baseline and
-// prints a quality/time comparison.
+// prints a quality/time comparison. Every solution's online bound is an
+// upper bound on the optimum, so the table measures against the tightest.
 func runCompare(w io.Writer, input string, budget float64, retained string, workers int) error {
 	inst, err := loadInstance(input, budget, retained)
 	if err != nil {
@@ -196,16 +195,6 @@ func runCompare(w io.Writer, input string, budget float64, retained string, work
 	fmt.Fprintln(w, par.Stats(inst))
 	fmt.Fprintln(w)
 
-	solvers := []par.Solver{
-		&celf.Solver{Workers: workers},
-		&sviridenko.Solver{},
-		&streaming.Solver{},
-		baselines.NewGreedyNR(),
-		&baselines.RandAdd{Seed: 1},
-	}
-	if inst.NumPhotos() <= 60 {
-		solvers = append(solvers, &exact.Solver{MaxNodes: 20_000_000})
-	}
 	t := metrics.Table{Header: []string{"algorithm", "score", "% of bound", "photos", "time"}}
 	bound := 0.0
 	type row struct {
@@ -214,15 +203,15 @@ func runCompare(w io.Writer, input string, budget float64, retained string, work
 		elapsed time.Duration
 	}
 	var rows []row
-	for _, s := range solvers {
+	for _, s := range compareSolvers(inst, workers) {
 		start := time.Now()
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.Name(), err)
 		}
 		sol.Score = par.ScoreFast(inst, sol.Photos)
 		rows = append(rows, row{name: s.Name(), sol: sol, elapsed: time.Since(start)})
-		if b := celf.OnlineBound(inst, sol.Photos); b > bound {
+		if b := celf.OnlineBound(inst, sol.Photos); b > 0 && (bound == 0 || b < bound) {
 			bound = b
 		}
 	}
@@ -238,4 +227,20 @@ func runCompare(w io.Writer, input string, budget float64, retained string, work
 	t.Fprint(w)
 	fmt.Fprintf(w, "upper bound on the optimum: %.6f\n", bound)
 	return nil
+}
+
+// compareSolvers lists the solvers runCompare runs on inst: every algorithm
+// and the baselines, plus the exact optimum on instances small enough for it.
+func compareSolvers(inst *par.Instance, workers int) []par.Solver {
+	solvers := []par.Solver{
+		&celf.Solver{Workers: workers},
+		&sviridenko.Solver{},
+		&streaming.Solver{},
+		baselines.NewGreedyNR(),
+		&baselines.RandAdd{Seed: 1},
+	}
+	if inst.NumPhotos() <= 60 {
+		solvers = append(solvers, &exact.Solver{MaxNodes: 20_000_000})
+	}
+	return solvers
 }

@@ -2,20 +2,24 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"phocus/internal/celf"
 	"phocus/internal/par"
 	"phocus/internal/phocus"
 )
 
-// cliOpts mirrors what main() builds from the flags for a given -algo/-tau
-// with a sequential worker pool.
-func cliOpts(algo string, tau float64) phocus.SolveOptions {
-	return phocus.SolveOptions{Algorithm: phocus.Algorithm(algo), Tau: tau, Workers: 1}
+// cliOpts mirrors what main() builds from the flags for a given -tau with a
+// sequential worker pool.
+func cliOpts(tau float64) phocus.PrepareOptions {
+	return phocus.PrepareOptions{Tau: tau, Workers: 1}
 }
 
 // writeFigure1 dumps the Figure 1 instance at the given budget to a temp
@@ -42,7 +46,7 @@ func writeFigure1(t *testing.T, budget float64) string {
 func TestRunText(t *testing.T) {
 	path := writeFigure1(t, 3.0)
 	var out bytes.Buffer
-	if err := run(&out, path, 0, "", cliOpts("celf", 0), false, false, 0); err != nil {
+	if err := run(&out, path, 0, "", "celf", cliOpts(0), false, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -56,7 +60,7 @@ func TestRunText(t *testing.T) {
 func TestRunJSONAndBudgetOverride(t *testing.T) {
 	path := writeFigure1(t, 8.2)
 	var out bytes.Buffer
-	if err := run(&out, path, 2.0, "", cliOpts("exact", 0), true, false, 0); err != nil {
+	if err := run(&out, path, 2.0, "", "exact", cliOpts(0), true, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	var res struct {
@@ -84,7 +88,7 @@ func TestRunJSONAndBudgetOverride(t *testing.T) {
 func TestRunRetainedFlag(t *testing.T) {
 	path := writeFigure1(t, 3.0)
 	var out bytes.Buffer
-	if err := run(&out, path, 0, "6", cliOpts("celf", 0), true, false, 0); err != nil {
+	if err := run(&out, path, 0, "6", "celf", cliOpts(0), true, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	var res struct {
@@ -107,7 +111,7 @@ func TestRunRetainedFlag(t *testing.T) {
 func TestRunSparsified(t *testing.T) {
 	path := writeFigure1(t, 3.0)
 	var out bytes.Buffer
-	if err := run(&out, path, 0, "", cliOpts("sviridenko", 0.6), false, false, 0); err != nil {
+	if err := run(&out, path, 0, "", "sviridenko", cliOpts(0.6), false, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Sviridenko") {
@@ -122,11 +126,11 @@ func TestRunErrors(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"missing input", func() error { return run(&out, "", 0, "", cliOpts("celf", 0), false, false, 0) }},
-		{"no such file", func() error { return run(&out, "/nonexistent.json", 0, "", cliOpts("celf", 0), false, false, 0) }},
-		{"bad algo", func() error { return run(&out, path, 0, "", cliOpts("magic", 0), false, false, 0) }},
-		{"bad retained", func() error { return run(&out, path, 0, "x,y", cliOpts("celf", 0), false, false, 0) }},
-		{"retained out of range", func() error { return run(&out, path, 0, "99", cliOpts("celf", 0), false, false, 0) }},
+		{"missing input", func() error { return run(&out, "", 0, "", "celf", cliOpts(0), false, false, 0) }},
+		{"no such file", func() error { return run(&out, "/nonexistent.json", 0, "", "celf", cliOpts(0), false, false, 0) }},
+		{"bad algo", func() error { return run(&out, path, 0, "", "magic", cliOpts(0), false, false, 0) }},
+		{"bad retained", func() error { return run(&out, path, 0, "x,y", "celf", cliOpts(0), false, false, 0) }},
+		{"retained out of range", func() error { return run(&out, path, 0, "99", "celf", cliOpts(0), false, false, 0) }},
 	}
 	for _, tc := range cases {
 		if err := tc.call(); err == nil {
@@ -135,10 +139,29 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+func TestRunStreaming(t *testing.T) {
+	path := writeFigure1(t, 3.0)
+	var out bytes.Buffer
+	if err := run(&out, path, 0, "", "streaming", cliOpts(0), true, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	var res struct {
+		Algorithm string  `json:"algorithm"`
+		Cost      float64 `json:"cost"`
+		Budget    float64 `json:"budget"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &res); err != nil {
+		t.Fatalf("invalid JSON output: %v\n%s", err, out.String())
+	}
+	if res.Algorithm != "Sieve-Streaming" || res.Cost > res.Budget {
+		t.Errorf("result %+v", res)
+	}
+}
+
 func TestRunStatsFlag(t *testing.T) {
 	path := writeFigure1(t, 3.0)
 	var out bytes.Buffer
-	if err := run(&out, path, 0, "", cliOpts("celf", 0), false, true, 0); err != nil {
+	if err := run(&out, path, 0, "", "celf", cliOpts(0), false, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "photos:       7") {
@@ -153,6 +176,23 @@ func TestRunCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
+	// Every row's online bound is an upper bound on OPT; the table must
+	// report the tightest one.
+	inst, err := loadInstance(path, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tightest := math.Inf(1)
+	for _, s := range compareSolvers(inst, 1) {
+		sol, err := s.Solve(context.Background(), inst)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		tightest = math.Min(tightest, celf.OnlineBound(inst, sol.Photos))
+	}
+	if want := fmt.Sprintf("upper bound on the optimum: %.6f\n", tightest); !strings.Contains(text, want) {
+		t.Errorf("compare output lacks %q:\n%s", want, text)
+	}
 	for _, want := range []string{"PHOcus", "Sieve-Streaming", "Brute-Force", "upper bound"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("compare output missing %q:\n%s", want, text)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -56,7 +57,7 @@ func main() {
 			log.Fatal(err)
 		}
 		var plain celf.Solver
-		base, err := plain.Solve(inst)
+		base, err := plain.Solve(context.Background(), inst)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func main() {
 			log.Fatal(err)
 		}
 		var comp celf.Solver
-		csol, err := comp.Solve(ex.Instance)
+		csol, err := comp.Solve(context.Background(), ex.Instance)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var solver celf.Solver
-	sol, err := solver.Solve(ex.Instance)
+	sol, err := solver.Solve(context.Background(), ex.Instance)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -43,11 +44,11 @@ func main() {
 	fmt.Printf("cache:   %s (%.0f%% of archive)\n\n", metrics.FormatBytes(budget), 100*budget/total)
 
 	var solver celf.Solver
-	phocusSol, err := solver.Solve(inst)
+	phocusSol, err := solver.Solve(context.Background(), inst)
 	if err != nil {
 		log.Fatal(err)
 	}
-	randSol, err := (&baselines.RandAdd{Seed: 99}).Solve(inst)
+	randSol, err := (&baselines.RandAdd{Seed: 99}).Solve(context.Background(), inst)
 	if err != nil {
 		log.Fatal(err)
 	}

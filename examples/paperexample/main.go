@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 	if err := inst.Finalize(); err != nil {
 		log.Fatal(err)
 	}
-	sol, stats, err := celf.LazyGreedyObserved(inst, celf.UC, tracePrinter{})
+	sol, stats, err := celf.LazyGreedy(context.Background(), inst, celf.UC, tracePrinter{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func main() {
 		}
 		fmt.Printf("%-12.1f", budget)
 		for _, s := range solvers {
-			sol, err := s.Solve(inst)
+			sol, err := s.Solve(context.Background(), inst)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -107,10 +108,14 @@ func main() {
 	fmt.Printf("camera roll: %d photos, %s; %d auto-derived albums\n",
 		len(photos), metrics.FormatBytes(total), len(ds.Instance.Subsets))
 
-	res, err := phocus.Solve(ds, phocus.SolveOptions{
-		Budget:   0.3 * total,
-		Retained: retained,
-	})
+	// The pinned documents are the instance's retained set S0.
+	ds.Instance.Retained = retained
+	ctx := context.Background()
+	prep, err := phocus.Prepare(ctx, ds, phocus.PrepareOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := prep.Run(ctx, phocus.RunOptions{Budget: 0.3 * total})
 	if err != nil {
 		log.Fatal(err)
 	}

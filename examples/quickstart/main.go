@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -49,11 +50,16 @@ func main() {
 	total := ds.Instance.TotalCost()
 	fmt.Printf("archive: %d photos, %s total\n", len(photos), metrics.FormatBytes(total))
 
-	// Keep only 25% of the bytes; photo 0 must stay (policy requirement).
-	res, err := phocus.Solve(ds, phocus.SolveOptions{
-		Budget:   0.25 * total,
-		Retained: []par.PhotoID{0},
-	})
+	// Photo 0 must stay (policy requirement): it joins the instance's
+	// retained set S0. Prepare once, then Run with a budget of 25% of the
+	// bytes.
+	ds.Instance.Retained = []par.PhotoID{0}
+	ctx := context.Background()
+	prep, err := phocus.Prepare(ctx, ds, phocus.PrepareOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := prep.Run(ctx, phocus.RunOptions{Budget: 0.25 * total})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,10 +4,13 @@
 // ignores similarity altogether; Greedy-NCS uses a single non-contextual
 // similarity for all subsets). The greedy baselines SELECT with their
 // surrogate objective but are always EVALUATED with the true objective —
-// exactly the experimental protocol of the paper.
+// exactly the experimental protocol of the paper. Every baseline polls its
+// context once per selection (RAND-D once per deletion) and returns the
+// context's error once it is done.
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -26,12 +29,15 @@ type RandAdd struct {
 func (r *RandAdd) Name() string { return "RAND-A" }
 
 // Solve implements par.Solver.
-func (r *RandAdd) Solve(inst *par.Instance) (par.Solution, error) {
+func (r *RandAdd) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
 	rng := rand.New(rand.NewSource(r.Seed))
 	e := par.NewEvaluator(inst)
 	e.Seed()
 	perm := rng.Perm(inst.NumPhotos())
 	for _, p := range perm {
+		if err := ctx.Err(); err != nil {
+			return par.Solution{}, err
+		}
 		id := par.PhotoID(p)
 		if e.Contains(id) {
 			continue
@@ -54,7 +60,7 @@ type RandDelete struct {
 func (r *RandDelete) Name() string { return "RAND-D" }
 
 // Solve implements par.Solver.
-func (r *RandDelete) Solve(inst *par.Instance) (par.Solution, error) {
+func (r *RandDelete) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
 	rng := rand.New(rand.NewSource(r.Seed))
 	n := inst.NumPhotos()
 	kept := make([]bool, n)
@@ -74,6 +80,9 @@ func (r *RandDelete) Solve(inst *par.Instance) (par.Solution, error) {
 	// with par.Instance.Feasible.
 	slack := 1e-9 * (1 + inst.Budget)
 	for _, p := range order {
+		if err := ctx.Err(); err != nil {
+			return par.Solution{}, err
+		}
 		if cost <= inst.Budget+slack {
 			break
 		}
@@ -110,12 +119,12 @@ type SurrogateGreedy struct {
 func (s *SurrogateGreedy) Name() string { return s.BaselineName }
 
 // Solve implements par.Solver.
-func (s *SurrogateGreedy) Solve(inst *par.Instance) (par.Solution, error) {
+func (s *SurrogateGreedy) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
 	sur, err := s.Surrogate(inst)
 	if err != nil {
 		return par.Solution{}, fmt.Errorf("baselines: building %s surrogate: %w", s.BaselineName, err)
 	}
-	sol, _, err := celf.LazyGreedy(sur, celf.UC)
+	sol, _, err := celf.LazyGreedy(ctx, sur, celf.UC, nil)
 	if err != nil {
 		return par.Solution{}, err
 	}

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,7 +16,7 @@ func TestRandAddFeasible(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		inst := par.Random(rng, par.RandomConfig{Photos: 15, Subsets: 7, BudgetFrac: 0.3, RetainFrac: 0.1})
 		r := RandAdd{Seed: int64(trial)}
-		sol, err := r.Solve(inst)
+		sol, err := r.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,8 +33,8 @@ func TestRandAddDeterministicPerSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	inst := par.Random(rng, par.RandomConfig{Photos: 20, Subsets: 8, BudgetFrac: 0.3})
 	a := RandAdd{Seed: 99}
-	s1, _ := a.Solve(inst)
-	s2, _ := a.Solve(inst)
+	s1, _ := a.Solve(context.Background(), inst)
+	s2, _ := a.Solve(context.Background(), inst)
 	if len(s1.Photos) != len(s2.Photos) {
 		t.Fatal("RAND-A not deterministic for fixed seed")
 	}
@@ -49,7 +50,7 @@ func TestRandDeleteFeasible(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		inst := par.Random(rng, par.RandomConfig{Photos: 15, Subsets: 7, BudgetFrac: 0.4, RetainFrac: 0.1})
 		r := RandDelete{Seed: int64(trial)}
-		sol, err := r.Solve(inst)
+		sol, err := r.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestRandDeleteFeasible(t *testing.T) {
 func TestRandDeleteKeepsEverythingUnderLargeBudget(t *testing.T) {
 	inst := par.Figure1Instance() // budget = total cost
 	r := RandDelete{Seed: 4}
-	sol, err := r.Solve(inst)
+	sol, err := r.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestGreedyNRIgnoresSimilarity(t *testing.T) {
 		t.Fatal(err)
 	}
 	nr := NewGreedyNR()
-	sol, err := nr.Solve(inst)
+	sol, err := nr.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestGreedyNCSUsesGlobalSim(t *testing.T) {
 		}
 		return 0
 	})
-	sol, err := ncs.Solve(inst)
+	sol, err := ncs.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestGreedyNCSUsesGlobalSim(t *testing.T) {
 	}
 	// PHOcus (true contextual sim) prefers a photo of subset a: score 2.
 	var ph celf.Solver
-	psol, err := ph.Solve(inst)
+	psol, err := ph.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +189,12 @@ func TestBaselineProtocolQuick(t *testing.T) {
 			NewGreedyNCS(global),
 		}
 		var ph celf.Solver
-		psol, err := ph.Solve(inst)
+		psol, err := ph.Solve(context.Background(), inst)
 		if err != nil {
 			return false
 		}
 		for _, s := range solvers {
-			sol, err := s.Solve(inst)
+			sol, err := s.Solve(context.Background(), inst)
 			if err != nil {
 				return false
 			}

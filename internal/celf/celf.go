@@ -74,10 +74,6 @@ type Solver struct {
 	// 1 the passes run concurrently and their events are buffered and
 	// replayed in that order after both finish).
 	Observer Observer
-	// OnStats, when non-nil, is called with the run's Stats at the end of
-	// every successful Solve — the instrumentation hook phocus-server uses
-	// to feed its metrics registry without global state.
-	OnStats func(Stats)
 	// Workers bounds the solver's parallelism. Values ≤ 0 mean one worker
 	// per CPU (runtime.GOMAXPROCS(0)); 1 runs UC and then CB on the calling
 	// goroutine. From 2 up the UC and CB sub-procedures run concurrently,
@@ -139,14 +135,9 @@ func (ps *passScratch) evaluator(inst *par.Instance) *par.Evaluator {
 func (s *Solver) Name() string { return "PHOcus" }
 
 // Solve runs both lazy-greedy variants and returns the better solution.
-func (s *Solver) Solve(inst *par.Instance) (par.Solution, error) {
-	return s.SolveContext(context.Background(), inst)
-}
-
-// SolveContext is Solve with cooperative cancellation: both sub-procedures
-// check ctx at every priority-queue round, so a canceled context stops the
-// solve within one gain evaluation. It implements par.ContextSolver.
-func (s *Solver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solution, error) {
+// Both sub-procedures check ctx at every priority-queue round, so a canceled
+// context stops the solve within one gain evaluation.
+func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
 	start := time.Now()
 	workers := pool.Resolve(s.Workers)
 	sc := s.Scratch
@@ -199,9 +190,6 @@ func (s *Solver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solu
 	if s.Scratch == nil {
 		// The solution aliases the throwaway scratch; detach it.
 		best.Photos = append([]par.PhotoID(nil), best.Photos...)
-	}
-	if s.OnStats != nil {
-		s.OnStats(s.LastStats)
 	}
 	return best, nil
 }
@@ -256,9 +244,9 @@ func S0Gains(inst *par.Instance, workers int) []float64 {
 	return gains
 }
 
-// Observer receives the lazy-greedy events of one LazyGreedyObserved run,
-// in order. It exists for demonstrations (the Figure 3 walkthrough) and
-// debugging; the zero-overhead path is LazyGreedy.
+// Observer receives the lazy-greedy events of one LazyGreedy run, in order.
+// It exists for demonstrations (the Figure 3 walkthrough) and debugging; a
+// nil Observer costs nothing.
 type Observer interface {
 	// Recomputed fires when a stale priority-queue entry gets its marginal
 	// gain recomputed against the current solution (curr_p ← true).
@@ -268,15 +256,11 @@ type Observer interface {
 }
 
 // LazyGreedy is Algorithm 2: one lazy-greedy pass with the given ranking
-// rule. The instance must be finalized.
-func LazyGreedy(inst *par.Instance, variant Variant) (par.Solution, Stats, error) {
-	return LazyGreedyObserved(inst, variant, nil)
-}
-
-// LazyGreedyObserved is LazyGreedy with an optional event observer.
-func LazyGreedyObserved(inst *par.Instance, variant Variant, obs Observer) (par.Solution, Stats, error) {
+// rule, reporting its events to obs when non-nil. It checks ctx at every
+// priority-queue round. The instance must be finalized.
+func LazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, obs Observer) (par.Solution, Stats, error) {
 	var ps passScratch
-	sol, stats, err := lazyGreedy(context.Background(), inst, variant, nil, obs, &ps)
+	sol, stats, err := lazyGreedy(ctx, inst, variant, nil, obs, &ps)
 	if err != nil {
 		return sol, stats, err
 	}

@@ -1,6 +1,7 @@
 package celf
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func TestFigure3TraceUC(t *testing.T) {
 	if err := inst.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	sol, stats, err := LazyGreedy(inst, UC)
+	sol, stats, err := LazyGreedy(context.Background(), inst, UC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestFigure3TraceUC(t *testing.T) {
 
 func TestFullBudgetKeepsEverything(t *testing.T) {
 	inst := par.Figure1Instance() // budget = total cost
-	sol, _, err := LazyGreedy(inst, UC)
+	sol, _, err := LazyGreedy(context.Background(), inst, UC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestRetainedAlwaysIncluded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []Variant{UC, CB} {
-		sol, _, err := LazyGreedy(inst, v)
+		sol, _, err := LazyGreedy(context.Background(), inst, v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,16 +86,16 @@ func TestSolverPicksBetterVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		inst := par.Random(rng, par.RandomConfig{Photos: 25, Subsets: 12, BudgetFrac: 0.25})
-		ucSol, _, err := LazyGreedy(inst, UC)
+		ucSol, _, err := LazyGreedy(context.Background(), inst, UC, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cbSol, _, err := LazyGreedy(inst, CB)
+		cbSol, _, err := LazyGreedy(context.Background(), inst, CB, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var s Solver
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestLazyMatchesEagerQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		inst := par.Random(rng, par.RandomConfig{Photos: 18, Subsets: 9, BudgetFrac: 0.3})
 		for _, v := range []Variant{UC, CB} {
-			lazy, _, err := LazyGreedy(inst, v)
+			lazy, _, err := LazyGreedy(context.Background(), inst, v, nil)
 			if err != nil {
 				return false
 			}
@@ -166,11 +167,11 @@ func TestLazyGreedyKernelSelectionInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range []Variant{UC, CB} {
-			cmp, cmpStats, err := LazyGreedy(inst, v)
+			cmp, cmpStats, err := LazyGreedy(context.Background(), inst, v, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			att, attStats, err := LazyGreedy(twin, v)
+			att, attStats, err := LazyGreedy(context.Background(), twin, v, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +200,7 @@ func TestLazyGreedyKernelSelectionInvariant(t *testing.T) {
 func TestLazySavesGainEvals(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inst := par.Random(rng, par.RandomConfig{Photos: 200, Subsets: 80, BudgetFrac: 0.3})
-	_, lazyStats, err := LazyGreedy(inst, CB)
+	_, lazyStats, err := LazyGreedy(context.Background(), inst, CB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestSolutionsFeasibleAndScoredQuick(t *testing.T) {
 			Photos: 20, Subsets: 10, BudgetFrac: 0.2 + 0.6*rng.Float64(), RetainFrac: 0.1,
 		})
 		for _, v := range []Variant{UC, CB} {
-			sol, _, err := LazyGreedy(inst, v)
+			sol, _, err := LazyGreedy(context.Background(), inst, v, nil)
 			if err != nil {
 				return false
 			}
@@ -249,7 +250,7 @@ func TestUniformCostGuarantee(t *testing.T) {
 			Photos: 15, Subsets: 8, UniformCost: true, BudgetFrac: 0.4,
 		})
 		var s Solver
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +269,7 @@ func TestOnlineBoundUpperBoundsOPT(t *testing.T) {
 		inst := par.Random(rng, par.RandomConfig{Photos: 10, Subsets: 6, BudgetFrac: 0.35})
 		opt := bruteForceScore(inst)
 		var s Solver
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +290,7 @@ func TestOnlineBoundEmptyInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Solver
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

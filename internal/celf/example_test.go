@@ -1,6 +1,7 @@
 package celf_test
 
 import (
+	"context"
 	"fmt"
 
 	"phocus/internal/celf"
@@ -16,7 +17,7 @@ func ExampleSolver() {
 		panic(err)
 	}
 	var s celf.Solver
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		panic(err)
 	}

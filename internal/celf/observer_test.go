@@ -1,6 +1,7 @@
 package celf
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func (r *recordingObserver) selections() []string {
 func TestObserverFigure3FullBudget(t *testing.T) {
 	inst := par.Figure1Instance() // budget 8.1 fits everything
 	var rec recordingObserver
-	if _, _, err := LazyGreedyObserved(inst, UC, &rec); err != nil {
+	if _, _, err := LazyGreedy(context.Background(), inst, UC, &rec); err != nil {
 		t.Fatal(err)
 	}
 	// Initial phase: 7 recomputations (every entry starts at ∞), then p1.
@@ -88,7 +89,7 @@ func TestObserverBudgetedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec recordingObserver
-	sol, _, err := LazyGreedyObserved(inst, UC, &rec)
+	sol, _, err := LazyGreedy(context.Background(), inst, UC, &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestObserverBudgetedTrace(t *testing.T) {
 
 func TestObserverNilSafe(t *testing.T) {
 	inst := par.Figure1Instance()
-	if _, _, err := LazyGreedyObserved(inst, CB, nil); err != nil {
+	if _, _, err := LazyGreedy(context.Background(), inst, CB, nil); err != nil {
 		t.Fatal(err)
 	}
 }

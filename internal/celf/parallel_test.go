@@ -1,6 +1,7 @@
 package celf
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -32,14 +33,14 @@ func TestSolverWorkersEquivalence(t *testing.T) {
 		})
 		var seqLog selectionLog
 		seq := Solver{Workers: 1, Observer: &seqLog}
-		seqSol, err := seq.Solve(inst)
+		seqSol, err := seq.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
 			var log selectionLog
 			s := Solver{Workers: workers, Observer: &log}
-			sol, err := s.Solve(inst)
+			sol, err := s.Solve(context.Background(), inst)
 			if err != nil {
 				t.Fatal(err)
 			}

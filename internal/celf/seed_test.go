@@ -32,12 +32,12 @@ func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, s0 []floa
 	t.Helper()
 	var plainLog, seededLog eventLog
 	ps := Solver{Workers: workers, Observer: &plainLog}
-	want, err := ps.Solve(inst)
+	want, err := ps.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("%s: unseeded: %v", label, err)
 	}
 	ss := Solver{Workers: workers, Observer: &seededLog, S0Gains: s0, Scratch: &Scratch{}}
-	got, err := ss.Solve(inst)
+	got, err := ss.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("%s: seeded: %v", label, err)
 	}
@@ -159,7 +159,7 @@ func TestS0GainsWorkers(t *testing.T) {
 func TestSolverRejectsMismatchedS0Gains(t *testing.T) {
 	inst := par.Figure1Instance()
 	s := Solver{Workers: 1, S0Gains: make([]float64, inst.NumPhotos()+1)}
-	if _, err := s.Solve(inst); err == nil {
+	if _, err := s.Solve(context.Background(), inst); err == nil {
 		t.Fatal("solve with S0 gains of the wrong length succeeded")
 	}
 }

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -114,7 +115,7 @@ func TestCompressionHelpsAtTightBudgets(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		inst := par.Random(rng, par.RandomConfig{Photos: 30, Subsets: 15, BudgetFrac: 0.15, SimDensity: 0.7})
 		var plain celf.Solver
-		base, err := plain.Solve(inst)
+		base, err := plain.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestCompressionHelpsAtTightBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 		var comp celf.Solver
-		csol, err := comp.Solve(ex.Instance)
+		csol, err := comp.Solve(context.Background(), ex.Instance)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestExpandKeepsRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s celf.Solver
-	sol, err := s.Solve(ex.Instance)
+	sol, err := s.Solve(context.Background(), ex.Instance)
 	if err != nil {
 		t.Fatal(err)
 	}

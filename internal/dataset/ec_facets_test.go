@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -69,19 +70,19 @@ func TestECAlgorithmSeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var phs celf.Solver
-	ph, err := phs.Solve(inst)
+	ph, err := phs.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncs, err := baselines.NewGreedyNCS(ds.GlobalSim).Solve(inst)
+	ncs, err := baselines.NewGreedyNCS(ds.GlobalSim).Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nr, err := baselines.NewGreedyNR().Solve(inst)
+	nr, err := baselines.NewGreedyNR().Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rand, err := (&baselines.RandAdd{Seed: 5}).Solve(inst)
+	rand, err := (&baselines.RandAdd{Seed: 5}).Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,7 @@ func TestMaintainedQuality(t *testing.T) {
 			}
 		}
 		var solver celf.Solver
-		oracle, err := solver.Solve(inst)
+		oracle, err := solver.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestPeriodicResolveRestoresOracleQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	var solver celf.Solver
-	oracle, err := solver.Solve(inst)
+	oracle, err := solver.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,6 @@ type Solver struct {
 	// MaxNodes, when positive, aborts the search after expanding that many
 	// search-tree nodes, guarding benchmarks against pathological inputs.
 	MaxNodes int64
-	// OnStats, when non-nil, is called with the run's Stats at the end of
-	// every successful Solve — the instrumentation hook mirroring
-	// celf.Solver.OnStats for callers that construct the solver indirectly
-	// (the staged engine in internal/phocus).
-	OnStats func(Stats)
 	// LastStats is populated by each Solve call.
 	LastStats Stats
 }
@@ -45,16 +40,11 @@ var ErrNodeLimit = fmt.Errorf("exact: node limit reached before proving optimali
 // Name implements par.Solver.
 func (s *Solver) Name() string { return "Brute-Force" }
 
-// Solve returns an optimal solution. The instance must be finalized.
-func (s *Solver) Solve(inst *par.Instance) (par.Solution, error) {
-	return s.SolveContext(context.Background(), inst)
-}
-
-// SolveContext is Solve with cooperative cancellation: the context is
-// checked once per expanded search-tree node, so a canceled context stops
-// the branch-and-bound within one node expansion and the context's error is
-// returned unwrapped. It implements par.ContextSolver.
-func (s *Solver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solution, error) {
+// Solve returns an optimal solution. The instance must be finalized. The
+// context is checked once per expanded search-tree node, so a canceled
+// context stops the branch-and-bound within one node expansion and the
+// context's error is returned unwrapped.
+func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
 	start := time.Now()
 	s.LastStats = Stats{}
 
@@ -82,9 +72,6 @@ func (s *Solver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solu
 	s.LastStats = Stats{Nodes: b.nodes, Pruned: b.pruned, Elapsed: time.Since(start)}
 	if err != nil {
 		return par.Solution{}, err
-	}
-	if s.OnStats != nil {
-		s.OnStats(s.LastStats)
 	}
 	return b.incumbent, nil
 }

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -38,7 +39,7 @@ func TestSolveMatchesEnumerationQuick(t *testing.T) {
 			Photos: 10, Subsets: 5, BudgetFrac: 0.2 + 0.5*rng.Float64(), RetainFrac: 0.1,
 		})
 		var s Solver
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			return false
 		}
@@ -59,7 +60,7 @@ func TestSolveFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Solver
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestRetainedHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Solver
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestNodeLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	inst := par.Random(rng, par.RandomConfig{Photos: 30, Subsets: 15, BudgetFrac: 0.5})
 	s := Solver{MaxNodes: 5}
-	_, err := s.Solve(inst)
+	_, err := s.Solve(context.Background(), inst)
 	if !errors.Is(err, ErrNodeLimit) {
 		t.Fatalf("Solve error = %v, want ErrNodeLimit", err)
 	}
@@ -117,7 +118,7 @@ func TestPruningHappens(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	inst := par.Random(rng, par.RandomConfig{Photos: 14, Subsets: 7, BudgetFrac: 0.3})
 	var s Solver
-	if _, err := s.Solve(inst); err != nil {
+	if _, err := s.Solve(context.Background(), inst); err != nil {
 		t.Fatal(err)
 	}
 	if s.LastStats.Nodes >= 1<<14 {

@@ -43,7 +43,7 @@ func Caching(cfg Config, w io.Writer) error {
 			return err
 		}
 		solver := phocus.PipelineSolver{Workers: cfg.Workers}
-		sol, err := solver.Solve(inst)
+		sol, err := solver.Solve(cfg.ctx(), inst)
 		if err != nil {
 			return err
 		}

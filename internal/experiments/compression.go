@@ -30,7 +30,7 @@ func Compression(cfg Config, w io.Writer) error {
 		}
 		fig.XTicks = append(fig.XTicks, metrics.FormatBytes(frac*total))
 		s1 := phocus.PipelineSolver{Workers: cfg.Workers}
-		base, err := s1.Solve(inst)
+		base, err := s1.Solve(cfg.ctx(), inst)
 		if err != nil {
 			return err
 		}
@@ -39,7 +39,7 @@ func Compression(cfg Config, w io.Writer) error {
 			return err
 		}
 		s2 := phocus.PipelineSolver{Workers: cfg.Workers}
-		csol, err := s2.Solve(ex.Instance)
+		csol, err := s2.Solve(cfg.ctx(), ex.Instance)
 		if err != nil {
 			return err
 		}

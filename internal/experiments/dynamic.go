@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -87,7 +88,7 @@ func Dynamic(cfg Config, w io.Writer) error {
 		if !checkpoints[i+1] {
 			return nil
 		}
-		oracle, err := solveRevealed(inst, revealed)
+		oracle, err := solveRevealed(ctx, inst, revealed)
 		if err != nil {
 			return err
 		}
@@ -127,7 +128,7 @@ func Dynamic(cfg Config, w io.Writer) error {
 // solveRevealed runs CELF over the revealed prefix of the archive (same
 // restriction the maintainer's own re-solve uses, built independently here
 // to serve as the oracle).
-func solveRevealed(inst *par.Instance, revealed []bool) (float64, error) {
+func solveRevealed(ctx context.Context, inst *par.Instance, revealed []bool) (float64, error) {
 	cost := make([]float64, inst.NumPhotos())
 	copy(cost, inst.Cost)
 	for p := range cost {
@@ -169,7 +170,7 @@ func solveRevealed(inst *par.Instance, revealed []bool) (float64, error) {
 		return 0, err
 	}
 	var solver phocus.PipelineSolver
-	sol, err := solver.Solve(sub)
+	sol, err := solver.Solve(ctx, sub)
 	if err != nil {
 		return 0, err
 	}

@@ -168,7 +168,7 @@ func qualityFigure(cfg Config, ds *dataset.Dataset, title string) (*metrics.Figu
 		}
 		for _, s := range baseline {
 			start := time.Now()
-			sol, err := s.Solve(inst)
+			sol, err := s.Solve(cfg.ctx(), inst)
 			if err != nil {
 				return nil, fmt.Errorf("%s at %.0f%%: %w", s.Name(), 100*frac, err)
 			}

@@ -48,7 +48,7 @@ func SmallBudget(cfg Config, w io.Writer) error {
 		}),
 		baselines.NewGreedyNR(),
 	} {
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(cfg.ctx(), inst)
 		if err != nil {
 			return err
 		}
@@ -181,13 +181,13 @@ func Ablations(cfg Config, w io.Writer) error {
 		})
 		var stats celf.Stats
 		s := phocus.PipelineSolver{OnCELFStats: func(st celf.Stats) { stats = st }}
-		if _, err := s.Solve(inst); err != nil {
+		if _, err := s.Solve(cfg.ctx(), inst); err != nil {
 			return err
 		}
 		if stats.Winner == celf.CB {
 			cbWins++
 		}
-		_, lazyStats, err := celf.LazyGreedy(inst, celf.CB)
+		_, lazyStats, err := celf.LazyGreedy(cfg.ctx(), inst, celf.CB, nil)
 		if err != nil {
 			return err
 		}

@@ -36,9 +36,8 @@ func Scaling(cfg Config, w io.Writer) error {
 		cfg.logf("  generated in %v", time.Since(genStart).Round(time.Millisecond))
 		budget := 0.1 * ds.Instance.TotalCost()
 
-		sp, err := phocus.SolveContext(cfg.ctx(), ds, phocus.SolveOptions{
-			Budget: budget, Tau: cfg.Tau, UseLSH: true, Seed: cfg.Seed + 61, SkipBound: true,
-			Workers: cfg.Workers,
+		sp, err := solveOnce(cfg, ds, budget, phocus.PrepareOptions{
+			Tau: cfg.Tau, UseLSH: true, Seed: cfg.Seed + 61, Workers: cfg.Workers,
 		})
 		if err != nil {
 			return err
@@ -51,7 +50,7 @@ func Scaling(cfg Config, w io.Writer) error {
 		// the paper reports for PHOcus-NS on its larger datasets.
 		nsCell, speedupCell := "-", "-"
 		if ds.Instance.NumPhotos() <= 30_000 {
-			ns, err := phocus.SolveContext(cfg.ctx(), ds, phocus.SolveOptions{Budget: budget, SkipBound: true, Workers: cfg.Workers})
+			ns, err := solveOnce(cfg, ds, budget, phocus.PrepareOptions{Workers: cfg.Workers})
 			if err != nil {
 				return err
 			}
@@ -145,4 +144,14 @@ func Variance(cfg Config, w io.Writer) error {
 		fmt.Fprintln(w, "shape: VIOLATION — ranking unstable across seeds")
 	}
 	return nil
+}
+
+// solveOnce prepares ds with opts and runs CELF once at budget without the
+// online bound; the Result's PrepTime and SolveTime time the two stages.
+func solveOnce(cfg Config, ds *dataset.Dataset, budget float64, opts phocus.PrepareOptions) (*phocus.Result, error) {
+	p, err := phocus.Prepare(cfg.ctx(), ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true, Workers: cfg.Workers})
 }

@@ -29,12 +29,12 @@ func Streaming(cfg Config, w io.Writer) error {
 		}
 		fig.XTicks = append(fig.XTicks, metrics.FormatBytes(frac*total))
 		var ss streaming.Solver
-		ssol, err := ss.Solve(inst)
+		ssol, err := ss.Solve(cfg.ctx(), inst)
 		if err != nil {
 			return err
 		}
 		cs := phocus.PipelineSolver{Workers: cfg.Workers}
-		csol, err := cs.Solve(inst)
+		csol, err := cs.Solve(cfg.ctx(), inst)
 		if err != nil {
 			return err
 		}

@@ -22,7 +22,7 @@ import (
 
 // Runner executes one job attempt: it interprets the job's Params and Body
 // and returns the result payload. A Runner must honor ctx cancellation
-// promptly (phocus-server's runner routes it into par.ContextSolver, so a
+// promptly (phocus-server's runner routes it into par.Solver's ctx, so a
 // cancel stops the solve mid-run). Errors wrapped with MarkTransient are
 // retried with backoff; all others fail the job.
 type Runner func(ctx context.Context, job Job) ([]byte, error)

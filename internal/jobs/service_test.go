@@ -299,6 +299,11 @@ func TestServiceBurstAdmission(t *testing.T) {
 	if got := runs.Load(); got != int64(len(admitted)) {
 		t.Fatalf("runner ran %d times for %d admitted jobs", got, len(admitted))
 	}
+	// A worker publishes a job's done state before it counts the job as
+	// completed; Close returns once every worker has finished.
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	reg := s.Metrics()
 	if got := reg.Counter("phocus_jobs_rejected_total").Value(); got != int64(rejected) {
 		t.Errorf("rejected counter %d, want %d", got, rejected)

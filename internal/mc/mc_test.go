@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -141,7 +142,7 @@ func TestReductionQuick(t *testing.T) {
 		}
 		// Approximation transfer.
 		var s celf.Solver
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			return false
 		}

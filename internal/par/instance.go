@@ -132,7 +132,7 @@ var ErrRetainedOverBudget = errors.New("par: retained set S0 exceeds the budget"
 type overBudgetError struct{ cost, budget float64 }
 
 func (e *overBudgetError) Error() string {
-	return fmt.Sprintf("par: retained set S0 costs %.0f bytes, exceeding budget %.0f", e.cost, e.budget)
+	return fmt.Sprintf("par: retained set S0 costs %g bytes, exceeding budget %g", e.cost, e.budget)
 }
 
 func (e *overBudgetError) Unwrap() error { return ErrRetainedOverBudget }

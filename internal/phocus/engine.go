@@ -4,8 +4,8 @@
 // *Prepared; Run covers the Solver stage (solve + true-objective rescore +
 // online bound) and may be called many times — with different budgets,
 // algorithms and worker counts — against one Prepared. Every solve path in
-// the repository (CLI, server, bench, experiments) goes through this engine;
-// phocus.Solve is the one-shot convenience wrapper.
+// the repository (CLI, server, bench, experiments, examples) goes through
+// this engine, and Prepare + Run is its only entry.
 package phocus
 
 import (
@@ -38,9 +38,6 @@ var ErrNoCtxVectors = errors.New("phocus: LSH sparsification requires per-subset
 
 // PrepareOptions configures the Data Representation stage.
 type PrepareOptions struct {
-	// Retained overrides the instance's S0 when non-nil (an empty non-nil
-	// slice clears it); nil inherits the instance's own retained set.
-	Retained []par.PhotoID
 	// Tau enables τ-sparsification when positive.
 	Tau float64
 	// UseLSH selects SimHash candidate generation for the sparsification;
@@ -75,12 +72,10 @@ type RunOptions struct {
 	Workers int
 	// ExactMaxNodes caps the branch-and-bound search (0 = unlimited).
 	ExactMaxNodes int64
-	// SviridenkoDepth is the enumeration depth D (0 = the canonical 3).
-	SviridenkoDepth int
 	// Observer receives the CELF lazy-greedy event stream.
 	Observer celf.Observer
 	// OnCELFStats / OnSviridenkoStats / OnExactStats receive the solver's
-	// work report at the end of a successful run of the matching algorithm.
+	// LastStats at the end of a successful run of the matching algorithm.
 	OnCELFStats       func(celf.Stats)
 	OnSviridenkoStats func(sviridenko.Stats)
 	OnExactStats      func(exact.Stats)
@@ -158,22 +153,19 @@ type Prepared struct {
 // Prepare runs the Data Representation stage on a dataset: it finalizes a
 // budget-free view of the instance and, when opts.Tau > 0, τ-sparsifies the
 // similarity structure (exact all-pairs, or SimHash candidates when
-// opts.UseLSH and the dataset carries CtxVectors).
+// opts.UseLSH and the dataset carries CtxVectors). S0 is the instance's own
+// retained set.
 func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	inst := ds.Instance
-	retained := inst.Retained
-	if opts.Retained != nil {
-		retained = opts.Retained
-	}
 	// The base view carries budget = total cost so every retained set
 	// finalizes; Run re-finalizes against the requested budget.
 	base := &par.Instance{
 		Cost:     inst.Cost,
-		Retained: retained,
+		Retained: inst.Retained,
 		Budget:   inst.TotalCost(),
 		Subsets:  inst.Subsets,
 	}
@@ -266,9 +258,9 @@ func (p *Prepared) kernelBytesLocked() int64 {
 // Fingerprint returns the content fingerprint identifying this Prepared: a
 // sha256 over the instance bytes (opts.InstanceDigest when supplied,
 // InstanceDigest of the base instance otherwise) combined with the
-// preparation parameters (tau, lsh, seed, retained override). Two Prepare
-// calls with equal fingerprints produce interchangeable Prepared values;
-// the run budget is deliberately excluded so budget sweeps share one entry.
+// preparation parameters (tau, lsh, seed). Two Prepare calls with equal
+// fingerprints produce interchangeable Prepared values; the run budget is
+// deliberately excluded so budget sweeps share one entry.
 // Each ApplyDelta evolves the fingerprint (see delta.go), so a post-churn
 // Prepared never answers for its pre-churn cache key.
 func (p *Prepared) Fingerprint() (string, error) {
@@ -328,17 +320,10 @@ func FingerprintFor(digest string, opts PrepareOptions) string {
 	}
 	binary.LittleEndian.PutUint64(buf[:], uint64(opts.Seed))
 	h.Write(buf[:])
-	if opts.Retained == nil {
-		h.Write([]byte{0})
-	} else {
-		h.Write([]byte{1})
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(opts.Retained)))
-		h.Write(buf[:])
-		for _, id := range opts.Retained {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(id))
-			h.Write(buf[:4])
-		}
-	}
+	// A constant byte, so every fingerprint (and the snapshot file named
+	// after it) stays stable across versions; S0 is part of the digested
+	// instance.
+	h.Write([]byte{0})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -397,7 +382,7 @@ func (p *Prepared) s0GainsFor(ctx context.Context, solveInst *par.Instance, work
 // Run executes the Solver stage against the prepared instance: solve under
 // the requested budget (on the sparsified structure when the Prepared has
 // one), rescore under the true objective, and compute the online bound.
-// Cancellation propagates into the solver through par.ContextSolver, so a
+// Cancellation propagates into the solver through par.Solver's ctx, so a
 // canceled ctx stops the solve mid-run and Run returns the context's error.
 // Run holds the Prepared's read lock for its full duration: concurrent Runs
 // proceed freely, while an ApplyDelta waits for them to drain. It is a thin
@@ -471,24 +456,32 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 		sc.solver = celf.Solver{
 			Workers:  opts.Workers,
 			Observer: opts.Observer,
-			OnStats:  opts.OnCELFStats,
 			Scratch:  &sc.celf,
 			S0Gains:  s0,
 		}
 		res.Algorithm = sc.solver.Name()
-		sol, err = sc.solver.SolveContext(ctx, solveInst)
+		sol, err = sc.solver.Solve(ctx, solveInst)
+		if err == nil && opts.OnCELFStats != nil {
+			opts.OnCELFStats(sc.solver.LastStats)
+		}
 	case AlgoSviridenko:
-		s := &sviridenko.Solver{Depth: opts.SviridenkoDepth, OnStats: opts.OnSviridenkoStats}
+		s := &sviridenko.Solver{}
 		res.Algorithm = s.Name()
-		sol, err = s.SolveContext(ctx, solveInst)
+		sol, err = s.Solve(ctx, solveInst)
+		if err == nil && opts.OnSviridenkoStats != nil {
+			opts.OnSviridenkoStats(s.LastStats)
+		}
 	case AlgoExact:
-		s := &exact.Solver{MaxNodes: opts.ExactMaxNodes, OnStats: opts.OnExactStats}
+		s := &exact.Solver{MaxNodes: opts.ExactMaxNodes}
 		res.Algorithm = s.Name()
-		sol, err = s.SolveContext(ctx, solveInst)
+		sol, err = s.Solve(ctx, solveInst)
+		if err == nil && opts.OnExactStats != nil {
+			opts.OnExactStats(s.LastStats)
+		}
 	case AlgoStreaming:
 		s := &streaming.Solver{}
 		res.Algorithm = s.Name()
-		sol, err = s.SolveContext(ctx, solveInst)
+		sol, err = s.Solve(ctx, solveInst)
 	default:
 		p.scratch.Put(sc)
 		return fmt.Errorf("phocus: unknown algorithm %q", opts.Algorithm)
@@ -584,48 +577,28 @@ func simSizeBytes(subsets []par.Subset) int64 {
 // PipelineSolver adapts the staged engine to par.Solver for harnesses that
 // inject solvers generically (the user-study judge, solver comparison
 // tables): each Solve wraps the instance in a vector-less dataset and runs
-// Prepare + Run with the solve's own budget, skipping the online bound.
+// Prepare + CELF Run with the solve's own budget, skipping the online bound.
 type PipelineSolver struct {
-	// Algorithm defaults to AlgoCELF.
-	Algorithm Algorithm
-	// Tau enables exact τ-sparsification per solve when positive.
-	Tau float64
-	// Workers bounds sparsify and solver parallelism (≤ 0 = one per CPU).
+	// Workers bounds the solver's parallelism (≤ 0 = one per CPU).
 	Workers int
-	// ExactMaxNodes caps AlgoExact's branch-and-bound (0 = unlimited).
-	ExactMaxNodes int64
-	// SviridenkoDepth is AlgoSviridenko's enumeration depth (0 = 3).
-	SviridenkoDepth int
-	// OnCELFStats receives the CELF work report after each AlgoCELF solve.
+	// OnCELFStats receives the CELF work report after each solve.
 	OnCELFStats func(celf.Stats)
 }
 
-// Name implements par.Solver, reporting the underlying algorithm's name.
-func (s *PipelineSolver) Name() string { return s.Algorithm.DisplayName() }
+// Name implements par.Solver.
+func (s *PipelineSolver) Name() string { return AlgoCELF.DisplayName() }
 
-// Solve implements par.Solver.
-func (s *PipelineSolver) Solve(inst *par.Instance) (par.Solution, error) {
-	return s.SolveContext(context.Background(), inst)
-}
-
-// SolveContext implements par.ContextSolver by routing through the staged
-// engine.
-func (s *PipelineSolver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solution, error) {
-	p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, PrepareOptions{
-		Tau:     s.Tau,
-		Workers: s.Workers,
-	})
+// Solve implements par.Solver by routing through the staged engine.
+func (s *PipelineSolver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
+	p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, PrepareOptions{Workers: s.Workers})
 	if err != nil {
 		return par.Solution{}, err
 	}
 	res, err := p.Run(ctx, RunOptions{
-		Budget:          inst.Budget,
-		Algorithm:       s.Algorithm,
-		SkipBound:       true,
-		Workers:         s.Workers,
-		ExactMaxNodes:   s.ExactMaxNodes,
-		SviridenkoDepth: s.SviridenkoDepth,
-		OnCELFStats:     s.OnCELFStats,
+		Budget:      inst.Budget,
+		SkipBound:   true,
+		Workers:     s.Workers,
+		OnCELFStats: s.OnCELFStats,
 	})
 	if err != nil {
 		return par.Solution{}, err

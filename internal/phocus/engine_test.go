@@ -34,9 +34,18 @@ func sweepDataset(t *testing.T, seed int64) *dataset.Dataset {
 	return ds
 }
 
+// prepareRun is the one-shot solve: a fresh Prepare and a single Run.
+func prepareRun(ds *dataset.Dataset, popts PrepareOptions, ropts RunOptions) (*Result, error) {
+	p, err := Prepare(context.Background(), ds, popts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(context.Background(), ropts)
+}
+
 // TestPrepareRunMatchesSolve is the staged engine's equivalence guarantee:
-// preparing once and running a budget sweep yields exactly the results of
-// one-shot Solve calls at each budget — across worker counts and all three
+// preparing once and running a budget sweep yields exactly the results of a
+// fresh Prepare + Run at each budget — across worker counts and all three
 // sparsification modes (none, exact τ, LSH τ).
 func TestPrepareRunMatchesSolve(t *testing.T) {
 	ds := sweepDataset(t, 11)
@@ -63,17 +72,14 @@ func TestPrepareRunMatchesSolve(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s workers=%d budget=%.0f%%: Run: %v", mode.name, workers, 100*frac, err)
 				}
-				want, err := Solve(ds, SolveOptions{
-					Budget: budget, Tau: mode.prep.Tau, UseLSH: mode.prep.UseLSH,
-					Seed: mode.prep.Seed, Workers: workers,
-				})
+				want, err := prepareRun(ds, opts, RunOptions{Budget: budget, Workers: workers})
 				if err != nil {
-					t.Fatalf("%s workers=%d budget=%.0f%%: Solve: %v", mode.name, workers, 100*frac, err)
+					t.Fatalf("%s workers=%d budget=%.0f%%: fresh Prepare + Run: %v", mode.name, workers, 100*frac, err)
 				}
 				if got.Solution.Score != want.Solution.Score ||
 					got.OnlineBound != want.OnlineBound ||
 					len(got.Solution.Photos) != len(want.Solution.Photos) {
-					t.Fatalf("%s workers=%d budget=%.0f%%: Run %.6f/%d (bound %.6f) vs Solve %.6f/%d (bound %.6f)",
+					t.Fatalf("%s workers=%d budget=%.0f%%: Run %.6f/%d (bound %.6f) vs fresh %.6f/%d (bound %.6f)",
 						mode.name, workers, 100*frac,
 						got.Solution.Score, len(got.Solution.Photos), got.OnlineBound,
 						want.Solution.Score, len(want.Solution.Photos), want.OnlineBound)
@@ -254,7 +260,7 @@ func TestRunConcurrentSharing(t *testing.T) {
 	fracs := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	want := make([]*Result, len(fracs))
 	for i, frac := range fracs {
-		want[i], err = Solve(ds, SolveOptions{Budget: frac * total, Tau: 0.5})
+		want[i], err = prepareRun(ds, PrepareOptions{Tau: 0.5}, RunOptions{Budget: frac * total})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +274,7 @@ func TestRunConcurrentSharing(t *testing.T) {
 				return
 			}
 			if got.Solution.Score != want[i].Solution.Score {
-				errs <- errors.New("concurrent Run diverged from one-shot Solve")
+				errs <- errors.New("concurrent Run diverged from a fresh Prepare + Run")
 				return
 			}
 			errs <- nil
@@ -289,20 +295,16 @@ func TestPrepareNoCtxVectors(t *testing.T) {
 	if !errors.Is(err, ErrNoCtxVectors) {
 		t.Fatalf("Prepare err = %v, want ErrNoCtxVectors", err)
 	}
-	// The one-shot wrapper surfaces the same error.
-	if _, err := Solve(ds, SolveOptions{Tau: 0.5, UseLSH: true}); !errors.Is(err, ErrNoCtxVectors) {
-		t.Fatalf("Solve err = %v, want ErrNoCtxVectors", err)
-	}
 	// LSH without τ never sparsifies, so the missing vectors don't matter.
-	if _, err := Solve(ds, SolveOptions{UseLSH: true}); err != nil {
-		t.Fatalf("Solve with tau=0: %v", err)
+	if _, err := prepareRun(ds, PrepareOptions{UseLSH: true}, RunOptions{}); err != nil {
+		t.Fatalf("Prepare + Run with tau=0: %v", err)
 	}
 }
 
 func TestFingerprint(t *testing.T) {
 	ds := sweepDataset(t, 13)
 	ctx := context.Background()
-	fp := func(opts PrepareOptions) string {
+	fp := func(ds *dataset.Dataset, opts PrepareOptions) string {
 		t.Helper()
 		p, err := Prepare(ctx, ds, opts)
 		if err != nil {
@@ -315,30 +317,35 @@ func TestFingerprint(t *testing.T) {
 		return s
 	}
 
-	base := fp(PrepareOptions{Tau: 0.5})
+	base := fp(ds, PrepareOptions{Tau: 0.5})
 	if base == "" {
 		t.Fatal("empty fingerprint")
 	}
-	if again := fp(PrepareOptions{Tau: 0.5}); again != base {
+	if again := fp(ds, PrepareOptions{Tau: 0.5}); again != base {
 		t.Error("fingerprint not stable across Prepare calls")
 	}
 	// Budget is a Run parameter: changing it must not change the identity.
 	if err := ds.SetBudget(0.5 * ds.Instance.TotalCost()); err != nil {
 		t.Fatal(err)
 	}
-	if rebudgeted := fp(PrepareOptions{Tau: 0.5}); rebudgeted != base {
+	if rebudgeted := fp(ds, PrepareOptions{Tau: 0.5}); rebudgeted != base {
 		t.Error("fingerprint depends on the instance budget")
 	}
-	// Every preparation parameter must diverge the identity.
-	divergent := map[string]PrepareOptions{
-		"tau":      {Tau: 0.6},
-		"lsh":      {Tau: 0.5, UseLSH: true},
-		"seed":     {Tau: 0.5, UseLSH: true, Seed: 1},
-		"retained": {Tau: 0.5, Retained: []par.PhotoID{0}},
+	// Every preparation parameter, and the instance's own S0, must diverge
+	// the identity.
+	inst := ds.Instance
+	retained := &par.Instance{Cost: inst.Cost, Retained: []par.PhotoID{0}, Budget: inst.Budget, Subsets: inst.Subsets}
+	if err := retained.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	divergent := map[string]string{
+		"tau":      fp(ds, PrepareOptions{Tau: 0.6}),
+		"lsh":      fp(ds, PrepareOptions{Tau: 0.5, UseLSH: true}),
+		"seed":     fp(ds, PrepareOptions{Tau: 0.5, UseLSH: true, Seed: 1}),
+		"retained": fp(&dataset.Dataset{Instance: retained}, PrepareOptions{Tau: 0.5}),
 	}
 	seen := map[string]string{"base": base}
-	for name, opts := range divergent {
-		got := fp(opts)
+	for name, got := range divergent {
 		for other, prev := range seen {
 			if name != other && got == prev {
 				t.Errorf("options %q and %q share a fingerprint", name, other)
@@ -424,23 +431,20 @@ func TestRunUnknownAlgorithm(t *testing.T) {
 func TestPipelineSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	inst := par.Random(rng, par.RandomConfig{Photos: 18, Subsets: 8, BudgetFrac: 0.3})
-	var s par.ContextSolver = &PipelineSolver{}
+	var s par.Solver = &PipelineSolver{}
 	if s.Name() != "PHOcus" {
 		t.Errorf("Name() = %q", s.Name())
 	}
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Solve(&dataset.Dataset{Instance: inst}, SolveOptions{Budget: inst.Budget, SkipBound: true})
+	want, err := prepareRun(&dataset.Dataset{Instance: inst}, PrepareOptions{}, RunOptions{Budget: inst.Budget, SkipBound: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Score != want.Solution.Score {
 		t.Errorf("PipelineSolver %.6f vs engine %.6f", sol.Score, want.Solution.Score)
-	}
-	if (&PipelineSolver{Algorithm: AlgoExact}).Name() != "Brute-Force" {
-		t.Error("algorithm name not forwarded")
 	}
 }
 
@@ -562,7 +566,7 @@ func TestRunObserverMatchesUnseeded(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := celf.Solver{Workers: workers, Observer: &want}
-				if _, err := s.Solve(&view); err != nil {
+				if _, err := s.Solve(ctx, &view); err != nil {
 					t.Fatal(err)
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -144,7 +144,7 @@ func TestSolveDefaultKeepsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(ds, SolveOptions{})
+	res, err := prepareRun(ds, PrepareOptions{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSolveWithBudgetAndBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := ds.Instance.TotalCost() * 0.3
-	res, err := Solve(ds, SolveOptions{Budget: budget})
+	res, err := prepareRun(ds, PrepareOptions{}, RunOptions{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +199,11 @@ func TestSolveWithRetained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(ds, SolveOptions{
-		Budget:   ds.Instance.TotalCost() * 0.4,
-		Retained: []par.PhotoID{9},
-	})
+	ds.Instance.Retained = []par.PhotoID{9}
+	if err := ds.Instance.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := prepareRun(ds, PrepareOptions{}, RunOptions{Budget: ds.Instance.TotalCost() * 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,15 +232,15 @@ func TestSolveSparsifiedPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := ds.Instance.TotalCost() * 0.35
-	full, err := Solve(ds, SolveOptions{Budget: budget})
+	full, err := prepareRun(ds, PrepareOptions{}, RunOptions{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactSp, err := Solve(ds, SolveOptions{Budget: budget, Tau: 0.5})
+	exactSp, err := prepareRun(ds, PrepareOptions{Tau: 0.5}, RunOptions{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lshSp, err := Solve(ds, SolveOptions{Budget: budget, Tau: 0.5, UseLSH: true, Seed: 1})
+	lshSp, err := prepareRun(ds, PrepareOptions{Tau: 0.5, UseLSH: true, Seed: 1}, RunOptions{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestSolveAlgorithms(t *testing.T) {
 	budget := ds.Instance.TotalCost() * 0.4
 	var scores []float64
 	for _, algo := range []Algorithm{AlgoCELF, AlgoSviridenko, AlgoExact} {
-		res, err := Solve(ds, SolveOptions{Budget: budget, Algorithm: algo})
+		res, err := prepareRun(ds, PrepareOptions{}, RunOptions{Budget: budget, Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -280,7 +281,7 @@ func TestSolveAlgorithms(t *testing.T) {
 	if scores[1] < (1-1/math.E)*exactScore-1e-9 {
 		t.Errorf("sviridenko %g below guarantee of exact %g", scores[1], exactScore)
 	}
-	if _, err := Solve(ds, SolveOptions{Algorithm: "nope"}); err == nil {
+	if _, err := prepareRun(ds, PrepareOptions{}, RunOptions{Algorithm: "nope"}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }

@@ -1,10 +1,9 @@
 package phocus
 
 import (
-	"context"
+	"fmt"
 	"time"
 
-	"phocus/internal/dataset"
 	"phocus/internal/par"
 )
 
@@ -26,6 +25,18 @@ const (
 	AlgoStreaming Algorithm = "streaming"
 )
 
+// ParseAlgorithm maps an algorithm name ("celf", "sviridenko", "exact",
+// "streaming"; empty means "celf") to its Algorithm.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch a := Algorithm(name); a {
+	case "":
+		return AlgoCELF, nil
+	case AlgoCELF, AlgoSviridenko, AlgoExact, AlgoStreaming:
+		return a, nil
+	}
+	return "", fmt.Errorf("unknown algo %q: want celf, sviridenko, exact or streaming", name)
+}
+
 // DisplayName returns the algorithm's report name ("PHOcus", "Sviridenko",
 // "Brute-Force"); unknown values default to the CELF name.
 func (a Algorithm) DisplayName() string {
@@ -39,34 +50,6 @@ func (a Algorithm) DisplayName() string {
 	default:
 		return "PHOcus"
 	}
-}
-
-// SolveOptions configures a Solver run.
-type SolveOptions struct {
-	// Budget is B in bytes. Zero means "keep everything" (budget = total
-	// cost).
-	Budget float64
-	// Retained is S0 (photo IDs that must be kept).
-	Retained []par.PhotoID
-	// Algorithm defaults to AlgoCELF.
-	Algorithm Algorithm
-	// Tau enables τ-sparsification when positive.
-	Tau float64
-	// UseLSH selects SimHash candidate generation for the sparsification
-	// (requires the dataset to carry CtxVectors, which all builders and
-	// generators populate; Solve fails with ErrNoCtxVectors otherwise).
-	UseLSH bool
-	// Seed drives LSH randomness.
-	Seed int64
-	// SkipBound disables the a-posteriori online-bound computation (it
-	// costs one marginal-gain pass over all photos).
-	SkipBound bool
-	// Workers bounds the pipeline's parallelism: sparsification fans out per
-	// subset and the CELF solver runs its two sub-procedures concurrently.
-	// Values ≤ 0 mean one worker per CPU (runtime.GOMAXPROCS(0)); 1 forces
-	// the fully sequential path. Results are identical for every worker
-	// count.
-	Workers int
 }
 
 // Result is the outcome of a Solver run.
@@ -92,33 +75,4 @@ type Result struct {
 	// PrepTime covers the Data Representation stage (finalize +
 	// sparsification), SolveTime the optimization.
 	PrepTime, SolveTime time.Duration
-}
-
-// Solve runs the full pipeline of Figure 4 once on a prepared dataset: the
-// compatibility wrapper over Prepare + Run for one-shot callers. Callers
-// that solve the same dataset repeatedly (budget sweeps, per-request
-// serving) should Prepare once and Run many times instead.
-func Solve(ds *dataset.Dataset, opts SolveOptions) (*Result, error) {
-	return SolveContext(context.Background(), ds, opts)
-}
-
-// SolveContext is Solve with cooperative cancellation, forwarded into the
-// sparsifier-side stage boundaries and the solver's inner loop.
-func SolveContext(ctx context.Context, ds *dataset.Dataset, opts SolveOptions) (*Result, error) {
-	p, err := Prepare(ctx, ds, PrepareOptions{
-		Retained: opts.Retained,
-		Tau:      opts.Tau,
-		UseLSH:   opts.UseLSH,
-		Seed:     opts.Seed,
-		Workers:  opts.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(ctx, RunOptions{
-		Budget:    opts.Budget,
-		Algorithm: opts.Algorithm,
-		SkipBound: opts.SkipBound,
-		Workers:   opts.Workers,
-	})
 }

@@ -1,6 +1,7 @@
 package sparsify
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -177,12 +178,12 @@ func TestBoundHolds(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ex exact.Solver
-		origOpt, err := ex.Solve(inst)
+		origOpt, err := ex.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ex2 exact.Solver
-		tauOpt, err := ex2.Solve(res.Instance)
+		tauOpt, err := ex2.Solve(context.Background(), res.Instance)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestSparsifiedSolveQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	inst := par.Random(rng, par.RandomConfig{Photos: 60, Subsets: 25, BudgetFrac: 0.3, SimDensity: 0.8})
 	var s1 celf.Solver
-	full, err := s1.Solve(inst)
+	full, err := s1.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestSparsifiedSolveQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s2 celf.Solver
-	sparse, err := s2.Solve(res.Instance)
+	sparse, err := s2.Solve(context.Background(), res.Instance)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -103,7 +104,7 @@ func TestPinnedBeatsLRU(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	inst := par.Random(rng, par.RandomConfig{Photos: 60, Subsets: 30, BudgetFrac: 0.25})
 	var solver celf.Solver
-	sol, err := solver.Solve(inst)
+	sol, err := solver.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -122,7 +123,7 @@ func TestSolutionQualityImprovesHitRatio(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	inst := par.Random(rng, par.RandomConfig{Photos: 40, Subsets: 20, BudgetFrac: 0.3})
 	var solver celf.Solver
-	good, err := solver.Solve(inst)
+	good, err := solver.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,9 @@ import (
 	"phocus/internal/par"
 )
 
-// Solver is the sieve-streaming solver. It implements par.Solver and
-// par.ContextSolver, which is what lets the staged engine dispatch to it
-// (phocus.AlgoStreaming) as the large-instance fallback.
+// Solver is the sieve-streaming solver. It implements par.Solver, which is
+// what lets the staged engine dispatch to it (phocus.AlgoStreaming) as the
+// large-instance fallback.
 type Solver struct {
 	// Epsilon controls the OPT-guess grid density (default 0.2). Smaller
 	// values mean more sieves: better quality, more memory and time.
@@ -49,14 +49,9 @@ type Stats struct {
 func (s *Solver) Name() string { return "Sieve-Streaming" }
 
 // Solve streams the photos in ID order. The instance must be finalized.
-func (s *Solver) Solve(inst *par.Instance) (par.Solution, error) {
-	return s.SolveContext(context.Background(), inst)
-}
-
-// SolveContext is Solve with cooperative cancellation: both passes poll the
-// context once per streamed photo, so a canceled context stops the sweep
-// within one photo's work. It implements par.ContextSolver.
-func (s *Solver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solution, error) {
+// Both passes poll the context once per streamed photo, so a canceled
+// context stops the sweep within one photo's work.
+func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return par.Solution{}, err
 	}

@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,7 +26,7 @@ func TestFeasibleQuick(t *testing.T) {
 			Photos: 25, Subsets: 12, BudgetFrac: 0.1 + 0.5*rng.Float64(), RetainFrac: 0.05,
 		})
 		var s Solver
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			return false
 		}
@@ -48,12 +49,12 @@ func TestQualityVsCELF(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		inst := par.Random(rng, par.RandomConfig{Photos: 60, Subsets: 25, BudgetFrac: 0.25})
 		var ss Solver
-		stream, err := ss.Solve(inst)
+		stream, err := ss.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var cs celf.Solver
-		greedy, err := cs.Solve(inst)
+		greedy, err := cs.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +73,11 @@ func TestEpsilonControlsSieves(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inst := par.Random(rng, par.RandomConfig{Photos: 40, Subsets: 18, BudgetFrac: 0.3})
 	coarse := Solver{Epsilon: 0.5}
-	if _, err := coarse.Solve(inst); err != nil {
+	if _, err := coarse.Solve(context.Background(), inst); err != nil {
 		t.Fatal(err)
 	}
 	fine := Solver{Epsilon: 0.05}
-	if _, err := fine.Solve(inst); err != nil {
+	if _, err := fine.Solve(context.Background(), inst); err != nil {
 		t.Fatal(err)
 	}
 	if fine.LastStats.Sieves <= coarse.LastStats.Sieves {
@@ -93,7 +94,7 @@ func TestRetainedHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Solver
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestNothingFitsBeyondRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Solver
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestSingletonBackstop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Solver
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

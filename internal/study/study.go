@@ -10,6 +10,7 @@
 package study
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"time"
@@ -112,7 +113,7 @@ const ReviewOverhead = 8 * time.Minute
 func Compare(name string, inst *par.Instance, analyst Analyst) (ComparisonResult, error) {
 	start := time.Now()
 	var solver celf.Solver
-	psol, err := solver.Solve(inst)
+	psol, err := solver.Solve(context.Background(), inst)
 	if err != nil {
 		return ComparisonResult{}, err
 	}
@@ -194,11 +195,11 @@ func Judge(inst *par.Instance, a, b SolverFactory, cfg JudgmentConfig) (Judgment
 		if sub == nil {
 			continue
 		}
-		solA, err := a(sub, orig).Solve(sub)
+		solA, err := a(sub, orig).Solve(context.Background(), sub)
 		if err != nil {
 			return res, err
 		}
-		solB, err := b(sub, orig).Solve(sub)
+		solB, err := b(sub, orig).Solve(context.Background(), sub)
 		if err != nil {
 			return res, err
 		}

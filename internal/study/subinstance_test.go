@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -70,5 +71,7 @@ func TestFixedFactory(t *testing.T) {
 
 type stubSolver struct{}
 
-func (stubSolver) Name() string                              { return "stub" }
-func (stubSolver) Solve(*par.Instance) (par.Solution, error) { return par.Solution{}, nil }
+func (stubSolver) Name() string { return "stub" }
+func (stubSolver) Solve(context.Context, *par.Instance) (par.Solution, error) {
+	return par.Solution{}, nil
+}

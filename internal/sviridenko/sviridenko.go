@@ -25,10 +25,6 @@ type Solver struct {
 	// depths trade the guarantee for speed (D=1 is "greedy with best
 	// singleton backstop", already a (1−1/e)/2-approximation).
 	Depth int
-	// OnStats, when non-nil, is called with the run's Stats at the end of
-	// every Solve — the instrumentation hook phocus-server uses to feed its
-	// metrics registry without global state.
-	OnStats func(Stats)
 	// LastStats is populated by each Solve call.
 	LastStats Stats
 }
@@ -42,17 +38,11 @@ type Stats struct {
 // Name implements par.Solver.
 func (s *Solver) Name() string { return "Sviridenko" }
 
-// Solve returns a (1−1/e)-approximate solution (at Depth ≥ 3).
-func (s *Solver) Solve(inst *par.Instance) (par.Solution, error) {
-	return s.SolveContext(context.Background(), inst)
-}
-
-// SolveContext is Solve with cooperative cancellation: the context is
-// checked once per enumeration step (each seed extension and each greedy
+// Solve returns a (1−1/e)-approximate solution (at Depth ≥ 3). The context
+// is checked once per enumeration step (each seed extension and each greedy
 // selection round), so a canceled context stops the Ω(n⁴) enumeration
-// promptly and the context's error is returned unwrapped. It implements
-// par.ContextSolver.
-func (s *Solver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solution, error) {
+// promptly and the context's error is returned unwrapped.
+func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
 	start := time.Now()
 	depth := s.Depth
 	if depth <= 0 {
@@ -90,9 +80,6 @@ func (s *Solver) SolveContext(ctx context.Context, inst *par.Instance) (par.Solu
 	}
 
 	s.LastStats.Elapsed = time.Since(start)
-	if s.OnStats != nil {
-		s.OnStats(s.LastStats)
-	}
 	return best, nil
 }
 

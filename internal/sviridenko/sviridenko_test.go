@@ -1,6 +1,7 @@
 package sviridenko
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func TestFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Solver
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +44,12 @@ func TestGuaranteeQuick(t *testing.T) {
 			Photos: 9, Subsets: 5, BudgetFrac: 0.25 + 0.4*rng.Float64(),
 		})
 		var ex exact.Solver
-		opt, err := ex.Solve(inst)
+		opt, err := ex.Solve(context.Background(), inst)
 		if err != nil {
 			return false
 		}
 		s := Solver{Depth: 3}
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			return false
 		}
@@ -71,7 +72,7 @@ func TestDepthsFeasible(t *testing.T) {
 	var prev float64 = -1
 	for depth := 1; depth <= 3; depth++ {
 		s := Solver{Depth: depth}
-		sol, err := s.Solve(inst)
+		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,12 +94,12 @@ func TestDominatesCBGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 25; trial++ {
 		inst := par.Random(rng, par.RandomConfig{Photos: 12, Subsets: 6, BudgetFrac: 0.3})
-		cbSol, _, err := celf.LazyGreedy(inst, celf.CB)
+		cbSol, _, err := celf.LazyGreedy(context.Background(), inst, celf.CB, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ss Solver
-		ssol, err := ss.Solve(inst)
+		ssol, err := ss.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestRetainedHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Solver
-	sol, err := s.Solve(inst)
+	sol, err := s.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
