@@ -12,15 +12,21 @@ func TestRandAddContract(t *testing.T) {
 	// saturate even when everything would fit... except it does: with a
 	// saturating budget every photo fits and the walk adds them all. Keep
 	// the clause on.
-	solvertest.Contract(t, func() par.Solver { return &RandAdd{Seed: 7} }, solvertest.Options{Saturates: true})
+	mk := func() par.Solver { return &RandAdd{Seed: 7} }
+	solvertest.Contract(t, mk, solvertest.Options{Saturates: true})
+	solvertest.CancelContract(t, mk)
 }
 
 func TestRandDeleteContract(t *testing.T) {
-	solvertest.Contract(t, func() par.Solver { return &RandDelete{Seed: 7} }, solvertest.Options{Saturates: true})
+	mk := func() par.Solver { return &RandDelete{Seed: 7} }
+	solvertest.Contract(t, mk, solvertest.Options{Saturates: true})
+	solvertest.CancelContract(t, mk)
 }
 
 func TestGreedyNRContract(t *testing.T) {
-	solvertest.Contract(t, func() par.Solver { return NewGreedyNR() }, solvertest.Options{Saturates: true})
+	mk := func() par.Solver { return NewGreedyNR() }
+	solvertest.Contract(t, mk, solvertest.Options{Saturates: true})
+	solvertest.CancelContract(t, mk)
 }
 
 func TestGreedyNCSContract(t *testing.T) {
@@ -30,5 +36,7 @@ func TestGreedyNCSContract(t *testing.T) {
 		}
 		return 0.3
 	}
-	solvertest.Contract(t, func() par.Solver { return NewGreedyNCS(global) }, solvertest.Options{Saturates: true})
+	mk := func() par.Solver { return NewGreedyNCS(global) }
+	solvertest.Contract(t, mk, solvertest.Options{Saturates: true})
+	solvertest.CancelContract(t, mk)
 }
