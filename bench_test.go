@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -531,9 +532,11 @@ func BenchmarkOnlineBoundP1K(b *testing.B) {
 }
 
 // BenchmarkKernelV2 is the Kernel v2 acceptance matrix: snapshot load
-// (read and decode), end-to-end CELF on the canonical f64 kernel, and the
+// (read and decode), end-to-end CELF on the canonical f64 kernel, both
+// continuing a recorded trace and as a full recording pass, and the
 // allocation-free warm RunInto — all at the P-100K bench shape. The CELF
-// cell asserts its selection against a plain Run outside the timed region.
+// cells assert their selection against a plain Run outside the timed
+// region.
 func BenchmarkKernelV2(b *testing.B) {
 	spec := dataset.PublicSpecs(0.05)[4] // P-100K shape, 5000 photos
 	ds, err := dataset.GeneratePublic(spec)
@@ -575,7 +578,10 @@ func BenchmarkKernelV2(b *testing.B) {
 	})
 
 	// End-to-end CELF on the canonical f64 kernel. The selection assert
-	// runs before the timer starts.
+	// runs before the timer starts. The warm-up records a trace at the
+	// cell's own budget, so every timed Run continues it (celf.Trace):
+	// this cell, run and allocs time continued Runs, and celf-full prices
+	// the full pass.
 	b.Run("celf", func(b *testing.B) {
 		var res phocus.Result
 		if err := p.RunInto(ctx, ropts, &res); err != nil {
@@ -598,6 +604,37 @@ func BenchmarkKernelV2(b *testing.B) {
 			if err := p.RunInto(ctx, ropts, &res); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+
+	// The full seeded pass that records a trace, which a Run above every
+	// budget solved since the last delta pays (every engine_churn op, the
+	// first Run of a ladder): each Run's budget is one ulp above the one
+	// before, across the benchmark's repeated invocations too, so every op
+	// solves in full and still selects the reference photos.
+	full := ropts
+	b.Run("celf-full", func(b *testing.B) {
+		var (
+			res    phocus.Result
+			prefix int
+		)
+		full.OnCELFStats = func(st celf.Stats) { prefix += st.TracePrefix }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			full.Budget = math.Nextafter(full.Budget, math.Inf(1))
+			if err := p.RunInto(ctx, full, &res); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if prefix != 0 {
+			b.Fatalf("full passes replayed %d trace selections", prefix)
+		}
+		if res.Solution.Score != ref.Solution.Score || fmt.Sprint(res.Solution.Photos) != fmt.Sprint(ref.Solution.Photos) {
+			b.Fatalf("selection diverged: %v/%d vs %v/%d",
+				res.Solution.Score, len(res.Solution.Photos),
+				ref.Solution.Score, len(ref.Solution.Photos))
 		}
 	})
 

@@ -550,12 +550,15 @@ func (s *statusWriter) Flush() {
 }
 
 // solveStats is the per-request solver work report in the wire format.
+// TracePrefix is the number of the winning CELF pass's selections replayed
+// from the Prepared's trace: 0, and omitted, on a full pass.
 type solveStats struct {
-	GainEvals int64   `json:"gain_evals,omitempty"`
-	PQPops    int64   `json:"pq_pops,omitempty"`
-	Winner    string  `json:"winner,omitempty"`
-	Seeds     int64   `json:"seeds,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms"`
+	GainEvals   int64   `json:"gain_evals,omitempty"`
+	PQPops      int64   `json:"pq_pops,omitempty"`
+	Winner      string  `json:"winner,omitempty"`
+	TracePrefix int     `json:"trace_prefix,omitempty"`
+	Seeds       int64   `json:"seeds,omitempty"`
+	ElapsedMS   float64 `json:"elapsed_ms"`
 }
 
 // solveResponse is the wire format of a solver result.
@@ -887,6 +890,7 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 			stats.GainEvals = st.GainEvals
 			stats.PQPops = st.PQPops
 			stats.Winner = st.Winner.String()
+			stats.TracePrefix = st.TracePrefix
 		},
 		OnSviridenkoStats: func(st sviridenko.Stats) {
 			stats.Seeds = st.Seeds
@@ -912,7 +916,7 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 		}
 		return nil, err
 	}
-	elapsed := solveSpan.End("algo", res.Algorithm, "score", res.Solution.Score)
+	elapsed := solveSpan.End("algo", res.Algorithm, "score", res.Solution.Score, "trace_prefix", stats.TracePrefix)
 	stats.ElapsedMS = float64(elapsed.Microseconds()) / 1000
 
 	obs.RecordSolve(s.reg, res.Algorithm, solveWorkers, prep.NumPhotos(),

@@ -481,6 +481,54 @@ func TestPrepareCacheSweep(t *testing.T) {
 	}
 }
 
+// TestSolveTracePrefix: a /solve at a budget below one already solved on
+// the cached archive continues the recorded CELF passes. Its stats and solve
+// span carry the replayed prefix, a full pass omits it, and the answer is a
+// cold server's.
+func TestSolveTracePrefix(t *testing.T) {
+	s, h := newTestServer(t, nil)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	body := instanceBody(t, 8.2).String()
+	solveSpanPrefix := func(id string) string {
+		t.Helper()
+		tr, ok := s.trace.Get(id)
+		if !ok {
+			t.Fatalf("no trace for request %s", id)
+		}
+		for _, sp := range tr.Spans {
+			if sp.Name == "solve" {
+				return sp.Attrs["trace_prefix"]
+			}
+		}
+		t.Fatalf("request %s has no solve span", id)
+		return ""
+	}
+
+	full := postSolve(t, srv.URL+"/solve?tau=0.6&budget=3.9", body)
+	if full.Stats == nil || full.Stats.TracePrefix != 0 {
+		t.Fatalf("first solve stats %+v, want a full pass", full.Stats)
+	}
+	if got := solveSpanPrefix(full.RequestID); got != "0" {
+		t.Errorf("full pass solve span trace_prefix = %q, want 0", got)
+	}
+	cont := postSolve(t, srv.URL+"/solve?tau=0.6&budget=2.6", body)
+	if cont.Stats == nil || cont.Stats.TracePrefix <= 0 {
+		t.Fatalf("solve below the traced budget stats %+v, want a trace prefix", cont.Stats)
+	}
+	if got, want := solveSpanPrefix(cont.RequestID), strconv.Itoa(cont.Stats.TracePrefix); got != want {
+		t.Errorf("continued solve span trace_prefix = %q, want %s", got, want)
+	}
+
+	_, coldH := newTestServer(t, nil)
+	coldSrv := httptest.NewServer(coldH)
+	defer coldSrv.Close()
+	cold := postSolve(t, coldSrv.URL+"/solve?tau=0.6&budget=2.6", body)
+	if cold.Stats.TracePrefix != 0 || cold.Score != cont.Score || cold.Cost != cont.Cost || fmt.Sprint(cold.Retain) != fmt.Sprint(cont.Retain) {
+		t.Fatalf("continued answer %v (score %v) differs from cold %v (score %v)", cont.Retain, cont.Score, cold.Retain, cold.Score)
+	}
+}
+
 // TestPrepareCacheEvictionMetric: a one-entry cache evicts on the second
 // distinct preparation and the eviction shows up on the counter.
 func TestPrepareCacheEvictionMetric(t *testing.T) {

@@ -23,6 +23,8 @@ package celf
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"phocus/internal/par"
@@ -63,6 +65,10 @@ type Stats struct {
 	// Winner records which sub-procedure produced the returned solution
 	// when solving with both (Algorithm 1).
 	Winner Variant
+	// TracePrefix is the number of selections replayed from Solver.Trace
+	// instead of being searched for: 0 on a full pass. Like Selected, a
+	// Solve reports the winning pass's.
+	TracePrefix int
 	// Elapsed is the wall-clock solve time.
 	Elapsed time.Duration
 }
@@ -92,13 +98,18 @@ type Solver struct {
 	// next Solve with the same Scratch — and the solver must not be shared
 	// across goroutines.
 	Scratch *Scratch
-	// S0Gains, when non-nil, holds every photo's marginal gain against the
-	// retained set S0 of the instance being solved, indexed by photo ID, as
-	// the S0Gains function returns them. Both passes then seed their queues
-	// from it with one heapify instead of evaluating every candidate before
-	// their first selection. The solution and the Observer stream are
-	// identical with and without it; GainEvals and PQPops drop.
-	S0Gains []float64
+	// Trace, when non-nil, is a record of solving the instance being solved
+	// at some budget (see NewTrace); only the budget may differ. Both passes
+	// then seed their queues from its S0 gains with one heapify instead of
+	// evaluating every candidate before their first selection. At a budget
+	// the trace covers, each pass instead replays the recorded pass up to
+	// its first selection that does not fit and continues from there (see
+	// lazyGreedy). At a budget above it, both passes run in full and Solve
+	// replaces Trace with their record, copied out of the scratch. A Solve
+	// with an Observer neither continues nor records. The solution,
+	// Stats.Selected and the Observer stream are identical with and without
+	// a trace; GainEvals and PQPops drop.
+	Trace *Trace
 	// LastStats is populated by each Solve call.
 	LastStats Stats
 }
@@ -110,6 +121,7 @@ type Scratch struct {
 	uc, cb       passScratch
 	solUC        []par.PhotoID
 	recUC, recCB eventRecorder
+	logUC, logCB []traceEvent // the passes' logs while recording a Trace
 }
 
 // passScratch is the state of one lazy-greedy pass.
@@ -117,6 +129,7 @@ type passScratch struct {
 	eval  *par.Evaluator
 	items []candidate
 	order []candidate // the seeded observer replay's queue
+	last  []candidate // a seeded pass's latest entry per photo
 	seen  []bool
 }
 
@@ -144,8 +157,15 @@ func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, e
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	if s.S0Gains != nil && len(s.S0Gains) != inst.NumPhotos() {
-		return par.Solution{}, fmt.Errorf("celf: %d S0 gains for %d photos", len(s.S0Gains), inst.NumPhotos())
+	tr := s.Trace
+	if tr != nil && len(tr.s0) != inst.NumPhotos() {
+		return par.Solution{}, fmt.Errorf("celf: trace of %d photos for %d photos", len(tr.s0), inst.NumPhotos())
+	}
+	// Record both passes when they run in full from a trace.
+	var logUC, logCB *[]traceEvent
+	if tr != nil && s.Observer == nil && !tr.Covers(inst.Budget) {
+		sc.logUC, sc.logCB = sc.logUC[:0], sc.logCB[:0]
+		logUC, logCB = &sc.logUC, &sc.logCB
 	}
 	var (
 		solUC, solCB     par.Solution
@@ -156,22 +176,29 @@ func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, e
 		// Both passes reuse the UC slot's evaluator and queue storage. UC's
 		// solution aliases the evaluator, so it is copied into scratch-owned
 		// storage before CB resets it.
-		solUC, statsUC, err = lazyGreedy(ctx, inst, UC, s.S0Gains, s.Observer, &sc.uc)
+		solUC, statsUC, err = lazyGreedy(ctx, inst, UC, tr, s.Observer, &sc.uc, logUC)
 		if err != nil {
 			return par.Solution{}, err
 		}
 		sc.solUC = append(sc.solUC[:0], solUC.Photos...)
 		solUC.Photos = sc.solUC
-		solCB, statsCB, err = lazyGreedy(ctx, inst, CB, s.S0Gains, s.Observer, &sc.uc)
+		solCB, statsCB, err = lazyGreedy(ctx, inst, CB, tr, s.Observer, &sc.uc, logCB)
 	} else {
 		// The concurrent branch lives in its own method: its goroutine
 		// closure must not capture these locals, or escape analysis would
 		// heap-allocate them on the sequential path too and break its
 		// zero-allocation guarantee.
-		solUC, solCB, statsUC, statsCB, err = s.solveConcurrent(ctx, inst, sc)
+		solUC, solCB, statsUC, statsCB, err = s.solveConcurrent(ctx, inst, sc, logUC, logCB)
 	}
 	if err != nil {
 		return par.Solution{}, err
+	}
+	if logUC != nil {
+		s.Trace = &Trace{
+			s0:     tr.s0,
+			budget: inst.Budget,
+			logs:   [2][]traceEvent{UC: slices.Clone(*logUC), CB: slices.Clone(*logCB)},
+		}
 	}
 	s.LastStats = Stats{
 		GainEvals: statsUC.GainEvals + statsCB.GainEvals,
@@ -182,10 +209,12 @@ func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, e
 	if solCB.Score >= solUC.Score {
 		s.LastStats.Winner = CB
 		s.LastStats.Selected = statsCB.Selected
+		s.LastStats.TracePrefix = statsCB.TracePrefix
 		best = solCB
 	} else {
 		s.LastStats.Winner = UC
 		s.LastStats.Selected = statsUC.Selected
+		s.LastStats.TracePrefix = statsUC.TracePrefix
 	}
 	if s.Scratch == nil {
 		// The solution aliases the throwaway scratch; detach it.
@@ -198,7 +227,7 @@ func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, e
 // the calling goroutine and CB on a second one, each on its own scratch slot
 // over the shared read-only instance. Observer events are buffered per pass
 // and replayed in UC-then-CB order to preserve the documented event stream.
-func (s *Solver) solveConcurrent(ctx context.Context, inst *par.Instance, sc *Scratch) (solUC, solCB par.Solution, statsUC, statsCB Stats, err error) {
+func (s *Solver) solveConcurrent(ctx context.Context, inst *par.Instance, sc *Scratch, logUC, logCB *[]traceEvent) (solUC, solCB par.Solution, statsUC, statsCB Stats, err error) {
 	var obsUC, obsCB Observer
 	if s.Observer != nil {
 		sc.recUC.events, sc.recCB.events = sc.recUC.events[:0], sc.recCB.events[:0]
@@ -208,9 +237,9 @@ func (s *Solver) solveConcurrent(ctx context.Context, inst *par.Instance, sc *Sc
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		solCB, statsCB, errCB = lazyGreedy(ctx, inst, CB, s.S0Gains, obsCB, &sc.cb)
+		solCB, statsCB, errCB = lazyGreedy(ctx, inst, CB, s.Trace, obsCB, &sc.cb, logCB)
 	}()
-	solUC, statsUC, err = lazyGreedy(ctx, inst, UC, s.S0Gains, obsUC, &sc.uc)
+	solUC, statsUC, err = lazyGreedy(ctx, inst, UC, s.Trace, obsUC, &sc.uc, logUC)
 	<-done
 	if err == nil {
 		err = errCB
@@ -228,10 +257,10 @@ func (s *Solver) solveConcurrent(ctx context.Context, inst *par.Instance, sc *Sc
 // S0Gains returns every photo's marginal gain against inst's retained set
 // S0, indexed by photo ID (0 for the members of S0): the gains both
 // lazy-greedy passes compute before their first selection. They depend on
-// neither the budget nor the variant, so a caller that solves one finalized
-// layout many times computes them once and hands them to Solver.S0Gains.
-// The evaluations fan out over workers goroutines (≤ 0 means one per CPU);
-// every value is bit-identical to a sequential Evaluator.Gain.
+// neither the budget nor the variant, which is what lets a Trace seed every
+// budget's passes. The evaluations fan out over workers goroutines (≤ 0
+// means one per CPU); every value is bit-identical to a sequential
+// Evaluator.Gain.
 func S0Gains(inst *par.Instance, workers int) []float64 {
 	e := par.NewEvaluator(inst)
 	e.Seed()
@@ -242,6 +271,47 @@ func S0Gains(inst *par.Instance, workers int) []float64 {
 	gains := make([]float64, len(ps))
 	e.GainsInto(gains, ps, workers)
 	return gains
+}
+
+// Trace records how Algorithm 1 solved one finalized layout, so that later
+// solves of the layout at other budgets reuse the work (Solver.Trace). It
+// holds every photo's S0 gain and, once a full Solve has recorded it, each
+// pass's log at that Solve's budget: every selection and every refresh in
+// order, the refresh's epoch being the number of selections before it.
+//
+// A pass at budget B ≤ the recorded budget B' is the B' pass with the
+// B-infeasible candidates skipped, up to the first B' selection that does
+// not fit under B: the heap pops in a strict (key, photo ID) order, a
+// candidate that does not fit is dropped for good, and every photo that
+// fits under B at some point also fits under B'. So replaying the log's
+// prefix and rebuilding the queue from each candidate's latest entry puts
+// the B pass exactly where its own run would be.
+//
+// A Trace is immutable, so concurrent solves may share one.
+type Trace struct {
+	s0     []float64
+	budget float64         // the logs' budget; -Inf before any are recorded
+	logs   [2][]traceEvent // indexed by Variant
+}
+
+// traceEvent is one entry of a pass's log: a refresh of photo's gain, or
+// its selection with the gain it added.
+type traceEvent struct {
+	photo    par.PhotoID
+	selected bool
+	gain     float64
+}
+
+// NewTrace returns a Trace holding inst's S0 gains (see S0Gains) and no
+// logs: a Solve from it runs seeded passes in full and records them.
+func NewTrace(inst *par.Instance, workers int) *Trace {
+	return &Trace{s0: S0Gains(inst, workers), budget: math.Inf(-1)}
+}
+
+// Covers reports whether t holds logs recorded at a budget of at least
+// budget, which a Solve at budget continues instead of rerunning.
+func (t *Trace) Covers(budget float64) bool {
+	return budget <= t.budget
 }
 
 // Observer receives the lazy-greedy events of one LazyGreedy run, in order.
@@ -260,7 +330,7 @@ type Observer interface {
 // priority-queue round. The instance must be finalized.
 func LazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, obs Observer) (par.Solution, Stats, error) {
 	var ps passScratch
-	sol, stats, err := lazyGreedy(ctx, inst, variant, nil, obs, &ps)
+	sol, stats, err := lazyGreedy(ctx, inst, variant, nil, obs, &ps, nil)
 	if err != nil {
 		return sol, stats, err
 	}
@@ -270,23 +340,35 @@ func LazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, obs Ob
 }
 
 // lazyGreedy is the Algorithm 2 engine behind every public entry point: one
-// pass recomputing one stale entry per priority-queue round. With s0
-// non-nil (see S0Gains) the queue starts as the state the unseeded pass
-// reaches just before its first selection — every feasible candidate
-// current against S0 — built with one heapify. All mutable state lives in
-// ps, so a caller that keeps it across runs (Solver.Scratch, the engine's
-// per-solve pools) allocates nothing at steady state; the returned
-// Solution.Photos alias ps's evaluator.
-func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, s0 []float64, obs Observer, ps *passScratch) (par.Solution, Stats, error) {
+// pass recomputing one stale entry per priority-queue round. The queue
+// starts in one of two states:
+//
+//   - tr nil: every candidate keyed ∞, as Algorithm 2 line 4 has it.
+//   - tr non-nil: the state the pass reaches just before the first selection
+//     of tr's log that does not fit. The log's selections up to there are
+//     replayed into the evaluator, and every candidate that still fits is
+//     keyed by its last refresh before there (its S0 gain at epoch 0 if
+//     none), built with one heapify; the loop then resumes at epoch = the
+//     replayed prefix's length. Only a pass without obs at a budget tr
+//     covers replays its log; any other starts from an empty one, which is
+//     the state the unseeded pass reaches just before its first selection.
+//     With log non-nil the pass appends its events there, which is how a
+//     Solve records a Trace.
+//
+// All mutable state lives in ps, so a caller that keeps it across runs
+// (Solver.Scratch, the engine's per-solve pools) allocates nothing at
+// steady state; the returned Solution.Photos alias ps's evaluator.
+func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, tr *Trace, obs Observer, ps *passScratch, log *[]traceEvent) (par.Solution, Stats, error) {
 	start := time.Now()
 	e := ps.evaluator(inst)
 	e.Seed() // S ← S0
 
+	var stats Stats
 	// Priority queue of candidate photos keyed by (possibly stale) gain.
 	// The queue value lives on the stack; its item storage round-trips
 	// through the scratch so the backing array is reused across runs.
 	pq := gainQueue{variant: variant, cost: inst.Cost, items: ps.items[:0]}
-	if s0 == nil {
+	if tr == nil {
 		for p := 0; p < inst.NumPhotos(); p++ {
 			id := par.PhotoID(p)
 			if e.Contains(id) {
@@ -298,18 +380,45 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, s0 []f
 			pq.push(pq.entry(id, inf, staleEpoch))
 		}
 	} else {
-		// The unseeded pass recomputes every candidate against S0 before
-		// its first selection and drops those that do not fit, which are
-		// infeasible forever. The heap order is a strict total order, so
-		// the pops from here on are the unseeded pass's, whatever the
-		// layout the heapify leaves.
-		for p := 0; p < inst.NumPhotos(); p++ {
-			id := par.PhotoID(p)
-			if !e.Contains(id) && e.Fits(id) {
-				pq.items = append(pq.items, pq.entry(id, s0[p], pq.epoch))
+		// Replay the recorded pass until its first selection that does not
+		// fit, tracking every photo's latest entry; with nothing to replay
+		// every entry is the photo's S0 gain at epoch 0, which is where the
+		// unseeded pass stands just before its first selection. Candidates
+		// that do not fit now were dropped by the pass by now, or will be
+		// when popped, and are infeasible forever. The heap order is a
+		// strict total order, so the pops from here on are the uncontinued
+		// pass's, whatever the layout the heapify leaves.
+		var events []traceEvent
+		if obs == nil && tr.Covers(inst.Budget) {
+			events = tr.logs[variant]
+		}
+		n := inst.NumPhotos()
+		if cap(ps.last) < n {
+			ps.last = make([]candidate, n)
+		}
+		last := ps.last[:n]
+		for p := range last {
+			last[p] = pq.entry(par.PhotoID(p), tr.s0[p], 0)
+		}
+		for _, ev := range events {
+			if !ev.selected {
+				last[ev.photo] = pq.entry(ev.photo, ev.gain, pq.epoch)
+				continue
+			}
+			if !e.Fits(ev.photo) {
+				break
+			}
+			e.Add(ev.photo)
+			pq.invalidate()
+		}
+		for p := range last {
+			if id := par.PhotoID(p); !e.Contains(id) && e.Fits(id) {
+				pq.items = append(pq.items, last[p])
 			}
 		}
 		pq.heapify()
+		stats.Selected = int(pq.epoch)
+		stats.TracePrefix = stats.Selected
 		if obs != nil {
 			// Replay the unseeded initial phase's events: its ∞-keyed
 			// entries pop in key order (photo ID order for UC, cost order
@@ -321,13 +430,12 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, s0 []f
 			order.heapify()
 			for order.Len() > 0 {
 				c := order.pop()
-				obs.Recomputed(c.photo, s0[c.photo])
+				obs.Recomputed(c.photo, tr.s0[c.photo])
 			}
 			ps.order = order.items[:0]
 		}
 	}
 
-	var stats Stats
 	// (The queue storage is saved back into ps at every return — a deferred
 	// closure would force the queue onto the heap and defeat the
 	// allocation-free path.)
@@ -353,6 +461,9 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, s0 []f
 			if obs != nil {
 				obs.Selected(top.photo, gain)
 			}
+			if log != nil {
+				*log = append(*log, traceEvent{photo: top.photo, selected: true, gain: gain})
+			}
 			continue
 		}
 		// Recompute δ_p against the current solution and reinsert.
@@ -360,6 +471,9 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, s0 []f
 		pq.push(pq.entry(top.photo, gain, pq.epoch))
 		if obs != nil {
 			obs.Recomputed(top.photo, gain)
+		}
+		if log != nil {
+			*log = append(*log, traceEvent{photo: top.photo, gain: gain})
 		}
 	}
 

@@ -25,10 +25,10 @@ func (l *eventLog) Selected(p par.PhotoID, gain float64) {
 	l.events = append(l.events, fmt.Sprintf("s %d %x", p, math.Float64bits(gain)))
 }
 
-// solveSeededAndNot solves inst with and without S0 gains at the given
-// worker count and fails t unless both give the same photos, score and cost
-// bits, winner and observer stream. It returns both runs' stats.
-func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, s0 []float64, workers int) (plain, seeded Stats) {
+// solveSeededAndNot solves inst with and without a trace's S0 gains at the
+// given worker count and fails t unless both give the same photos, score and
+// cost bits, winner and observer stream. It returns both runs' stats.
+func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, tr *Trace, workers int) (plain, seeded Stats) {
 	t.Helper()
 	var plainLog, seededLog eventLog
 	ps := Solver{Workers: workers, Observer: &plainLog}
@@ -36,7 +36,7 @@ func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, s0 []floa
 	if err != nil {
 		t.Fatalf("%s: unseeded: %v", label, err)
 	}
-	ss := Solver{Workers: workers, Observer: &seededLog, S0Gains: s0, Scratch: &Scratch{}}
+	ss := Solver{Workers: workers, Observer: &seededLog, Trace: tr, Scratch: &Scratch{}}
 	got, err := ss.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("%s: seeded: %v", label, err)
@@ -54,12 +54,17 @@ func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, s0 []floa
 	if !reflect.DeepEqual(seededLog.events, plainLog.events) {
 		t.Fatalf("%s: observer streams differ: %d seeded events, %d unseeded", label, len(seededLog.events), len(plainLog.events))
 	}
+	if ss.Trace != tr {
+		t.Fatalf("%s: a solve with an Observer replaced the trace", label)
+	}
 	return ps.LastStats, ss.LastStats
 }
 
-// TestSeededSolverMatchesUnseeded: seeding both passes from S0Gains gives
-// the unseeded solver's selections, score bits and observer stream at every
-// worker count, with retained sets, while doing fewer gain evaluations.
+// TestSeededSolverMatchesUnseeded: seeding both passes from a trace's S0
+// gains gives the unseeded solver's selections, score bits and observer
+// stream at every worker count, with retained sets, while doing fewer gain
+// evaluations. The trace even covers the budget: a solve with an Observer
+// runs the seeded passes in full instead of continuing it.
 func TestSeededSolverMatchesUnseeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
@@ -67,9 +72,15 @@ func TestSeededSolverMatchesUnseeded(t *testing.T) {
 			Photos: 60, Subsets: 20, BudgetFrac: 0.15 + 0.1*float64(trial%4), RetainFrac: 0.1,
 		})
 		for _, workers := range []int{1, 2, 8} {
-			s0 := S0Gains(inst, workers)
 			label := fmt.Sprintf("trial %d workers=%d", trial, workers)
-			plain, seeded := solveSeededAndNot(t, label, inst, s0, workers)
+			rec := Solver{Workers: workers, Trace: NewTrace(inst, workers)}
+			if _, err := rec.Solve(context.Background(), inst); err != nil {
+				t.Fatal(err)
+			}
+			if !rec.Trace.Covers(inst.Budget) {
+				t.Fatalf("%s: the full solve recorded no trace covering its budget", label)
+			}
+			plain, seeded := solveSeededAndNot(t, label, inst, rec.Trace, workers)
 			if seeded.GainEvals >= plain.GainEvals {
 				t.Errorf("%s: seeded solve made %d gain evals, unseeded %d", label, seeded.GainEvals, plain.GainEvals)
 			}
@@ -93,17 +104,17 @@ func TestSeededSolverPublicLadders(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := ds.Instance
-		var s0 []float64
+		var tr *Trace
 		for _, f := range []float64{0.05, 0.10, 0.15, 0.20, 0.30} {
 			var inst par.Instance
 			if err := base.ViewInto(&inst, f*base.TotalCost()); err != nil {
 				t.Fatal(err)
 			}
-			if s0 == nil {
-				s0 = S0Gains(&inst, 0)
+			if tr == nil {
+				tr = NewTrace(&inst, 0)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				solveSeededAndNot(t, fmt.Sprintf("%s f=%g workers=%d", spec.Name, f, workers), &inst, s0, workers)
+				solveSeededAndNot(t, fmt.Sprintf("%s f=%g workers=%d", spec.Name, f, workers), &inst, tr, workers)
 			}
 		}
 	}
@@ -124,10 +135,10 @@ func TestSeededObserverOrderCB(t *testing.T) {
 	}
 	s0 := S0Gains(inst, 1)
 	var plain, seeded eventLog
-	if _, _, err := lazyGreedy(context.Background(), inst, CB, nil, &plain, &passScratch{}); err != nil {
+	if _, _, err := lazyGreedy(context.Background(), inst, CB, nil, &plain, &passScratch{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lazyGreedy(context.Background(), inst, CB, s0, &seeded, &passScratch{}); err != nil {
+	if _, _, err := lazyGreedy(context.Background(), inst, CB, &Trace{s0: s0}, &seeded, &passScratch{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if plain.events[0] != fmt.Sprintf("r 11 %x", math.Float64bits(s0[11])) {
@@ -138,7 +149,7 @@ func TestSeededObserverOrderCB(t *testing.T) {
 	}
 }
 
-// TestS0GainsWorkers: the memoizable gains are bit-identical for every
+// TestS0GainsWorkers: a trace's S0 gains are bit-identical for every
 // worker count and equal to a sequential Gain against S0.
 func TestS0GainsWorkers(t *testing.T) {
 	inst := par.Random(rand.New(rand.NewSource(9)), par.RandomConfig{Photos: 80, Subsets: 30, BudgetFrac: 0.3, RetainFrac: 0.1})
@@ -154,13 +165,13 @@ func TestS0GainsWorkers(t *testing.T) {
 	}
 }
 
-// TestSolverRejectsMismatchedS0Gains: gains for another layout fail the
+// TestSolverRejectsMismatchedS0Gains: a trace of another layout fails the
 // solve instead of seeding the queue with wrong keys.
 func TestSolverRejectsMismatchedS0Gains(t *testing.T) {
 	inst := par.Figure1Instance()
-	s := Solver{Workers: 1, S0Gains: make([]float64, inst.NumPhotos()+1)}
+	s := Solver{Workers: 1, Trace: &Trace{s0: make([]float64, inst.NumPhotos()+1)}}
 	if _, err := s.Solve(context.Background(), inst); err == nil {
-		t.Fatal("solve with S0 gains of the wrong length succeeded")
+		t.Fatal("solve with a trace of the wrong length succeeded")
 	}
 }
 

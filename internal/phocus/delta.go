@@ -725,7 +725,7 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 	}
 
 	// Commit: swap the instance in, grow the removed bitmap, evolve the
-	// fingerprint, drop the S0 gains memoized for the old layout, recount
+	// fingerprint, drop the trace recorded on the old layout, recount
 	// bytes.
 	p.base = newBase
 	if p.removed == nil {
@@ -739,7 +739,7 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 	}
 	p.fp = deltaFingerprint(oldFP, d)
 	p.fpErr = nil
-	p.s0Gains = nil
+	p.trace = nil
 
 	stats := &DeltaStats{
 		Added:          len(d.Add),
@@ -793,10 +793,10 @@ func (p *Prepared) Compact() error {
 
 func (p *Prepared) compactLocked() error {
 	kt := time.Now()
-	// The memoized S0 gains were computed on the layout being replaced.
-	// Drop them rather than rely on the recompiled kernel summing every
-	// gain in the same order.
-	p.s0Gains = nil
+	// The trace was recorded on the layout being replaced. Drop it rather
+	// than rely on the recompiled kernel summing every gain in the same
+	// order.
+	p.trace = nil
 	if err := p.base.AttachKernel(par.CompileKernel(p.base)); err != nil {
 		return fmt.Errorf("phocus: compact kernel: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"phocus/internal/celf"
 	"phocus/internal/dataset"
 	"phocus/internal/par"
 )
@@ -454,12 +455,12 @@ func TestPublicChurnDifferential(t *testing.T) {
 	requireSameRun(t, "P-100K 1% churn", live, cold, 0.35*merged.TotalCost(), AlgoCELF)
 }
 
-// TestDeltaDropsS0Gains: the memoized S0 gains belong to one layout. After
-// a Run has filled them, ApplyDelta and a forced Compact must drop them, so
-// the next Run at every worker count matches a cold Prepare of the merged
-// instance bit for bit. The removal-only batches retire the photo a stale
-// memo would rank first while keeping the photo count, so the memo would
-// still fit the new layout's shape.
+// TestDeltaDropsS0Gains: the trace — S0 gains and recorded passes — belongs
+// to one layout. After Runs have filled it, ApplyDelta and a forced Compact
+// must drop it, so the next Run at every worker count matches a cold
+// Prepare of the merged instance bit for bit. The removal-only batches
+// retire the photo a stale trace would rank first while keeping the photo
+// count, so the trace would still fit the new layout's shape.
 func TestDeltaDropsS0Gains(t *testing.T) {
 	ctx := context.Background()
 	for _, tau := range []float64{0, 0.35} {
@@ -497,22 +498,27 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 						}
 					}
 				}
-				if live.s0Gains == nil {
-					t.Fatalf("%s: a CELF Run left no S0 gains memoized", label)
+				if live.trace == nil || !live.trace.Covers(0.5*merged.TotalCost()) {
+					t.Fatalf("%s: CELF Runs left no trace covering their budgets", label)
 				}
 			}
 			compare("cold")
 			for batch := 0; batch < 4; batch++ {
-				// Even batches retire the photo with the largest memoized
-				// gain whose removal validates: the one a stale memo would
+				// Even batches retire the photo with the largest traced S0
+				// gain whose removal validates: the one a stale trace would
 				// rank first.
 				d := randomChurn(rng, live.base, removed, 2, 2, false)
 				if batch%2 == 0 {
-					order := make([]int, len(live.s0Gains))
+					tmpl := live.solveTmpl
+					if tmpl == nil {
+						tmpl = live.base
+					}
+					s0 := celf.S0Gains(tmpl, 1)
+					order := make([]int, len(s0))
 					for p := range order {
 						order[p] = p
 					}
-					sort.SliceStable(order, func(i, j int) bool { return live.s0Gains[order[i]] > live.s0Gains[order[j]] })
+					sort.SliceStable(order, func(i, j int) bool { return s0[order[i]] > s0[order[j]] })
 					for _, p := range order {
 						if id := par.PhotoID(p); !live.base.IsRetained(id) && !isRemoved(removed, id) {
 							d = &Delta{Remove: []par.PhotoID{id}}
@@ -525,8 +531,8 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 				if _, err := live.ApplyDelta(ctx, d); err != nil {
 					t.Fatalf("batch %d: ApplyDelta: %v", batch, err)
 				}
-				if live.s0Gains != nil {
-					t.Fatalf("batch %d: ApplyDelta kept the S0 gains", batch)
+				if live.trace != nil {
+					t.Fatalf("batch %d: ApplyDelta kept the trace", batch)
 				}
 				if merged, removed, err = MergeDelta(merged, removed, d); err != nil {
 					t.Fatalf("batch %d: MergeDelta: %v", batch, err)
@@ -536,8 +542,8 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 			if err := live.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			if live.s0Gains != nil {
-				t.Fatal("Compact kept the S0 gains")
+			if live.trace != nil {
+				t.Fatal("Compact kept the trace")
 			}
 			compare("compact")
 		})

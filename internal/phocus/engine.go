@@ -84,8 +84,11 @@ type RunOptions struct {
 // Prepared is a reusable product of the Data Representation stage: the
 // finalized instance plus (when τ > 0) its sparsified similarity structure.
 // A Prepared is safe for concurrent Run calls — each Run builds its own
-// budgeted view and never mutates shared state — which is what lets
-// phocus-server cache Prepared values across requests. ApplyDelta is the one
+// budgeted view and never mutates shared state beyond installing an
+// immutable CELF trace — which is what lets phocus-server cache Prepared
+// values across requests. The trace lets a CELF Run at a budget no larger
+// than one already solved continue that solve's greedy passes instead of
+// redoing them, with the same selections bit for bit. ApplyDelta is the one
 // mutating operation: it takes the write side of mu, so deltas serialize
 // against in-flight runs rather than corrupting them.
 type Prepared struct {
@@ -122,14 +125,18 @@ type Prepared struct {
 	// mismatch), so deltas and compactions need no invalidation.
 	scratch sync.Pool
 
-	// s0Gains memoizes celf.S0Gains over the solve template: every photo's
-	// gain against S0, which both CELF passes of every Run are seeded from.
-	// It depends on neither the budget nor the variant, so the first CELF
-	// Run computes it and later Runs reuse it. ApplyDelta and compaction
-	// drop it (under the write side of mu); snapshots do not store it.
-	// s0Mu serializes concurrent first Runs, which hold mu shared.
-	s0Mu    sync.Mutex
-	s0Gains []float64
+	// trace is the one per-Prepared solve memo, a celf.Trace of the solve
+	// template: every photo's gain against S0, which seeds both CELF passes
+	// of every Run, plus both passes' logs at the largest budget a CELF Run
+	// has solved in full. A Run at or below that budget continues the logs
+	// instead of redoing both passes; a Run above it solves in full and
+	// installs its own record. A trace is immutable: traceMu serializes its
+	// installs and the first Run's S0 pass, and Runs, which hold mu shared,
+	// read it under traceMu. ApplyDelta and compaction drop it (under the
+	// write side of mu); snapshots do not store it, and SizeBytes does not
+	// count it.
+	traceMu sync.Mutex
+	trace   *celf.Trace
 
 	sizeBytes int64
 
@@ -362,21 +369,32 @@ type runScratch struct {
 	bound     celf.BoundScratch
 }
 
-// s0GainsFor returns the memoized S0 gains of the solve template, computing
-// them on first use with the run's workers. solveInst is a view of that
-// template. A Run whose ctx is already done gets ctx's error instead of
-// paying for the pass, and leaves the memo empty for the next Run. The
-// caller holds mu shared.
-func (p *Prepared) s0GainsFor(ctx context.Context, solveInst *par.Instance, workers int) ([]float64, error) {
-	p.s0Mu.Lock()
-	defer p.s0Mu.Unlock()
-	if p.s0Gains == nil {
+// traceFor returns the solve template's trace, computing its S0 gains on
+// first use with the run's workers. solveInst is a view of that template. A
+// Run whose ctx is already done gets ctx's error instead of paying for the
+// pass, and leaves the memo empty for the next Run. The caller holds mu
+// shared.
+func (p *Prepared) traceFor(ctx context.Context, solveInst *par.Instance, workers int) (*celf.Trace, error) {
+	p.traceMu.Lock()
+	defer p.traceMu.Unlock()
+	if p.trace == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p.s0Gains = celf.S0Gains(solveInst, workers)
+		p.trace = celf.NewTrace(solveInst, workers)
 	}
-	return p.s0Gains, nil
+	return p.trace, nil
+}
+
+// installTrace makes t, recorded by a full CELF solve at budget, the
+// Prepared's trace unless a concurrent Run already installed one covering
+// budget. The caller holds mu shared.
+func (p *Prepared) installTrace(t *celf.Trace, budget float64) {
+	p.traceMu.Lock()
+	defer p.traceMu.Unlock()
+	if !p.trace.Covers(budget) {
+		p.trace = t
+	}
 }
 
 // Run executes the Solver stage against the prepared instance: solve under
@@ -397,12 +415,17 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 
 // RunInto is Run writing into a caller-owned Result: scalar fields are
 // reset, and the Solution.Photos and Archived slices are truncated and
-// refilled in place, so a warm steady state — stable shapes, AlgoCELF,
-// Workers 1, with or without the online bound — performs zero heap
+// refilled in place. A CELF Run without an Observer at a budget no larger
+// than the largest one a CELF Run has solved since the last delta continues
+// that Run's recorded passes (celf.Trace); any other CELF Run solves in
+// full, and one above that budget records its passes as the new trace. So
+// a warm steady state — stable shapes, AlgoCELF, Workers 1, budgets the
+// trace covers, with or without the online bound — performs zero heap
 // allocations per call (testing.AllocsPerRun reports 0; the bench suite pins
-// it). At more workers only the CELF passes' and the bound's goroutine
-// hand-offs allocate, a few dozen objects per call. The previous
-// contents of res are gone after the call, error or not.
+// it), and a Run that records allocates the trace's logs. At more workers
+// only the CELF passes' and the bound's goroutine hand-offs allocate, a few
+// dozen objects per call. The previous contents of res are gone after the
+// call, error or not.
 func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -449,19 +472,25 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 	var sol par.Solution
 	switch opts.Algorithm {
 	case "", AlgoCELF:
-		var s0 []float64
-		if s0, err = p.s0GainsFor(ctx, solveInst, opts.Workers); err != nil {
+		var tr *celf.Trace
+		if tr, err = p.traceFor(ctx, solveInst, opts.Workers); err != nil {
 			break
 		}
 		sc.solver = celf.Solver{
 			Workers:  opts.Workers,
 			Observer: opts.Observer,
 			Scratch:  &sc.celf,
-			S0Gains:  s0,
+			Trace:    tr,
 		}
 		res.Algorithm = sc.solver.Name()
 		sol, err = sc.solver.Solve(ctx, solveInst)
-		if err == nil && opts.OnCELFStats != nil {
+		if err != nil {
+			break
+		}
+		if sc.solver.Trace != tr {
+			p.installTrace(sc.solver.Trace, budget)
+		}
+		if opts.OnCELFStats != nil {
 			opts.OnCELFStats(sc.solver.LastStats)
 		}
 	case AlgoSviridenko:
@@ -506,12 +535,21 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 	for _, ph := range sol.Photos {
 		re.Add(ph)
 	}
+	// Caller slices too small for the answer are replaced by exactly sized
+	// ones rather than grown by append, so a Result the caller keeps holds
+	// no growth slack and a fresh one costs two allocations.
+	n := sc.trueView.NumPhotos()
+	if cap(photos) < len(sol.Photos) {
+		photos = make([]par.PhotoID, 0, len(sol.Photos))
+	}
+	if cap(archived) < n-len(sol.Photos) {
+		archived = make([]par.PhotoID, 0, n-len(sol.Photos))
+	}
 	photos = append(photos, sol.Photos...)
 	res.Solution = par.Solution{Photos: photos, Score: re.Score(), Cost: sol.Cost}
 
 	// The rescore evaluator's membership is exactly the solution set, so the
 	// archived complement falls out without a marker allocation.
-	n := sc.trueView.NumPhotos()
 	for ph := 0; ph < n; ph++ {
 		if !re.Contains(par.PhotoID(ph)) {
 			archived = append(archived, par.PhotoID(ph))

@@ -393,8 +393,8 @@ func (c *lateCancelCtx) Err() error {
 
 // TestRunCanceledBeforeS0Gains: a first Run canceled after its entry check
 // (say, while it waited for another first Run's S0 pass) returns the
-// context's error without computing the S0 gains, and the next live Run
-// fills the memo.
+// context's error without computing the trace's S0 gains, and the next live
+// Run fills the trace.
 func TestRunCanceledBeforeS0Gains(t *testing.T) {
 	ds := sweepDataset(t, 14)
 	p, err := Prepare(context.Background(), ds, PrepareOptions{})
@@ -406,14 +406,14 @@ func TestRunCanceledBeforeS0Gains(t *testing.T) {
 	if _, err := p.Run(ctx, RunOptions{Budget: budget}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
-	if p.s0Gains != nil {
+	if p.trace != nil {
 		t.Error("canceled first Run computed the S0 gains")
 	}
 	if _, err := p.Run(context.Background(), RunOptions{Budget: budget}); err != nil {
 		t.Fatal(err)
 	}
-	if p.s0Gains == nil {
-		t.Error("live Run left the S0 gains memo empty")
+	if p.trace == nil || !p.trace.Covers(budget) {
+		t.Error("live Run left no trace covering its budget")
 	}
 }
 
@@ -450,9 +450,12 @@ func TestPipelineSolver(t *testing.T) {
 
 // TestRunAllocs is the allocation-free Run gate: after one warm-up call, a
 // steady-state sequential CELF RunInto performs zero heap allocations per
-// run, with the online bound skipped or computed. At default workers only
-// the goroutine hand-offs of the concurrent passes and the bound's gain
-// fan-out allocate, which stays under 100 objects per run.
+// run, with the online bound skipped or computed, and so does a sequential
+// ladder of budgets below the traced one, each Run continuing the trace. A
+// sequential Run that finds a trace with no logs solves in full and
+// allocates only the trace it records: the Trace and its two logs. At
+// default workers only the goroutine hand-offs of the concurrent passes and
+// the bound's gain fan-out allocate, which stays under 100 objects per run.
 func TestRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race CI lane")
@@ -465,32 +468,67 @@ func TestRunAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			budget := 0.5 * ds.Instance.TotalCost()
+			total := ds.Instance.TotalCost()
+			budget := 0.5 * total
+			// A log-free trace of the solve template: installed before each
+			// "seq-full" Run, it makes that Run solve in full and record.
+			tmpl := p.solveTmpl
+			if tmpl == nil {
+				tmpl = p.base
+			}
+			empty := celf.NewTrace(tmpl, 1)
 			for _, tc := range []struct {
-				name string
-				opts RunOptions
-				max  float64
+				name    string
+				opts    RunOptions
+				budgets []float64 // alternated run to run; {opts.Budget} when nil
+				full    bool      // drop the trace's logs before every Run
+				max     float64
 			}{
-				{"seq-nobound", RunOptions{Budget: budget, Workers: 1, SkipBound: true}, 0},
-				{"seq-bound", RunOptions{Budget: budget, Workers: 1}, 0},
-				{"default-bound", RunOptions{Budget: budget}, 99},
+				{"seq-nobound", RunOptions{Budget: budget, Workers: 1, SkipBound: true}, nil, false, 0},
+				{"seq-bound", RunOptions{Budget: budget, Workers: 1}, nil, false, 0},
+				{"default-bound", RunOptions{Budget: budget}, nil, false, 99},
+				{"seq-ladder", RunOptions{Workers: 1}, []float64{0.3 * total, 0.4 * total}, false, 0},
+				{"seq-full", RunOptions{Budget: budget, Workers: 1, SkipBound: true}, nil, true, 3},
 			} {
 				t.Run(tc.name, func(t *testing.T) {
-					var res Result
-					if err := p.RunInto(ctx, tc.opts, &res); err != nil {
-						t.Fatal(err)
+					budgets := tc.budgets
+					if budgets == nil {
+						budgets = []float64{tc.opts.Budget}
 					}
-					warm := keyOf(&res)
-					allocs := testing.AllocsPerRun(10, func() {
-						if err := p.RunInto(ctx, tc.opts, &res); err != nil {
+					opts := tc.opts
+					var res Result
+					warm := make([]runKey, len(budgets))
+					for i, b := range budgets {
+						opts.Budget = b
+						if err := p.RunInto(ctx, opts, &res); err != nil {
 							t.Fatal(err)
+						}
+						warm[i] = keyOf(&res)
+					}
+					for _, b := range budgets {
+						if !p.trace.Covers(b) {
+							t.Fatalf("no trace covers budget %g after the warm-up", b)
+						}
+					}
+					runs := 0
+					allocs := testing.AllocsPerRun(10, func() {
+						opts.Budget = budgets[runs%len(budgets)]
+						runs++
+						if tc.full {
+							p.trace = empty
+						}
+						if err := p.RunInto(ctx, opts, &res); err != nil {
+							t.Fatal(err)
+						}
+						if tc.full && p.trace == empty {
+							t.Fatal("a full Run recorded no trace")
 						}
 					})
 					if allocs > tc.max {
 						t.Fatalf("warm RunInto allocates %v times per run, want at most %v", allocs, tc.max)
 					}
-					if keyOf(&res) != warm {
-						t.Fatalf("warm runs diverged: %+v vs %+v", keyOf(&res), warm)
+					if got := keyOf(&res); got != warm[(runs-1)%len(budgets)] {
+						t.Fatalf("warm runs diverged: %+v vs %+v", got, warm[(runs-1)%len(budgets)])
 					}
 				})
 			}
@@ -538,10 +576,10 @@ func (l *observerLog) Selected(p par.PhotoID, gain float64) {
 	*l = append(*l, fmt.Sprintf("s %d %x", p, math.Float64bits(gain)))
 }
 
-// TestRunObserverMatchesUnseeded: a Run seeds CELF from the Prepared's
-// memoized S0 gains, yet its observer stream is event for event the one an
-// unseeded solver emits on the same budgeted view, on the first Run (which
-// fills the memo) and on later ones.
+// TestRunObserverMatchesUnseeded: a Run seeds CELF from the S0 gains of the
+// Prepared's trace, yet its observer stream is event for event the one an
+// unseeded solver emits on the same budgeted view, even when the trace
+// covers the budget: an Observer Run solves in full.
 func TestRunObserverMatchesUnseeded(t *testing.T) {
 	ctx := context.Background()
 	ds := sweepDataset(t, 37)
@@ -554,12 +592,21 @@ func TestRunObserverMatchesUnseeded(t *testing.T) {
 		if p.solveTmpl != nil {
 			tmpl = p.solveTmpl
 		}
+		// A trace covering every budget: Observer Runs neither continue
+		// nor replace it.
+		if _, err := p.Run(ctx, RunOptions{SkipBound: true}); err != nil {
+			t.Fatal(err)
+		}
+		traced := p.trace
 		for _, workers := range []int{1, 2, 8} {
 			for _, frac := range []float64{0.2, 0.5} {
 				budget := frac * ds.Instance.TotalCost()
 				var got, want observerLog
 				if _, err := p.Run(ctx, RunOptions{Budget: budget, Workers: workers, Observer: &got, SkipBound: true}); err != nil {
 					t.Fatal(err)
+				}
+				if p.trace != traced {
+					t.Fatalf("tau=%g workers=%d f=%g: an Observer Run replaced the trace", tau, workers, frac)
 				}
 				var view par.Instance
 				if err := tmpl.ViewInto(&view, budget); err != nil {
