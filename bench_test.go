@@ -450,7 +450,10 @@ func BenchmarkDeltaVsColdPrepare(b *testing.B) {
 	var live *phocus.Prepared
 	apply := func(b *testing.B) *phocus.Prepared {
 		b.Helper()
-		q, err := phocus.DecodeSnapshot(buf)
+		// A decoded Prepared's slabs are views into the buffer it was
+		// decoded from, and ApplyDelta's tombstones write through them, so
+		// every iteration decodes its own copy.
+		q, err := phocus.DecodeSnapshot(bytes.Clone(buf))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -238,7 +238,7 @@ func CoverageVector(inst *Instance, s []PhotoID) [][]float64 {
 		// array, so map each (subset, member) slot through the row lookup.
 		for mi := range out[qi] {
 			// Tombstoned rows can carry stale best values raised through
-			// wr-0 mirror entries; a removed member covers nothing.
+			// mirror entries of slot weight 0; a removed member covers nothing.
 			if !e.kern.RowDead(qi, mi) {
 				out[qi][mi] = e.flat[e.kern.RowOf(qi, mi)]
 			}

@@ -9,27 +9,34 @@ import (
 // Kernel is the compiled gain kernel: the entire marginal-gain/add hot path
 // of an instance flattened into contiguous arrays at compile time, so that
 // Evaluator.Gain and Evaluator.Add become branch-light scans over parallel
-// slices with zero interface dispatch and zero multiplications beyond the
-// fused-weight product.
+// slices with zero interface dispatch and one multiplication per entry.
 //
 // Layout. Every (subset, member) pair is one global row; rows are numbered
 // in subset order, member order (row = Σ_{q'<q} |q'| + member index), the
 // same order the Evaluator lays its flat best array out in. The similarity
 // structure of all subsets is stored as one CSR matrix across those rows:
 //
-//	rowStart[r] .. rowStart[r+1]  span of row r's entries in the three
+//	rowStart[r] .. rowStart[r+1]  span of row r's entries in the two
 //	                              parallel entry arrays
 //	nbrIdx[t]                     the neighbour's GLOBAL row (already offset
 //	                              by its subset), i.e. an index into the
 //	                              evaluator's flat best array
 //	nbrSim[t]                     SIM(q, member, neighbour), in (0, 1]
-//	nbrWR[t]                      W(q)·R(q, neighbour), fused at compile time
+//
+// plus one weight per row:
+//
+//	slotWR[r]                     W(q)·R(q, member) of row r's slot
+//
+// The objective weighs each (subset, member) slot once, so W·R is stored
+// once per row, not once per entry: an entry t reads the weight of the slot
+// it may cover, slotWR[nbrIdx[t]], through the same index it reads the
+// slot's best value with.
 //
 // Entry order within a row matches a direct walk of each subset's
 // similarity exactly — a NeighborLister's listed order, ascending member
-// index for dense similarities — and W·R is folded left-associatively as
-// W(q)·R(q,p)·Δ multiplies, so kernel gains are bit-identical to the
-// test-only jagged reference evaluator.
+// index for dense similarities — and each slot weight is the product
+// W(q)·R(q,p) the reference multiplies by Δ, so kernel gains are
+// bit-identical to the test-only jagged reference evaluator.
 //
 // Per-photo occurrences are resolved to row spans too: occRow[occStart[p]
 // .. occStart[p+1]] lists, in Occurrences(p) order, the global row of every
@@ -44,7 +51,7 @@ type Kernel struct {
 	rowStart []int64
 	nbrIdx   []int32
 	nbrSim   []float64
-	nbrWR    []float64
+	slotWR   []float64
 	occStart []int32
 	occRow   []int32
 
@@ -78,15 +85,18 @@ func CompileKernel(inst *Instance) *Kernel {
 	}
 
 	k.rowStart = append(make([]int64, 0, rows+1), 0)
+	k.slotWR = make([]float64, 0, rows)
 	for qi := range inst.Subsets {
 		q := &inst.Subsets[qi]
+		for mi := range q.Members {
+			k.slotWR = append(k.slotWR, q.Weight*q.Relevance[mi])
+		}
 		off := subOff[qi]
 		if nl, ok := q.Sim.(NeighborLister); ok {
 			for i := range q.Members {
 				for _, nb := range nl.Neighbors(i) {
 					k.nbrIdx = append(k.nbrIdx, off+int32(nb.Index))
 					k.nbrSim = append(k.nbrSim, nb.Sim)
-					k.nbrWR = append(k.nbrWR, q.Weight*q.Relevance[nb.Index])
 				}
 				k.rowStart = append(k.rowStart, int64(len(k.nbrIdx)))
 			}
@@ -100,7 +110,6 @@ func CompileKernel(inst *Instance) *Kernel {
 				if s := q.Sim.Sim(mi, i); s > 0 {
 					k.nbrIdx = append(k.nbrIdx, off+int32(mi))
 					k.nbrSim = append(k.nbrSim, s)
-					k.nbrWR = append(k.nbrWR, q.Weight*q.Relevance[mi])
 				}
 			}
 			k.rowStart = append(k.rowStart, int64(len(k.nbrIdx)))
@@ -127,18 +136,18 @@ func (k *Kernel) gain(best []float64, p PhotoID) float64 {
 	if k.ov != nil {
 		return k.ov.gain(k, best, p)
 	}
+	wr := k.slotWR
 	var gain float64
 	for _, r := range k.occRow[k.occStart[p]:k.occStart[p+1]] {
 		lo, hi := k.rowStart[r], k.rowStart[r+1]
 		idx := k.nbrIdx[lo:hi]
 		sim := k.nbrSim[lo:hi]
-		wr := k.nbrWR[lo:hi]
 		for t, ix := range idx {
 			// Branchless clamp: covered slots contribute wr·(+0), which
 			// leaves the accumulator bit-identical to the skipping form,
 			// and the data-dependent branch (≈coin-flip on real archives,
 			// so a mispredict per entry) disappears from the hot loop.
-			gain += wr[t] * max(sim[t]-best[ix], 0)
+			gain += wr[ix] * max(sim[t]-best[ix], 0)
 		}
 	}
 	return gain
@@ -150,15 +159,15 @@ func (k *Kernel) add(best []float64, p PhotoID) float64 {
 	if k.ov != nil {
 		return k.ov.add(k, best, p)
 	}
+	wr := k.slotWR
 	var gain float64
 	for _, r := range k.occRow[k.occStart[p]:k.occStart[p+1]] {
 		lo, hi := k.rowStart[r], k.rowStart[r+1]
 		idx := k.nbrIdx[lo:hi]
 		sim := k.nbrSim[lo:hi]
-		wr := k.nbrWR[lo:hi]
 		for t, ix := range idx {
 			if d := sim[t] - best[ix]; d > 0 {
-				gain += wr[t] * d
+				gain += wr[ix] * d
 				best[ix] = sim[t]
 			}
 		}
@@ -182,7 +191,7 @@ func (k *Kernel) Entries() int {
 // SizeBytes returns the memory retained by the kernel's arrays; prepared-
 // instance caches count it against their byte bounds.
 func (k *Kernel) SizeBytes() int64 {
-	n := 4*int64(len(k.nbrIdx)) + 8*int64(len(k.nbrSim)) + 8*int64(len(k.nbrWR)) +
+	n := 4*int64(len(k.nbrIdx)) + 8*int64(len(k.nbrSim)) + 8*int64(len(k.slotWR)) +
 		8*int64(len(k.rowStart)) + 4*int64(len(k.occStart)) + 4*int64(len(k.occRow)) +
 		4*int64(len(k.rowLen))
 	if k.ov != nil {

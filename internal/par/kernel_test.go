@@ -329,15 +329,52 @@ func TestKernelSizeBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	inst := Random(rng, RandomConfig{Photos: 40, Subsets: 10})
 	k := CompileKernel(inst)
-	if k.SizeBytes() <= 0 {
-		t.Fatalf("SizeBytes = %d, want > 0", k.SizeBytes())
-	}
 	if k.Rows() <= 0 || k.Entries() <= 0 {
 		t.Fatalf("Rows = %d, Entries = %d, want > 0", k.Rows(), k.Entries())
 	}
-	// Entries dominate; each carries one int32 + two float64.
-	if min := 20 * int64(k.Entries()); k.SizeBytes() < min {
-		t.Fatalf("SizeBytes = %d, want ≥ %d for %d entries", k.SizeBytes(), min, k.Entries())
+	rows, entries, photos := int64(k.Rows()), int64(k.Entries()), int64(inst.NumPhotos())
+	var occ int64
+	for p := range inst.NumPhotos() {
+		occ += int64(len(inst.Occurrences(PhotoID(p))))
+	}
+	// Each entry carries an int32 neighbour row and a float64 similarity;
+	// each row one float64 slot weight and one int64 offset (plus the
+	// closing offset); each photo one int32 occurrence offset (plus the
+	// closing one) and each occurrence an int32 row; each subset an int32
+	// length.
+	want := 12*entries + 8*rows + 8*(rows+1) + 4*(photos+1) + 4*occ + 4*int64(len(inst.Subsets))
+	if got := k.SizeBytes(); got != want {
+		t.Fatalf("SizeBytes = %d, want %d for %d entries over %d rows", got, want, entries, rows)
+	}
+
+	// The overlay charges its index slices, one slice header per row, tail
+	// photo and base photo, 16 bytes per appended entry and a byte per
+	// row's dead flag; each tail row adds its slot weight to slotWR. The
+	// delta test instance has 9 photos and subsets of 5, 4 and 4 members.
+	kern := CompileKernel(deltaTestInstance(t, 1))
+	before := kern.SizeBytes()
+	kern.TombstoneRow(0, 1)
+	kern.AppendPhoto()                                                                 // photo 9
+	kern.AppendMemberRow(1, 9, []Neighbor{{Index: 1, Sim: 0.9}, {Index: 2, Sim: 0.4}}) // 2 pairs + self
+	kern.AppendSubset()                                                                // subset 3
+	kern.AppendMemberRow(3, 1, nil)                                                    // self
+	kern.AppendMemberRow(3, 9, []Neighbor{{Index: 0, Sim: 0.6}})                       // 1 pair + self
+	const (
+		baseSubs, subs     = 3, 4
+		baseRows, tailRows = 13, 3
+		basePhotos         = 9
+		extraEntries       = 2*2 + 1 + 1 + 2*1 + 1
+	)
+	overlay := int64(4*(2*baseSubs) + // subOff, baseLen
+		4*(2*tailRows) + // rowSub, rowMi
+		24*subs + 4*tailRows + // tails
+		24*(baseRows+tailRows) + 16*extraEntries + // extra
+		24*1 + 4*2 + // tailOcc: photo 9 occupies two rows
+		24*basePhotos + 4*1 + // extraOcc: photo 1 joined subset 3
+		(baseRows + tailRows)) // deadRow
+	growth := int64(8*tailRows + 4) // slotWR, rowLen
+	if got, want := kern.SizeBytes()-before, overlay+growth; got != want {
+		t.Fatalf("overlay SizeBytes grew by %d, want %d", got, want)
 	}
 }
 

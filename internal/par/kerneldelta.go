@@ -5,7 +5,7 @@ import "fmt"
 // This file gives the compiled Kernel an incremental-maintenance path: a
 // mutation overlay that supports tombstoning the rows of removed members,
 // appending rows for new members (and whole new subsets, and new photos) at
-// the tail, and rewriting fused W·R products after a relevance
+// the tail, and rewriting slot W·R weights after a relevance
 // renormalization — without recompiling the flat slabs. The staged engine's
 // Prepared.ApplyDelta drives these operations; when the dead-entry fraction
 // grows past its threshold the engine compacts by recompiling the kernel
@@ -18,22 +18,28 @@ import "fmt"
 // baseRows, baseRows+1, ...), regardless of which subset it joined. Tail
 // rows have no span in the base CSR arrays — their entries live in the
 // overlay's per-row extra lists, as do entries appended to base rows (a base
-// member gaining a new neighbour). The flat best array an Evaluator
-// allocates is indexed by these row ids; its total length (base + tail)
-// always equals the instance's total member count, so evaluator allocation
-// is unchanged — only the row→(subset,member) correspondence differs from
-// the canonical subset-major layout, which is why CoverageVector maps each
-// slot through RowOf while an overlay is active (see Kernel.Canonical).
+// member gaining a new neighbour) — but every row, base or tail, has its
+// slot weight in slotWR. The flat best array an Evaluator allocates is
+// indexed by these row ids; its total length (base + tail) always equals
+// the instance's total member count, so evaluator allocation is unchanged —
+// only the row→(subset,member) correspondence differs from the canonical
+// subset-major layout, which is why CoverageVector maps each slot through
+// RowOf while an overlay is active (see Kernel.Canonical).
 //
 // Bit-identity. Overlay gains must equal what a freshly compiled kernel over
 // the updated instance computes, bit for bit. Entry order within a row is
 // ascending member index in both layouts: base entries were compiled
 // ascending, and appended members always have higher member indices than
 // every existing entry of the rows they extend, so extras appended in
-// arrival order stay ascending. Tombstoned entries are zeroed (sim = 0,
-// wr = 0) rather than spliced out: a zero-sim entry can never satisfy
-// sim > best (best ≥ 0 always), so it contributes no term — the remaining
-// summation order, and therefore the float result, is unchanged.
+// arrival order stay ascending. Slot weights are the products
+// W(q)·R(q, member) a fresh compile computes. A removed member's row is not
+// spliced out; two zeros make it inert instead. Its own entries get sim 0,
+// so they contribute wr·max(0−best, 0) = wr·(+0) = +0: the member never
+// again covers anything. Its neighbours keep their mirror entries pointing
+// at it, but its slot weight is W·0 = 0 once the caller renormalizes its
+// relevance to 0 and rewrites, so those entries contribute 0·Δ = +0 too.
+// Adding +0 leaves every gain unchanged, so the remaining summation order,
+// and therefore the float result, is that of a fresh compile.
 type kernOverlay struct {
 	// subOff / baseLen freeze the compile-time subset layout: base subset q's
 	// rows are subOff[q] .. subOff[q]+baseLen[q]-1.
@@ -52,33 +58,32 @@ type kernOverlay struct {
 	rowSub []int32
 	rowMi  []int32
 
-	// extra holds appended entries per row (base or tail), in ascending member
-	// order; extraN counts them across all rows.
-	extra  map[int32][]kentry
+	// extra[r] holds the entries appended to row r (base or tail), in
+	// ascending member order; extraN counts them across all rows.
+	extra  [][]kentry
 	extraN int
 
 	// tailOcc[p-basePhotos] lists the rows appended photos occupy, ascending by
-	// subset; extraOcc lists the tail rows base photos gained by joining
+	// subset; extraOcc[p] lists the tail rows base photo p gained by joining
 	// appended subsets (base photos can only gain membership in new subsets, so
 	// base occ followed by extraOcc stays subset-ascending).
 	tailOcc  [][]int32
-	extraOcc map[PhotoID][]int32
+	extraOcc [][]int32
 
 	// dead counts tombstoned entries (both directions of each dead pair), for
 	// the live-fraction compaction heuristic; deadRow marks tombstoned rows
-	// (their best values are meaningless — wr-0 mirror entries still raise
-	// them — so coverage read-outs report 0 there, as a compiled kernel
-	// over the updated instance would).
+	// (their best values are meaningless — mirror entries of slot weight 0
+	// still raise them — so coverage read-outs report 0 there, as a compiled
+	// kernel over the updated instance would).
 	dead    int
-	deadRow map[int32]bool
+	deadRow []bool
 }
 
 // kentry is one overlay similarity entry, mirroring the parallel
-// nbrIdx/nbrSim/nbrWR slabs.
+// nbrIdx/nbrSim slabs; its weight is the slot weight of the row it targets.
 type kentry struct {
 	idx int32
 	sim float64
-	wr  float64
 }
 
 // Canonical reports whether the kernel is in its compiled flat layout: no
@@ -100,8 +105,9 @@ func (k *Kernel) TotalRows() int {
 // OverlayEntries returns the number of similarity entries living in the
 // mutation overlay's per-row extra lists (0 for a canonical kernel). The
 // engine's compaction heuristic bounds it relative to the compiled slabs:
-// overlay entries cost pointer-chasing through a map on every gain, so a
-// large overlay hurts even with few dead entries.
+// every row the overlay extends costs a second, separately allocated span
+// on each gain that reads it, so a large overlay hurts even with few dead
+// entries.
 func (k *Kernel) OverlayEntries() int {
 	if k.ov == nil {
 		return 0
@@ -134,9 +140,9 @@ func (k *Kernel) ensureOverlay() *kernOverlay {
 		baseRows:   k.Rows(),
 		basePhotos: k.photos,
 		tails:      make([][]int32, len(k.rowLen)),
-		extra:      map[int32][]kentry{},
-		extraOcc:   map[PhotoID][]int32{},
-		deadRow:    map[int32]bool{},
+		extra:      make([][]kentry, k.Rows()),
+		extraOcc:   make([][]int32, k.photos),
+		deadRow:    make([]bool, k.Rows()),
 	}
 	var off int32
 	for qi, l := range k.rowLen {
@@ -186,9 +192,9 @@ func (k *Kernel) AppendPhoto() {
 
 // AppendMemberRow appends photo p as the next member of subset q and records
 // its similarity row: one entry per neighbour (earlier members of q only,
-// ascending member index) plus the trailing self entry with sim 1. Fused W·R
-// products are written as 0 — the caller renormalizes relevance for the
-// whole batch and then calls RewriteWR, which fills them. Calls for one
+// ascending member index) plus the trailing self entry with sim 1. The new
+// row's slot weight is written as 0 — the caller renormalizes relevance for
+// the whole batch and then calls RewriteWR, which fills it. Calls for one
 // photo must arrive in ascending subset order so its occurrence list stays
 // sorted (base photos may only join appended subsets, which always sort
 // after their base occurrences).
@@ -205,6 +211,9 @@ func (k *Kernel) AppendMemberRow(q int, p PhotoID, neighbors []Neighbor) int32 {
 	ov.rowSub = append(ov.rowSub, int32(q))
 	ov.rowMi = append(ov.rowMi, int32(mi))
 	ov.tails[q] = append(ov.tails[q], row)
+	ov.extra = append(ov.extra, nil)
+	ov.deadRow = append(ov.deadRow, false)
+	k.slotWR = append(k.slotWR, 0)
 	k.rowLen[q]++
 
 	for _, nb := range neighbors {
@@ -227,12 +236,13 @@ func (k *Kernel) AppendMemberRow(q int, p PhotoID, neighbors []Neighbor) int32 {
 	return row
 }
 
-// TombstoneRow zeroes every entry of subset q's mi-th member's row except
-// the self entry, so the removed member can never again contribute gain as a
-// cover candidate. The symmetric entries in its neighbours' rows are left in
-// place: after the caller renormalizes (the removed member's relevance drops
-// to 0) and calls RewriteWR, their W·R products are 0, so they contribute
-// exactly +0.0 to any gain — bit-identical to their absence.
+// TombstoneRow zeroes the similarity of every entry of subset q's mi-th
+// member's row except the self entry, so the removed member can never again
+// contribute gain as a cover candidate. The symmetric entries in its
+// neighbours' rows are left in place: after the caller renormalizes (the
+// removed member's relevance drops to 0) and calls RewriteWR, its slot
+// weight is 0, so they contribute exactly +0.0 to any gain — bit-identical
+// to their absence.
 func (k *Kernel) TombstoneRow(q, mi int) {
 	ov := k.ensureOverlay()
 	r := k.RowOf(q, mi)
@@ -242,7 +252,6 @@ func (k *Kernel) TombstoneRow(q, mi int) {
 		for t := lo; t < hi; t++ {
 			if k.nbrIdx[t] != r && k.nbrSim[t] != 0 {
 				k.nbrSim[t] = 0
-				k.nbrWR[t] = 0
 				zeroed++
 			}
 		}
@@ -251,12 +260,11 @@ func (k *Kernel) TombstoneRow(q, mi int) {
 	for t := range ex {
 		if ex[t].idx != r && ex[t].sim != 0 {
 			ex[t].sim = 0
-			ex[t].wr = 0
 			zeroed++
 		}
 	}
-	// Each zeroed pair leaves a wr-0 mirror entry in the neighbour's row;
-	// count both sides as dead for the compaction heuristic.
+	// Each zeroed pair leaves a mirror entry of slot weight 0 in the
+	// neighbour's row; count both sides as dead for the compaction heuristic.
 	ov.dead += 2 * zeroed
 	ov.deadRow[r] = true
 }
@@ -266,127 +274,104 @@ func (k *Kernel) RowDead(q, mi int) bool {
 	return k.ov != nil && k.ov.deadRow[k.RowOf(q, mi)]
 }
 
-// RewriteWR refreshes the fused W·R product of every live entry in subset
-// q's rows after a relevance renormalization: wr = weight · rel[target
-// member]. Tombstoned entries (sim 0) stay 0.
+// RewriteWR refreshes the slot weight of each of subset q's rows after a
+// relevance renormalization: slotWR = weight · rel[member]. It writes |q|
+// slots, one per member; the entries need no rewrite, since each reads the
+// weight of the slot it targets.
 func (k *Kernel) RewriteWR(q int, weight float64, rel []float64) {
 	ov := k.ensureOverlay()
-	miOf := func(ix int32) int32 {
-		if int(ix) < ov.baseRows {
-			return ix - ov.subOff[q]
-		}
-		return ov.rowMi[int(ix)-ov.baseRows]
-	}
-	rewriteRow := func(r int32) {
-		if int(r) < ov.baseRows {
-			lo, hi := k.rowStart[r], k.rowStart[r+1]
-			for t := lo; t < hi; t++ {
-				if k.nbrSim[t] != 0 {
-					k.nbrWR[t] = weight * rel[miOf(k.nbrIdx[t])]
-				}
-			}
-		}
-		ex := ov.extra[r]
-		for t := range ex {
-			if ex[t].sim != 0 {
-				ex[t].wr = weight * rel[miOf(ex[t].idx)]
-			}
-		}
-	}
 	if q < len(ov.subOff) {
-		for i := int32(0); i < ov.baseLen[q]; i++ {
-			rewriteRow(ov.subOff[q] + i)
+		base := k.slotWR[ov.subOff[q] : ov.subOff[q]+ov.baseLen[q]]
+		for mi := range base {
+			base[mi] = weight * rel[mi]
 		}
 	}
 	for _, r := range ov.tails[q] {
-		rewriteRow(r)
+		k.slotWR[r] = weight * rel[ov.rowMi[int(r)-ov.baseRows]]
 	}
 }
 
-// occRows invokes fn over every row photo p occupies, in subset order,
-// under the overlay layout.
-func (ov *kernOverlay) occRows(k *Kernel, p PhotoID, fn func(r int32)) {
+// occ returns the rows photo p occupies under the overlay layout, in subset
+// order: base holds its compiled occurrences, extra the tail rows after them.
+func (ov *kernOverlay) occ(k *Kernel, p PhotoID) (base, extra []int32) {
 	if int(p) < ov.basePhotos {
-		for _, r := range k.occRow[k.occStart[p]:k.occStart[p+1]] {
-			fn(r)
-		}
-		for _, r := range ov.extraOcc[p] {
-			fn(r)
-		}
-		return
+		return k.occRow[k.occStart[p]:k.occStart[p+1]], ov.extraOcc[p]
 	}
-	for _, r := range ov.tailOcc[int(p)-ov.basePhotos] {
-		fn(r)
-	}
+	return nil, ov.tailOcc[int(p)-ov.basePhotos]
 }
 
-// gain is Kernel.gain under an overlay.
+// gain is Kernel.gain under an overlay: each row's compiled span, then its
+// appended entries.
 func (ov *kernOverlay) gain(k *Kernel, best []float64, p PhotoID) float64 {
+	wr := k.slotWR
 	var gain float64
-	ov.occRows(k, p, func(r int32) {
-		if int(r) < ov.baseRows {
-			lo, hi := k.rowStart[r], k.rowStart[r+1]
-			idx := k.nbrIdx[lo:hi]
-			sim := k.nbrSim[lo:hi]
-			wr := k.nbrWR[lo:hi]
-			for t, ix := range idx {
-				if d := sim[t] - best[ix]; d > 0 {
-					gain += wr[t] * d
+	base, extra := ov.occ(k, p)
+	for _, rows := range [2][]int32{base, extra} {
+		for _, r := range rows {
+			if int(r) < ov.baseRows {
+				lo, hi := k.rowStart[r], k.rowStart[r+1]
+				idx := k.nbrIdx[lo:hi]
+				sim := k.nbrSim[lo:hi]
+				for t, ix := range idx {
+					gain += wr[ix] * max(sim[t]-best[ix], 0)
 				}
 			}
-		}
-		for _, e := range ov.extra[r] {
-			if d := e.sim - best[e.idx]; d > 0 {
-				gain += e.wr * d
+			for _, e := range ov.extra[r] {
+				gain += wr[e.idx] * max(e.sim-best[e.idx], 0)
 			}
 		}
-	})
+	}
 	return gain
 }
 
 // add is Kernel.add under an overlay.
 func (ov *kernOverlay) add(k *Kernel, best []float64, p PhotoID) float64 {
+	wr := k.slotWR
 	var gain float64
-	ov.occRows(k, p, func(r int32) {
-		if int(r) < ov.baseRows {
-			lo, hi := k.rowStart[r], k.rowStart[r+1]
-			idx := k.nbrIdx[lo:hi]
-			sim := k.nbrSim[lo:hi]
-			wr := k.nbrWR[lo:hi]
-			for t, ix := range idx {
-				if d := sim[t] - best[ix]; d > 0 {
-					gain += wr[t] * d
-					best[ix] = sim[t]
+	base, extra := ov.occ(k, p)
+	for _, rows := range [2][]int32{base, extra} {
+		for _, r := range rows {
+			if int(r) < ov.baseRows {
+				lo, hi := k.rowStart[r], k.rowStart[r+1]
+				idx := k.nbrIdx[lo:hi]
+				sim := k.nbrSim[lo:hi]
+				for t, ix := range idx {
+					if d := sim[t] - best[ix]; d > 0 {
+						gain += wr[ix] * d
+						best[ix] = sim[t]
+					}
+				}
+			}
+			for _, e := range ov.extra[r] {
+				if d := e.sim - best[e.idx]; d > 0 {
+					gain += wr[e.idx] * d
+					best[e.idx] = e.sim
 				}
 			}
 		}
-		ex := ov.extra[r]
-		for t := range ex {
-			if d := ex[t].sim - best[ex[t].idx]; d > 0 {
-				gain += ex[t].wr * d
-				best[ex[t].idx] = ex[t].sim
-			}
-		}
-	})
+	}
 	return gain
 }
 
 // overlayBytes estimates the memory retained by the overlay, for prepared-
-// size accounting.
+// size accounting: its int32 index slices, one slice header per row, tail
+// photo and base photo, 16 bytes per appended entry and one byte per row's
+// dead flag. Slot weights of tail rows live in slotWR, which Kernel.SizeBytes
+// counts.
 func (ov *kernOverlay) overlayBytes() int64 {
+	const header = 24 // a slice header: pointer, length, capacity
 	n := 4 * int64(len(ov.subOff)+len(ov.baseLen)+len(ov.rowSub)+len(ov.rowMi))
 	for _, t := range ov.tails {
-		n += 4 * int64(len(t))
+		n += header + 4*int64(len(t))
 	}
-	// kentry is 24 bytes; charge map overhead at a flat 16 per row key.
-	n += 24*int64(ov.extraN) + 16*int64(len(ov.extra))
+	n += header*int64(len(ov.extra)) + 16*int64(ov.extraN)
 	for _, o := range ov.tailOcc {
-		n += 4 * int64(len(o))
+		n += header + 4*int64(len(o))
 	}
 	for _, o := range ov.extraOcc {
-		n += 4*int64(len(o)) + 16
+		n += header + 4*int64(len(o))
 	}
-	return n
+	return n + int64(len(ov.deadRow))
 }
 
 // validateOverlayOrder is a test hook: it checks that every row's entries
@@ -410,7 +395,7 @@ func (k *Kernel) validateOverlayOrder() error {
 	}
 	for r, ex := range ov.extra {
 		last := int32(-1)
-		if int(r) < ov.baseRows && k.rowStart[r] < k.rowStart[r+1] {
+		if r < ov.baseRows && k.rowStart[r] < k.rowStart[r+1] {
 			_, last = miGlobal(k.nbrIdx[k.rowStart[r+1]-1])
 		}
 		for _, e := range ex {
@@ -419,6 +404,19 @@ func (k *Kernel) validateOverlayOrder() error {
 				return fmt.Errorf("par: row %d extras out of ascending member order", r)
 			}
 			last = mi
+		}
+	}
+	for p := 0; p < k.photos; p++ {
+		last := int32(-1)
+		base, extra := ov.occ(k, PhotoID(p))
+		for _, rows := range [2][]int32{base, extra} {
+			for _, r := range rows {
+				sub, _ := miGlobal(r)
+				if sub <= last {
+					return fmt.Errorf("par: photo %d occurrences out of ascending subset order", p)
+				}
+				last = sub
+			}
 		}
 	}
 	return nil

@@ -1,7 +1,10 @@
 package par
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -170,7 +173,7 @@ func TestKernelOverlayBitIdentical(t *testing.T) {
 			kern.AppendMemberRow(3, 9, []Neighbor{{Index: 0, Sim: 0.6}})
 		}
 
-		// --- renormalize + rewrite fused weights ----------------------------
+		// --- renormalize + rewrite slot weights -----------------------------
 		for qi := range inst.Subsets {
 			q := &inst.Subsets[qi]
 			renorm(q.Relevance)
@@ -235,8 +238,8 @@ func TestKernelOverlayBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: final score overlay %v != compiled %v", seed, eo.Score(), er.Score())
 		}
 
-		// A removed photo must never gain: its row is tombstoned and every
-		// symmetric entry carries W·R = 0 after the rewrite.
+		// A removed photo must never gain: its row is tombstoned and its
+		// slot weight is W·0 = 0 after the rewrite.
 		if g := NewEvaluator(over).Gain(2); g != 0 {
 			t.Fatalf("seed %d: removed photo still gains %v", seed, g)
 		}
@@ -300,4 +303,241 @@ func TestDeltaSim(t *testing.T) {
 	if d.Sim(4, 3) != 0 || d.Sim(3, 0) != 0 {
 		t.Fatal("masking an appended member did not zero its pairs")
 	}
+}
+
+// overlayModel keeps an instance in lockstep with a kernel under a mutation
+// overlay, issuing each change to both the way the engine's ApplyDelta
+// does: tombstones first, then appended photos and subsets, then the
+// renormalization and slot-weight rewrite of every touched subset.
+type overlayModel struct {
+	inst    *Instance
+	kern    *Kernel
+	removed []bool
+}
+
+// deltaSim returns q's similarity as a DeltaSim, wrapping it on first use.
+func deltaSim(q *Subset) *DeltaSim {
+	ds, ok := q.Sim.(*DeltaSim)
+	if !ok {
+		ds = NewDeltaSim(q.Sim)
+		q.Sim = ds
+	}
+	return ds
+}
+
+// live returns the indices of q's members that were not removed.
+func (m *overlayModel) live(q *Subset) []int {
+	var out []int
+	for mi, p := range q.Members {
+		if !m.removed[p] {
+			out = append(out, mi)
+		}
+	}
+	return out
+}
+
+// neighbors draws a random similarity row against a random subset of the
+// given member indices, ascending, with sims in (0, 1].
+func neighbors(rng *rand.Rand, among []int) []Neighbor {
+	var nbrs []Neighbor
+	for _, mi := range among {
+		if rng.Intn(2) == 0 {
+			nbrs = append(nbrs, Neighbor{Index: mi, Sim: 1 - rng.Float64()})
+		}
+	}
+	return nbrs
+}
+
+// batch applies one random churn batch to the instance and the kernel.
+func (m *overlayModel) batch(t *testing.T, rng *rand.Rand) {
+	inst := m.inst
+	touched := map[int]bool{}
+
+	// Removals: never a retained photo, and never a subset's last live member
+	// (its relevance would not renormalize).
+	for i := rng.Intn(4); i > 0; i-- {
+		p := PhotoID(rng.Intn(inst.NumPhotos()))
+		if m.removed[p] || inst.IsRetained(p) {
+			continue
+		}
+		ok := true
+		for _, oc := range inst.Occurrences(p) {
+			ok = ok && len(m.live(&inst.Subsets[oc.Subset])) > 1
+		}
+		if !ok {
+			continue
+		}
+		m.removed[p] = true
+		for _, oc := range inst.Occurrences(p) {
+			q := &inst.Subsets[oc.Subset]
+			deltaSim(q).MaskMember(oc.Index)
+			q.Relevance[oc.Index] = 0
+			m.kern.TombstoneRow(oc.Subset, oc.Index)
+			touched[oc.Subset] = true
+		}
+	}
+
+	// Appended photos, each joining existing subsets in ascending order.
+	oldSubs := len(inst.Subsets)
+	for i := rng.Intn(3); i > 0; i-- {
+		p := PhotoID(inst.NumPhotos())
+		inst.Cost = append(inst.Cost, 0.5+2*rng.Float64())
+		m.removed = append(m.removed, false)
+		m.kern.AppendPhoto()
+		for qi := 0; qi < oldSubs; qi++ {
+			if rng.Intn(3) != 0 {
+				continue
+			}
+			q := &inst.Subsets[qi]
+			nbrs := neighbors(rng, m.live(q))
+			deltaSim(q).AppendMember(nbrs)
+			q.Members = append(q.Members, p)
+			q.Relevance = append(q.Relevance, 0.2+rng.Float64())
+			m.kern.AppendMemberRow(qi, p, nbrs)
+			touched[qi] = true
+		}
+	}
+
+	// Appended subsets over live photos, old and new alike.
+	for i := rng.Intn(2); i > 0; i-- {
+		qi := len(inst.Subsets)
+		var members []PhotoID
+		for p := range inst.NumPhotos() {
+			if !m.removed[p] && rng.Intn(4) == 0 && len(members) < 5 {
+				members = append(members, PhotoID(p))
+			}
+		}
+		if len(members) == 0 {
+			continue
+		}
+		ss := NewSparseSim(len(members))
+		rel := make([]float64, len(members))
+		m.kern.AppendSubset()
+		for pos, p := range members {
+			prev := make([]int, pos)
+			for j := range prev {
+				prev[j] = j
+			}
+			nbrs := neighbors(rng, prev)
+			for _, nb := range nbrs {
+				ss.Add(pos, nb.Index, nb.Sim)
+			}
+			rel[pos] = 0.2 + rng.Float64()
+			m.kern.AppendMemberRow(qi, p, nbrs)
+		}
+		inst.Subsets = append(inst.Subsets, Subset{
+			Name: "new", Weight: 0.5 + rng.Float64(),
+			Members: members, Relevance: rel, Sim: ss,
+		})
+		touched[qi] = true
+	}
+
+	for qi := range inst.Subsets {
+		if touched[qi] {
+			q := &inst.Subsets[qi]
+			renorm(q.Relevance)
+			m.kern.RewriteWR(qi, q.Weight, q.Relevance)
+		}
+	}
+	inst.Budget = inst.TotalCost()
+	if err := inst.Finalize(); err != nil {
+		t.Fatalf("re-Finalize: %v", err)
+	}
+}
+
+// check holds the overlay kernel to a kernel compiled fresh over the same
+// instance: every photo's Gain bit for bit, before and after each Add of a
+// random sequence of live photos, every Add's gain, and the coverage vector
+// of the resulting selection.
+func (m *overlayModel) check(t *testing.T, rng *rand.Rand, step string) {
+	t.Helper()
+	if err := m.kern.validateOverlayOrder(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	view := func(k *Kernel) *Instance {
+		v := &Instance{Cost: m.inst.Cost, Retained: m.inst.Retained, Budget: m.inst.Budget, Subsets: m.inst.Subsets}
+		if err := v.Finalize(); err != nil {
+			t.Fatalf("%s: Finalize: %v", step, err)
+		}
+		if k == nil {
+			k = CompileKernel(v)
+		}
+		if err := v.AttachKernel(k); err != nil {
+			t.Fatalf("%s: AttachKernel: %v", step, err)
+		}
+		return v
+	}
+	over, ref := view(m.kern), view(nil)
+	eo, er := NewEvaluator(over), NewEvaluator(ref)
+	sameBits := func(when string) {
+		t.Helper()
+		for p := range over.NumPhotos() {
+			if g, w := eo.Gain(PhotoID(p)), er.Gain(PhotoID(p)); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s %s: Gain(%d) overlay %v != compiled %v", step, when, p, g, w)
+			}
+		}
+	}
+	sameBits("before adds")
+	var sol []PhotoID
+	for i := rng.Intn(5); i > 0; i-- {
+		p := PhotoID(rng.Intn(over.NumPhotos()))
+		if m.removed[p] || er.Contains(p) {
+			continue
+		}
+		if g, w := eo.Add(p), er.Add(p); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: Add(%d) overlay %v != compiled %v", step, p, g, w)
+		}
+		sol = append(sol, p)
+		sameBits(fmt.Sprintf("after Add(%d)", p))
+	}
+	co, cr := CoverageVector(over, sol), CoverageVector(ref, sol)
+	for qi := range cr {
+		for mi := range cr[qi] {
+			if math.Float64bits(co[qi][mi]) != math.Float64bits(cr[qi][mi]) {
+				t.Fatalf("%s: CoverageVector[%d][%d] overlay %v != compiled %v", step, qi, mi, co[qi][mi], cr[qi][mi])
+			}
+		}
+	}
+}
+
+// FuzzKernelOverlay is the overlay's differential check: a random finalized
+// instance (dense, sparse, neighbour-list, full-scan, uniform or identity
+// similarities) takes random churn batches — tombstoned rows with their
+// relevance dropped to 0 and renormalized, appended photos, subsets and
+// member rows, and the slot-weight rewrite of every touched subset — and
+// after each batch the overlay kernel must agree bit for bit with a kernel
+// compiled fresh over the same instance. The seed corpus starts with
+// TestKernelOverlayBitIdentical's seeds and shape.
+func FuzzKernelOverlay(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed, uint8(9), uint8(3), uint8(3), uint8(0))
+	}
+	f.Add(int64(42), uint8(30), uint8(8), uint8(6), uint8(1))
+	f.Add(int64(-7), uint8(4), uint8(1), uint8(5), uint8(2))
+	f.Add(int64(5), uint8(20), uint8(6), uint8(4), uint8(3))
+	f.Add(int64(9), uint8(16), uint8(4), uint8(4), uint8(4))
+	f.Add(int64(11), uint8(25), uint8(7), uint8(8), uint8(5))
+	names := make([]string, 0, len(simVariants))
+	for name := range simVariants {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	f.Fuzz(func(t *testing.T, seed int64, photos, subsets, batches, sim uint8) {
+		if photos == 0 || subsets == 0 || batches > 16 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		base := Random(rng, RandomConfig{
+			Photos:     int(photos),
+			Subsets:    int(subsets),
+			RetainFrac: 0.1,
+			SimDensity: 0.5,
+		})
+		inst := withSims(t, base, simVariants[names[int(sim)%len(names)]])
+		m := &overlayModel{inst: inst, kern: CompileKernel(inst), removed: make([]bool, inst.NumPhotos())}
+		for b := range int(batches) {
+			m.batch(t, rng)
+			m.check(t, rng, fmt.Sprintf("batch %d", b))
+		}
+	})
 }

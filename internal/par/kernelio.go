@@ -11,7 +11,7 @@ type KernelSlabs struct {
 	RowStart []int64
 	NbrIdx   []int32
 	NbrSim   []float64
-	NbrWR    []float64
+	SlotWR   []float64
 	OccStart []int32
 	OccRow   []int32
 }
@@ -30,7 +30,7 @@ func (k *Kernel) Slabs() KernelSlabs {
 		RowStart: k.rowStart,
 		NbrIdx:   k.nbrIdx,
 		NbrSim:   k.nbrSim,
-		NbrWR:    k.nbrWR,
+		SlotWR:   k.slotWR,
 		OccStart: k.occStart,
 		OccRow:   k.occRow,
 	}
@@ -45,9 +45,9 @@ func (k *Kernel) Slabs() KernelSlabs {
 // passed its checksums but was written by a different build, or a fuzzer),
 // every structural invariant the gain/add hot path relies on is checked
 // here: monotone row offsets covering the entry arrays exactly, equal-length
-// parallel entry arrays, neighbour rows within range, per-subset lengths
-// summing to the row count, and an occurrence index covering occRow exactly
-// with in-range rows. Violations return typed errors; a kernel this
+// parallel entry arrays, one slot weight per row, neighbour rows within
+// range, per-subset lengths summing to the row count, and an occurrence
+// index covering occRow exactly with in-range rows. Violations return typed errors; a kernel this
 // constructor accepts can never index out of bounds.
 func KernelFromSlabs(s KernelSlabs) (*Kernel, error) {
 	if s.Photos < 0 {
@@ -58,9 +58,13 @@ func KernelFromSlabs(s KernelSlabs) (*Kernel, error) {
 		return nil, fmt.Errorf("par: kernel slabs: rowStart must hold at least one offset")
 	}
 	entries := len(s.NbrIdx)
-	if len(s.NbrSim) != entries || len(s.NbrWR) != entries {
-		return nil, fmt.Errorf("par: kernel slabs: entry arrays disagree: %d idx, %d sim, %d wr",
-			entries, len(s.NbrSim), len(s.NbrWR))
+	if len(s.NbrSim) != entries {
+		return nil, fmt.Errorf("par: kernel slabs: entry arrays disagree: %d idx, %d sim",
+			entries, len(s.NbrSim))
+	}
+	if len(s.SlotWR) != rows {
+		return nil, fmt.Errorf("par: kernel slabs: %d slot weights, want one per row = %d",
+			len(s.SlotWR), rows)
 	}
 	if s.RowStart[0] != 0 || s.RowStart[rows] != int64(entries) {
 		return nil, fmt.Errorf("par: kernel slabs: rowStart spans [%d,%d], want [0,%d]",
@@ -114,7 +118,7 @@ func KernelFromSlabs(s KernelSlabs) (*Kernel, error) {
 		rowStart: s.RowStart,
 		nbrIdx:   s.NbrIdx,
 		nbrSim:   s.NbrSim,
-		nbrWR:    s.NbrWR,
+		slotWR:   s.SlotWR,
 		occStart: s.OccStart,
 		occRow:   s.OccRow,
 	}, nil

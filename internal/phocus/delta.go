@@ -710,7 +710,7 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 		}
 	}
 
-	// Fused W·R rewrite over every renormalized subset, in both kernels.
+	// Slot W·R rewrite over every renormalized subset, in both kernels.
 	for _, qi := range plan.touched {
 		q := &newBase.Subsets[qi]
 		kb.RewriteWR(qi, q.Weight, q.Relevance)

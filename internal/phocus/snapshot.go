@@ -2,13 +2,15 @@
 // a *Prepared: the flat CSR kernel slabs plus the finalized-instance
 // metadata needed to reconstruct it, laid out so loading is a handful of
 // checksums and slice-header casts instead of re-running Finalize's
-// similarity work, τ-sparsification and CompileKernel. See DESIGN.md §9 for
-// the wire format.
+// similarity work, τ-sparsification and CompileKernel. The kernels' slot
+// weights are not stored: decode derives them from META's subset weights and
+// the relevance section, so a snapshot cannot carry a W·R that disagrees
+// with its relevance. See DESIGN.md §9 for the wire format.
 //
 // Layout (all integers little-endian):
 //
 //	offset 0   magic "PHSNAP1\x00"                      8 bytes
-//	offset 8   version u32 (currently 1)                 4 bytes
+//	offset 8   version u32 (currently 2)                 4 bytes
 //	offset 12  section count N u32                       4 bytes
 //	offset 16  content fingerprint (raw sha256)         32 bytes
 //	offset 48  section table: N × {id u32, crc32c u32,
@@ -53,13 +55,15 @@ var ErrBadSnapshot = errors.New("bad snapshot")
 
 const (
 	snapMagic       = "PHSNAP1\x00"
-	snapVersion     = 1
+	snapVersion     = 2
 	snapHeaderFixed = 48 // magic + version + section count + raw fingerprint
 	snapTableEntry  = 24 // id + crc + offset + length
 	snapMaxSections = 64
 )
 
 // Section identifiers. The numeric values are part of the wire format.
+// Identifiers 7 and 12 held version 1's per-entry W·R slabs of the base and
+// sparse kernels; they are retired, and decode rejects them as unknown.
 const (
 	// 8-byte-aligned slabs.
 	secCost              uint32 = 1 // f64[numPhotos]
@@ -68,12 +72,10 @@ const (
 	secSimBaseNbr        uint32 = 4 // par.Neighbor (i64 index, f64 sim)
 	secKBRowStart        uint32 = 5 // base kernel slabs …
 	secKBNbrSim          uint32 = 6
-	secKBNbrWR           uint32 = 7
 	secSimSparseRowStart uint32 = 8 // sparse-group twins, present when τ > 0
 	secSimSparseNbr      uint32 = 9
 	secKSRowStart        uint32 = 10
 	secKSNbrSim          uint32 = 11
-	secKSNbrWR           uint32 = 12
 	// 4-byte-aligned slabs.
 	secRetained   uint32 = 32 // i32[numRetained]
 	secMembers    uint32 = 33 // i32, all subsets concatenated
@@ -94,7 +96,9 @@ const (
 // or 0 for identifiers this version does not know (which decode rejects).
 func secAlign(id uint32) int {
 	switch {
-	case id >= secCost && id <= secKSNbrWR:
+	case id == secCost || id == secRelevance ||
+		id == secSimBaseRowStart || id == secSimBaseNbr || id == secKBRowStart || id == secKBNbrSim ||
+		id == secSimSparseRowStart || id == secSimSparseNbr || id == secKSRowStart || id == secKSNbrSim:
 		return 8
 	case id >= secRetained && id <= secRemoved:
 		return 4
@@ -534,7 +538,6 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 		{secSimBaseNbr, nbrBytes(simNbr)},
 		{secKBRowStart, i64Bytes(kb.RowStart)},
 		{secKBNbrSim, f64Bytes(kb.NbrSim)},
-		{secKBNbrWR, f64Bytes(kb.NbrWR)},
 	}
 	secs4 := []snapSection{
 		{secRetained, photoBytes(base.Retained)},
@@ -561,7 +564,6 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 			snapSection{secSimSparseNbr, nbrBytes(snbr)},
 			snapSection{secKSRowStart, i64Bytes(ks.RowStart)},
 			snapSection{secKSNbrSim, f64Bytes(ks.NbrSim)},
-			snapSection{secKSNbrWR, f64Bytes(ks.NbrWR)},
 		)
 		secs4 = append(secs4,
 			snapSection{secKSRowLen, i32Bytes(ks.RowLen)},
@@ -571,7 +573,12 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 		)
 	}
 	secs := append(append(secs8, secs4...), snapSection{secMeta, encodeSnapMeta(p)})
+	return assembleSnapshot(rawFP, secs), nil
+}
 
+// assembleSnapshot lays out the header, section table and payloads of a
+// snapshot file carrying secs in order, with their checksums.
+func assembleSnapshot(rawFP []byte, secs []snapSection) []byte {
 	n := len(secs)
 	headerLen := snapHeaderFixed + snapTableEntry*n + 8
 	total := headerLen
@@ -597,7 +604,7 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 	hcrc := crc32.Checksum(out[:tableEnd], snapCRC)
 	binary.LittleEndian.PutUint32(out[tableEnd:], hcrc)
 	binary.LittleEndian.PutUint32(out[tableEnd+4:], ^hcrc)
-	return out, nil
+	return out
 }
 
 // ---- decoding ------------------------------------------------------------
@@ -759,7 +766,7 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	if err := base.Finalize(); err != nil {
 		return nil, fmt.Errorf("phocus: snapshot instance invalid: %v: %w", err, ErrBadSnapshot)
 	}
-	kernBase, err := decodeKernel(sec, [7]uint32{secKBRowLen, secKBRowStart, secKBNbrIdx, secKBNbrSim, secKBNbrWR, secKBOccStart, secKBOccRow}, m)
+	kernBase, err := decodeKernel(sec, [6]uint32{secKBRowLen, secKBRowStart, secKBNbrIdx, secKBNbrSim, secKBOccStart, secKBOccRow}, m, relevance)
 	if err != nil {
 		return nil, err
 	}
@@ -774,7 +781,7 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		if err != nil {
 			return nil, err
 		}
-		kernSolve, err := decodeKernel(sec, [7]uint32{secKSRowLen, secKSRowStart, secKSNbrIdx, secKSNbrSim, secKSNbrWR, secKSOccStart, secKSOccRow}, m)
+		kernSolve, err := decodeKernel(sec, [6]uint32{secKSRowLen, secKSRowStart, secKSNbrIdx, secKSNbrSim, secKSOccStart, secKSOccRow}, m, relevance)
 		if err != nil {
 			return nil, err
 		}
@@ -809,8 +816,12 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	}
 	// The single loaded region backs every slab, so it is what the Prepared
 	// retains; counting it once is the snapshot path's answer to the shared-
-	// slab accounting the in-memory path has to sum piecewise.
-	p.sizeBytes = int64(len(buf))
+	// slab accounting the in-memory path has to sum piecewise. The derived
+	// slot weights are the only kernel arrays outside it.
+	p.sizeBytes = int64(len(buf)) + 8*int64(totalMembers)
+	if solveTmpl != nil {
+		p.sizeBytes += 8 * int64(totalMembers)
+	}
 	// The fingerprint was fixed at encode time; recomputing it is impossible
 	// anyway (the original wire bytes are gone), so seed the lazy cell.
 	p.fpOnce.Do(func() { p.fp = fp })
@@ -860,13 +871,16 @@ func decodeSimGroup(sec func(uint32) ([]byte, error), rsID, nbrID uint32, m *sna
 	return subsets, nil
 }
 
-// decodeKernel rebuilds one compiled kernel from its seven slab sections
-// (rowLen, rowStart, nbrIdx, nbrSim, nbrWR, occStart, occRow) and validates
-// it both internally (par.KernelFromSlabs) and against the instance shape
-// META describes, so attaching it to the decoded instance cannot fail on a
-// snapshot this decode accepted.
-func decodeKernel(sec func(uint32) ([]byte, error), ids [7]uint32, m *snapMeta) (*par.Kernel, error) {
-	var b [7][]byte
+// decodeKernel rebuilds one compiled kernel from its six slab sections
+// (rowLen, rowStart, nbrIdx, nbrSim, occStart, occRow) and validates it both
+// internally (par.KernelFromSlabs) and against the instance shape META
+// describes, so attaching it to the decoded instance cannot fail on a
+// snapshot this decode accepted. The slot weights are derived, not read:
+// row r of subset q weighs W(q)·R(q, member), the product CompileKernel
+// computes, taken from META's subset weights and the relevance section
+// (whose rows run in the kernel's canonical subset-major order).
+func decodeKernel(sec func(uint32) ([]byte, error), ids [6]uint32, m *snapMeta, relevance []float64) (*par.Kernel, error) {
+	var b [6][]byte
 	for i, id := range ids {
 		d, err := sec(id)
 		if err != nil {
@@ -880,9 +894,16 @@ func decodeKernel(sec func(uint32) ([]byte, error), ids [7]uint32, m *snapMeta) 
 		RowStart: i64View(b[1]),
 		NbrIdx:   i32View(b[2]),
 		NbrSim:   f64View(b[3]),
-		NbrWR:    f64View(b[4]),
-		OccStart: i32View(b[5]),
-		OccRow:   i32View(b[6]),
+		SlotWR:   make([]float64, 0, len(relevance)),
+		OccStart: i32View(b[4]),
+		OccRow:   i32View(b[5]),
+	}
+	o := 0
+	for qi, k := range m.subMembers {
+		for _, r := range relevance[o : o+k] {
+			slabs.SlotWR = append(slabs.SlotWR, m.subWeights[qi]*r)
+		}
+		o += k
 	}
 	if len(slabs.RowLen) != len(m.subMembers) {
 		return nil, fmt.Errorf("phocus: kernel covers %d subsets, meta has %d: %w", len(slabs.RowLen), len(m.subMembers), ErrBadSnapshot)

@@ -1,9 +1,13 @@
 package phocus
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -104,10 +108,23 @@ func sameSlabs(t *testing.T, label string, want, got *par.Kernel) {
 	cmp("rowLen", w.RowLen, g.RowLen)
 	cmp("rowStart", w.RowStart, g.RowStart)
 	cmp("nbrIdx", w.NbrIdx, g.NbrIdx)
-	cmp("nbrSim", w.NbrSim, g.NbrSim)
-	cmp("nbrWR", w.NbrWR, g.NbrWR)
 	cmp("occStart", w.OccStart, g.OccStart)
 	cmp("occRow", w.OccRow, g.OccRow)
+	bits := func(name string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: slab %s holds %d values, loaded %d", label, name, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: slab %s[%d] = %v loaded, %v compiled", label, name, i, b[i], a[i])
+			}
+		}
+	}
+	bits("nbrSim", w.NbrSim, g.NbrSim)
+	// The loaded slot weights are derived from META's subset weights and the
+	// relevance section; they must be the compiled products bit for bit.
+	bits("slotWR", w.SlotWR, g.SlotWR)
 }
 
 // TestSnapshotRoundTripDifferential is the tentpole's equivalence guarantee:
@@ -278,6 +295,50 @@ func TestSnapshotTruncation(t *testing.T) {
 	for n := 0; n < len(data); n++ {
 		if _, err := DecodeSnapshot(data[:n]); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("prefix of %d/%d bytes: error %v does not wrap ErrBadSnapshot", n, len(data), err)
+		}
+	}
+}
+
+// TestSnapshotRejectsV1 pins the version 2 cut-over: version 1 files stored
+// a per-entry W·R slab per kernel, and this build keeps no reader for them.
+// A file that says version 1 — with a header checksum that is otherwise
+// valid — fails with ErrBadSnapshot, which sends it down the quarantine and
+// cold-Prepare path. So does a version 2 file carrying one of the retired
+// W·R section IDs.
+func TestSnapshotRejectsV1(t *testing.T) {
+	data := smallSnapshot(t)
+	if _, err := DecodeSnapshot(data); err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+
+	v1 := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	tableEnd := snapHeaderFixed + snapTableEntry*int(binary.LittleEndian.Uint32(v1[12:]))
+	hcrc := crc32.Checksum(v1[:tableEnd], snapCRC)
+	binary.LittleEndian.PutUint32(v1[tableEnd:], hcrc)
+	binary.LittleEndian.PutUint32(v1[tableEnd+4:], ^hcrc)
+	if _, err := DecodeSnapshot(v1); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("version 1 file: error %v, want ErrBadSnapshot", err)
+	}
+
+	// Re-assemble the file with a retired section prepended: the kernel's
+	// per-entry W·R slab of version 1 (7 for the base kernel, 12 for the
+	// sparse one), 8-byte aligned like every other f64 slab.
+	rawFP := data[16:snapHeaderFixed]
+	var secs []snapSection
+	n := int(binary.LittleEndian.Uint32(data[12:]))
+	for i := 0; i < n; i++ {
+		e := data[snapHeaderFixed+snapTableEntry*i:]
+		off, l := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		secs = append(secs, snapSection{binary.LittleEndian.Uint32(e), data[off : off+l]})
+	}
+	if re := assembleSnapshot(rawFP, secs); !bytes.Equal(re, data) {
+		t.Fatal("re-assembling the sections did not reproduce the file")
+	}
+	for _, id := range []uint32{7, 12} {
+		withWR := append([]snapSection{{id, make([]byte, 64)}}, secs...)
+		if _, err := DecodeSnapshot(assembleSnapshot(rawFP, withWR)); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("retired section %d: error %v, want ErrBadSnapshot", id, err)
 		}
 	}
 }
