@@ -659,6 +659,42 @@ func BenchmarkKernelV2(b *testing.B) {
 		}
 	})
 
+	// The online bound alone, on a solution held fixed: a Run's Ŝ at the
+	// 0.05 and 0.30 rungs, held by an evaluator over a view of the true
+	// instance. The kernel's cover index is built, and a first sweep must
+	// answer the Run's bound bit for bit, before the timer starts.
+	b.Run("bound", func(b *testing.B) {
+		for _, rung := range []float64{0.05, 0.3} {
+			b.Run(fmt.Sprintf("rung=%g", rung), func(b *testing.B) {
+				rb := rung * ds.Instance.TotalCost()
+				res, err := p.Run(ctx, phocus.RunOptions{Budget: rb, Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				view, err := p.View(rb)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e := par.NewEvaluator(view)
+				for _, ph := range res.Solution.Photos {
+					e.Add(ph)
+				}
+				if view.Kernel().Covers() == nil {
+					b.Fatal("no cover index")
+				}
+				var bs celf.BoundScratch
+				if got := bs.OnlineBound(view, e, res.Archived); math.Float64bits(got) != math.Float64bits(res.OnlineBound) {
+					b.Fatalf("bound %v, Run's bound %v", got, res.OnlineBound)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bs.OnlineBound(view, e, res.Archived)
+				}
+			})
+		}
+	})
+
 	// The allocation-free gate: a warm RunInto must report 0 allocs/op.
 	b.Run("allocs", func(b *testing.B) {
 		var res phocus.Result
@@ -681,7 +717,10 @@ func BenchmarkKernelV2(b *testing.B) {
 // (5000 photos). Each op finalizes a fresh shallow view of the decoded
 // subsets, the way Prepare finalizes its base view, so no iteration reuses
 // an occurrence index. Run with -benchmem: the compile's allocations are
-// the memory every finalized instance would carry.
+// the memory every finalized instance would carry. The covers cell prices
+// the cover index the first bounded Run builds on the compiled kernel:
+// each op reassembles a fresh kernel over the compiled slabs untimed, then
+// builds its index.
 func BenchmarkFinalizeCompile(b *testing.B) {
 	p1k := dataset.PublicSpecs(1)[0]
 	p1k.RetainFrac = 0.02
@@ -725,6 +764,21 @@ func BenchmarkFinalizeCompile(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if k := par.CompileKernel(finalize(b)); k.Rows() == 0 {
 					b.Fatal("empty kernel")
+				}
+			}
+		})
+		slabs := par.CompileKernel(finalize(b)).Slabs()
+		b.Run(tc.name+"/covers", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				k, err := par.KernelFromSlabs(slabs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if k.Covers() == nil {
+					b.Fatal("no cover index")
 				}
 			}
 		})

@@ -551,15 +551,21 @@ func (s *statusWriter) Flush() {
 
 // solveStats is the per-request solver work report in the wire format.
 // TracePrefix is the number of the winning CELF pass's selections replayed
-// from the Prepared's trace: 0, and omitted, on a full pass.
+// from the Prepared's trace: 0, and omitted, on a full pass. BoundMS is the
+// online bound's share of ElapsedMS.
 type solveStats struct {
 	GainEvals   int64   `json:"gain_evals,omitempty"`
 	PQPops      int64   `json:"pq_pops,omitempty"`
 	Winner      string  `json:"winner,omitempty"`
 	TracePrefix int     `json:"trace_prefix,omitempty"`
 	Seeds       int64   `json:"seeds,omitempty"`
+	BoundMS     float64 `json:"bound_ms,omitempty"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
 }
+
+// durMS renders d in milliseconds at microsecond resolution, as the wire
+// format's *_ms fields carry durations.
+func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // solveResponse is the wire format of a solver result.
 type solveResponse struct {
@@ -916,8 +922,10 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 		}
 		return nil, err
 	}
-	elapsed := solveSpan.End("algo", res.Algorithm, "score", res.Solution.Score, "trace_prefix", stats.TracePrefix)
-	stats.ElapsedMS = float64(elapsed.Microseconds()) / 1000
+	elapsed := solveSpan.End("algo", res.Algorithm, "score", res.Solution.Score, "trace_prefix", stats.TracePrefix,
+		"rescore_ms", durMS(res.RescoreTime), "bound_ms", durMS(res.BoundTime))
+	stats.ElapsedMS = durMS(elapsed)
+	stats.BoundMS = durMS(res.BoundTime)
 
 	obs.RecordSolve(s.reg, res.Algorithm, solveWorkers, prep.NumPhotos(),
 		stats.GainEvals, stats.PQPops, elapsed)

@@ -529,6 +529,35 @@ func TestSolveTracePrefix(t *testing.T) {
 	}
 }
 
+// TestSolveBoundStage: the solve span carries the rescore and online-bound
+// stage times, and the response's stats report the bound's share of the
+// solve.
+func TestSolveBoundStage(t *testing.T) {
+	s, h := newTestServer(t, nil)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	out := postSolve(t, srv.URL+"/solve?tau=0.6&budget=3.9", instanceBody(t, 8.2).String())
+	if out.Stats == nil || out.Stats.BoundMS < 0 || out.Stats.BoundMS > out.Stats.ElapsedMS {
+		t.Fatalf("stats %+v: want 0 <= bound_ms <= elapsed_ms", out.Stats)
+	}
+	tr, ok := s.trace.Get(out.RequestID)
+	if !ok {
+		t.Fatalf("no trace for request %s", out.RequestID)
+	}
+	for _, sp := range tr.Spans {
+		if sp.Name != "solve" {
+			continue
+		}
+		for _, key := range []string{"rescore_ms", "bound_ms"} {
+			if v, err := strconv.ParseFloat(sp.Attrs[key], 64); err != nil || v < 0 {
+				t.Errorf("solve span %s = %q, want a duration in ms", key, sp.Attrs[key])
+			}
+		}
+		return
+	}
+	t.Fatalf("request %s has no solve span", out.RequestID)
+}
+
 // TestPrepareCacheEvictionMetric: a one-entry cache evicts on the second
 // distinct preparation and the eviction shows up on the counter.
 func TestPrepareCacheEvictionMetric(t *testing.T) {

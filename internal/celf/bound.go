@@ -31,7 +31,7 @@ func OnlineBound(inst *par.Instance, sol []par.PhotoID) float64 {
 		}
 	}
 	var b BoundScratch
-	return b.OnlineBound(inst, e, rest, 1)
+	return b.OnlineBound(inst, e, rest)
 }
 
 // BoundScratch holds the reusable buffers of the online bound. The zero
@@ -50,17 +50,26 @@ type marginal struct {
 // OnlineBound computes the online bound for the solution Ŝ the evaluator e
 // already holds over inst, without rebuilding it: rest must list every photo
 // outside Ŝ in ascending ID order (the archived complement). Their marginal
-// gains fan out over workers goroutines (≤ 0 means one per CPU). Photos
-// with equal gain-per-cost ratios are taken in photo-ID order, so the bound
-// is bit-identical for every worker count. Once the buffers have grown to
-// the instance's size, a call with workers 1 allocates nothing.
-func (b *BoundScratch) OnlineBound(inst *par.Instance, e *par.Evaluator, rest []par.PhotoID, workers int) float64 {
-	b.gains = slices.Grow(b.gains[:0], len(rest))[:len(rest)]
-	e.GainsInto(b.gains, rest, workers)
+// gains come from one sequential sweep over the kernel's cover index
+// (par.Evaluator.AllGainsInto), bit-identical to evaluating each photo's
+// gain on its own. Photos with equal gain-per-cost ratios are taken in
+// photo-ID order, so the bound is deterministic. Once the buffers have grown
+// to the instance's size and the kernel's cover index exists, a call
+// allocates nothing.
+func (b *BoundScratch) OnlineBound(inst *par.Instance, e *par.Evaluator, rest []par.PhotoID) float64 {
+	n := inst.NumPhotos()
+	b.gains = slices.Grow(b.gains[:0], n)[:n]
+	e.AllGainsInto(b.gains)
+	return b.knapsack(inst, e.Score(), rest)
+}
+
+// knapsack fills the fractional knapsack over rest's gains, read from
+// b.gains by photo ID, on top of the score G(Ŝ).
+func (b *BoundScratch) knapsack(inst *par.Instance, score float64, rest []par.PhotoID) float64 {
 	margs := b.margs[:0]
-	for i, g := range b.gains {
-		if g > 0 {
-			margs = append(margs, marginal{gain: g, cost: inst.Cost[rest[i]], photo: rest[i]})
+	for _, p := range rest {
+		if g := b.gains[p]; g > 0 {
+			margs = append(margs, marginal{gain: g, cost: inst.Cost[p], photo: p})
 		}
 	}
 	b.margs = margs
@@ -73,7 +82,7 @@ func (b *BoundScratch) OnlineBound(inst *par.Instance, e *par.Evaluator, rest []
 		}
 		return cmp.Compare(x.photo, y.photo)
 	})
-	bound := e.Score()
+	bound := score
 	remaining := inst.Budget
 	for _, m := range margs {
 		if remaining <= 0 {

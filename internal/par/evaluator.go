@@ -98,8 +98,8 @@ func (e *Evaluator) Gains(ps []PhotoID, workers int) []float64 {
 }
 
 // GainsInto is Gains writing into a caller-owned buffer, for passes that
-// run once per solve (CELF's S0 gains and online bound) and would otherwise
-// allocate a fresh result slice each time. dst must have len(ps) slots; dst[i] receives
+// run once per solve (CELF's S0 gains) and would otherwise allocate a
+// fresh result slice each time. dst must have len(ps) slots; dst[i] receives
 // exactly what Gain(ps[i]) would return. Evaluations are fanned out in
 // chunks so a batch costs one closure dispatch per chunk rather than per
 // photo; with one worker the loop runs inline and allocates nothing.
@@ -119,6 +119,30 @@ func (e *Evaluator) GainsInto(dst []float64, ps []PhotoID, workers int) {
 		})
 	}
 	e.gainEvals += int64(len(ps))
+}
+
+// AllGainsInto writes every photo's marginal gain against the current
+// solution into dst, which must have one slot per photo: dst[p] is exactly
+// what Gain(p) would return, 0 for photos in the solution. With the
+// kernel's cover index (Kernel.Covers, built by the kernel's second such
+// pass) it makes one sequential sweep that pushes from slots and reads only
+// the entries above each slot's best value; a kernel's first pass, and
+// every pass on a kernel the index refuses, pulls photo by photo. Either way
+// the bits are Gain's, and once the index exists a call allocates nothing.
+// It counts one gain evaluation per photo, and like Gains it must not run
+// concurrently with Add or Seed.
+func (e *Evaluator) AllGainsInto(dst []float64) {
+	if len(dst) != len(e.inSol) {
+		panic("par: AllGainsInto dst length does not match the photo count")
+	}
+	if c := e.kern.sweepIndex(); c != nil {
+		e.kern.sweep(c, e.flat, dst)
+	} else {
+		for p := range dst {
+			dst[p] = e.gainOf(PhotoID(p))
+		}
+	}
+	e.gainEvals += int64(len(dst))
 }
 
 // gainOf is the shared read-only gain computation behind Gain and Gains. It

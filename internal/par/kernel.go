@@ -59,6 +59,13 @@ type Kernel struct {
 	// a canonical compiled kernel. While an overlay is active the kernel is
 	// NOT immutable — the engine serializes mutation against concurrent reads.
 	ov *kernOverlay
+
+	// cov is the cover index (see cover.go), built by the first Covers call;
+	// covMu serializes that build. pulls counts the all-photo gain passes
+	// that ran without it (see sweepIndex).
+	covMu sync.Mutex
+	cov   atomic.Pointer[CoverIndex]
+	pulls atomic.Int32
 }
 
 // CompileKernel flattens the instance's gain hot path into a Kernel. The
@@ -188,14 +195,18 @@ func (k *Kernel) Entries() int {
 	return n
 }
 
-// SizeBytes returns the memory retained by the kernel's arrays; prepared-
-// instance caches count it against their byte bounds.
+// SizeBytes returns the memory retained by the kernel's arrays, its
+// overlay and, once built, its cover index; prepared-instance caches count
+// it against their byte bounds.
 func (k *Kernel) SizeBytes() int64 {
 	n := 4*int64(len(k.nbrIdx)) + 8*int64(len(k.nbrSim)) + 8*int64(len(k.slotWR)) +
 		8*int64(len(k.rowStart)) + 4*int64(len(k.occStart)) + 4*int64(len(k.occRow)) +
 		4*int64(len(k.rowLen))
 	if k.ov != nil {
 		n += k.ov.overlayBytes()
+	}
+	if c := k.cov.Load(); c != nil {
+		n += c.sizeBytes()
 	}
 	return n
 }

@@ -347,6 +347,28 @@ func TestKernelSizeBytes(t *testing.T) {
 		t.Fatalf("SizeBytes = %d, want %d for %d entries over %d rows", got, want, entries, rows)
 	}
 
+	// The cover index charges 12 bytes per list entry — min(row length,
+	// CoverK) per row — and per row an int64 offset (plus the closing one)
+	// and an int32 photo. CoverBytes reports it before the build, and
+	// SizeBytes counts it after.
+	var listed int64
+	for r := 0; r < k.Rows(); r++ {
+		listed += min(k.rowStart[r+1]-k.rowStart[r], CoverK)
+	}
+	wantCover := 12*listed + 8*(rows+1) + 4*rows
+	if n, built := k.CoverBytes(); n != wantCover || built {
+		t.Fatalf("CoverBytes before the build = %d (built %v), want %d (false)", n, built, wantCover)
+	}
+	if k.Covers() == nil {
+		t.Fatal("symmetric kernel has no cover index")
+	}
+	if n, built := k.CoverBytes(); n != wantCover || !built {
+		t.Fatalf("CoverBytes after the build = %d (built %v), want %d (true)", n, built, wantCover)
+	}
+	if got := k.SizeBytes(); got != want+wantCover {
+		t.Fatalf("SizeBytes with the cover index = %d, want %d", got, want+wantCover)
+	}
+
 	// The overlay charges its index slices, one slice header per row, tail
 	// photo and base photo, 16 bytes per appended entry and a byte per
 	// row's dead flag; each tail row adds its slot weight to slotWR. The
@@ -366,7 +388,7 @@ func TestKernelSizeBytes(t *testing.T) {
 		extraEntries       = 2*2 + 1 + 1 + 2*1 + 1
 	)
 	overlay := int64(4*(2*baseSubs) + // subOff, baseLen
-		4*(2*tailRows) + // rowSub, rowMi
+		4*(3*tailRows) + // rowSub, rowMi, rowPhotos
 		24*subs + 4*tailRows + // tails
 		24*(baseRows+tailRows) + 16*extraEntries + // extra
 		24*1 + 4*2 + // tailOcc: photo 9 occupies two rows

@@ -53,10 +53,11 @@ type kernOverlay struct {
 	// baseLen[q] for base subsets; all members for appended subsets). len(tails)
 	// tracks the current subset count.
 	tails [][]int32
-	// rowSub / rowMi map tail row id r (indexed r-baseRows) back to its
-	// (subset, member index).
-	rowSub []int32
-	rowMi  []int32
+	// rowSub / rowMi / rowPhotos map tail row id r (indexed r-baseRows) back
+	// to its (subset, member index) and the photo occupying it.
+	rowSub    []int32
+	rowMi     []int32
+	rowPhotos []int32
 
 	// extra[r] holds the entries appended to row r (base or tail), in
 	// ascending member order; extraN counts them across all rows.
@@ -210,6 +211,7 @@ func (k *Kernel) AppendMemberRow(q int, p PhotoID, neighbors []Neighbor) int32 {
 	mi := int(k.rowLen[q])
 	ov.rowSub = append(ov.rowSub, int32(q))
 	ov.rowMi = append(ov.rowMi, int32(mi))
+	ov.rowPhotos = append(ov.rowPhotos, int32(p))
 	ov.tails[q] = append(ov.tails[q], row)
 	ov.extra = append(ov.extra, nil)
 	ov.deadRow = append(ov.deadRow, false)
@@ -360,7 +362,7 @@ func (ov *kernOverlay) add(k *Kernel, best []float64, p PhotoID) float64 {
 // counts.
 func (ov *kernOverlay) overlayBytes() int64 {
 	const header = 24 // a slice header: pointer, length, capacity
-	n := 4 * int64(len(ov.subOff)+len(ov.baseLen)+len(ov.rowSub)+len(ov.rowMi))
+	n := 4 * int64(len(ov.subOff)+len(ov.baseLen)+len(ov.rowSub)+len(ov.rowMi)+len(ov.rowPhotos))
 	for _, t := range ov.tails {
 		n += header + 4*int64(len(t))
 	}

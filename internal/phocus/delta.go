@@ -797,8 +797,16 @@ func (p *Prepared) compactLocked() error {
 	// than rely on the recompiled kernel summing every gain in the same
 	// order.
 	p.trace = nil
-	if err := p.base.AttachKernel(par.CompileKernel(p.base)); err != nil {
+	// A Prepared whose bounded Runs built the true kernel's cover index
+	// builds the recompiled kernel's here, inside the compaction it already
+	// waits for, rather than on the Runs after it.
+	_, swept := p.base.Kernel().CoverBytes()
+	kb := par.CompileKernel(p.base)
+	if err := p.base.AttachKernel(kb); err != nil {
 		return fmt.Errorf("phocus: compact kernel: %w", err)
+	}
+	if swept {
+		kb.Covers()
 	}
 	if p.sparse != nil {
 		sv := &par.Instance{

@@ -66,7 +66,9 @@ type RunOptions struct {
 	// Algorithm defaults to AlgoCELF.
 	Algorithm Algorithm
 	// SkipBound disables the a-posteriori online-bound computation (it
-	// costs one marginal-gain pass over all photos).
+	// costs one sweep of the true kernel's cover index, which reads only
+	// the entries able to raise a slot above its best value, plus a sort of
+	// the photos with positive gain).
 	SkipBound bool
 	// Workers bounds the CELF solver's parallelism (≤ 0 means one per CPU).
 	Workers int
@@ -247,7 +249,8 @@ func (p *Prepared) SizeBytes() int64 {
 }
 
 // KernelBytes returns the memory retained by the compiled gain kernels
-// (included in SizeBytes).
+// (included in SizeBytes), counting the true kernel's cover index whether
+// or not a Run has built it yet.
 func (p *Prepared) KernelBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -255,11 +258,23 @@ func (p *Prepared) KernelBytes() int64 {
 }
 
 func (p *Prepared) kernelBytesLocked() int64 {
-	n := p.base.Kernel().SizeBytes()
+	kb := p.base.Kernel()
+	n := kb.SizeBytes() + pendingCoverBytes(kb)
 	if p.solveTmpl != nil {
 		n += p.solveTmpl.Kernel().SizeBytes()
 	}
 	return n
+}
+
+// pendingCoverBytes returns the bytes of k's cover index if it has not been
+// built yet, 0 once it has (SizeBytes counts it then). A bounded Run builds
+// the true kernel's index, so charging it ahead keeps a Prepared's cache
+// charge from moving under it.
+func pendingCoverBytes(k *par.Kernel) int64 {
+	if n, built := k.CoverBytes(); !built {
+		return n
+	}
+	return 0
 }
 
 // Fingerprint returns the content fingerprint identifying this Prepared: a
@@ -423,9 +438,9 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 // trace covers, with or without the online bound — performs zero heap
 // allocations per call (testing.AllocsPerRun reports 0; the bench suite pins
 // it), and a Run that records allocates the trace's logs. At more workers
-// only the CELF passes' and the bound's goroutine hand-offs allocate, a few
-// dozen objects per call. The previous contents of res are gone after the
-// call, error or not.
+// only the CELF passes' goroutine hand-offs allocate, a handful of objects
+// per call: the online bound is one sequential sweep at every worker count.
+// The previous contents of res are gone after the call, error or not.
 func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -519,7 +534,8 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 		p.scratch.Put(sc)
 		return err
 	}
-	res.SolveTime = time.Since(t0)
+	t1 := time.Now()
+	res.SolveTime = t1.Sub(t0)
 
 	// Rescore under the true objective through the pooled evaluator (the
 	// solver may have optimized the sparsified surrogate). The
@@ -556,18 +572,21 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 		}
 	}
 	res.Archived = archived
+	t2 := time.Now()
+	res.RescoreTime = t2.Sub(t1)
 
 	if !opts.SkipBound {
 		if err := ctx.Err(); err != nil {
 			p.scratch.Put(sc)
 			return err
 		}
-		res.OnlineBound = sc.bound.OnlineBound(&sc.trueView, re, archived, opts.Workers)
+		res.OnlineBound = sc.bound.OnlineBound(&sc.trueView, re, archived)
 		if res.OnlineBound > 0 {
 			res.CertifiedRatio = res.Solution.Score / res.OnlineBound
 		} else {
 			res.CertifiedRatio = 1
 		}
+		res.BoundTime = time.Since(t2)
 	}
 	p.scratch.Put(sc)
 	return nil

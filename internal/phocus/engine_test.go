@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"phocus/internal/celf"
@@ -287,6 +288,108 @@ func TestRunConcurrentSharing(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstRuns: bounded Runs racing on a fresh Prepared — the
+// ones that pull and the ones that build the true kernel's cover index and
+// sweep it — all answer what a fresh Prepare + Run answers, bit for bit,
+// and leave one index behind. Under -race it also checks the build's
+// publication.
+func TestConcurrentFirstRuns(t *testing.T) {
+	ds := sweepDataset(t, 16)
+	opts := RunOptions{Budget: 0.4 * ds.Instance.TotalCost(), Workers: 1}
+	want, err := prepareRun(ds, PrepareOptions{Tau: 0.5}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(context.Background(), ds, PrepareOptions{Tau: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	got := make([]*Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = p.Run(context.Background(), opts)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if keyOf(got[i]) != keyOf(want) {
+			t.Fatalf("run %d: %+v, fresh Prepare + Run %+v", i, keyOf(got[i]), keyOf(want))
+		}
+	}
+	if p.base.Kernel().Covers() == nil {
+		t.Fatal("no cover index after concurrent bounded Runs")
+	}
+}
+
+// TestCompactCarriesCovers: a compaction recompiles the true kernel. When
+// the old kernel had built its cover index, the new one builds its own
+// inside the compaction, so no Run after it pays the build or pulls; the
+// cache charge, which counted the index before any Run built it, and the
+// Run's answer are unchanged. A Prepared that never swept leaves the new
+// kernel's index to its Runs.
+func TestCompactCarriesCovers(t *testing.T) {
+	ctx := context.Background()
+	ds := sweepDataset(t, 17)
+	opts := RunOptions{Budget: 0.4 * ds.Instance.TotalCost(), Workers: 1}
+	built := func(p *Prepared) bool {
+		_, ok := p.base.Kernel().CoverBytes()
+		return ok
+	}
+	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := p.KernelBytes() // counts the index before it exists
+	var want *Result
+	for range 2 { // the second bounded Run builds the index
+		if want, err = p.Run(ctx, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !built(p) {
+		t.Fatal("two bounded Runs left no cover index")
+	}
+	if got := p.KernelBytes(); got != charged {
+		t.Fatalf("KernelBytes %d once the index is built, %d charged before", got, charged)
+	}
+	size := p.SizeBytes()
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if !built(p) {
+		t.Fatal("the compaction's kernel has no cover index")
+	}
+	if got := p.SizeBytes(); got != size {
+		t.Fatalf("SizeBytes %d after the compaction, %d before", got, size)
+	}
+	got, err := p.Run(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyOf(got) != keyOf(want) {
+		t.Fatalf("after the compaction %+v, before %+v", keyOf(got), keyOf(want))
+	}
+
+	cold, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if built(cold) {
+		t.Fatal("a compaction built a cover index no Run asked for")
+	}
+}
+
 func TestPrepareNoCtxVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inst := par.Random(rng, par.RandomConfig{Photos: 20, Subsets: 8, BudgetFrac: 0.3})
@@ -454,8 +557,10 @@ func TestPipelineSolver(t *testing.T) {
 // ladder of budgets below the traced one, each Run continuing the trace. A
 // sequential Run that finds a trace with no logs solves in full and
 // allocates only the trace it records: the Trace and its two logs. At
-// default workers only the goroutine hand-offs of the concurrent passes and
-// the bound's gain fan-out allocate, which stays under 100 objects per run.
+// more workers only the goroutine hand-offs of the concurrent CELF passes
+// allocate, which stays under 100 objects per run; at two workers a Run
+// with the online bound allocates no more than one without it, since the
+// bound is one sequential sweep.
 func TestRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race CI lane")
@@ -477,18 +582,22 @@ func TestRunAllocs(t *testing.T) {
 				tmpl = p.base
 			}
 			empty := celf.NewTrace(tmpl, 1)
+			measured := map[string]float64{}
 			for _, tc := range []struct {
 				name    string
 				opts    RunOptions
 				budgets []float64 // alternated run to run; {opts.Budget} when nil
 				full    bool      // drop the trace's logs before every Run
 				max     float64
+				like    string // an earlier case this one allocates no more than
 			}{
-				{"seq-nobound", RunOptions{Budget: budget, Workers: 1, SkipBound: true}, nil, false, 0},
-				{"seq-bound", RunOptions{Budget: budget, Workers: 1}, nil, false, 0},
-				{"default-bound", RunOptions{Budget: budget}, nil, false, 99},
-				{"seq-ladder", RunOptions{Workers: 1}, []float64{0.3 * total, 0.4 * total}, false, 0},
-				{"seq-full", RunOptions{Budget: budget, Workers: 1, SkipBound: true}, nil, true, 3},
+				{"seq-nobound", RunOptions{Budget: budget, Workers: 1, SkipBound: true}, nil, false, 0, ""},
+				{"seq-bound", RunOptions{Budget: budget, Workers: 1}, nil, false, 0, ""},
+				{"default-bound", RunOptions{Budget: budget}, nil, false, 99, ""},
+				{"seq-ladder", RunOptions{Workers: 1}, []float64{0.3 * total, 0.4 * total}, false, 0, ""},
+				{"seq-full", RunOptions{Budget: budget, Workers: 1, SkipBound: true}, nil, true, 3, ""},
+				{"w2-nobound", RunOptions{Budget: budget, Workers: 2, SkipBound: true}, nil, false, 99, ""},
+				{"w2-bound", RunOptions{Budget: budget, Workers: 2}, nil, false, 99, "w2-nobound"},
 			} {
 				t.Run(tc.name, func(t *testing.T) {
 					budgets := tc.budgets
@@ -524,8 +633,12 @@ func TestRunAllocs(t *testing.T) {
 							t.Fatal("a full Run recorded no trace")
 						}
 					})
+					measured[tc.name] = allocs
 					if allocs > tc.max {
 						t.Fatalf("warm RunInto allocates %v times per run, want at most %v", allocs, tc.max)
+					}
+					if tc.like != "" && allocs > measured[tc.like] {
+						t.Fatalf("warm RunInto allocates %v times per run, %s %v", allocs, tc.like, measured[tc.like])
 					}
 					if got := keyOf(&res); got != warm[(runs-1)%len(budgets)] {
 						t.Fatalf("warm runs diverged: %+v vs %+v", got, warm[(runs-1)%len(budgets)])

@@ -817,8 +817,9 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	// The single loaded region backs every slab, so it is what the Prepared
 	// retains; counting it once is the snapshot path's answer to the shared-
 	// slab accounting the in-memory path has to sum piecewise. The derived
-	// slot weights are the only kernel arrays outside it.
-	p.sizeBytes = int64(len(buf)) + 8*int64(totalMembers)
+	// slot weights and the true kernel's cover index, which a bounded Run
+	// builds, are the only kernel arrays outside it.
+	p.sizeBytes = int64(len(buf)) + 8*int64(totalMembers) + pendingCoverBytes(base.Kernel())
 	if solveTmpl != nil {
 		p.sizeBytes += 8 * int64(totalMembers)
 	}

@@ -73,6 +73,8 @@ type Result struct {
 	// on the full pair count, which LSH never enumerates.
 	OriginalPairs, SparsifiedPairs int
 	// PrepTime covers the Data Representation stage (finalize +
-	// sparsification), SolveTime the optimization.
-	PrepTime, SolveTime time.Duration
+	// sparsification), SolveTime the optimization, RescoreTime the rescore
+	// under the true objective with the archived complement, and BoundTime
+	// the online bound (0 when skipped).
+	PrepTime, SolveTime, RescoreTime, BoundTime time.Duration
 }

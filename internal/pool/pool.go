@@ -1,7 +1,7 @@
 // Package pool provides the worker-pool primitives behind the solve
-// pipeline's Workers knob. Every wide parallel pass — a Run's S0 gains and
-// online bound (Evaluator.GainsInto) and per-subset sparsification, exact
-// or LSH — fans its work out through ForEach, one level deep, so the whole
+// pipeline's Workers knob. Every wide parallel pass — a Run's S0 gains
+// (Evaluator.GainsInto) and per-subset sparsification, exact or LSH — fans
+// its work out through ForEach, one level deep, so the whole
 // pipeline is controlled by a single integer and degrades to the plain
 // sequential loop when the knob is 1. CELF's own lazy-greedy passes do not
 // use it: the solver runs its UC and CB passes on one goroutine each, and
