@@ -791,18 +791,19 @@ func (s *server) solveCore(ctx context.Context, tenant string, body []byte, star
 	digest := instanceDigest(tenant, body)
 	var inst *par.Instance
 	var vecs [][][]float64
-	// parse decodes the body, ending span with parsed=true, and drops the
-	// bytes so the GC can reclaim them while Prepare and Run allocate. A
-	// malformed body is a 400.
+	// parse decodes the body, ending span with parsed=true and the body's
+	// size, and drops the bytes so the GC can reclaim them while Prepare
+	// and Run allocate. A malformed body is a 400.
 	parse := func(span *obs.Span) error {
 		var err error
+		size := len(body)
 		inst, vecs, err = par.DecodeJSONVectors(body)
 		body = nil
 		if err != nil {
-			span.End("parsed", true, "err", err.Error())
+			span.End("parsed", true, "bytes", size, "err", err.Error())
 			return &httpError{http.StatusBadRequest, err}
 		}
-		span.End("parsed", true, "photos", inst.NumPhotos(), "subsets", len(inst.Subsets))
+		span.End("parsed", true, "bytes", size, "photos", inst.NumPhotos(), "subsets", len(inst.Subsets))
 		return nil
 	}
 	budget := params.budget

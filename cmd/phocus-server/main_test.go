@@ -988,8 +988,9 @@ func cacheDelta(s *server, f func()) (hits, misses int64) {
 }
 
 // decodeSpans returns the parsed attribute of each decode span the trace of
-// request id holds, in recording order.
-func decodeSpans(t *testing.T, s *server, id string) []string {
+// request id holds, in recording order. Each span, parsed or not, must
+// record the body's size, size bytes, so decode MB/s reads off the trace.
+func decodeSpans(t *testing.T, s *server, id string, size int) []string {
 	t.Helper()
 	tr, ok := s.trace.Get(id)
 	if !ok {
@@ -999,6 +1000,9 @@ func decodeSpans(t *testing.T, s *server, id string) []string {
 	for _, sp := range tr.Spans {
 		if sp.Name == "decode" {
 			parsed = append(parsed, sp.Attrs["parsed"])
+			if got := sp.Attrs["bytes"]; got != strconv.Itoa(size) {
+				t.Errorf("decode span parsed=%s records bytes=%q, want %d", sp.Attrs["parsed"], got, size)
+			}
 		}
 	}
 	return parsed
@@ -1035,7 +1039,7 @@ func TestDigestFirstWarmMatchesCold(t *testing.T) {
 	if h, m := cacheDelta(s, func() { _, id = solve("warm", rungQuery(ladder[0])) }); h != 0 || m != 1 {
 		t.Fatalf("first solve: %d hits / %d misses, want a miss", h, m)
 	}
-	if got := decodeSpans(t, s, id); len(got) != 2 || got[0] != "false" || got[1] != "true" {
+	if got := decodeSpans(t, s, id, len(body)); len(got) != 2 || got[0] != "false" || got[1] != "true" {
 		t.Errorf("cold solve decode spans parsed=%v, want [false true]", got)
 	}
 	for i, frac := range ladder {
@@ -1044,7 +1048,7 @@ func TestDigestFirstWarmMatchesCold(t *testing.T) {
 		if h, m := cacheDelta(s, func() { hot, id = solve("warm", rungQuery(frac)) }); h != 1 || m != 0 {
 			t.Fatalf("rung %g: %d hits / %d misses, want a hit", frac, h, m)
 		}
-		if got := decodeSpans(t, s, id); len(got) != 1 || got[0] != "false" {
+		if got := decodeSpans(t, s, id, len(body)); len(got) != 1 || got[0] != "false" {
 			t.Errorf("rung %g: hit decode spans parsed=%v, want [false]", frac, got)
 		}
 		same := fmt.Sprint(hot.Retain) == fmt.Sprint(cold.Retain) &&
@@ -1069,7 +1073,7 @@ func TestDigestFirstWarmMatchesCold(t *testing.T) {
 	if noBudget.Budget != ds.Instance.Budget {
 		t.Errorf("no-budget answer budget %g, want the body's %g", noBudget.Budget, ds.Instance.Budget)
 	}
-	if got := decodeSpans(t, s, id); len(got) != 1 || got[0] != "true" {
+	if got := decodeSpans(t, s, id, len(body)); len(got) != 1 || got[0] != "true" {
 		t.Errorf("no-budget decode spans parsed=%v, want [true]", got)
 	}
 
@@ -1077,7 +1081,7 @@ func TestDigestFirstWarmMatchesCold(t *testing.T) {
 	if h, m := cacheDelta(s, func() { _, id = solve("second", rungQuery(ladder[1])) }); h != 0 || m != 1 {
 		t.Errorf("second tenant: %d hits / %d misses, want a miss", h, m)
 	}
-	if got := decodeSpans(t, s, id); len(got) != 2 || got[1] != "true" {
+	if got := decodeSpans(t, s, id, len(body)); len(got) != 2 || got[1] != "true" {
 		t.Errorf("second tenant decode spans parsed=%v, want a parse", got)
 	}
 

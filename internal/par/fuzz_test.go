@@ -2,7 +2,9 @@ package par_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -105,6 +107,49 @@ func FuzzReadJSON(f *testing.F) {
 		// Trailing data and nesting depth.
 		fig.String() + " garbage", fig.String() + fig.String(), fig.String() + " \t\r\n", `{} x`,
 		deep(9999), deep(10000),
+		// Every way a triple leaves WriteJSON's layout, where the fast
+		// path hands it to the general one: whitespace, key order, case,
+		// escapes, repeated and extra keys, null members.
+		pair(`{ "i":0,"j":1,"s":0.5}`), pair(`{"i" :0,"j":1,"s":0.5}`), pair(`{"i":0 ,"j":1,"s":0.5}`),
+		pair(`{"i":0,"j":1,"s":0.5 }`), pair("{\"i\":0,\n\"j\":1,\t\"s\":0.5}"),
+		pair(`{"j":1,"i":0,"s":0.5}`), pair(`{"s":0.5,"i":0,"j":1}`), pair(`{"I":0,"j":1,"s":0.5}`),
+		pair(`{"i":0,"J":1,"S":0.5}`), pair(`{"\u0069":0,"j":1,"s":0.5}`), pair(`{"i":0,"\u006a":1,"s":0.5}`),
+		pair(`{"i":0,"i":1,"j":0,"s":0.5}`), pair(`{"i":0,"j":1,"s":0.5,"s":0.25}`),
+		pair(`{"i":0,"j":1,"s":0.5,"x":1}`), pair(`{"i":0,"j":1,"x":[],"s":0.5}`),
+		pair(`{"i":null,"j":1,"s":0.5}`), pair(`{"i":0,"j":null,"s":0.5}`), pair(`{"i":0,"j":1,"s":null}`),
+		pair(`{"i":0,"j":1,"s":0.5}` + `,{"i":1,"j":0,"s":null}`), pair(`{"i":0,"j":1,"s":"0.5"}`),
+		pair(`{"i":0,"j":1,"s":0.5]`), pair(`{"i":0,"j":1,"s":0.5`), pair(`{"i":0,"j":1,"s":`), pair(`{"i":0,"j":1`),
+		// Numbers at each exit of the fused scans: leading zeros, signs,
+		// a bare point or sign, int32 and int64 limits, 18-20 digits.
+		pair(`{"i":00,"j":1,"s":0.5}`), pair(`{"i":0,"j":01,"s":0.5}`), pair(`{"i":-1,"j":1,"s":0.5}`),
+		pair(`{"i":-0,"j":1,"s":0.5}`), pair(`{"i":1.,"j":0,"s":0.5}`), pair(`{"i":0,"j":1,"s":1.}`),
+		pair(`{"i":0,"j":1,"s":-}`), pair(`{"i":-,"j":1,"s":0.5}`), pair(`{"i":0,"j":1,"s":0.5e}`),
+		pair(`{"i":0,"j":1,"s":0.5e+}`), pair(`{"i":0,"j":1,"s":-0.5}`), pair(`{"i":0,"j":1,"s":00.5}`),
+		pair(`{"i":1e0,"j":0,"s":0.5}`), pair(`{"i":1E0,"j":0,"s":0.5}`), pair(`{"i":0,"j":1,"s":1E0}`),
+		pair(`{"i":000000000000000001,"j":0,"s":0.5}`), pair(`{"i":999999999999999999,"j":0,"s":0.5}`),
+		pair(`{"i":1000000000000000000,"j":0,"s":0.5}`), pair(`{"i":9223372036854775807,"j":0,"s":0.5}`),
+		pair(`{"i":9223372036854775808,"j":0,"s":0.5}`), pair(`{"i":-9223372036854775808,"j":0,"s":0.5}`),
+		pair(`{"i":18446744073709551617,"j":0,"s":0.5}`), pair(`{"i":0,"j":1,"s":0.5e18446744073709551617}`),
+		`{"costs":[1],"retained":[-1],"budget":1,"subsets":[]}`,
+		`{"costs":[1],"retained":[2147483647],"budget":1,"subsets":[]}`,
+		`{"costs":[1],"retained":[-2147483648],"budget":1,"subsets":[]}`,
+		`{"costs":[1],"retained":[01],"budget":1,"subsets":[]}`,
+		`{"costs":[1],"retained":[0.5],"budget":1,"subsets":[]}`,
+		// Floats at each exit of the Eisel–Lemire conversion: 19 and 20
+		// significant digits, exponents, signed zeros, subnormals, the
+		// largest float64 and just past it.
+		pair(`{"i":0,"j":1,"s":0.1234567890123456789}`), pair(`{"i":0,"j":1,"s":0.12345678901234567891}`),
+		pair(`{"i":0,"j":1,"s":0.00000000000000000001234567890123456789}`),
+		pair(`{"i":0,"j":1,"s":0.9999999999999999999}`), pair(`{"i":0,"j":1,"s":0.99999999999999999999}`),
+		pair(`{"i":0,"j":1,"s":1.0000000000000000000}`), pair(`{"i":0,"j":1,"s":1e-07}`),
+		pair(`{"i":0,"j":1,"s":1E+2}`), pair(`{"i":0,"j":1,"s":1e-0}`), pair(`{"i":0,"j":1,"s":-0}`),
+		pair(`{"i":0,"j":1,"s":-0.0}`), pair(`{"i":0,"j":1,"s":0e999999999999}`),
+		pair(`{"i":0,"j":1,"s":5e-324}`), pair(`{"i":0,"j":1,"s":2.2250738585072011e-308}`),
+		pair(`{"i":0,"j":1,"s":1.7976931348623157e308}`), pair(`{"i":0,"j":1,"s":1e309}`),
+		pair(`{"i":0,"j":1,"s":1e-99999999999999999999}`), pair(`{"i":0,"j":1,"s":1e99999999999999999999}`),
+		`{"costs":[-0,5e-324,1.7976931348623157e308,4.9406564584124654e-324],"budget":1e308,"subsets":[]}`,
+		`{"costs":[1],"budget":1.7976931348623159e308,"subsets":[]}`,
+		`{"costs":[12345678901234567890123],"budget":9007199254740993,"subsets":[]}`,
 	} {
 		f.Add(s)
 	}
@@ -145,6 +190,45 @@ func FuzzReadJSON(f *testing.F) {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 	})
+}
+
+// TestWriteJSONTakesFastPaths requires the decoder's fast paths to take
+// every similarity triple and every number WriteJSON writes, on the P-1K
+// body every serve_ingest op posts and on random instances with context
+// vectors: a writer change that sends them down the general path fails.
+func TestWriteJSONTakesFastPaths(t *testing.T) {
+	p1k, err := p1kBody()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string][]byte{"p1k": p1k}
+	rng := rand.New(rand.NewSource(25))
+	for _, inst := range []*par.Instance{
+		par.Figure1Instance(),
+		par.Random(rng, par.RandomConfig{Photos: 300, Subsets: 60, MaxSubset: 30, RetainFrac: 0.05}),
+	} {
+		vectors := make([][][]float64, len(inst.Subsets))
+		for qi, q := range inst.Subsets {
+			for range q.Members {
+				vectors[qi] = append(vectors[qi], []float64{rng.NormFloat64(), rng.Float64(), -rng.ExpFloat64()})
+			}
+		}
+		var buf bytes.Buffer
+		if err := par.WriteJSONVectors(&buf, inst, vectors); err != nil {
+			t.Fatal(err)
+		}
+		bodies[fmt.Sprintf("random-%d", inst.NumPhotos())] = buf.Bytes()
+	}
+	for name, body := range bodies {
+		triples, numbers, err := par.CheckFastPaths(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := bytes.Count(body, []byte(`"s":`)); triples != want || triples == 0 {
+			t.Fatalf("%s: %d triples on the fast path, %d in the body", name, triples, want)
+		}
+		t.Logf("%s: %d triples and %d other numbers, all on the fast paths", name, triples, numbers)
+	}
 }
 
 // sameInstance fails t unless got equals want: similarity rows compared

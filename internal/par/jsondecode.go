@@ -23,15 +23,18 @@ import (
 //     to nil; [] gives an empty, non-nil slice;
 //   - a repeated key decodes again into the existing value, so slice
 //     elements are reused and struct elements merge field by field;
-//   - numbers follow the strict JSON grammar and are converted with
-//     strconv like encoding/json: an out-of-range float, a fraction or
+//   - numbers follow the strict JSON grammar and convert to the values
+//     strconv gives encoding/json: an out-of-range float, a fraction or
 //     exponent in an integer field, or an int32 overflow in a photo ID is
-//     an error;
+//     an error (parseFloat says how floats are converted);
 //   - a type mismatch (a string where a number belongs, an array for an
 //     object, ...) is an error.
 //
 // Strings with escapes or non-ASCII bytes are unquoted by encoding/json, so
 // invalid UTF-8 and lone surrogates decode to U+FFFD exactly as there.
+//
+// A similarity triple in exactly WriteJSON's layout takes a fast path
+// (triple); every other spelling of it takes the general one.
 type jsonDecoder struct {
 	data  []byte
 	off   int
@@ -59,6 +62,9 @@ func decodeInstanceJSON(data []byte) (*instanceJSON, error) {
 
 // ws skips whitespace and returns the new offset.
 func (d *jsonDecoder) ws() int {
+	if d.off < len(d.data) && d.data[d.off] > ' ' {
+		return d.off // the common case: WriteJSON writes no whitespace
+	}
 	for d.off < len(d.data) {
 		switch d.data[d.off] {
 		case ' ', '\t', '\n', '\r':
@@ -195,7 +201,9 @@ func (d *jsonDecoder) key() ([]byte, error) {
 
 // is reports whether key names the field name, matched as encoding/json
 // matches keys: exactly or under Unicode case folding.
-func is(key []byte, name string) bool { return strings.EqualFold(string(key), name) }
+func is(key []byte, name string) bool {
+	return string(key) == name || strings.EqualFold(string(key), name)
+}
 
 // str scans the string that is next and returns its raw contents between
 // the quotes, and whether they are plain (printable ASCII without escapes)
@@ -260,51 +268,99 @@ func (d *jsonDecoder) string(dst *string) error {
 	return json.Unmarshal(d.data[start:d.off], dst)
 }
 
-// number scans the number that is next under the strict JSON grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. integral reports the
-// absence of a fraction and exponent.
-func (d *jsonDecoder) number() (tok []byte, integral bool, err error) {
-	data, start := d.data, d.ws()
-	i := start
-	digits := func() bool {
-		j := i
-		for i < len(data) && isDigit(data[i]) {
-			i++
-		}
-		return i > j
+// number scans the number that is next and returns its token and value.
+func (d *jsonDecoder) number() (tok []byte, num decimal, err error) {
+	start := d.ws()
+	num, end, bad := scanNumber(d.data, start)
+	d.off = end
+	if bad != "" {
+		return nil, num, d.syntaxError(bad)
 	}
+	return d.data[start:end], num, nil
+}
+
+// decimal is the value of a number token, read while it is scanned: the
+// token is ±man × 10^exp exactly when digits ≤ 19. digits counts the
+// significant digits from the first nonzero one; past 19, man and exp
+// are not kept and the token must be converted from its text.
+type decimal struct {
+	man      uint64
+	exp      int
+	digits   int
+	neg      bool
+	integral bool // no fraction and no exponent
+}
+
+// scanNumber scans the number at data[i:] under the strict JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its value
+// and the offset after it. For a malformed number, end is the offset of
+// the offending byte and bad the context its syntax error names.
+func scanNumber(data []byte, i int) (num decimal, end int, bad string) {
 	if i < len(data) && data[i] == '-' {
+		num.neg = true
 		i++
 	}
-	switch {
-	case i < len(data) && data[i] == '0':
+	if i < len(data) && data[i] == '0' {
 		i++
-	case !digits():
-		d.off = i
-		return nil, false, d.syntaxError("in numeric literal")
-	}
-	integral = true
-	if i < len(data) && data[i] == '.' {
-		integral = false
-		i++
-		if !digits() {
-			d.off = i
-			return nil, false, d.syntaxError("after decimal point in numeric literal")
+	} else {
+		first := i
+		if num.man, i = digits(data, i, 0); i == first {
+			return num, i, "in numeric literal"
 		}
+		num.digits = i - first
 	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		integral = false
+	num.integral = true
+	if i < len(data) && data[i] == '.' {
+		num.integral = false
 		i++
-		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+		first := i
+		if num.man == 0 {
+			for i < len(data) && data[i] == '0' {
+				i++ // a leading zero is not significant
+			}
+		}
+		nonzero := i
+		if num.man, i = digits(data, i, num.man); i == first {
+			return num, i, "after decimal point in numeric literal"
+		}
+		num.digits += i - nonzero
+		num.exp = first - i
+	}
+	if i < len(data) && data[i]|0x20 == 'e' {
+		num.integral = false
+		i++
+		neg := i < len(data) && data[i] == '-'
+		if i < len(data) && (data[i] == '+' || neg) {
 			i++
 		}
-		if !digits() {
-			d.off = i
-			return nil, false, d.syntaxError("in exponent of numeric literal")
+		first, e := i, 0
+		for ; i < len(data) && isDigit(data[i]); i++ {
+			if e < 10000 { // far outside the table already; stop before overflow
+				e = e*10 + int(data[i]-'0')
+			}
 		}
+		if i == first {
+			return num, i, "in exponent of numeric literal"
+		}
+		if neg {
+			e = -e
+		}
+		num.exp += e
 	}
-	d.off = i
-	return data[start:i], integral, nil
+	return num, i, ""
+}
+
+// digits appends the decimal digits at data[i:] to man and returns it and
+// the offset after them; man wraps past 19 digits.
+func digits(data []byte, i int, man uint64) (uint64, int) {
+	for ; i < len(data); i++ {
+		c := data[i] - '0'
+		if c > 9 {
+			break
+		}
+		man = man*10 + uint64(c)
+	}
+	return man, i
 }
 
 // isNumber reports whether a number starts with c.
@@ -315,11 +371,11 @@ func (d *jsonDecoder) float(dst *float64) error {
 	if ok, err := d.begin(isNumber(d.peek()), "float64"); !ok {
 		return err
 	}
-	tok, _, err := d.number()
+	tok, num, err := d.number()
 	if err != nil {
 		return err
 	}
-	f, err := parseFloat(tok)
+	f, err := parseFloat(tok, num)
 	if err != nil {
 		return err
 	}
@@ -327,9 +383,14 @@ func (d *jsonDecoder) float(dst *float64) error {
 	return nil
 }
 
-// parseFloat converts a token of the JSON number grammar as encoding/json
-// does; a token beyond float64's range is an error.
-func parseFloat(tok []byte) (float64, error) {
+// parseFloat converts a token of the JSON number grammar, scanned as num,
+// to the float64 strconv.ParseFloat gives, as encoding/json does; a token
+// beyond float64's range is an error. strconv's fast paths convert num
+// where they decide (fastFloat); strconv converts tok everywhere else.
+func parseFloat(tok []byte, num decimal) (float64, error) {
+	if f, ok := num.fastFloat(); ok {
+		return f, nil
+	}
 	f, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		return 0, fmt.Errorf("number %s out of float64 range", tok)
@@ -344,23 +405,17 @@ func (d *jsonDecoder) integer(lo, hi int64, want string) (v int64, ok bool, err 
 	if ok, err := d.begin(isNumber(d.peek()), want); !ok {
 		return 0, false, err
 	}
-	tok, integral, err := d.number()
+	tok, num, err := d.number()
 	if err != nil {
 		return 0, false, err
 	}
-	if integral && len(tok) <= 18 {
+	if num.integral && num.digits <= 18 {
 		// At most 18 digits cannot overflow int64.
-		neg := tok[0] == '-'
-		if neg {
-			tok = tok[1:]
-		}
-		for _, c := range tok {
-			v = v*10 + int64(c-'0')
-		}
-		if neg {
+		v = int64(num.man)
+		if num.neg {
 			v = -v
 		}
-	} else if integral {
+	} else if num.integral {
 		if v, err = strconv.ParseInt(string(tok), 10, 64); err != nil {
 			return 0, false, fmt.Errorf("number %s overflows %s", tok, want)
 		}
@@ -541,6 +596,9 @@ func (d *jsonDecoder) vector(v *[]float64) error { return array(d, v, d.float) }
 
 // pair decodes one similarity triple; null leaves it unchanged.
 func (d *jsonDecoder) pair(p *pairJSON) error {
+	if d.triple(p) {
+		return nil
+	}
 	if ok, err := d.begin(d.peek() == '{', "similarity pair"); !ok {
 		return err
 	}
@@ -555,4 +613,55 @@ func (d *jsonDecoder) pair(p *pairJSON) error {
 		}
 		return d.skip()
 	})
+}
+
+// triple decodes the triple that is next when it is spelled exactly as
+// WriteJSON writes it, {"i":I,"j":J,"s":S} without whitespace, with I and
+// J non-negative integers of at most 18 digits and S a number in float64's
+// range, and reports whether it did. Any other spelling (whitespace, other
+// key orders, folded, escaped, repeated or extra keys, null, a negative or
+// fractional index, an error) leaves the offset at the triple for the
+// general path, which decodes or rejects it as encoding/json would.
+func (d *jsonDecoder) triple(p *pairJSON) bool {
+	data := d.data
+	i, at, ok := tripleIndex(data, d.ws(), `{"i":`)
+	if !ok {
+		return false
+	}
+	j, at, ok := tripleIndex(data, at, `,"j":`)
+	if !ok || !hasKey(data, at, `,"s":`) {
+		return false
+	}
+	start := at + len(`,"s":`)
+	num, end, bad := scanNumber(data, start)
+	if bad != "" || end >= len(data) || data[end] != '}' {
+		return false
+	}
+	s, err := parseFloat(data[start:end], num)
+	if err != nil {
+		return false
+	}
+	p.I, p.J, p.Sim = i, j, s
+	d.off = end + 1
+	return true
+}
+
+// tripleIndex reads the literal key at data[at:] and the index after it:
+// 1 to 18 digits, no leading zero. It returns the index and the offset
+// after its digits, where the caller checks that the index ends.
+func tripleIndex(data []byte, at int, key string) (v, end int, ok bool) {
+	if !hasKey(data, at, key) {
+		return 0, at, false
+	}
+	at += len(key)
+	if at < len(data) && data[at] == '0' {
+		return 0, at + 1, true
+	}
+	man, end := digits(data, at, 0)
+	return int(man), end, end > at && end-at <= 18
+}
+
+// hasKey reports whether data[at:] starts with key.
+func hasKey(data []byte, at int, key string) bool {
+	return len(data)-at >= len(key) && string(data[at:at+len(key)]) == key
 }
