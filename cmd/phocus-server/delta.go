@@ -46,11 +46,12 @@ func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("invalid fingerprint %q: want 64 hex characters", fp), http.StatusBadRequest)
 		return
 	}
-	// Deltas are tenant-keyed writes like solves: ownership and quota run
-	// before any work. The fingerprint itself is already tenant-scoped (the
-	// tenant is mixed into the instance digest), so a tenant cannot name
-	// another tenant's prepared instance even with a guessed fingerprint —
-	// this check is about routing and fairness, not secrecy.
+	// Deltas are tenant-keyed writes like solves: admission and quota run
+	// before any work. This does not scope the fingerprint to the tenant:
+	// the tenant is mixed into the instance digest, but applyDeltaCore
+	// resolves fp without checking who owns it, so a tenant that knows
+	// another tenant's fingerprint can apply a delta to that instance. See
+	// the ROADMAP item "Fingerprints must be tenant-scoped handles".
 	if _, ok := s.admitTenant(w, r); !ok {
 		return
 	}

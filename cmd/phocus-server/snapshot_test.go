@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"log/slog"
@@ -156,56 +157,70 @@ func TestSnapshotCorruptQuarantine(t *testing.T) {
 	waitFor(t, "snapshot re-write", func() bool { return len(snapFiles(t, dir)) == 1 })
 }
 
-// TestSnapshotV1Quarantine installs a version 1 snapshot — a file whose
-// every checksum holds but whose version this build no longer reads — and
-// restarts: the warm-fill must quarantine it like any corrupt file, and the
-// next /solve of the same body must answer from a cold Prepare with the
-// selection the first server computed.
+// TestSnapshotV1Quarantine installs a snapshot of an older format version
+// — version 1 (per-entry W·R slabs) or version 2 (similarity copies beside
+// the kernels), a file whose every checksum holds but whose version this
+// build no longer reads — and restarts: the warm-fill must quarantine it
+// like any corrupt file, and the next /solve of the same body must answer
+// from a cold Prepare with the selection the first server computed and
+// write a current-version file back.
 func TestSnapshotV1Quarantine(t *testing.T) {
-	dir := t.TempDir()
-	body := instanceBody(t, 8.2).String()
+	for _, version := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			body := instanceBody(t, 8.2).String()
 
-	s1, srv1 := snapServer(t, dir)
-	waitFor(t, "first server ready", func() bool { return s1.snapWarmed.Load() })
-	want := postSolve(t, srv1.URL+"/solve?tau=0.6", body)
-	waitFor(t, "snapshot write-back", func() bool { return len(snapFiles(t, dir)) == 1 })
+			s1, srv1 := snapServer(t, dir)
+			waitFor(t, "first server ready", func() bool { return s1.snapWarmed.Load() })
+			want := postSolve(t, srv1.URL+"/solve?tau=0.6", body)
+			waitFor(t, "snapshot write-back", func() bool { return len(snapFiles(t, dir)) == 1 })
 
-	// Rewrite the version field to 1 and re-seal the header checksum (and
-	// its complement) so only the version marks the file as stale.
-	path := snapFiles(t, dir)[0]
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(data[8:], 1)
-	tableEnd := 48 + 24*int(binary.LittleEndian.Uint32(data[12:]))
-	hcrc := crc32.Checksum(data[:tableEnd], crc32.MakeTable(crc32.Castagnoli))
-	binary.LittleEndian.PutUint32(data[tableEnd:], hcrc)
-	binary.LittleEndian.PutUint32(data[tableEnd+4:], ^hcrc)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Rewrite the version field and re-seal the header checksum (and
+			// its complement) so only the version marks the file as stale.
+			path := snapFiles(t, dir)[0]
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			current := binary.LittleEndian.Uint32(data[8:])
+			binary.LittleEndian.PutUint32(data[8:], version)
+			tableEnd := 48 + 24*int(binary.LittleEndian.Uint32(data[12:]))
+			hcrc := crc32.Checksum(data[:tableEnd], crc32.MakeTable(crc32.Castagnoli))
+			binary.LittleEndian.PutUint32(data[tableEnd:], hcrc)
+			binary.LittleEndian.PutUint32(data[tableEnd+4:], ^hcrc)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, srv2 := snapServer(t, dir)
-	waitFor(t, "warm-fill", func() bool { return s2.snapWarmed.Load() })
-	if got := s2.reg.Counter("phocus_snapshot_corrupt_total").Value(); got != 1 {
-		t.Errorf("corrupt snapshots counted = %d, want 1", got)
-	}
-	if got := s2.reg.Counter("phocus_snapshot_load_total").Value(); got != 0 {
-		t.Errorf("snapshot loads = %d, want 0 (the only file was version 1)", got)
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Errorf("quarantined file missing: %v", err)
-	}
+			s2, srv2 := snapServer(t, dir)
+			waitFor(t, "warm-fill", func() bool { return s2.snapWarmed.Load() })
+			if got := s2.reg.Counter("phocus_snapshot_corrupt_total").Value(); got != 1 {
+				t.Errorf("corrupt snapshots counted = %d, want 1", got)
+			}
+			if got := s2.reg.Counter("phocus_snapshot_load_total").Value(); got != 0 {
+				t.Errorf("snapshot loads = %d, want 0 (the only file was version %d)", got, version)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Errorf("quarantined file missing: %v", err)
+			}
 
-	got := postSolve(t, srv2.URL+"/solve?tau=0.6", body)
-	if hits := s2.reg.Counter("phocus_prepare_cache_misses_total").Value(); hits != 1 {
-		t.Errorf("cache misses after quarantine = %d, want 1 (cold Prepare)", hits)
+			got := postSolve(t, srv2.URL+"/solve?tau=0.6", body)
+			if hits := s2.reg.Counter("phocus_prepare_cache_misses_total").Value(); hits != 1 {
+				t.Errorf("cache misses after quarantine = %d, want 1 (cold Prepare)", hits)
+			}
+			if got.Score != want.Score || got.Cost != want.Cost || !reflect.DeepEqual(got.Retain, want.Retain) {
+				t.Fatalf("cold answer after quarantine %+v, want %+v", got, want)
+			}
+			waitFor(t, "current-version re-write", func() bool { return len(snapFiles(t, dir)) == 1 })
+			rewritten, err := os.ReadFile(snapFiles(t, dir)[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := binary.LittleEndian.Uint32(rewritten[8:]); v != current || v <= version {
+				t.Fatalf("re-written snapshot is version %d, want the current %d", v, current)
+			}
+		})
 	}
-	if got.Score != want.Score || got.Cost != want.Cost || !reflect.DeepEqual(got.Retain, want.Retain) {
-		t.Fatalf("cold answer after quarantine %+v, want %+v", got, want)
-	}
-	waitFor(t, "version 2 re-write", func() bool { return len(snapFiles(t, dir)) == 1 })
 }
 
 // TestSnapshotCorruptRequestPaths covers the request-time quarantine that

@@ -71,11 +71,13 @@ func FromPAR(inst *par.Instance) *Graph {
 			})
 		}
 	}
+	var row []par.Neighbor
 	for qi := range inst.Subsets {
 		q := &inst.Subsets[qi]
 		for mi, p := range q.Members {
 			if nl, ok := q.Sim.(par.NeighborLister); ok {
-				for _, nb := range nl.Neighbors(mi) {
+				row = nl.AppendNeighbors(row[:0], mi)
+				for _, nb := range row {
 					g.EdgesByPhoto[p] = append(g.EdgesByPhoto[p], Edge{
 						Photo:  p,
 						Right:  offsets[qi] + nb.Index,

@@ -83,8 +83,10 @@ func collectPairs(s Similarity) []simPair {
 	var pairs []simPair
 	k := s.Len()
 	if nl, ok := s.(NeighborLister); ok {
+		var row []Neighbor
 		for i := 0; i < k; i++ {
-			for _, nb := range nl.Neighbors(i) {
+			row = nl.AppendNeighbors(row[:0], i)
+			for _, nb := range row {
 				if nb.Index > i {
 					pairs = append(pairs, simPair{i: i, j: nb.Index, sim: nb.Sim})
 				}

@@ -42,9 +42,11 @@ func CheckSimilarity(rng *rand.Rand, inst *Instance, samplesPerSubset int) error
 		}
 		// Neighbour lists, when provided, must agree with Sim.
 		if nl, ok := q.Sim.(NeighborLister); ok {
+			var row []Neighbor
 			for s := 0; s < samplesPerSubset/4+1; s++ {
 				i := rng.Intn(k)
-				for _, nb := range nl.Neighbors(i) {
+				row = nl.AppendNeighbors(row[:0], i)
+				for _, nb := range row {
 					if got := q.Sim.Sim(i, nb.Index); math.Abs(got-nb.Sim) > 1e-9 {
 						return fmt.Errorf("par: subset %d (%q): neighbour list says SIM(%d,%d)=%g, Sim says %g",
 							qi, q.Name, i, nb.Index, nb.Sim, got)

@@ -190,9 +190,10 @@ func TestCoversRejectsMalformedKernels(t *testing.T) {
 // TestCoversRejectCrossSubsetEntries: an entry may only target a row of its
 // own subset — the sweep hands out each subset's terms in that subset's
 // turn — so a kernel whose rows pair across subsets, however symmetric,
-// gets no cover index.
+// gets no cover index. KernelFromSlabs refuses such slabs outright, so the
+// kernel is assembled directly to reach the cover index's own check.
 func TestCoversRejectCrossSubsetEntries(t *testing.T) {
-	k, err := KernelFromSlabs(KernelSlabs{
+	s := KernelSlabs{
 		Photos:   2,
 		RowLen:   []int32{1, 1},
 		RowStart: []int64{0, 2, 4},
@@ -201,9 +202,13 @@ func TestCoversRejectCrossSubsetEntries(t *testing.T) {
 		SlotWR:   []float64{1, 1},
 		OccStart: []int32{0, 1, 2},
 		OccRow:   []int32{0, 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	if _, err := KernelFromSlabs(s); err == nil {
+		t.Fatal("KernelFromSlabs accepted cross-subset entries")
+	}
+	k := &Kernel{
+		photos: s.Photos, rowLen: s.RowLen, rowStart: s.RowStart, nbrIdx: s.NbrIdx,
+		nbrSim: s.NbrSim, slotWR: s.SlotWR, occStart: s.OccStart, occRow: s.OccRow,
 	}
 	if k.Covers() != nil {
 		t.Fatal("a kernel with cross-subset entries built a cover index")

@@ -6,10 +6,11 @@ import "sort"
 // Similarity: members can be masked (a removed photo's similarities all
 // become 0, so it can never again cover anyone) and new members can be
 // appended with explicit similarity rows. It is the similarity-level mirror
-// of the kernel's mutation overlay — the engine's ApplyDelta wraps a
-// subset's base similarity in one of these, and a kernel recompiled from it
-// (at compaction or snapshot time) reproduces exactly the entries the
-// incremental kernel maintained.
+// of the kernel's mutation overlay, kept as the cold reference: the
+// engine's MergeDelta wraps a subset's similarity in one of these, and a
+// kernel compiled from it holds exactly the entries the live, overlaid
+// kernel holds. The live path itself never builds one; its subsets read
+// the overlaid kernel directly (SetKernelSims).
 //
 // The diagonal stays 1 even for masked members: a removed photo remains a
 // member slot of the subset (photo IDs are dense and stable), and the
@@ -75,17 +76,4 @@ func (d *DeltaSim) Sim(i, j int) float64 {
 		return row[k].Sim
 	}
 	return 0
-}
-
-// SizeBytes reports the retained overlay bytes plus whatever the inner
-// similarity self-reports, for prepared-size accounting.
-func (d *DeltaSim) SizeBytes() int64 {
-	n := int64(len(d.masked))
-	for _, row := range d.rows {
-		n += 16 * int64(len(row))
-	}
-	if s, ok := d.inner.(interface{ SizeBytes() int64 }); ok {
-		n += s.SizeBytes()
-	}
-	return n
 }

@@ -246,8 +246,8 @@ func sameInstance(t *testing.T, got, want *par.Instance) {
 			t.Fatalf("subset %d: similarity over %d members, reference %d", qi, gs.Len(), ws.Len())
 		}
 		for i := 0; i < gs.Len(); i++ {
-			if !slices.Equal(gs.Neighbors(i), ws.Neighbors(i)) {
-				t.Fatalf("subset %d row %d: %v, reference %v", qi, i, gs.Neighbors(i), ws.Neighbors(i))
+			if gr, wr := gs.AppendNeighbors(nil, i), ws.AppendNeighbors(nil, i); !slices.Equal(gr, wr) {
+				t.Fatalf("subset %d row %d: %v, reference %v", qi, i, gr, wr)
 			}
 		}
 		if !sameBits(g.Subsets[qi].Relevance, w.Subsets[qi].Relevance) ||

@@ -2,7 +2,7 @@ package par
 
 // jaggedEvaluator is the reference marginal-gain evaluator the compiled
 // kernel is held to: it walks each subset's Similarity directly (its
-// Neighbors when it is a NeighborLister, every member's Sim otherwise) over
+// neighbour rows when it is a NeighborLister, every member's Sim otherwise) over
 // per-subset best arrays. It shares no code with Kernel, so
 // TestKernelDifferential and FuzzKernelVsReference compare the production
 // Evaluator against an independent implementation with ==.
@@ -68,7 +68,7 @@ func (e *jaggedEvaluator) visit(p PhotoID, add bool) float64 {
 			}
 		}
 		if nl, ok := q.Sim.(NeighborLister); ok {
-			for _, nb := range nl.Neighbors(oc.Index) {
+			for _, nb := range nl.AppendNeighbors(nil, oc.Index) {
 				term(nb.Index, nb.Sim)
 			}
 			continue

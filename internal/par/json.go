@@ -65,8 +65,10 @@ func WriteJSONVectors(w io.Writer, inst *Instance, vectors [][][]float64) error 
 		}
 		k := len(q.Members)
 		if nl, ok := q.Sim.(NeighborLister); ok {
+			var row []Neighbor
 			for i := 0; i < k; i++ {
-				for _, nb := range nl.Neighbors(i) {
+				row = nl.AppendNeighbors(row[:0], i)
+				for _, nb := range row {
 					if nb.Index > i { // emit each pair once
 						sj.Sim = append(sj.Sim, pairJSON{I: i, J: nb.Index, Sim: nb.Sim})
 					}

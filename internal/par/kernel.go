@@ -73,6 +73,9 @@ type Kernel struct {
 // Compilation costs one pass over the similarity structure — O(pairs) for
 // NeighborLister similarities, O(Σ k²) Sim calls otherwise — and is meant to
 // run once per prepared instance, amortized across every solve against it.
+// Over subsets that hold views of another kernel (SetKernelSims) it is one
+// linear pass over that kernel's live entries, which is how an overlaid
+// kernel is compacted back to the canonical layout.
 func CompileKernel(inst *Instance) *Kernel {
 	if inst.occ == nil {
 		panic("par: CompileKernel before Finalize")
@@ -93,6 +96,7 @@ func CompileKernel(inst *Instance) *Kernel {
 
 	k.rowStart = append(make([]int64, 0, rows+1), 0)
 	k.slotWR = make([]float64, 0, rows)
+	var row []Neighbor
 	for qi := range inst.Subsets {
 		q := &inst.Subsets[qi]
 		for mi := range q.Members {
@@ -101,7 +105,8 @@ func CompileKernel(inst *Instance) *Kernel {
 		off := subOff[qi]
 		if nl, ok := q.Sim.(NeighborLister); ok {
 			for i := range q.Members {
-				for _, nb := range nl.Neighbors(i) {
+				row = nl.AppendNeighbors(row[:0], i)
+				for _, nb := range row {
 					k.nbrIdx = append(k.nbrIdx, off+int32(nb.Index))
 					k.nbrSim = append(k.nbrSim, nb.Sim)
 				}

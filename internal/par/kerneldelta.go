@@ -7,10 +7,13 @@ import "fmt"
 // appending rows for new members (and whole new subsets, and new photos) at
 // the tail, and rewriting slot W·R weights after a relevance
 // renormalization — without recompiling the flat slabs. The staged engine's
-// Prepared.ApplyDelta drives these operations; when the dead-entry fraction
-// grows past its threshold the engine compacts by recompiling the kernel
-// from the (also incrementally maintained) similarity structures, which
-// drops the overlay and restores the canonical flat layout.
+// Prepared.ApplyDelta drives these operations, and the overlaid kernel is
+// the only similarity store it changes: the subsets read it back through
+// kernel views (SetKernelSims), which skip tombstoned entries. When the
+// dead-entry fraction grows past its threshold the engine compacts by
+// compiling a fresh kernel from those views — one linear pass over the
+// live entries, base spans and extras alike — which drops the overlay and
+// restores the canonical flat layout.
 //
 // Row numbering under an overlay. The rows compiled by CompileKernel keep
 // their original ids ("base rows", dense in [0, baseRows)); every member

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -497,6 +498,40 @@ func (m *overlayModel) check(t *testing.T, rng *rand.Rand, step string) {
 				t.Fatalf("%s: CoverageVector[%d][%d] overlay %v != compiled %v", step, qi, mi, co[qi][mi], cr[qi][mi])
 			}
 		}
+	}
+
+	// Kernel views of the overlay read back the reference similarity pair
+	// by pair and row by row, and compiling them — a compaction — gives
+	// exactly the fresh compile's slabs.
+	views := &Instance{Cost: m.inst.Cost, Retained: m.inst.Retained, Budget: m.inst.Budget, Subsets: slices.Clone(m.inst.Subsets)}
+	SetKernelSims(views.Subsets, m.kern)
+	var row []Neighbor
+	for qi := range views.Subsets {
+		v, w := views.Subsets[qi].Sim, m.inst.Subsets[qi].Sim
+		if v.Len() != w.Len() {
+			t.Fatalf("%s: subset %d view over %d members, reference %d", step, qi, v.Len(), w.Len())
+		}
+		for i := 0; i < w.Len(); i++ {
+			var want []Neighbor
+			for j := 0; j < w.Len(); j++ {
+				s := w.Sim(i, j)
+				if got := v.Sim(i, j); math.Float64bits(got) != math.Float64bits(s) {
+					t.Fatalf("%s: subset %d view Sim(%d,%d) = %v, reference %v", step, qi, i, j, got, s)
+				}
+				if s > 0 {
+					want = append(want, Neighbor{Index: j, Sim: s})
+				}
+			}
+			if row = v.(NeighborLister).AppendNeighbors(row[:0], i); !slices.Equal(row, want) {
+				t.Fatalf("%s: subset %d view row %d = %v, reference %v", step, qi, i, row, want)
+			}
+		}
+	}
+	if err := views.Finalize(); err != nil {
+		t.Fatalf("%s: views Finalize: %v", step, err)
+	}
+	if got, want := CompileKernel(views).Slabs(), ref.Kernel().Slabs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: compiling the overlay's views differs from a fresh compile", step)
 	}
 }
 

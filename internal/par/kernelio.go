@@ -45,10 +45,13 @@ func (k *Kernel) Slabs() KernelSlabs {
 // passed its checksums but was written by a different build, or a fuzzer),
 // every structural invariant the gain/add hot path relies on is checked
 // here: monotone row offsets covering the entry arrays exactly, equal-length
-// parallel entry arrays, one slot weight per row, neighbour rows within
-// range, per-subset lengths summing to the row count, and an occurrence
-// index covering occRow exactly with in-range rows. Violations return typed errors; a kernel this
-// constructor accepts can never index out of bounds.
+// parallel entry arrays, one slot weight per row, per-subset lengths summing
+// to the row count, and an occurrence index covering occRow exactly with
+// in-range rows. The rows are also the instance's similarity, so they are
+// held to its invariants: every entry targets a row of its own subset, rows
+// are strictly ascending, the self entry is present and exactly 1, and
+// every other similarity is in (0,1] (NaN fails). Violations return errors;
+// a kernel this constructor accepts can never index out of bounds.
 func KernelFromSlabs(s KernelSlabs) (*Kernel, error) {
 	if s.Photos < 0 {
 		return nil, fmt.Errorf("par: kernel slabs: negative photo count %d", s.Photos)
@@ -75,11 +78,6 @@ func KernelFromSlabs(s KernelSlabs) (*Kernel, error) {
 			return nil, fmt.Errorf("par: kernel slabs: rowStart not monotone at row %d", r)
 		}
 	}
-	for t, ix := range s.NbrIdx {
-		if ix < 0 || int(ix) >= rows {
-			return nil, fmt.Errorf("par: kernel slabs: entry %d targets row %d of %d", t, ix, rows)
-		}
-	}
 	var sum int64
 	for qi, l := range s.RowLen {
 		if l < 0 {
@@ -89,6 +87,36 @@ func KernelFromSlabs(s KernelSlabs) (*Kernel, error) {
 	}
 	if sum != int64(rows) {
 		return nil, fmt.Errorf("par: kernel slabs: subset lengths sum to %d, want %d rows", sum, rows)
+	}
+	// The rows are the instance's similarity (SetKernelSims reads them back),
+	// so they must satisfy its invariants too.
+	var off int32
+	for qi, l := range s.RowLen {
+		for r := off; r < off+l; r++ {
+			self := false
+			prev := int32(-1)
+			for t := s.RowStart[r]; t < s.RowStart[r+1]; t++ {
+				ix, sim := s.NbrIdx[t], s.NbrSim[t]
+				switch {
+				case ix < off || ix >= off+l:
+					return nil, fmt.Errorf("par: kernel slabs: row %d of subset %d targets row %d outside [%d,%d)", r, qi, ix, off, off+l)
+				case ix <= prev:
+					return nil, fmt.Errorf("par: kernel slabs: row %d not strictly ascending at entry %d", r, t-s.RowStart[r])
+				case ix == r:
+					if sim != 1 {
+						return nil, fmt.Errorf("par: kernel slabs: row %d self-similarity %g, want 1", r, sim)
+					}
+					self = true
+				case !(sim > 0 && sim <= 1):
+					return nil, fmt.Errorf("par: kernel slabs: row %d similarity %g out of (0,1]", r, sim)
+				}
+				prev = ix
+			}
+			if !self {
+				return nil, fmt.Errorf("par: kernel slabs: row %d is missing its self entry", r)
+			}
+		}
+		off += l
 	}
 	if len(s.OccStart) != s.Photos+1 {
 		return nil, fmt.Errorf("par: kernel slabs: occStart holds %d offsets, want photos+1 = %d",

@@ -57,7 +57,7 @@ func TestSparseSimRowsSorted(t *testing.T) {
 		ref[pr] = sim
 	}
 	for i := 0; i < k; i++ {
-		row := s.Neighbors(i)
+		row := s.AppendNeighbors(nil, i)
 		for x := 1; x < len(row); x++ {
 			if row[x-1].Index >= row[x].Index {
 				t.Fatalf("row %d not strictly sorted: %v", i, row)

@@ -22,15 +22,18 @@ type Similarity interface {
 }
 
 // NeighborLister is an optional extension of Similarity. Implementations
-// expose, for each member, the list of members with strictly positive
-// similarity to it. Solvers use it to restrict marginal-gain computations to
-// actual neighbours, which is what makes τ-sparsification pay off.
+// list, for each member, the members with strictly positive similarity to
+// it. Solvers use it to restrict marginal-gain computations to actual
+// neighbours, which is what makes τ-sparsification pay off.
 //
-// Neighbors(i) must include i itself (with similarity 1) and must be
-// consistent with Sim: every pair absent from the list has Sim == 0.
+// AppendNeighbors(dst, i) appends member i's row to dst and returns the
+// extended slice, so a row assembled on the fly (a kernel view's compiled
+// span plus its overlay entries) costs no allocation per call. The row must
+// include i itself (with similarity 1), list members in ascending index
+// order, and be consistent with Sim: every pair absent from it has Sim == 0.
 type NeighborLister interface {
 	Similarity
-	Neighbors(i int) []Neighbor
+	AppendNeighbors(dst []Neighbor, i int) []Neighbor
 }
 
 // Neighbor is one entry of a sparse similarity row.
@@ -89,10 +92,9 @@ func (d *DenseSim) Set(i, j int, sim float64) {
 }
 
 // SparseSim stores, for each member, only the neighbours with positive
-// similarity. It is the natural representation after τ-sparsification.
-// Rows are kept sorted by neighbour index, so point lookups cost O(log deg)
-// instead of a linear scan — the Sim path matters for solvers running on
-// subsets whose Similarity does not go through NeighborLister.
+// similarity. It is the natural representation after τ-sparsification and
+// wire decode. Rows are kept sorted by neighbour index, so point lookups
+// cost O(log deg) instead of a linear scan.
 type SparseSim struct {
 	rows [][]Neighbor
 }
@@ -131,10 +133,11 @@ func (s *SparseSim) Contains(i, j int) bool {
 	return s.Sim(i, j) != 0
 }
 
-// Neighbors returns the positive-similarity row of member i, sorted by
-// neighbour index. The returned slice is owned by the SparseSim and must not
-// be modified.
-func (s *SparseSim) Neighbors(i int) []Neighbor { return s.rows[i] }
+// AppendNeighbors appends the positive-similarity row of member i, sorted
+// by neighbour index, to dst.
+func (s *SparseSim) AppendNeighbors(dst []Neighbor, i int) []Neighbor {
+	return append(dst, s.rows[i]...)
+}
 
 // Add records similarity sim for the unordered pair {i, j} in both rows,
 // keeping the rows sorted. Re-adding a pair panics like the other
@@ -318,7 +321,7 @@ func (d IdentitySim) Sim(i, j int) float64 {
 	return 0
 }
 
-// Neighbors returns the single self-neighbour of i.
-func (d IdentitySim) Neighbors(i int) []Neighbor {
-	return []Neighbor{{Index: i, Sim: 1}}
+// AppendNeighbors appends the single self-neighbour of i to dst.
+func (d IdentitySim) AppendNeighbors(dst []Neighbor, i int) []Neighbor {
+	return append(dst, Neighbor{Index: i, Sim: 1})
 }

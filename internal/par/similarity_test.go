@@ -65,9 +65,9 @@ func TestSparseSim(t *testing.T) {
 	if got := s.Sim(3, 3); got != 1 {
 		t.Errorf("Sim(3,3) = %g, want 1", got)
 	}
-	nb := s.Neighbors(0)
+	nb := s.AppendNeighbors(nil, 0)
 	if len(nb) != 2 || nb[0] != (Neighbor{0, 1}) || nb[1] != (Neighbor{2, 0.8}) {
-		t.Errorf("Neighbors(0) = %v, want [{0 1} {2 0.8}]", nb)
+		t.Errorf("AppendNeighbors(nil, 0) = %v, want [{0 1} {2 0.8}]", nb)
 	}
 	assertPanics(t, "diagonal", func() { s.Add(1, 1, 0.5) })
 	assertPanics(t, "zero sim", func() { s.Add(0, 1, 0) })
@@ -109,13 +109,13 @@ func TestSparseSimBuilderMatchesAdd(t *testing.T) {
 		same := func() {
 			t.Helper()
 			for i := 0; i < n; i++ {
-				a, b := incr.Neighbors(i), bulk.Neighbors(i)
+				a, b := incr.AppendNeighbors(nil, i), bulk.AppendNeighbors(nil, i)
 				if len(a) != len(b) {
-					t.Fatalf("seed %d: Neighbors(%d) lengths %d != %d", seed, i, len(a), len(b))
+					t.Fatalf("seed %d: row %d lengths %d != %d", seed, i, len(a), len(b))
 				}
 				for k := range a {
 					if a[k] != b[k] {
-						t.Fatalf("seed %d: Neighbors(%d)[%d] = %v (builder) vs %v (Add)", seed, i, k, b[k], a[k])
+						t.Fatalf("seed %d: row %d[%d] = %v (builder) vs %v (Add)", seed, i, k, b[k], a[k])
 					}
 				}
 			}
@@ -163,8 +163,8 @@ func TestUniformAndIdentitySim(t *testing.T) {
 	if id.Sim(0, 4) != 0 || id.Sim(2, 2) != 1 {
 		t.Error("IdentitySim should be 1 only on the diagonal")
 	}
-	if nb := id.Neighbors(3); len(nb) != 1 || nb[0] != (Neighbor{3, 1}) {
-		t.Errorf("IdentitySim.Neighbors(3) = %v, want [{3 1}]", nb)
+	if nb := id.AppendNeighbors(nil, 3); len(nb) != 1 || nb[0] != (Neighbor{3, 1}) {
+		t.Errorf("IdentitySim.AppendNeighbors(nil, 3) = %v, want [{3 1}]", nb)
 	}
 }
 

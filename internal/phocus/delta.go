@@ -21,11 +21,12 @@
 // evaluate O(Σ k²) similarity calls over dense subsets.
 //
 // Equivalence. MergeDelta applies the same resolved plan, with the same
-// float operations in the same order, to a standalone instance. A cold
-// Prepare over the merged instance therefore produces bit-identical
-// similarity values, relevance vectors and kernel entries — and hence
-// identical Run selections — to the incrementally maintained Prepared, which
-// is the differential property the delta tests pin.
+// float operations in the same order, to a standalone instance, overlaying
+// its similarities with par.DeltaSim where the live path overlays its
+// kernels. A cold Prepare over the merged instance therefore produces
+// bit-identical similarity values, relevance vectors and kernel entries —
+// and hence identical Run selections — to the incrementally maintained
+// Prepared, which is the differential property the delta tests pin.
 //
 // Relevance semantics. DeltaMembership.Relevance values are raw mass on the
 // same scale as the subset's current (normalized) relevance vector: after a
@@ -441,13 +442,15 @@ func resolveDelta(inst *par.Instance, removed []bool, d *Delta) (*deltaPlan, err
 
 // ---------------------------------------------------------------------------
 // Application: the shared instance-mutation core. ApplyDelta and MergeDelta
-// both run exactly this code over the instance, so the similarity values and
-// relevance vectors they produce are bit-identical.
+// both run exactly this code over the instance, so the relevance vectors
+// they produce are bit-identical; the similarities change in the kernels on
+// the live path and in DeltaSim overlays (mergeSims) on the cold one.
 
 // cowForPlan gives inst owned copies of the slices the plan will mutate: the
 // Cost vector, the Subsets slice header, and the Members/Relevance slices of
-// every touched pre-existing subset. Similarity structures are not copied —
-// DeltaSim wrapping never mutates the wrapped inner similarity.
+// every touched pre-existing subset. Similarity structures are not copied:
+// MergeDelta wraps them without mutating them, and the live path changes
+// only its kernels, which the subsets' views read.
 func cowForPlan(inst *par.Instance, plan *deltaPlan) {
 	inst.Cost = append([]float64(nil), inst.Cost...)
 	inst.Subsets = append([]par.Subset(nil), inst.Subsets...)
@@ -459,22 +462,6 @@ func cowForPlan(inst *par.Instance, plan *deltaPlan) {
 		q.Members = append([]par.PhotoID(nil), q.Members...)
 		q.Relevance = append([]float64(nil), q.Relevance...)
 	}
-}
-
-// wrapSim returns q's similarity as a mutable *par.DeltaSim. When owned is
-// non-nil, wrappers this engine created earlier are reused (the live
-// Prepared accumulates one overlay per subset); with owned nil a fresh
-// wrapper is always layered on, leaving the input similarity untouched
-// (MergeDelta must not mutate its input instance).
-func wrapSim(s par.Similarity, owned map[*par.DeltaSim]bool) *par.DeltaSim {
-	if ds, ok := s.(*par.DeltaSim); ok && owned != nil && owned[ds] {
-		return ds
-	}
-	ds := par.NewDeltaSim(s)
-	if owned != nil {
-		owned[ds] = true
-	}
-	return ds
 }
 
 // renormalize rescales rel to sum 1. resolveDelta guarantees positive mass,
@@ -494,26 +481,20 @@ func renormalize(rel []float64) error {
 }
 
 // applyPlan folds the resolved plan into inst: husk the removals, append the
-// added members and subsets, renormalize every touched relevance vector, and
-// re-finalize with budget = total cost. inst must already be copy-on-write
-// prepared via cowForPlan.
-func applyPlan(inst *par.Instance, plan *deltaPlan, owned map[*par.DeltaSim]bool) error {
+// added members and subsets, and renormalize every touched relevance
+// vector. It leaves every Sim as it was (appended subsets get none) and
+// does not finalize: the caller brings the similarities up to date first.
+// inst must already be copy-on-write prepared via cowForPlan.
+func applyPlan(inst *par.Instance, plan *deltaPlan) error {
 	for _, rm := range plan.removals {
 		for _, oc := range rm.occ {
-			q := &inst.Subsets[oc.Subset]
-			ds := wrapSim(q.Sim, owned)
-			ds.MaskMember(oc.Index)
-			q.Sim = ds
-			q.Relevance[oc.Index] = 0
+			inst.Subsets[oc.Subset].Relevance[oc.Index] = 0
 		}
 	}
 	for _, ap := range plan.adds {
 		inst.Cost = append(inst.Cost, ap.cost)
 		for _, m := range ap.mems {
 			q := &inst.Subsets[m.subset]
-			ds := wrapSim(q.Sim, owned)
-			ds.AppendMember(m.nbrs)
-			q.Sim = ds
 			q.Members = append(q.Members, ap.photo)
 			q.Relevance = append(q.Relevance, m.rel)
 		}
@@ -521,17 +502,12 @@ func applyPlan(inst *par.Instance, plan *deltaPlan, owned map[*par.DeltaSim]bool
 	for _, ns := range plan.newSubs {
 		members := make([]par.PhotoID, len(ns.members))
 		rel := make([]float64, len(ns.members))
-		ss := par.NewSparseSim(len(ns.members))
 		for pos, m := range ns.members {
 			members[pos] = m.photo
 			rel[pos] = m.rel
-			for _, nb := range m.nbrs {
-				ss.Add(pos, nb.Index, nb.Sim)
-			}
 		}
 		inst.Subsets = append(inst.Subsets, par.Subset{
-			Name: ns.name, Weight: ns.weight,
-			Members: members, Relevance: rel, Sim: ss,
+			Name: ns.name, Weight: ns.weight, Members: members, Relevance: rel,
 		})
 	}
 	for _, qi := range plan.touched {
@@ -539,11 +515,53 @@ func applyPlan(inst *par.Instance, plan *deltaPlan, owned map[*par.DeltaSim]bool
 			return fmt.Errorf("phocus: subset %d: %w", qi, err)
 		}
 	}
+	return nil
+}
+
+// finalizeDelta re-finalizes a delta'd instance with budget = total cost.
+func finalizeDelta(inst *par.Instance) error {
 	inst.Budget = inst.TotalCost()
 	if err := inst.Finalize(); err != nil {
 		return fmt.Errorf("phocus: delta finalize: %w", err)
 	}
 	return nil
+}
+
+// mergeSims is MergeDelta's similarity half of the plan: each touched
+// pre-existing subset's similarity is wrapped in one fresh par.DeltaSim
+// (the input's is never mutated) that masks the removals and appends the
+// added members' rows, and each appended subset gets a SparseSim of its
+// rows.
+func mergeSims(inst *par.Instance, plan *deltaPlan) {
+	wrapped := map[int]*par.DeltaSim{}
+	wrap := func(qi int) *par.DeltaSim {
+		ds := wrapped[qi]
+		if ds == nil {
+			ds = par.NewDeltaSim(inst.Subsets[qi].Sim)
+			wrapped[qi] = ds
+			inst.Subsets[qi].Sim = ds
+		}
+		return ds
+	}
+	for _, rm := range plan.removals {
+		for _, oc := range rm.occ {
+			wrap(oc.Subset).MaskMember(oc.Index)
+		}
+	}
+	for _, ap := range plan.adds {
+		for _, m := range ap.mems {
+			wrap(m.subset).AppendMember(m.nbrs)
+		}
+	}
+	for _, ns := range plan.newSubs {
+		ss := par.NewSparseSim(len(ns.members))
+		for pos, m := range ns.members {
+			for _, nb := range m.nbrs {
+				ss.Add(pos, nb.Index, nb.Sim)
+			}
+		}
+		inst.Subsets[ns.subset].Sim = ss
+	}
 }
 
 // tauFilter keeps the neighbors the τ-sparsified view retains, matching the
@@ -575,13 +593,15 @@ const (
 	overlayGrowthDivisor = 4
 )
 
-// ApplyDelta folds one churn batch into the Prepared in place: base
-// instance, sparsified view and compiled kernels are all updated
+// ApplyDelta folds one churn batch into the Prepared in place: the base
+// instance, the sparsified subsets and both compiled kernels are updated
 // incrementally, the content fingerprint evolves to
 // sha256("phocus/delta/v1" ‖ oldFP ‖ digest(delta)), and SizeBytes is
-// recomputed. When tombstoned entries or the append overlay grow past their
-// thresholds the kernels are compacted (recompiled from the incrementally
-// maintained similarity structures), restoring the canonical flat layout.
+// recomputed. The kernels are the only similarity structures it changes:
+// removals tombstone rows and additions append overlay rows, and the
+// subsets' Sims are views that read the overlaid kernels. When tombstoned
+// entries or the append overlay grow past their thresholds the kernels are
+// compacted, restoring the canonical flat layout.
 //
 // ApplyDelta serializes against Run: it blocks until in-flight runs drain
 // and blocks new ones while it mutates. A validation error (wrong photo ID,
@@ -609,19 +629,15 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 		return nil, err
 	}
 
-	if p.ownedSims == nil {
-		p.ownedSims = map[*par.DeltaSim]bool{}
-	}
-
 	// Instance mutation on a copy-on-write view; the plan is fully validated,
-	// so a failure here is an engine invariant violation.
+	// so a failure from here on is an engine invariant violation.
 	newBase := &par.Instance{
 		Cost:     p.base.Cost,
 		Retained: p.base.Retained,
 		Subsets:  p.base.Subsets,
 	}
 	cowForPlan(newBase, plan)
-	if err := applyPlan(newBase, plan, p.ownedSims); err != nil {
+	if err := applyPlan(newBase, plan); err != nil {
 		return nil, err
 	}
 
@@ -667,50 +683,6 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 			}
 		}
 	}
-
-	// Sparsified view: mask, append and extend in lockstep with the base,
-	// filtered by the sparsifier's τ predicate, then re-point the shared
-	// Members/Relevance slices at the copy-on-write ones.
-	if p.sparse != nil {
-		for _, rm := range plan.removals {
-			for _, oc := range rm.occ {
-				q := &p.sparse[oc.Subset]
-				ds := wrapSim(q.Sim, p.ownedSims)
-				ds.MaskMember(oc.Index)
-				q.Sim = ds
-			}
-		}
-		for _, ap := range plan.adds {
-			for _, m := range ap.mems {
-				q := &p.sparse[m.subset]
-				ds := wrapSim(q.Sim, p.ownedSims)
-				ds.AppendMember(tauFilter(m.nbrs, p.opts.Tau))
-				q.Sim = ds
-			}
-		}
-		for _, ns := range plan.newSubs {
-			nq := &newBase.Subsets[ns.subset]
-			ss := par.NewSparseSim(len(ns.members))
-			for pos, m := range ns.members {
-				for _, nb := range tauFilter(m.nbrs, p.opts.Tau) {
-					ss.Add(pos, nb.Index, nb.Sim)
-				}
-				_ = pos
-			}
-			p.sparse = append(p.sparse, par.Subset{
-				Name: nq.Name, Weight: nq.Weight,
-				Members: nq.Members, Relevance: nq.Relevance, Sim: ss,
-			})
-		}
-		for _, qi := range plan.touched {
-			if qi < plan.oldSubs {
-				p.sparse[qi].Members = newBase.Subsets[qi].Members
-				p.sparse[qi].Relevance = newBase.Subsets[qi].Relevance
-			}
-		}
-	}
-
-	// Slot W·R rewrite over every renormalized subset, in both kernels.
 	for _, qi := range plan.touched {
 		q := &newBase.Subsets[qi]
 		kb.RewriteWR(qi, q.Weight, q.Relevance)
@@ -718,10 +690,31 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 			ks.RewriteWR(qi, q.Weight, q.Relevance)
 		}
 	}
-	// The mutated base kernel now matches the new layout; hand it over so
-	// Kernel never recompiles it.
+
+	// The overlaid kernels now hold the new similarities: point every subset
+	// (appended ones included) at them, finalize, and hand the base kernel
+	// over so Kernel never recompiles it.
+	par.SetKernelSims(newBase.Subsets, kb)
+	if err := finalizeDelta(newBase); err != nil {
+		return nil, err
+	}
 	if err := newBase.AttachKernel(kb); err != nil {
 		return nil, fmt.Errorf("phocus: delta kernel: %w", err)
+	}
+
+	// Sparsified subsets: append the new ones, re-point the shared
+	// Members/Relevance slices at the copy-on-write ones, and view the
+	// overlaid sparse kernel.
+	if p.sparse != nil {
+		for _, ns := range plan.newSubs {
+			nq := &newBase.Subsets[ns.subset]
+			p.sparse = append(p.sparse, par.Subset{Name: nq.Name, Weight: nq.Weight})
+		}
+		for _, qi := range plan.touched {
+			p.sparse[qi].Members = newBase.Subsets[qi].Members
+			p.sparse[qi].Relevance = newBase.Subsets[qi].Relevance
+		}
+		par.SetKernelSims(p.sparse, ks)
 	}
 
 	// Commit: swap the instance in, grow the removed bitmap, evolve the
@@ -759,13 +752,8 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 		// The solve template's occurrence index went stale with the appends;
 		// re-finalize it so RunInto's ViewInto stamping stays valid.
 		if p.sparse != nil {
-			sv := &par.Instance{
-				Cost:     p.base.Cost,
-				Retained: p.base.Retained,
-				Budget:   p.base.Budget,
-				Subsets:  p.sparse,
-			}
-			if err := sv.Finalize(); err != nil {
+			sv, err := p.sparseTemplate()
+			if err != nil {
 				return nil, fmt.Errorf("phocus: delta sparse view: %w", err)
 			}
 			if err := sv.AttachKernel(ks); err != nil {
@@ -773,18 +761,31 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 			}
 			p.solveTmpl = sv
 		}
-		p.sizeBytes = instanceSizeBytes(p.base.Cost, p.base.Subsets) + simSizeBytes(p.sparse) + p.kernelBytesLocked()
+		p.sizeBytes = p.sizeBytesLocked()
 	}
 	stats.LiveFraction = p.base.Kernel().LiveFraction()
 	stats.ApplyTime = time.Since(start)
 	return stats, nil
 }
 
-// Compact recompiles both gain kernels from the incrementally maintained
-// similarity structures, dropping the mutation overlays and restoring the
-// canonical flat layout (and canonical snapshot encodability). ApplyDelta
-// calls it automatically past the dead-entry/overlay-growth thresholds;
-// callers may also force it, e.g. before snapshotting a long-lived session.
+// sparseTemplate finalizes a budget-free instance over the sparsified
+// subsets, sharing the base's cost vector and retained set.
+func (p *Prepared) sparseTemplate() (*par.Instance, error) {
+	sv := &par.Instance{
+		Cost:     p.base.Cost,
+		Retained: p.base.Retained,
+		Budget:   p.base.Budget,
+		Subsets:  p.sparse,
+	}
+	return sv, sv.Finalize()
+}
+
+// Compact recompiles both gain kernels from their own live entries — one
+// linear pass over each overlaid kernel's rows, read through the subsets'
+// kernel views — dropping the mutation overlays and restoring the canonical
+// flat layout (and canonical snapshot encodability). ApplyDelta calls it
+// automatically past the dead-entry/overlay-growth thresholds; callers may
+// also force it, e.g. before snapshotting a long-lived session.
 func (p *Prepared) Compact() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -805,24 +806,20 @@ func (p *Prepared) compactLocked() error {
 	if err := p.base.AttachKernel(kb); err != nil {
 		return fmt.Errorf("phocus: compact kernel: %w", err)
 	}
+	par.SetKernelSims(p.base.Subsets, kb)
 	if swept {
 		kb.Covers()
 	}
 	if p.sparse != nil {
-		sv := &par.Instance{
-			Cost:     p.base.Cost,
-			Retained: p.base.Retained,
-			Budget:   p.base.Budget,
-			Subsets:  p.sparse,
-		}
-		if err := sv.Finalize(); err != nil {
+		sv, err := p.sparseTemplate()
+		if err != nil {
 			return fmt.Errorf("phocus: compact sparse view: %w", err)
 		}
-		sv.Kernel()
+		par.SetKernelSims(p.sparse, sv.Kernel())
 		p.solveTmpl = sv
 	}
 	p.KernelBuildTime += time.Since(kt)
-	p.sizeBytes = instanceSizeBytes(p.base.Cost, p.base.Subsets) + simSizeBytes(p.sparse) + p.kernelBytesLocked()
+	p.sizeBytes = p.sizeBytesLocked()
 	return nil
 }
 
@@ -838,8 +835,11 @@ func (p *Prepared) LiveFraction() float64 {
 // instance a cold re-ingest of the post-churn archive would present: husks
 // keep their slots (relevance 0, similarities masked), added photos and
 // subsets are appended, touched relevance vectors are renormalized — all
-// through exactly the instance-mutation core ApplyDelta runs, so similarity
-// values and relevance vectors match the live path bit for bit. The input
+// through exactly the instance-mutation core ApplyDelta runs, so relevance
+// vectors match the live path bit for bit. It is the cold reference of the
+// delta path: where ApplyDelta overlays its kernels, MergeDelta wraps each
+// touched subset's similarity in a par.DeltaSim, and a kernel compiled
+// from the result holds exactly the live kernel's entries. The input
 // instance is not modified (similarities are wrapped, never mutated); the
 // returned instance is finalized with budget = total cost.
 //
@@ -856,7 +856,11 @@ func MergeDelta(inst *par.Instance, removed []bool, d *Delta) (*par.Instance, []
 		Subsets:  inst.Subsets,
 	}
 	cowForPlan(out, plan)
-	if err := applyPlan(out, plan, nil); err != nil {
+	if err := applyPlan(out, plan); err != nil {
+		return nil, nil, err
+	}
+	mergeSims(out, plan)
+	if err := finalizeDelta(out); err != nil {
 		return nil, nil, err
 	}
 	nr := make([]bool, out.NumPhotos())

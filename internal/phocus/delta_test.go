@@ -160,7 +160,9 @@ func requireSameRun(t *testing.T, label string, live, cold *Prepared, budget flo
 // path: after every batch of churn, the incrementally maintained Prepared
 // must produce bit-identical Run selections to a cold Prepare over the
 // merged (post-churn) instance — with and without τ-sparsification, under
-// the production solver and the streaming fallback.
+// the production solver and the streaming fallback. After the chain, a
+// compaction of the live kernels must give exactly the slabs a cold
+// compile of MergeDelta's instance gives.
 func TestApplyDeltaMatchesColdPrepare(t *testing.T) {
 	ctx := context.Background()
 	for _, tau := range []float64{0, 0.35} {
@@ -177,6 +179,7 @@ func TestApplyDeltaMatchesColdPrepare(t *testing.T) {
 				}
 				merged := inst
 				var removed []bool
+				var cold *Prepared
 				for batch := 0; batch < 3; batch++ {
 					d := randomChurn(rng, live.base, removed, 2, 2, batch == 1)
 					stats, err := live.ApplyDelta(ctx, d)
@@ -193,7 +196,7 @@ func TestApplyDeltaMatchesColdPrepare(t *testing.T) {
 					if err != nil {
 						t.Fatalf("batch %d: MergeDelta: %v", batch, err)
 					}
-					cold, err := Prepare(ctx, &dataset.Dataset{Instance: merged}, opts)
+					cold, err = Prepare(ctx, &dataset.Dataset{Instance: merged}, opts)
 					if err != nil {
 						t.Fatalf("batch %d: cold Prepare: %v", batch, err)
 					}
@@ -208,6 +211,12 @@ func TestApplyDeltaMatchesColdPrepare(t *testing.T) {
 					requireSameRun(t, label, live, cold, budget, AlgoCELF)
 					requireSameRun(t, label, live, cold, budget, AlgoStreaming)
 				}
+				if err := live.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				sameSlabs(t, "compacted base kernel", par.CompileKernel(merged), live.base.Kernel())
+				sameSlabs(t, "compacted solve kernel", solveKernel(cold), solveKernel(live))
+				requireSameRun(t, "compacted", live, cold, 0.35*merged.TotalCost(), AlgoCELF)
 			})
 		}
 	}
@@ -260,6 +269,8 @@ func TestApplyDeltaCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameSlabs(t, "compacted base kernel", par.CompileKernel(merged), live.base.Kernel())
+	sameSlabs(t, "compacted solve kernel", solveKernel(cold), solveKernel(live))
 	requireSameRun(t, "post-compaction", live, cold, 0.4*merged.TotalCost(), AlgoCELF)
 
 	// Churn after a compaction starts a fresh overlay and must still match.

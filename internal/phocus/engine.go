@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -84,8 +85,11 @@ type RunOptions struct {
 }
 
 // Prepared is a reusable product of the Data Representation stage: the
-// finalized instance plus (when τ > 0) its sparsified similarity structure.
-// A Prepared is safe for concurrent Run calls — each Run builds its own
+// finalized instance plus (when τ > 0) its sparsified subsets, each with
+// its compiled gain kernel. The kernels are the one similarity store: once
+// they are compiled or attached, every base and sparse subset's Sim is a
+// view of its kernel's rows (par.SetKernelSims), so no similarity is held
+// twice. A Prepared is safe for concurrent Run calls — each Run builds its own
 // budgeted view and never mutates shared state beyond installing an
 // immutable CELF trace — which is what lets phocus-server cache Prepared
 // values across requests. The trace lets a CELF Run at a budget no larger
@@ -104,11 +108,8 @@ type Prepared struct {
 	opts   PrepareOptions
 
 	// removed marks husked photo IDs (see delta.go); nil until the first
-	// ApplyDelta. ownedSims tracks the DeltaSim overlays this Prepared
-	// created, so consecutive deltas extend one overlay per subset instead of
-	// nesting wrappers (and caller-owned similarities are never mutated).
-	removed   []bool
-	ownedSims map[*par.DeltaSim]bool
+	// ApplyDelta.
+	removed []bool
 
 	// solveTmpl is the finalized budget-free instance over the sparsified
 	// subsets — the template RunInto stamps budgeted solve views from without
@@ -118,7 +119,8 @@ type Prepared struct {
 	// base's covers the true objective for Run's rescore and online bound,
 	// solveTmpl's the sparsified subsets the solver runs on. Prepare,
 	// DecodeSnapshot, ApplyDelta and compaction compile or attach them, so a
-	// Run's ViewInto views find them already in place.
+	// Run's ViewInto views find them already in place, and point the
+	// subsets' Sims at them.
 	solveTmpl *par.Instance
 
 	// scratch pools per-Run working state (budgeted views, the rescore
@@ -203,25 +205,24 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 		p.OriginalPairs = sres.PairsBefore
 		p.SparsifiedPairs = sres.PairsAfter
 	}
-	// Compile both kernels now, so the first Run pays for neither. The
-	// sparsified instance shares Cost/Retained with base and is already
-	// finalized, so its kernel serves every budgeted view Run builds over
-	// p.sparse.
+	// Compile both kernels now, so the first Run pays for neither, and make
+	// them the subsets' similarities. The sparsified instance shares
+	// Cost/Retained with base and is already finalized, so its kernel serves
+	// every budgeted view Run builds over p.sparse. The base subsets slice
+	// is the caller's: clone it before pointing its Sims at the kernel, so
+	// the caller's dataset keeps its similarities.
 	kt := time.Now()
 	if p.solveTmpl != nil {
-		p.solveTmpl.Kernel()
+		par.SetKernelSims(p.sparse, p.solveTmpl.Kernel())
 	}
-	p.base.Kernel()
+	base.Subsets = slices.Clone(base.Subsets)
+	par.SetKernelSims(base.Subsets, base.Kernel())
 	p.KernelBuildTime = time.Since(kt)
 	if opts.Metrics != nil {
 		obs.RecordKernelBuild(opts.Metrics, p.KernelBuildTime)
 	}
 	p.PrepTime = time.Since(start)
-	// The sparse view's Members/Relevance slices alias the base subsets'
-	// (the sparsifier shares them), so only its similarity structures are
-	// new bytes — counting the full subsets again would bill the cache
-	// twice for memory retained once.
-	p.sizeBytes = instanceSizeBytes(base.Cost, base.Subsets) + simSizeBytes(p.sparse) + p.KernelBytes()
+	p.sizeBytes = p.sizeBytesLocked()
 	return p, nil
 }
 
@@ -239,13 +240,27 @@ func (p *Prepared) TotalCost() float64 {
 	return p.base.TotalCost()
 }
 
-// SizeBytes estimates the memory retained by the Prepared (cost vector,
-// subset structure and similarity pairs — sparse and dense — plus the
-// compiled gain kernels and their delta overlays); cache byte bounds use it.
+// SizeBytes estimates the memory retained by the Prepared — the cost
+// vector, members and relevances, plus the compiled gain kernels with their
+// delta overlays, which hold every similarity — and cache byte bounds use
+// it. It is computed at Prepare, after each delta and after compaction;
+// DecodeSnapshot counts the loaded region instead.
 func (p *Prepared) SizeBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.sizeBytes
+}
+
+// sizeBytesLocked recounts SizeBytes for an in-memory Prepared. The sparse
+// subsets alias the base's Members and Relevance slices (the sparsifier and
+// ApplyDelta share them), so only the base's are counted.
+func (p *Prepared) sizeBytesLocked() int64 {
+	n := 8 * int64(len(p.base.Cost))
+	for qi := range p.base.Subsets {
+		q := &p.base.Subsets[qi]
+		n += 4*int64(len(q.Members)) + 8*int64(len(q.Relevance))
+	}
+	return n + p.kernelBytesLocked()
 }
 
 // KernelBytes returns the memory retained by the compiled gain kernels
@@ -590,45 +605,6 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 	}
 	p.scratch.Put(sc)
 	return nil
-}
-
-// instanceSizeBytes estimates the retained bytes of an instance's cost
-// vector and subsets.
-func instanceSizeBytes(cost []float64, subsets []par.Subset) int64 {
-	return 8*int64(len(cost)) + subsetsSizeBytes(subsets)
-}
-
-// subsetsSizeBytes estimates the retained bytes of a subset slice: members,
-// relevances and similarity structures.
-func subsetsSizeBytes(subsets []par.Subset) int64 {
-	var n int64
-	for qi := range subsets {
-		q := &subsets[qi]
-		n += 4*int64(len(q.Members)) + 8*int64(len(q.Relevance))
-	}
-	return n + simSizeBytes(subsets)
-}
-
-// simSizeBytes estimates the retained bytes of the subsets' similarity
-// structures alone. Types that know their own storage (DenseSim's packed
-// triangle, SparseSim's rows, CSRSim's zero — it views a slab accounted by
-// its owner) report it exactly; other neighbor-listing types are billed 16
-// bytes per listed pair; function-backed similarities retain nothing
-// measurable and count zero rather than an invented k².
-func simSizeBytes(subsets []par.Subset) int64 {
-	var n int64
-	for qi := range subsets {
-		q := &subsets[qi]
-		switch sim := q.Sim.(type) {
-		case interface{ SizeBytes() int64 }:
-			n += sim.SizeBytes()
-		case par.NeighborLister:
-			for i := 0; i < len(q.Members); i++ {
-				n += 16 * int64(len(sim.Neighbors(i)))
-			}
-		}
-	}
-	return n
 }
 
 // PipelineSolver adapts the staged engine to par.Solver for harnesses that

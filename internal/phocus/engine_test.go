@@ -1,11 +1,13 @@
 package phocus
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -460,6 +462,103 @@ func TestFingerprint(t *testing.T) {
 	// same combiner.
 	if FingerprintFor("abc", PrepareOptions{Tau: 0.5}) == FingerprintFor("abd", PrepareOptions{Tau: 0.5}) {
 		t.Error("digest not reflected in fingerprint")
+	}
+}
+
+// TestPrepareKeepsCallerSimsAndFingerprint: Prepare points the Prepared's
+// subsets at views of its kernels, and neither the content fingerprint nor
+// the caller's dataset may notice. For a DenseSim instance, a wire-decoded
+// SparseSim instance and a generator instance (similarities computed from
+// vectors on demand), the fingerprint computed through the views equals
+// the one computed from the source before Prepare, WriteBinary through the
+// views emits the source's bytes, every view pair equals the source's bit
+// for bit, and the caller's subsets still hold their own similarities.
+func TestPrepareKeepsCallerSimsAndFingerprint(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	dense := par.Random(rng, par.RandomConfig{Photos: 40, Subsets: 8, RetainFrac: 0.1, SimDensity: 0.6})
+	var wire bytes.Buffer
+	if err := par.WriteJSON(&wire, dense); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := par.ReadJSON(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := dataset.GeneratePublic(dataset.PublicSpec{Name: "views", NumPhotos: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binaryOf := func(inst *par.Instance) []byte {
+		t.Helper()
+		c := *inst
+		c.Budget = 0
+		var b bytes.Buffer
+		if err := par.WriteBinary(&b, &c); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		inst *par.Instance
+	}{{"dense", dense}, {"wire", decoded}, {"generator", gen.Instance}} {
+		for _, tau := range []float64{0, 0.4} {
+			t.Run(fmt.Sprintf("%s/tau=%g", tc.name, tau), func(t *testing.T) {
+				src := tc.inst
+				opts := PrepareOptions{Tau: tau, Workers: 1}
+				digest, err := InstanceDigest(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := FingerprintFor(digest, opts)
+				wantBin := binaryOf(src)
+				sims := make([]par.Similarity, len(src.Subsets))
+				for qi := range src.Subsets {
+					sims[qi] = src.Subsets[qi].Sim
+				}
+
+				p, err := Prepare(ctx, &dataset.Dataset{Instance: src}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi, s := range sims {
+					got := src.Subsets[qi].Sim
+					if reflect.TypeOf(got) != reflect.TypeOf(s) || (reflect.TypeOf(s).Comparable() && got != s) {
+						t.Fatalf("subset %d: caller's similarity replaced by %T", qi, got)
+					}
+					view := p.base.Subsets[qi].Sim
+					if name := fmt.Sprintf("%T", view); name != "*par.kernelSim" {
+						t.Fatalf("subset %d: Prepared holds a %s, want a kernel view", qi, name)
+					}
+					k := s.Len()
+					for i := 0; i < k; i++ {
+						for j := 0; j < k; j++ {
+							if a, b := s.Sim(i, j), view.Sim(i, j); math.Float64bits(a) != math.Float64bits(b) {
+								t.Fatalf("subset %d: view Sim(%d,%d) = %v, source %v", qi, i, j, b, a)
+							}
+						}
+					}
+				}
+				if p.solveTmpl != nil {
+					for qi := range p.sparse {
+						if name := fmt.Sprintf("%T", p.sparse[qi].Sim); name != "*par.kernelSim" {
+							t.Fatalf("sparse subset %d: Prepared holds a %s, want a kernel view", qi, name)
+						}
+					}
+				}
+				if got := binaryOf(p.base); !bytes.Equal(got, wantBin) {
+					t.Fatalf("WriteBinary through the views: %d bytes differ from the source's %d", len(got), len(wantBin))
+				}
+				got, err := p.Fingerprint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("Fingerprint %s, want %s from the source", got, want)
+				}
+			})
+		}
 	}
 }
 

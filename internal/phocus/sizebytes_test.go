@@ -9,13 +9,12 @@ import (
 )
 
 // TestPreparedSizeBytesAccounting pins the cache's byte accounting to
-// reality: the bytes SizeBytes attributes to what Prepare allocated (sparse
-// similarity structures + compiled kernels — the base instance existed
-// before the call) must track the measured heap growth. The old accounting
-// billed the sparse view's shared Members/Relevance slices a second time
-// and dense similarities at 8k² instead of their packed-triangle storage,
-// so a cache byte bound evicted far too early; this test fails under either
-// mistake.
+// reality: the bytes SizeBytes attributes to what Prepare allocated (the
+// compiled kernels, which hold every similarity — the cost vector, members
+// and relevances existed before the call) must track the measured heap
+// growth. An accounting that billed the sparse view's shared
+// Members/Relevance slices a second time, or that still billed similarity
+// structures the Prepared no longer retains, fails it.
 func TestPreparedSizeBytesAccounting(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("heap-measurement test")
@@ -40,9 +39,12 @@ func TestPreparedSizeBytesAccounting(t *testing.T) {
 	measured := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	runtime.KeepAlive(ds)
 
-	accounted := p.SizeBytes() - instanceSizeBytes(p.base.Cost, p.base.Subsets)
+	accounted := p.SizeBytes() - 8*int64(len(p.base.Cost))
+	for _, q := range p.base.Subsets {
+		accounted -= 4*int64(len(q.Members)) + 8*int64(len(q.Relevance))
+	}
 	if accounted <= 0 {
-		t.Fatalf("accounted new bytes %d: want positive (sparse sims + kernels)", accounted)
+		t.Fatalf("accounted new bytes %d: want positive (kernels)", accounted)
 	}
 	// Generous 2× band in both directions: allocator size classes and slice
 	// headers pad the measurement up, transient scratch freed by GC cannot

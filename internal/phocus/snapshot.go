@@ -2,15 +2,17 @@
 // a *Prepared: the flat CSR kernel slabs plus the finalized-instance
 // metadata needed to reconstruct it, laid out so loading is a handful of
 // checksums and slice-header casts instead of re-running Finalize's
-// similarity work, τ-sparsification and CompileKernel. The kernels' slot
-// weights are not stored: decode derives them from META's subset weights and
-// the relevance section, so a snapshot cannot carry a W·R that disagrees
-// with its relevance. See DESIGN.md §9 for the wire format.
+// similarity work, τ-sparsification and CompileKernel. The kernels are the
+// only similarity stored: decode points every subset's Sim at a view of its
+// kernel, as Prepare does. The kernels' slot weights are not stored either:
+// decode derives them from META's subset weights and the relevance section,
+// so a snapshot cannot carry a W·R that disagrees with its relevance. See
+// DESIGN.md §9 for the wire format.
 //
 // Layout (all integers little-endian):
 //
 //	offset 0   magic "PHSNAP1\x00"                      8 bytes
-//	offset 8   version u32 (currently 2)                 4 bytes
+//	offset 8   version u32 (currently 3)                 4 bytes
 //	offset 12  section count N u32                       4 bytes
 //	offset 16  content fingerprint (raw sha256)         32 bytes
 //	offset 48  section table: N × {id u32, crc32c u32,
@@ -19,7 +21,7 @@
 //	           then its bitwise complement u32           8 bytes
 //	...        section payloads, contiguous
 //
-// Sections are emitted 8-byte-aligned slabs first (f64/i64/Neighbor), then
+// Sections are emitted 8-byte-aligned slabs first (f64/i64), then
 // 4-byte slabs (i32), then the variable-length META section last. Because
 // the header block is 8-aligned (48 + 24N + 8 ≡ 0 mod 8) and every slab's
 // length is a multiple of its alignment, consecutive sections tile the file
@@ -28,9 +30,9 @@
 // CRC — so a single flipped bit anywhere in the file fails verification.
 //
 // Slab sections are written and read zero-copy (a byte view of the live
-// arrays, a typed view of the loaded region) when the host is little-endian
-// with the expected par.Neighbor layout; other hosts transparently fall back
-// to element-wise encoding, producing the identical file format.
+// arrays, a typed view of the loaded region) when the host is little-endian;
+// other hosts transparently fall back to element-wise encoding, producing
+// the identical file format.
 package phocus
 
 import (
@@ -55,27 +57,25 @@ var ErrBadSnapshot = errors.New("bad snapshot")
 
 const (
 	snapMagic       = "PHSNAP1\x00"
-	snapVersion     = 2
+	snapVersion     = 3
 	snapHeaderFixed = 48 // magic + version + section count + raw fingerprint
 	snapTableEntry  = 24 // id + crc + offset + length
 	snapMaxSections = 64
 )
 
 // Section identifiers. The numeric values are part of the wire format.
-// Identifiers 7 and 12 held version 1's per-entry W·R slabs of the base and
-// sparse kernels; they are retired, and decode rejects them as unknown.
+// Retired identifiers, which decode rejects as unknown: 7 and 12 held
+// version 1's per-entry W·R slabs of the base and sparse kernels; 3/4 and
+// 8/9 held version 2's copies of the base and sparse similarities as CSR
+// neighbour lists, which the kernels already hold.
 const (
 	// 8-byte-aligned slabs.
-	secCost              uint32 = 1 // f64[numPhotos]
-	secRelevance         uint32 = 2 // f64, all subsets concatenated
-	secSimBaseRowStart   uint32 = 3 // i64[totalRows+1], offsets into secSimBaseNbr
-	secSimBaseNbr        uint32 = 4 // par.Neighbor (i64 index, f64 sim)
-	secKBRowStart        uint32 = 5 // base kernel slabs …
-	secKBNbrSim          uint32 = 6
-	secSimSparseRowStart uint32 = 8 // sparse-group twins, present when τ > 0
-	secSimSparseNbr      uint32 = 9
-	secKSRowStart        uint32 = 10
-	secKSNbrSim          uint32 = 11
+	secCost       uint32 = 1 // f64[numPhotos]
+	secRelevance  uint32 = 2 // f64, all subsets concatenated
+	secKBRowStart uint32 = 5 // base kernel slabs …
+	secKBNbrSim   uint32 = 6
+	secKSRowStart uint32 = 10 // sparse kernel twins, present when τ > 0
+	secKSNbrSim   uint32 = 11
 	// 4-byte-aligned slabs.
 	secRetained   uint32 = 32 // i32[numRetained]
 	secMembers    uint32 = 33 // i32, all subsets concatenated
@@ -97,8 +97,7 @@ const (
 func secAlign(id uint32) int {
 	switch {
 	case id == secCost || id == secRelevance ||
-		id == secSimBaseRowStart || id == secSimBaseNbr || id == secKBRowStart || id == secKBNbrSim ||
-		id == secSimSparseRowStart || id == secSimSparseNbr || id == secKSRowStart || id == secKSNbrSim:
+		id == secKBRowStart || id == secKBNbrSim || id == secKSRowStart || id == secKSNbrSim:
 		return 8
 	case id >= secRetained && id <= secRemoved:
 		return 4
@@ -111,14 +110,10 @@ func secAlign(id uint32) int {
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // snapZeroCopy reports whether the host's in-memory layout matches the wire
-// layout exactly — little-endian scalars and a 16-byte par.Neighbor with the
-// similarity at offset 8 — so slabs can be reinterpreted in place. On any
-// other host the element-wise fallback produces the same file bytes.
+// layout exactly — little-endian scalars — so slabs can be reinterpreted in
+// place. On any other host the element-wise fallback produces the same file
+// bytes.
 var snapZeroCopy = func() bool {
-	var nb par.Neighbor
-	if unsafe.Sizeof(nb) != 16 || unsafe.Offsetof(nb.Sim) != 8 {
-		return false
-	}
 	x := uint32(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
@@ -177,21 +172,6 @@ func photoBytes(s []par.PhotoID) []byte {
 	b := make([]byte, 4*len(s))
 	for i, v := range s {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-	}
-	return b
-}
-
-func nbrBytes(s []par.Neighbor) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if snapZeroCopy {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 16*len(s))
-	}
-	b := make([]byte, 16*len(s))
-	for i, nb := range s {
-		binary.LittleEndian.PutUint64(b[16*i:], uint64(int64(nb.Index)))
-		binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(nb.Sim))
 	}
 	return b
 }
@@ -262,61 +242,11 @@ func photoView(b []byte) []par.PhotoID {
 	return out
 }
 
-func nbrView(b []byte) []par.Neighbor {
-	n := len(b) / 16
-	if n == 0 {
-		return nil
-	}
-	if snapZeroCopy && aligned8(b) {
-		return unsafe.Slice((*par.Neighbor)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]par.Neighbor, n)
-	for i := range out {
-		out[i].Index = int(int64(binary.LittleEndian.Uint64(b[16*i:])))
-		out[i].Sim = math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
-	}
-	return out
-}
-
 // ---- encoding ------------------------------------------------------------
 
 type snapSection struct {
 	id   uint32
 	data []byte
-}
-
-// simCSR flattens a subset group's similarity structure into one shared CSR:
-// absolute row offsets (one row per (subset, member), subset-major) into a
-// single Neighbor slab. Rows enumerate neighbours in ascending member order
-// with the self-neighbour included, matching SparseSim's row invariants, so
-// decode can hand windows of the slab straight to par.NewCSRSim.
-func simCSR(subsets []par.Subset) ([]int64, []par.Neighbor) {
-	rows := 0
-	for qi := range subsets {
-		rows += len(subsets[qi].Members)
-	}
-	rs := make([]int64, 1, rows+1)
-	var nbrs []par.Neighbor
-	for qi := range subsets {
-		q := &subsets[qi]
-		k := len(q.Members)
-		if nl, ok := q.Sim.(par.NeighborLister); ok {
-			for i := 0; i < k; i++ {
-				nbrs = append(nbrs, nl.Neighbors(i)...)
-				rs = append(rs, int64(len(nbrs)))
-			}
-			continue
-		}
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				if s := q.Sim.Sim(i, j); s > 0 {
-					nbrs = append(nbrs, par.Neighbor{Index: j, Sim: s})
-				}
-			}
-			rs = append(rs, int64(len(nbrs)))
-		}
-	}
-	return rs, nbrs
 }
 
 // snapMeta is the decoded META section.
@@ -528,14 +458,11 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 		members = append(members, base.Subsets[qi].Members...)
 		relevance = append(relevance, base.Subsets[qi].Relevance...)
 	}
-	simRS, simNbr := simCSR(base.Subsets)
 	kb := kernBase.Slabs()
 
 	secs8 := []snapSection{
 		{secCost, f64Bytes(base.Cost)},
 		{secRelevance, f64Bytes(relevance)},
-		{secSimBaseRowStart, i64Bytes(simRS)},
-		{secSimBaseNbr, nbrBytes(simNbr)},
 		{secKBRowStart, i64Bytes(kb.RowStart)},
 		{secKBNbrSim, f64Bytes(kb.NbrSim)},
 	}
@@ -557,11 +484,8 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 		secs4 = append(secs4, snapSection{secRemoved, photoBytes(husks)})
 	}
 	if p.sparse != nil {
-		srs, snbr := simCSR(p.sparse)
 		ks := kernSolve.Slabs()
 		secs8 = append(secs8,
-			snapSection{secSimSparseRowStart, i64Bytes(srs)},
-			snapSection{secSimSparseNbr, nbrBytes(snbr)},
 			snapSection{secKSRowStart, i64Bytes(ks.RowStart)},
 			snapSection{secKSNbrSim, f64Bytes(ks.NbrSim)},
 		)
@@ -757,18 +681,14 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		}
 	}
 
-	baseSubsets, err := decodeSimGroup(sec, secSimBaseRowStart, secSimBaseNbr, m, members, relevance)
-	if err != nil {
-		return nil, err
-	}
-	base := &par.Instance{Cost: cost, Retained: retained, Subsets: baseSubsets}
-	base.Budget = base.TotalCost()
-	if err := base.Finalize(); err != nil {
-		return nil, fmt.Errorf("phocus: snapshot instance invalid: %v: %w", err, ErrBadSnapshot)
-	}
 	kernBase, err := decodeKernel(sec, [6]uint32{secKBRowLen, secKBRowStart, secKBNbrIdx, secKBNbrSim, secKBOccStart, secKBOccRow}, m, relevance)
 	if err != nil {
 		return nil, err
+	}
+	base := &par.Instance{Cost: cost, Retained: retained, Subsets: snapSubsets(m, members, relevance, kernBase)}
+	base.Budget = base.TotalCost()
+	if err := base.Finalize(); err != nil {
+		return nil, fmt.Errorf("phocus: snapshot instance invalid: %v: %w", err, ErrBadSnapshot)
 	}
 	if err := base.AttachKernel(kernBase); err != nil {
 		return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
@@ -777,14 +697,11 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	var sparseSubsets []par.Subset
 	var solveTmpl *par.Instance
 	if m.hasSparse {
-		sparseSubsets, err = decodeSimGroup(sec, secSimSparseRowStart, secSimSparseNbr, m, members, relevance)
-		if err != nil {
-			return nil, err
-		}
 		kernSolve, err := decodeKernel(sec, [6]uint32{secKSRowLen, secKSRowStart, secKSNbrIdx, secKSNbrSim, secKSOccStart, secKSOccRow}, m, relevance)
 		if err != nil {
 			return nil, err
 		}
+		sparseSubsets = snapSubsets(m, members, relevance, kernSolve)
 		// The finalized budget-free solve template RunInto stamps views from;
 		// building it once here is what keeps the per-Run path allocation-free
 		// after a snapshot load, exactly as after a cold Prepare.
@@ -830,46 +747,24 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	return p, nil
 }
 
-// decodeSimGroup rebuilds one subset group (base or sparse) from its shared
-// similarity CSR: every subset windows the group's Neighbor slab through
-// par.NewCSRSim, sharing Members/Relevance views with the base group exactly
-// as Prepare's sparsifier shares them.
-func decodeSimGroup(sec func(uint32) ([]byte, error), rsID, nbrID uint32, m *snapMeta, members []par.PhotoID, relevance []float64) ([]par.Subset, error) {
-	rsB, err := sec(rsID)
-	if err != nil {
-		return nil, err
-	}
-	nbrB, err := sec(nbrID)
-	if err != nil {
-		return nil, err
-	}
-	totalMembers := len(members)
-	if len(rsB) != 8*(totalMembers+1) {
-		return nil, fmt.Errorf("phocus: section %d holds %d offsets, want %d rows+1: %w", rsID, len(rsB)/8, totalMembers, ErrBadSnapshot)
-	}
-	rs := i64View(rsB)
-	nbrs := nbrView(nbrB)
-	if rs[0] != 0 || rs[totalMembers] != int64(len(nbrs)) {
-		return nil, fmt.Errorf("phocus: section %d row offsets span [%d,%d], want [0,%d]: %w",
-			rsID, rs[0], rs[totalMembers], len(nbrs), ErrBadSnapshot)
-	}
+// snapSubsets rebuilds one subset group (base or sparse) over the decoded
+// Members/Relevance views, which both groups share exactly as Prepare's
+// sparsifier shares them; each subset's Sim is a view of the group's
+// kernel.
+func snapSubsets(m *snapMeta, members []par.PhotoID, relevance []float64, k *par.Kernel) []par.Subset {
 	subsets := make([]par.Subset, len(m.subMembers))
 	o := 0
-	for qi, k := range m.subMembers {
-		cs, err := par.NewCSRSim(rs[o:o+k+1], nbrs)
-		if err != nil {
-			return nil, fmt.Errorf("phocus: section %d subset %d: %v: %w", nbrID, qi, err, ErrBadSnapshot)
-		}
+	for qi, n := range m.subMembers {
 		subsets[qi] = par.Subset{
 			Name:      m.subNames[qi],
 			Weight:    m.subWeights[qi],
-			Members:   members[o : o+k],
-			Relevance: relevance[o : o+k],
-			Sim:       cs,
+			Members:   members[o : o+n],
+			Relevance: relevance[o : o+n],
 		}
-		o += k
+		o += n
 	}
-	return subsets, nil
+	par.SetKernelSims(subsets, k)
+	return subsets
 }
 
 // decodeKernel rebuilds one compiled kernel from its six slab sections

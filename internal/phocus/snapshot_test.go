@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,9 +22,10 @@ import (
 
 // snapSimVariants mirrors the par package's similarity matrix: every subset
 // of a generated instance is rewritten to a different Similarity
-// implementation, so the snapshot codec's simCSR covers the NeighborLister
-// fast path (sparse, identity), the dense enumeration path (dense, fn,
-// uniform) and the degenerate extremes.
+// implementation, so the kernels a snapshot stores — and the similarity
+// views decode builds on them — are compiled through the NeighborLister
+// path (sparse, identity), the dense enumeration path (dense, fn, uniform)
+// and the degenerate extremes.
 var snapSimVariants = map[string]func(k int, dense par.Similarity) par.Similarity{
 	"dense": func(k int, dense par.Similarity) par.Similarity { return dense },
 	"sparse": func(k int, dense par.Similarity) par.Similarity {
@@ -127,11 +130,12 @@ func sameSlabs(t *testing.T, label string, want, got *par.Kernel) {
 	bits("slotWR", w.SlotWR, g.SlotWR)
 }
 
-// TestSnapshotRoundTripDifferential is the tentpole's equivalence guarantee:
-// for every similarity variant × τ mode × workers ∈ {1, 2, 8}, a Prepared
-// written to the snapshot format and loaded back produces bit-identical
-// kernels, bit-identical base similarities, and solve results equal to the
-// in-memory Prepared's in every field.
+// TestSnapshotRoundTripDifferential is the snapshot format's equivalence
+// guarantee: for every similarity variant × τ mode × workers ∈ {1, 2, 8}, a
+// Prepared written to the snapshot format and loaded back produces
+// bit-identical kernels, base similarities bit-identical to the caller's
+// source similarities, and solve results equal to the in-memory Prepared's
+// in every field.
 func TestSnapshotRoundTripDifferential(t *testing.T) {
 	ctx := context.Background()
 	for name, variant := range snapSimVariants {
@@ -167,10 +171,11 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 						q.OriginalPairs, q.SparsifiedPairs, p.OriginalPairs, p.SparsifiedPairs)
 				}
 
-				// The reconstructed similarity must agree with the original on
-				// every pair, bitwise.
-				for qi := range p.base.Subsets {
-					a, b := p.base.Subsets[qi].Sim, q.base.Subsets[qi].Sim
+				// The reconstructed similarity — a view of the loaded kernel —
+				// must agree with the caller's source similarity on every pair,
+				// bitwise.
+				for qi := range ds.Instance.Subsets {
+					a, b := ds.Instance.Subsets[qi].Sim, q.base.Subsets[qi].Sim
 					k := a.Len()
 					if b.Len() != k {
 						t.Fatalf("subset %d: sim over %d members, want %d", qi, b.Len(), k)
@@ -299,71 +304,199 @@ func TestSnapshotTruncation(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsV1 pins the version 2 cut-over: version 1 files stored
-// a per-entry W·R slab per kernel, and this build keeps no reader for them.
-// A file that says version 1 — with a header checksum that is otherwise
-// valid — fails with ErrBadSnapshot, which sends it down the quarantine and
-// cold-Prepare path. So does a version 2 file carrying one of the retired
-// W·R section IDs.
+// snapSections splits an encoded snapshot into its raw fingerprint and its
+// sections, payloads copied, in file order; assembleSnapshot(rawFP, secs)
+// reproduces the file.
+func snapSections(data []byte) ([]byte, []snapSection) {
+	var secs []snapSection
+	n := int(binary.LittleEndian.Uint32(data[12:]))
+	for i := 0; i < n; i++ {
+		e := data[snapHeaderFixed+snapTableEntry*i:]
+		off, l := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		secs = append(secs, snapSection{binary.LittleEndian.Uint32(e), bytes.Clone(data[off : off+l])})
+	}
+	return bytes.Clone(data[16:snapHeaderFixed]), secs
+}
+
+// TestSnapshotRejectsV1 pins the cut-overs to versions 2 and 3: version 1
+// files stored a per-entry W·R slab per kernel, version 2 files a copy of
+// every similarity beside the kernels, and this build keeps no reader for
+// either. A file that says version 1 or 2 — with a header checksum that is
+// otherwise valid — fails with ErrBadSnapshot, which sends it down the
+// quarantine and cold-Prepare path. So does a version 3 file carrying one
+// of the retired section IDs.
 func TestSnapshotRejectsV1(t *testing.T) {
 	data := smallSnapshot(t)
 	if _, err := DecodeSnapshot(data); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 
-	v1 := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(v1[8:], 1)
-	tableEnd := snapHeaderFixed + snapTableEntry*int(binary.LittleEndian.Uint32(v1[12:]))
-	hcrc := crc32.Checksum(v1[:tableEnd], snapCRC)
-	binary.LittleEndian.PutUint32(v1[tableEnd:], hcrc)
-	binary.LittleEndian.PutUint32(v1[tableEnd+4:], ^hcrc)
-	if _, err := DecodeSnapshot(v1); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("version 1 file: error %v, want ErrBadSnapshot", err)
+	for _, version := range []uint32{1, 2} {
+		old := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(old[8:], version)
+		tableEnd := snapHeaderFixed + snapTableEntry*int(binary.LittleEndian.Uint32(old[12:]))
+		hcrc := crc32.Checksum(old[:tableEnd], snapCRC)
+		binary.LittleEndian.PutUint32(old[tableEnd:], hcrc)
+		binary.LittleEndian.PutUint32(old[tableEnd+4:], ^hcrc)
+		if _, err := DecodeSnapshot(old); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("version %d file: error %v, want ErrBadSnapshot", version, err)
+		}
 	}
 
-	// Re-assemble the file with a retired section prepended: the kernel's
-	// per-entry W·R slab of version 1 (7 for the base kernel, 12 for the
-	// sparse one), 8-byte aligned like every other f64 slab.
-	rawFP := data[16:snapHeaderFixed]
-	var secs []snapSection
-	n := int(binary.LittleEndian.Uint32(data[12:]))
-	for i := 0; i < n; i++ {
-		e := data[snapHeaderFixed+snapTableEntry*i:]
-		off, l := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
-		secs = append(secs, snapSection{binary.LittleEndian.Uint32(e), data[off : off+l]})
-	}
+	// Re-assemble the file with a retired section prepended: version 1's
+	// per-entry W·R slabs (7 base, 12 sparse) and version 2's similarity
+	// CSR row offsets (3 base, 8 sparse) and neighbour lists (4 base, 9
+	// sparse), all 8-byte aligned like every other f64/i64 slab.
+	rawFP, secs := snapSections(data)
 	if re := assembleSnapshot(rawFP, secs); !bytes.Equal(re, data) {
 		t.Fatal("re-assembling the sections did not reproduce the file")
 	}
-	for _, id := range []uint32{7, 12} {
-		withWR := append([]snapSection{{id, make([]byte, 64)}}, secs...)
-		if _, err := DecodeSnapshot(assembleSnapshot(rawFP, withWR)); !errors.Is(err, ErrBadSnapshot) {
+	for _, id := range []uint32{3, 4, 7, 8, 9, 12} {
+		retired := append([]snapSection{{id, make([]byte, 64)}}, secs...)
+		if _, err := DecodeSnapshot(assembleSnapshot(rawFP, retired)); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("retired section %d: error %v, want ErrBadSnapshot", id, err)
 		}
 	}
 }
 
-// FuzzSnapshotDecode hammers the header/section parser with arbitrary
-// mutations of a valid snapshot: whatever the bytes, DecodeSnapshot must
-// return a typed error or a valid Prepared — never panic, never index out of
-// range.
+// TestSnapshotRejectsBadKernelRows: the kernel slabs are the similarity of
+// a decoded Prepared, so a file whose checksums all hold but whose base
+// kernel breaks a similarity invariant must fail with ErrBadSnapshot — a
+// NaN similarity, an entry targeting another subset's row, a row out of
+// ascending order, a row without its self entry, a self entry other than 1.
+// Each file is re-sealed with fresh checksums, so only the new slab checks
+// can catch it.
+func TestSnapshotRejectsBadKernelRows(t *testing.T) {
+	data := smallSnapshot(t)
+	rawFP, pristine := snapSections(data)
+	at := func(secs []snapSection, id uint32) *snapSection {
+		for i := range secs {
+			if secs[i].id == id {
+				return &secs[i]
+			}
+		}
+		t.Fatalf("no section %d", id)
+		return nil
+	}
+	// The base kernel's row layout, read from the pristine file.
+	rowLen := i32View(at(pristine, secKBRowLen).data)
+	rowStart := i64View(at(pristine, secKBRowStart).data)
+	nbrIdx := i32View(at(pristine, secKBNbrIdx).data)
+	if len(rowLen) < 2 {
+		t.Fatalf("snapshot has %d subsets, want at least 2", len(rowLen))
+	}
+	// r is the last row of subset 0 with an entry besides its self entry.
+	r := -1
+	for i := 0; i < int(rowLen[0]); i++ {
+		if rowStart[i+1]-rowStart[i] >= 2 {
+			r = i
+		}
+	}
+	if r < 0 {
+		t.Fatal("subset 0 has no row with a neighbour")
+	}
+	lo, hi := int(rowStart[r]), int(rowStart[r+1])
+	self := lo
+	for nbrIdx[self] != int32(r) {
+		self++
+	}
+	other := lo // an entry of row r that is not its self entry
+	if other == self {
+		other++
+	}
+
+	setF64 := func(b []byte, i int, v float64) { binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v)) }
+	setI32 := func(b []byte, i int, v int32) { binary.LittleEndian.PutUint32(b[4*i:], uint32(v)) }
+	for _, tc := range []struct {
+		name, want string
+		fault      func(secs []snapSection)
+	}{
+		{"nan similarity", "out of (0,1]", func(secs []snapSection) {
+			setF64(at(secs, secKBNbrSim).data, other, math.NaN())
+		}},
+		{"self similarity below 1", "self-similarity", func(secs []snapSection) {
+			setF64(at(secs, secKBNbrSim).data, self, 0.5)
+		}},
+		{"cross-subset target", "outside", func(secs []snapSection) {
+			// Row r's last entry now targets subset 1's first row: still
+			// ascending, still in range, but in another subset.
+			setI32(at(secs, secKBNbrIdx).data, hi-1, rowLen[0])
+		}},
+		{"unsorted row", "not strictly ascending", func(secs []snapSection) {
+			idx, sim := at(secs, secKBNbrIdx).data, at(secs, secKBNbrSim).data
+			a, b := lo, lo+1
+			for k := 0; k < 4; k++ {
+				idx[4*a+k], idx[4*b+k] = idx[4*b+k], idx[4*a+k]
+			}
+			for k := 0; k < 8; k++ {
+				sim[8*a+k], sim[8*b+k] = sim[8*b+k], sim[8*a+k]
+			}
+		}},
+		{"missing self entry", "missing its self entry", func(secs []snapSection) {
+			// Drop row r's self entry and shift every later row's offset.
+			idx, sim := at(secs, secKBNbrIdx), at(secs, secKBNbrSim)
+			idx.data = append(idx.data[:4*self:4*self], idx.data[4*self+4:]...)
+			sim.data = append(sim.data[:8*self:8*self], sim.data[8*self+8:]...)
+			rs := at(secs, secKBRowStart).data
+			for i := r + 1; i < len(rowStart); i++ {
+				binary.LittleEndian.PutUint64(rs[8*i:], uint64(rowStart[i]-1))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			secs := make([]snapSection, len(pristine))
+			for i, s := range pristine {
+				secs[i] = snapSection{s.id, bytes.Clone(s.data)}
+			}
+			tc.fault(secs)
+			_, err := DecodeSnapshot(assembleSnapshot(rawFP, secs))
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("error %v, want ErrBadSnapshot", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name the fault (%q)", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzSnapshotDecode hammers the decoder two ways: with arbitrary mutations
+// of a whole snapshot file, which mostly stop at a checksum, and with one
+// section's payload replaced and the file re-sealed with fresh checksums
+// (assembleSnapshot), which reaches the slab and instance validation behind
+// them. Whatever the bytes, DecodeSnapshot must return a typed error or a
+// valid Prepared — never panic, never index out of range.
 func FuzzSnapshotDecode(f *testing.F) {
 	data := smallSnapshot(f)
-	f.Add(data)
-	f.Add(data[:len(data)/2])
-	f.Add([]byte(snapMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
+	rawFP, secs := snapSections(data)
+	f.Add(data, uint8(0), secs[0].data)
+	f.Add(data[:len(data)/2], uint8(0), secs[0].data)
+	f.Add([]byte(snapMagic), uint8(0), secs[0].data)
+	f.Add([]byte{}, uint8(0), secs[0].data)
+	for i, s := range secs {
+		flipped := bytes.Clone(s.data)
+		if len(flipped) > 0 {
+			flipped[len(flipped)/2] ^= 0x40
+		}
+		f.Add([]byte{}, uint8(i), flipped)
+	}
+	check := func(t *testing.T, b []byte) {
 		p, err := DecodeSnapshot(b)
 		if err == nil {
 			// Anything the decoder accepts must be a coherent Prepared: a
 			// solve over it must not panic either.
-			if _, rerr := p.Run(context.Background(), RunOptions{SkipBound: true, Workers: 1}); rerr != nil {
-				t.Skip() // infeasible budgets etc. are fine; only panics matter
+			if _, rerr := p.Run(context.Background(), RunOptions{Workers: 1}); rerr != nil {
+				return // infeasible budgets etc. are fine; only panics matter
 			}
 		} else if !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, ErrNoCtxVectors) {
 			t.Fatalf("error %v does not wrap ErrBadSnapshot", err)
 		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte, which uint8, payload []byte) {
+		check(t, b)
+		resealed := slices.Clone(secs)
+		resealed[int(which)%len(secs)].data = payload
+		check(t, assembleSnapshot(rawFP, resealed))
 	})
 }
 

@@ -19,7 +19,7 @@ func subsetPairs(t *testing.T, inst *par.Instance) [][][]par.Neighbor {
 		}
 		rows := make([][]par.Neighbor, inst.Subsets[qi].Sim.Len())
 		for i := range rows {
-			rows[i] = nl.Neighbors(i)
+			rows[i] = nl.AppendNeighbors(nil, i)
 		}
 		all = append(all, rows)
 	}
