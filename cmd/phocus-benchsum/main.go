@@ -9,7 +9,8 @@
 // Each line carries the suite name, the commit, and every benchmark's
 // ns/op, B/op, allocs/op and custom metrics (jobs/sec, wait-p50-ms, ...),
 // so the perf trajectory lives in git history instead of expiring with CI
-// artifact retention.
+// artifact retention. Benchmarks are named without the -N GOMAXPROCS
+// suffix, so one benchmark keeps one name across lines and machines.
 package main
 
 import (
@@ -99,7 +100,7 @@ func parseStream(r io.Reader) ([]benchResult, error) {
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		text := line
+		text, name := line, ""
 		if strings.HasPrefix(strings.TrimSpace(line), "{") {
 			var ev testEvent
 			if err := json.Unmarshal([]byte(line), &ev); err != nil {
@@ -110,13 +111,21 @@ func parseStream(r io.Reader) ([]benchResult, error) {
 			}
 			text = ev.Output
 			// With sub-benchmarks, -json puts the name in the Test field and
-			// emits a result line of bare numbers; stitch them back together.
-			if !strings.HasPrefix(strings.TrimSpace(text), "Benchmark") &&
-				strings.HasPrefix(ev.Test, "Benchmark") && strings.Contains(text, "ns/op") {
-				text = ev.Test + " " + text
+			// emits the result line either as bare numbers, which are
+			// stitched back to the name here, or behind the name with its -N
+			// suffix. The Test field never carries the suffix, so it names
+			// the result either way.
+			if strings.HasPrefix(ev.Test, "Benchmark") {
+				name = ev.Test
+				if !strings.HasPrefix(strings.TrimSpace(text), "Benchmark") && strings.Contains(text, "ns/op") {
+					text = ev.Test + " " + text
+				}
 			}
 		}
 		if res, ok := parseBenchLine(text); ok {
+			if name != "" {
+				res.Name = name
+			}
 			out = append(out, res)
 		}
 	}
@@ -124,7 +133,8 @@ func parseStream(r io.Reader) ([]benchResult, error) {
 }
 
 // parseBenchLine parses one `BenchmarkName-8   100   123 ns/op   4 widgets`
-// result line. Fields after the iteration count come in value-unit pairs.
+// result line, naming it without the -8. Fields after the iteration count
+// come in value-unit pairs.
 func parseBenchLine(s string) (benchResult, bool) {
 	fields := strings.Fields(strings.TrimSpace(s))
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -134,7 +144,7 @@ func parseBenchLine(s string) (benchResult, bool) {
 	if err != nil {
 		return benchResult{}, false
 	}
-	res := benchResult{Name: fields[0], Iters: iters, Metrics: map[string]float64{}}
+	res := benchResult{Name: stripProcs(fields[0]), Iters: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -151,6 +161,18 @@ func parseBenchLine(s string) (benchResult, bool) {
 		res.Metrics = nil
 	}
 	return res, true
+}
+
+// stripProcs drops the -N GOMAXPROCS suffix go test appends to a benchmark
+// name. go test leaves it off at GOMAXPROCS=1, so a raw line's own trailing
+// -<digits> is dropped too then; a -json line named by its Test field is
+// exact.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 || strings.TrimLeft(name[i+1:], "0123456789") != "" {
+		return name
+	}
+	return name[:i]
 }
 
 // sortResults orders results by name so history lines diff cleanly.

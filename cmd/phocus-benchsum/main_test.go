@@ -13,7 +13,7 @@ func TestParseBenchLine(t *testing.T) {
 	if !ok {
 		t.Fatal("result line not recognized")
 	}
-	if res.Name != "BenchmarkJobsThroughput-8" || res.Iters != 1234 || res.NsPerOp != 56789 {
+	if res.Name != "BenchmarkJobsThroughput" || res.Iters != 1234 || res.NsPerOp != 56789 {
 		t.Errorf("parsed %+v", res)
 	}
 	if res.Metrics["jobs/sec"] != 9918 || res.Metrics["wait-p50-ms"] != 1.5 {
@@ -69,6 +69,35 @@ func TestParseStreamSplitNameEvents(t *testing.T) {
 	}
 }
 
+// TestParseStreamDropsProcsSuffix: every form go test prints a result in —
+// a -json sub-benchmark line of bare numbers, a -json line that keeps the
+// name with its -N suffix, a -json line with no Test field, and raw -bench
+// output — records the benchmark under one name, without the suffix.
+func TestParseStreamDropsProcsSuffix(t *testing.T) {
+	stream := strings.Join([]string{
+		`{"Action":"output","Test":"BenchmarkReadJSON/stdlib","Output":" 50\t 2000 ns/op\n"}`,
+		`{"Action":"output","Test":"BenchmarkReadJSON/onepass","Output":"BenchmarkReadJSON/onepass-2  \t 90\t 1000 ns/op\n"}`,
+		`{"Action":"output","Test":"BenchmarkSweep/size-100","Output":"BenchmarkSweep/size-100-2  \t 9\t 7 ns/op\n"}`,
+		`{"Action":"output","Output":"BenchmarkTop-4  \t 10\t 5 ns/op\n"}`,
+		`BenchmarkSolveHandler/hit-2  300  3600000 ns/op  130 allocs/op`,
+		`BenchmarkRing/P-1K-8  3  4 ns/op`,
+		`BenchmarkSingleProc  3  4 ns/op`,
+	}, "\n")
+	rs, err := parseStream(strings.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, r := range rs {
+		names = append(names, r.Name)
+	}
+	want := []string{"BenchmarkReadJSON/stdlib", "BenchmarkReadJSON/onepass", "BenchmarkSweep/size-100",
+		"BenchmarkTop", "BenchmarkSolveHandler/hit", "BenchmarkRing/P-1K", "BenchmarkSingleProc"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("names %q, want %q", names, want)
+	}
+}
+
 func TestParseStreamRawBenchOutput(t *testing.T) {
 	// Plain -bench output (no -json) parses too.
 	raw := "goos: linux\nBenchmarkX-4  100  5 ns/op\nPASS\n"
@@ -104,7 +133,7 @@ func TestRunEmitsOneLine(t *testing.T) {
 		t.Errorf("envelope %+v", line)
 	}
 	// Sorted by name for clean diffs.
-	if len(line.Benchmarks) != 2 || line.Benchmarks[0].Name != "BenchmarkA-2" {
+	if len(line.Benchmarks) != 2 || line.Benchmarks[0].Name != "BenchmarkA" {
 		t.Errorf("benchmarks %+v", line.Benchmarks)
 	}
 }

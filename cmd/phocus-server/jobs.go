@@ -1,6 +1,6 @@
 // Async jobs API: the HTTP face of internal/jobs. POST /jobs answers 202
 // with a job ID immediately; the solve runs on the job scheduler's worker
-// pool through the same solveCore as /solve, status and result are polled
+// pool through the same pipeline as /solve, status and result are polled
 // by ID, and DELETE cancels (the cancel propagates into the solver through
 // par.Solver's ctx, so even a mid-run job stops promptly).
 package main
@@ -67,12 +67,12 @@ func jobDoc(j jobs.Job, pos int) jobStatusDoc {
 	if !j.StartedAt.IsZero() {
 		t := j.StartedAt
 		doc.StartedAt = &t
-		doc.WaitMS = float64(j.Wait().Microseconds()) / 1000
+		doc.WaitMS = obs.DurMS(j.Wait())
 	}
 	if !j.FinishedAt.IsZero() {
 		t := j.FinishedAt
 		doc.FinishedAt = &t
-		doc.RunMS = float64(j.Run().Microseconds()) / 1000
+		doc.RunMS = obs.DurMS(j.Run())
 	}
 	if j.State == jobs.StateDone {
 		doc.ResultURL = "/jobs/" + j.ID + "/result"
@@ -121,7 +121,7 @@ type jobParams struct {
 	// interval, runs times in total.
 	every time.Duration
 	runs  int
-	solve solveParams
+	solve phocus.SolveRequest
 }
 
 // parseJobParams validates the POST /jobs query string by kind.
@@ -176,9 +176,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := readBody(w, r, s.maxBody)
 	if err != nil {
-		var he *httpError
-		errors.As(err, &he)
-		http.Error(w, he.Error(), he.status)
+		s.fail(w, r, err)
 		return
 	}
 	if len(body) == 0 {
@@ -272,7 +270,8 @@ type jobListDoc struct {
 // handleJobList is GET /jobs?offset=&limit=: jobs in submission order. A
 // tenant (X-Phocus-Tenant header or ?tenant=) narrows the listing to that
 // tenant's jobs; without one the listing spans all tenants, which is what
-// the router's fleet-wide scatter-gather consumes.
+// the router's fleet-wide scatter-gather consumes. That listing leaves out
+// each job's params: they can name a tenant's fingerprint (fp=…).
 func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	offset, err := nonNegInt(q.Get("offset"), 0)
@@ -287,7 +286,8 @@ func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	}
 	var page []jobs.Job
 	var total int
-	if tenant := r.Header.Get(fleet.TenantHeader); tenant != "" || q.Get("tenant") != "" {
+	scoped := r.Header.Get(fleet.TenantHeader) != "" || q.Get("tenant") != ""
+	if scoped {
 		tenant, terr := fleet.TenantFromRequest(r)
 		if terr != nil {
 			http.Error(w, terr.Error(), http.StatusBadRequest)
@@ -302,6 +302,9 @@ func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		pos := -1
 		if j.State == jobs.StateQueued {
 			_, pos, _ = s.jobs.Get(j.ID)
+		}
+		if !scoped {
+			j.Params = ""
 		}
 		docs[i] = jobDoc(j, pos)
 	}
@@ -330,14 +333,14 @@ type retentionResult struct {
 	NextRunAt *time.Time `json:"next_run_at,omitempty"`
 }
 
-// runJob is the scheduler's Runner, dispatching on the job's kind: solve
-// jobs run one attempt through the shared solveCore, session jobs apply a
-// delta batch through applyDeltaCore, and retention jobs solve and then
-// schedule their own successor with a deferred Submit (runs−1, NotBefore
-// now+every) so the chain survives restarts in the job WAL. The job ID
-// doubles as the request ID so the job's spans and log lines correlate
-// exactly like a synchronous request's. The per-job deadline is enforced by the
-// scheduler's context, so no extra timeout is layered here.
+// runJob is the scheduler's Runner, dispatching on the job's kind: session
+// jobs apply a delta batch through the pipeline's Apply, solve jobs run one
+// attempt through its Solve, and retention jobs solve and then schedule
+// their own successor with a deferred Submit (runs−1, NotBefore now+every)
+// so the chain survives restarts in the job WAL. The job ID doubles as the
+// request ID so the job's spans and log lines correlate exactly like a
+// synchronous request's. The per-job deadline is enforced by the scheduler's
+// context, so no extra timeout is layered here.
 func (s *server) runJob(ctx context.Context, job jobs.Job) ([]byte, error) {
 	ctx = obs.WithRequestID(ctx, job.ID)
 	ctx = obs.WithLogger(ctx, s.logger.With("req_id", job.ID))
@@ -349,50 +352,43 @@ func (s *server) runJob(ctx context.Context, job jobs.Job) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("job params: %w", err)
 	}
-	switch params.kind {
-	case "session":
-		d, err := decodeDelta(job.Body)
+	if params.kind == "session" {
+		stats, err := s.pipe.Apply(ctx, job.Tenant, params.fp, job.Body)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := s.applyDeltaCore(ctx, params.fp, d)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(resp)
-	case "retention":
-		resp, err := s.solveCore(ctx, job.Tenant, job.Body, time.Now(), params.solve, 0)
-		if err != nil {
-			return nil, err
-		}
-		out := retentionResult{solveResponse: *resp, RunsLeft: params.runs - 1}
-		if params.runs > 1 {
-			q.Set("runs", strconv.Itoa(params.runs-1))
-			// The successor inherits the tenant: a retention chain never
-			// migrates across tenants.
-			next, err := s.jobs.Submit(job.Tenant, q.Encode(), job.Body, time.Now().Add(params.every))
-			switch {
-			case errors.Is(err, jobs.ErrDraining):
-				// Shutdown raced the reschedule: end the chain rather than
-				// block the drain; this run's result still records runs_left
-				// so an operator can resubmit the remainder.
-				obs.Logger(ctx).Warn("retention reschedule skipped: draining",
-					"runs_left", out.RunsLeft)
-			case err != nil:
-				return nil, fmt.Errorf("retention reschedule: %w", err)
-			default:
-				out.NextJobID = next.ID
-				out.NextRunAt = &next.NotBefore
-			}
-		}
-		return json.Marshal(out)
-	default:
-		resp, err := s.solveCore(ctx, job.Tenant, job.Body, time.Now(), params.solve, 0)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(resp)
+		return json.Marshal(newDeltaResponse(ctx, stats))
 	}
+	req := params.solve
+	req.Tenant, req.Body, req.Start = job.Tenant, job.Body, time.Now()
+	a, err := s.pipe.Solve(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if params.kind != "retention" {
+		return json.Marshal(newSolveResponse(ctx, a))
+	}
+	out := retentionResult{solveResponse: *newSolveResponse(ctx, a), RunsLeft: params.runs - 1}
+	if params.runs > 1 {
+		q.Set("runs", strconv.Itoa(params.runs-1))
+		// The successor inherits the tenant: a retention chain never
+		// migrates across tenants.
+		next, err := s.jobs.Submit(job.Tenant, q.Encode(), job.Body, time.Now().Add(params.every))
+		switch {
+		case errors.Is(err, jobs.ErrDraining):
+			// Shutdown raced the reschedule: end the chain rather than
+			// block the drain; this run's result still records runs_left
+			// so an operator can resubmit the remainder.
+			obs.Logger(ctx).Warn("retention reschedule skipped: draining",
+				"runs_left", out.RunsLeft)
+		case err != nil:
+			return nil, fmt.Errorf("retention reschedule: %w", err)
+		default:
+			out.NextJobID = next.ID
+			out.NextRunAt = &next.NotBefore
+		}
+	}
+	return json.Marshal(out)
 }
 
 // admitSync acquires a solver slot from the shared semaphore for a

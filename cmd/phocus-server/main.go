@@ -29,8 +29,8 @@
 // line), and the solver's work stats. Every request stage (decode →
 // sparsify → solve → encode) is traced as a span in the structured log.
 //
-// All solve traffic flows through the staged engine (phocus.Prepare +
-// Run). Prepared instances are cached in an LRU keyed by the content
+// All solve and delta traffic flows through one phocus.Pipeline (the staged
+// engine's Prepare + Run). Prepared instances are cached in an LRU keyed by the content
 // fingerprint of the request body plus the preparation parameters (tau,
 // lsh, seed) — the run budget is excluded, so a budget sweep over one
 // archive sparsifies exactly once and every warm request goes straight to
@@ -43,8 +43,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -58,21 +56,16 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"phocus/internal/celf"
-	"phocus/internal/dataset"
-	"phocus/internal/embed"
 	"phocus/internal/fleet"
 	"phocus/internal/jobs"
 	"phocus/internal/obs"
 	"phocus/internal/par"
 	"phocus/internal/phocus"
 	"phocus/internal/pool"
-	"phocus/internal/sviridenko"
 )
 
 func main() {
@@ -174,7 +167,7 @@ func main() {
 	}()
 
 	logger.Info("phocus-server listening", "addr", *addr, "max_body", *maxBody, "pprof", *pprofOn,
-		"workers", s.workers, "exact_max_nodes", s.exactMaxNodes, "solve_timeout", s.solveTimeout,
+		"workers", s.workers, "exact_max_nodes", s.pipe.ExactMaxNodes, "solve_timeout", s.solveTimeout,
 		"data_dir", *dataDir, "snapshot_dir", *snapshotDir, "queue_depth", *queueDepth)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("serve", "err", err)
@@ -234,26 +227,18 @@ type serverConfig struct {
 }
 
 // server bundles the handler dependencies: logger, metrics registry,
-// request limits, and the prepared-instance cache.
+// request limits, and the solve pipeline.
 type server struct {
-	logger        *slog.Logger
-	reg           *obs.Registry
-	slo           *obs.SLOTracker
-	trace         *obs.TraceStore
-	maxBody       int64
-	workers       int
-	exactMaxNodes int64
-	solveTimeout  time.Duration
-	cache         *phocus.PreparedCache
-	jobs          *jobs.Service
-	queueDepth    int
-	snaps         *phocus.SnapshotStore
-	// deltaMu serializes delta application: ApplyDelta holds the Prepared's
-	// write lock anyway, and serializing here keeps the cache-rekey +
-	// snapshot-replace sequence atomic with respect to other deltas (two
-	// concurrent batches on one instance would otherwise race to remove each
-	// other's fingerprints).
-	deltaMu sync.Mutex
+	logger       *slog.Logger
+	reg          *obs.Registry
+	slo          *obs.SLOTracker
+	trace        *obs.TraceStore
+	maxBody      int64
+	workers      int
+	solveTimeout time.Duration
+	pipe         *phocus.Pipeline
+	jobs         *jobs.Service
+	queueDepth   int
 	// snapWarmed flips once the startup warm-fill of the prepare cache has
 	// finished (immediately when snapshots are off); /readyz reports 503
 	// until then so a restarted replica only takes traffic warm.
@@ -316,17 +301,12 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 		return nil, errors.New("-prepare-cache-entries and -prepare-cache-bytes are both unbounded: set at least one positive bound")
 	}
 	s := &server{
-		logger:        logger,
-		reg:           obs.NewRegistry(),
-		maxBody:       cfg.MaxBody,
-		workers:       pool.Resolve(cfg.Workers),
-		exactMaxNodes: cfg.ExactMaxNodes,
-		solveTimeout:  cfg.SolveTimeout,
-		queueDepth:    cfg.QueueDepth,
-		cache:         phocus.NewPreparedCache(cfg.CacheEntries, cfg.CacheBytes),
-	}
-	if cfg.ExactMaxNodes < 0 {
-		s.exactMaxNodes = 0
+		logger:       logger,
+		reg:          obs.NewRegistry(),
+		maxBody:      cfg.MaxBody,
+		workers:      pool.Resolve(cfg.Workers),
+		solveTimeout: cfg.SolveTimeout,
+		queueDepth:   cfg.QueueDepth,
 	}
 	s.reg.Gauge("phocus_workers").Set(float64(s.workers))
 
@@ -366,14 +346,17 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 	s.slo.AddRateObjective("reject_429_rate", obs.SLORejectRate, cfg.SLO429Rate)
 	s.trace = obs.NewTraceStore(cfg.TraceCapacity)
 
-	// The snapshot store opens before the job service: resumed jobs go
-	// through solveCore, which consults s.snaps on cache misses.
+	// The pipeline and its snapshot store open before the job service:
+	// resumed jobs go straight through the pipeline.
+	s.pipe = &phocus.Pipeline{
+		Cache:   phocus.NewPreparedCache(cfg.CacheEntries, cfg.CacheBytes),
+		Metrics: s.reg, SLO: s.slo, Logger: logger,
+		Workers: s.workers, ExactMaxNodes: max(cfg.ExactMaxNodes, 0),
+	}
 	if cfg.SnapshotDir != "" {
-		store, err := phocus.OpenSnapshotStore(cfg.SnapshotDir)
-		if err != nil {
+		if s.pipe.Snapshots, err = phocus.OpenSnapshotStore(cfg.SnapshotDir); err != nil {
 			return nil, err
 		}
-		s.snaps = store
 	}
 
 	// The job service opens last: its workers may immediately resume
@@ -403,8 +386,11 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 
 	// Warm-fill runs in the background so startup stays fast; /readyz keeps
 	// answering 503 until the persisted snapshots are back in the cache.
-	if s.snaps != nil {
-		go s.warmFill()
+	if s.pipe.Snapshots != nil {
+		go func() {
+			s.pipe.WarmFill()
+			s.snapWarmed.Store(true)
+		}()
 	} else {
 		s.snapWarmed.Store(true)
 	}
@@ -563,10 +549,6 @@ type solveStats struct {
 	ElapsedMS   float64 `json:"elapsed_ms"`
 }
 
-// durMS renders d in milliseconds at microsecond resolution, as the wire
-// format's *_ms fields carry durations.
-func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
 // solveResponse is the wire format of a solver result.
 type solveResponse struct {
 	RequestID string `json:"request_id"`
@@ -583,43 +565,34 @@ type solveResponse struct {
 	Stats       *solveStats   `json:"stats,omitempty"`
 }
 
-// solveParams are the validated /solve query parameters.
-type solveParams struct {
-	budget float64 // 0 = keep the body's budget
-	tau    float64
-	algo   phocus.Algorithm
-	lsh    bool
-	seed   int64
-}
-
-// parseSolveParams validates the /solve query string. Every rejection uses
-// the same "invalid <param> %q: want ..." shape so clients get consistent
-// 400 messages.
-func parseSolveParams(q url.Values) (solveParams, error) {
-	var p solveParams
+// parseSolveParams validates the /solve query string into a solve request's
+// parameters. Every rejection uses the same "invalid <param> %q: want ..."
+// shape so clients get consistent 400 messages.
+func parseSolveParams(q url.Values) (phocus.SolveRequest, error) {
+	var p phocus.SolveRequest
 	if b := q.Get("budget"); b != "" {
 		v, err := strconv.ParseFloat(b, 64)
 		if err != nil || v <= 0 {
 			return p, fmt.Errorf("invalid budget %q: want a positive number of bytes", b)
 		}
-		p.budget = v
+		p.Budget = v
 	}
 	if t := q.Get("tau"); t != "" {
 		v, err := strconv.ParseFloat(t, 64)
 		if err != nil || v < 0 || v > 1 {
 			return p, fmt.Errorf("invalid tau %q: want a number in [0,1]", t)
 		}
-		p.tau = v
+		p.Tau = v
 	}
 	algo, err := phocus.ParseAlgorithm(q.Get("algo"))
 	if err != nil {
 		return p, err
 	}
-	p.algo = algo
+	p.Algorithm = algo
 	switch l := q.Get("lsh"); l {
 	case "", "0":
 	case "1":
-		p.lsh = true
+		p.LSH = true
 	default:
 		return p, fmt.Errorf("invalid lsh %q: want 0 or 1", l)
 	}
@@ -628,45 +601,19 @@ func parseSolveParams(q url.Values) (solveParams, error) {
 		if err != nil {
 			return p, fmt.Errorf("invalid seed %q: want an integer", sd)
 		}
-		p.seed = v
+		p.Seed = v
 	}
-	if p.lsh && p.tau == 0 {
+	if p.LSH && p.Tau == 0 {
 		return p, fmt.Errorf("invalid lsh %q: requires tau > 0", q.Get("lsh"))
 	}
 	return p, nil
 }
 
-// toCtxVectors converts wire-format vector groups to the dataset embedding
-// type (a cheap per-vector header conversion).
-func toCtxVectors(vecs [][][]float64) [][]embed.Vector {
-	if vecs == nil {
-		return nil
-	}
-	out := make([][]embed.Vector, len(vecs))
-	for i, group := range vecs {
-		out[i] = make([]embed.Vector, len(group))
-		for j, v := range group {
-			out[i][j] = embed.Vector(v)
-		}
-	}
-	return out
-}
-
-// httpError carries the HTTP status a solve-core failure maps to; errors
-// without one fall through to 500 (or the cancel paths).
-type httpError struct {
-	status int
-	err    error
-}
-
-func (e *httpError) Error() string { return e.err.Error() }
-func (e *httpError) Unwrap() error { return e.err }
-
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	logger := obs.Logger(ctx)
 
-	params, err := parseSolveParams(r.URL.Query())
+	req, err := parseSolveParams(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -695,32 +642,20 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	// The body read belongs to the decode stage: its span starts here.
-	start := time.Now()
-	body, err := readBody(w, r, s.maxBody)
-	var resp *solveResponse
+	req.Tenant, req.Start, req.Timeout = tenant, time.Now(), s.solveTimeout
+	req.Body, err = readBody(w, r, s.maxBody)
+	var a *phocus.Answer
 	if err == nil {
-		resp, err = s.solveCore(ctx, tenant, body, start, params, s.solveTimeout)
+		a, err = s.pipe.Solve(ctx, req)
 	}
 	if err != nil {
-		var he *httpError
-		switch {
-		case errors.As(err, &he):
-			http.Error(w, he.Error(), he.status)
-		case r.Context().Err() != nil:
-			// The client is gone; there is nobody to answer.
-			s.reg.Counter("phocus_http_canceled_total", "route", "/solve").Inc()
-			logger.Warn("client canceled during solve", "err", err)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			http.Error(w, "solve timed out", http.StatusServiceUnavailable)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		s.fail(w, r, err)
 		return
 	}
 
 	_, encodeSpan := obs.StartSpan(ctx, "encode")
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	if err := json.NewEncoder(w).Encode(newSolveResponse(ctx, a)); err != nil {
 		s.reg.Counter("phocus_http_encode_errors_total").Inc()
 		logger.Error("encode response", "err", err)
 	}
@@ -735,7 +670,8 @@ const maxBodyPresize = 16 << 20
 // Content-Length within the cap sizes the buffer up front, up to
 // maxBodyPresize, so a typical body lands in one allocation while a client
 // that only declares a large body cannot make the server reserve it.
-// Failures are *httpError: 413 past the cap, 400 for any other read error.
+// Past the cap the error wraps *http.MaxBytesError (413); any other read
+// error is invalid input (400).
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	var buf bytes.Buffer
 	if r.ContentLength > 0 && r.ContentLength <= limit {
@@ -744,220 +680,53 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 		buf.Grow(int(min(r.ContentLength, maxBodyPresize)) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, &httpError{http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return nil, &httpError{http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)}
+		return nil, phocus.Invalid(fmt.Errorf("reading request body: %w", err))
 	}
 	return buf.Bytes(), nil
 }
 
-// instanceDigest is the prepared-instance cache's content key for a body:
-// sha256 over the tenant prefix and the whole body. Mixing the tenant in
-// ahead of the body bytes scopes prepared instances, cache entries and
-// snapshot files to their tenant: two tenants uploading the same archive
-// never share a fingerprint, and a delta handle minted for one tenant
-// cannot collide with another's. The default tenant mixes nothing, keeping
-// every pre-tenancy digest — and the snapshots on disk keyed by them —
-// valid across the upgrade.
-func instanceDigest(tenant string, body []byte) string {
-	h := sha256.New()
-	if tenant != "" && tenant != fleet.DefaultTenant {
-		fmt.Fprintf(h, "phocus/tenant/v1|%s\n", tenant)
+// fail answers a request that readBody or the pipeline failed: the one map
+// from their errors to HTTP statuses. Context errors are a client that went
+// away, which gets no answer, or the solve deadline (503).
+func (s *server) fail(w http.ResponseWriter, r *http.Request, err error) {
+	var tooBig *http.MaxBytesError
+	msg, status := err.Error(), http.StatusInternalServerError
+	switch {
+	case errors.As(err, &tooBig):
+		msg, status = fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge
+	case errors.Is(err, phocus.ErrInvalidInput):
+		status = http.StatusBadRequest
+	case errors.Is(err, phocus.ErrUnknownFingerprint):
+		status = http.StatusNotFound
+	case errors.Is(err, phocus.ErrDeltaLSH):
+		status = http.StatusConflict
+	case r.Context().Err() != nil:
+		s.reg.Counter("phocus_http_canceled_total", "route", routeLabel(r.URL.Path)).Inc()
+		obs.Logger(r.Context()).Warn("client canceled", "path", r.URL.Path, "err", err)
+		return
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		msg, status = "solve timed out", http.StatusServiceUnavailable
 	}
-	h.Write(body)
-	return hex.EncodeToString(h.Sum(nil))
+	http.Error(w, msg, status)
 }
 
-// solveCore is the digest → prepare → solve pipeline shared by the
-// synchronous /solve handler and the async job runner. It digests the body
-// into the prepared-instance cache key (instanceDigest), probes the cache
-// once, and parses the body only when it must: for a cold Prepare after the
-// snapshot store missed, or up front when the request has no ?budget and the
-// answer's budget is the body's own. A hit needs no parse: the key exists
-// only for bytes of this tenant that parsed and prepared under these exact
-// preparation parameters. The cache's singleflight means concurrent
-// identical archives prepare once. The solver runs under ctx (plus timeout
-// when positive), and the shared solve metrics are reported. The decode
-// span starts at start, so a caller that read the body first counts the
-// read as decode time; a parse deferred into the cold Prepare records a
-// decode span of its own.
-// Failures that have a defined HTTP status come back as *httpError; context
-// errors come back verbatim for the caller to classify.
-func (s *server) solveCore(ctx context.Context, tenant string, body []byte, start time.Time, params solveParams, timeout time.Duration) (*solveResponse, error) {
-	_, decodeSpan := obs.StartSpanAt(ctx, "decode", start)
-	digest := instanceDigest(tenant, body)
-	var inst *par.Instance
-	var vecs [][][]float64
-	// parse decodes the body, ending span with parsed=true and the body's
-	// size, and drops the bytes so the GC can reclaim them while Prepare
-	// and Run allocate. A malformed body is a 400.
-	parse := func(span *obs.Span) error {
-		var err error
-		size := len(body)
-		inst, vecs, err = par.DecodeJSONVectors(body)
-		body = nil
-		if err != nil {
-			span.End("parsed", true, "bytes", size, "err", err.Error())
-			return &httpError{http.StatusBadRequest, err}
-		}
-		span.End("parsed", true, "bytes", size, "photos", inst.NumPhotos(), "subsets", len(inst.Subsets))
-		return nil
-	}
-	budget := params.budget
-	if budget == 0 {
-		if err := parse(decodeSpan); err != nil {
-			return nil, err
-		}
-		budget = inst.Budget
-	} else {
-		decodeSpan.End("parsed", false, "bytes", len(body))
-	}
-
-	popts := phocus.PrepareOptions{
-		Tau:            params.tau,
-		UseLSH:         params.lsh,
-		Seed:           params.seed,
-		Workers:        s.workers,
-		InstanceDigest: digest,
-		Metrics:        s.reg,
-	}
-	prepare := func() (*phocus.Prepared, error) {
-		if inst == nil {
-			_, span := obs.StartSpan(ctx, "decode")
-			if err := parse(span); err != nil {
-				return nil, err
-			}
-		}
-		ds := &dataset.Dataset{Instance: inst, CtxVectors: toCtxVectors(vecs)}
-		var span *obs.Span
-		if params.tau > 0 {
-			_, span = obs.StartSpan(ctx, "sparsify")
-		}
-		prep, err := phocus.Prepare(ctx, ds, popts)
-		if err != nil {
-			if span != nil {
-				span.End("err", err.Error())
-			}
-			return nil, err
-		}
-		if span != nil {
-			span.End("tau", params.tau, "lsh", params.lsh,
-				"pairs_before", prep.OriginalPairs, "pairs_after", prep.SparsifiedPairs)
-		}
-		if prep.OriginalPairs > 0 {
-			s.reg.Gauge("phocus_sparsify_keep_ratio").
-				Set(float64(prep.SparsifiedPairs) / float64(prep.OriginalPairs))
-		}
-		return prep, nil
-	}
-	// With a snapshot store attached, a cache miss tries the persisted
-	// snapshot before paying for a cold Prepare; a cold Prepare writes its
-	// snapshot back so the next process start skips the work entirely.
-	key := phocus.FingerprintFor(popts.InstanceDigest, popts)
-	build := prepare
-	if s.snaps != nil {
-		build = func() (*phocus.Prepared, error) {
-			return s.prepareViaSnapshot(ctx, key, prepare)
-		}
-	}
-	// The cache key excludes the budget (a Run parameter), so a budget
-	// sweep over one archive prepares exactly once; the singleflight means
-	// a burst of jobs over one archive does too. The budget is checked
-	// against C(S0) by Run, on a hit and a miss alike.
-	prep, hit, evicted, err := s.cache.GetOrPrepare(key, build)
-	if err != nil {
-		if errors.Is(err, phocus.ErrNoCtxVectors) {
-			return nil, &httpError{http.StatusBadRequest, err}
-		}
-		return nil, err
-	}
-	obs.RecordPrepareCache(s.reg, hit)
-	obs.RecordPrepareCacheEvictions(s.reg, int64(evicted))
-
-	// The solve is the expensive stage: if the caller already went away,
-	// stop here instead of burning CPU on an unwanted answer.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	stats := &solveStats{}
-	solveWorkers := 1 // only the CELF path is parallel; label others honestly
-	if params.algo == "" || params.algo == phocus.AlgoCELF {
-		solveWorkers = s.workers
-	}
-	ropts := phocus.RunOptions{
-		Budget:        budget,
-		Algorithm:     params.algo,
-		Workers:       s.workers,
-		ExactMaxNodes: s.exactMaxNodes,
-		OnCELFStats: func(st celf.Stats) {
-			stats.GainEvals = st.GainEvals
-			stats.PQPops = st.PQPops
-			stats.Winner = st.Winner.String()
-			stats.TracePrefix = st.TracePrefix
-		},
-		OnSviridenkoStats: func(st sviridenko.Stats) {
-			stats.Seeds = st.Seeds
-		},
-	}
-
-	solveCtx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		solveCtx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	solveCtx, solveSpan := obs.StartSpan(solveCtx, "solve")
-	res, err := prep.Run(solveCtx, ropts)
-	if err != nil {
-		solveSpan.End("algo", params.algo.DisplayName(), "err", err.Error())
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			obs.RecordSolveCanceled(s.reg, params.algo.DisplayName())
-		}
-		if errors.Is(err, par.ErrRetainedOverBudget) {
-			return nil, &httpError{http.StatusBadRequest,
-				fmt.Errorf("invalid budget %g: %w", params.budget, err)}
-		}
-		return nil, err
-	}
-	elapsed := solveSpan.End("algo", res.Algorithm, "score", res.Solution.Score, "trace_prefix", stats.TracePrefix,
-		"rescore_ms", durMS(res.RescoreTime), "bound_ms", durMS(res.BoundTime))
-	stats.ElapsedMS = durMS(elapsed)
-	stats.BoundMS = durMS(res.BoundTime)
-
-	obs.RecordSolve(s.reg, res.Algorithm, solveWorkers, prep.NumPhotos(),
-		stats.GainEvals, stats.PQPops, elapsed)
-	s.slo.Latency(obs.SLOSolveLatency).Observe(elapsed.Seconds())
-	if budget > 0 {
-		s.reg.Histogram("phocus_solve_budget_utilization", obs.RatioBuckets).
-			Observe(res.Solution.Cost / budget)
-	}
-	s.reg.Gauge("phocus_last_solve_score").Set(res.Solution.Score)
-	if res.OnlineBound > 0 {
-		s.reg.Histogram("phocus_solve_bound_ratio", obs.RatioBuckets).
-			Observe(res.Solution.Score / res.OnlineBound)
-	}
-
-	archive := res.Archived
+// newSolveResponse renders a pipeline answer in the wire format.
+func newSolveResponse(ctx context.Context, a *phocus.Answer) *solveResponse {
+	archive := a.Archived
 	if archive == nil {
 		archive = []par.PhotoID{}
 	}
-	// The fingerprint comes from the Prepared itself, not the cache key: a
-	// delta landing between the cache fetch and here would have evolved it.
-	fingerprint, _ := prep.Fingerprint()
 	return &solveResponse{
 		RequestID:   obs.RequestID(ctx),
-		Fingerprint: fingerprint,
-		Algorithm:   res.Algorithm,
-		Retain:      res.Solution.Photos,
+		Fingerprint: a.Fingerprint,
+		Algorithm:   a.Algorithm,
+		Retain:      a.Solution.Photos,
 		Archive:     archive,
-		Score:       res.Solution.Score,
-		Cost:        res.Solution.Cost,
-		Budget:      budget,
-		OnlineBound: res.OnlineBound,
-		Stats:       stats,
-	}, nil
+		Score:       a.Solution.Score,
+		Cost:        a.Solution.Cost,
+		Budget:      a.Budget,
+		OnlineBound: a.OnlineBound,
+		Stats: &solveStats{GainEvals: a.GainEvals, PQPops: a.PQPops, Winner: a.Winner, TracePrefix: a.TracePrefix,
+			Seeds: a.Seeds, BoundMS: obs.DurMS(a.BoundTime), ElapsedMS: obs.DurMS(a.Elapsed)},
+	}
 }

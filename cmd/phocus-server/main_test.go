@@ -981,9 +981,9 @@ func postAs(t *testing.T, url, tenant string, body []byte) (int, []byte) {
 
 // cacheDelta runs f and returns the prepare-cache hits and misses it added.
 func cacheDelta(s *server, f func()) (hits, misses int64) {
-	before := s.cache.Stats()
+	before := s.pipe.Cache.Stats()
 	f()
-	after := s.cache.Stats()
+	after := s.pipe.Cache.Stats()
 	return after.Hits - before.Hits, after.Misses - before.Misses
 }
 

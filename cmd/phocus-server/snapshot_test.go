@@ -158,14 +158,15 @@ func TestSnapshotCorruptQuarantine(t *testing.T) {
 }
 
 // TestSnapshotV1Quarantine installs a snapshot of an older format version
-// — version 1 (per-entry W·R slabs) or version 2 (similarity copies beside
-// the kernels), a file whose every checksum holds but whose version this
+// — version 1 (per-entry W·R slabs), version 2 (similarity copies beside
+// the kernels) or version 3 (no owning tenant in META), a file whose every
+// checksum holds but whose version this
 // build no longer reads — and restarts: the warm-fill must quarantine it
 // like any corrupt file, and the next /solve of the same body must answer
 // from a cold Prepare with the selection the first server computed and
 // write a current-version file back.
 func TestSnapshotV1Quarantine(t *testing.T) {
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			dir := t.TempDir()
 			body := instanceBody(t, 8.2).String()
@@ -267,7 +268,7 @@ func TestSnapshotCorruptRequestPaths(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if !s.cache.Remove(cold.Fingerprint) {
+			if !s.pipe.Cache.Remove(cold.Fingerprint) {
 				t.Fatal("the solved instance was not cached")
 			}
 			corrupt := s.reg.Counter("phocus_snapshot_corrupt_total")

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"phocus/internal/fleet"
 )
@@ -370,5 +371,147 @@ func TestReadyzRetryAfter(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("draining readyz Retry-After %q, want a positive number of seconds", ra)
+	}
+}
+
+// TestDeltaOwnerScoped is the tenant table of the fingerprint handles: alice
+// prepares an archive, and then alice, bob and the default tenant each send
+// one delta to its fingerprint, through POST /instances/{fp}/delta and
+// through a kind=session job, with the instance in the prepare cache or on
+// disk only (evicted by a second archive past a one-entry cache). Only the
+// owner's delta applies. Everyone else gets the unknown-fingerprint answer,
+// word for word, and the instance is left as it was: the owner's delta after
+// it still applies to the same fingerprint.
+func TestDeltaOwnerScoped(t *testing.T) {
+	body := instanceBody(t, 3.0).String()
+	for _, tenant := range []string{"alice", "bob", fleet.DefaultTenant} {
+		for _, where := range []string{"cached", "snapshot-only"} {
+			for _, path := range []string{"delta", "session"} {
+				t.Run(tenant+"/"+where+"/"+path, func(t *testing.T) {
+					dir := t.TempDir()
+					s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{
+						MaxBody: 256 << 20, Workers: 1, CacheEntries: 1, SnapshotDir: dir,
+					})
+					srv := httptest.NewServer(s.telemetry(s.mux(false)))
+					t.Cleanup(srv.Close)
+					waitFor(t, "warm-fill", func() bool { return s.snapWarmed.Load() })
+					code, out := postAs(t, srv.URL+"/solve", "alice", []byte(body))
+					if code != http.StatusOK {
+						t.Fatalf("alice solve: %d %s", code, out)
+					}
+					var solved solveResponse
+					if err := json.Unmarshal(out, &solved); err != nil {
+						t.Fatal(err)
+					}
+					fp := solved.Fingerprint
+					if where == "snapshot-only" {
+						waitFor(t, "alice's snapshot", func() bool { return len(snapFiles(t, dir)) == 1 })
+						if code, out := postAs(t, srv.URL+"/solve", "filler", []byte(body)); code != http.StatusOK {
+							t.Fatalf("filler solve: %d %s", code, out)
+						}
+						if got := s.reg.Counter("phocus_prepare_cache_evictions_total").Value(); got != 1 {
+							t.Fatalf("filler solve evicted %d entries, want alice's", got)
+						}
+					}
+
+					// apply sends the delta as tenant and returns the status with the
+					// body. A session job that fails stands for a 404 whose body is
+					// the job's error text, the text the endpoint would answer.
+					apply := func(tenant string) (int, string) {
+						t.Helper()
+						if path == "delta" {
+							code, out := postAs(t, srv.URL+"/instances/"+fp+"/delta", tenant, []byte(growDelta))
+							return code, string(out)
+						}
+						req, _ := http.NewRequest(http.MethodPost, srv.URL+"/jobs?kind=session&fp="+fp, strings.NewReader(growDelta))
+						req.Header.Set(fleet.TenantHeader, tenant)
+						resp, err := http.DefaultClient.Do(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var doc jobStatusDoc
+						err = json.NewDecoder(resp.Body).Decode(&doc)
+						resp.Body.Close()
+						if err != nil || resp.StatusCode != http.StatusAccepted {
+							t.Fatalf("session submit: %d %v", resp.StatusCode, err)
+						}
+						for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+							_, doc = getJobDoc(t, srv.URL, doc.ID)
+							switch doc.State {
+							case "done":
+								return http.StatusOK, ""
+							case "failed":
+								return http.StatusNotFound, doc.Error + "\n"
+							}
+						}
+						t.Fatalf("session job stuck at %q", doc.State)
+						return 0, ""
+					}
+
+					code, msg := apply(tenant)
+					if tenant == "alice" {
+						if code != http.StatusOK {
+							t.Fatalf("owner's delta: %d %s", code, msg)
+						}
+						return
+					}
+					want := fmt.Sprintf("no prepared instance for fingerprint %.12s… (prepare it via /solve or /jobs first)\n", fp)
+					if code != http.StatusNotFound || msg != want {
+						t.Errorf("%s's delta to alice's fingerprint: %d %q, want 404 %q", tenant, code, msg, want)
+					}
+					if code, msg := apply("alice"); code != http.StatusOK {
+						t.Errorf("alice's delta after %s's: %d %s", tenant, code, msg)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestJobListUnscopedDropsParams: the fleet-wide GET /jobs spans tenants, so
+// it must not show a job's params, which name a fingerprint (fp=…) for
+// session jobs. A tenant's own listing and the job's status document still
+// carry them.
+func TestJobListUnscopedDropsParams(t *testing.T) {
+	_, srv := jobsTestServer(t, serverConfig{Workers: 1})
+	code, out := postAs(t, srv.URL+"/solve", "alice", instanceBody(t, 3.0).Bytes())
+	if code != http.StatusOK {
+		t.Fatalf("solve: %d %s", code, out)
+	}
+	var solved solveResponse
+	if err := json.Unmarshal(out, &solved); err != nil {
+		t.Fatal(err)
+	}
+	query := "kind=session&fp=" + solved.Fingerprint
+	code, out = postAs(t, srv.URL+"/jobs?"+query, "alice", []byte(growDelta))
+	if code != http.StatusAccepted {
+		t.Fatalf("session submit: %d %s", code, out)
+	}
+	var job jobStatusDoc
+	if err := json.Unmarshal(out, &job); err != nil {
+		t.Fatal(err)
+	}
+
+	list := func(path string) jobListDoc {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc jobListDoc
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || len(doc.Jobs) != 1 {
+			t.Fatalf("GET %s: %d jobs, err %v", path, len(doc.Jobs), err)
+		}
+		return doc
+	}
+	if doc := list("/jobs"); doc.Jobs[0].Params != "" {
+		t.Errorf("unscoped listing shows params %q", doc.Jobs[0].Params)
+	}
+	if doc := list("/jobs?tenant=alice"); doc.Jobs[0].Params != query {
+		t.Errorf("alice's listing params %q, want %q", doc.Jobs[0].Params, query)
+	}
+	if _, doc := getJobDoc(t, srv.URL, job.ID); doc.Params != query {
+		t.Errorf("status document params %q, want %q", doc.Params, query)
 	}
 }

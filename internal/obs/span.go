@@ -99,6 +99,10 @@ func (s *Span) Name() string { return s.name }
 // ID returns the span's ID.
 func (s *Span) ID() string { return s.id }
 
+// DurMS renders d in milliseconds at microsecond resolution, as the wire
+// formats' *_ms fields carry durations.
+func DurMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
 // End emits the span's structured log event — name, req_id, span_id,
 // parent_id, duration, plus any extra attrs — and returns the duration.
 // When the span's context carried a TraceStore (WithTraceStore) the span is
@@ -111,7 +115,7 @@ func (s *Span) End(attrs ...any) time.Duration {
 			SpanID:     s.id,
 			ParentID:   s.parent,
 			Start:      s.start,
-			DurationMS: float64(d.Microseconds()) / 1000,
+			DurationMS: DurMS(d),
 			Attrs:      renderAttrs(attrs),
 		})
 	}

@@ -62,20 +62,6 @@ func NewPreparedCache(maxEntries int, maxBytes int64) *PreparedCache {
 	}
 }
 
-// Get returns the cached Prepared for the key, refreshing its recency.
-func (c *PreparedCache) Get(key string) (*Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.elems[key]
-	if !ok {
-		c.stats.Misses++
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	c.stats.Hits++
-	return el.Value.(*cacheEntry).prep, true
-}
-
 // Put inserts (or refreshes) a Prepared under the key and evicts least
 // recently used entries until the bounds hold again, returning how many
 // entries were evicted. Values too large for the byte bound are dropped

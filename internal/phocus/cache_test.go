@@ -2,6 +2,7 @@ package phocus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -12,6 +13,15 @@ import (
 	"phocus/internal/dataset"
 	"phocus/internal/par"
 )
+
+// probe looks key up without building on a miss: a GetOrPrepare whose build
+// fails, counted as a hit or a miss exactly as a request's probe is.
+func probe(c *PreparedCache, key string) (*Prepared, bool) {
+	p, hit, _, err := c.GetOrPrepare(key, func() (*Prepared, error) { return nil, errProbeMiss })
+	return p, hit && err == nil
+}
+
+var errProbeMiss = errors.New("probe miss")
 
 // preparedFixture builds a small Prepared for cache tests.
 func preparedFixture(t *testing.T) *Prepared {
@@ -36,11 +46,11 @@ func TestPreparedCacheEntryBound(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 	// "a" is the oldest and must be the victim.
-	if _, ok := c.Get("a"); ok {
+	if _, ok := probe(c, "a"); ok {
 		t.Error("oldest entry survived eviction")
 	}
 	for _, key := range []string{"b", "c"} {
-		if _, ok := c.Get(key); !ok {
+		if _, ok := probe(c, key); !ok {
 			t.Errorf("entry %q missing", key)
 		}
 	}
@@ -51,14 +61,14 @@ func TestPreparedCacheLRUOrder(t *testing.T) {
 	c := NewPreparedCache(2, 0)
 	c.Put("a", p)
 	c.Put("b", p)
-	if _, ok := c.Get("a"); !ok { // refresh "a": now "b" is the LRU victim
+	if _, ok := probe(c, "a"); !ok { // refresh "a": now "b" is the LRU victim
 		t.Fatal("warm entry missing")
 	}
 	c.Put("c", p)
-	if _, ok := c.Get("b"); ok {
+	if _, ok := probe(c, "b"); ok {
 		t.Error("refreshed entry evicted instead of the stale one")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := probe(c, "a"); !ok {
 		t.Error("recently used entry evicted")
 	}
 }
@@ -95,13 +105,13 @@ func TestPreparedCacheByteBound(t *testing.T) {
 func TestPreparedCacheStats(t *testing.T) {
 	p := preparedFixture(t)
 	c := NewPreparedCache(1, 0)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := probe(c, "a"); ok {
 		t.Fatal("empty cache hit")
 	}
 	c.Put("a", p)
-	c.Get("a")
+	probe(c, "a")
 	c.Put("b", p) // evicts "a"
-	c.Get("a")
+	probe(c, "a")
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 2 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 2 misses / 1 eviction", st)
@@ -215,7 +225,7 @@ func TestGetOrPrepareSingleflight(t *testing.T) {
 		t.Errorf("%d misses across the burst, want 1", misses)
 	}
 	// The value landed in the cache for later callers.
-	if got, ok := c.Get("k"); !ok || got != p {
+	if got, ok := probe(c, "k"); !ok || got != p {
 		t.Error("singleflight result not cached")
 	}
 }

@@ -184,6 +184,9 @@ type DeltaStats struct {
 	OldFingerprint, NewFingerprint string
 	// ApplyTime is the wall-clock cost of the apply (compaction included).
 	ApplyTime time.Duration
+	// Photos and SizeBytes are the instance's NumPhotos and SizeBytes after.
+	Photos    int
+	SizeBytes int64
 }
 
 // ---------------------------------------------------------------------------
@@ -764,6 +767,7 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 		p.sizeBytes = p.sizeBytesLocked()
 	}
 	stats.LiveFraction = p.base.Kernel().LiveFraction()
+	stats.Photos, stats.SizeBytes = p.base.NumPhotos(), p.sizeBytes
 	stats.ApplyTime = time.Since(start)
 	return stats, nil
 }

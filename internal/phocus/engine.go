@@ -106,6 +106,10 @@ type Prepared struct {
 	base   *par.Instance // finalized with budget = total cost
 	sparse []par.Subset  // τ-sparsified subsets; nil when Tau == 0
 	opts   PrepareOptions
+	// owner is the tenant whose request built the Prepared (see Pipeline).
+	// Like opts.Metrics it is not part of the fingerprint. It is set before
+	// the Prepared is shared and never changes: deltas and snapshots keep it.
+	owner string
 
 	// removed marks husked photo IDs (see delta.go); nil until the first
 	// ApplyDelta.

@@ -171,10 +171,10 @@ func TestSnapshotCrashBetweenDeltaAndResave(t *testing.T) {
 	if ws.Loaded != 1 || ws.Corrupt != 0 {
 		t.Fatalf("WarmFill loaded %d / corrupt %d, want 1 / 0", ws.Loaded, ws.Corrupt)
 	}
-	if _, ok := cache.Get(stats.NewFingerprint); ok {
+	if _, ok := probe(cache, stats.NewFingerprint); ok {
 		t.Fatal("post-churn fingerprint served from a warm fill that never saw the delta")
 	}
-	q, ok := cache.Get(oldFP)
+	q, ok := probe(cache, oldFP)
 	if !ok {
 		t.Fatal("pre-churn snapshot not recovered")
 	}
@@ -198,7 +198,7 @@ func TestPreparedCacheRemove(t *testing.T) {
 	if !cache.Remove("a") {
 		t.Fatal("Remove(a) = false, want true")
 	}
-	if _, ok := cache.Get("a"); ok {
+	if _, ok := probe(cache, "a"); ok {
 		t.Fatal("entry survived Remove")
 	}
 	if cache.UsedBytes() != 0 {

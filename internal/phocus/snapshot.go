@@ -12,7 +12,7 @@
 // Layout (all integers little-endian):
 //
 //	offset 0   magic "PHSNAP1\x00"                      8 bytes
-//	offset 8   version u32 (currently 3)                 4 bytes
+//	offset 8   version u32 (currently 4)                 4 bytes
 //	offset 12  section count N u32                       4 bytes
 //	offset 16  content fingerprint (raw sha256)         32 bytes
 //	offset 48  section table: N × {id u32, crc32c u32,
@@ -57,7 +57,7 @@ var ErrBadSnapshot = errors.New("bad snapshot")
 
 const (
 	snapMagic       = "PHSNAP1\x00"
-	snapVersion     = 3
+	snapVersion     = 4
 	snapHeaderFixed = 48 // magic + version + section count + raw fingerprint
 	snapTableEntry  = 24 // id + crc + offset + length
 	snapMaxSections = 64
@@ -261,6 +261,7 @@ type snapMeta struct {
 	origPairs   int64
 	sparsePairs int64
 	digest      string
+	owner       string
 	subNames    []string
 	subWeights  []float64
 	subMembers  []int
@@ -295,6 +296,7 @@ func encodeSnapMeta(p *Prepared) []byte {
 	u64(uint64(int64(p.OriginalPairs)))
 	u64(uint64(int64(p.SparsifiedPairs)))
 	str(p.opts.InstanceDigest)
+	str(p.owner)
 	for qi := range p.base.Subsets {
 		q := &p.base.Subsets[qi]
 		str(q.Name)
@@ -373,6 +375,7 @@ func decodeSnapMeta(b []byte) (*snapMeta, error) {
 	m.origPairs = int64(r.u64())
 	m.sparsePairs = int64(r.u64())
 	m.digest = r.str()
+	m.owner = r.str()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -722,6 +725,7 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		sparse:    sparseSubsets,
 		solveTmpl: solveTmpl,
 		removed:   removed,
+		owner:     m.owner,
 		opts: PrepareOptions{
 			Tau:            m.tau,
 			UseLSH:         m.useLSH,

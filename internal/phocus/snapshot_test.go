@@ -318,20 +318,20 @@ func snapSections(data []byte) ([]byte, []snapSection) {
 	return bytes.Clone(data[16:snapHeaderFixed]), secs
 }
 
-// TestSnapshotRejectsV1 pins the cut-overs to versions 2 and 3: version 1
+// TestSnapshotRejectsV1 pins the cut-overs to versions 2, 3 and 4: version 1
 // files stored a per-entry W·R slab per kernel, version 2 files a copy of
-// every similarity beside the kernels, and this build keeps no reader for
-// either. A file that says version 1 or 2 — with a header checksum that is
-// otherwise valid — fails with ErrBadSnapshot, which sends it down the
-// quarantine and cold-Prepare path. So does a version 3 file carrying one
-// of the retired section IDs.
+// every similarity beside the kernels, version 3 files no owning tenant, and
+// this build keeps no reader for any of them. A file that says version 1, 2
+// or 3 — with a header checksum that is otherwise valid — fails with
+// ErrBadSnapshot, which sends it down the quarantine and cold-Prepare path.
+// So does a current-version file carrying one of the retired section IDs.
 func TestSnapshotRejectsV1(t *testing.T) {
 	data := smallSnapshot(t)
 	if _, err := DecodeSnapshot(data); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		old := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(old[8:], version)
 		tableEnd := snapHeaderFixed + snapTableEntry*int(binary.LittleEndian.Uint32(old[12:]))
@@ -592,7 +592,7 @@ func TestSnapshotStore(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 2", cache.Len())
 	}
 	for _, fp := range fps {
-		if _, ok := cache.Get(fp); !ok {
+		if _, ok := probe(cache, fp); !ok {
 			t.Fatalf("fingerprint %.12s… missing from warm cache", fp)
 		}
 	}

@@ -18,7 +18,10 @@
 #      snapshot, a restarted server warm-fills the cache from it (readyz
 #      gated until then) and answers the same request as a cache hit with
 #      the same score; flipping one byte of the snapshot gets it
-#      quarantined and counted while the request still succeeds cold.
+#      quarantined and counted while the request still succeeds cold;
+#   6. fingerprints are owner-scoped handles: tenant alice's delta to the
+#      fingerprint of her own solve applies, tenant bob's to the same
+#      fingerprint gets the unknown-fingerprint 404.
 #
 # Requires: go toolchain. JSON is picked apart with sed/grep so the script
 # runs on a bare CI image. The report lands at $LOADGEN_REPORT (default
@@ -188,15 +191,20 @@ wait_snap || fail "cold fallback never re-persisted a snapshot"
 echo "    quarantined $(basename "$SNAP"); fallback answered $FALLBACK_SCORE"
 stop_server
 
-echo "==> delta churn: fingerprint evolves, stale handle 404s, snapshot follows"
+echo "==> delta churn: owner-scoped handle, fingerprint evolves, stale handle 404s, snapshot follows"
 start_snap_server "$WORKDIR/churn.log"
-RESP=$(curl -s -XPOST --data-binary @"$WORKDIR/inst.json" "$BASE/solve?tau=0.6") \
+ALICE=(-H "X-Phocus-Tenant: alice")
+RESP=$(curl -s "${ALICE[@]}" -XPOST --data-binary @"$WORKDIR/inst.json" "$BASE/solve?tau=0.6") \
   || fail "pre-churn solve failed"
 FP=$(echo "$RESP" | sed -n 's/.*"fingerprint":"\([0-9a-f]\{64\}\)".*/\1/p')
 [ -n "$FP" ] || fail "solve response carried no fingerprint: $RESP"
 
 DELTA='{"add":[{"cost":1.2,"memberships":[{"subset":0,"relevance":0.4}]}]}'
-DRESP=$(curl -s -XPOST -d "$DELTA" "$BASE/instances/$FP/delta") \
+# Another tenant holding alice's fingerprint gets the unknown-fingerprint
+# answer, and nothing changes.
+FOREIGN=$(curl -s -o /dev/null -w '%{http_code}' -H "X-Phocus-Tenant: bob" -XPOST -d "$DELTA" "$BASE/instances/$FP/delta")
+[ "$FOREIGN" = 404 ] || fail "bob's delta to alice's fingerprint answered $FOREIGN, want 404"
+DRESP=$(curl -s "${ALICE[@]}" -XPOST -d "$DELTA" "$BASE/instances/$FP/delta") \
   || fail "delta request failed"
 NEWFP=$(echo "$DRESP" | sed -n 's/.*"new_fingerprint":"\([0-9a-f]\{64\}\)".*/\1/p')
 [ -n "$NEWFP" ] || fail "delta response carried no new fingerprint: $DRESP"
@@ -204,13 +212,13 @@ NEWFP=$(echo "$DRESP" | sed -n 's/.*"new_fingerprint":"\([0-9a-f]\{64\}\)".*/\1/
 metric_ge phocus_delta_apply_total 1 "delta apply was not counted"
 
 # The pre-churn handle must stop resolving the moment the instance evolves.
-STALE=$(curl -s -o /dev/null -w '%{http_code}' -XPOST -d "$DELTA" "$BASE/instances/$FP/delta")
+STALE=$(curl -s -o /dev/null -w '%{http_code}' "${ALICE[@]}" -XPOST -d "$DELTA" "$BASE/instances/$FP/delta")
 [ "$STALE" = 404 ] || fail "stale fingerprint answered $STALE, want 404"
 
 # Chaining a second batch onto the evolved handle keeps working, and the
 # snapshot dir converges to exactly the post-churn fingerprint: stale
 # snapshots removed, the final one persisted (async, so poll).
-CRESP=$(curl -s -XPOST -d "$DELTA" "$BASE/instances/$NEWFP/delta") \
+CRESP=$(curl -s "${ALICE[@]}" -XPOST -d "$DELTA" "$BASE/instances/$NEWFP/delta") \
   || fail "chained delta request failed"
 FINALFP=$(echo "$CRESP" | sed -n 's/.*"new_fingerprint":"\([0-9a-f]\{64\}\)".*/\1/p')
 [ -n "$FINALFP" ] || fail "chained delta carried no new fingerprint: $CRESP"
@@ -223,7 +231,7 @@ for _ in $(seq 1 100); do
 done
 [ -f "$SNAPDIR/$FINALFP.snap" ] || fail "post-churn snapshot never persisted"
 [ ! -f "$SNAPDIR/$FP.snap" ] || fail "pre-churn snapshot was not invalidated"
-echo "    fingerprint ${FP:0:12}… → ${NEWFP:0:12}… → ${FINALFP:0:12}…; stale handles 404, snapshot replaced"
+echo "    fingerprint ${FP:0:12}… → ${NEWFP:0:12}… → ${FINALFP:0:12}…; bob's and stale handles 404, snapshot replaced"
 stop_server
 
 echo "PASS: loadgen run clean, schedule deterministic, SLO gate enforced, warm restart + quarantine + delta churn verified ($REPORT)"
