@@ -717,7 +717,11 @@ func BenchmarkKernelV2(b *testing.B) {
 // (5000 photos). Each op finalizes a fresh shallow view of the decoded
 // subsets, the way Prepare finalizes its base view, so no iteration reuses
 // an occurrence index. Run with -benchmem: the compile's allocations are
-// the memory every finalized instance would carry. The covers cell prices
+// the memory every finalized instance would carry. The prepare cell is a
+// whole cold phocus.Prepare at τ 0.4 of the same instance — the server's
+// wire path on P-1K, the engine's path over the generator's vector
+// similarities on P-100K — finalize, true kernel, exact sparsification
+// over its rows and the sparse kernel. The covers cell prices
 // the cover index the first bounded Run builds on the compiled kernel:
 // each op reassembles a fresh kernel over the compiled slabs untimed, then
 // builds its index.
@@ -764,6 +768,15 @@ func BenchmarkFinalizeCompile(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if k := par.CompileKernel(finalize(b)); k.Rows() == 0 {
 					b.Fatal("empty kernel")
+				}
+			}
+		})
+		b.Run(tc.name+"/prepare", func(b *testing.B) {
+			in := &dataset.Dataset{Instance: inst}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := phocus.Prepare(context.Background(), in, phocus.PrepareOptions{Tau: 0.4}); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -459,6 +461,13 @@ func TestDeltaOwnerScoped(t *testing.T) {
 					if code != http.StatusNotFound || msg != want {
 						t.Errorf("%s's delta to alice's fingerprint: %d %q, want 404 %q", tenant, code, msg, want)
 					}
+					// The 404 loaded alice's snapshot but kept it out of the
+					// cache: the filler's entry stays, and nothing is evicted.
+					if where == "snapshot-only" {
+						if n, ev := s.pipe.Cache.Len(), s.reg.Counter("phocus_prepare_cache_evictions_total").Value(); n != 1 || ev != 1 {
+							t.Errorf("after %s's 404: %d cache entries and %d evictions, want the filler's 1 and 1", tenant, n, ev)
+						}
+					}
 					if code, msg := apply("alice"); code != http.StatusOK {
 						t.Errorf("alice's delta after %s's: %d %s", tenant, code, msg)
 					}
@@ -513,5 +522,72 @@ func TestJobListUnscopedDropsParams(t *testing.T) {
 	}
 	if _, doc := getJobDoc(t, srv.URL, job.ID); doc.Params != query {
 		t.Errorf("status document params %q, want %q", doc.Params, query)
+	}
+}
+
+// TestOwnerSolveRacesForeignDelta: alice's solve and bob's delta reach one
+// snapshot-only fingerprint at once, round after round. Bob's delta may
+// start the snapshot load that alice's solve joins; bob must get the 404
+// and alice her 200 either way, never the 404 of bob's build.
+func TestOwnerSolveRacesForeignDelta(t *testing.T) {
+	body := instanceBody(t, 3.0).Bytes()
+	dir := t.TempDir()
+	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{
+		MaxBody: 256 << 20, Workers: 1, CacheEntries: 1, SnapshotDir: dir,
+	})
+	srv := httptest.NewServer(s.telemetry(s.mux(false)))
+	t.Cleanup(srv.Close)
+	waitFor(t, "warm-fill", func() bool { return s.snapWarmed.Load() })
+	code, out := postAs(t, srv.URL+"/solve", "alice", body)
+	if code != http.StatusOK {
+		t.Fatalf("alice solve: %d %s", code, out)
+	}
+	var solved solveResponse
+	if err := json.Unmarshal(out, &solved); err != nil {
+		t.Fatal(err)
+	}
+	fp := solved.Fingerprint
+	waitFor(t, "alice's snapshot", func() bool { return len(snapFiles(t, dir)) == 1 })
+
+	// post is postAs for a goroutine other than the test's.
+	post := func(url, tenant string, body []byte) (int, error) {
+		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		req.Header.Set(fleet.TenantHeader, tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		_, err = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, err
+	}
+	for round := 0; round < 8; round++ {
+		// The filler's entry evicts alice's: her fingerprint is
+		// snapshot-only again.
+		if code, out := postAs(t, srv.URL+"/solve", "filler", body); code != http.StatusOK {
+			t.Fatalf("round %d: filler solve: %d %s", round, code, out)
+		}
+		var wg sync.WaitGroup
+		var bobCode, aliceCode int
+		var bobErr, aliceErr error
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			bobCode, bobErr = post(srv.URL+"/instances/"+fp+"/delta", "bob", []byte(growDelta))
+		}()
+		go func() {
+			defer wg.Done()
+			aliceCode, aliceErr = post(srv.URL+"/solve", "alice", body)
+		}()
+		wg.Wait()
+		if bobErr != nil || aliceErr != nil {
+			t.Fatalf("round %d: bob %v, alice %v", round, bobErr, aliceErr)
+		}
+		if bobCode != http.StatusNotFound || aliceCode != http.StatusOK {
+			t.Fatalf("round %d: bob's delta %d, alice's solve %d; want 404 and 200", round, bobCode, aliceCode)
+		}
 	}
 }

@@ -2,8 +2,11 @@ package par
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
+
+	"phocus/internal/pool"
 )
 
 // Kernel is the compiled gain kernel: the entire marginal-gain/add hot path
@@ -76,12 +79,26 @@ type Kernel struct {
 // Over subsets that hold views of another kernel (SetKernelSims) it is one
 // linear pass over that kernel's live entries, which is how an overlaid
 // kernel is compacted back to the canonical layout.
-func CompileKernel(inst *Instance) *Kernel {
+//
+// The rows are spread over one worker per CPU, in runs of about equal cost
+// (a large subset's rows split over several runs), and every slab is
+// allocated once, at its final size. A first pass sizes the rows: it reads
+// the row lengths of SparseSim and kernel views, lists the rows of other
+// NeighborLister similarities, and computes each row of any other
+// similarity into a buffer the second pass reads instead of calling Sim
+// again. The second pass fills each row's span of the slabs. A row's
+// entries depend on that row alone, so the slabs are the same, == for ==,
+// at every worker count.
+func CompileKernel(inst *Instance) *Kernel { return compileKernel(inst, 0) }
+
+// compileKernel is CompileKernel over up to workers goroutines (≤ 0 means
+// one per CPU).
+func compileKernel(inst *Instance, workers int) *Kernel {
 	if inst.occ == nil {
 		panic("par: CompileKernel before Finalize")
 	}
 	nSub := len(inst.Subsets)
-	subOff := make([]int32, nSub)
+	subOff := make([]int32, nSub+1)
 	rows := 0
 	k := &Kernel{photos: inst.NumPhotos(), rowLen: make([]int32, nSub)}
 	for qi := range inst.Subsets {
@@ -93,43 +110,92 @@ func CompileKernel(inst *Instance) *Kernel {
 	if rows > 1<<31-2 {
 		panic("par: CompileKernel instance exceeds 2^31 similarity rows")
 	}
+	subOff[nSub] = int32(rows)
+	runs := rowRuns(inst, subOff, pool.Resolve(workers))
 
-	k.rowStart = append(make([]int64, 0, rows+1), 0)
-	k.slotWR = make([]float64, 0, rows)
-	var row []Neighbor
-	for qi := range inst.Subsets {
+	// Pass 1: slot weights and row lengths, each length parked at
+	// rowStart[r+1] until the prefix sum turns the lengths into offsets.
+	k.rowStart = make([]int64, rows+1)
+	k.slotWR = make([]float64, rows)
+	simRows := make([][]float64, rows)
+	eachRun(inst, subOff, runs, workers, func(qi, lo, hi int) {
 		q := &inst.Subsets[qi]
-		for mi := range q.Members {
-			k.slotWR = append(k.slotWR, q.Weight*q.Relevance[mi])
+		off := int(subOff[qi])
+		for i := lo; i < hi; i++ {
+			k.slotWR[off+i] = q.Weight * q.Relevance[i]
 		}
-		off := subOff[qi]
-		if nl, ok := q.Sim.(NeighborLister); ok {
-			for i := range q.Members {
-				row = nl.AppendNeighbors(row[:0], i)
-				for _, nb := range row {
-					k.nbrIdx = append(k.nbrIdx, off+int32(nb.Index))
-					k.nbrSim = append(k.nbrSim, nb.Sim)
-				}
-				k.rowStart = append(k.rowStart, int64(len(k.nbrIdx)))
+		lens := k.rowStart[off+1+lo : off+1+hi]
+		switch sim := q.Sim.(type) {
+		case neighborCounter:
+			for i := range lens {
+				lens[i] = int64(sim.neighborCount(lo + i))
 			}
-			continue
-		}
-		members := len(q.Members)
-		for i := 0; i < members; i++ {
-			for mi := 0; mi < members; mi++ {
-				// Zero-similarity entries can never satisfy sim > best
-				// (best ≥ 0 always), so dropping them changes no sum.
-				if s := q.Sim.Sim(mi, i); s > 0 {
-					k.nbrIdx = append(k.nbrIdx, off+int32(mi))
-					k.nbrSim = append(k.nbrSim, s)
-				}
+		case NeighborLister:
+			var row []Neighbor
+			for i := range lens {
+				row = sim.AppendNeighbors(row[:0], lo+i)
+				lens[i] = int64(len(row))
 			}
-			k.rowStart = append(k.rowStart, int64(len(k.nbrIdx)))
+		default:
+			members := len(q.Members)
+			for i := lo; i < hi; i++ {
+				// Row i holds Sim(mi, i) for every member mi, the
+				// orientation in which adding member i covers slot mi.
+				row := make([]float64, members)
+				n := 0
+				for mi := range row {
+					row[mi] = sim.Sim(mi, i)
+					if row[mi] > 0 {
+						n++
+					}
+				}
+				simRows[off+i], lens[i-lo] = row, int64(n)
+			}
 		}
+	})
+	for r := 0; r < rows; r++ {
+		k.rowStart[r+1] += k.rowStart[r]
 	}
+
+	// Pass 2: each row fills its own span of the entry slabs.
+	entries := k.rowStart[rows]
+	k.nbrIdx = make([]int32, entries)
+	k.nbrSim = make([]float64, entries)
+	eachRun(inst, subOff, runs, workers, func(qi, lo, hi int) {
+		q := &inst.Subsets[qi]
+		off := subOff[qi]
+		nl, lister := q.Sim.(NeighborLister)
+		var row []Neighbor
+		for i := lo; i < hi; i++ {
+			r := int(off) + i
+			t := k.rowStart[r]
+			if !lister {
+				for mi, s := range simRows[r] {
+					// Zero-similarity entries can never satisfy sim > best
+					// (best ≥ 0 always), so dropping them changes no sum.
+					if s > 0 {
+						k.nbrIdx[t] = off + int32(mi)
+						k.nbrSim[t] = s
+						t++
+					}
+				}
+				continue
+			}
+			row = nl.AppendNeighbors(row[:0], i)
+			if int64(len(row)) != k.rowStart[r+1]-t {
+				panic("par: CompileKernel: a row's listing changed length between passes")
+			}
+			for _, nb := range row {
+				k.nbrIdx[t] = off + int32(nb.Index)
+				k.nbrSim[t] = nb.Sim
+				t++
+			}
+		}
+	})
 
 	n := inst.NumPhotos()
 	k.occStart = make([]int32, n+1)
+	k.occRow = make([]int32, 0, rows)
 	for p := 0; p < n; p++ {
 		k.occStart[p] = int32(len(k.occRow))
 		for _, oc := range inst.occ[p] {
@@ -138,6 +204,59 @@ func CompileKernel(inst *Instance) *Kernel {
 	}
 	k.occStart[n] = int32(len(k.occRow))
 	return k
+}
+
+// neighborCounter is a NeighborLister that reads a row's length without
+// listing it, so CompileKernel sizes the row before it copies it.
+type neighborCounter interface {
+	NeighborLister
+	neighborCount(i int) int
+}
+
+// compileRunCost is the least cost, in member pairs, of one run of rows
+// handed to a compile worker, so that a small instance compiles on the
+// calling goroutine.
+const compileRunCost = 1 << 16
+
+// rowRuns cuts the rows [0, subOff[nSub]) into runs for workers to compile,
+// returned as their boundaries (runs[i] .. runs[i+1]). A row of a k-member
+// subset costs k: at most k Sim calls, or a row of at most k entries. Each
+// run costs about an eighth of a worker's share, and no less than
+// compileRunCost, so the largest subset's rows spread over every worker.
+func rowRuns(inst *Instance, subOff []int32, workers int) []int32 {
+	var total int64
+	for qi := range inst.Subsets {
+		m := int64(len(inst.Subsets[qi].Members))
+		total += m * m
+	}
+	target := max(total/int64(8*workers), compileRunCost)
+	runs := []int32{0}
+	var cost int64
+	for qi := range inst.Subsets {
+		m := len(inst.Subsets[qi].Members)
+		for i := 0; i < m; i++ {
+			if cost >= target {
+				runs = append(runs, subOff[qi]+int32(i))
+				cost = 0
+			}
+			cost += int64(m)
+		}
+	}
+	return append(runs, subOff[len(inst.Subsets)])
+}
+
+// eachRun calls fn(qi, lo, hi) for the members [lo, hi) of subset qi, over
+// every subset's share of every run, fanning the runs out over up to
+// workers goroutines.
+func eachRun(inst *Instance, subOff []int32, runs []int32, workers int, fn func(qi, lo, hi int)) {
+	pool.ForEach(len(runs)-1, workers, func(ri int) {
+		lo, hi := runs[ri], runs[ri+1]
+		// The subset holding row lo.
+		qi := sort.Search(len(inst.Subsets), func(q int) bool { return subOff[q+1] > lo })
+		for ; qi < len(inst.Subsets) && subOff[qi] < hi; qi++ {
+			fn(qi, int(max(lo, subOff[qi])-subOff[qi]), int(min(hi, subOff[qi+1])-subOff[qi]))
+		}
+	})
 }
 
 // gain computes the marginal gain of adding p against the flat best array,

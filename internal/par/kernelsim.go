@@ -93,6 +93,35 @@ func (v *kernelSim) Sim(i, j int) float64 {
 	return 0
 }
 
+// live reports whether an entry of row r, targeting row ix with similarity
+// s, belongs to the view's similarity.
+func (v *kernelSim) live(r, ix int32, s float64) bool {
+	return s != 0 && (ix == r || !v.dead(ix))
+}
+
+// neighborCount returns the length of member i's live row.
+func (v *kernelSim) neighborCount(i int) int {
+	k := v.k
+	r := v.row(i)
+	if k.ov == nil {
+		return int(k.rowStart[r+1] - k.rowStart[r])
+	}
+	n := 0
+	if int(r) < k.Rows() {
+		for t := k.rowStart[r]; t < k.rowStart[r+1]; t++ {
+			if v.live(r, k.nbrIdx[t], k.nbrSim[t]) {
+				n++
+			}
+		}
+	}
+	for _, e := range k.ov.extra[r] {
+		if v.live(r, e.idx, e.sim) {
+			n++
+		}
+	}
+	return n
+}
+
 // AppendNeighbors appends member i's live row to dst, in ascending member
 // order.
 func (v *kernelSim) AppendNeighbors(dst []Neighbor, i int) []Neighbor {
@@ -100,14 +129,14 @@ func (v *kernelSim) AppendNeighbors(dst []Neighbor, i int) []Neighbor {
 	r := v.row(i)
 	if int(r) < k.Rows() {
 		for t := k.rowStart[r]; t < k.rowStart[r+1]; t++ {
-			if ix, s := k.nbrIdx[t], k.nbrSim[t]; s != 0 && (ix == r || !v.dead(ix)) {
+			if ix, s := k.nbrIdx[t], k.nbrSim[t]; v.live(r, ix, s) {
 				dst = append(dst, Neighbor{Index: v.member(ix), Sim: s})
 			}
 		}
 	}
 	if k.ov != nil {
 		for _, e := range k.ov.extra[r] {
-			if e.sim != 0 && (e.idx == r || !v.dead(e.idx)) {
+			if v.live(r, e.idx, e.sim) {
 				dst = append(dst, Neighbor{Index: v.member(e.idx), Sim: e.sim})
 			}
 		}

@@ -139,6 +139,8 @@ func (s *SparseSim) AppendNeighbors(dst []Neighbor, i int) []Neighbor {
 	return append(dst, s.rows[i]...)
 }
 
+func (s *SparseSim) neighborCount(i int) int { return len(s.rows[i]) }
+
 // Add records similarity sim for the unordered pair {i, j} in both rows,
 // keeping the rows sorted. Re-adding a pair panics like the other
 // construction errors: a duplicate entry would silently double-count the

@@ -166,10 +166,18 @@ type Prepared struct {
 }
 
 // Prepare runs the Data Representation stage on a dataset: it finalizes a
-// budget-free view of the instance and, when opts.Tau > 0, τ-sparsifies the
-// similarity structure (exact all-pairs, or SimHash candidates when
-// opts.UseLSH and the dataset carries CtxVectors). S0 is the instance's own
-// retained set.
+// budget-free view of the instance, compiles its true gain kernel and, when
+// opts.Tau > 0, τ-sparsifies the similarity structure (exact, or SimHash
+// candidates when opts.UseLSH and the dataset carries CtxVectors) and
+// compiles the sparsified kernel. S0 is the instance's own retained set.
+//
+// The true kernel is compiled first, and the base subsets hold views of it
+// before they are sparsified: the exact path then walks the kernel's rows
+// instead of calling Sim on every pair, so each similarity of the dataset
+// is computed once, by the compile. The result is the one sparsifying the
+// dataset's own similarities first would give, slab for slab and byte for
+// byte: the views read back exactly the positive similarities the subsets
+// hold, which par.Similarity requires to be symmetric.
 func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -177,22 +185,29 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 	start := time.Now()
 	inst := ds.Instance
 	// The base view carries budget = total cost so every retained set
-	// finalizes; Run re-finalizes against the requested budget.
+	// finalizes; Run re-finalizes against the requested budget. Its subsets
+	// slice is a clone, so pointing its Sims at the kernel leaves the
+	// caller's dataset its similarities.
 	base := &par.Instance{
 		Cost:     inst.Cost,
 		Retained: inst.Retained,
 		Budget:   inst.TotalCost(),
-		Subsets:  inst.Subsets,
+		Subsets:  slices.Clone(inst.Subsets),
 	}
 	if err := base.Finalize(); err != nil {
 		return nil, fmt.Errorf("phocus: %w", err)
 	}
+	if opts.Tau > 0 && opts.UseLSH && len(ds.CtxVectors) == 0 {
+		return nil, ErrNoCtxVectors
+	}
 
+	// Both kernels are compiled here, so the first Run pays for neither, and
+	// become their subsets' similarities.
+	kt := time.Now()
+	par.SetKernelSims(base.Subsets, base.Kernel())
 	p := &Prepared{base: base, opts: opts}
+	p.KernelBuildTime = time.Since(kt)
 	if opts.Tau > 0 {
-		if opts.UseLSH && len(ds.CtxVectors) == 0 {
-			return nil, ErrNoCtxVectors
-		}
 		var sres sparsify.Result
 		var err error
 		if opts.UseLSH {
@@ -208,20 +223,13 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 		p.solveTmpl = sres.Instance
 		p.OriginalPairs = sres.PairsBefore
 		p.SparsifiedPairs = sres.PairsAfter
-	}
-	// Compile both kernels now, so the first Run pays for neither, and make
-	// them the subsets' similarities. The sparsified instance shares
-	// Cost/Retained with base and is already finalized, so its kernel serves
-	// every budgeted view Run builds over p.sparse. The base subsets slice
-	// is the caller's: clone it before pointing its Sims at the kernel, so
-	// the caller's dataset keeps its similarities.
-	kt := time.Now()
-	if p.solveTmpl != nil {
+		// The sparsified instance shares Cost/Retained with base and is
+		// already finalized, so its kernel serves every budgeted view Run
+		// builds over p.sparse.
+		kt = time.Now()
 		par.SetKernelSims(p.sparse, p.solveTmpl.Kernel())
+		p.KernelBuildTime += time.Since(kt)
 	}
-	base.Subsets = slices.Clone(base.Subsets)
-	par.SetKernelSims(base.Subsets, base.Kernel())
-	p.KernelBuildTime = time.Since(kt)
 	if opts.Metrics != nil {
 		obs.RecordKernelBuild(opts.Metrics, p.KernelBuildTime)
 	}

@@ -72,6 +72,8 @@ type Pipeline struct {
 	// batches on one instance would otherwise race to remove each other's
 	// fingerprints).
 	deltaMu sync.Mutex
+	// saves counts the snapshot write-backs of cold builds still in flight.
+	saves sync.WaitGroup
 }
 
 // SolveRequest is one solve by body. The decode span starts at Start, when
@@ -313,37 +315,73 @@ func (pl *Pipeline) Apply(ctx context.Context, tenant, fp string, body []byte) (
 // resolve is the one lookup of a Prepared by fingerprint that both entries
 // share: one cache probe, then on a miss the snapshot store, then, when cold
 // is non-nil, a cold build that records tenant as the Prepared's owner and
-// writes its snapshot back off the request path. A Prepared that another
-// tenant owns resolves exactly like a fingerprint nobody holds. hit reports
-// whether the cache, or a concurrent build it joined, answered.
+// writes its snapshot back off the request path (see build). A Prepared
+// that another tenant owns resolves exactly like a fingerprint nobody
+// holds, and a snapshot another tenant owns never enters the cache. hit
+// reports whether the cache, or a concurrent build it joined, answered.
 func (pl *Pipeline) resolve(ctx context.Context, fp, tenant string, cold func() (*Prepared, error)) (*Prepared, bool, error) {
-	prep, hit, evicted, err := pl.Cache.GetOrPrepare(fp, func() (*Prepared, error) {
-		if p := pl.loadSnapshot(ctx, fp); p != nil {
-			return p, nil
-		}
-		if cold == nil {
-			return nil, unknownFingerprint(fp)
-		}
-		p, err := cold()
+	for {
+		prep, hit, evicted, err := pl.Cache.GetOrPrepare(fp, func() (*Prepared, error) {
+			return pl.build(ctx, fp, tenant, cold)
+		})
+		obs.RecordPrepareCacheEvictions(pl.Metrics, int64(evicted))
+		// The owner that joined a non-owner's build, which turned the
+		// owner's snapshot away, builds again rather than inherit the 404.
 		if err != nil {
-			return nil, err
+			var no notOwner
+			if errors.As(err, &no) && no.owner == tenant {
+				continue
+			}
 		}
-		p.owner = tenant
-		if pl.Snapshots != nil {
-			// The response does not wait on disk; a failed write only
-			// costs the next restart a cold start.
-			go pl.saveSnapshot(fp, p)
+		// A hit, or a joined build, can still be another tenant's Prepared:
+		// every waiter on a build gets its result.
+		if err == nil && prep.owner != tenant {
+			return nil, false, unknownFingerprint(fp)
+		}
+		return prep, hit, err
+	}
+}
+
+// build is resolve's cache-miss path for tenant: the snapshot of fp, then
+// cold. A snapshot another tenant owns is rejected here, inside the build,
+// so a non-owner's request inserts nothing into the cache and evicts
+// nothing.
+func (pl *Pipeline) build(ctx context.Context, fp, tenant string, cold func() (*Prepared, error)) (*Prepared, error) {
+	if p := pl.loadSnapshot(ctx, fp); p != nil {
+		if p.owner != tenant {
+			return nil, notOwner{unknownFingerprint(fp), p.owner}
 		}
 		return p, nil
-	})
-	obs.RecordPrepareCacheEvictions(pl.Metrics, int64(evicted))
-	// Checked after the probe, not in the build: every waiter on a build
-	// gets its result, and the owner must not inherit another tenant's 404.
-	if err == nil && prep.owner != tenant {
-		return nil, false, unknownFingerprint(fp)
 	}
-	return prep, hit, err
+	if cold == nil {
+		return nil, unknownFingerprint(fp)
+	}
+	p, err := cold()
+	if err != nil {
+		return nil, err
+	}
+	p.owner = tenant
+	if pl.Snapshots != nil {
+		// The response does not wait on disk; a failed write only costs the
+		// next restart a cold start.
+		pl.saves.Add(1)
+		go func() {
+			defer pl.saves.Done()
+			pl.saveSnapshot(fp, p)
+		}()
+	}
+	return p, nil
 }
+
+// notOwner is resolve's build error for a snapshot whose owner is not the
+// tenant that started the build. It reads as the unknown-fingerprint error;
+// owner tells the build's other waiters whether the snapshot was theirs.
+type notOwner struct {
+	error
+	owner string
+}
+
+func (e notOwner) Unwrap() error { return e.error }
 
 // loadSnapshot returns the persisted Prepared for fp, or nil when the store
 // holds no usable one. A flipped byte anywhere in the file fails a checksum

@@ -48,6 +48,9 @@ func testPipeline(t *testing.T, dir string) *Pipeline {
 			t.Fatal(err)
 		}
 		pl.Snapshots = store
+		// Cold builds write their snapshots back in the background; let
+		// them land before dir is removed.
+		t.Cleanup(pl.saves.Wait)
 	}
 	return pl
 }
@@ -353,4 +356,58 @@ func TestPipelineConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestPipelineOwnerJoinsForeignBuild: a non-owner's delta to a
+// snapshot-only fingerprint loads the snapshot but inserts nothing into the
+// cache and evicts nothing, and the owner's request that joined that build
+// builds again and gets its instance instead of the non-owner's 404. The
+// non-owner's build is held open until the owner's resolve has had time to
+// join it.
+func TestPipelineOwnerJoinsForeignBuild(t *testing.T) {
+	body, inst, budget := pipelineArchive(t)
+	dir := t.TempDir()
+	fp := solveAs(t, testPipeline(t, dir), "alice", body, budget).Fingerprint
+	waitSnapshot(t, testPipeline(t, dir), fp)
+	want := coldRun(t, inst, budget)
+
+	pl := testPipeline(t, dir)
+	evictions := pl.Metrics.Counter("phocus_prepare_cache_evictions_total")
+	_, _, err := pl.resolve(pipeCtx(), fp, "bob", nil)
+	requireUnknown(t, "bob alone", fp, err)
+	if n, ev := pl.Cache.Len(), evictions.Value(); n != 0 || ev != 0 {
+		t.Fatalf("bob's 404 left %d cache entries and %d evictions, want none", n, ev)
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	bobErr := make(chan error, 1)
+	go func() {
+		_, _, _, err := pl.Cache.GetOrPrepare(fp, func() (*Prepared, error) {
+			close(started)
+			<-release
+			return pl.build(pipeCtx(), fp, "bob", nil)
+		})
+		bobErr <- err
+	}()
+	<-started
+	type resolved struct {
+		p   *Prepared
+		err error
+	}
+	alice := make(chan resolved, 1)
+	go func() {
+		p, _, err := pl.resolve(pipeCtx(), fp, "alice", nil)
+		alice <- resolved{p, err}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	requireUnknown(t, "bob's build", fp, <-bobErr)
+	got := <-alice
+	if got.err != nil {
+		t.Fatalf("alice, joined to bob's build: %v", got.err)
+	}
+	if got.p.owner != "alice" || pl.Cache.Len() != 1 {
+		t.Fatalf("alice resolved owner %q with %d cache entries, want her own and one", got.p.owner, pl.Cache.Len())
+	}
+	sameResult(t, "alice after bob's build", runAs(t, pl, "alice", fp, budget), want)
 }
