@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"phocus/internal/fleet"
+	"phocus/internal/obs"
 )
 
 // shardedServer builds a server that believes it is shard self of a 3-shard
@@ -382,8 +383,8 @@ func TestReadyzRetryAfter(t *testing.T) {
 // through a kind=session job, with the instance in the prepare cache or on
 // disk only (evicted by a second archive past a one-entry cache). Only the
 // owner's delta applies. Everyone else gets the unknown-fingerprint answer,
-// word for word, and the instance is left as it was: the owner's delta after
-// it still applies to the same fingerprint.
+// word for word, without a snapshot load, and the instance is left as it
+// was: the owner's delta after it still applies to the same fingerprint.
 func TestDeltaOwnerScoped(t *testing.T) {
 	body := instanceBody(t, 3.0).String()
 	for _, tenant := range []string{"alice", "bob", fleet.DefaultTenant} {
@@ -450,6 +451,9 @@ func TestDeltaOwnerScoped(t *testing.T) {
 						return 0, ""
 					}
 
+					loads := s.reg.Histogram("phocus_snapshot_load_seconds", obs.DefBuckets)
+					corrupt := s.reg.Counter("phocus_snapshot_corrupt_total")
+					loaded, corrupted := loads.Count(), corrupt.Value()
 					code, msg := apply(tenant)
 					if tenant == "alice" {
 						if code != http.StatusOK {
@@ -461,8 +465,13 @@ func TestDeltaOwnerScoped(t *testing.T) {
 					if code != http.StatusNotFound || msg != want {
 						t.Errorf("%s's delta to alice's fingerprint: %d %q, want 404 %q", tenant, code, msg, want)
 					}
-					// The 404 loaded alice's snapshot but kept it out of the
-					// cache: the filler's entry stays, and nothing is evicted.
+					// The 404 read only the owner of alice's snapshot: it
+					// loaded nothing, found nothing corrupt and kept the
+					// cache as it was — the filler's entry stays, and nothing
+					// is evicted.
+					if n, c := loads.Count(), corrupt.Value(); n != loaded || c != corrupted {
+						t.Errorf("after %s's 404: %d snapshot loads and %d corrupt, want %d and %d", tenant, n, c, loaded, corrupted)
+					}
 					if where == "snapshot-only" {
 						if n, ev := s.pipe.Cache.Len(), s.reg.Counter("phocus_prepare_cache_evictions_total").Value(); n != 1 || ev != 1 {
 							t.Errorf("after %s's 404: %d cache entries and %d evictions, want the filler's 1 and 1", tenant, n, ev)

@@ -42,7 +42,8 @@ type Instance struct {
 	// Finalize.
 	occ [][]Occurrence
 	// kc holds the compiled gain kernel of this finalized layout; Finalize
-	// allocates a fresh cell and ViewInto copies share it (see Kernel).
+	// and WithKernel allocate a fresh cell and ViewInto copies share it (see
+	// Kernel).
 	kc *kernelCell
 	// retainedSet marks membership in S0; built by Finalize.
 	retainedSet []bool

@@ -2,6 +2,7 @@ package par
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -336,9 +337,9 @@ func (k *Kernel) SizeBytes() int64 {
 }
 
 // kernelCell memoizes the compiled kernel of one finalized layout. It sits
-// behind a pointer so Instance values stay copyable: Finalize allocates a
-// fresh cell, and ViewInto copies share it, so every budget view of a layout
-// runs one kernel.
+// behind a pointer so Instance values stay copyable: Finalize and WithKernel
+// allocate a fresh cell, and ViewInto copies share it, so every budget view
+// of a layout runs one kernel.
 type kernelCell struct {
 	mu sync.Mutex // serializes the first compile against AttachKernel
 	k  atomic.Pointer[Kernel]
@@ -375,8 +376,41 @@ func (in *Instance) Kernel() *Kernel {
 // every view of the layout to k. A first Kernel compile running
 // concurrently finishes before k is stored, and k replaces its result.
 func (in *Instance) AttachKernel(k *Kernel) error {
+	if err := in.checkLayout(k); err != nil {
+		return err
+	}
+	in.kc.mu.Lock()
+	in.kc.k.Store(k)
+	in.kc.mu.Unlock()
+	return nil
+}
+
+// WithKernel returns the finalized instance of in's layout read through k
+// instead of in's own kernel. It shares in's validated state — costs, S0,
+// budget, members, relevances and occurrence index — and holds k in a
+// kernel cell of its own, so its Kernel returns k without compiling. Its
+// Subsets slice is a clone whose Sims are views of k (SetKernelSims); in,
+// its subsets and its kernel are left untouched. k must match in's layout
+// as AttachKernel requires. A τ-sparsified kernel is read this way: the
+// sparsification changes similarities only, so the instance it serves is
+// in with another kernel.
+func (in *Instance) WithKernel(k *Kernel) (*Instance, error) {
+	if err := in.checkLayout(k); err != nil {
+		return nil, err
+	}
+	out := *in
+	out.Subsets = slices.Clone(in.Subsets)
+	SetKernelSims(out.Subsets, k)
+	out.kc = &kernelCell{}
+	out.kc.k.Store(k)
+	return &out, nil
+}
+
+// checkLayout reports whether k can serve in's finalized layout: the same
+// photo count and the same member count in every subset.
+func (in *Instance) checkLayout(k *Kernel) error {
 	if in.occ == nil {
-		return fmt.Errorf("par: AttachKernel before Finalize")
+		return fmt.Errorf("par: kernel set before Finalize")
 	}
 	if k.photos != in.NumPhotos() {
 		return fmt.Errorf("par: kernel compiled for %d photos, instance has %d", k.photos, in.NumPhotos())
@@ -390,8 +424,5 @@ func (in *Instance) AttachKernel(k *Kernel) error {
 				qi, k.rowLen[qi], len(in.Subsets[qi].Members))
 		}
 	}
-	in.kc.mu.Lock()
-	in.kc.k.Store(k)
-	in.kc.mu.Unlock()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -227,6 +228,134 @@ func TestAttachKernelValidation(t *testing.T) {
 	}
 	if view.Kernel() != k {
 		t.Fatal("re-Finalize of the template changed an old view's kernel")
+	}
+}
+
+// TestWithKernel pins the τ-view's contract: the instance WithKernel returns
+// reads the given kernel through in's layout, compiles nothing, and leaves
+// in as it was; a kernel of another layout is refused with AttachKernel's
+// error.
+func TestWithKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	inst := Random(rng, RandomConfig{Photos: 20, Subsets: 5})
+	own := inst.Kernel()
+	subsets, sims := inst.Subsets, make([]Similarity, len(inst.Subsets))
+	for qi := range inst.Subsets {
+		sims[qi] = inst.Subsets[qi].Sim
+	}
+
+	// Another layout per check: one more photo, one subset fewer, and one
+	// subset with a member more or fewer.
+	morePhotos := &Instance{Cost: append(slices.Clone(inst.Cost), 1), Retained: inst.Retained,
+		Budget: inst.Budget, Subsets: inst.Subsets}
+	fewerSubsets := &Instance{Cost: inst.Cost, Retained: inst.Retained, Budget: inst.Budget,
+		Subsets: inst.Subsets[:len(inst.Subsets)-1]}
+	otherMembers := &Instance{Cost: inst.Cost, Retained: inst.Retained, Budget: inst.Budget,
+		Subsets: slices.Clone(inst.Subsets)}
+	q0 := inst.Subsets[0]
+	k0 := len(q0.Members) + 1
+	if k0 > inst.NumPhotos() {
+		k0 = len(q0.Members) - 1
+	}
+	members := make([]PhotoID, k0)
+	rel := make([]float64, k0)
+	for i := range members {
+		members[i], rel[i] = PhotoID(i), 1/float64(k0)
+	}
+	otherMembers.Subsets[0] = Subset{Name: q0.Name, Weight: q0.Weight, Members: members,
+		Relevance: rel, Sim: IdentitySim{N: k0}}
+	for name, other := range map[string]*Instance{
+		"photos": morePhotos, "subsets": fewerSubsets, "members": otherMembers,
+	} {
+		if err := other.Finalize(); err != nil {
+			t.Fatalf("%s: Finalize: %v", name, err)
+		}
+		bad := CompileKernel(other)
+		w, err := inst.WithKernel(bad)
+		if err == nil || w != nil {
+			t.Fatalf("%s: WithKernel accepted a kernel of another layout", name)
+		}
+		if want := inst.AttachKernel(bad); want == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: WithKernel error %q, AttachKernel's %v", name, err, want)
+		}
+	}
+	if _, err := (&Instance{Cost: inst.Cost, Subsets: inst.Subsets}).WithKernel(own); err == nil {
+		t.Fatal("WithKernel on an unfinalized instance succeeded")
+	}
+
+	// A kernel of the same layout over other similarities: the positive
+	// pairs at or above 0.5, as a τ-sparsification keeps them.
+	thresholded := withSims(t, inst, func(k int, dense Similarity) Similarity {
+		b := NewSparseSimBuilder(k)
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				if s := dense.Sim(i, j); s >= 0.5 {
+					b.Add(i, j, s)
+				}
+			}
+		}
+		return b.Build()
+	})
+	k := CompileKernel(thresholded)
+	w, err := inst.WithKernel(k)
+	if err != nil {
+		t.Fatalf("WithKernel: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := w.Kernel()
+	runtime.ReadMemStats(&after)
+	if got != k {
+		t.Fatalf("Kernel() = %p, want the given kernel %p", got, k)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("Kernel() on the result allocated %d objects, want 0", n)
+	}
+	var view Instance
+	if err := w.ViewInto(&view, w.Budget/2); err != nil {
+		t.Fatalf("ViewInto: %v", err)
+	}
+	if view.Kernel() != k {
+		t.Fatal("a budget view of the result does not share its kernel")
+	}
+	if w.NumPhotos() != inst.NumPhotos() || w.RetainedCost() != inst.RetainedCost() ||
+		len(w.Subsets) != len(inst.Subsets) {
+		t.Fatal("the result does not share the instance's state")
+	}
+	for p := range inst.NumPhotos() {
+		if !slices.Equal(w.Occurrences(PhotoID(p)), inst.Occurrences(PhotoID(p))) {
+			t.Fatalf("photo %d: the result's occurrences differ from the instance's", p)
+		}
+	}
+	for qi := range w.Subsets {
+		q, tq := &w.Subsets[qi], &thresholded.Subsets[qi]
+		if &q.Members[0] != &inst.Subsets[qi].Members[0] || &q.Relevance[0] != &inst.Subsets[qi].Relevance[0] {
+			t.Fatalf("subset %d: the result does not share the instance's members and relevances", qi)
+		}
+		if name := fmt.Sprintf("%T", q.Sim); name != "*par.kernelSim" || q.Sim.(*kernelSim).k != k {
+			t.Fatalf("subset %d: Sim is a %s, want a view of the given kernel", qi, name)
+		}
+		for i := range q.Members {
+			for j := range q.Members {
+				if a, b := q.Sim.Sim(i, j), tq.Sim.Sim(i, j); a != b {
+					t.Fatalf("subset %d: view Sim(%d,%d) = %v, the kernel's source %v", qi, i, j, a, b)
+				}
+			}
+		}
+	}
+	sameSlabs(t, "recompiled through the views", k, CompileKernel(w))
+
+	// The source keeps its subsets slice, its similarities and its kernel.
+	if &inst.Subsets[0] != &subsets[0] {
+		t.Fatal("WithKernel replaced the instance's Subsets slice")
+	}
+	for qi := range inst.Subsets {
+		if inst.Subsets[qi].Sim != sims[qi] {
+			t.Fatalf("subset %d: WithKernel rewrote the instance's Sim", qi)
+		}
+	}
+	if inst.Kernel() != own {
+		t.Fatal("WithKernel changed the instance's kernel")
 	}
 }
 

@@ -1,9 +1,10 @@
 // Delta maintenance: the churn path of the staged engine. A Delta describes
 // a batch of archive changes — photos added (with explicit similarity rows),
 // photos removed, new pre-defined subsets — and Prepared.ApplyDelta folds it
-// into a live Prepared in place: the finalized base instance, the
-// τ-sparsified view and both compiled gain kernels are updated incrementally
-// instead of re-running the Data Representation stage from scratch.
+// into a live Prepared in place: the finalized base instance and both
+// compiled gain kernels are updated incrementally instead of re-running the
+// Data Representation stage from scratch, and the τ-sparsified solve
+// template is the new base read through the updated sparse kernel.
 //
 // Semantics. Removed photos become "husks": they keep their photo ID, their
 // member slots and their byte cost, but their relevance drops to 0 and every
@@ -568,8 +569,12 @@ func mergeSims(inst *par.Instance, plan *deltaPlan) {
 }
 
 // tauFilter keeps the neighbors the τ-sparsified view retains, matching the
-// sparsifier's keep predicate (sim ≥ τ; delta sims are always positive).
+// sparsifier's keep predicate (sim ≥ τ; delta sims are always positive). At
+// τ ≤ 0 every neighbor is kept, and nbrs is returned as given.
 func tauFilter(nbrs []par.Neighbor, tau float64) []par.Neighbor {
+	if tau <= 0 {
+		return nbrs
+	}
 	out := make([]par.Neighbor, 0, len(nbrs))
 	for _, nb := range nbrs {
 		if nb.Sim >= tau {
@@ -597,14 +602,16 @@ const (
 )
 
 // ApplyDelta folds one churn batch into the Prepared in place: the base
-// instance, the sparsified subsets and both compiled kernels are updated
-// incrementally, the content fingerprint evolves to
+// instance and both compiled kernels are updated incrementally, the solve
+// template becomes the new base read through the sparse kernel, the content
+// fingerprint evolves to
 // sha256("phocus/delta/v1" ‖ oldFP ‖ digest(delta)), and SizeBytes is
 // recomputed. The kernels are the only similarity structures it changes:
 // removals tombstone rows and additions append overlay rows, and the
 // subsets' Sims are views that read the overlaid kernels. When tombstoned
 // entries or the append overlay grow past their thresholds the kernels are
-// compacted, restoring the canonical flat layout.
+// compacted, restoring the canonical flat layout. ApplyDelta is the one
+// exported way to change a Prepared.
 //
 // ApplyDelta serializes against Run: it blocks until in-flight runs drain
 // and blocks new ones while it mutates. A validation error (wrong photo ID,
@@ -644,86 +651,26 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 		return nil, err
 	}
 
-	// Kernel structural updates mirror the plan entry for entry. Ordering
-	// matters twice over: per photo, rows must be appended in ascending
-	// subset order (memberships first, new subsets after — new subsets have
-	// the highest indices), and W·R rewrites must come after both the
-	// renormalization above and the appends below.
-	kb := p.base.Kernel()
-	var ks *par.Kernel
-	if p.solveTmpl != nil {
-		ks = p.solveTmpl.Kernel()
+	// Each distinct kernel mirrors the plan entry for entry; the sparse one
+	// keeps the rows τ-filtered. The overlaid base kernel then holds the new
+	// similarities: point every subset (appended ones included) at it,
+	// finalize, and install it, with the sparse kernel read through the same
+	// layout, so Kernel never recompiles either.
+	kb, ks := p.base.Kernel(), p.solveTmpl.Kernel()
+	applyKernelPlan(kb, plan, newBase.Subsets, 0)
+	if ks != kb {
+		applyKernelPlan(ks, plan, newBase.Subsets, p.opts.Tau)
 	}
-	for _, rm := range plan.removals {
-		for _, oc := range rm.occ {
-			kb.TombstoneRow(oc.Subset, oc.Index)
-			if ks != nil {
-				ks.TombstoneRow(oc.Subset, oc.Index)
-			}
-		}
-	}
-	for _, ap := range plan.adds {
-		kb.AppendPhoto()
-		if ks != nil {
-			ks.AppendPhoto()
-		}
-		for _, m := range ap.mems {
-			kb.AppendMemberRow(m.subset, ap.photo, m.nbrs)
-			if ks != nil {
-				ks.AppendMemberRow(m.subset, ap.photo, tauFilter(m.nbrs, p.opts.Tau))
-			}
-		}
-	}
-	for _, ns := range plan.newSubs {
-		kb.AppendSubset()
-		if ks != nil {
-			ks.AppendSubset()
-		}
-		for _, m := range ns.members {
-			kb.AppendMemberRow(ns.subset, m.photo, m.nbrs)
-			if ks != nil {
-				ks.AppendMemberRow(ns.subset, m.photo, tauFilter(m.nbrs, p.opts.Tau))
-			}
-		}
-	}
-	for _, qi := range plan.touched {
-		q := &newBase.Subsets[qi]
-		kb.RewriteWR(qi, q.Weight, q.Relevance)
-		if ks != nil {
-			ks.RewriteWR(qi, q.Weight, q.Relevance)
-		}
-	}
-
-	// The overlaid kernels now hold the new similarities: point every subset
-	// (appended ones included) at them, finalize, and hand the base kernel
-	// over so Kernel never recompiles it.
 	par.SetKernelSims(newBase.Subsets, kb)
 	if err := finalizeDelta(newBase); err != nil {
 		return nil, err
 	}
-	if err := newBase.AttachKernel(kb); err != nil {
+	if err := p.setKernels(newBase, kb, ks); err != nil {
 		return nil, fmt.Errorf("phocus: delta kernel: %w", err)
 	}
 
-	// Sparsified subsets: append the new ones, re-point the shared
-	// Members/Relevance slices at the copy-on-write ones, and view the
-	// overlaid sparse kernel.
-	if p.sparse != nil {
-		for _, ns := range plan.newSubs {
-			nq := &newBase.Subsets[ns.subset]
-			p.sparse = append(p.sparse, par.Subset{Name: nq.Name, Weight: nq.Weight})
-		}
-		for _, qi := range plan.touched {
-			p.sparse[qi].Members = newBase.Subsets[qi].Members
-			p.sparse[qi].Relevance = newBase.Subsets[qi].Relevance
-		}
-		par.SetKernelSims(p.sparse, ks)
-	}
-
-	// Commit: swap the instance in, grow the removed bitmap, evolve the
-	// fingerprint, drop the trace recorded on the old layout, recount
-	// bytes.
-	p.base = newBase
+	// Commit: grow the removed bitmap, evolve the fingerprint, drop the
+	// trace recorded on the old layout, recount bytes.
 	if p.removed == nil {
 		p.removed = make([]bool, 0, newBase.NumPhotos())
 	}
@@ -747,23 +694,11 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 
 	overlay := kb.OverlayEntries()
 	if kb.LiveFraction() < compactLiveFraction || overlay*overlayGrowthDivisor > kb.Entries()-overlay {
-		if err := p.compactLocked(); err != nil {
+		if err := p.compact(); err != nil {
 			return nil, err
 		}
 		stats.Compacted = true
 	} else {
-		// The solve template's occurrence index went stale with the appends;
-		// re-finalize it so RunInto's ViewInto stamping stays valid.
-		if p.sparse != nil {
-			sv, err := p.sparseTemplate()
-			if err != nil {
-				return nil, fmt.Errorf("phocus: delta sparse view: %w", err)
-			}
-			if err := sv.AttachKernel(ks); err != nil {
-				return nil, fmt.Errorf("phocus: delta sparse kernel: %w", err)
-			}
-			p.solveTmpl = sv
-		}
 		p.sizeBytes = p.sizeBytesLocked()
 	}
 	stats.LiveFraction = p.base.Kernel().LiveFraction()
@@ -772,31 +707,44 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 	return stats, nil
 }
 
-// sparseTemplate finalizes a budget-free instance over the sparsified
-// subsets, sharing the base's cost vector and retained set.
-func (p *Prepared) sparseTemplate() (*par.Instance, error) {
-	sv := &par.Instance{
-		Cost:     p.base.Cost,
-		Retained: p.base.Retained,
-		Budget:   p.base.Budget,
-		Subsets:  p.sparse,
+// applyKernelPlan mirrors the plan in k entry for entry: tombstones,
+// appended photos and their member rows, appended subsets, then the W·R
+// rewrites of every touched subset, whose relevances subsets already holds
+// renormalized. Ordering matters twice over: per photo, rows must be
+// appended in ascending subset order (memberships first, new subsets after
+// — new subsets have the highest indices), and the W·R rewrites must come
+// after both the renormalization and the appends. Each appended row keeps
+// the neighbors at or above tau (all of them at tau 0).
+func applyKernelPlan(k *par.Kernel, plan *deltaPlan, subsets []par.Subset, tau float64) {
+	for _, rm := range plan.removals {
+		for _, oc := range rm.occ {
+			k.TombstoneRow(oc.Subset, oc.Index)
+		}
 	}
-	return sv, sv.Finalize()
+	for _, ap := range plan.adds {
+		k.AppendPhoto()
+		for _, m := range ap.mems {
+			k.AppendMemberRow(m.subset, ap.photo, tauFilter(m.nbrs, tau))
+		}
+	}
+	for _, ns := range plan.newSubs {
+		k.AppendSubset()
+		for _, m := range ns.members {
+			k.AppendMemberRow(ns.subset, m.photo, tauFilter(m.nbrs, tau))
+		}
+	}
+	for _, qi := range plan.touched {
+		q := &subsets[qi]
+		k.RewriteWR(qi, q.Weight, q.Relevance)
+	}
 }
 
-// Compact recompiles both gain kernels from their own live entries — one
-// linear pass over each overlaid kernel's rows, read through the subsets'
+// compact recompiles both gain kernels from their own live entries — one
+// linear pass over each overlaid kernel's rows, read through its template's
 // kernel views — dropping the mutation overlays and restoring the canonical
-// flat layout (and canonical snapshot encodability). ApplyDelta calls it
-// automatically past the dead-entry/overlay-growth thresholds; callers may
-// also force it, e.g. before snapshotting a long-lived session.
-func (p *Prepared) Compact() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.compactLocked()
-}
-
-func (p *Prepared) compactLocked() error {
+// flat layout (and canonical snapshot encodability). ApplyDelta runs it past
+// the dead-entry/overlay-growth thresholds; the caller holds mu.
+func (p *Prepared) compact() error {
 	kt := time.Now()
 	// The trace was recorded on the layout being replaced. Drop it rather
 	// than rely on the recompiled kernel summing every gain in the same
@@ -807,20 +755,16 @@ func (p *Prepared) compactLocked() error {
 	// waits for, rather than on the Runs after it.
 	_, swept := p.base.Kernel().CoverBytes()
 	kb := par.CompileKernel(p.base)
-	if err := p.base.AttachKernel(kb); err != nil {
-		return fmt.Errorf("phocus: compact kernel: %w", err)
+	ks := kb
+	if p.solveTmpl != p.base {
+		ks = par.CompileKernel(p.solveTmpl)
 	}
 	par.SetKernelSims(p.base.Subsets, kb)
+	if err := p.setKernels(p.base, kb, ks); err != nil {
+		return fmt.Errorf("phocus: compact kernel: %w", err)
+	}
 	if swept {
 		kb.Covers()
-	}
-	if p.sparse != nil {
-		sv, err := p.sparseTemplate()
-		if err != nil {
-			return fmt.Errorf("phocus: compact sparse view: %w", err)
-		}
-		par.SetKernelSims(p.sparse, sv.Kernel())
-		p.solveTmpl = sv
 	}
 	p.KernelBuildTime += time.Since(kt)
 	p.sizeBytes = p.sizeBytesLocked()

@@ -211,7 +211,7 @@ func TestApplyDeltaMatchesColdPrepare(t *testing.T) {
 					requireSameRun(t, label, live, cold, budget, AlgoCELF)
 					requireSameRun(t, label, live, cold, budget, AlgoStreaming)
 				}
-				if err := live.Compact(); err != nil {
+				if err := compactNow(live); err != nil {
 					t.Fatal(err)
 				}
 				sameSlabs(t, "compacted base kernel", par.CompileKernel(merged), live.base.Kernel())
@@ -467,7 +467,7 @@ func TestPublicChurnDifferential(t *testing.T) {
 }
 
 // TestDeltaDropsS0Gains: the trace — S0 gains and recorded passes — belongs
-// to one layout. After Runs have filled it, ApplyDelta and a forced Compact
+// to one layout. After Runs have filled it, ApplyDelta and a forced compaction
 // must drop it, so the next Run at every worker count matches a cold
 // Prepare of the merged instance bit for bit. The removal-only batches
 // retire the photo a stale trace would rank first while keeping the photo
@@ -520,11 +520,7 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 				// rank first.
 				d := randomChurn(rng, live.base, removed, 2, 2, false)
 				if batch%2 == 0 {
-					tmpl := live.solveTmpl
-					if tmpl == nil {
-						tmpl = live.base
-					}
-					s0 := celf.S0Gains(tmpl, 1)
+					s0 := celf.S0Gains(live.solveTmpl, 1)
 					order := make([]int, len(s0))
 					for p := range order {
 						order[p] = p
@@ -550,13 +546,20 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 				}
 				compare(fmt.Sprintf("batch %d", batch))
 			}
-			if err := live.Compact(); err != nil {
+			if err := compactNow(live); err != nil {
 				t.Fatal(err)
 			}
 			if live.trace != nil {
-				t.Fatal("Compact kept the trace")
+				t.Fatal("the compaction kept the trace")
 			}
 			compare("compact")
 		})
 	}
+}
+
+// compactNow runs a compaction as ApplyDelta does, under the write lock.
+func compactNow(p *Prepared) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.compact()
 }

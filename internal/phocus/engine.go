@@ -85,27 +85,27 @@ type RunOptions struct {
 }
 
 // Prepared is a reusable product of the Data Representation stage: the
-// finalized instance plus (when τ > 0) its sparsified subsets, each with
-// its compiled gain kernel. The kernels are the one similarity store: once
-// they are compiled or attached, every base and sparse subset's Sim is a
-// view of its kernel's rows (par.SetKernelSims), so no similarity is held
-// twice. A Prepared is safe for concurrent Run calls — each Run builds its own
-// budgeted view and never mutates shared state beyond installing an
-// immutable CELF trace — which is what lets phocus-server cache Prepared
-// values across requests. The trace lets a CELF Run at a budget no larger
-// than one already solved continue that solve's greedy passes instead of
-// redoing them, with the same selections bit for bit. ApplyDelta is the one
-// mutating operation: it takes the write side of mu, so deltas serialize
-// against in-flight runs rather than corrupting them.
+// finalized instance with its compiled gain kernel, plus (when τ > 0) the
+// τ-sparsified kernel, which the solve template reads through the same
+// finalized layout. The kernels are the one similarity store: every subset
+// Sim of both templates is a view of its template's kernel rows
+// (par.SetKernelSims), so no similarity is held twice. A Prepared is safe
+// for concurrent Run calls — each Run builds its own budgeted view and never
+// mutates shared state beyond installing an immutable CELF trace — which is
+// what lets phocus-server cache Prepared values across requests. The trace
+// lets a CELF Run at a budget no larger than one already solved continue
+// that solve's greedy passes instead of redoing them, with the same
+// selections bit for bit. ApplyDelta is the one mutating operation: it takes
+// the write side of mu, so deltas serialize against in-flight runs rather
+// than corrupting them.
 type Prepared struct {
-	// mu guards every field below against ApplyDelta/Compact. Readers (Run,
+	// mu guards every field below against ApplyDelta. Readers (Run,
 	// SizeBytes, Fingerprint, EncodeSnapshot, ...) hold it shared for their
 	// full duration because ApplyDelta mutates the compiled kernels in place.
 	mu sync.RWMutex
 
-	base   *par.Instance // finalized with budget = total cost
-	sparse []par.Subset  // τ-sparsified subsets; nil when Tau == 0
-	opts   PrepareOptions
+	base *par.Instance // finalized with budget = total cost
+	opts PrepareOptions
 	// owner is the tenant whose request built the Prepared (see Pipeline).
 	// Like opts.Metrics it is not part of the fingerprint. It is set before
 	// the Prepared is shared and never changes: deltas and snapshots keep it.
@@ -115,16 +115,18 @@ type Prepared struct {
 	// ApplyDelta.
 	removed []bool
 
-	// solveTmpl is the finalized budget-free instance over the sparsified
-	// subsets — the template RunInto stamps budgeted solve views from without
-	// re-finalizing; nil when Tau == 0 (the base instance is the template).
+	// solveTmpl is the budget-free template RunInto stamps budgeted solve
+	// views from: base itself when Tau == 0, otherwise base read through the
+	// τ-sparsified kernel (par.Instance.WithKernel), which shares base's
+	// costs, S0, members, relevances and occurrence index. τ-sparsification
+	// only rounds similarities down to zero, so it changes the kernel and
+	// nothing else.
 	//
 	// The compiled gain kernels live on the two templates (par.Instance.Kernel):
 	// base's covers the true objective for Run's rescore and online bound,
-	// solveTmpl's the sparsified subsets the solver runs on. Prepare,
-	// DecodeSnapshot, ApplyDelta and compaction compile or attach them, so a
-	// Run's ViewInto views find them already in place, and point the
-	// subsets' Sims at them.
+	// solveTmpl's the similarities the solver runs on. Prepare,
+	// DecodeSnapshot, ApplyDelta and compaction install them through
+	// setKernels, so a Run's ViewInto views find them already in place.
 	solveTmpl *par.Instance
 
 	// scratch pools per-Run working state (budgeted views, the rescore
@@ -204,9 +206,11 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 	// Both kernels are compiled here, so the first Run pays for neither, and
 	// become their subsets' similarities.
 	kt := time.Now()
-	par.SetKernelSims(base.Subsets, base.Kernel())
-	p := &Prepared{base: base, opts: opts}
+	kb := base.Kernel()
+	par.SetKernelSims(base.Subsets, kb)
+	p := &Prepared{opts: opts}
 	p.KernelBuildTime = time.Since(kt)
+	ks := kb
 	if opts.Tau > 0 {
 		var sres sparsify.Result
 		var err error
@@ -219,16 +223,16 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 		if err != nil {
 			return nil, err
 		}
-		p.sparse = sres.Instance.Subsets
-		p.solveTmpl = sres.Instance
 		p.OriginalPairs = sres.PairsBefore
 		p.SparsifiedPairs = sres.PairsAfter
-		// The sparsified instance shares Cost/Retained with base and is
-		// already finalized, so its kernel serves every budgeted view Run
-		// builds over p.sparse.
+		// The sparsified instance is base with other similarities: only its
+		// compiled kernel is kept, read through base's layout.
 		kt = time.Now()
-		par.SetKernelSims(p.sparse, p.solveTmpl.Kernel())
+		ks = sres.Instance.Kernel()
 		p.KernelBuildTime += time.Since(kt)
+	}
+	if err := p.setKernels(base, kb, ks); err != nil {
+		return nil, fmt.Errorf("phocus: %w", err)
 	}
 	if opts.Metrics != nil {
 		obs.RecordKernelBuild(opts.Metrics, p.KernelBuildTime)
@@ -263,9 +267,9 @@ func (p *Prepared) SizeBytes() int64 {
 	return p.sizeBytes
 }
 
-// sizeBytesLocked recounts SizeBytes for an in-memory Prepared. The sparse
-// subsets alias the base's Members and Relevance slices (the sparsifier and
-// ApplyDelta share them), so only the base's are counted.
+// sizeBytesLocked recounts SizeBytes for an in-memory Prepared. The solve
+// template shares the base's Members and Relevance slices, so they are
+// counted once.
 func (p *Prepared) sizeBytesLocked() int64 {
 	n := 8 * int64(len(p.base.Cost))
 	for qi := range p.base.Subsets {
@@ -287,10 +291,30 @@ func (p *Prepared) KernelBytes() int64 {
 func (p *Prepared) kernelBytesLocked() int64 {
 	kb := p.base.Kernel()
 	n := kb.SizeBytes() + pendingCoverBytes(kb)
-	if p.solveTmpl != nil {
-		n += p.solveTmpl.Kernel().SizeBytes()
+	if ks := p.solveTmpl.Kernel(); ks != kb {
+		n += ks.SizeBytes()
 	}
 	return n
+}
+
+// setKernels installs base, finalized and with its subsets' Sims already
+// views of kb, as the Prepared's instance read through kb, and its solve
+// template: base itself when ks is kb, otherwise base read through ks. It is
+// the one way Prepare, DecodeSnapshot, ApplyDelta and compaction set the
+// templates, and it changes nothing when it fails.
+func (p *Prepared) setKernels(base *par.Instance, kb, ks *par.Kernel) error {
+	tmpl := base
+	if ks != kb {
+		var err error
+		if tmpl, err = base.WithKernel(ks); err != nil {
+			return err
+		}
+	}
+	if err := base.AttachKernel(kb); err != nil {
+		return err
+	}
+	p.base, p.solveTmpl = base, tmpl
+	return nil
 }
 
 // pendingCoverBytes returns the bytes of k's cover index if it has not been
@@ -380,8 +404,8 @@ func FingerprintFor(digest string, opts PrepareOptions) string {
 // instance, sharing its compiled gain kernel — the raw material for callers
 // that drive their own evaluators between deltas (internal/dynamic's
 // maintainer). A budget of 0 means "keep everything". The view aliases the
-// Prepared's live structures, so the next ApplyDelta or Compact invalidates
-// it; build a fresh view after every delta.
+// Prepared's live structures, so the next ApplyDelta invalidates it; build a
+// fresh view after every delta.
 func (p *Prepared) View(budget float64) (*par.Instance, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -498,11 +522,10 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 	// its template's kernel, so the solver, rescore and online-bound passes
 	// all run the kernel compiled (or attached) before this Run.
 	err := p.base.ViewInto(&sc.trueView, budget)
-	solveInst := &sc.trueView
-	if err == nil && p.solveTmpl != nil {
+	if err == nil {
 		err = p.solveTmpl.ViewInto(&sc.solveView, budget)
-		solveInst = &sc.solveView
 	}
+	solveInst := &sc.solveView
 	if err != nil {
 		// par's errors carry their own prefix: a budget below C(S0) reaches
 		// callers worded exactly as Finalize words it.

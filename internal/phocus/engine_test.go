@@ -156,11 +156,13 @@ func firstCallAllocs(f func()) uint64 {
 // requireKernelsInPlace fails t unless p's base template — and its solve
 // template when p is sparsified — already holds its kernel, so the next
 // Run compiles nothing, and a ViewInto view of each template runs that same
-// kernel.
+// kernel. It also requires the templates to share one finalized layout
+// (requireSharedLayout).
 func requireKernelsInPlace(t *testing.T, label string, p *Prepared) {
 	t.Helper()
+	requireSharedLayout(t, label, p)
 	tmpls := []*par.Instance{p.base}
-	if p.solveTmpl != nil {
+	if p.solveTmpl != p.base {
 		tmpls = append(tmpls, p.solveTmpl)
 	}
 	for i, tmpl := range tmpls {
@@ -179,14 +181,42 @@ func requireKernelsInPlace(t *testing.T, label string, p *Prepared) {
 	}
 }
 
+// requireSharedLayout fails t unless p's solve template is its base at τ 0,
+// and otherwise is the base read through a kernel of its own: the same
+// occurrence index and retained set, not a second finalized layout.
+func requireSharedLayout(t *testing.T, label string, p *Prepared) {
+	t.Helper()
+	if p.opts.Tau == 0 {
+		if p.solveTmpl != p.base {
+			t.Fatalf("%s: a τ-0 Prepared's solve template is not its base", label)
+		}
+		return
+	}
+	if p.solveTmpl == p.base || p.solveTmpl.Kernel() == p.base.Kernel() {
+		t.Fatalf("%s: a τ-sparsified Prepared solves through its base kernel", label)
+	}
+	// The fields are unexported; reflect reads their backing arrays.
+	base, tmpl := reflect.ValueOf(p.base).Elem(), reflect.ValueOf(p.solveTmpl).Elem()
+	for _, field := range []string{"occ", "retainedSet"} {
+		if b, s := base.FieldByName(field).Pointer(), tmpl.FieldByName(field).Pointer(); b == 0 || b != s {
+			t.Fatalf("%s: the solve template has its own %s (%#x), not the base's (%#x)", label, field, s, b)
+		}
+	}
+}
+
 // TestEnginePathsNeverCompileLazily pins where the engine's kernels come
 // from: every way a Prepared is built or changed — cold Prepare, snapshot
-// load, ApplyDelta with and without compaction, Compact — leaves
-// each template with its kernel compiled or attached. A path that forgot to
-// attach would still solve correctly, but the next Run would pay a full
-// recompile.
+// load, ApplyDelta with and without compaction, a forced compaction —
+// leaves each template with its kernel compiled or attached, over one shared
+// layout. A path that forgot to attach would still solve correctly, but the
+// next Run would pay a full recompile.
 func TestEnginePathsNeverCompileLazily(t *testing.T) {
 	ctx := context.Background()
+	lsh, err := Prepare(ctx, sweepDataset(t, 11), PrepareOptions{Tau: 0.5, UseLSH: true, Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireKernelsInPlace(t, "LSH Prepare", lsh)
 	for _, tau := range []float64{0, 0.3} {
 		t.Run(fmt.Sprintf("tau=%g", tau), func(t *testing.T) {
 			p, rng := preparedForSnapDelta(t, tau)
@@ -242,10 +272,10 @@ func TestEnginePathsNeverCompileLazily(t *testing.T) {
 			}
 			requireKernelsInPlace(t, "ApplyDelta compaction", p)
 
-			if err := p.Compact(); err != nil {
+			if err := compactNow(p); err != nil {
 				t.Fatal(err)
 			}
-			requireKernelsInPlace(t, "Compact", p)
+			requireKernelsInPlace(t, "forced compaction", p)
 		})
 	}
 }
@@ -363,7 +393,7 @@ func TestCompactCarriesCovers(t *testing.T) {
 		t.Fatalf("KernelBytes %d once the index is built, %d charged before", got, charged)
 	}
 	size := p.SizeBytes()
-	if err := p.Compact(); err != nil {
+	if err := compactNow(p); err != nil {
 		t.Fatal(err)
 	}
 	if !built(p) {
@@ -384,7 +414,7 @@ func TestCompactCarriesCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cold.Compact(); err != nil {
+	if err := compactNow(cold); err != nil {
 		t.Fatal(err)
 	}
 	if built(cold) {
@@ -540,9 +570,9 @@ func TestPrepareKeepsCallerSimsAndFingerprint(t *testing.T) {
 						}
 					}
 				}
-				if p.solveTmpl != nil {
-					for qi := range p.sparse {
-						if name := fmt.Sprintf("%T", p.sparse[qi].Sim); name != "*par.kernelSim" {
+				if p.solveTmpl != p.base {
+					for qi := range p.solveTmpl.Subsets {
+						if name := fmt.Sprintf("%T", p.solveTmpl.Subsets[qi].Sim); name != "*par.kernelSim" {
 							t.Fatalf("sparse subset %d: Prepared holds a %s, want a kernel view", qi, name)
 						}
 					}
@@ -676,11 +706,7 @@ func TestRunAllocs(t *testing.T) {
 			budget := 0.5 * total
 			// A log-free trace of the solve template: installed before each
 			// "seq-full" Run, it makes that Run solve in full and record.
-			tmpl := p.solveTmpl
-			if tmpl == nil {
-				tmpl = p.base
-			}
-			empty := celf.NewTrace(tmpl, 1)
+			empty := celf.NewTrace(p.solveTmpl, 1)
 			measured := map[string]float64{}
 			for _, tc := range []struct {
 				name    string
@@ -800,10 +826,7 @@ func TestRunObserverMatchesUnseeded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tmpl := p.base
-		if p.solveTmpl != nil {
-			tmpl = p.solveTmpl
-		}
+		tmpl := p.solveTmpl
 		// A trace covering every budget: Observer Runs neither continue
 		// nor replace it.
 		if _, err := p.Run(ctx, RunOptions{SkipBound: true}); err != nil {

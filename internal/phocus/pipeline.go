@@ -347,11 +347,8 @@ func (pl *Pipeline) resolve(ctx context.Context, fp, tenant string, cold func() 
 // so a non-owner's request inserts nothing into the cache and evicts
 // nothing.
 func (pl *Pipeline) build(ctx context.Context, fp, tenant string, cold func() (*Prepared, error)) (*Prepared, error) {
-	if p := pl.loadSnapshot(ctx, fp); p != nil {
-		if p.owner != tenant {
-			return nil, notOwner{unknownFingerprint(fp), p.owner}
-		}
-		return p, nil
+	if p, err := pl.loadSnapshot(ctx, fp, tenant); p != nil || err != nil {
+		return p, err
 	}
 	if cold == nil {
 		return nil, unknownFingerprint(fp)
@@ -383,24 +380,35 @@ type notOwner struct {
 
 func (e notOwner) Unwrap() error { return e.error }
 
-// loadSnapshot returns the persisted Prepared for fp, or nil when the store
-// holds no usable one. A flipped byte anywhere in the file fails a checksum
-// and lands in the ErrBadSnapshot branch: the file is quarantined and
-// counted, so unverified bytes never reach a solver.
-func (pl *Pipeline) loadSnapshot(ctx context.Context, fp string) *Prepared {
+// loadSnapshot returns the persisted Prepared for fp when tenant owns it,
+// nil when the store holds no usable one, and a notOwner error when another
+// tenant owns it. The owner is read first, from the file's header and META
+// section alone, so a non-owner's request loads, counts and judges none of
+// the rest: a corrupt kernel section is the owner's to find. A flipped byte
+// anywhere in what is read fails a checksum and lands in the ErrBadSnapshot
+// branch: the file is quarantined and counted, so unverified bytes never
+// reach a solver.
+func (pl *Pipeline) loadSnapshot(ctx context.Context, fp, tenant string) (*Prepared, error) {
 	if pl.Snapshots == nil {
-		return nil
+		return nil, nil
 	}
 	logger := obs.Logger(ctx)
 	t0 := time.Now()
-	p, err := pl.Snapshots.Load(fp)
+	owner, err := pl.Snapshots.Owner(fp)
+	var p *Prepared
+	if err == nil {
+		if owner != tenant {
+			return nil, notOwner{unknownFingerprint(fp), owner}
+		}
+		p, err = pl.Snapshots.Load(fp)
+	}
 	switch {
 	case err == nil:
 		elapsed := time.Since(t0)
 		obs.RecordSnapshotLoad(pl.Metrics, elapsed)
 		logger.Info("prepared instance loaded from snapshot",
 			"fingerprint", shortFP(fp), "bytes", p.SizeBytes(), "load", elapsed.Round(time.Millisecond))
-		return p
+		return p, nil
 	case errors.Is(err, ErrBadSnapshot):
 		obs.RecordSnapshotCorrupt(pl.Metrics)
 		if qerr := pl.Snapshots.Quarantine(fp); qerr != nil {
@@ -411,7 +419,7 @@ func (pl *Pipeline) loadSnapshot(ctx context.Context, fp string) *Prepared {
 		// Environmental (permissions, I/O): the caller falls back, say why.
 		logger.Warn("snapshot load failed", "fingerprint", shortFP(fp), "err", err)
 	}
-	return nil
+	return nil, nil
 }
 
 // saveSnapshot persists one prepared instance and records the write.

@@ -250,9 +250,11 @@ func TestPipelineDeltaPaths(t *testing.T) {
 			}
 
 			// A foreign tenant and an unknown fingerprint resolve to nothing
-			// and change nothing.
+			// and change nothing. Bob's delta reads no more of a snapshot
+			// than its owner: nothing is loaded.
 			_, err := pl.Apply(pipeCtx(), "bob", fp, delta)
 			requireUnknown(t, "bob's delta", fp, err)
+			requireNoSnapshotLoad(t, "bob's delta", pl)
 			unknown := strings.Repeat("ab", 32)
 			_, err = pl.Apply(pipeCtx(), "alice", unknown, delta)
 			requireUnknown(t, "unknown fingerprint", unknown, err)
@@ -284,13 +286,68 @@ func TestPipelineDeltaPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Compact(); err != nil {
+			if err := compactNow(p); err != nil {
 				t.Fatal(err)
 			}
 			sameResult(t, "after a compaction", runAs(t, pl, "alice", stats.NewFingerprint, budget), want)
 			_, _, err = pl.resolve(pipeCtx(), stats.NewFingerprint, "bob", nil)
 			requireUnknown(t, "bob after a compaction", stats.NewFingerprint, err)
 		})
+	}
+}
+
+// requireNoSnapshotLoad fails t unless pl has loaded no snapshot and found
+// none corrupt.
+func requireNoSnapshotLoad(t *testing.T, label string, pl *Pipeline) {
+	t.Helper()
+	loads := pl.Metrics.Histogram("phocus_snapshot_load_seconds", obs.DefBuckets).Count()
+	if corrupt := pl.Metrics.Counter("phocus_snapshot_corrupt_total").Value(); loads != 0 || corrupt != 0 {
+		t.Errorf("%s: %d snapshot loads and %d corrupt, want none", label, loads, corrupt)
+	}
+}
+
+// TestPipelineForeignCorruptSnapshot: a snapshot whose kernel section is
+// corrupt but whose header and META are intact tells a non-owner's delta
+// only that the file is not theirs — a 404 that leaves the file in place and
+// counts nothing — and the owner's delta is what finds the corruption and
+// quarantines the file.
+func TestPipelineForeignCorruptSnapshot(t *testing.T) {
+	body, _, budget := pipelineArchive(t)
+	dir := t.TempDir()
+	pl := testPipeline(t, dir)
+	fp := solveAs(t, pl, "alice", body, budget).Fingerprint
+	waitSnapshot(t, pl, fp)
+	path := pl.Snapshots.Path(fp)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, err := parseSnapHeader(data, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := table[secKBNbrSim]
+	data[e.off+e.len/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := `{"remove":[0]}`
+
+	pl = testPipeline(t, dir)
+	_, err = pl.Apply(pipeCtx(), "bob", fp, []byte(d))
+	requireUnknown(t, "bob's delta", fp, err)
+	requireNoSnapshotLoad(t, "bob's delta", pl)
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("bob's delta moved alice's snapshot: %v", err)
+	}
+
+	_, err = pl.Apply(pipeCtx(), "alice", fp, []byte(d))
+	requireUnknown(t, "alice's delta to her corrupt snapshot", fp, err)
+	if got := pl.Metrics.Counter("phocus_snapshot_corrupt_total").Value(); got != 1 {
+		t.Errorf("alice's delta counted %d corrupt snapshots, want 1", got)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("alice's delta left the corrupt snapshot unquarantined: %v", err)
 	}
 }
 
@@ -359,8 +416,8 @@ func TestPipelineConcurrent(t *testing.T) {
 }
 
 // TestPipelineOwnerJoinsForeignBuild: a non-owner's delta to a
-// snapshot-only fingerprint loads the snapshot but inserts nothing into the
-// cache and evicts nothing, and the owner's request that joined that build
+// snapshot-only fingerprint reads the snapshot's owner but inserts nothing
+// into the cache and evicts nothing, and the owner's request that joined that build
 // builds again and gets its instance instead of the non-owner's 404. The
 // non-owner's build is held open until the owner's resolve has had time to
 // join it.

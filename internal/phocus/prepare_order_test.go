@@ -41,7 +41,8 @@ func prepareSparsifyFirst(t *testing.T, ds *dataset.Dataset, opts PrepareOptions
 	if err := base.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	p := &Prepared{base: base, opts: opts}
+	p := &Prepared{opts: opts}
+	var ks *par.Kernel
 	if opts.Tau > 0 {
 		var sres sparsify.Result
 		var err error
@@ -53,12 +54,18 @@ func prepareSparsifyFirst(t *testing.T, ds *dataset.Dataset, opts PrepareOptions
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.sparse, p.solveTmpl = sres.Instance.Subsets, sres.Instance
 		p.OriginalPairs, p.SparsifiedPairs = sres.PairsBefore, sres.PairsAfter
-		par.SetKernelSims(p.sparse, p.solveTmpl.Kernel())
+		ks = sres.Instance.Kernel()
 	}
 	base.Subsets = slices.Clone(base.Subsets)
-	par.SetKernelSims(base.Subsets, base.Kernel())
+	kb := base.Kernel()
+	par.SetKernelSims(base.Subsets, kb)
+	if ks == nil {
+		ks = kb
+	}
+	if err := p.setKernels(base, kb, ks); err != nil {
+		t.Fatal(err)
+	}
 	p.sizeBytes = p.sizeBytesLocked()
 	return p
 }
@@ -158,7 +165,7 @@ func TestSparsifyRowWalkAfterDeltas(t *testing.T) {
 			t.Fatal(err)
 		}
 		if b == 3 {
-			if err := p.Compact(); err != nil {
+			if err := compactNow(p); err != nil {
 				t.Fatal(err)
 			}
 		}

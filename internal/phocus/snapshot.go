@@ -92,6 +92,13 @@ const (
 	secMeta uint32 = 63
 )
 
+// kbSections and ksSections are the six slab sections of the base and the
+// sparse kernel, in decodeKernel's order.
+var (
+	kbSections = [6]uint32{secKBRowLen, secKBRowStart, secKBNbrIdx, secKBNbrSim, secKBOccStart, secKBOccRow}
+	ksSections = [6]uint32{secKSRowLen, secKSRowStart, secKSNbrIdx, secKSNbrSim, secKSOccStart, secKSOccRow}
+)
+
 // secAlign returns the required alignment of a section's offset and length,
 // or 0 for identifiers this version does not know (which decode rejects).
 func secAlign(id uint32) int {
@@ -120,125 +127,41 @@ var snapZeroCopy = func() bool {
 
 // ---- slab <-> byte conversions -------------------------------------------
 
-func f64Bytes(s []float64) []byte {
+// slab is the element type of a snapshot slab section.
+type slab interface {
+	float64 | int64 | int32 | par.PhotoID
+}
+
+// slabBytes returns s's wire bytes: a byte view of s itself when the host
+// is little-endian, an element-wise little-endian copy otherwise.
+func slabBytes[T slab](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
 	if snapZeroCopy {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
+		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), int(unsafe.Sizeof(s[0]))*len(s))
 	}
-	b := make([]byte, 8*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
+	var b bytes.Buffer
+	binary.Write(&b, binary.LittleEndian, s)
+	return b.Bytes()
 }
 
-func i64Bytes(s []int64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if snapZeroCopy {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
-	}
-	b := make([]byte, 8*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-	}
-	return b
-}
-
-func i32Bytes(s []int32) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if snapZeroCopy {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
-	}
-	b := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-	}
-	return b
-}
-
-func photoBytes(s []par.PhotoID) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if snapZeroCopy {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
-	}
-	b := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-	}
-	return b
-}
-
-// aligned8/aligned4 report whether the byte slice starts on the required
-// boundary (the loader's []uint64 backing guarantees 8; foreign buffers —
-// fuzz inputs, subslices — may not, and then the copying fallback runs).
-func aligned8(b []byte) bool { return uintptr(unsafe.Pointer(&b[0]))%8 == 0 }
-func aligned4(b []byte) bool { return uintptr(unsafe.Pointer(&b[0]))%4 == 0 }
-
-func f64View(b []byte) []float64 {
-	n := len(b) / 8
+// slabView returns the slab whose wire bytes are b: a typed view of b in
+// place when the host is little-endian and b starts on the element's
+// boundary (the loader's []uint64 backing guarantees it; foreign buffers —
+// fuzz inputs, subslices — may not), an element-wise copy otherwise.
+func slabView[T slab](b []byte) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	n := len(b) / size
 	if n == 0 {
 		return nil
 	}
-	if snapZeroCopy && aligned8(b) {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
+	if snapZeroCopy && uintptr(unsafe.Pointer(&b[0]))%uintptr(size) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func i64View(b []byte) []int64 {
-	n := len(b) / 8
-	if n == 0 {
-		return nil
-	}
-	if snapZeroCopy && aligned8(b) {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func i32View(b []byte) []int32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if snapZeroCopy && aligned4(b) {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func photoView(b []byte) []par.PhotoID {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if snapZeroCopy && aligned4(b) {
-		return unsafe.Slice((*par.PhotoID)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]par.PhotoID, n)
-	for i := range out {
-		out[i] = par.PhotoID(binary.LittleEndian.Uint32(b[4*i:]))
-	}
+	out := make([]T, n)
+	// b holds at least n elements, so the read cannot fail.
+	_ = binary.Read(bytes.NewReader(b), binary.LittleEndian, out)
 	return out
 }
 
@@ -281,7 +204,7 @@ func encodeSnapMeta(p *Prepared) []byte {
 	u32(uint32(len(p.base.Subsets)))
 	u32(uint32(len(p.base.Retained)))
 	flags := byte(0)
-	if p.sparse != nil {
+	if p.solveTmpl != p.base {
 		flags |= 1
 	}
 	if p.opts.UseLSH {
@@ -443,39 +366,27 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 	}
 	base := p.base
 
-	kernBase := base.Kernel()
-	if !kernBase.Canonical() {
-		kernBase = par.CompileKernel(base)
-	}
-	var kernSolve *par.Kernel
-	if p.solveTmpl != nil {
-		kernSolve = p.solveTmpl.Kernel()
-		if !kernSolve.Canonical() {
-			kernSolve = par.CompileKernel(p.solveTmpl)
-		}
-	}
-
 	var members []par.PhotoID
 	var relevance []float64
 	for qi := range base.Subsets {
 		members = append(members, base.Subsets[qi].Members...)
 		relevance = append(relevance, base.Subsets[qi].Relevance...)
 	}
-	kb := kernBase.Slabs()
+	kb := canonicalKernel(base).Slabs()
 
 	secs8 := []snapSection{
-		{secCost, f64Bytes(base.Cost)},
-		{secRelevance, f64Bytes(relevance)},
-		{secKBRowStart, i64Bytes(kb.RowStart)},
-		{secKBNbrSim, f64Bytes(kb.NbrSim)},
+		{secCost, slabBytes(base.Cost)},
+		{secRelevance, slabBytes(relevance)},
+		{secKBRowStart, slabBytes(kb.RowStart)},
+		{secKBNbrSim, slabBytes(kb.NbrSim)},
 	}
 	secs4 := []snapSection{
-		{secRetained, photoBytes(base.Retained)},
-		{secMembers, photoBytes(members)},
-		{secKBRowLen, i32Bytes(kb.RowLen)},
-		{secKBNbrIdx, i32Bytes(kb.NbrIdx)},
-		{secKBOccStart, i32Bytes(kb.OccStart)},
-		{secKBOccRow, i32Bytes(kb.OccRow)},
+		{secRetained, slabBytes(base.Retained)},
+		{secMembers, slabBytes(members)},
+		{secKBRowLen, slabBytes(kb.RowLen)},
+		{secKBNbrIdx, slabBytes(kb.NbrIdx)},
+		{secKBOccStart, slabBytes(kb.OccStart)},
+		{secKBOccRow, slabBytes(kb.OccRow)},
 	}
 	if removedCount(p.removed) > 0 {
 		husks := make([]par.PhotoID, 0, removedCount(p.removed))
@@ -484,23 +395,32 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 				husks = append(husks, par.PhotoID(id))
 			}
 		}
-		secs4 = append(secs4, snapSection{secRemoved, photoBytes(husks)})
+		secs4 = append(secs4, snapSection{secRemoved, slabBytes(husks)})
 	}
-	if p.sparse != nil {
-		ks := kernSolve.Slabs()
+	if p.solveTmpl != base {
+		ks := canonicalKernel(p.solveTmpl).Slabs()
 		secs8 = append(secs8,
-			snapSection{secKSRowStart, i64Bytes(ks.RowStart)},
-			snapSection{secKSNbrSim, f64Bytes(ks.NbrSim)},
+			snapSection{secKSRowStart, slabBytes(ks.RowStart)},
+			snapSection{secKSNbrSim, slabBytes(ks.NbrSim)},
 		)
 		secs4 = append(secs4,
-			snapSection{secKSRowLen, i32Bytes(ks.RowLen)},
-			snapSection{secKSNbrIdx, i32Bytes(ks.NbrIdx)},
-			snapSection{secKSOccStart, i32Bytes(ks.OccStart)},
-			snapSection{secKSOccRow, i32Bytes(ks.OccRow)},
+			snapSection{secKSRowLen, slabBytes(ks.RowLen)},
+			snapSection{secKSNbrIdx, slabBytes(ks.NbrIdx)},
+			snapSection{secKSOccStart, slabBytes(ks.OccStart)},
+			snapSection{secKSOccRow, slabBytes(ks.OccRow)},
 		)
 	}
 	secs := append(append(secs8, secs4...), snapSection{secMeta, encodeSnapMeta(p)})
 	return assembleSnapshot(rawFP, secs), nil
+}
+
+// canonicalKernel returns tmpl's kernel, or, while a delta overlay is
+// active on it, a canonical twin compiled through tmpl's kernel views.
+func canonicalKernel(tmpl *par.Instance) *par.Kernel {
+	if k := tmpl.Kernel(); k.Canonical() {
+		return k
+	}
+	return par.CompileKernel(tmpl)
 }
 
 // assembleSnapshot lays out the header, section table and payloads of a
@@ -536,6 +456,81 @@ func assembleSnapshot(rawFP []byte, secs []snapSection) []byte {
 
 // ---- decoding ------------------------------------------------------------
 
+// snapHeaderMax is the longest header block: the fixed fields, a full
+// section table and the duplicated header CRC.
+const snapHeaderMax = snapHeaderFixed + snapTableEntry*snapMaxSections + 8
+
+// snapEntry is one verified section table entry.
+type snapEntry struct {
+	crc      uint32
+	off, len int
+}
+
+// parseSnapHeader verifies the header block at the start of head — magic,
+// version, section count and the duplicated header CRC — and the section
+// table's layout against a file of size bytes: known identifiers, no
+// duplicates, aligned sections that tile the payload exactly, so no byte
+// escapes a CRC. It returns the embedded fingerprint and the table by
+// section id; each section's own checksum is left to whoever reads it.
+func parseSnapHeader(head []byte, size int) (string, map[uint32]snapEntry, error) {
+	if len(head) < snapHeaderFixed+snapTableEntry+8 {
+		return "", nil, fmt.Errorf("phocus: snapshot truncated at %d bytes: %w", len(head), ErrBadSnapshot)
+	}
+	if string(head[:8]) != snapMagic {
+		return "", nil, fmt.Errorf("phocus: bad magic %q: %w", head[:8], ErrBadSnapshot)
+	}
+	if v := binary.LittleEndian.Uint32(head[8:]); v != snapVersion {
+		return "", nil, fmt.Errorf("phocus: snapshot version %d, this build reads %d: %w", v, snapVersion, ErrBadSnapshot)
+	}
+	n := int(binary.LittleEndian.Uint32(head[12:]))
+	if n < 1 || n > snapMaxSections {
+		return "", nil, fmt.Errorf("phocus: section count %d out of range: %w", n, ErrBadSnapshot)
+	}
+	headerLen := snapHeaderFixed + snapTableEntry*n + 8
+	if len(head) < headerLen {
+		return "", nil, fmt.Errorf("phocus: snapshot truncated inside header: %w", ErrBadSnapshot)
+	}
+	tableEnd := snapHeaderFixed + snapTableEntry*n
+	hcrc := crc32.Checksum(head[:tableEnd], snapCRC)
+	if binary.LittleEndian.Uint32(head[tableEnd:]) != hcrc ||
+		binary.LittleEndian.Uint32(head[tableEnd+4:]) != ^hcrc {
+		return "", nil, fmt.Errorf("phocus: header checksum mismatch: %w", ErrBadSnapshot)
+	}
+
+	table := make(map[uint32]snapEntry, n)
+	off := headerLen
+	for i := 0; i < n; i++ {
+		e := head[snapHeaderFixed+snapTableEntry*i:]
+		id := binary.LittleEndian.Uint32(e)
+		so := binary.LittleEndian.Uint64(e[8:])
+		sl := binary.LittleEndian.Uint64(e[16:])
+		align := secAlign(id)
+		if align == 0 {
+			return "", nil, fmt.Errorf("phocus: unknown section id %d: %w", id, ErrBadSnapshot)
+		}
+		// Sections must tile the payload region exactly — the next section
+		// starts where the previous one ended — so no byte escapes a CRC.
+		if so != uint64(off) {
+			return "", nil, fmt.Errorf("phocus: section %d at offset %d, want %d: %w", id, so, off, ErrBadSnapshot)
+		}
+		if sl > uint64(size-off) {
+			return "", nil, fmt.Errorf("phocus: section %d overruns the file: %w", id, ErrBadSnapshot)
+		}
+		if off%align != 0 || int(sl)%align != 0 {
+			return "", nil, fmt.Errorf("phocus: section %d misaligned for %d-byte elements: %w", id, align, ErrBadSnapshot)
+		}
+		if _, dup := table[id]; dup {
+			return "", nil, fmt.Errorf("phocus: duplicate section id %d: %w", id, ErrBadSnapshot)
+		}
+		table[id] = snapEntry{crc: binary.LittleEndian.Uint32(e[4:]), off: off, len: int(sl)}
+		off += int(sl)
+	}
+	if off != size {
+		return "", nil, fmt.Errorf("phocus: %d bytes beyond the last section: %w", size-off, ErrBadSnapshot)
+	}
+	return hex.EncodeToString(head[16:snapHeaderFixed]), table, nil
+}
+
 // DecodeSnapshot reconstructs a Prepared from snapshot bytes. On hosts whose
 // memory layout matches the wire format the returned Prepared's slabs are
 // views into buf, which therefore must not be modified afterwards; pass a
@@ -546,125 +541,60 @@ func assembleSnapshot(rawFP []byte, secs []snapSection) []byte {
 // never a Prepared that could serve wrong results.
 func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	start := time.Now()
-	if len(buf) < snapHeaderFixed+snapTableEntry+8 {
-		return nil, fmt.Errorf("phocus: snapshot truncated at %d bytes: %w", len(buf), ErrBadSnapshot)
+	fp, table, err := parseSnapHeader(buf, len(buf))
+	if err != nil {
+		return nil, err
 	}
-	if string(buf[:8]) != snapMagic {
-		return nil, fmt.Errorf("phocus: bad magic %q: %w", buf[:8], ErrBadSnapshot)
-	}
-	if v := binary.LittleEndian.Uint32(buf[8:]); v != snapVersion {
-		return nil, fmt.Errorf("phocus: snapshot version %d, this build reads %d: %w", v, snapVersion, ErrBadSnapshot)
-	}
-	n := int(binary.LittleEndian.Uint32(buf[12:]))
-	if n < 1 || n > snapMaxSections {
-		return nil, fmt.Errorf("phocus: section count %d out of range: %w", n, ErrBadSnapshot)
-	}
-	headerLen := snapHeaderFixed + snapTableEntry*n + 8
-	if len(buf) < headerLen {
-		return nil, fmt.Errorf("phocus: snapshot truncated inside header: %w", ErrBadSnapshot)
-	}
-	tableEnd := snapHeaderFixed + snapTableEntry*n
-	hcrc := crc32.Checksum(buf[:tableEnd], snapCRC)
-	if binary.LittleEndian.Uint32(buf[tableEnd:]) != hcrc ||
-		binary.LittleEndian.Uint32(buf[tableEnd+4:]) != ^hcrc {
-		return nil, fmt.Errorf("phocus: header checksum mismatch: %w", ErrBadSnapshot)
-	}
-	fp := hex.EncodeToString(buf[16:snapHeaderFixed])
-
-	secs := make(map[uint32][]byte, n)
-	off := headerLen
-	for i := 0; i < n; i++ {
-		e := buf[snapHeaderFixed+snapTableEntry*i:]
-		id := binary.LittleEndian.Uint32(e)
-		crc := binary.LittleEndian.Uint32(e[4:])
-		so := binary.LittleEndian.Uint64(e[8:])
-		sl := binary.LittleEndian.Uint64(e[16:])
-		align := secAlign(id)
-		if align == 0 {
-			return nil, fmt.Errorf("phocus: unknown section id %d: %w", id, ErrBadSnapshot)
-		}
-		// Sections must tile the payload region exactly — the next section
-		// starts where the previous one ended — so no byte escapes a CRC.
-		if so != uint64(off) {
-			return nil, fmt.Errorf("phocus: section %d at offset %d, want %d: %w", id, so, off, ErrBadSnapshot)
-		}
-		if sl > uint64(len(buf)-off) {
-			return nil, fmt.Errorf("phocus: section %d overruns the file: %w", id, ErrBadSnapshot)
-		}
-		if off%align != 0 || int(sl)%align != 0 {
-			return nil, fmt.Errorf("phocus: section %d misaligned for %d-byte elements: %w", id, align, ErrBadSnapshot)
-		}
-		if _, dup := secs[id]; dup {
-			return nil, fmt.Errorf("phocus: duplicate section id %d: %w", id, ErrBadSnapshot)
-		}
-		data := buf[off : off+int(sl)]
-		if crc32.Checksum(data, snapCRC) != crc {
+	secs := make(map[uint32][]byte, len(table))
+	for id, e := range table {
+		data := buf[e.off : e.off+e.len]
+		if crc32.Checksum(data, snapCRC) != e.crc {
 			return nil, fmt.Errorf("phocus: section %d checksum mismatch: %w", id, ErrBadSnapshot)
 		}
 		secs[id] = data
-		off += int(sl)
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("phocus: %d bytes beyond the last section: %w", len(buf)-off, ErrBadSnapshot)
 	}
 
-	sec := func(id uint32) ([]byte, error) {
-		d, ok := secs[id]
-		if !ok {
+	m, err := decodeSnapMeta(secs[secMeta])
+	if err != nil {
+		return nil, err
+	}
+	// The file holds exactly the sections META calls for.
+	want := append([]uint32{secMeta, secCost, secRetained, secMembers, secRelevance}, kbSections[:]...)
+	if m.hasSparse {
+		want = append(want, ksSections[:]...)
+	}
+	if m.hasRemoved {
+		want = append(want, secRemoved)
+	}
+	for _, id := range want {
+		if _, ok := secs[id]; !ok {
 			return nil, fmt.Errorf("phocus: missing section %d: %w", id, ErrBadSnapshot)
 		}
-		delete(secs, id)
-		return d, nil
 	}
-	metaB, err := sec(secMeta)
-	if err != nil {
-		return nil, err
-	}
-	m, err := decodeSnapMeta(metaB)
-	if err != nil {
-		return nil, err
+	if len(secs) != len(want) {
+		return nil, fmt.Errorf("phocus: %d unexpected sections: %w", len(secs)-len(want), ErrBadSnapshot)
 	}
 
 	totalMembers := 0
 	for _, k := range m.subMembers {
 		totalMembers += k
 	}
-
-	costB, err := sec(secCost)
-	if err != nil {
-		return nil, err
-	}
-	retB, err := sec(secRetained)
-	if err != nil {
-		return nil, err
-	}
-	memB, err := sec(secMembers)
-	if err != nil {
-		return nil, err
-	}
-	relB, err := sec(secRelevance)
-	if err != nil {
-		return nil, err
-	}
+	costB, retB, memB, relB := secs[secCost], secs[secRetained], secs[secMembers], secs[secRelevance]
 	if len(costB) != 8*m.numPhotos || len(retB) != 4*m.numRetained ||
 		len(memB) != 4*totalMembers || len(relB) != 8*totalMembers {
 		return nil, fmt.Errorf("phocus: instance section lengths disagree with meta: %w", ErrBadSnapshot)
 	}
-	cost := f64View(costB)
-	retained := photoView(retB)
-	members := photoView(memB)
-	relevance := f64View(relB)
+	cost := slabView[float64](costB)
+	retained := slabView[par.PhotoID](retB)
+	members := slabView[par.PhotoID](memB)
+	relevance := slabView[float64](relB)
 
 	// Husk bitmap of a delta'd Prepared; restoring it keeps the decoded value
 	// delta-capable (a husk must never be removed again or cited as a
 	// neighbour, see delta.go).
 	var removed []bool
 	if m.hasRemoved {
-		remB, err := sec(secRemoved)
-		if err != nil {
-			return nil, err
-		}
-		husks := photoView(remB)
+		husks := slabView[par.PhotoID](secs[secRemoved])
 		if len(husks) == 0 {
 			return nil, fmt.Errorf("phocus: removed flag set but section empty: %w", ErrBadSnapshot)
 		}
@@ -684,7 +614,7 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		}
 	}
 
-	kernBase, err := decodeKernel(sec, [6]uint32{secKBRowLen, secKBRowStart, secKBNbrIdx, secKBNbrSim, secKBOccStart, secKBOccRow}, m, relevance)
+	kernBase, err := decodeKernel(secs, kbSections, m, relevance)
 	if err != nil {
 		return nil, err
 	}
@@ -693,39 +623,17 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	if err := base.Finalize(); err != nil {
 		return nil, fmt.Errorf("phocus: snapshot instance invalid: %v: %w", err, ErrBadSnapshot)
 	}
-	if err := base.AttachKernel(kernBase); err != nil {
-		return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
-	}
-
-	var sparseSubsets []par.Subset
-	var solveTmpl *par.Instance
+	kernSolve := kernBase
 	if m.hasSparse {
-		kernSolve, err := decodeKernel(sec, [6]uint32{secKSRowLen, secKSRowStart, secKSNbrIdx, secKSNbrSim, secKSOccStart, secKSOccRow}, m, relevance)
+		kernSolve, err = decodeKernel(secs, ksSections, m, relevance)
 		if err != nil {
 			return nil, err
 		}
-		sparseSubsets = snapSubsets(m, members, relevance, kernSolve)
-		// The finalized budget-free solve template RunInto stamps views from;
-		// building it once here is what keeps the per-Run path allocation-free
-		// after a snapshot load, exactly as after a cold Prepare.
-		solveTmpl = &par.Instance{Cost: cost, Retained: retained, Budget: base.Budget, Subsets: sparseSubsets}
-		if err := solveTmpl.Finalize(); err != nil {
-			return nil, fmt.Errorf("phocus: snapshot sparse view invalid: %v: %w", err, ErrBadSnapshot)
-		}
-		if err := solveTmpl.AttachKernel(kernSolve); err != nil {
-			return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
-		}
-	}
-	if len(secs) != 0 {
-		return nil, fmt.Errorf("phocus: %d unexpected sections: %w", len(secs), ErrBadSnapshot)
 	}
 
 	p := &Prepared{
-		base:      base,
-		sparse:    sparseSubsets,
-		solveTmpl: solveTmpl,
-		removed:   removed,
-		owner:     m.owner,
+		removed: removed,
+		owner:   m.owner,
 		opts: PrepareOptions{
 			Tau:            m.tau,
 			UseLSH:         m.useLSH,
@@ -735,13 +643,19 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		OriginalPairs:   int(m.origPairs),
 		SparsifiedPairs: int(m.sparsePairs),
 	}
+	// The solve template reads the sparse kernel through the base's layout,
+	// built once here so the per-Run path stays allocation-free after a
+	// snapshot load, exactly as after a cold Prepare.
+	if err := p.setKernels(base, kernBase, kernSolve); err != nil {
+		return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
+	}
 	// The single loaded region backs every slab, so it is what the Prepared
 	// retains; counting it once is the snapshot path's answer to the shared-
 	// slab accounting the in-memory path has to sum piecewise. The derived
 	// slot weights and the true kernel's cover index, which a bounded Run
 	// builds, are the only kernel arrays outside it.
-	p.sizeBytes = int64(len(buf)) + 8*int64(totalMembers) + pendingCoverBytes(base.Kernel())
-	if solveTmpl != nil {
+	p.sizeBytes = int64(len(buf)) + 8*int64(totalMembers) + pendingCoverBytes(kernBase)
+	if m.hasSparse {
 		p.sizeBytes += 8 * int64(totalMembers)
 	}
 	// The fingerprint was fixed at encode time; recomputing it is impossible
@@ -751,10 +665,8 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	return p, nil
 }
 
-// snapSubsets rebuilds one subset group (base or sparse) over the decoded
-// Members/Relevance views, which both groups share exactly as Prepare's
-// sparsifier shares them; each subset's Sim is a view of the group's
-// kernel.
+// snapSubsets rebuilds the base subsets over the decoded Members/Relevance
+// views; each subset's Sim is a view of the base kernel.
 func snapSubsets(m *snapMeta, members []par.PhotoID, relevance []float64, k *par.Kernel) []par.Subset {
 	subsets := make([]par.Subset, len(m.subMembers))
 	o := 0
@@ -779,24 +691,16 @@ func snapSubsets(m *snapMeta, members []par.PhotoID, relevance []float64, k *par
 // row r of subset q weighs W(q)·R(q, member), the product CompileKernel
 // computes, taken from META's subset weights and the relevance section
 // (whose rows run in the kernel's canonical subset-major order).
-func decodeKernel(sec func(uint32) ([]byte, error), ids [6]uint32, m *snapMeta, relevance []float64) (*par.Kernel, error) {
-	var b [6][]byte
-	for i, id := range ids {
-		d, err := sec(id)
-		if err != nil {
-			return nil, err
-		}
-		b[i] = d
-	}
+func decodeKernel(secs map[uint32][]byte, ids [6]uint32, m *snapMeta, relevance []float64) (*par.Kernel, error) {
 	slabs := par.KernelSlabs{
 		Photos:   m.numPhotos,
-		RowLen:   i32View(b[0]),
-		RowStart: i64View(b[1]),
-		NbrIdx:   i32View(b[2]),
-		NbrSim:   f64View(b[3]),
+		RowLen:   slabView[int32](secs[ids[0]]),
+		RowStart: slabView[int64](secs[ids[1]]),
+		NbrIdx:   slabView[int32](secs[ids[2]]),
+		NbrSim:   slabView[float64](secs[ids[3]]),
 		SlotWR:   make([]float64, 0, len(relevance)),
-		OccStart: i32View(b[4]),
-		OccRow:   i32View(b[5]),
+		OccStart: slabView[int32](secs[ids[4]]),
+		OccRow:   slabView[int32](secs[ids[5]]),
 	}
 	o := 0
 	for qi, k := range m.subMembers {

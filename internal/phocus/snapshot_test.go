@@ -82,7 +82,7 @@ func keyOf(r *Result) runKey {
 
 // solveKernel returns p's solve kernel, nil when p was prepared without τ.
 func solveKernel(p *Prepared) *par.Kernel {
-	if p.solveTmpl == nil {
+	if p.solveTmpl == p.base {
 		return nil
 	}
 	return p.solveTmpl.Kernel()
@@ -379,9 +379,9 @@ func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 		return nil
 	}
 	// The base kernel's row layout, read from the pristine file.
-	rowLen := i32View(at(pristine, secKBRowLen).data)
-	rowStart := i64View(at(pristine, secKBRowStart).data)
-	nbrIdx := i32View(at(pristine, secKBNbrIdx).data)
+	rowLen := slabView[int32](at(pristine, secKBRowLen).data)
+	rowStart := slabView[int64](at(pristine, secKBRowStart).data)
+	nbrIdx := slabView[int32](at(pristine, secKBNbrIdx).data)
 	if len(rowLen) < 2 {
 		t.Fatalf("snapshot has %d subsets, want at least 2", len(rowLen))
 	}
@@ -639,7 +639,98 @@ func TestSnapshotStoreNameMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotLoadFaster pins the point of the format: decoding a prepared
+// TestSnapshotStoreOwner: Owner reads a snapshot's owner from its header and
+// META alone, so a fault in a kernel section, which Load finds, does not
+// reach it; a fault in what it reads, or a file filed under another
+// fingerprint, is corruption to it as to Load.
+func TestSnapshotStoreOwner(t *testing.T) {
+	store, err := OpenSnapshotStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := preparedForSnapDelta(t, 0.3)
+	p.owner = "alice"
+	path, _, err := store.Save(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _ := p.Fingerprint()
+	if owner, err := store.Owner(fp); err != nil || owner != "alice" {
+		t.Fatalf("Owner = %q, %v; want alice", owner, err)
+	}
+	if _, err := store.Owner(strings.Repeat("ab", 32)); !os.IsNotExist(err) {
+		t.Fatalf("Owner of a missing snapshot: error %v, want not-exist", err)
+	}
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, err := parseSnapHeader(pristine, len(pristine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint32{secKSNbrSim, secMeta} {
+		e := table[id]
+		data := bytes.Clone(pristine)
+		data[e.off+e.len/2] ^= 0x40
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		owner, err := store.Owner(fp)
+		if id == secMeta {
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("Owner with a flipped META byte: %q, %v; want ErrBadSnapshot", owner, err)
+			}
+			continue
+		}
+		if err != nil || owner != "alice" {
+			t.Fatalf("Owner with a flipped kernel byte = %q, %v; want alice", owner, err)
+		}
+		if _, err := store.Load(fp); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("Load with a flipped kernel byte: error %v, want ErrBadSnapshot", err)
+		}
+	}
+	other := strings.Repeat("cd", 32)
+	if err := os.WriteFile(store.Path(other), pristine, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Owner(other); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Owner of a renamed snapshot: error %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestSnapshotElementWiseFallback: the element-wise slab conversions, which
+// hosts that are not little-endian take, write the bytes the zero-copy
+// views write and read back the same Prepared.
+func TestSnapshotElementWiseFallback(t *testing.T) {
+	p, rng := preparedForSnapDelta(t, 0.3)
+	if _, err := p.ApplyDelta(context.Background(), randomChurn(rng, p.base, nil, 2, 2, true)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeSnapshot(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(zc bool) { snapZeroCopy = zc }(snapZeroCopy)
+	snapZeroCopy = false
+	got, err := EncodeSnapshot(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the element-wise encode differs from the zero-copy one")
+	}
+	q, err := DecodeSnapshot(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := EncodeSnapshot(q); err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("re-encoding the element-wise decode: %v, or the bytes differ", err)
+	}
+	requireSameRun(t, "element-wise decode", p, q, 0.4*p.TotalCost(), AlgoCELF)
+}
+
+// TestSnapshotLoadFaster pins the point// TestSnapshotLoadFaster pins the point of the format: decoding a prepared
 // snapshot must beat re-running Prepare by a wide margin even at a moderate
 // size. It times DecodeSnapshot on an in-memory buffer so the comparison is
 // CPU-vs-CPU — raw file-read throughput varies wildly between CI machines,

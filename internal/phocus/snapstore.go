@@ -3,6 +3,7 @@ package phocus
 import (
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -72,10 +73,63 @@ func (s *SnapshotStore) Load(fp string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got, _ := p.Fingerprint(); got != fp {
-		return nil, fmt.Errorf("phocus: snapshot named %.12s… embeds fingerprint %.12s…: %w", fp, got, ErrBadSnapshot)
+	got, _ := p.Fingerprint()
+	if err := checkNamed(fp, got); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// Owner returns the tenant that owns the fingerprint's snapshot. It reads
+// only the file's header block and its checksummed META section, so telling
+// a tenant that a snapshot is not theirs costs no kernel read and judges
+// none of the rest of the file. Errors read as Load's do.
+func (s *SnapshotStore) Owner(fp string) (string, error) {
+	f, err := os.Open(s.Path(fp))
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return "", err
+	}
+	head := make([]byte, min(st.Size(), snapHeaderMax))
+	if _, err := f.ReadAt(head, 0); err != nil {
+		return "", fmt.Errorf("phocus: read snapshot header: %w", err)
+	}
+	got, table, err := parseSnapHeader(head, int(st.Size()))
+	if err != nil {
+		return "", err
+	}
+	if err := checkNamed(fp, got); err != nil {
+		return "", err
+	}
+	e, ok := table[secMeta]
+	if !ok {
+		return "", fmt.Errorf("phocus: missing section %d: %w", secMeta, ErrBadSnapshot)
+	}
+	meta := make([]byte, e.len)
+	if _, err := f.ReadAt(meta, int64(e.off)); err != nil {
+		return "", fmt.Errorf("phocus: read snapshot meta: %w", err)
+	}
+	if crc32.Checksum(meta, snapCRC) != e.crc {
+		return "", fmt.Errorf("phocus: section %d checksum mismatch: %w", secMeta, ErrBadSnapshot)
+	}
+	m, err := decodeSnapMeta(meta)
+	if err != nil {
+		return "", err
+	}
+	return m.owner, nil
+}
+
+// checkNamed reports a snapshot whose embedded fingerprint got disagrees
+// with the fingerprint fp it is filed under as corrupt.
+func checkNamed(fp, got string) error {
+	if got != fp {
+		return fmt.Errorf("phocus: snapshot named %.12s… embeds fingerprint %.12s…: %w", fp, got, ErrBadSnapshot)
+	}
+	return nil
 }
 
 // Remove deletes the fingerprint's snapshot. A missing file is not an error

@@ -138,7 +138,7 @@ func TestTraceContinueLadders(t *testing.T) {
 
 // TestTraceContinueAfterDeltaChain: on P-1K at τ 0 and 0.4, after a
 // 40-batch delta chain of 1% churn, with a Run after every batch so each
-// delta drops a live trace, and a forced Compact, the ladders match the
+// delta drops a live trace, and a forced compaction, the ladders match the
 // first Runs of a cold Prepare of the merged instance.
 func TestTraceContinueAfterDeltaChain(t *testing.T) {
 	if testing.Short() {
@@ -174,7 +174,7 @@ func TestTraceContinueAfterDeltaChain(t *testing.T) {
 				t.Fatalf("%s batch %d: Run: %v", label, batch, err)
 			}
 		}
-		if err := live.Compact(); err != nil {
+		if err := compactNow(live); err != nil {
 			t.Fatal(err)
 		}
 		cold, err := Prepare(ctx, &dataset.Dataset{Instance: merged}, opts)
