@@ -237,14 +237,15 @@ func BenchmarkPreparedSweep(b *testing.B) {
 
 // BenchmarkSnapshotP100K measures the warm-restart trade of the persistent
 // snapshot format on the P-100K public dataset at the bench suite's reduced
-// scale: "coldprepare" re-runs the full Prepare stage (finalize +
-// τ-sparsify + kernel compile), "decode" rebuilds the Prepared from the
-// encoded snapshot bytes (every section checksum-verified — this is the CPU
-// cost a warm restart pays per cached instance), and "load" is the same
+// scale: "coldprepare" re-runs the full Prepare stage (finalize + kernel
+// compile + τ-threshold), "decode" rebuilds the Prepared from the encoded
+// snapshot bytes (every section checksum-verified, the τ-kernel derived
+// from the true kernel — this is the CPU cost a warm restart pays per
+// cached instance), and "load" is the same
 // through a file read. The coldprepare/decode ratio is the headline
-// recorded in BENCH_snapshot.json (≥ 10×, and it grows with instance size:
-// Prepare's similarity work is superlinear, the decode one linear verified
-// pass); "load" additionally includes storage I/O and tracks the disk, not
+// recorded in BENCH_snapshot.json (about 4× on this instance, and it grows
+// with instance size: Prepare's similarity work is superlinear, the decode
+// a linear verified pass plus a linear τ-threshold); "load" additionally includes storage I/O and tracks the disk, not
 // the codec. Workers are pinned to 1 on every path so the ratio compares
 // algorithmic work, not pool sizes.
 func BenchmarkSnapshotP100K(b *testing.B) {

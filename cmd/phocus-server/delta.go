@@ -36,10 +36,8 @@ type deltaResponse struct {
 // handleDelta is POST /instances/{fp}/delta: admit the tenant, read the
 // delta batch and apply it through the pipeline. 404 when the fingerprint
 // names no prepared instance of the tenant: none is cached or on disk, or
-// another tenant owns it (the two answers are the same, word for word); 409
-// for LSH-prepared instances (their sketched similarities cannot absorb
-// churn); 400 for a batch that does not decode or that the engine's
-// validation rejects.
+// another tenant owns it (the two answers are the same, word for word); 400
+// for a batch that does not decode or that the engine's validation rejects.
 func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	if !phocus.ValidFingerprint(fp) {

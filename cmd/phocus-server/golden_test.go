@@ -42,8 +42,8 @@ func maskGolden(s string) string {
 
 // TestGoldenResponses pins the wire answers of every request path byte for
 // byte (after masking durations, timestamps and job IDs): /solve on a miss,
-// a hit and without ?budget, each 4xx TestSolveErrors covers, the delta
-// endpoint's 200/404/409/400, the stored results of the solve, session and
+// a hit and without ?budget, each 4xx TestSolveErrors covers, the 400 for
+// lsh=1, the delta endpoint's 200/404/400, the stored results of the solve, session and
 // retention job kinds, and the span names and attributes of one miss and one
 // hit. The recording lives in testdata/golden.json; when the file is absent
 // the test writes it and fails, so a fresh recording never passes silently.
@@ -148,8 +148,7 @@ func TestGoldenResponses(t *testing.T) {
 	do("delta/400-json", http.MethodPost, "/instances/"+next+"/delta", "golden-delta-400", "{")
 	do("delta/400-batch", http.MethodPost, "/instances/"+next+"/delta", "golden-delta-400b", `{"remove":[99]}`)
 	vec, budget := vectorBody(t, true)
-	lsh := fingerprint(do("", http.MethodPost, fmt.Sprintf("/solve?lsh=1&tau=0.6&seed=2&budget=%.0f", budget), "", vec))
-	do("delta/409", http.MethodPost, "/instances/"+lsh+"/delta", "golden-delta-409", growDelta)
+	do("solve/lsh", http.MethodPost, fmt.Sprintf("/solve?lsh=1&tau=0.6&seed=2&budget=%.0f", budget), "golden-lsh", vec)
 	job("job/session", "?kind=session&fp="+next, growDelta)
 
 	want, err := os.ReadFile(goldenFile)

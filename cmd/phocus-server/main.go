@@ -30,9 +30,9 @@
 // sparsify → solve → encode) is traced as a span in the structured log.
 //
 // All solve and delta traffic flows through one phocus.Pipeline (the staged
-// engine's Prepare + Run). Prepared instances are cached in an LRU keyed by the content
-// fingerprint of the request body plus the preparation parameters (tau,
-// lsh, seed) — the run budget is excluded, so a budget sweep over one
+// engine's Prepare + Run). Prepared instances are cached in an LRU keyed by
+// the content fingerprint of the request body plus the preparation
+// parameter tau — the run budget is excluded, so a budget sweep over one
 // archive sparsifies exactly once and every warm request goes straight to
 // the solver. Cache behaviour is visible on /metrics as
 // phocus_prepare_cache_{hits,misses,evictions}_total; solves stopped
@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -567,19 +568,21 @@ type solveResponse struct {
 
 // parseSolveParams validates the /solve query string into a solve request's
 // parameters. Every rejection uses the same "invalid <param> %q: want ..."
-// shape so clients get consistent 400 messages.
+// shape so clients get consistent 400 messages. The server sparsifies
+// exactly: lsh=1 and a non-zero seed, which only LSH reads, are refused
+// (lsh=0 and seed=0 are the defaults and pass).
 func parseSolveParams(q url.Values) (phocus.SolveRequest, error) {
 	var p phocus.SolveRequest
 	if b := q.Get("budget"); b != "" {
 		v, err := strconv.ParseFloat(b, 64)
-		if err != nil || v <= 0 {
+		if err != nil || !(v > 0) || math.IsInf(v, 0) {
 			return p, fmt.Errorf("invalid budget %q: want a positive number of bytes", b)
 		}
 		p.Budget = v
 	}
 	if t := q.Get("tau"); t != "" {
 		v, err := strconv.ParseFloat(t, 64)
-		if err != nil || v < 0 || v > 1 {
+		if err != nil || !(v >= 0 && v <= 1) {
 			return p, fmt.Errorf("invalid tau %q: want a number in [0,1]", t)
 		}
 		p.Tau = v
@@ -589,22 +592,13 @@ func parseSolveParams(q url.Values) (phocus.SolveRequest, error) {
 		return p, err
 	}
 	p.Algorithm = algo
-	switch l := q.Get("lsh"); l {
-	case "", "0":
-	case "1":
-		p.LSH = true
-	default:
-		return p, fmt.Errorf("invalid lsh %q: want 0 or 1", l)
+	if l := q.Get("lsh"); l != "" && l != "0" {
+		return p, fmt.Errorf("invalid lsh %q: want 0; the server's τ-sparsification is exact", l)
 	}
 	if sd := q.Get("seed"); sd != "" {
-		v, err := strconv.ParseInt(sd, 10, 64)
-		if err != nil {
-			return p, fmt.Errorf("invalid seed %q: want an integer", sd)
+		if v, err := strconv.ParseInt(sd, 10, 64); err != nil || v != 0 {
+			return p, fmt.Errorf("invalid seed %q: want 0; only LSH reads a seed", sd)
 		}
-		p.Seed = v
-	}
-	if p.LSH && p.Tau == 0 {
-		return p, fmt.Errorf("invalid lsh %q: requires tau > 0", q.Get("lsh"))
 	}
 	return p, nil
 }
@@ -698,8 +692,6 @@ func (s *server) fail(w http.ResponseWriter, r *http.Request, err error) {
 		status = http.StatusBadRequest
 	case errors.Is(err, phocus.ErrUnknownFingerprint):
 		status = http.StatusNotFound
-	case errors.Is(err, phocus.ErrDeltaLSH):
-		status = http.StatusConflict
 	case r.Context().Err() != nil:
 		s.reg.Counter("phocus_http_canceled_total", "route", routeLabel(r.URL.Path)).Inc()
 		obs.Logger(r.Context()).Warn("client canceled", "path", r.URL.Path, "err", err)

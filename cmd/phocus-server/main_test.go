@@ -660,37 +660,39 @@ func vectorBody(t *testing.T, withVectors bool) (string, float64) {
 	return buf.String(), 0.3 * ds.Instance.TotalCost()
 }
 
-// TestSolveLSHParams covers the lsh=1&seed=N satellite: a body written with
-// vectors solves under LSH sparsification; the same request without vectors
-// is a 400 naming exactly what is missing.
+// TestSolveLSHParams: the server sparsifies exactly, so lsh=1 and a
+// non-zero seed answer 400 before the body is read, on a body that carries
+// context vectors and one that does not, for /solve and POST /jobs alike;
+// lsh=0 and seed=0, the defaults, solve as if absent, under the same
+// fingerprint.
 func TestSolveLSHParams(t *testing.T) {
 	_, h := newTestServer(t, nil)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	body, budget := vectorBody(t, true)
-	budget = float64(int64(budget)) // keep the query string integral
-	query := fmt.Sprintf("/solve?lsh=1&tau=0.6&seed=2&budget=%.0f", budget)
-	out := postSolve(t, srv.URL+query, body)
-	if out.Score <= 0 || len(out.Retain) == 0 {
-		t.Errorf("LSH solve returned score %.4f, retain %v", out.Score, out.Retain)
-	}
-	if out.Cost > budget {
-		t.Errorf("cost %g exceeds budget %g", out.Cost, budget)
-	}
-
+	withVecs, budget := vectorBody(t, true)
 	bare, _ := vectorBody(t, false)
-	resp, err := http.Post(srv.URL+query, "application/json", strings.NewReader(bare))
-	if err != nil {
-		t.Fatal(err)
+	budget = float64(int64(budget)) // keep the query string integral
+	for _, path := range []string{"/solve", "/jobs"} {
+		for _, body := range []string{withVecs, bare} {
+			for _, q := range []string{"lsh=1&tau=0.6&seed=2", "lsh=1&tau=0.6", "tau=0.6&seed=2"} {
+				resp, err := http.Post(fmt.Sprintf("%s%s?%s&budget=%.0f", srv.URL, path, q, budget), "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(string(msg), "invalid ") {
+					t.Errorf("%s?%s: status %d %q, want a 400 naming the parameter", path, q, resp.StatusCode, msg)
+				}
+			}
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("vectorless lsh=1: status %d, want 400", resp.StatusCode)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(msg), "requires per-subset context vectors") {
-		t.Errorf("vectorless lsh=1 body %q, want context-vector error", msg)
+	plain := postSolve(t, fmt.Sprintf("%s/solve?tau=0.6&budget=%.0f", srv.URL, budget), withVecs)
+	zeros := postSolve(t, fmt.Sprintf("%s/solve?lsh=0&tau=0.6&seed=0&budget=%.0f", srv.URL, budget), withVecs)
+	if zeros.Fingerprint != plain.Fingerprint || zeros.Score != plain.Score || zeros.Score <= 0 {
+		t.Errorf("lsh=0&seed=0 solve: fingerprint %.12s score %g, want %.12s %g",
+			zeros.Fingerprint, zeros.Score, plain.Fingerprint, plain.Score)
 	}
 }
 
@@ -707,9 +709,15 @@ func TestSolveParamMessages(t *testing.T) {
 		{"budget=nope", `invalid budget "nope": want a positive number of bytes`},
 		{"tau=7", `invalid tau "7": want a number in [0,1]`},
 		{"algo=magic", `unknown algo "magic": want celf, sviridenko, exact or streaming`},
-		{"lsh=2", `invalid lsh "2": want 0 or 1`},
-		{"lsh=1", `invalid lsh "1": requires tau > 0`},
-		{"seed=x", `invalid seed "x": want an integer`},
+		{"budget=NaN", `invalid budget "NaN": want a positive number of bytes`},
+		{"budget=Inf", `invalid budget "Inf": want a positive number of bytes`},
+		{"budget=-Inf", `invalid budget "-Inf": want a positive number of bytes`},
+		{"tau=NaN", `invalid tau "NaN": want a number in [0,1]`},
+		{"tau=-Inf", `invalid tau "-Inf": want a number in [0,1]`},
+		{"lsh=2", `invalid lsh "2": want 0; the server's τ-sparsification is exact`},
+		{"lsh=1", `invalid lsh "1": want 0; the server's τ-sparsification is exact`},
+		{"seed=x", `invalid seed "x": want 0; only LSH reads a seed`},
+		{"seed=2", `invalid seed "2": want 0; only LSH reads a seed`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(srv.URL+"/solve?"+tc.query, "application/json", strings.NewReader(body))
@@ -1086,7 +1094,7 @@ func TestDigestFirstWarmMatchesCold(t *testing.T) {
 	}
 
 	// A malformed body after a valid one is still a 400, with or without a
-	// budget, and lsh=1 on a body without vectors is a 400 too.
+	// budget, and lsh=1 on a body the cache holds is a 400 too.
 	bad := append([]byte(nil), body[:len(body)/2]...)
 	for _, q := range []string{"?tau=0.4" + rungQuery(ladder[0]), "?tau=0.4"} {
 		if code, out := postAs(t, srv.URL+"/solve"+q, "warm", bad); code != http.StatusBadRequest ||
@@ -1095,7 +1103,7 @@ func TestDigestFirstWarmMatchesCold(t *testing.T) {
 		}
 	}
 	code, out := postAs(t, srv.URL+"/solve?lsh=1&tau=0.4"+rungQuery(ladder[0]), "warm", body)
-	if code != http.StatusBadRequest || !strings.Contains(string(out), "requires per-subset context vectors") {
-		t.Errorf("lsh=1 without vectors: %d %q, want a 400", code, out)
+	if code != http.StatusBadRequest || !strings.HasPrefix(string(out), `invalid lsh "1"`) {
+		t.Errorf("lsh=1: %d %q, want a 400", code, out)
 	}
 }

@@ -207,6 +207,64 @@ func compileKernel(inst *Instance, workers int) *Kernel {
 	return k
 }
 
+// Threshold returns the τ-sparsification of k (paper §4.3): the kernel of
+// k's layout that keeps exactly the entries with sim ≥ tau, in k's order,
+// which is the kernel CompileKernel builds over the instance whose
+// similarities below tau are rounded down to 0. It also returns k's and the
+// result's pair counts, (entries − rows)/2 each: every row holds its self
+// entry and each other pair twice. k must be canonical, and tau at most 1,
+// so every self entry (sim 1) stays. The result owns every slab, slot
+// weights and occurrence index included: a delta overlay grows and rewrites
+// each kernel's own copies, and a shared slab would take every batch twice.
+func (k *Kernel) Threshold(tau float64) (t *Kernel, before, after int) {
+	if !k.Canonical() {
+		panic("par: Kernel.Threshold on a non-canonical kernel; compact first")
+	}
+	if !(tau <= 1) {
+		panic("par: Kernel.Threshold above 1 would drop the self entries")
+	}
+	// Both passes keep an entry by adding the comparison's 0 or 1 rather
+	// than branching on it: whether a similarity clears τ is close to a
+	// coin flip entry by entry, so a branch would mispredict about half the
+	// time. The fill writes every entry and advances past the kept ones,
+	// into slabs one entry longer than it keeps.
+	kept := 0
+	for _, s := range k.nbrSim {
+		kept += b2i(s >= tau)
+	}
+	rows := k.Rows()
+	idx, sim := make([]int32, kept+1), make([]float64, kept+1)
+	t = &Kernel{
+		photos:   k.photos,
+		rowLen:   slices.Clone(k.rowLen),
+		rowStart: make([]int64, rows+1),
+		nbrIdx:   idx[:kept],
+		nbrSim:   sim[:kept],
+		slotWR:   slices.Clone(k.slotWR),
+		occStart: slices.Clone(k.occStart),
+		occRow:   slices.Clone(k.occRow),
+	}
+	n := 0
+	for r := 0; r < rows; r++ {
+		lo, hi := k.rowStart[r], k.rowStart[r+1]
+		for e, s := range k.nbrSim[lo:hi] {
+			idx[n], sim[n] = k.nbrIdx[lo+int64(e)], s
+			n += b2i(s >= tau)
+		}
+		t.rowStart[r+1] = int64(n)
+	}
+	return t, (len(k.nbrIdx) - rows) / 2, (kept - rows) / 2
+}
+
+// b2i returns 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
 // neighborCounter is a NeighborLister that reads a row's length without
 // listing it, so CompileKernel sizes the row before it copies it.
 type neighborCounter interface {

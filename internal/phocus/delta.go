@@ -651,26 +651,36 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 		return nil, err
 	}
 
-	// Each distinct kernel mirrors the plan entry for entry; the sparse one
-	// keeps the rows τ-filtered. The overlaid base kernel then holds the new
-	// similarities: point every subset (appended ones included) at it,
-	// finalize, and install it, with the sparse kernel read through the same
-	// layout, so Kernel never recompiles either.
+	// The base kernel mirrors the plan entry for entry, and then holds the
+	// new similarities: point every subset (appended ones included) at it
+	// and finalize. Past the dead-entry or overlay-growth threshold both
+	// kernels are rebuilt from it (compact); otherwise the sparse kernel
+	// mirrors the plan too, keeping its appended rows τ-filtered. Either way
+	// the templates are installed once, so Kernel never recompiles either.
 	kb, ks := p.base.Kernel(), p.solveTmpl.Kernel()
 	applyKernelPlan(kb, plan, newBase.Subsets, 0)
-	if ks != kb {
-		applyKernelPlan(ks, plan, newBase.Subsets, p.opts.Tau)
-	}
 	par.SetKernelSims(newBase.Subsets, kb)
 	if err := finalizeDelta(newBase); err != nil {
 		return nil, err
 	}
-	if err := p.setKernels(newBase, kb, ks); err != nil {
-		return nil, fmt.Errorf("phocus: delta kernel: %w", err)
+	overlay := kb.OverlayEntries()
+	compacting := kb.LiveFraction() < compactLiveFraction || overlay*overlayGrowthDivisor > kb.Entries()-overlay
+	if compacting {
+		if err := p.compact(newBase); err != nil {
+			return nil, err
+		}
+	} else {
+		if ks != kb {
+			applyKernelPlan(ks, plan, newBase.Subsets, p.opts.Tau)
+		}
+		if err := p.setKernels(newBase, kb, ks); err != nil {
+			return nil, fmt.Errorf("phocus: delta kernel: %w", err)
+		}
+		p.sizeBytes = p.sizeBytesLocked()
 	}
 
 	// Commit: grow the removed bitmap, evolve the fingerprint, drop the
-	// trace recorded on the old layout, recount bytes.
+	// trace recorded on the old layout.
 	if p.removed == nil {
 		p.removed = make([]bool, 0, newBase.NumPhotos())
 	}
@@ -688,18 +698,9 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 		Added:          len(d.Add),
 		Removed:        len(d.Remove),
 		NewSubsets:     len(d.NewSubsets),
+		Compacted:      compacting,
 		OldFingerprint: oldFP,
 		NewFingerprint: p.fp,
-	}
-
-	overlay := kb.OverlayEntries()
-	if kb.LiveFraction() < compactLiveFraction || overlay*overlayGrowthDivisor > kb.Entries()-overlay {
-		if err := p.compact(); err != nil {
-			return nil, err
-		}
-		stats.Compacted = true
-	} else {
-		p.sizeBytes = p.sizeBytesLocked()
 	}
 	stats.LiveFraction = p.base.Kernel().LiveFraction()
 	stats.Photos, stats.SizeBytes = p.base.NumPhotos(), p.sizeBytes
@@ -739,12 +740,14 @@ func applyKernelPlan(k *par.Kernel, plan *deltaPlan, subsets []par.Subset, tau f
 	}
 }
 
-// compact recompiles both gain kernels from their own live entries — one
-// linear pass over each overlaid kernel's rows, read through its template's
-// kernel views — dropping the mutation overlays and restoring the canonical
-// flat layout (and canonical snapshot encodability). ApplyDelta runs it past
-// the dead-entry/overlay-growth thresholds; the caller holds mu.
-func (p *Prepared) compact() error {
+// compact installs base — finalized, its subsets' Sims views of the
+// Prepared's overlaid true kernel — with canonical kernels: the true kernel
+// compiled from those views, one linear pass over its live entries, and,
+// when τ > 0, that kernel thresholded at τ. It drops the mutation overlays
+// and restores the canonical flat layout (and snapshot encodability).
+// ApplyDelta runs it past the dead-entry/overlay-growth thresholds; the
+// caller holds mu.
+func (p *Prepared) compact(base *par.Instance) error {
 	kt := time.Now()
 	// The trace was recorded on the layout being replaced. Drop it rather
 	// than rely on the recompiled kernel summing every gain in the same
@@ -754,13 +757,13 @@ func (p *Prepared) compact() error {
 	// builds the recompiled kernel's here, inside the compaction it already
 	// waits for, rather than on the Runs after it.
 	_, swept := p.base.Kernel().CoverBytes()
-	kb := par.CompileKernel(p.base)
+	kb := par.CompileKernel(base)
 	ks := kb
-	if p.solveTmpl != p.base {
-		ks = par.CompileKernel(p.solveTmpl)
+	if p.opts.Tau > 0 {
+		ks, _, _ = kb.Threshold(p.opts.Tau)
 	}
-	par.SetKernelSims(p.base.Subsets, kb)
-	if err := p.setKernels(p.base, kb, ks); err != nil {
+	par.SetKernelSims(base.Subsets, kb)
+	if err := p.setKernels(base, kb, ks); err != nil {
 		return fmt.Errorf("phocus: compact kernel: %w", err)
 	}
 	if swept {

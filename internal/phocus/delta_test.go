@@ -225,8 +225,16 @@ func TestApplyDeltaMatchesColdPrepare(t *testing.T) {
 // TestApplyDeltaCompaction drives enough removal churn to trip the automatic
 // kernel compaction, then requires the canonical layout back and continued
 // differential equality — compaction must be invisible to solve results.
+// Every ApplyDelta, the compacting one included, builds the solve template
+// once.
 func TestApplyDeltaCompaction(t *testing.T) {
 	ctx := context.Background()
+	builds := 0
+	defer func(f func(*par.Instance, *par.Kernel) (*par.Instance, error)) { withKernel = f }(withKernel)
+	withKernel = func(in *par.Instance, k *par.Kernel) (*par.Instance, error) {
+		builds++
+		return in.WithKernel(k)
+	}
 	rng := rand.New(rand.NewSource(11))
 	inst := par.Random(rng, par.RandomConfig{
 		Photos: 30, Subsets: 8, BudgetFrac: 0.5, SimDensity: 0.9, MaxSubset: 12,
@@ -244,9 +252,13 @@ func TestApplyDeltaCompaction(t *testing.T) {
 		if len(d.Remove) == 0 {
 			break
 		}
+		builds = 0
 		stats, err := live.ApplyDelta(ctx, d)
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
+		}
+		if builds != 1 {
+			t.Fatalf("batch %d (compacted %v): %d solve template builds, want 1", batch, stats.Compacted, builds)
 		}
 		if merged, removed, err = MergeDelta(merged, removed, d); err != nil {
 			t.Fatalf("batch %d: MergeDelta: %v", batch, err)
@@ -561,5 +573,5 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 func compactNow(p *Prepared) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.compact()
+	return p.compact(p.base)
 }

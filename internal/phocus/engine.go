@@ -39,7 +39,7 @@ var ErrNoCtxVectors = errors.New("phocus: LSH sparsification requires per-subset
 
 // PrepareOptions configures the Data Representation stage.
 type PrepareOptions struct {
-	// Tau enables τ-sparsification when positive.
+	// Tau enables τ-sparsification when positive; it must lie in [0, 1].
 	Tau float64
 	// UseLSH selects SimHash candidate generation for the sparsification;
 	// the dataset must carry CtxVectors or Prepare fails with
@@ -47,7 +47,8 @@ type PrepareOptions struct {
 	UseLSH bool
 	// Seed drives LSH randomness.
 	Seed int64
-	// Workers bounds the sparsification fan-out (≤ 0 means one per CPU).
+	// Workers bounds the LSH sparsification's fan-out (≤ 0 means one per
+	// CPU).
 	Workers int
 	// InstanceDigest, when non-empty, is a caller-supplied content digest of
 	// the instance (e.g. a sha256 over the raw request body) used verbatim
@@ -157,8 +158,8 @@ type Prepared struct {
 	// PrepTime is the wall-clock cost of the stage (finalize + sparsify +
 	// kernel compilation).
 	PrepTime time.Duration
-	// KernelBuildTime is the portion of PrepTime spent compiling gain
-	// kernels.
+	// KernelBuildTime is the portion of PrepTime spent building gain
+	// kernels: compiling them, and thresholding the true kernel at τ.
 	KernelBuildTime time.Duration
 	// OriginalPairs / SparsifiedPairs report how much τ-sparsification
 	// shrank the similarity structure (both zero when Tau == 0). On the LSH
@@ -169,20 +170,24 @@ type Prepared struct {
 
 // Prepare runs the Data Representation stage on a dataset: it finalizes a
 // budget-free view of the instance, compiles its true gain kernel and, when
-// opts.Tau > 0, τ-sparsifies the similarity structure (exact, or SimHash
-// candidates when opts.UseLSH and the dataset carries CtxVectors) and
-// compiles the sparsified kernel. S0 is the instance's own retained set.
+// opts.Tau > 0, τ-sparsifies it: exactly, by thresholding the true kernel's
+// entries at τ (par.Kernel.Threshold), or, when opts.UseLSH and the dataset
+// carries CtxVectors, by verifying SimHash candidate pairs and compiling the
+// kernel of the pairs kept. S0 is the instance's own retained set. opts.Tau
+// must lie in [0, 1].
 //
-// The true kernel is compiled first, and the base subsets hold views of it
-// before they are sparsified: the exact path then walks the kernel's rows
-// instead of calling Sim on every pair, so each similarity of the dataset
-// is computed once, by the compile. The result is the one sparsifying the
-// dataset's own similarities first would give, slab for slab and byte for
-// byte: the views read back exactly the positive similarities the subsets
-// hold, which par.Similarity requires to be symmetric.
+// The true kernel is compiled first, and the base subsets hold views of it,
+// so each similarity of the dataset is computed once, by the compile. The
+// exact τ-kernel is the one compiling the dataset's similarities rounded
+// down below τ would give, slab for slab and byte for byte: the views read
+// back exactly the positive similarities the subsets hold, which
+// par.Similarity requires to be symmetric.
 func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if !(opts.Tau >= 0 && opts.Tau <= 1) {
+		return nil, fmt.Errorf("phocus: tau %g out of [0,1]", opts.Tau)
 	}
 	start := time.Now()
 	inst := ds.Instance
@@ -203,34 +208,30 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 		return nil, ErrNoCtxVectors
 	}
 
-	// Both kernels are compiled here, so the first Run pays for neither, and
-	// become their subsets' similarities.
+	// Both kernels are built here, so the first Run pays for neither, and
+	// the true one becomes its subsets' similarities.
 	kt := time.Now()
 	kb := base.Kernel()
 	par.SetKernelSims(base.Subsets, kb)
 	p := &Prepared{opts: opts}
-	p.KernelBuildTime = time.Since(kt)
 	ks := kb
-	if opts.Tau > 0 {
-		var sres sparsify.Result
-		var err error
-		if opts.UseLSH {
-			rng := rand.New(rand.NewSource(opts.Seed))
-			sres, err = sparsify.WithLSH(rng, base, ds.CtxVectors, opts.Tau, opts.Workers)
-		} else {
-			sres, err = sparsify.Exact(base, opts.Tau, opts.Workers)
-		}
+	switch {
+	case opts.Tau > 0 && opts.UseLSH:
+		p.KernelBuildTime = time.Since(kt)
+		rng := rand.New(rand.NewSource(opts.Seed))
+		sres, err := sparsify.WithLSH(rng, base, ds.CtxVectors, opts.Tau, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
-		p.OriginalPairs = sres.PairsBefore
-		p.SparsifiedPairs = sres.PairsAfter
+		p.OriginalPairs, p.SparsifiedPairs = sres.PairsBefore, sres.PairsAfter
 		// The sparsified instance is base with other similarities: only its
 		// compiled kernel is kept, read through base's layout.
 		kt = time.Now()
 		ks = sres.Instance.Kernel()
-		p.KernelBuildTime += time.Since(kt)
+	case opts.Tau > 0:
+		ks, p.OriginalPairs, p.SparsifiedPairs = kb.Threshold(opts.Tau)
 	}
+	p.KernelBuildTime += time.Since(kt)
 	if err := p.setKernels(base, kb, ks); err != nil {
 		return nil, fmt.Errorf("phocus: %w", err)
 	}
@@ -306,7 +307,7 @@ func (p *Prepared) setKernels(base *par.Instance, kb, ks *par.Kernel) error {
 	tmpl := base
 	if ks != kb {
 		var err error
-		if tmpl, err = base.WithKernel(ks); err != nil {
+		if tmpl, err = withKernel(base, ks); err != nil {
 			return err
 		}
 	}
@@ -316,6 +317,10 @@ func (p *Prepared) setKernels(base *par.Instance, kb, ks *par.Kernel) error {
 	p.base, p.solveTmpl = base, tmpl
 	return nil
 }
+
+// withKernel builds a solve template, (*par.Instance).WithKernel; tests
+// count the builds through it.
+var withKernel = (*par.Instance).WithKernel
 
 // pendingCoverBytes returns the bytes of k's cover index if it has not been
 // built yet, 0 once it has (SizeBytes counts it then). A bounded Run builds

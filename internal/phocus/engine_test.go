@@ -436,6 +436,21 @@ func TestPrepareNoCtxVectors(t *testing.T) {
 	}
 }
 
+// TestPrepareRejectsTauOutOfRange: τ must lie in [0, 1], NaN excluded:
+// thresholding the true kernel above 1 would drop its self entries.
+func TestPrepareRejectsTauOutOfRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ds := &dataset.Dataset{Instance: par.Random(rng, par.RandomConfig{Photos: 20, Subsets: 8, BudgetFrac: 0.3})}
+	for _, tau := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		if p, err := Prepare(context.Background(), ds, PrepareOptions{Tau: tau}); err == nil || p != nil {
+			t.Errorf("Prepare at τ %g: %v, want an error", tau, err)
+		}
+	}
+	if _, err := prepareRun(ds, PrepareOptions{Tau: 1}, RunOptions{}); err != nil {
+		t.Fatalf("Prepare + Run at τ 1: %v", err)
+	}
+}
+
 func TestFingerprint(t *testing.T) {
 	ds := sweepDataset(t, 13)
 	ctx := context.Background()

@@ -21,7 +21,6 @@ import (
 
 	"phocus/internal/celf"
 	"phocus/internal/dataset"
-	"phocus/internal/embed"
 	"phocus/internal/fleet"
 	"phocus/internal/obs"
 	"phocus/internal/par"
@@ -35,8 +34,8 @@ import (
 var ErrUnknownFingerprint = errors.New("phocus: unknown fingerprint")
 
 // ErrInvalidInput tags the failures a request's own content causes: a body
-// that does not decode, a delta batch ApplyDelta rejects, LSH without context
-// vectors, a budget below C(S0). The tagged error keeps its cause's message.
+// that does not decode, a delta batch ApplyDelta rejects, a budget below
+// C(S0). The tagged error keeps its cause's message.
 var ErrInvalidInput = errors.New("phocus: invalid input")
 
 // Invalid tags err with ErrInvalidInput.
@@ -78,15 +77,13 @@ type Pipeline struct {
 
 // SolveRequest is one solve by body. The decode span starts at Start, when
 // reading Body began; Budget 0 keeps the body's own, which costs an up-front
-// parse.
+// parse. Tau must lie in [0, 1]; the τ-sparsification is always exact.
 type SolveRequest struct {
 	Tenant    string
 	Body      []byte
 	Start     time.Time
 	Budget    float64
 	Tau       float64
-	LSH       bool
-	Seed      int64
 	Algorithm Algorithm
 	// Timeout, when positive, deadlines the solve stage alone.
 	Timeout time.Duration
@@ -132,14 +129,13 @@ func (pl *Pipeline) Solve(ctx context.Context, req SolveRequest) (*Answer, error
 	_, decodeSpan := obs.StartSpanAt(ctx, "decode", req.Start)
 	digest := instanceDigest(req.Tenant, req.Body)
 	var inst *par.Instance
-	var vecs [][][]float64
 	// parse decodes the body, ending span with parsed=true and the body's
 	// size, and drops the bytes so the GC can reclaim them while Prepare and
 	// Run allocate.
 	parse := func(span *obs.Span) error {
 		var err error
 		size := len(req.Body)
-		inst, vecs, err = par.DecodeJSONVectors(req.Body)
+		inst, _, err = par.DecodeJSONVectors(req.Body)
 		req.Body = nil
 		if err != nil {
 			span.End("parsed", true, "bytes", size, "err", err.Error())
@@ -158,8 +154,7 @@ func (pl *Pipeline) Solve(ctx context.Context, req SolveRequest) (*Answer, error
 		decodeSpan.End("parsed", false, "bytes", len(req.Body))
 	}
 
-	popts := PrepareOptions{Tau: req.Tau, UseLSH: req.LSH, Seed: req.Seed, Workers: pl.Workers,
-		InstanceDigest: digest, Metrics: pl.Metrics}
+	popts := PrepareOptions{Tau: req.Tau, Workers: pl.Workers, InstanceDigest: digest, Metrics: pl.Metrics}
 	// The key excludes the budget (a Run parameter), so a budget sweep over
 	// one archive prepares exactly once. Run checks the budget against
 	// C(S0), on a hit and a miss alike.
@@ -174,19 +169,15 @@ func (pl *Pipeline) Solve(ctx context.Context, req SolveRequest) (*Answer, error
 		if req.Tau > 0 {
 			_, span = obs.StartSpan(ctx, "sparsify")
 		}
-		prep, err := Prepare(ctx, &dataset.Dataset{Instance: inst, CtxVectors: toCtxVectors(vecs)}, popts)
+		prep, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, popts)
 		if err != nil {
 			if span != nil {
 				span.End("err", err.Error())
 			}
-			if errors.Is(err, ErrNoCtxVectors) {
-				err = Invalid(err)
-			}
 			return nil, err
 		}
 		if span != nil {
-			span.End("tau", req.Tau, "lsh", req.LSH,
-				"pairs_before", prep.OriginalPairs, "pairs_after", prep.SparsifiedPairs)
+			span.End("tau", req.Tau, "pairs_before", prep.OriginalPairs, "pairs_after", prep.SparsifiedPairs)
 		}
 		if prep.OriginalPairs > 0 {
 			pl.Metrics.Gauge("phocus_sparsify_keep_ratio").
@@ -277,7 +268,7 @@ func (pl *Pipeline) Apply(ctx context.Context, tenant, fp string, body []byte) (
 	stats, err := prep.ApplyDelta(ctx, d)
 	if err != nil {
 		span.End("err", err.Error())
-		if errors.Is(err, ErrDeltaLSH) || ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return nil, err
 		}
 		// Everything else ApplyDelta can reject is batch validation — an
@@ -470,22 +461,6 @@ func decodeDelta(data []byte) (*Delta, error) {
 		return nil, fmt.Errorf("invalid delta JSON: %w", err)
 	}
 	return &d, nil
-}
-
-// toCtxVectors converts wire-format vector groups to the dataset embedding
-// type (a cheap per-vector header conversion).
-func toCtxVectors(vecs [][][]float64) [][]embed.Vector {
-	if vecs == nil {
-		return nil
-	}
-	out := make([][]embed.Vector, len(vecs))
-	for i, group := range vecs {
-		out[i] = make([]embed.Vector, len(group))
-		for j, v := range group {
-			out[i][j] = embed.Vector(v)
-		}
-	}
-	return out
 }
 
 // shortFP abbreviates a fingerprint for log lines.

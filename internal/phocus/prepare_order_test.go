@@ -4,34 +4,19 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"phocus/internal/dataset"
+	"phocus/internal/embed"
 	"phocus/internal/par"
 	"phocus/internal/sparsify"
 )
 
-// simOnly hides a similarity's neighbour listing, so sparsify.Exact takes
-// its all-pairs loop over it.
-type simOnly struct{ par.Similarity }
-
-// allPairs returns a copy of inst whose similarities are hidden behind
-// simOnly.
-func allPairs(inst *par.Instance) *par.Instance {
-	out := *inst
-	out.Subsets = slices.Clone(inst.Subsets)
-	for qi := range out.Subsets {
-		out.Subsets[qi].Sim = simOnly{inst.Subsets[qi].Sim}
-	}
-	return &out
-}
-
 // prepareSparsifyFirst builds a Prepared in the order Prepare used before
 // it compiled the true kernel first: τ-sparsify the dataset's own
-// similarities (exact through the all-pairs loop, or LSH), compile the
+// similarities (exact through sparsify's all-pairs loop, or LSH), compile the
 // sparse kernel, then compile the base kernel over a clone of the dataset's
 // subsets.
 func prepareSparsifyFirst(t *testing.T, ds *dataset.Dataset, opts PrepareOptions) *Prepared {
@@ -49,7 +34,7 @@ func prepareSparsifyFirst(t *testing.T, ds *dataset.Dataset, opts PrepareOptions
 		if opts.UseLSH {
 			sres, err = sparsify.WithLSH(rand.New(rand.NewSource(opts.Seed)), base, ds.CtxVectors, opts.Tau, opts.Workers)
 		} else {
-			sres, err = sparsify.Exact(allPairs(base), opts.Tau, opts.Workers)
+			sres, err = sparsify.Exact(base, opts.Tau, opts.Workers)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -71,11 +56,12 @@ func prepareSparsifyFirst(t *testing.T, ds *dataset.Dataset, opts PrepareOptions
 }
 
 // TestPrepareKernelFirstMatchesSparsifyFirst: compiling the true kernel
-// first and sparsifying its rows gives the Prepared that sparsifying the
+// first and thresholding it gives the Prepared that sparsifying the
 // dataset's similarities first gave — both kernels' slabs, the pair
-// counters, the fingerprint and the snapshot bytes — on the generator's
-// vector similarities (the engine's input) and on their wire-decoded
-// SparseSims (the server's), at τ 0 and 0.4, exact and LSH.
+// counters, the fingerprint and the snapshot bytes (both sides refuse an
+// LSH Prepared) — on the generator's vector similarities (the engine's
+// input) and on their wire-decoded SparseSims (the server's), at τ 0 and
+// 0.4, exact and LSH.
 func TestPrepareKernelFirstMatchesSparsifyFirst(t *testing.T) {
 	ctx := context.Background()
 	gen, err := dataset.GeneratePublic(dataset.PublicSpecs(0.3)[0])
@@ -120,12 +106,9 @@ func TestPrepareKernelFirstMatchesSparsifyFirst(t *testing.T) {
 			if fp, err := got.Fingerprint(); err != nil || fp != fpWant {
 				t.Fatalf("%s: fingerprint %s (%v), sparsify-first %s", label, fp, err, fpWant)
 			}
-			snapWant, err := EncodeSnapshot(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snap, err := EncodeSnapshot(got); err != nil || !bytes.Equal(snap, snapWant) {
-				t.Fatalf("%s: snapshot bytes differ from sparsify-first (%v)", label, err)
+			snapWant, errWant := EncodeSnapshot(want)
+			if snap, err := EncodeSnapshot(got); (err == nil) != (errWant == nil) || !bytes.Equal(snap, snapWant) {
+				t.Fatalf("%s: snapshot bytes differ from sparsify-first (%v, sparsify-first %v)", label, err, errWant)
 			}
 			if got.SizeBytes() != want.SizeBytes() {
 				t.Fatalf("%s: SizeBytes %d, sparsify-first %d", label, got.SizeBytes(), want.SizeBytes())
@@ -147,60 +130,73 @@ func ctxVectorGroups(ds *dataset.Dataset) [][][]float64 {
 	return out
 }
 
-// TestSparsifyRowWalkAfterDeltas: over kernel views of a Prepared's true
-// kernel after churn batches — tombstoned rows, appended rows and subsets,
-// an overlay and a compaction — sparsify.Exact's row walk gives the rows,
-// bits and pair counters of its all-pairs loop over the same views.
-func TestSparsifyRowWalkAfterDeltas(t *testing.T) {
+// TestThresholdAfterDeltas: over a Prepared's true kernel after churn
+// batches — tombstoned rows, appended rows and subsets, an overlay and a
+// compaction — the kernel compiled from its views and thresholded at τ
+// holds the slabs and pair counters of the kernel compiled over
+// sparsify.Exact's all-pairs sparsification of the same views; and at the
+// Prepared's own τ it holds the τ-kernel the deltas maintained, which is
+// what a compaction and a snapshot decode rebuild it as.
+func TestThresholdAfterDeltas(t *testing.T) {
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(31))
-	inst := par.Random(rng, par.RandomConfig{Photos: 80, Subsets: 14, MaxSubset: 12, SimDensity: 0.6, RetainFrac: 0.05})
-	p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, PrepareOptions{Tau: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	overlaid := 0
-	for b := 0; b < 6; b++ {
-		if _, err := p.ApplyDelta(ctx, randomChurn(rng, p.base, p.removed, 3, 3, b%2 == 0)); err != nil {
-			t.Fatal(err)
-		}
-		if b == 3 {
-			if err := compactNow(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !p.base.Kernel().Canonical() {
-			overlaid++
-		}
-		for _, tau := range []float64{0, 0.3, 0.6} {
-			want, err := sparsify.Exact(allPairs(p.base), tau, 1)
+	for _, seed := range []int64{31, 32, 33} {
+		for _, prepTau := range []float64{0.3, 0.6} {
+			rng := rand.New(rand.NewSource(seed))
+			inst := par.Random(rng, par.RandomConfig{Photos: 80, Subsets: 14, MaxSubset: 12, SimDensity: 0.6, RetainFrac: 0.05})
+			p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, PrepareOptions{Tau: prepTau})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sparsify.Exact(p.base, tau, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("batch %d τ=%g", b, tau)
-			if got.PairsBefore != want.PairsBefore || got.PairsAfter != want.PairsAfter {
-				t.Fatalf("%s: pairs %d/%d, all-pairs loop %d/%d", label,
-					got.PairsBefore, got.PairsAfter, want.PairsBefore, want.PairsAfter)
-			}
-			for qi := range want.Instance.Subsets {
-				w := want.Instance.Subsets[qi].Sim.(par.NeighborLister)
-				g := got.Instance.Subsets[qi].Sim.(par.NeighborLister)
-				for i := 0; i < w.Len(); i++ {
-					if wr, gr := w.AppendNeighbors(nil, i), g.AppendNeighbors(nil, i); !slices.EqualFunc(wr, gr,
-						func(a, b par.Neighbor) bool {
-							return a.Index == b.Index && math.Float64bits(a.Sim) == math.Float64bits(b.Sim)
-						}) {
-						t.Fatalf("%s: subset %d row %d: %v, all-pairs loop %v", label, qi, i, gr, wr)
+			overlaid := 0
+			for b := 0; b < 8; b++ {
+				if _, err := p.ApplyDelta(ctx, randomChurn(rng, p.base, p.removed, 3, 3, b%2 == 0)); err != nil {
+					t.Fatal(err)
+				}
+				if b == 3 {
+					if err := compactNow(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !p.base.Kernel().Canonical() {
+					overlaid++
+				}
+				kb := par.CompileKernel(p.base)
+				for _, tau := range []float64{0, 0.3, 0.6} {
+					label := fmt.Sprintf("seed %d τ=%g batch %d threshold τ=%g", seed, prepTau, b, tau)
+					want, err := sparsify.Exact(p.base, tau, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, before, after := kb.Threshold(tau)
+					if before != want.PairsBefore || after != want.PairsAfter {
+						t.Fatalf("%s: pairs %d/%d, all-pairs loop %d/%d", label,
+							before, after, want.PairsBefore, want.PairsAfter)
+					}
+					sameSlabs(t, label, want.Instance.Kernel(), got)
+					if tau == prepTau {
+						sameSlabs(t, label+" maintained", canonicalKernel(p.solveTmpl), got)
 					}
 				}
 			}
+			if overlaid == 0 {
+				t.Fatalf("seed %d: no batch left the true kernel overlaid", seed)
+			}
 		}
 	}
-	if overlaid == 0 {
-		t.Fatal("no batch left the true kernel overlaid")
+}
+
+// toCtxVectors converts wire-format vector groups to the dataset embedding
+// type (a cheap per-vector header conversion).
+func toCtxVectors(vecs [][][]float64) [][]embed.Vector {
+	if vecs == nil {
+		return nil
 	}
+	out := make([][]embed.Vector, len(vecs))
+	for i, group := range vecs {
+		out[i] = make([]embed.Vector, len(group))
+		for j, v := range group {
+			out[i][j] = embed.Vector(v)
+		}
+	}
+	return out
 }

@@ -27,8 +27,10 @@ func preparedForSnapDelta(t *testing.T, tau float64) (*Prepared, *rand.Rand) {
 
 // TestSnapshotRoundTripAfterDelta encodes a Prepared whose kernels carry an
 // active delta overlay (Slabs alone would refuse them) and requires the
-// decoded twin to agree on fingerprint, husk bitmap, and solve results —
-// including after further churn on both sides.
+// decoded twin to agree on fingerprint, husk bitmap, both kernels (the
+// τ-kernel it derives from the true one equals the one the deltas
+// maintained) and solve results — including after further churn on both
+// sides, and after a compaction.
 func TestSnapshotRoundTripAfterDelta(t *testing.T) {
 	ctx := context.Background()
 	p, rng := preparedForSnapDelta(t, 0.3)
@@ -55,8 +57,13 @@ func TestSnapshotRoundTripAfterDelta(t *testing.T) {
 	if got, want := removedCount(q.removed), removedCount(p.removed); got != want {
 		t.Fatalf("decoded %d husks, want %d", got, want)
 	}
-	budget := 0.4 * p.TotalCost()
-	requireSameRun(t, "round-trip", p, q, budget, AlgoCELF)
+	sameRoundTrip := func(label string, p, q *Prepared) {
+		t.Helper()
+		sameSlabs(t, label+" base kernel", canonicalKernel(p.base), q.base.Kernel())
+		sameSlabs(t, label+" solve kernel", canonicalKernel(p.solveTmpl), solveKernel(q))
+		requireSameRun(t, label, p, q, 0.4*p.TotalCost(), AlgoCELF)
+	}
+	sameRoundTrip("round-trip", p, q)
 
 	// A husk must stay dead on the decoded side: removing it again errors.
 	if _, err := q.ApplyDelta(ctx, &Delta{Remove: d.Remove[:1]}); err == nil {
@@ -70,7 +77,18 @@ func TestSnapshotRoundTripAfterDelta(t *testing.T) {
 	if _, err := q.ApplyDelta(ctx, d2); err != nil {
 		t.Fatal(err)
 	}
-	requireSameRun(t, "post-round-trip churn", p, q, budget, AlgoCELF)
+	requireSameRun(t, "post-round-trip churn", p, q, 0.4*p.TotalCost(), AlgoCELF)
+
+	if err := compactNow(p); err != nil {
+		t.Fatal(err)
+	}
+	if buf, err = EncodeSnapshot(p); err != nil {
+		t.Fatal(err)
+	}
+	if q, err = DecodeSnapshot(buf); err != nil {
+		t.Fatal(err)
+	}
+	sameRoundTrip("compacted round-trip", p, q)
 }
 
 // TestSnapshotStalenessAfterDelta is the satellite gate: once ApplyDelta

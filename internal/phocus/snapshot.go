@@ -1,18 +1,21 @@
 // Persistent prepared-instance snapshots. A snapshot is the on-disk form of
-// a *Prepared: the flat CSR kernel slabs plus the finalized-instance
+// a *Prepared: the true kernel's flat CSR slabs plus the finalized-instance
 // metadata needed to reconstruct it, laid out so loading is a handful of
 // checksums and slice-header casts instead of re-running Finalize's
-// similarity work, τ-sparsification and CompileKernel. The kernels are the
-// only similarity stored: decode points every subset's Sim at a view of its
-// kernel, as Prepare does. The kernels' slot weights are not stored either:
-// decode derives them from META's subset weights and the relevance section,
-// so a snapshot cannot carry a W·R that disagrees with its relevance. See
-// DESIGN.md §9 for the wire format.
+// similarity work and CompileKernel. The true kernel is the only similarity
+// stored: decode points every subset's Sim at a view of it, as Prepare
+// does, and derives the τ-kernel from it with par.Kernel.Threshold, as
+// Prepare's exact path does, so a snapshot cannot carry a τ-kernel that
+// disagrees with its true kernel. An LSH-prepared instance, whose τ-kernel
+// is no threshold of its true kernel, is not snapshotted. The kernel's slot
+// weights are not stored either: decode derives them from META's subset
+// weights and the relevance section, so a snapshot cannot carry a W·R that
+// disagrees with its relevance. See DESIGN.md §9 for the wire format.
 //
 // Layout (all integers little-endian):
 //
 //	offset 0   magic "PHSNAP1\x00"                      8 bytes
-//	offset 8   version u32 (currently 4)                 4 bytes
+//	offset 8   version u32 (currently 5)                 4 bytes
 //	offset 12  section count N u32                       4 bytes
 //	offset 16  content fingerprint (raw sha256)         32 bytes
 //	offset 48  section table: N × {id u32, crc32c u32,
@@ -57,7 +60,7 @@ var ErrBadSnapshot = errors.New("bad snapshot")
 
 const (
 	snapMagic       = "PHSNAP1\x00"
-	snapVersion     = 4
+	snapVersion     = 5
 	snapHeaderFixed = 48 // magic + version + section count + raw fingerprint
 	snapTableEntry  = 24 // id + crc + offset + length
 	snapMaxSections = 64
@@ -67,15 +70,15 @@ const (
 // Retired identifiers, which decode rejects as unknown: 7 and 12 held
 // version 1's per-entry W·R slabs of the base and sparse kernels; 3/4 and
 // 8/9 held version 2's copies of the base and sparse similarities as CSR
-// neighbour lists, which the kernels already hold.
+// neighbour lists, which the kernels already hold; 10/11 and 38–41 held the
+// sparse kernel's slabs up to version 4, which decode now derives from the
+// base kernel's.
 const (
 	// 8-byte-aligned slabs.
 	secCost       uint32 = 1 // f64[numPhotos]
 	secRelevance  uint32 = 2 // f64, all subsets concatenated
 	secKBRowStart uint32 = 5 // base kernel slabs …
 	secKBNbrSim   uint32 = 6
-	secKSRowStart uint32 = 10 // sparse kernel twins, present when τ > 0
-	secKSNbrSim   uint32 = 11
 	// 4-byte-aligned slabs.
 	secRetained   uint32 = 32 // i32[numRetained]
 	secMembers    uint32 = 33 // i32, all subsets concatenated
@@ -83,30 +86,18 @@ const (
 	secKBNbrIdx   uint32 = 35
 	secKBOccStart uint32 = 36
 	secKBOccRow   uint32 = 37
-	secKSRowLen   uint32 = 38
-	secKSNbrIdx   uint32 = 39
-	secKSOccStart uint32 = 40
-	secKSOccRow   uint32 = 41
 	secRemoved    uint32 = 42 // i32, ascending husked photo IDs (delta'd Prepared only)
 	// Variable-length, always last.
 	secMeta uint32 = 63
-)
-
-// kbSections and ksSections are the six slab sections of the base and the
-// sparse kernel, in decodeKernel's order.
-var (
-	kbSections = [6]uint32{secKBRowLen, secKBRowStart, secKBNbrIdx, secKBNbrSim, secKBOccStart, secKBOccRow}
-	ksSections = [6]uint32{secKSRowLen, secKSRowStart, secKSNbrIdx, secKSNbrSim, secKSOccStart, secKSOccRow}
 )
 
 // secAlign returns the required alignment of a section's offset and length,
 // or 0 for identifiers this version does not know (which decode rejects).
 func secAlign(id uint32) int {
 	switch {
-	case id == secCost || id == secRelevance ||
-		id == secKBRowStart || id == secKBNbrSim || id == secKSRowStart || id == secKSNbrSim:
+	case id == secCost || id == secRelevance || id == secKBRowStart || id == secKBNbrSim:
 		return 8
-	case id >= secRetained && id <= secRemoved:
+	case id >= secRetained && id <= secKBOccRow || id == secRemoved:
 		return 4
 	case id == secMeta:
 		return 1
@@ -176,8 +167,6 @@ type snapSection struct {
 type snapMeta struct {
 	numPhotos   int
 	numRetained int
-	hasSparse   bool
-	useLSH      bool
 	hasRemoved  bool
 	tau         float64
 	seed        int64
@@ -203,17 +192,11 @@ func encodeSnapMeta(p *Prepared) []byte {
 	u32(uint32(p.base.NumPhotos()))
 	u32(uint32(len(p.base.Subsets)))
 	u32(uint32(len(p.base.Retained)))
-	flags := byte(0)
-	if p.solveTmpl != p.base {
+	flags := uint32(0)
+	if removedCount(p.removed) > 0 {
 		flags |= 1
 	}
-	if p.opts.UseLSH {
-		flags |= 2
-	}
-	if removedCount(p.removed) > 0 {
-		flags |= 4
-	}
-	u32(uint32(flags))
+	u32(flags)
 	u64(math.Float64bits(p.opts.Tau))
 	u64(uint64(p.opts.Seed))
 	u64(uint64(int64(p.OriginalPairs)))
@@ -311,14 +294,14 @@ func decodeSnapMeta(b []byte) (*snapMeta, error) {
 	if m.numRetained < 0 || m.numRetained > m.numPhotos {
 		return nil, fmt.Errorf("phocus: meta retained count %d out of range: %w", m.numRetained, ErrBadSnapshot)
 	}
-	if flags > 7 {
+	if flags > 1 {
 		return nil, fmt.Errorf("phocus: meta flags %#x unknown: %w", flags, ErrBadSnapshot)
 	}
-	m.hasSparse = flags&1 != 0
-	m.useLSH = flags&2 != 0
-	m.hasRemoved = flags&4 != 0
-	if m.hasSparse != (m.tau > 0) {
-		return nil, fmt.Errorf("phocus: meta sparse flag disagrees with tau %g: %w", m.tau, ErrBadSnapshot)
+	m.hasRemoved = flags&1 != 0
+	// Decode thresholds the true kernel at tau, which keeps every self
+	// entry only within [0, 1].
+	if !(m.tau >= 0 && m.tau <= 1) {
+		return nil, fmt.Errorf("phocus: meta tau %g out of [0,1]: %w", m.tau, ErrBadSnapshot)
 	}
 	// Each subset record is ≥ 14 bytes; the remaining META length bounds the
 	// claimed subset count before the slices below are allocated.
@@ -348,14 +331,19 @@ func decodeSnapMeta(b []byte) (*snapMeta, error) {
 
 // EncodeSnapshot serializes the Prepared into the snapshot wire format. The
 // Prepared must carry a compiled kernel (every engine-built Prepared does)
-// and a computable fingerprint. It holds the Prepared's read lock for the
-// whole encode, so the bytes are a consistent cut even while ApplyDelta
-// traffic is waiting; a delta'd Prepared whose kernels carry an active
-// mutation overlay is serialized through freshly compiled canonical twins
-// (Slabs refuses overlays), leaving p itself untouched.
+// and a computable fingerprint, and must not be LSH-prepared: decode
+// derives the τ-kernel by thresholding the true kernel, which an LSH
+// τ-kernel is not. It holds the Prepared's read lock for the whole encode,
+// so the bytes are a consistent cut even while ApplyDelta traffic is
+// waiting; a delta'd Prepared whose true kernel carries an active mutation
+// overlay is serialized through a freshly compiled canonical twin (Slabs
+// refuses overlays), leaving p itself untouched.
 func EncodeSnapshot(p *Prepared) ([]byte, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	if p.opts.UseLSH {
+		return nil, errors.New("phocus: snapshot of an LSH-prepared instance: decode could not rebuild its τ-kernel")
+	}
 	fp, err := p.fingerprintLocked()
 	if err != nil {
 		return nil, fmt.Errorf("phocus: snapshot fingerprint: %w", err)
@@ -396,19 +384,6 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 			}
 		}
 		secs4 = append(secs4, snapSection{secRemoved, slabBytes(husks)})
-	}
-	if p.solveTmpl != base {
-		ks := canonicalKernel(p.solveTmpl).Slabs()
-		secs8 = append(secs8,
-			snapSection{secKSRowStart, slabBytes(ks.RowStart)},
-			snapSection{secKSNbrSim, slabBytes(ks.NbrSim)},
-		)
-		secs4 = append(secs4,
-			snapSection{secKSRowLen, slabBytes(ks.RowLen)},
-			snapSection{secKSNbrIdx, slabBytes(ks.NbrIdx)},
-			snapSection{secKSOccStart, slabBytes(ks.OccStart)},
-			snapSection{secKSOccRow, slabBytes(ks.OccRow)},
-		)
 	}
 	secs := append(append(secs8, secs4...), snapSection{secMeta, encodeSnapMeta(p)})
 	return assembleSnapshot(rawFP, secs), nil
@@ -559,10 +534,8 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		return nil, err
 	}
 	// The file holds exactly the sections META calls for.
-	want := append([]uint32{secMeta, secCost, secRetained, secMembers, secRelevance}, kbSections[:]...)
-	if m.hasSparse {
-		want = append(want, ksSections[:]...)
-	}
+	want := []uint32{secMeta, secCost, secRetained, secMembers, secRelevance,
+		secKBRowLen, secKBRowStart, secKBNbrIdx, secKBNbrSim, secKBOccStart, secKBOccRow}
 	if m.hasRemoved {
 		want = append(want, secRemoved)
 	}
@@ -614,7 +587,7 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		}
 	}
 
-	kernBase, err := decodeKernel(secs, kbSections, m, relevance)
+	kernBase, err := decodeKernel(secs, m, relevance)
 	if err != nil {
 		return nil, err
 	}
@@ -624,11 +597,8 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		return nil, fmt.Errorf("phocus: snapshot instance invalid: %v: %w", err, ErrBadSnapshot)
 	}
 	kernSolve := kernBase
-	if m.hasSparse {
-		kernSolve, err = decodeKernel(secs, ksSections, m, relevance)
-		if err != nil {
-			return nil, err
-		}
+	if m.tau > 0 {
+		kernSolve, _, _ = kernBase.Threshold(m.tau)
 	}
 
 	p := &Prepared{
@@ -636,27 +606,27 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		owner:   m.owner,
 		opts: PrepareOptions{
 			Tau:            m.tau,
-			UseLSH:         m.useLSH,
 			Seed:           m.seed,
 			InstanceDigest: m.digest,
 		},
 		OriginalPairs:   int(m.origPairs),
 		SparsifiedPairs: int(m.sparsePairs),
 	}
-	// The solve template reads the sparse kernel through the base's layout,
-	// built once here so the per-Run path stays allocation-free after a
-	// snapshot load, exactly as after a cold Prepare.
+	// The solve template reads the τ-kernel through the base's layout, built
+	// once here so the per-Run path stays allocation-free after a snapshot
+	// load, exactly as after a cold Prepare.
 	if err := p.setKernels(base, kernBase, kernSolve); err != nil {
 		return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
 	}
-	// The single loaded region backs every slab, so it is what the Prepared
-	// retains; counting it once is the snapshot path's answer to the shared-
-	// slab accounting the in-memory path has to sum piecewise. The derived
-	// slot weights and the true kernel's cover index, which a bounded Run
-	// builds, are the only kernel arrays outside it.
+	// The single loaded region backs every slab of the true kernel, so it is
+	// what the Prepared retains of it; counting it once is the snapshot
+	// path's answer to the shared-slab accounting the in-memory path has to
+	// sum piecewise. The derived slot weights, the true kernel's cover index,
+	// which a bounded Run builds, and the τ-kernel are the only kernel
+	// arrays outside it.
 	p.sizeBytes = int64(len(buf)) + 8*int64(totalMembers) + pendingCoverBytes(kernBase)
-	if m.hasSparse {
-		p.sizeBytes += 8 * int64(totalMembers)
+	if kernSolve != kernBase {
+		p.sizeBytes += kernSolve.SizeBytes()
 	}
 	// The fingerprint was fixed at encode time; recomputing it is impossible
 	// anyway (the original wire bytes are gone), so seed the lazy cell.
@@ -683,7 +653,7 @@ func snapSubsets(m *snapMeta, members []par.PhotoID, relevance []float64, k *par
 	return subsets
 }
 
-// decodeKernel rebuilds one compiled kernel from its six slab sections
+// decodeKernel rebuilds the true kernel from its six slab sections
 // (rowLen, rowStart, nbrIdx, nbrSim, occStart, occRow) and validates it both
 // internally (par.KernelFromSlabs) and against the instance shape META
 // describes, so attaching it to the decoded instance cannot fail on a
@@ -691,16 +661,16 @@ func snapSubsets(m *snapMeta, members []par.PhotoID, relevance []float64, k *par
 // row r of subset q weighs W(q)·R(q, member), the product CompileKernel
 // computes, taken from META's subset weights and the relevance section
 // (whose rows run in the kernel's canonical subset-major order).
-func decodeKernel(secs map[uint32][]byte, ids [6]uint32, m *snapMeta, relevance []float64) (*par.Kernel, error) {
+func decodeKernel(secs map[uint32][]byte, m *snapMeta, relevance []float64) (*par.Kernel, error) {
 	slabs := par.KernelSlabs{
 		Photos:   m.numPhotos,
-		RowLen:   slabView[int32](secs[ids[0]]),
-		RowStart: slabView[int64](secs[ids[1]]),
-		NbrIdx:   slabView[int32](secs[ids[2]]),
-		NbrSim:   slabView[float64](secs[ids[3]]),
+		RowLen:   slabView[int32](secs[secKBRowLen]),
+		RowStart: slabView[int64](secs[secKBRowStart]),
+		NbrIdx:   slabView[int32](secs[secKBNbrIdx]),
+		NbrSim:   slabView[float64](secs[secKBNbrSim]),
 		SlotWR:   make([]float64, 0, len(relevance)),
-		OccStart: slabView[int32](secs[ids[4]]),
-		OccRow:   slabView[int32](secs[ids[5]]),
+		OccStart: slabView[int32](secs[secKBOccStart]),
+		OccRow:   slabView[int32](secs[secKBOccRow]),
 	}
 	o := 0
 	for qi, k := range m.subMembers {

@@ -210,13 +210,34 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripLSH covers the LSH-sparsified mode (context vectors,
-// seeded SimHash) and the non-CELF algorithms on a loaded snapshot.
-func TestSnapshotRoundTripLSH(t *testing.T) {
+// TestSnapshotRefusesLSH: an LSH-prepared instance's τ-kernel is no
+// threshold of its true kernel, so EncodeSnapshot refuses it (and the store
+// saves no file) rather than write a file that would decode to another
+// τ-kernel. The exact τ-Prepared of the same archive round-trips, and the
+// non-CELF algorithms run on the loaded snapshot as on the original.
+func TestSnapshotRefusesLSH(t *testing.T) {
 	ctx := context.Background()
 	ds := sweepDataset(t, 17)
 	total := ds.Instance.TotalCost()
-	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.5, UseLSH: true, Seed: 3, InstanceDigest: "digest-lsh"})
+	lsh, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.5, UseLSH: true, Seed: 3, InstanceDigest: "digest-lsh"})
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	if data, err := EncodeSnapshot(lsh); err == nil || !strings.Contains(err.Error(), "LSH") {
+		t.Fatalf("EncodeSnapshot(LSH) = %d bytes, %v; want the LSH refusal", len(data), err)
+	}
+	store, err := OpenSnapshotStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Save(lsh); err == nil {
+		t.Fatal("the store saved an LSH-prepared instance")
+	}
+	if names, _ := os.ReadDir(store.Dir()); len(names) != 0 {
+		t.Fatalf("a refused save left %d files behind", len(names))
+	}
+
+	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.5, InstanceDigest: "digest-exact"})
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -318,11 +339,12 @@ func snapSections(data []byte) ([]byte, []snapSection) {
 	return bytes.Clone(data[16:snapHeaderFixed]), secs
 }
 
-// TestSnapshotRejectsV1 pins the cut-overs to versions 2, 3 and 4: version 1
+// TestSnapshotRejectsV1 pins the cut-overs to versions 2 to 5: version 1
 // files stored a per-entry W·R slab per kernel, version 2 files a copy of
-// every similarity beside the kernels, version 3 files no owning tenant, and
-// this build keeps no reader for any of them. A file that says version 1, 2
-// or 3 — with a header checksum that is otherwise valid — fails with
+// every similarity beside the kernels, version 3 files no owning tenant,
+// version 4 files the sparse kernel's slabs, and this build keeps no reader
+// for any of them. A file that says version 1 to 4 — with a header checksum
+// that is otherwise valid — fails with
 // ErrBadSnapshot, which sends it down the quarantine and cold-Prepare path.
 // So does a current-version file carrying one of the retired section IDs.
 func TestSnapshotRejectsV1(t *testing.T) {
@@ -331,7 +353,7 @@ func TestSnapshotRejectsV1(t *testing.T) {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 
-	for _, version := range []uint32{1, 2, 3} {
+	for _, version := range []uint32{1, 2, 3, 4} {
 		old := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(old[8:], version)
 		tableEnd := snapHeaderFixed + snapTableEntry*int(binary.LittleEndian.Uint32(old[12:]))
@@ -344,14 +366,15 @@ func TestSnapshotRejectsV1(t *testing.T) {
 	}
 
 	// Re-assemble the file with a retired section prepended: version 1's
-	// per-entry W·R slabs (7 base, 12 sparse) and version 2's similarity
-	// CSR row offsets (3 base, 8 sparse) and neighbour lists (4 base, 9
-	// sparse), all 8-byte aligned like every other f64/i64 slab.
+	// per-entry W·R slabs (7 base, 12 sparse), version 2's similarity CSR
+	// row offsets (3 base, 8 sparse) and neighbour lists (4 base, 9 sparse),
+	// and version 4's sparse kernel slabs (10, 11 and 38–41), each 64 bytes,
+	// a length every alignment accepts.
 	rawFP, secs := snapSections(data)
 	if re := assembleSnapshot(rawFP, secs); !bytes.Equal(re, data) {
 		t.Fatal("re-assembling the sections did not reproduce the file")
 	}
-	for _, id := range []uint32{3, 4, 7, 8, 9, 12} {
+	for _, id := range []uint32{3, 4, 7, 8, 9, 10, 11, 12, 38, 39, 40, 41} {
 		retired := append([]snapSection{{id, make([]byte, 64)}}, secs...)
 		if _, err := DecodeSnapshot(assembleSnapshot(rawFP, retired)); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("retired section %d: error %v, want ErrBadSnapshot", id, err)
@@ -363,7 +386,9 @@ func TestSnapshotRejectsV1(t *testing.T) {
 // a decoded Prepared, so a file whose checksums all hold but whose base
 // kernel breaks a similarity invariant must fail with ErrBadSnapshot — a
 // NaN similarity, an entry targeting another subset's row, a row out of
-// ascending order, a row without its self entry, a self entry other than 1.
+// ascending order, a row without its self entry, a self entry other than 1,
+// or a τ in META above 1 or NaN, at which thresholding the rows would drop
+// the self entries.
 // Each file is re-sealed with fresh checksums, so only the new slab checks
 // can catch it.
 func TestSnapshotRejectsBadKernelRows(t *testing.T) {
@@ -432,6 +457,14 @@ func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 				sim[8*a+k], sim[8*b+k] = sim[8*b+k], sim[8*a+k]
 			}
 		}},
+		// Decode thresholds the rows at META's τ, which must keep every
+		// self entry.
+		{"tau above 1", "out of [0,1]", func(secs []snapSection) {
+			setF64(at(secs, secMeta).data[16:], 0, 1.5)
+		}},
+		{"nan tau", "out of [0,1]", func(secs []snapSection) {
+			setF64(at(secs, secMeta).data[16:], 0, math.NaN())
+		}},
 		{"missing self entry", "missing its self entry", func(secs []snapSection) {
 			// Drop row r's self entry and shift every later row's offset.
 			idx, sim := at(secs, secKBNbrIdx), at(secs, secKBNbrSim)
@@ -479,6 +512,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 			flipped[len(flipped)/2] ^= 0x40
 		}
 		f.Add([]byte{}, uint8(i), flipped)
+	}
+	// Each section resealed at half its length: every short slab, and a
+	// short META, must fail its length checks.
+	for i, s := range secs {
+		f.Add([]byte{}, uint8(i), s.data[:len(s.data)/2])
 	}
 	check := func(t *testing.T, b []byte) {
 		p, err := DecodeSnapshot(b)
@@ -669,7 +707,7 @@ func TestSnapshotStoreOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []uint32{secKSNbrSim, secMeta} {
+	for _, id := range []uint32{secKBNbrSim, secMeta} {
 		e := table[id]
 		data := bytes.Clone(pristine)
 		data[e.off+e.len/2] ^= 0x40

@@ -4,9 +4,9 @@
 // construction paths are provided — exact (offer every positive pair, keep
 // the ones ≥ τ) and LSH-based (SimHash candidate generation followed by
 // verification, near-linear when subsets are large) — together with the
-// data-dependent error bound of Theorem 4.8. The exact path walks the rows
-// of similarities that list their neighbours, so over the compiled true
-// kernel's views, as Prepare runs it, it computes no similarity at all.
+// data-dependent error bound of Theorem 4.8. The engine's exact path
+// thresholds the compiled true kernel instead (par.Kernel.Threshold); Exact
+// is the all-pairs reference it is tested against.
 package sparsify
 
 import (
@@ -46,13 +46,6 @@ type Result struct {
 // similarities are replaced (by SparseSim, so solvers automatically benefit
 // from neighbour iteration). The output is byte-identical for every worker
 // count.
-//
-// A subset whose similarity is a par.NeighborLister — a kernel view, as
-// Prepare hands it over once the true kernel is compiled, or a wire-decoded
-// SparseSim — is walked row by row: row i's neighbours j > i are exactly
-// the pairs the all-pairs loop would find positive, in the same order and
-// with the same Sim(i, j), so the walk costs O(pairs) instead of k²/2 Sim
-// calls. Any other similarity takes the all-pairs loop.
 func Exact(inst *par.Instance, tau float64, workers int) (Result, error) {
 	return sparsifySubsets(time.Now(), inst, tau, workers, func(qi int, f *pairFilter) {
 		q := &inst.Subsets[qi]
@@ -60,18 +53,6 @@ func Exact(inst *par.Instance, tau float64, workers int) (Result, error) {
 		// Pairs arrive in ascending order, so the builder's sort-once Build
 		// is linear here, versus the O(deg²) sorted inserts SparseSim.Add
 		// would pay per row.
-		if nl, ok := q.Sim.(par.NeighborLister); ok {
-			var row []par.Neighbor
-			for i := 0; i < k; i++ {
-				row = nl.AppendNeighbors(row[:0], i)
-				for _, nb := range row {
-					if nb.Index > i {
-						f.offer(i, nb.Index, nb.Sim)
-					}
-				}
-			}
-			return
-		}
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
 				f.offer(i, j, q.Sim.Sim(i, j))

@@ -6,8 +6,8 @@
 #   bash scripts/bench_history.sh -c abc1234+trace kernel serve
 #   bash scripts/bench_history.sh -o /path/to/history.jsonl kernelv2
 #
-# Suites: kernel, jobs, decode, kernelv2, serve, compile, delta (default:
-# all, in that order). Each runs the command bench/README.md gives for it.
+# Suites: kernel, jobs, decode, kernelv2, serve, compile, delta, snapshot
+# (default: all, in that order). Each runs the command bench/README.md gives for it.
 #
 #   -c LABEL  commit recorded on the lines (default: git rev-parse --short
 #             HEAD; write <hash>+<name> for an uncommitted change)
@@ -38,7 +38,7 @@ if [[ -z "$commit" ]]; then
 fi
 suites=("$@")
 if [[ ${#suites[@]} -eq 0 ]]; then
-	suites=(kernel jobs decode kernelv2 serve compile delta)
+	suites=(kernel jobs decode kernelv2 serve compile delta snapshot)
 fi
 date="$(date -u +%F)"
 
@@ -90,10 +90,13 @@ for suite in "${suites[@]}"; do
 		go test -json -bench FinalizeCompile -benchmem -benchtime=10x -run '^$' . | summarize compile
 		;;
 	delta)
-		go test -json -bench DeltaVsColdPrepare -benchmem -benchtime=5x -run '^$' . | summarize delta
+		go test -json -bench DeltaVsColdPrepare -benchmem -benchtime=20x -run '^$' . | summarize delta
+		;;
+	snapshot)
+		go test -json -bench SnapshotP100K -benchmem -benchtime=20x -run '^$' . | summarize snapshot
 		;;
 	*)
-		echo "bench_history: unknown suite $suite (want kernel, jobs, decode, kernelv2, serve, compile or delta)" >&2
+		echo "bench_history: unknown suite $suite (want kernel, jobs, decode, kernelv2, serve, compile, delta or snapshot)" >&2
 		exit 2
 		;;
 	esac
