@@ -15,6 +15,7 @@ import (
 	"sort"
 	"testing"
 
+	"phocus/internal/baselines"
 	"phocus/internal/celf"
 	"phocus/internal/dataset"
 	"phocus/internal/experiments"
@@ -722,7 +723,11 @@ func BenchmarkKernelV2(b *testing.B) {
 // whole cold phocus.Prepare at τ 0.4 of the same instance — the server's
 // wire path on P-1K, the engine's path over the generator's vector
 // similarities on P-100K — finalize, true kernel, exact sparsification
-// over its rows and the sparse kernel. The covers cell prices
+// over its rows and the sparse kernel. The threshold cell is that
+// sparsification alone: the compiled true kernel thresholded at τ 0.4. The
+// greedy-nr-compile cell (P-100K only) compiles the Greedy-NR baseline's
+// surrogate, every subset's similarity par.UniformSim, whose B/op is the
+// kernel the direct-solver experiments build for it. The covers cell prices
 // the cover index the first bounded Run builds on the compiled kernel:
 // each op reassembles a fresh kernel over the compiled slabs untimed, then
 // builds its index.
@@ -781,7 +786,30 @@ func BenchmarkFinalizeCompile(b *testing.B) {
 				}
 			}
 		})
-		slabs := par.CompileKernel(finalize(b)).Slabs()
+		kb := par.CompileKernel(finalize(b))
+		b.Run(tc.name+"/threshold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ks, _, _ := kb.Threshold(0.4); ks.Rows() != kb.Rows() {
+					b.Fatal("thresholded kernel lost rows")
+				}
+			}
+		})
+		if !tc.wire {
+			nr, err := baselines.NewGreedyNR().Surrogate(finalize(b))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(tc.name+"/greedy-nr-compile", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if k := par.CompileKernel(nr); k.Rows() == 0 {
+						b.Fatal("empty kernel")
+					}
+				}
+			})
+		}
+		slabs := kb.Slabs()
 		b.Run(tc.name+"/covers", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

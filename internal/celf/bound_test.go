@@ -88,22 +88,38 @@ func TestOnlineBoundMatchesPull(t *testing.T) {
 	}
 }
 
-// TestOnlineBoundAsymmetric: a similarity whose two directions disagree in
-// the last bit breaks the kernel symmetry the sweep relies on. The kernel
-// gets no cover index, and the bound stays the pull reference's.
+// listedSim is a test-only NeighborLister that lists row i as Sim(mi, i)
+// for every member mi, the orientation in which adding i covers mi. The
+// compile copies a listed row as it is, so an asymmetric similarity keeps
+// its two directions apart in the kernel; a tabulated one would not, since
+// the compile reads each pair once.
+type listedSim struct{ par.FuncSim }
+
+func (l listedSim) AppendNeighbors(dst []par.Neighbor, i int) []par.Neighbor {
+	for mi := range l.N {
+		if s := l.Sim(mi, i); s > 0 {
+			dst = append(dst, par.Neighbor{Index: mi, Sim: s})
+		}
+	}
+	return dst
+}
+
+// TestOnlineBoundAsymmetric: a kernel whose two directions of a pair
+// disagree in the last bit breaks the symmetry the sweep relies on. The
+// kernel gets no cover index, and the bound stays the pull reference's.
 func TestOnlineBoundAsymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	inst := par.Random(rng, par.RandomConfig{Photos: 60, Subsets: 8, MaxSubset: 20, SimDensity: 0.7})
 	for qi := range inst.Subsets {
 		q := &inst.Subsets[qi]
 		dense := q.Sim
-		q.Sim = par.FuncSim{N: len(q.Members), F: func(i, j int) float64 {
+		q.Sim = listedSim{par.FuncSim{N: len(q.Members), F: func(i, j int) float64 {
 			s := dense.Sim(i, j)
 			if i < j && s > 0 {
 				return math.Nextafter(s, 0)
 			}
 			return s
-		}}
+		}}}
 	}
 	if err := inst.Finalize(); err != nil {
 		t.Fatal(err)

@@ -125,10 +125,15 @@ func (v variantSim) quality(i int) float64 {
 	return v.levels[block-1].Quality
 }
 
-// Sim implements par.Similarity.
+// Sim implements par.Similarity. The product of the two qualities is
+// taken in member order, smaller index first, so Sim(i, j) and Sim(j, i)
+// are the same float64, as par.Similarity requires.
 func (v variantSim) Sim(i, j int) float64 {
 	if i == j {
 		return 1
+	}
+	if i > j {
+		i, j = j, i
 	}
 	base := v.orig.Sim(i%v.k, j%v.k)
 	if i%v.k == j%v.k {

@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// compileKernelRef is the reference compile: one goroutine, rows appended
-// in subset order, member order, every row listed (NeighborLister) or
-// scanned (Sim(mi, i) for every member mi) exactly once.
+// compileKernelRef is the reference compile, the per-row pass: one
+// goroutine, rows appended in subset order, member order, every row listed
+// (NeighborLister) or scanned (Sim(mi, i) for every member mi, each pair
+// read in both orientations) exactly once.
 func compileKernelRef(inst *Instance) *Kernel {
 	k := &Kernel{photos: inst.NumPhotos(), rowLen: make([]int32, len(inst.Subsets))}
 	subOff := make([]int32, len(inst.Subsets))
@@ -51,6 +52,25 @@ func compileKernelRef(inst *Instance) *Kernel {
 	}
 	k.occStart = append(k.occStart, int32(len(k.occRow)))
 	return k
+}
+
+// thresholdRef is the reference τ-sparsification: one goroutine, one pass
+// over the entries, each kept when its similarity is at least tau.
+func thresholdRef(k *Kernel, tau float64) (t *Kernel, before, after int) {
+	rows := k.Rows()
+	t = &Kernel{photos: k.photos, rowLen: slices.Clone(k.rowLen), rowStart: []int64{0},
+		slotWR: slices.Clone(k.slotWR), occStart: slices.Clone(k.occStart), occRow: slices.Clone(k.occRow)}
+	t.nbrIdx, t.nbrSim = []int32{}, []float64{}
+	for r := 0; r < rows; r++ {
+		for e := k.rowStart[r]; e < k.rowStart[r+1]; e++ {
+			if k.nbrSim[e] >= tau {
+				t.nbrIdx = append(t.nbrIdx, k.nbrIdx[e])
+				t.nbrSim = append(t.nbrSim, k.nbrSim[e])
+			}
+		}
+		t.rowStart = append(t.rowStart, int64(len(t.nbrIdx)))
+	}
+	return t, (len(k.nbrIdx) - rows) / 2, (len(t.nbrIdx) - rows) / 2
 }
 
 // sameSlabs fails unless got's slabs equal want's: == on every index and
@@ -97,7 +117,8 @@ func TestCompileKernelWorkers(t *testing.T) {
 		for _, name := range names {
 			rng := rand.New(rand.NewSource(int64(si + 1)))
 			inst := withSims(t, Random(rng, shape), simVariants[name])
-			if si == 1 && len(rowRuns(inst, subOffsets(inst), 8)) < 4 {
+			rowCost := func(qi, _ int) int64 { return int64(len(inst.Subsets[qi].Members)) }
+			if si == 1 && len(rowRuns(inst, subOffsets(inst), 8, rowCost)) < 4 {
 				t.Fatalf("%s: large shape compiles in too few runs to split subsets", name)
 			}
 			label := fmt.Sprintf("shape %d %s", si, name)

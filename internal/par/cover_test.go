@@ -94,10 +94,26 @@ func TestCoverListsDescending(t *testing.T) {
 	}
 }
 
-// TestCoversAsymmetricKernel: a similarity whose two directions disagree —
-// in the last bit, or by one direction being 0 so an entry has no mirror at
-// all — gets no cover index, and AllGainsInto falls back to the pull pass
-// with Gain's bits.
+// listedSim is a test-only NeighborLister that lists row i as Sim(mi, i)
+// for every member mi, the orientation in which adding i covers mi. The
+// compile copies a listed row as it is, so an asymmetric similarity keeps
+// its two directions apart in the kernel; a tabulated one would not, since
+// the compile reads each pair once.
+type listedSim struct{ FuncSim }
+
+func (l listedSim) AppendNeighbors(dst []Neighbor, i int) []Neighbor {
+	for mi := range l.N {
+		if s := l.Sim(mi, i); s > 0 {
+			dst = append(dst, Neighbor{Index: mi, Sim: s})
+		}
+	}
+	return dst
+}
+
+// TestCoversAsymmetricKernel: a kernel whose two directions of a pair
+// disagree — in the last bit, or by one direction being 0 so an entry has
+// no mirror at all — gets no cover index, and AllGainsInto falls back to
+// the pull pass with Gain's bits.
 func TestCoversAsymmetricKernel(t *testing.T) {
 	for name, skew := range map[string]func(s float64) float64{
 		"last bit":  func(s float64) float64 { return math.Nextafter(s, 0) },
@@ -107,13 +123,13 @@ func TestCoversAsymmetricKernel(t *testing.T) {
 			rng := rand.New(rand.NewSource(4))
 			base := Random(rng, RandomConfig{Photos: 30, Subsets: 6, SimDensity: 0.6})
 			inst := withSims(t, base, func(k int, dense Similarity) Similarity {
-				return FuncSim{N: k, F: func(i, j int) float64 {
+				return listedSim{FuncSim{N: k, F: func(i, j int) float64 {
 					s := dense.Sim(i, j)
 					if i < j && s > 0 {
 						return skew(s)
 					}
 					return s
-				}}
+				}}}
 			})
 			if inst.Kernel().Covers() != nil {
 				t.Fatal("asymmetric kernel built a cover index")

@@ -1,0 +1,27 @@
+package par
+
+import "testing"
+
+// The compile and threshold differential (compile_diff_test.go) runs in
+// package par_test, so it can build its inputs with the packages that import
+// par; these are the unexported pieces it holds to each other.
+
+// CompileKernelWorkers is CompileKernel over the given number of workers.
+func CompileKernelWorkers(inst *Instance, workers int) *Kernel { return compileKernel(inst, workers) }
+
+// CompileKernelRef is the sequential per-row reference compile.
+func CompileKernelRef(inst *Instance) *Kernel { return compileKernelRef(inst) }
+
+// ThresholdWorkers is Threshold over the given number of workers.
+func (k *Kernel) ThresholdWorkers(tau float64, workers int) (*Kernel, int, int) {
+	return k.threshold(tau, workers)
+}
+
+// ThresholdRef is the sequential reference τ-sparsification.
+func ThresholdRef(k *Kernel, tau float64) (*Kernel, int, int) { return thresholdRef(k, tau) }
+
+// ThresholdRuns is the number of runs Threshold splits k into at workers.
+func (k *Kernel) ThresholdRuns(workers int) int { return len(k.entryRuns(workers)) - 1 }
+
+// SameSlabs fails t unless got's slabs are == to want's.
+func SameSlabs(t testing.TB, label string, want, got *Kernel) { sameSlabs(t, label, want, got) }

@@ -2,6 +2,7 @@ package par
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -75,21 +76,26 @@ type Kernel struct {
 // CompileKernel flattens the instance's gain hot path into a Kernel. The
 // instance must be finalized (the occurrence index is part of the layout).
 // Compilation costs one pass over the similarity structure — O(pairs) for
-// NeighborLister similarities, O(Σ k²) Sim calls otherwise — and is meant to
-// run once per prepared instance, amortized across every solve against it.
-// Over subsets that hold views of another kernel (SetKernelSims) it is one
-// linear pass over that kernel's live entries, which is how an overlaid
-// kernel is compacted back to the canonical layout.
+// NeighborLister similarities, k(k+1)/2 Sim calls for a k-member subset of
+// any other similarity (each unordered pair once, and the diagonal), none
+// for UniformSim — and is meant to run once per prepared instance,
+// amortized across every solve against it. Over subsets that hold views of
+// another kernel (SetKernelSims) it is one linear pass over that kernel's
+// live entries, which is how an overlaid kernel is compacted back to the
+// canonical layout.
 //
 // The rows are spread over one worker per CPU, in runs of about equal cost
 // (a large subset's rows split over several runs), and every slab is
-// allocated once, at its final size. A first pass sizes the rows: it reads
-// the row lengths of SparseSim and kernel views, lists the rows of other
-// NeighborLister similarities, and computes each row of any other
-// similarity into a buffer the second pass reads instead of calling Sim
-// again. The second pass fills each row's span of the slabs. A row's
-// entries depend on that row alone, so the slabs are the same, == for ==,
-// at every worker count.
+// allocated once, at its final size. A subset whose similarity is neither a
+// NeighborLister nor UniformSim is first tabulated into one k×k buffer:
+// row i of that pass computes Sim(mi, i) for mi ≤ i and writes each value
+// into both rows mi and i, so cell (r, c) holds Sim(min(r, c), max(r, c)),
+// which par.Similarity requires to be symmetric. A sizing pass
+// then counts each row's entries: positive buffer cells, SparseSim and
+// kernel view row lengths, listed rows of other NeighborLister
+// similarities, every member for UniformSim. The last pass fills each
+// row's span of the slabs. A row's entries depend on the buffer and that
+// row alone, so the slabs are the same, == for ==, at every worker count.
 func CompileKernel(inst *Instance) *Kernel { return compileKernel(inst, 0) }
 
 // compileKernel is CompileKernel over up to workers goroutines (≤ 0 means
@@ -102,23 +108,62 @@ func compileKernel(inst *Instance, workers int) *Kernel {
 	subOff := make([]int32, nSub+1)
 	rows := 0
 	k := &Kernel{photos: inst.NumPhotos(), rowLen: make([]int32, nSub)}
+	// tab[qi] is the k×k buffer of a tabulated subset, nil for the others.
+	tab := make([][]float64, nSub)
+	tabulated := false
 	for qi := range inst.Subsets {
 		members := len(inst.Subsets[qi].Members)
 		subOff[qi] = int32(rows)
 		k.rowLen[qi] = int32(members)
 		rows += members
+		if tabulates(inst.Subsets[qi].Sim) {
+			tab[qi] = make([]float64, members*members)
+			tabulated = true
+		}
 	}
 	if rows > 1<<31-2 {
 		panic("par: CompileKernel instance exceeds 2^31 similarity rows")
 	}
 	subOff[nSub] = int32(rows)
-	runs := rowRuns(inst, subOff, pool.Resolve(workers))
+	workers = pool.Resolve(workers)
 
-	// Pass 1: slot weights and row lengths, each length parked at
+	// Pass 1: each unordered pair of a tabulated subset, computed once by
+	// the row of its larger member: row i computes Sim(mi, i) for mi ≤ i,
+	// the orientation in which adding member i covers slot mi, and writes
+	// it to cells (i, mi) and (mi, i). Every cell is written by exactly one
+	// row.
+	if tabulated {
+		triangle := rowRuns(inst, subOff, workers, func(qi, i int) int64 {
+			if tab[qi] == nil {
+				return 0
+			}
+			return int64(i + 1)
+		})
+		eachRun(inst, subOff, triangle, workers, func(qi, lo, hi int) {
+			buf := tab[qi]
+			if buf == nil {
+				return
+			}
+			sim := inst.Subsets[qi].Sim
+			m := len(inst.Subsets[qi].Members)
+			for i := lo; i < hi; i++ {
+				row := buf[i*m : i*m+i+1]
+				for mi := range row {
+					s := sim.Sim(mi, i)
+					row[mi] = s
+					buf[mi*m+i] = s
+				}
+			}
+		})
+	}
+	runs := rowRuns(inst, subOff, workers, func(qi, _ int) int64 {
+		return int64(len(inst.Subsets[qi].Members))
+	})
+
+	// Pass 2: slot weights and row lengths, each length parked at
 	// rowStart[r+1] until the prefix sum turns the lengths into offsets.
 	k.rowStart = make([]int64, rows+1)
 	k.slotWR = make([]float64, rows)
-	simRows := make([][]float64, rows)
 	eachRun(inst, subOff, runs, workers, func(qi, lo, hi int) {
 		q := &inst.Subsets[qi]
 		off := int(subOff[qi])
@@ -126,6 +171,7 @@ func compileKernel(inst *Instance, workers int) *Kernel {
 			k.slotWR[off+i] = q.Weight * q.Relevance[i]
 		}
 		lens := k.rowStart[off+1+lo : off+1+hi]
+		m := len(q.Members)
 		switch sim := q.Sim.(type) {
 		case neighborCounter:
 			for i := range lens {
@@ -137,20 +183,18 @@ func compileKernel(inst *Instance, workers int) *Kernel {
 				row = sim.AppendNeighbors(row[:0], lo+i)
 				lens[i] = int64(len(row))
 			}
+		case UniformSim:
+			for i := range lens {
+				lens[i] = int64(m)
+			}
 		default:
-			members := len(q.Members)
-			for i := lo; i < hi; i++ {
-				// Row i holds Sim(mi, i) for every member mi, the
-				// orientation in which adding member i covers slot mi.
-				row := make([]float64, members)
+			buf := tab[qi]
+			for i := range lens {
 				n := 0
-				for mi := range row {
-					row[mi] = sim.Sim(mi, i)
-					if row[mi] > 0 {
-						n++
-					}
+				for _, s := range buf[(lo+i)*m : (lo+i+1)*m] {
+					n += b2i(s > 0)
 				}
-				simRows[off+i], lens[i-lo] = row, int64(n)
+				lens[i] = int64(n)
 			}
 		}
 	})
@@ -158,38 +202,51 @@ func compileKernel(inst *Instance, workers int) *Kernel {
 		k.rowStart[r+1] += k.rowStart[r]
 	}
 
-	// Pass 2: each row fills its own span of the entry slabs.
+	// Pass 3: each row fills its own span of the entry slabs.
 	entries := k.rowStart[rows]
 	k.nbrIdx = make([]int32, entries)
 	k.nbrSim = make([]float64, entries)
 	eachRun(inst, subOff, runs, workers, func(qi, lo, hi int) {
 		q := &inst.Subsets[qi]
 		off := subOff[qi]
-		nl, lister := q.Sim.(NeighborLister)
-		var row []Neighbor
-		for i := lo; i < hi; i++ {
-			r := int(off) + i
-			t := k.rowStart[r]
-			if !lister {
-				for mi, s := range simRows[r] {
-					// Zero-similarity entries can never satisfy sim > best
-					// (best ≥ 0 always), so dropping them changes no sum.
-					if s > 0 {
-						k.nbrIdx[t] = off + int32(mi)
-						k.nbrSim[t] = s
-						t++
-					}
+		m := len(q.Members)
+		switch sim := q.Sim.(type) {
+		case NeighborLister:
+			var row []Neighbor
+			for i := lo; i < hi; i++ {
+				r := int(off) + i
+				t := k.rowStart[r]
+				row = sim.AppendNeighbors(row[:0], i)
+				if int64(len(row)) != k.rowStart[r+1]-t {
+					panic("par: CompileKernel: a row's listing changed length between passes")
 				}
-				continue
+				for _, nb := range row {
+					k.nbrIdx[t] = off + int32(nb.Index)
+					k.nbrSim[t] = nb.Sim
+					t++
+				}
 			}
-			row = nl.AppendNeighbors(row[:0], i)
-			if int64(len(row)) != k.rowStart[r+1]-t {
-				panic("par: CompileKernel: a row's listing changed length between passes")
+		case UniformSim:
+			for i := lo; i < hi; i++ {
+				t := k.rowStart[int(off)+i]
+				idx, sims := k.nbrIdx[t:t+int64(m)], k.nbrSim[t:t+int64(m)]
+				for mi := range idx {
+					idx[mi], sims[mi] = off+int32(mi), 1
+				}
 			}
-			for _, nb := range row {
-				k.nbrIdx[t] = off + int32(nb.Index)
-				k.nbrSim[t] = nb.Sim
-				t++
+		default:
+			// Zero-similarity entries can never satisfy sim > best (best ≥ 0
+			// always), so dropping them changes no sum. The fill writes
+			// every cell and advances past the positive ones, as Threshold
+			// does.
+			for i := lo; i < hi; i++ {
+				t := k.rowStart[int(off)+i]
+				row := tab[qi][i*m : (i+1)*m]
+				// The least positive float64: a cell clears it iff s > 0.
+				for mi, s := range row[:lastKept(row, math.SmallestNonzeroFloat64)] {
+					k.nbrIdx[t], k.nbrSim[t] = off+int32(mi), s
+					t += int64(b2i(s > 0))
+				}
 			}
 		}
 	})
@@ -216,44 +273,106 @@ func compileKernel(inst *Instance, workers int) *Kernel {
 // so every self entry (sim 1) stays. The result owns every slab, slot
 // weights and occurrence index included: a delta overlay grows and rewrites
 // each kernel's own copies, and a shared slab would take every batch twice.
-func (k *Kernel) Threshold(tau float64) (t *Kernel, before, after int) {
+//
+// Large kernels are thresholded over one worker per CPU, in runs of whole
+// rows holding about equal entries; the slabs are the same at every worker
+// count.
+func (k *Kernel) Threshold(tau float64) (t *Kernel, before, after int) { return k.threshold(tau, 0) }
+
+// thresholdRunEntries is the least number of entries in one run of rows
+// Threshold hands to a worker, so that a small kernel is thresholded on
+// the calling goroutine.
+const thresholdRunEntries = 1 << 18
+
+// threshold is Threshold over up to workers goroutines (≤ 0 means one per
+// CPU).
+func (k *Kernel) threshold(tau float64, workers int) (t *Kernel, before, after int) {
 	if !k.Canonical() {
 		panic("par: Kernel.Threshold on a non-canonical kernel; compact first")
 	}
 	if !(tau <= 1) {
 		panic("par: Kernel.Threshold above 1 would drop the self entries")
 	}
+	rows := k.Rows()
+	workers = pool.Resolve(workers)
+	runs := k.entryRuns(workers)
 	// Both passes keep an entry by adding the comparison's 0 or 1 rather
 	// than branching on it: whether a similarity clears τ is close to a
 	// coin flip entry by entry, so a branch would mispredict about half the
-	// time. The fill writes every entry and advances past the kept ones,
-	// into slabs one entry longer than it keeps.
-	kept := 0
-	for _, s := range k.nbrSim {
-		kept += b2i(s >= tau)
+	// time. The count pass parks each run's kept entries at runKept[ri+1]
+	// until the prefix sum turns them into the runs' first output entries.
+	runKept := make([]int64, len(runs))
+	pool.ForEach(len(runs)-1, workers, func(ri int) {
+		n := 0
+		for _, s := range k.nbrSim[k.rowStart[runs[ri]]:k.rowStart[runs[ri+1]]] {
+			n += b2i(s >= tau)
+		}
+		runKept[ri+1] = int64(n)
+	})
+	for ri := 1; ri < len(runKept); ri++ {
+		runKept[ri] += runKept[ri-1]
 	}
-	rows := k.Rows()
-	idx, sim := make([]int32, kept+1), make([]float64, kept+1)
+	kept := runKept[len(runKept)-1]
 	t = &Kernel{
 		photos:   k.photos,
 		rowLen:   slices.Clone(k.rowLen),
 		rowStart: make([]int64, rows+1),
-		nbrIdx:   idx[:kept],
-		nbrSim:   sim[:kept],
+		nbrIdx:   make([]int32, kept),
+		nbrSim:   make([]float64, kept),
 		slotWR:   slices.Clone(k.slotWR),
 		occStart: slices.Clone(k.occStart),
 		occRow:   slices.Clone(k.occRow),
 	}
-	n := 0
-	for r := 0; r < rows; r++ {
+	pool.ForEach(len(runs)-1, workers, func(ri int) {
+		k.thresholdRows(t, int(runs[ri]), int(runs[ri+1]), runKept[ri], tau)
+	})
+	return t, (len(k.nbrIdx) - rows) / 2, (int(kept) - rows) / 2
+}
+
+// thresholdRows fills rows [r0, r1) of t from k's, starting at t's entry
+// n.
+func (k *Kernel) thresholdRows(t *Kernel, r0, r1 int, n int64, tau float64) {
+	idx, sim := t.nbrIdx, t.nbrSim
+	for r := r0; r < r1; r++ {
 		lo, hi := k.rowStart[r], k.rowStart[r+1]
-		for e, s := range k.nbrSim[lo:hi] {
+		for e, s := range k.nbrSim[lo : lo+int64(lastKept(k.nbrSim[lo:hi], tau))] {
 			idx[n], sim[n] = k.nbrIdx[lo+int64(e)], s
-			n += b2i(s >= tau)
+			n += int64(b2i(s >= tau))
 		}
-		t.rowStart[r+1] = int64(n)
+		t.rowStart[r+1] = n
 	}
-	return t, (len(k.nbrIdx) - rows) / 2, (kept - rows) / 2
+}
+
+// lastKept returns one past the last similarity of row at least tau. A
+// branch-free fill of the entries at least tau writes every entry and
+// advances past the kept ones, so each write lands one past the entries
+// kept so far. Stopping here, where every later entry is dropped, keeps
+// the last write inside the row's own span, which the next row, perhaps
+// another worker's, follows.
+func lastKept(row []float64, tau float64) int {
+	end := len(row)
+	for end > 0 && !(row[end-1] >= tau) {
+		end--
+	}
+	return end
+}
+
+// entryRuns cuts k's rows into runs of whole rows for workers to threshold,
+// returned as their boundaries: about four runs per worker of equal
+// entries, none smaller than thresholdRunEntries.
+func (k *Kernel) entryRuns(workers int) []int32 {
+	rows := k.Rows()
+	entries := k.rowStart[rows]
+	target := max(entries/int64(4*workers), thresholdRunEntries)
+	runs := []int32{0}
+	for next := target; next < entries; next += target {
+		// The first row starting at or past the next boundary.
+		r := int32(sort.Search(rows, func(r int) bool { return k.rowStart[r] >= next }))
+		if r > runs[len(runs)-1] && int(r) < rows {
+			runs = append(runs, r)
+		}
+	}
+	return append(runs, int32(rows))
 }
 
 // b2i returns 1 for true and 0 for false, without a branch.
@@ -272,33 +391,45 @@ type neighborCounter interface {
 	neighborCount(i int) int
 }
 
+// tabulates reports whether CompileKernel computes a subset's similarity
+// into a k×k buffer first: every similarity but a NeighborLister, whose
+// rows it lists, and UniformSim, whose rows hold every member at 1.
+func tabulates(s Similarity) bool {
+	switch s.(type) {
+	case NeighborLister, UniformSim:
+		return false
+	}
+	return true
+}
+
 // compileRunCost is the least cost, in member pairs, of one run of rows
 // handed to a compile worker, so that a small instance compiles on the
 // calling goroutine.
 const compileRunCost = 1 << 16
 
 // rowRuns cuts the rows [0, subOff[nSub]) into runs for workers to compile,
-// returned as their boundaries (runs[i] .. runs[i+1]). A row of a k-member
-// subset costs k: at most k Sim calls, or a row of at most k entries. Each
-// run costs about an eighth of a worker's share, and no less than
+// returned as their boundaries (runs[i] .. runs[i+1]). cost(qi, i) is what
+// one pass pays for member i of subset qi: i+1 Sim calls in the tabulating
+// pass, at most k Sim reads or a row of at most k entries in the others.
+// Each run costs about an eighth of a worker's share, and no less than
 // compileRunCost, so the largest subset's rows spread over every worker.
-func rowRuns(inst *Instance, subOff []int32, workers int) []int32 {
+func rowRuns(inst *Instance, subOff []int32, workers int, cost func(qi, i int) int64) []int32 {
 	var total int64
 	for qi := range inst.Subsets {
-		m := int64(len(inst.Subsets[qi].Members))
-		total += m * m
+		for i := range inst.Subsets[qi].Members {
+			total += cost(qi, i)
+		}
 	}
 	target := max(total/int64(8*workers), compileRunCost)
 	runs := []int32{0}
-	var cost int64
+	var acc int64
 	for qi := range inst.Subsets {
-		m := len(inst.Subsets[qi].Members)
-		for i := 0; i < m; i++ {
-			if cost >= target {
+		for i := range inst.Subsets[qi].Members {
+			if acc >= target {
 				runs = append(runs, subOff[qi]+int32(i))
-				cost = 0
+				acc = 0
 			}
-			cost += int64(m)
+			acc += cost(qi, i)
 		}
 	}
 	return append(runs, subOff[len(inst.Subsets)])

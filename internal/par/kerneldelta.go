@@ -247,8 +247,10 @@ func (k *Kernel) AppendMemberRow(q int, p PhotoID, neighbors []Neighbor) int32 {
 // neighbours' rows are left in place: after the caller renormalizes (the
 // removed member's relevance drops to 0) and calls RewriteWR, its slot
 // weight is 0, so they contribute exactly +0.0 to any gain — bit-identical
-// to their absence.
-func (k *Kernel) TombstoneRow(q, mi int) {
+// to their absence. It returns the pairs the kernel loses: the row's
+// positive entries to rows not yet tombstoned, whose own rows lost the
+// pair already.
+func (k *Kernel) TombstoneRow(q, mi int) (pairs int) {
 	ov := k.ensureOverlay()
 	r := k.RowOf(q, mi)
 	zeroed := 0
@@ -256,6 +258,7 @@ func (k *Kernel) TombstoneRow(q, mi int) {
 		lo, hi := k.rowStart[r], k.rowStart[r+1]
 		for t := lo; t < hi; t++ {
 			if k.nbrIdx[t] != r && k.nbrSim[t] != 0 {
+				pairs += b2i(!ov.deadRow[k.nbrIdx[t]])
 				k.nbrSim[t] = 0
 				zeroed++
 			}
@@ -264,6 +267,7 @@ func (k *Kernel) TombstoneRow(q, mi int) {
 	ex := ov.extra[r]
 	for t := range ex {
 		if ex[t].idx != r && ex[t].sim != 0 {
+			pairs += b2i(!ov.deadRow[ex[t].idx])
 			ex[t].sim = 0
 			zeroed++
 		}
@@ -272,6 +276,7 @@ func (k *Kernel) TombstoneRow(q, mi int) {
 	// neighbour's row; count both sides as dead for the compaction heuristic.
 	ov.dead += 2 * zeroed
 	ov.deadRow[r] = true
+	return pairs
 }
 
 // RowDead reports whether subset q's mi-th member row was tombstoned.

@@ -13,7 +13,10 @@ import (
 // and j-th members of the subset in this subset's context.
 //
 // Implementations must be symmetric, return values in [0,1], and return 1
-// for i == j.
+// for i == j. CompileKernel reads Sim(i, j) for i < j only (and the
+// diagonal), and puts that value in both orientations of the pair, so an
+// implementation whose two orientations differ, even in the last bit, is
+// compiled as if Sim(j, i) returned Sim(i, j).
 type Similarity interface {
 	// Sim returns the contextual similarity of members i and j.
 	Sim(i, j int) float64

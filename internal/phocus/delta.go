@@ -18,8 +18,8 @@
 // Similarities arrive IN the delta: the caller supplies each new member's
 // similarity row explicitly (DeltaNeighbor), so ApplyDelta computes no
 // similarity function at all. This is what makes delta application cheap
-// relative to a cold Prepare, whose sparsification and kernel compile
-// evaluate O(Σ k²) similarity calls over dense subsets.
+// relative to a cold Prepare, whose kernel compile evaluates Σ k(k+1)/2
+// similarity calls over dense subsets.
 //
 // Equivalence. MergeDelta applies the same resolved plan, with the same
 // float operations in the same order, to a standalone instance, overlaying
@@ -188,6 +188,9 @@ type DeltaStats struct {
 	// Photos and SizeBytes are the instance's NumPhotos and SizeBytes after.
 	Photos    int
 	SizeBytes int64
+	// OriginalPairs / SparsifiedPairs are the Prepared's pair counts after
+	// the batch: those a cold Prepare of the churned instance reports.
+	OriginalPairs, SparsifiedPairs int
 }
 
 // ---------------------------------------------------------------------------
@@ -658,7 +661,7 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 	// mirrors the plan too, keeping its appended rows τ-filtered. Either way
 	// the templates are installed once, so Kernel never recompiles either.
 	kb, ks := p.base.Kernel(), p.solveTmpl.Kernel()
-	applyKernelPlan(kb, plan, newBase.Subsets, 0)
+	dBase := applyKernelPlan(kb, plan, newBase.Subsets, 0)
 	par.SetKernelSims(newBase.Subsets, kb)
 	if err := finalizeDelta(newBase); err != nil {
 		return nil, err
@@ -670,11 +673,18 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 			return nil, err
 		}
 	} else {
+		dSolve := dBase
 		if ks != kb {
-			applyKernelPlan(ks, plan, newBase.Subsets, p.opts.Tau)
+			dSolve = applyKernelPlan(ks, plan, newBase.Subsets, p.opts.Tau)
 		}
 		if err := p.setKernels(newBase, kb, ks); err != nil {
 			return nil, fmt.Errorf("phocus: delta kernel: %w", err)
+		}
+		// The counts are τ-sparsification's, zero without it, as Prepare
+		// leaves them.
+		if p.opts.Tau > 0 {
+			p.OriginalPairs += dBase
+			p.SparsifiedPairs += dSolve
 		}
 		p.sizeBytes = p.sizeBytesLocked()
 	}
@@ -695,12 +705,14 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 	p.trace = nil
 
 	stats := &DeltaStats{
-		Added:          len(d.Add),
-		Removed:        len(d.Remove),
-		NewSubsets:     len(d.NewSubsets),
-		Compacted:      compacting,
-		OldFingerprint: oldFP,
-		NewFingerprint: p.fp,
+		Added:           len(d.Add),
+		Removed:         len(d.Remove),
+		NewSubsets:      len(d.NewSubsets),
+		Compacted:       compacting,
+		OldFingerprint:  oldFP,
+		NewFingerprint:  p.fp,
+		OriginalPairs:   p.OriginalPairs,
+		SparsifiedPairs: p.SparsifiedPairs,
 	}
 	stats.LiveFraction = p.base.Kernel().LiveFraction()
 	stats.Photos, stats.SizeBytes = p.base.NumPhotos(), p.sizeBytes
@@ -715,36 +727,44 @@ func (p *Prepared) ApplyDelta(ctx context.Context, d *Delta) (*DeltaStats, error
 // appended in ascending subset order (memberships first, new subsets after
 // — new subsets have the highest indices), and the W·R rewrites must come
 // after both the renormalization and the appends. Each appended row keeps
-// the neighbors at or above tau (all of them at tau 0).
-func applyKernelPlan(k *par.Kernel, plan *deltaPlan, subsets []par.Subset, tau float64) {
+// the neighbors at or above tau (all of them at tau 0). It returns the
+// change in k's pair count: every appended neighbor is a new pair (they
+// cite live members only), and every tombstone drops its row's pairs.
+func applyKernelPlan(k *par.Kernel, plan *deltaPlan, subsets []par.Subset, tau float64) (pairs int) {
 	for _, rm := range plan.removals {
 		for _, oc := range rm.occ {
-			k.TombstoneRow(oc.Subset, oc.Index)
+			pairs -= k.TombstoneRow(oc.Subset, oc.Index)
 		}
 	}
 	for _, ap := range plan.adds {
 		k.AppendPhoto()
 		for _, m := range ap.mems {
-			k.AppendMemberRow(m.subset, ap.photo, tauFilter(m.nbrs, tau))
+			nbrs := tauFilter(m.nbrs, tau)
+			k.AppendMemberRow(m.subset, ap.photo, nbrs)
+			pairs += len(nbrs)
 		}
 	}
 	for _, ns := range plan.newSubs {
 		k.AppendSubset()
 		for _, m := range ns.members {
-			k.AppendMemberRow(ns.subset, m.photo, tauFilter(m.nbrs, tau))
+			nbrs := tauFilter(m.nbrs, tau)
+			k.AppendMemberRow(ns.subset, m.photo, nbrs)
+			pairs += len(nbrs)
 		}
 	}
 	for _, qi := range plan.touched {
 		q := &subsets[qi]
 		k.RewriteWR(qi, q.Weight, q.Relevance)
 	}
+	return pairs
 }
 
 // compact installs base — finalized, its subsets' Sims views of the
 // Prepared's overlaid true kernel — with canonical kernels: the true kernel
 // compiled from those views, one linear pass over its live entries, and,
-// when τ > 0, that kernel thresholded at τ. It drops the mutation overlays
-// and restores the canonical flat layout (and snapshot encodability).
+// when τ > 0, that kernel thresholded at τ, whose pair counts become the
+// Prepared's. It drops the mutation overlays and restores the canonical
+// flat layout (and snapshot encodability).
 // ApplyDelta runs it past the dead-entry/overlay-growth thresholds; the
 // caller holds mu.
 func (p *Prepared) compact(base *par.Instance) error {
@@ -760,7 +780,7 @@ func (p *Prepared) compact(base *par.Instance) error {
 	kb := par.CompileKernel(base)
 	ks := kb
 	if p.opts.Tau > 0 {
-		ks, _, _ = kb.Threshold(p.opts.Tau)
+		ks, p.OriginalPairs, p.SparsifiedPairs = kb.Threshold(p.opts.Tau)
 	}
 	par.SetKernelSims(base.Subsets, kb)
 	if err := p.setKernels(base, kb, ks); err != nil {

@@ -210,10 +210,18 @@ func TestApplyDeltaMatchesColdPrepare(t *testing.T) {
 					budget := 0.35 * merged.TotalCost()
 					requireSameRun(t, label, live, cold, budget, AlgoCELF)
 					requireSameRun(t, label, live, cold, budget, AlgoStreaming)
+					samePairs(t, label, live, cold)
+					if stats.OriginalPairs != cold.OriginalPairs || stats.SparsifiedPairs != cold.SparsifiedPairs {
+						t.Fatalf("%s: stats pairs %d/%d, cold %d/%d", label,
+							stats.OriginalPairs, stats.SparsifiedPairs, cold.OriginalPairs, cold.SparsifiedPairs)
+					}
+					samePairs(t, label+" snapshot", roundTrip(t, live), cold)
 				}
 				if err := compactNow(live); err != nil {
 					t.Fatal(err)
 				}
+				samePairs(t, "compacted", live, cold)
+				samePairs(t, "compacted snapshot", roundTrip(t, live), cold)
 				sameSlabs(t, "compacted base kernel", par.CompileKernel(merged), live.base.Kernel())
 				sameSlabs(t, "compacted solve kernel", solveKernel(cold), solveKernel(live))
 				requireSameRun(t, "compacted", live, cold, 0.35*merged.TotalCost(), AlgoCELF)
@@ -284,6 +292,7 @@ func TestApplyDeltaCompaction(t *testing.T) {
 	sameSlabs(t, "compacted base kernel", par.CompileKernel(merged), live.base.Kernel())
 	sameSlabs(t, "compacted solve kernel", solveKernel(cold), solveKernel(live))
 	requireSameRun(t, "post-compaction", live, cold, 0.4*merged.TotalCost(), AlgoCELF)
+	samePairs(t, "post-compaction", live, cold)
 
 	// Churn after a compaction starts a fresh overlay and must still match.
 	d := randomChurn(rng, live.base, removed, 1, 2, true)
@@ -299,6 +308,39 @@ func TestApplyDeltaCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRun(t, "post-compaction churn", live, cold, 0.4*merged.TotalCost(), AlgoCELF)
+	samePairs(t, "post-compaction churn", live, cold)
+}
+
+// samePairs fails unless got reports want's τ-sparsification pair counts,
+// in its fields and in its Run results.
+func samePairs(t *testing.T, label string, got, want *Prepared) {
+	t.Helper()
+	if got.OriginalPairs != want.OriginalPairs || got.SparsifiedPairs != want.SparsifiedPairs {
+		t.Fatalf("%s: pairs %d/%d, want %d/%d", label,
+			got.OriginalPairs, got.SparsifiedPairs, want.OriginalPairs, want.SparsifiedPairs)
+	}
+	res, err := got.Run(context.Background(), RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatalf("%s: Run: %v", label, err)
+	}
+	if res.OriginalPairs != want.OriginalPairs || res.SparsifiedPairs != want.SparsifiedPairs {
+		t.Fatalf("%s: Run reports pairs %d/%d, want %d/%d", label,
+			res.OriginalPairs, res.SparsifiedPairs, want.OriginalPairs, want.SparsifiedPairs)
+	}
+}
+
+// roundTrip returns p encoded to a snapshot and decoded.
+func roundTrip(t *testing.T, p *Prepared) *Prepared {
+	t.Helper()
+	buf, err := EncodeSnapshot(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := DecodeSnapshot(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
 
 // TestApplyDeltaValidation checks that malformed deltas are rejected without

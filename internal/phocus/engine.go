@@ -164,7 +164,9 @@ type Prepared struct {
 	// OriginalPairs / SparsifiedPairs report how much τ-sparsification
 	// shrank the similarity structure (both zero when Tau == 0). On the LSH
 	// path OriginalPairs counts only candidate pairs with positive true
-	// similarity.
+	// similarity. ApplyDelta and compaction keep them current, under the
+	// write side of mu, so they always equal a cold Prepare's of the
+	// churned instance.
 	OriginalPairs, SparsifiedPairs int
 }
 
@@ -177,7 +179,8 @@ type Prepared struct {
 // must lie in [0, 1].
 //
 // The true kernel is compiled first, and the base subsets hold views of it,
-// so each similarity of the dataset is computed once, by the compile. The
+// so each similarity of the dataset is computed once, by the compile, which
+// reads every pair in one orientation and mirrors it (par.CompileKernel). The
 // exact τ-kernel is the one compiling the dataset's similarities rounded
 // down below τ would give, slab for slab and byte for byte: the views read
 // back exactly the positive similarities the subsets hold, which

@@ -283,6 +283,10 @@ func (pl *Pipeline) Apply(ctx context.Context, tenant, fp string, body []byte) (
 		obs.RecordDeltaCompaction(pl.Metrics)
 	}
 	obs.SetDeltaLiveFraction(pl.Metrics, stats.LiveFraction)
+	if stats.OriginalPairs > 0 {
+		pl.Metrics.Gauge("phocus_sparsify_keep_ratio").
+			Set(float64(stats.SparsifiedPairs) / float64(stats.OriginalPairs))
+	}
 
 	obs.RecordPrepareCacheEvictions(pl.Metrics, int64(pl.Cache.Put(stats.NewFingerprint, prep)))
 	pl.Cache.Remove(stats.OldFingerprint)

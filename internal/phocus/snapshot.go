@@ -596,9 +596,17 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	if err := base.Finalize(); err != nil {
 		return nil, fmt.Errorf("phocus: snapshot instance invalid: %v: %w", err, ErrBadSnapshot)
 	}
+	// META's pair counts are the Prepared's at encode time, which are its
+	// τ-kernel's own: zero without τ, and otherwise what thresholding the
+	// true kernel counts.
 	kernSolve := kernBase
+	var before, after int
 	if m.tau > 0 {
-		kernSolve, _, _ = kernBase.Threshold(m.tau)
+		kernSolve, before, after = kernBase.Threshold(m.tau)
+	}
+	if m.origPairs != int64(before) || m.sparsePairs != int64(after) {
+		return nil, fmt.Errorf("phocus: meta pair counts %d/%d, kernel has %d/%d: %w",
+			m.origPairs, m.sparsePairs, before, after, ErrBadSnapshot)
 	}
 
 	p := &Prepared{

@@ -465,6 +465,16 @@ func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 		{"nan tau", "out of [0,1]", func(secs []snapSection) {
 			setF64(at(secs, secMeta).data[16:], 0, math.NaN())
 		}},
+		// META's pair counts must be the true and τ-kernel's own: a stale
+		// count is a fault, not a value to report.
+		{"stale pair count", "pair counts", func(secs []snapSection) {
+			meta := at(secs, secMeta).data
+			binary.LittleEndian.PutUint64(meta[32:], binary.LittleEndian.Uint64(meta[32:])+1)
+		}},
+		{"stale sparsified pair count", "pair counts", func(secs []snapSection) {
+			meta := at(secs, secMeta).data
+			binary.LittleEndian.PutUint64(meta[40:], binary.LittleEndian.Uint64(meta[40:])-1)
+		}},
 		{"missing self entry", "missing its self entry", func(secs []snapSection) {
 			// Drop row r's self entry and shift every later row's offset.
 			idx, sim := at(secs, secKBNbrIdx), at(secs, secKBNbrSim)

@@ -70,7 +70,8 @@ type Result struct {
 	// SparsifiedPairs / OriginalPairs report how much τ-sparsification
 	// shrank the similarity structure. On the LSH path OriginalPairs counts
 	// only the candidate pairs with positive true similarity — a lower bound
-	// on the full pair count, which LSH never enumerates.
+	// on the full pair count, which LSH never enumerates. After deltas they
+	// are the churned instance's.
 	OriginalPairs, SparsifiedPairs int
 	// PrepTime covers the Data Representation stage (finalize +
 	// sparsification), SolveTime the optimization, RescoreTime the rescore

@@ -4,10 +4,10 @@
 // its work out through ForEach, one level deep, so the whole
 // pipeline is controlled by a single integer and degrades to the plain
 // sequential loop when the knob is 1. The kernel compile (par.CompileKernel)
-// takes no knob: it fans its row runs out over one worker per CPU. CELF's
-// own lazy-greedy passes do not use it: the solver runs its UC and CB
-// passes on one goroutine each, and each pass recomputes its stale entries
-// one at a time.
+// and τ-threshold (par.Kernel.Threshold) take no knob: they fan their row
+// runs out over one worker per CPU. CELF's own lazy-greedy passes do not
+// use it: the solver runs its UC and CB passes on one goroutine each, and
+// each pass recomputes its stale entries one at a time.
 //
 // The contract every caller relies on: ForEach(n, w, fn) calls fn exactly
 // once for every index in [0, n), and the set of calls (not their order) is

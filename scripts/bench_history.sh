@@ -87,7 +87,7 @@ for suite in "${suites[@]}"; do
 		go test -json -bench SolveHandler -benchmem -benchtime=2s -run '^$' ./cmd/phocus-server | summarize serve
 		;;
 	compile)
-		go test -json -bench FinalizeCompile -benchmem -benchtime=10x -run '^$' . | summarize compile
+		go test -json -bench FinalizeCompile -benchmem -benchtime=20x -run '^$' . | summarize compile
 		;;
 	delta)
 		go test -json -bench DeltaVsColdPrepare -benchmem -benchtime=20x -run '^$' . | summarize delta
