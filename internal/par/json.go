@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"phocus/internal/pool"
 )
 
 // The JSON wire format is how instances travel between the data generator,
@@ -27,6 +29,9 @@ type subsetJSON struct {
 	// Vectors optionally carries one context-embedding vector per member
 	// (same order), enabling LSH sparsification on the receiving side.
 	Vectors [][]float64 `json:"vectors,omitempty"`
+	// sparse is Sim already built, by a split decoder, which let the
+	// triples go.
+	sparse *SparseSim
 }
 
 type pairJSON struct {
@@ -119,9 +124,15 @@ func ReadJSONVectors(r io.Reader) (*Instance, [][][]float64, error) {
 // it. Only whitespace may follow the instance object. vectors is nil when
 // no subset carried any; otherwise it has one (possibly nil) group per
 // subset, validated to hold one vector per member with a uniform positive
-// dimension. The result shares no memory with data.
+// dimension. The result shares no memory with data. A large body's subsets
+// are decoded on every CPU, with the serial decode's result and errors.
 func DecodeJSONVectors(data []byte) (*Instance, [][][]float64, error) {
-	in, err := decodeInstanceJSON(data)
+	return decodeJSONVectors(&jsonDecoder{data: data, splits: pool.Resolve(0), splitFloor: splitFloorBytes})
+}
+
+// decodeJSONVectors is DecodeJSONVectors over the decoder d.
+func decodeJSONVectors(d *jsonDecoder) (*Instance, [][][]float64, error) {
+	in, err := d.decode()
 	if err != nil {
 		return nil, nil, fmt.Errorf("par: decoding instance: %w", err)
 	}
@@ -140,11 +151,14 @@ func (in *instanceJSON) build() (*Instance, [][][]float64, error) {
 	var vectors [][][]float64
 	for qi, sj := range in.Subsets {
 		k := len(sj.Members)
-		sim, err := buildSparseSim(qi, k, sj.Sim)
-		if err != nil {
-			return nil, nil, err
+		sim := sj.sparse
+		if sim == nil {
+			var err error
+			if sim, err = buildSparseSim(qi, k, sj.Sim); err != nil {
+				return nil, nil, err
+			}
 		}
-		in.Subsets[qi].Sim = nil // the triples are garbage from here on
+		in.Subsets[qi].Sim, in.Subsets[qi].sparse = nil, nil // garbage from here on
 		inst.Subsets[qi] = Subset{
 			Name:      sj.Name,
 			Weight:    sj.Weight,

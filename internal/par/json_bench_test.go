@@ -9,9 +9,11 @@ import (
 )
 
 // BenchmarkReadJSON decodes the P-1K wire body (~3 MB, 306 subsets) with
-// the encoding/json reference decoder and with DecodeJSONVectors, and the
+// the encoding/json reference decoder, with DecodeJSONVectors on one
+// goroutine (serial) and split over one decoder per CPU (onepass), and the
 // same body run through json.Indent with DecodeJSONVectors: indented, no
-// triple has WriteJSON's layout, so every one takes the general path.
+// triple has WriteJSON's layout, so every one takes the general path (and
+// no subset separator is WriteJSON's, so it decodes serially too).
 // MB/s is over the body bytes.
 func BenchmarkReadJSON(b *testing.B) {
 	body, err := p1kBody()
@@ -28,6 +30,9 @@ func BenchmarkReadJSON(b *testing.B) {
 		decode func([]byte) (*par.Instance, [][][]float64, error)
 	}{
 		{"stdlib", body, par.ReferenceDecodeJSONVectors},
+		{"serial", body, func(data []byte) (*par.Instance, [][][]float64, error) {
+			return par.DecodeJSONVectorsSplit(data, 1, nil)
+		}},
 		{"onepass", body, par.DecodeJSONVectors},
 		{"indented", indented.Bytes(), par.DecodeJSONVectors},
 	} {

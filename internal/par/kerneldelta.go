@@ -130,7 +130,7 @@ func (k *Kernel) LiveFraction() float64 {
 	if total == 0 {
 		return 1
 	}
-	return 1 - float64(k.ov.dead)/float64(total)
+	return float64(total-k.ov.dead) / float64(total)
 }
 
 // ensureOverlay materializes the mutation overlay on first use.
@@ -253,14 +253,12 @@ func (k *Kernel) AppendMemberRow(q int, p PhotoID, neighbors []Neighbor) int32 {
 func (k *Kernel) TombstoneRow(q, mi int) (pairs int) {
 	ov := k.ensureOverlay()
 	r := k.RowOf(q, mi)
-	zeroed := 0
 	if int(r) < ov.baseRows {
 		lo, hi := k.rowStart[r], k.rowStart[r+1]
 		for t := lo; t < hi; t++ {
 			if k.nbrIdx[t] != r && k.nbrSim[t] != 0 {
 				pairs += b2i(!ov.deadRow[k.nbrIdx[t]])
 				k.nbrSim[t] = 0
-				zeroed++
 			}
 		}
 	}
@@ -269,12 +267,13 @@ func (k *Kernel) TombstoneRow(q, mi int) (pairs int) {
 		if ex[t].idx != r && ex[t].sim != 0 {
 			pairs += b2i(!ov.deadRow[ex[t].idx])
 			ex[t].sim = 0
-			zeroed++
 		}
 	}
-	// Each zeroed pair leaves a mirror entry of slot weight 0 in the
-	// neighbour's row; count both sides as dead for the compaction heuristic.
-	ov.dead += 2 * zeroed
+	// Each pair lost leaves a mirror entry of slot weight 0 in the
+	// neighbour's row; count both sides as dead for the compaction
+	// heuristic. A pair with a row tombstoned earlier was counted, both
+	// sides, by that row's tombstone.
+	ov.dead += 2 * pairs
 	ov.deadRow[r] = true
 	return pairs
 }

@@ -455,6 +455,11 @@ func (m *overlayModel) check(t *testing.T, rng *rand.Rand, step string) {
 	if err := m.kern.validateOverlayOrder(); err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
+	if m.kern.ov == nil {
+		// No batch has changed the kernel yet.
+	} else if got, want := m.kern.ov.dead, deadEntries(m.kern); got != want {
+		t.Fatalf("%s: %d dead entries counted, %d in the slabs", step, got, want)
+	}
 	view := func(k *Kernel) *Instance {
 		v := &Instance{Cost: m.inst.Cost, Retained: m.inst.Retained, Budget: m.inst.Budget, Subsets: m.inst.Subsets}
 		if err := v.Finalize(); err != nil {
@@ -575,4 +580,50 @@ func FuzzKernelOverlay(f *testing.F) {
 			m.check(t, rng, fmt.Sprintf("batch %d", b))
 		}
 	})
+}
+
+// deadEntries recounts an overlaid kernel's dead entries from its slabs
+// and overlay: every entry but a self entry that sits in a tombstoned row
+// or targets one.
+func deadEntries(k *Kernel) int {
+	ov, n := k.ov, 0
+	count := func(r int, idx int32) {
+		if idx != int32(r) && (ov.deadRow[r] || ov.deadRow[idx]) {
+			n++
+		}
+	}
+	for r := range ov.baseRows {
+		for _, idx := range k.nbrIdx[k.rowStart[r]:k.rowStart[r+1]] {
+			count(r, idx)
+		}
+	}
+	for r, ex := range ov.extra {
+		for _, e := range ex {
+			count(r, e.idx)
+		}
+	}
+	return n
+}
+
+// TestLiveFractionCountsPairsOnce tombstones every member of a 3-member
+// UniformSim subset: its 6 off-diagonal entries die, each counted once,
+// and the 3 self entries stay live.
+func TestLiveFractionCountsPairsOnce(t *testing.T) {
+	inst := &Instance{
+		Cost:    []float64{1, 1, 1},
+		Budget:  3,
+		Subsets: []Subset{{Name: "q", Weight: 1, Members: []PhotoID{0, 1, 2}, Relevance: []float64{0.2, 0.3, 0.5}, Sim: UniformSim{N: 3}}},
+	}
+	if err := inst.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	kern := CompileKernel(inst)
+	for mi, want := range []int{2, 1, 0} {
+		if pairs := kern.TombstoneRow(0, mi); pairs != want {
+			t.Fatalf("tombstoning member %d lost %d pairs, want %d", mi, pairs, want)
+		}
+	}
+	if lf := kern.LiveFraction(); lf != 1.0/3 {
+		t.Fatalf("LiveFraction = %v, want 1/3", lf)
+	}
 }
