@@ -33,7 +33,7 @@ func main() {
 		scale      = flag.Float64("scale", 0.2, "dataset scale in (0, 1]; 1 = paper-sized datasets")
 		seed       = flag.Int64("seed", 0, "seed offset for all generators")
 		tau        = flag.Float64("tau", 0.75, "sparsification threshold used by PHOcus runs")
-		workers    = flag.Int("workers", 0, "solve pipeline worker-pool size (≤ 0 means one per CPU, 1 forces the sequential path)")
+		workers    = flag.Int("workers", 0, "workers for the CELF solve and LSH sparsification (≤ 0 means one per CPU; the wire decode, kernel compile and Threshold always use every CPU)")
 		timeout    = flag.Duration("timeout", 0, "abort the whole run after this long; solves stop mid-run (0 = no deadline)")
 		verbose    = flag.Bool("v", false, "log per-run progress to stderr")
 		list       = flag.Bool("list", false, "list experiments and exit")

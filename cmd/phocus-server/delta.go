@@ -48,10 +48,13 @@ func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := readBody(w, r, s.maxBody)
+	// Apply decodes the batch into values of its own, so the buffer is
+	// free again once it returns.
+	body, err := readBody(w, r, s.maxBody, s.bufs.get(), nil)
 	var stats *phocus.DeltaStats
 	if err == nil {
 		stats, err = s.pipe.Apply(r.Context(), tenant, fp, body)
+		s.bufs.put(body)
 	}
 	if err != nil {
 		s.fail(w, r, err)

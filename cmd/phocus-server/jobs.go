@@ -174,7 +174,8 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := readBody(w, r, s.maxBody)
+	// The job store keeps the body, so it never comes from the free list.
+	body, err := readBody(w, r, s.maxBody, nil, nil)
 	if err != nil {
 		s.fail(w, r, err)
 		return

@@ -41,12 +41,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"hash"
 	"io"
 	"log/slog"
 	"math"
@@ -74,7 +75,7 @@ func main() {
 	maxBody := flag.Int64("max-body", 256<<20, "maximum /solve request body size in bytes")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
-	workers := flag.Int("workers", 0, "solve pipeline worker-pool size per request (≤ 0 means one per CPU, 1 forces the sequential path)")
+	workers := flag.Int("workers", 0, "CELF workers per solve, and the default -job-workers (≤ 0 means one per CPU; the wire decode, kernel compile and Threshold always use every CPU)")
 	exactMaxNodes := flag.Int64("exact-max-nodes", 50_000_000, "node budget for algo=exact branch-and-bound (≤ 0 = unlimited)")
 	solveTimeout := flag.Duration("solve-timeout", 0, "per-request solve deadline (0 = none); expired solves stop mid-run and return 503")
 	cacheEntries := flag.Int("prepare-cache-entries", 64, "prepared-instance cache entry bound (≤ 0 = unbounded; at least one of the two bounds must be positive)")
@@ -181,7 +182,8 @@ func main() {
 type serverConfig struct {
 	// MaxBody caps the /solve request body size in bytes.
 	MaxBody int64
-	// Workers bounds per-request pipeline parallelism (≤ 0 = one per CPU).
+	// Workers bounds each solve's CELF parallelism and is the default
+	// JobWorkers (≤ 0 = one per CPU).
 	Workers int
 	// ExactMaxNodes caps algo=exact's branch-and-bound (≤ 0 = unlimited).
 	ExactMaxNodes int64
@@ -239,6 +241,7 @@ type server struct {
 	solveTimeout time.Duration
 	pipe         *phocus.Pipeline
 	jobs         *jobs.Service
+	bufs         bodyBufs
 	queueDepth   int
 	// snapWarmed flips once the startup warm-fill of the prepare cache has
 	// finished (immediately when snapshots are off); /readyz reports 503
@@ -384,6 +387,7 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 		return nil, err
 	}
 	s.jobs = svc
+	s.bufs = make(bodyBufs, svc.Sem().Cap())
 
 	// Warm-fill runs in the background so startup stays fast; /readyz keeps
 	// answering 503 until the persisted snapshots are back in the cache.
@@ -635,11 +639,15 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// The body read belongs to the decode stage: its span starts here.
+	// The body read belongs to the decode stage: its span starts here. The
+	// body is hashed as it arrives, and the handler keeps no reference to
+	// it: a parse inside Solve leaves it to the GC, a hit hands it back.
 	req.Tenant, req.Start, req.Timeout = tenant, time.Now(), s.solveTimeout
-	req.Body, err = readBody(w, r, s.maxBody)
+	h := phocus.BodyHash(tenant)
+	req.Body, err = readBody(w, r, s.maxBody, s.bufs.get(), h)
 	var a *phocus.Answer
 	if err == nil {
+		req.Digest = hex.EncodeToString(h.Sum(nil))
 		a, err = s.pipe.Solve(ctx, req)
 	}
 	if err != nil {
@@ -654,29 +662,82 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		logger.Error("encode response", "err", err)
 	}
 	encodeSpan.End()
+	s.bufs.put(a.Body)
 }
 
 // maxBodyPresize caps how much of a declared Content-Length readBody
-// reserves before the bytes arrive; larger bodies grow by doubling.
+// reserves before the bytes arrive; larger bodies grow by doubling. The free
+// list keeps no buffer larger than this.
 const maxBodyPresize = 16 << 20
 
-// readBody reads the whole request body under the -max-body cap. A
+// readBody reads the whole request body under the -max-body cap into buf's
+// storage, writing each chunk to h, when h is non-nil, as it arrives. A
 // Content-Length within the cap sizes the buffer up front, up to
-// maxBodyPresize, so a typical body lands in one allocation while a client
-// that only declares a large body cannot make the server reserve it.
-// Past the cap the error wraps *http.MaxBytesError (413); any other read
-// error is invalid input (400).
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
+// maxBodyPresize, so a typical body lands in one buffer (buf, when it is
+// large enough) while a client that only declares a large body cannot make
+// the server reserve it. Past the cap the error wraps *http.MaxBytesError
+// (413); any other read error is invalid input (400).
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte, h hash.Hash) ([]byte, error) {
+	// One byte past the declared length lets the read that returns EOF
+	// find room without growing the buffer.
 	if r.ContentLength > 0 && r.ContentLength <= limit {
-		// ReadFrom grows the buffer unless MinRead bytes are free for the
-		// read that returns EOF.
-		buf.Grow(int(min(r.ContentLength, maxBodyPresize)) + bytes.MinRead)
+		if n := int(min(r.ContentLength, maxBodyPresize)) + 1; cap(buf) < n {
+			buf = make([]byte, 0, n)
+		}
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+	buf, err := readAll(buf[:0], http.MaxBytesReader(w, r.Body, limit), h)
+	if err != nil {
 		return nil, phocus.Invalid(fmt.Errorf("reading request body: %w", err))
 	}
-	return buf.Bytes(), nil
+	return buf, nil
+}
+
+// readAll appends rd's bytes to buf until EOF, growing it as append does,
+// and writes each chunk to h, when h is non-nil, while it is still in cache.
+func readAll(buf []byte, rd io.Reader, h hash.Hash) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		if h != nil {
+			h.Write(buf[len(buf) : len(buf)+n])
+		}
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// bodyBufs is the free list of /solve and delta read buffers, one per solve
+// slot. It is a channel, not a sync.Pool: a pool keeps a buffer of several
+// MB in each P's private slot, which raised the server's peak RSS.
+type bodyBufs chan []byte
+
+// get returns a free buffer, or nil when the list is empty.
+func (f bodyBufs) get() []byte {
+	select {
+	case b := <-f:
+		return b
+	default:
+		return nil
+	}
+}
+
+// put returns buf to the list unless the list is full or buf is larger than
+// maxBodyPresize. The caller must hold no other reference to buf's bytes.
+func (f bodyBufs) put(buf []byte) {
+	if buf == nil || cap(buf) > maxBodyPresize {
+		return
+	}
+	select {
+	case f <- buf:
+	default:
+	}
 }
 
 // fail answers a request that readBody or the pipeline failed: the one map

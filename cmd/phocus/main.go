@@ -50,7 +50,7 @@ func main() {
 		asJSON   = flag.Bool("json", false, "emit the result as JSON")
 		stats    = flag.Bool("stats", false, "print instance statistics before solving")
 		compare  = flag.Bool("compare", false, "run every solver and baseline, print a comparison table instead of solving once")
-		workers  = flag.Int("workers", 0, "solve pipeline worker-pool size (≤ 0 means one per CPU, 1 forces the sequential path)")
+		workers  = flag.Int("workers", 0, "workers for the CELF solve and LSH sparsification (≤ 0 means one per CPU; the wire decode, kernel compile and Threshold always use every CPU)")
 		timeout  = flag.Duration("solve-timeout", 0, "abort the solve after this long (0 = no deadline)")
 	)
 	flag.Parse()

@@ -48,7 +48,8 @@ type PrepareOptions struct {
 	// Seed drives LSH randomness.
 	Seed int64
 	// Workers bounds the LSH sparsification's fan-out (≤ 0 means one per
-	// CPU).
+	// CPU). It is the only stage of Prepare it bounds: the kernel compile
+	// and the exact path's Threshold use every CPU whatever it says.
 	Workers int
 	// InstanceDigest, when non-empty, is a caller-supplied content digest of
 	// the instance (e.g. a sha256 over the raw request body) used verbatim

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"log/slog"
 	"os"
 	"sync"
@@ -79,8 +80,11 @@ type Pipeline struct {
 // reading Body began; Budget 0 keeps the body's own, which costs an up-front
 // parse. Tau must lie in [0, 1]; the τ-sparsification is always exact.
 type SolveRequest struct {
-	Tenant    string
-	Body      []byte
+	Tenant string
+	Body   []byte
+	// Digest is BodyDigest(Tenant, Body), for a caller that hashed the body
+	// while reading it; empty makes Solve hash Body itself.
+	Digest    string
 	Start     time.Time
 	Budget    float64
 	Tau       float64
@@ -93,6 +97,11 @@ type SolveRequest struct {
 // takes), the budget, the solver's work report and the solve span's time.
 type Answer struct {
 	*Result
+	// Body is the request's body when Solve never parsed it (a cache hit,
+	// or a build another request started), handed back for the caller to
+	// reuse; nil once parsed, since the parse drops the bytes so that a cold
+	// Prepare's peak does not hold them.
+	Body              []byte
 	Fingerprint       string
 	Budget            float64
 	GainEvals, PQPops int64
@@ -102,32 +111,44 @@ type Answer struct {
 	Elapsed           time.Duration
 }
 
-// instanceDigest is the prepared-instance cache's content key for a body:
-// sha256 over the tenant prefix and the whole body. Mixing the tenant in
-// ahead of the body bytes scopes prepared instances, cache entries and
-// snapshot files to their tenant: two tenants uploading the same archive
-// never share a fingerprint. The default tenant mixes nothing, keeping every
-// pre-tenancy digest valid across the upgrade.
-func instanceDigest(tenant string, body []byte) string {
+// BodyHash returns the hash behind a body's cache key for tenant: sha256
+// over the tenant prefix and then the body bytes. Write the body to it in
+// any number of chunks, as they arrive, and its hex Sum is
+// BodyDigest(tenant, body). Mixing the tenant in ahead of the body bytes
+// scopes prepared instances, cache entries and snapshot files to their
+// tenant: two tenants uploading the same archive never share a fingerprint.
+// The default tenant mixes nothing, keeping every pre-tenancy digest valid
+// across the upgrade.
+func BodyHash(tenant string) hash.Hash {
 	h := sha256.New()
 	if tenant != "" && tenant != fleet.DefaultTenant {
 		fmt.Fprintf(h, "phocus/tenant/v1|%s\n", tenant)
 	}
+	return h
+}
+
+// BodyDigest is the prepared-instance cache's content key for a body of
+// tenant, in hex.
+func BodyDigest(tenant string, body []byte) string {
+	h := BodyHash(tenant)
 	h.Write(body)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Solve is the solve-by-body entry. It digests the body with its tenant into
-// the cache key and resolves that; a hit never parses the body, because the
-// key exists only for bytes of this tenant that parsed and prepared under
-// these exact preparation parameters. The body is parsed up front only when
-// the request has no budget of its own, and otherwise inside a cold Prepare,
-// which records a decode span of its own. The cache's singleflight means
-// concurrent identical archives prepare once. Context errors come back
-// verbatim for the caller to classify.
+// Solve is the solve-by-body entry. Its cache key is the body's digest with
+// its tenant (req.Digest, or BodyDigest when that is empty); a hit never
+// parses the body, because the key exists only for bytes of this tenant that
+// parsed and prepared under these exact preparation parameters. The body is
+// parsed up front only when the request has no budget of its own, and
+// otherwise inside a cold Prepare, which records a decode span of its own.
+// The cache's singleflight means concurrent identical archives prepare once.
+// Context errors come back verbatim for the caller to classify.
 func (pl *Pipeline) Solve(ctx context.Context, req SolveRequest) (*Answer, error) {
 	_, decodeSpan := obs.StartSpanAt(ctx, "decode", req.Start)
-	digest := instanceDigest(req.Tenant, req.Body)
+	digest := req.Digest
+	if digest == "" {
+		digest = BodyDigest(req.Tenant, req.Body)
+	}
 	var inst *par.Instance
 	// parse decodes the body, ending span with parsed=true and the body's
 	// size, and drops the bytes so the GC can reclaim them while Prepare and
@@ -196,7 +217,7 @@ func (pl *Pipeline) Solve(ctx context.Context, req SolveRequest) (*Answer, error
 		return nil, err
 	}
 
-	a := &Answer{Budget: budget}
+	a := &Answer{Body: req.Body, Budget: budget}
 	ropts := RunOptions{Budget: budget, Algorithm: req.Algorithm, Workers: pl.Workers, ExactMaxNodes: pl.ExactMaxNodes}
 	solveWorkers := 1 // only the CELF path is parallel; label others honestly
 	switch req.Algorithm {

@@ -173,7 +173,7 @@ func TestPipelineSolvePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.Cache.Put(FingerprintFor(instanceDigest("alice", bad), PrepareOptions{Tau: pipeTau}), prep)
+	pl.Cache.Put(FingerprintFor(BodyDigest("alice", bad), PrepareOptions{Tau: pipeTau}), prep)
 	sameResult(t, "hit", solveAs(t, pl, "alice", bad, budget).Result, want)
 	if st := pl.Cache.Stats(); st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("hit: cache stats %+v, want two hits (resolve + solve) and the cold miss", st)
@@ -364,8 +364,38 @@ func TestPipelineOwnerSetAtColdPrepare(t *testing.T) {
 	if p.owner != "alice" {
 		t.Errorf("owner %q, want alice", p.owner)
 	}
-	if want := FingerprintFor(instanceDigest("alice", body), PrepareOptions{Tau: pipeTau}); a.Fingerprint != want {
+	if want := FingerprintFor(BodyDigest("alice", body), PrepareOptions{Tau: pipeTau}); a.Fingerprint != want {
 		t.Errorf("fingerprint %s, want %s (the owner must not enter it)", a.Fingerprint, want)
+	}
+}
+
+// TestSolveHandsBackUnparsedBody: Solve hands the body back on a hit, for
+// the caller to reuse, and not once it parsed it (a cold Prepare, or a solve
+// without a budget); a digest the caller supplies keys the cache as the one
+// Solve computes does.
+func TestSolveHandsBackUnparsedBody(t *testing.T) {
+	body, _, budget := pipelineArchive(t)
+	pl := testPipeline(t, "")
+	if a := solveAs(t, pl, "alice", body, budget); a.Body != nil {
+		t.Errorf("a cold solve handed back the %d-byte body it parsed", len(a.Body))
+	}
+	req := SolveRequest{Tenant: "alice", Body: body, Digest: BodyDigest("alice", body), Start: time.Now(), Budget: budget, Tau: pipeTau}
+	a, err := pl.Solve(pipeCtx(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Body) != len(body) || &a.Body[0] != &body[0] {
+		t.Errorf("a hit handed back %d bytes, want the request's body", len(a.Body))
+	}
+	if st := pl.Cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("%d hits / %d misses, want the supplied digest to hit", st.Hits, st.Misses)
+	}
+	req.Budget = 0
+	if a, err = pl.Solve(pipeCtx(), req); err != nil {
+		t.Fatal(err)
+	}
+	if a.Body != nil {
+		t.Errorf("a solve without a budget handed back the %d-byte body it parsed", len(a.Body))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -778,33 +779,40 @@ func TestSnapshotElementWiseFallback(t *testing.T) {
 	requireSameRun(t, "element-wise decode", p, q, 0.4*p.TotalCost(), AlgoCELF)
 }
 
-// TestSnapshotLoadFaster pins the point// TestSnapshotLoadFaster pins the point of the format: decoding a prepared
+// TestSnapshotLoadFaster pins the point of the format: decoding a prepared
 // snapshot must beat re-running Prepare by a wide margin even at a moderate
 // size. It times DecodeSnapshot on an in-memory buffer so the comparison is
 // CPU-vs-CPU — raw file-read throughput varies wildly between CI machines,
 // while the decode-vs-Prepare ratio only grows with instance size (Prepare's
 // similarity work is superlinear, the decode is one linear verified pass).
 // BENCH_snapshot.json measures the full store.Load ratio at larger sizes.
-// The 3× floor here is deliberately conservative; locally the ratio is ~10×
-// already at this size.
+// The 3× floor here is deliberately conservative; the median ratio is ~4×
+// at this size.
 func TestSnapshotLoadFaster(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing test")
 	}
-	ds, err := dataset.GeneratePublic(dataset.PublicSpec{Name: "snap-speed", NumPhotos: 2500, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	// Each timed Prepare gets a freshly generated dataset, so none finds
+	// similarity work an earlier one left behind.
+	spec := dataset.PublicSpec{Name: "snap-speed", NumPhotos: 2500, Seed: 42}
+	generate := func() *dataset.Dataset {
+		ds, err := dataset.GeneratePublic(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
 	}
 	ctx := context.Background()
-	// Workers: 1 pins the cold path to one core like the decode path.
+	// One core for both sides. Decode's Threshold, and Prepare's kernel
+	// compile and Threshold, fan out over GOMAXPROCS whatever Workers says,
+	// and with several cores the ratio moved with how much of the second
+	// core other processes (another package's tests) left free.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	opts := PrepareOptions{Tau: 0.4, Workers: 1, InstanceDigest: "digest-speed"}
-
-	t0 := time.Now()
-	p, err := Prepare(ctx, ds, opts)
+	p, err := Prepare(ctx, generate(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := time.Since(t0)
 
 	// The store round-trip stays in the test (untimed) so the timed decode
 	// runs against bytes that really crossed the on-disk path.
@@ -822,23 +830,50 @@ func TestSnapshotLoadFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Best of three decodes: one scheduling hiccup must not fail the suite.
-	warm := time.Duration(1<<62 - 1)
+	// The median of paired ratios. Each pair is a cold Prepare and the best
+	// of three decodes, run back to back, alternating which side goes first:
+	// a shared machine drifts between faster and slower spells that outlast
+	// a pair, so each ratio compares the two sides within one spell, and the
+	// median drops the pairs a hiccup split.
+	const pairs = 7
+	ratios := make([]float64, pairs)
+	var colds, warms [pairs]time.Duration
 	var q *Prepared
-	for i := 0; i < 3; i++ {
-		t1 := time.Now()
-		q, err = DecodeSnapshot(buf)
-		if err != nil {
-			t.Fatal(err)
+	for i := range ratios {
+		ds := generate()
+		prepare := func() {
+			t0 := time.Now()
+			if _, err := Prepare(ctx, ds, opts); err != nil {
+				t.Fatal(err)
+			}
+			colds[i] = time.Since(t0)
 		}
-		if d := time.Since(t1); d < warm {
-			warm = d
+		decode := func() {
+			warms[i] = time.Duration(math.MaxInt64)
+			for range 3 {
+				t0 := time.Now()
+				if q, err = DecodeSnapshot(buf); err != nil {
+					t.Fatal(err)
+				}
+				warms[i] = min(warms[i], time.Since(t0))
+			}
 		}
+		if i%2 == 0 {
+			prepare()
+			decode()
+		} else {
+			decode()
+			prepare()
+		}
+		ratios[i] = float64(colds[i]) / float64(warms[i])
 	}
 	sameSlabs(t, "base kernel", p.base.Kernel(), q.base.Kernel())
 
-	if warm*3 > cold {
-		t.Fatalf("snapshot decode %v not at least 3× faster than cold Prepare %v", warm, cold)
+	sorted := slices.Clone(ratios)
+	slices.Sort(sorted)
+	if med := sorted[pairs/2]; med < 3 {
+		t.Fatalf("snapshot decode not at least 3× faster than cold Prepare: median ratio %.2f× over pairs (Prepare/decode) %v / %v",
+			med, colds, warms)
 	}
-	t.Logf("cold Prepare %v, snapshot decode %v (%.0f×)", cold, warm, float64(cold)/float64(warm))
+	t.Logf("median ratio %.1f×; pairs (Prepare/decode) %v / %v", sorted[pairs/2], colds, warms)
 }
