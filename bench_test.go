@@ -19,6 +19,7 @@ import (
 	"phocus/internal/celf"
 	"phocus/internal/dataset"
 	"phocus/internal/experiments"
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/lsh"
 	"phocus/internal/par"
 	"phocus/internal/phocus"
@@ -142,13 +143,15 @@ func BenchmarkEagerGreedy(b *testing.B) {
 }
 
 // BenchmarkSolveWorkers runs the full Algorithm 1 solver at increasing
-// worker-pool sizes on the same instance; the sub-benchmark ratios are the
-// parallel speedup of running UC and CB concurrently.
+// GOMAXPROCS on the same instance; the sub-benchmark ratios are the
+// parallel speedup of running UC and CB concurrently (GOMAXPROCS 1 runs
+// them one after the other).
 func BenchmarkSolveWorkers(b *testing.B) {
 	ds := benchInstance(b, 1000)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := celf.Solver{Workers: workers}
+			gomaxprocs.Set(b, workers)
+			var s celf.Solver
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Solve(context.Background(), ds.Instance); err != nil {
@@ -160,15 +163,16 @@ func BenchmarkSolveWorkers(b *testing.B) {
 }
 
 // BenchmarkSparsifyExact measures all-pairs τ-sparsification at increasing
-// worker-pool sizes; per-subset independence makes this close to
-// embarrassingly parallel.
+// GOMAXPROCS; per-subset independence makes this close to embarrassingly
+// parallel.
 func BenchmarkSparsifyExact(b *testing.B) {
 	ds := benchInstance(b, 1000)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			gomaxprocs.Set(b, workers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sparsify.Exact(ds.Instance, 0.75, workers); err != nil {
+				if _, err := sparsify.Exact(ds.Instance, 0.75); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -178,14 +182,15 @@ func BenchmarkSparsifyExact(b *testing.B) {
 
 // BenchmarkSparsifyLSH measures SimHash-based sparsification of the same
 // instance; the gap versus BenchmarkSparsifyExact/workers=1 is the paper's
-// "roughly linear time" claim in action.
+// "roughly linear time" claim in action. Both run at GOMAXPROCS 1.
 func BenchmarkSparsifyLSH(b *testing.B) {
 	ds := benchInstance(b, 1000)
+	gomaxprocs.Set(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		if _, err := sparsify.WithLSH(rng, ds.Instance, ds.CtxVectors, 0.75, 1); err != nil {
+		if _, err := sparsify.WithLSH(rng, ds.Instance, ds.CtxVectors, 0.75); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,9 +251,9 @@ func BenchmarkPreparedSweep(b *testing.B) {
 // through a file read. The coldprepare/decode ratio is the headline
 // recorded in BENCH_snapshot.json (about 4× on this instance, and it grows
 // with instance size: Prepare's similarity work is superlinear, the decode
-// a linear verified pass plus a linear τ-threshold); "load" additionally includes storage I/O and tracks the disk, not
-// the codec. Workers are pinned to 1 on every path so the ratio compares
-// algorithmic work, not pool sizes.
+// a linear verified pass plus a linear τ-threshold); "load" additionally
+// includes storage I/O and tracks the disk, not the codec. Every path fans
+// its kernel passes out over GOMAXPROCS.
 func BenchmarkSnapshotP100K(b *testing.B) {
 	spec := dataset.PublicSpecs(0.05)[4] // P-100K shape, 5000 photos
 	ds, err := dataset.GeneratePublic(spec)
@@ -256,7 +261,7 @@ func BenchmarkSnapshotP100K(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	opts := phocus.PrepareOptions{Tau: 0.4, Workers: 1, InstanceDigest: "bench-snapshot"}
+	opts := phocus.PrepareOptions{Tau: 0.4, InstanceDigest: "bench-snapshot"}
 
 	// coldprepare runs before any other Prepare in this benchmark so its
 	// first iteration pays the fresh-heap cost a real process restart pays
@@ -404,8 +409,8 @@ func benchChurn(rng *rand.Rand, inst *par.Instance, nRemove, nAdd int) *phocus.D
 // the timed region is exactly one apply. Both paths must produce
 // bit-identical Run selections — churn maintenance changes how fast the
 // post-churn instance is reached, never what it solves to — asserted
-// outside the timed regions. Workers are pinned to 1 on every path so the
-// ratio compares algorithmic work, not pool sizes.
+// outside the timed regions. Both paths fan their kernel passes out over
+// GOMAXPROCS.
 func BenchmarkDeltaVsColdPrepare(b *testing.B) {
 	spec := dataset.PublicSpecs(0.05)[4] // P-100K shape, 5000 photos
 	ds, err := dataset.GeneratePublic(spec)
@@ -413,7 +418,7 @@ func BenchmarkDeltaVsColdPrepare(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	opts := phocus.PrepareOptions{Tau: 0.4, Workers: 1, InstanceDigest: "bench-delta"}
+	opts := phocus.PrepareOptions{Tau: 0.4, InstanceDigest: "bench-delta"}
 	rng := rand.New(rand.NewSource(17))
 	d := benchChurn(rng, ds.Instance, 25, 25)
 	merged, _, err := phocus.MergeDelta(ds.Instance, nil, d)
@@ -487,7 +492,7 @@ func BenchmarkDeltaVsColdPrepare(b *testing.B) {
 	}
 
 	// Differential gate, outside all timing: identical selections at 1% churn.
-	runOpts := phocus.RunOptions{Budget: 0.3 * merged.TotalCost(), Workers: 1, SkipBound: true}
+	runOpts := phocus.RunOptions{Budget: 0.3 * merged.TotalCost(), SkipBound: true}
 	rl, err := live.Run(ctx, runOpts)
 	if err != nil {
 		b.Fatal(err)
@@ -541,7 +546,8 @@ func BenchmarkOnlineBoundP1K(b *testing.B) {
 // continuing a recorded trace and as a full recording pass, and the
 // allocation-free warm RunInto — all at the P-100K bench shape. The CELF
 // cells assert their selection against a plain Run outside the timed
-// region.
+// region. The celf, celf-full and allocs cells run at GOMAXPROCS 1, the
+// sequential CELF path; run is the serving shape at the default.
 func BenchmarkKernelV2(b *testing.B) {
 	spec := dataset.PublicSpecs(0.05)[4] // P-100K shape, 5000 photos
 	ds, err := dataset.GeneratePublic(spec)
@@ -549,7 +555,7 @@ func BenchmarkKernelV2(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	opts := phocus.PrepareOptions{Tau: 0.4, Workers: 1, InstanceDigest: "bench-kernelv2"}
+	opts := phocus.PrepareOptions{Tau: 0.4, InstanceDigest: "bench-kernelv2"}
 	p, err := phocus.Prepare(ctx, ds, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -564,7 +570,7 @@ func BenchmarkKernelV2(b *testing.B) {
 	}
 
 	budget := 0.3 * ds.Instance.TotalCost()
-	ropts := phocus.RunOptions{Budget: budget, Workers: 1, SkipBound: true}
+	ropts := phocus.RunOptions{Budget: budget, SkipBound: true}
 	ref, err := p.Run(ctx, ropts)
 	if err != nil {
 		b.Fatal(err)
@@ -588,6 +594,7 @@ func BenchmarkKernelV2(b *testing.B) {
 	// this cell, run and allocs time continued Runs, and celf-full prices
 	// the full pass.
 	b.Run("celf", func(b *testing.B) {
+		gomaxprocs.Set(b, 1)
 		var res phocus.Result
 		if err := p.RunInto(ctx, ropts, &res); err != nil {
 			b.Fatal(err)
@@ -619,6 +626,7 @@ func BenchmarkKernelV2(b *testing.B) {
 	// solves in full and still selects the reference photos.
 	full := ropts
 	b.Run("celf-full", func(b *testing.B) {
+		gomaxprocs.Set(b, 1)
 		var (
 			res    phocus.Result
 			prefix int
@@ -643,9 +651,9 @@ func BenchmarkKernelV2(b *testing.B) {
 		}
 	})
 
-	// The serving shape: a warm RunInto at default workers with the online
-	// bound on, as engine_sweep and the server run it. Its allocs/op are the
-	// concurrent passes' and the bound's goroutine hand-offs.
+	// The serving shape: a warm RunInto at the default GOMAXPROCS with the
+	// online bound on, as engine_sweep and the server run it. Its allocs/op
+	// are the concurrent passes' and the bound's goroutine hand-offs.
 	b.Run("run", func(b *testing.B) {
 		opts := phocus.RunOptions{Budget: budget}
 		var res phocus.Result
@@ -669,7 +677,7 @@ func BenchmarkKernelV2(b *testing.B) {
 		for _, rung := range []float64{0.05, 0.3} {
 			b.Run(fmt.Sprintf("rung=%g", rung), func(b *testing.B) {
 				rb := rung * ds.Instance.TotalCost()
-				res, err := p.Run(ctx, phocus.RunOptions{Budget: rb, Workers: 1})
+				res, err := p.Run(ctx, phocus.RunOptions{Budget: rb})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -697,8 +705,10 @@ func BenchmarkKernelV2(b *testing.B) {
 		}
 	})
 
-	// The allocation-free gate: a warm RunInto must report 0 allocs/op.
+	// The allocation-free gate: a warm RunInto at GOMAXPROCS 1 must report
+	// 0 allocs/op.
 	b.Run("allocs", func(b *testing.B) {
+		gomaxprocs.Set(b, 1)
 		var res phocus.Result
 		if err := p.RunInto(ctx, ropts, &res); err != nil {
 			b.Fatal(err)

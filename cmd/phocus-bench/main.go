@@ -7,7 +7,9 @@
 //	phocus-bench -list
 //
 // Scale 1 reproduces the full Table 2 dataset sizes; smaller scales shrink
-// every dataset proportionally, preserving the comparative shapes.
+// every dataset proportionally, preserving the comparative shapes. Every
+// parallel stage runs on GOMAXPROCS goroutines; set the GOMAXPROCS
+// environment variable to bound them (GOMAXPROCS=1 runs sequentially).
 package main
 
 import (
@@ -33,7 +35,6 @@ func main() {
 		scale      = flag.Float64("scale", 0.2, "dataset scale in (0, 1]; 1 = paper-sized datasets")
 		seed       = flag.Int64("seed", 0, "seed offset for all generators")
 		tau        = flag.Float64("tau", 0.75, "sparsification threshold used by PHOcus runs")
-		workers    = flag.Int("workers", 0, "workers for the CELF solve and LSH sparsification (≤ 0 means one per CPU; the wire decode, kernel compile and Threshold always use every CPU)")
 		timeout    = flag.Duration("timeout", 0, "abort the whole run after this long; solves stop mid-run (0 = no deadline)")
 		verbose    = flag.Bool("v", false, "log per-run progress to stderr")
 		list       = flag.Bool("list", false, "list experiments and exit")
@@ -79,7 +80,7 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Tau: *tau, Metrics: reg, Workers: *workers}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Tau: *tau, Metrics: reg}
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()

@@ -47,7 +47,7 @@ func BenchmarkSolveHandler(b *testing.B) {
 	query := "/solve?tau=0.4&budget=" + strconv.FormatFloat(0.1*ds.Instance.TotalCost(), 'f', -1, 64)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	s := mustServer(b, logger, serverConfig{
-		MaxBody: 256 << 20, Workers: 1, ExactMaxNodes: 50_000_000,
+		MaxBody: 256 << 20, JobWorkers: 1, ExactMaxNodes: 50_000_000,
 		CacheEntries: 4, CacheBytes: 1 << 30,
 	})
 	solve := func(b *testing.B, tenant string) {

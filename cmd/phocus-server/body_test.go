@@ -178,7 +178,7 @@ func TestBodyBufferReuseKeepsAnswers(t *testing.T) {
 		}
 	}
 
-	s, srv := jobsTestServer(t, serverConfig{Workers: 2, CacheEntries: 3, CacheBytes: 1 << 30})
+	s, srv := jobsTestServer(t, serverConfig{JobWorkers: 2, CacheEntries: 3, CacheBytes: 1 << 30})
 	scribble := func() {
 		var held [][]byte
 		for b := s.bufs.get(); b != nil; b = s.bufs.get() {

@@ -122,7 +122,7 @@ func TestDeltaValidation(t *testing.T) {
 // synchronous endpoint and on session jobs alike. A second concatenated
 // batch or trailing garbage is rejected whole, never applied as a prefix.
 func TestDeltaBodyDecoding(t *testing.T) {
-	_, srv := jobsTestServer(t, serverConfig{Workers: 1})
+	_, srv := jobsTestServer(t, serverConfig{JobWorkers: 1})
 	body := instanceBody(t, 3.0).String()
 	// The valid row comes last: it evolves the fingerprint, and every
 	// rejection must leave the instance untouched for it.
@@ -219,7 +219,7 @@ func TestDeltaReplacesSnapshot(t *testing.T) {
 // and the stored result is the same document the synchronous endpoint
 // returns — with the cache rekeyed identically.
 func TestSessionJob(t *testing.T) {
-	_, srv := jobsTestServer(t, serverConfig{Workers: 2})
+	_, srv := jobsTestServer(t, serverConfig{JobWorkers: 2})
 	body := instanceBody(t, 3.0).String()
 	solved := postSolve(t, srv.URL+"/solve?algo=celf", body)
 
@@ -272,7 +272,7 @@ func TestSessionJob(t *testing.T) {
 
 // TestSessionJobValidation covers the submit-time parameter checks.
 func TestSessionJobValidation(t *testing.T) {
-	_, srv := jobsTestServer(t, serverConfig{Workers: 1})
+	_, srv := jobsTestServer(t, serverConfig{JobWorkers: 1})
 	for _, q := range []string{
 		"?kind=session",             // missing fp
 		"?kind=session&fp=tooshort", // malformed fp
@@ -297,7 +297,7 @@ func TestSessionJobValidation(t *testing.T) {
 // its result with the chain bookkeeping, and schedules its successor via
 // a deferred Submit; the last run stops the chain.
 func TestRetentionJob(t *testing.T) {
-	_, srv := jobsTestServer(t, serverConfig{Workers: 2})
+	_, srv := jobsTestServer(t, serverConfig{JobWorkers: 2})
 	body := instanceBody(t, 3.0).String()
 
 	resp, doc := submitJob(t, srv.URL, "?kind=retention&every=30ms&runs=3&algo=celf", body)

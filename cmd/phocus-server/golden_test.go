@@ -48,7 +48,7 @@ func maskGolden(s string) string {
 // hit. The recording lives in testdata/golden.json; when the file is absent
 // the test writes it and fails, so a fresh recording never passes silently.
 func TestGoldenResponses(t *testing.T) {
-	s, srv := jobsTestServer(t, serverConfig{Workers: 1})
+	s, srv := jobsTestServer(t, serverConfig{JobWorkers: 1})
 	got := map[string]string{}
 	do := func(name, method, path, reqID, body string) string {
 		t.Helper()

@@ -92,7 +92,7 @@ func submitJob(t *testing.T, base, query, body string) (*http.Response, jobStatu
 // through the shared solve pipeline, and GET …/result returns exactly the
 // response a synchronous /solve would have produced.
 func TestJobsEndToEnd(t *testing.T) {
-	_, srv := jobsTestServer(t, serverConfig{Workers: 2})
+	_, srv := jobsTestServer(t, serverConfig{JobWorkers: 2})
 	body := instanceBody(t, 3.0).String()
 
 	resp, doc := submitJob(t, srv.URL, "?algo=celf", body)
@@ -160,7 +160,7 @@ func TestJobsEndToEnd(t *testing.T) {
 }
 
 func TestJobsValidation(t *testing.T) {
-	_, srv := jobsTestServer(t, serverConfig{Workers: 1})
+	_, srv := jobsTestServer(t, serverConfig{JobWorkers: 1})
 	cases := []struct {
 		name, query, body string
 		want              int
@@ -207,7 +207,7 @@ func TestJobsValidation(t *testing.T) {
 // TestReadyz: ready after boot (WAL replayed), 503 once draining begins —
 // while /healthz stays 200 (liveness vs readiness).
 func TestReadyz(t *testing.T) {
-	s, srv := jobsTestServer(t, serverConfig{Workers: 1})
+	s, srv := jobsTestServer(t, serverConfig{JobWorkers: 1})
 	check := func(path string, want int) {
 		t.Helper()
 		resp, err := http.Get(srv.URL + path)
@@ -234,7 +234,7 @@ func TestReadyz(t *testing.T) {
 // submissions overflow into 429 with a Retry-After hint; canceling a queued
 // job frees its slot for the next submission.
 func TestJobsAdmission429(t *testing.T) {
-	s, srv := jobsTestServer(t, serverConfig{Workers: 2, QueueDepth: 2})
+	s, srv := jobsTestServer(t, serverConfig{JobWorkers: 2, QueueDepth: 2})
 	// Occupy both solver slots so nothing drains; workers park in
 	// sem.Acquire after popping at most one job each.
 	sem := s.jobs.Sem()
@@ -303,7 +303,7 @@ func TestJobsAdmission429(t *testing.T) {
 // once its wait line reaches the queue-depth cap, instead of queueing
 // unboundedly.
 func TestSolveSharesAdmission(t *testing.T) {
-	s, srv := jobsTestServer(t, serverConfig{Workers: 1, QueueDepth: 1})
+	s, srv := jobsTestServer(t, serverConfig{JobWorkers: 1, QueueDepth: 1})
 	sem := s.jobs.Sem()
 	if !sem.TryAcquire() {
 		t.Fatal("could not occupy the solver slot")
@@ -362,7 +362,7 @@ func TestSolveSharesAdmission(t *testing.T) {
 func TestJobCancelRaces(t *testing.T) {
 	before := runtime.NumGoroutine()
 	func() {
-		s, srv := jobsTestServer(t, serverConfig{Workers: 1})
+		s, srv := jobsTestServer(t, serverConfig{JobWorkers: 1})
 
 		// A 90-photo Sviridenko solve runs for seconds (measured ~3s at one
 		// worker), leaving a wide window for the mid-run DELETE; the cancel
@@ -449,7 +449,7 @@ func TestJobCancelRaces(t *testing.T) {
 // status and result endpoints agree with the replayed WAL.
 func TestJobsCrashRestartAgreement(t *testing.T) {
 	dir := t.TempDir()
-	s1, srv1 := jobsTestServer(t, serverConfig{Workers: 2, QueueDepth: 8, DataDir: dir})
+	s1, srv1 := jobsTestServer(t, serverConfig{JobWorkers: 2, QueueDepth: 8, DataDir: dir})
 	// Hold the solver slots so every admitted job is still queued (in the
 	// WAL sense) when the crash hits.
 	sem := s1.jobs.Sem()
@@ -472,7 +472,7 @@ func TestJobsCrashRestartAgreement(t *testing.T) {
 	s1.jobs.Terminate() // SIGKILL: no snapshot, no checkpoint records
 	srv1.Close()
 
-	s2, srv2 := jobsTestServer(t, serverConfig{Workers: 2, QueueDepth: 8, DataDir: dir})
+	s2, srv2 := jobsTestServer(t, serverConfig{JobWorkers: 2, QueueDepth: 8, DataDir: dir})
 	// Zero admitted jobs lost: every pre-crash ID reaches done and serves
 	// its result.
 	for _, id := range admitted {

@@ -56,6 +56,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -67,7 +68,6 @@ import (
 	"phocus/internal/obs"
 	"phocus/internal/par"
 	"phocus/internal/phocus"
-	"phocus/internal/pool"
 )
 
 func main() {
@@ -75,14 +75,13 @@ func main() {
 	maxBody := flag.Int64("max-body", 256<<20, "maximum /solve request body size in bytes")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
-	workers := flag.Int("workers", 0, "CELF workers per solve, and the default -job-workers (≤ 0 means one per CPU; the wire decode, kernel compile and Threshold always use every CPU)")
 	exactMaxNodes := flag.Int64("exact-max-nodes", 50_000_000, "node budget for algo=exact branch-and-bound (≤ 0 = unlimited)")
 	solveTimeout := flag.Duration("solve-timeout", 0, "per-request solve deadline (0 = none); expired solves stop mid-run and return 503")
 	cacheEntries := flag.Int("prepare-cache-entries", 64, "prepared-instance cache entry bound (≤ 0 = unbounded; at least one of the two bounds must be positive)")
 	cacheBytes := flag.Int64("prepare-cache-bytes", 1<<30, "prepared-instance cache byte bound")
 	dataDir := flag.String("data-dir", "", "durable job-store directory for the async /jobs API (empty = in-memory jobs, no crash recovery)")
 	snapshotDir := flag.String("snapshot-dir", "", "prepared-instance snapshot directory for warm restarts (empty = snapshots off)")
-	jobWorkers := flag.Int("job-workers", 0, "async job scheduler worker count (0 = the -workers value)")
+	jobWorkers := flag.Int("job-workers", 0, "async job scheduler worker count, which also sizes the solve semaphore (≤ 0 = one per CPU, GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 32, "job queue depth cap; over it submissions get 429 (0 = unbounded)")
 	queueBytes := flag.Int64("queue-bytes", 1<<30, "job queue total payload byte cap (0 = unbounded)")
 	jobRetries := flag.Int("job-retries", 3, "max runner attempts per job for transient failures")
@@ -107,7 +106,6 @@ func main() {
 
 	s, err := newServer(logger, serverConfig{
 		MaxBody:       *maxBody,
-		Workers:       *workers,
 		ExactMaxNodes: *exactMaxNodes,
 		SolveTimeout:  *solveTimeout,
 		CacheEntries:  *cacheEntries,
@@ -182,9 +180,6 @@ func main() {
 type serverConfig struct {
 	// MaxBody caps the /solve request body size in bytes.
 	MaxBody int64
-	// Workers bounds each solve's CELF parallelism and is the default
-	// JobWorkers (≤ 0 = one per CPU).
-	Workers int
 	// ExactMaxNodes caps algo=exact's branch-and-bound (≤ 0 = unlimited).
 	ExactMaxNodes int64
 	// SolveTimeout, when positive, deadlines each request's solve stage.
@@ -199,7 +194,8 @@ type serverConfig struct {
 	// enables write-back of cold Prepares and warm-fill of the prepare
 	// cache at startup ("" = snapshots off).
 	SnapshotDir string
-	// JobWorkers sizes the async scheduler's worker pool (0 = Workers).
+	// JobWorkers sizes the async scheduler's worker pool and the solve
+	// semaphore (≤ 0 = GOMAXPROCS).
 	JobWorkers int
 	// QueueDepth / QueueBytes bound job admission (≤ 0 = unbounded).
 	QueueDepth int
@@ -237,7 +233,7 @@ type server struct {
 	slo          *obs.SLOTracker
 	trace        *obs.TraceStore
 	maxBody      int64
-	workers      int
+	workers      int // GOMAXPROCS at startup: the phocus_workers gauge and /stats "workers"
 	solveTimeout time.Duration
 	pipe         *phocus.Pipeline
 	jobs         *jobs.Service
@@ -308,7 +304,7 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 		logger:       logger,
 		reg:          obs.NewRegistry(),
 		maxBody:      cfg.MaxBody,
-		workers:      pool.Resolve(cfg.Workers),
+		workers:      runtime.GOMAXPROCS(0),
 		solveTimeout: cfg.SolveTimeout,
 		queueDepth:   cfg.QueueDepth,
 	}
@@ -355,7 +351,7 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 	s.pipe = &phocus.Pipeline{
 		Cache:   phocus.NewPreparedCache(cfg.CacheEntries, cfg.CacheBytes),
 		Metrics: s.reg, SLO: s.slo, Logger: logger,
-		Workers: s.workers, ExactMaxNodes: max(cfg.ExactMaxNodes, 0),
+		ExactMaxNodes: max(cfg.ExactMaxNodes, 0),
 	}
 	if cfg.SnapshotDir != "" {
 		if s.pipe.Snapshots, err = phocus.OpenSnapshotStore(cfg.SnapshotDir); err != nil {
@@ -365,13 +361,9 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 
 	// The job service opens last: its workers may immediately resume
 	// recovered jobs through s.runJob, so the server must be fully wired.
-	jobWorkers := cfg.JobWorkers
-	if jobWorkers <= 0 {
-		jobWorkers = s.workers
-	}
 	svc, _, err := jobs.NewService(jobs.Config{
 		Dir:         cfg.DataDir,
-		Workers:     jobWorkers,
+		Workers:     cfg.JobWorkers,
 		QueueDepth:  cfg.QueueDepth,
 		QueueBytes:  cfg.QueueBytes,
 		MaxAttempts: cfg.JobRetries,

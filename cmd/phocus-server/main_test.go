@@ -32,7 +32,7 @@ func newTestServer(t testing.TB, logs io.Writer) (*server, http.Handler) {
 		logs = io.Discard
 	}
 	s := mustServer(t, slog.New(slog.NewTextHandler(logs, nil)), serverConfig{
-		MaxBody: 256 << 20, Workers: 2, ExactMaxNodes: 50_000_000,
+		MaxBody: 256 << 20, JobWorkers: 2, ExactMaxNodes: 50_000_000,
 		CacheEntries: 64, CacheBytes: 1 << 30,
 	})
 	return s, s.telemetry(s.mux(false))
@@ -295,7 +295,8 @@ func TestRequestIDFromClientHeader(t *testing.T) {
 
 // TestMetricsEndpoint checks the acceptance criterion: after one POST
 // /solve, GET /metrics exposes request-latency histogram buckets, a
-// per-algorithm solve counter, and gain-eval totals.
+// per-algorithm solve counter, and gain-eval totals. The solve series'
+// workers label and the phocus_workers gauge report GOMAXPROCS.
 func TestMetricsEndpoint(t *testing.T) {
 	_, h := newTestServer(t, nil)
 	srv := httptest.NewServer(h)
@@ -316,12 +317,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := string(body)
+	workers := runtime.GOMAXPROCS(0)
 	for _, want := range []string{
 		`phocus_http_request_seconds_bucket{route="/solve",le="`,
 		`phocus_http_requests_total{class="2xx",route="/solve"} 1`,
-		`phocus_solve_total{algo="PHOcus",workers="2"} 1`,
+		fmt.Sprintf(`phocus_solve_total{algo="PHOcus",workers="%d"} 1`, workers),
 		`phocus_solver_gain_evals_total{algo="PHOcus"}`,
-		`phocus_solve_seconds_count{algo="PHOcus",workers="2"} 1`,
+		fmt.Sprintf(`phocus_solve_seconds_count{algo="PHOcus",workers="%d"} 1`, workers),
+		fmt.Sprintf("phocus_workers %d\n", workers),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)
@@ -347,7 +350,7 @@ func TestDebugVarsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := snap[`phocus_solve_total{algo="PHOcus",workers="2"}`]; !ok {
+	if _, ok := snap[fmt.Sprintf(`phocus_solve_total{algo="PHOcus",workers="%d"}`, runtime.GOMAXPROCS(0))]; !ok {
 		t.Errorf("vars missing solve counter; keys: %d", len(snap))
 	}
 }
@@ -360,7 +363,7 @@ func TestNewServerRequiresCacheBound(t *testing.T) {
 		{CacheEntries: 0, CacheBytes: 0},
 		{CacheEntries: -1, CacheBytes: 0},
 	} {
-		cfg.MaxBody, cfg.Workers, cfg.JobStoreNoSync = 1<<20, 1, true
+		cfg.MaxBody, cfg.JobWorkers, cfg.JobStoreNoSync = 1<<20, 1, true
 		if s, err := newServer(logger, cfg); err == nil {
 			s.jobs.Close(context.Background())
 			t.Errorf("entries %d bytes %d: newServer succeeded, want a start-up error", cfg.CacheEntries, cfg.CacheBytes)
@@ -370,7 +373,7 @@ func TestNewServerRequiresCacheBound(t *testing.T) {
 
 // TestMaxBodyLimit: an oversized body gets 413, not a decode error.
 func TestMaxBodyLimit(t *testing.T) {
-	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{MaxBody: 64, Workers: 2})
+	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{MaxBody: 64, JobWorkers: 2})
 	srv := httptest.NewServer(s.telemetry(s.mux(false)))
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/solve", "application/json", instanceBody(t, 3.0))
@@ -562,7 +565,7 @@ func TestSolveBoundStage(t *testing.T) {
 // distinct preparation and the eviction shows up on the counter.
 func TestPrepareCacheEvictionMetric(t *testing.T) {
 	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{
-		MaxBody: 1 << 20, Workers: 1, CacheEntries: 1, CacheBytes: 1 << 30,
+		MaxBody: 1 << 20, JobWorkers: 1, CacheEntries: 1, CacheBytes: 1 << 30,
 	})
 	srv := httptest.NewServer(s.telemetry(s.mux(false)))
 	defer srv.Close()
@@ -611,7 +614,7 @@ func TestClientDisconnectDuringSolve(t *testing.T) {
 // solve, answers 503, and counts into phocus_solve_canceled_total.
 func TestSolveTimeout(t *testing.T) {
 	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{
-		MaxBody: 1 << 20, Workers: 2, SolveTimeout: time.Nanosecond,
+		MaxBody: 1 << 20, JobWorkers: 2, SolveTimeout: time.Nanosecond,
 		CacheEntries: 4, CacheBytes: 1 << 30,
 	})
 	srv := httptest.NewServer(s.telemetry(s.mux(false)))
@@ -817,7 +820,7 @@ func TestMiddlewareStatusClasses(t *testing.T) {
 
 // TestPprofGated: /debug/pprof/ is 404 unless the flag enables it.
 func TestPprofGated(t *testing.T) {
-	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{MaxBody: 1 << 20, Workers: 2})
+	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{MaxBody: 1 << 20, JobWorkers: 2})
 	off := httptest.NewServer(s.telemetry(s.mux(false)))
 	defer off.Close()
 	resp, err := http.Get(off.URL + "/debug/pprof/")
@@ -886,7 +889,7 @@ func TestSolveFingerprintCarriesOver(t *testing.T) {
 // cache miss, whose body is parsed) or already prepared (a hit, never
 // parsed): a 400 on /solve, and a failed job with the same text on /jobs.
 func TestSolveBudgetBelowRetainedCost(t *testing.T) {
-	s, srv := jobsTestServer(t, serverConfig{Workers: 1})
+	s, srv := jobsTestServer(t, serverConfig{JobWorkers: 1})
 	inst := par.Figure1Instance()
 	inst.Retained = []par.PhotoID{2} // C(S0) = 2.1
 	inst.Budget = 8.2
@@ -1022,7 +1025,7 @@ func decodeSpans(t *testing.T, s *server, id string, size int) []string {
 // bit for bit to a cold solve of the same rung. Around it, every request the
 // reordering could have let through still gets the answer it got before.
 func TestDigestFirstWarmMatchesCold(t *testing.T) {
-	s, srv := jobsTestServer(t, serverConfig{Workers: 2})
+	s, srv := jobsTestServer(t, serverConfig{JobWorkers: 2})
 	ds, body := p1kArchive()
 	total := ds.Instance.TotalCost()
 	solve := func(tenant, query string) (solveResponse, string) {

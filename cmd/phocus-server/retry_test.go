@@ -45,7 +45,7 @@ func TestRetryAfterSecondsClamped(t *testing.T) {
 
 	// Unbounded queue (depth cap 0) must not zero the estimate.
 	s3 := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{
-		MaxBody: 1 << 20, Workers: 2, CacheEntries: 4, CacheBytes: 1 << 20,
+		MaxBody: 1 << 20, JobWorkers: 2, CacheEntries: 4, CacheBytes: 1 << 20,
 	})
 	check(t, s3, "unbounded queue")
 }

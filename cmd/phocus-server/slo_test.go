@@ -11,7 +11,7 @@ import (
 )
 
 func TestSLOEndpoint(t *testing.T) {
-	_, srv := jobsTestServer(t, serverConfig{Workers: 2})
+	_, srv := jobsTestServer(t, serverConfig{JobWorkers: 2})
 
 	// One async job + one sync solve feed the solve, job-wait, HTTP and
 	// 429-rate series.
@@ -82,7 +82,7 @@ func TestSLOBreachOn429Storm(t *testing.T) {
 	// A tiny admission budget (1 worker, depth cap 1) plus a burst of
 	// submissions drives the 429 fraction far past the 5% objective; both
 	// horizons see only storm traffic, so the objective reports breach.
-	s, srv := jobsTestServer(t, serverConfig{Workers: 1, JobWorkers: 1, QueueDepth: 1})
+	s, srv := jobsTestServer(t, serverConfig{JobWorkers: 1, QueueDepth: 1})
 	// Hold the solver slot so the queue cannot drain between submissions:
 	// a job that finishes first frees its place for the next one, and the
 	// burst then sees too few 429s to breach.
@@ -119,7 +119,7 @@ func TestSLOBreachOn429Storm(t *testing.T) {
 }
 
 func TestJobTraceEndpoint(t *testing.T) {
-	_, srv := jobsTestServer(t, serverConfig{Workers: 2})
+	_, srv := jobsTestServer(t, serverConfig{JobWorkers: 2})
 	body := instanceBody(t, 3.0).String()
 	resp, doc := submitJob(t, srv.URL, "?algo=celf", body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -178,7 +178,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 func TestSyncSolveTraceRetrievable(t *testing.T) {
 	// Sync /solve requests share the trace store; their request ID looks up
 	// the same way a job ID does.
-	s, srv := jobsTestServer(t, serverConfig{Workers: 2})
+	s, srv := jobsTestServer(t, serverConfig{JobWorkers: 2})
 	body := instanceBody(t, 3.0).String()
 	resp, err := http.Post(srv.URL+"/solve?algo=celf", "application/json", strings.NewReader(body))
 	if err != nil {

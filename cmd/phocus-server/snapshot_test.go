@@ -31,7 +31,7 @@ func getStatus(t *testing.T, url string) int {
 func snapServer(t *testing.T, dir string) (*server, *httptest.Server) {
 	t.Helper()
 	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{
-		MaxBody: 256 << 20, Workers: 2,
+		MaxBody: 256 << 20, JobWorkers: 2,
 		CacheEntries: 8, CacheBytes: 1 << 30,
 		SnapshotDir: dir,
 	})

@@ -22,7 +22,7 @@ import (
 func shardedServer(t *testing.T, self int, extra func(*serverConfig)) (*server, *httptest.Server) {
 	t.Helper()
 	cfg := serverConfig{
-		MaxBody: 256 << 20, Workers: 2, ExactMaxNodes: 50_000_000,
+		MaxBody: 256 << 20, JobWorkers: 2, ExactMaxNodes: 50_000_000,
 		CacheEntries: 64, CacheBytes: 1 << 30,
 		ShardSpec: fmt.Sprintf("%d/3", self),
 		Peers:     "http://shard0:8080,http://shard1:8080,http://shard2:8080",
@@ -154,7 +154,7 @@ func TestStandaloneServerHasNoShardHeader(t *testing.T) {
 
 func TestTenantQuota429(t *testing.T) {
 	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{
-		MaxBody: 256 << 20, Workers: 2, ExactMaxNodes: 50_000_000,
+		MaxBody: 256 << 20, JobWorkers: 2, ExactMaxNodes: 50_000_000,
 		CacheEntries: 64, CacheBytes: 1 << 30,
 		TenantRate: 0.001, TenantBurst: 2, // two requests, then a long dry spell
 	})
@@ -393,7 +393,7 @@ func TestDeltaOwnerScoped(t *testing.T) {
 				t.Run(tenant+"/"+where+"/"+path, func(t *testing.T) {
 					dir := t.TempDir()
 					s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{
-						MaxBody: 256 << 20, Workers: 1, CacheEntries: 1, SnapshotDir: dir,
+						MaxBody: 256 << 20, JobWorkers: 1, CacheEntries: 1, SnapshotDir: dir,
 					})
 					srv := httptest.NewServer(s.telemetry(s.mux(false)))
 					t.Cleanup(srv.Close)
@@ -491,7 +491,7 @@ func TestDeltaOwnerScoped(t *testing.T) {
 // session jobs. A tenant's own listing and the job's status document still
 // carry them.
 func TestJobListUnscopedDropsParams(t *testing.T) {
-	_, srv := jobsTestServer(t, serverConfig{Workers: 1})
+	_, srv := jobsTestServer(t, serverConfig{JobWorkers: 1})
 	code, out := postAs(t, srv.URL+"/solve", "alice", instanceBody(t, 3.0).Bytes())
 	if code != http.StatusOK {
 		t.Fatalf("solve: %d %s", code, out)
@@ -542,7 +542,7 @@ func TestOwnerSolveRacesForeignDelta(t *testing.T) {
 	body := instanceBody(t, 3.0).Bytes()
 	dir := t.TempDir()
 	s := mustServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{
-		MaxBody: 256 << 20, Workers: 1, CacheEntries: 1, SnapshotDir: dir,
+		MaxBody: 256 << 20, JobWorkers: 1, CacheEntries: 1, SnapshotDir: dir,
 	})
 	srv := httptest.NewServer(s.telemetry(s.mux(false)))
 	t.Cleanup(srv.Close)

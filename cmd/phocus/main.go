@@ -5,8 +5,11 @@
 //
 //	phocus -input instance.json [-budget 5e6]
 //	       [-algo celf|sviridenko|exact|streaming]
-//	       [-tau 0.75] [-lsh -seed 1] [-retained 0,5,9] [-workers 4]
+//	       [-tau 0.75] [-lsh -seed 1] [-retained 0,5,9]
 //	       [-solve-timeout 30s] [-json]
+//
+// Every parallel stage runs on GOMAXPROCS goroutines; set the GOMAXPROCS
+// environment variable to bound them (GOMAXPROCS=1 runs sequentially).
 //
 // The input may be in either the JSON or the binary format produced by
 // phocus-datagen (auto-detected; LSH sparsification needs the context
@@ -50,18 +53,17 @@ func main() {
 		asJSON   = flag.Bool("json", false, "emit the result as JSON")
 		stats    = flag.Bool("stats", false, "print instance statistics before solving")
 		compare  = flag.Bool("compare", false, "run every solver and baseline, print a comparison table instead of solving once")
-		workers  = flag.Int("workers", 0, "workers for the CELF solve and LSH sparsification (≤ 0 means one per CPU; the wire decode, kernel compile and Threshold always use every CPU)")
 		timeout  = flag.Duration("solve-timeout", 0, "abort the solve after this long (0 = no deadline)")
 	)
 	flag.Parse()
 	if *compare {
-		if err := runCompare(os.Stdout, *input, *budget, *retained, *workers); err != nil {
+		if err := runCompare(os.Stdout, *input, *budget, *retained); err != nil {
 			fmt.Fprintln(os.Stderr, "phocus:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	opts := phocus.PrepareOptions{Tau: *tau, UseLSH: *lsh, Seed: *seed, Workers: *workers}
+	opts := phocus.PrepareOptions{Tau: *tau, UseLSH: *lsh, Seed: *seed}
 	if err := run(os.Stdout, *input, *budget, *retained, *algo, opts, *asJSON, *stats, *timeout); err != nil {
 		fmt.Fprintln(os.Stderr, "phocus:", err)
 		os.Exit(1)
@@ -69,7 +71,7 @@ func main() {
 }
 
 // run prepares the instance with opts and solves it once with algo, the
-// budget applied while loading and opts.Workers as the solver's workers.
+// budget applied while loading.
 func run(w io.Writer, input string, budget float64, retained, algo string, opts phocus.PrepareOptions, asJSON bool, stats bool, timeout time.Duration) error {
 	algorithm, err := phocus.ParseAlgorithm(algo)
 	if err != nil {
@@ -95,7 +97,7 @@ func run(w io.Writer, input string, budget float64, retained, algo string, opts 
 	if err != nil {
 		return err
 	}
-	res, err := p.Run(ctx, phocus.RunOptions{Budget: inst.Budget, Algorithm: algorithm, Workers: opts.Workers})
+	res, err := p.Run(ctx, phocus.RunOptions{Budget: inst.Budget, Algorithm: algorithm})
 	if err != nil {
 		return err
 	}
@@ -187,7 +189,7 @@ func loadInstance(input string, budget float64, retained string) (*par.Instance,
 // runCompare solves the instance with every algorithm and baseline and
 // prints a quality/time comparison. Every solution's online bound is an
 // upper bound on the optimum, so the table measures against the tightest.
-func runCompare(w io.Writer, input string, budget float64, retained string, workers int) error {
+func runCompare(w io.Writer, input string, budget float64, retained string) error {
 	inst, err := loadInstance(input, budget, retained)
 	if err != nil {
 		return err
@@ -203,7 +205,7 @@ func runCompare(w io.Writer, input string, budget float64, retained string, work
 		elapsed time.Duration
 	}
 	var rows []row
-	for _, s := range compareSolvers(inst, workers) {
+	for _, s := range compareSolvers(inst) {
 		start := time.Now()
 		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
@@ -231,9 +233,9 @@ func runCompare(w io.Writer, input string, budget float64, retained string, work
 
 // compareSolvers lists the solvers runCompare runs on inst: every algorithm
 // and the baselines, plus the exact optimum on instances small enough for it.
-func compareSolvers(inst *par.Instance, workers int) []par.Solver {
+func compareSolvers(inst *par.Instance) []par.Solver {
 	solvers := []par.Solver{
-		&celf.Solver{Workers: workers},
+		&celf.Solver{},
 		&sviridenko.Solver{},
 		&streaming.Solver{},
 		baselines.NewGreedyNR(),

@@ -16,10 +16,9 @@ import (
 	"phocus/internal/phocus"
 )
 
-// cliOpts mirrors what main() builds from the flags for a given -tau with a
-// sequential worker pool.
+// cliOpts mirrors what main() builds from the flags for a given -tau.
 func cliOpts(tau float64) phocus.PrepareOptions {
-	return phocus.PrepareOptions{Tau: tau, Workers: 1}
+	return phocus.PrepareOptions{Tau: tau}
 }
 
 // writeFigure1 dumps the Figure 1 instance at the given budget to a temp
@@ -172,7 +171,7 @@ func TestRunStatsFlag(t *testing.T) {
 func TestRunCompare(t *testing.T) {
 	path := writeFigure1(t, 3.0)
 	var out bytes.Buffer
-	if err := runCompare(&out, path, 0, "", 1); err != nil {
+	if err := runCompare(&out, path, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -183,7 +182,7 @@ func TestRunCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	tightest := math.Inf(1)
-	for _, s := range compareSolvers(inst, 1) {
+	for _, s := range compareSolvers(inst) {
 		sol, err := s.Solve(context.Background(), inst)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -202,7 +201,7 @@ func TestRunCompare(t *testing.T) {
 	if strings.Index(text, "Brute-Force") > strings.Index(text, "RAND-A") {
 		t.Errorf("rows not sorted by score:\n%s", text)
 	}
-	if err := runCompare(&out, "", 0, "", 1); err == nil {
+	if err := runCompare(&out, "", 0, ""); err == nil {
 		t.Error("missing input accepted")
 	}
 }

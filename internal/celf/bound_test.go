@@ -11,12 +11,14 @@ import (
 )
 
 // pullBound is the online bound as a pull pass computes it: every archived
-// photo's gain evaluated on its own (Evaluator.Gains), then the same
+// photo's gain evaluated on its own (Evaluator.GainsInto), then the same
 // fractional knapsack.
 func pullBound(inst *par.Instance, e *par.Evaluator, rest []par.PhotoID) float64 {
 	var b BoundScratch
 	b.gains = make([]float64, inst.NumPhotos())
-	for i, g := range e.Gains(rest, 1) {
+	gains := make([]float64, len(rest))
+	e.GainsInto(gains, rest)
+	for i, g := range gains {
 		b.gains[rest[i]] = g
 	}
 	return b.knapsack(inst, e.Score(), rest)

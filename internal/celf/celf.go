@@ -24,11 +24,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"time"
 
 	"phocus/internal/par"
-	"phocus/internal/pool"
 )
 
 // Variant selects the candidate-ranking rule of Algorithm 2.
@@ -74,21 +74,19 @@ type Stats struct {
 }
 
 // Solver runs Algorithm 1 (best of UC and CB). It implements par.Solver.
+//
+// The UC and CB passes are the solver's one level of parallelism: at
+// GOMAXPROCS 1 they run one after the other on the calling goroutine, and
+// from 2 up concurrently, one goroutine each. Each pass keeps the classic
+// schedule, recomputing one stale priority-queue entry at a time, so the
+// solution and the work counters (GainEvals, PQPops) are identical for
+// every GOMAXPROCS; only wall-clock time varies.
 type Solver struct {
 	// Observer, when non-nil, receives the lazy-greedy events of both
-	// sub-procedure runs (all UC events, then all CB events; with Workers >
-	// 1 the passes run concurrently and their events are buffered and
-	// replayed in that order after both finish).
+	// sub-procedure runs (all UC events, then all CB events; when the
+	// passes run concurrently their events are buffered and replayed in
+	// that order after both finish).
 	Observer Observer
-	// Workers bounds the solver's parallelism. Values ≤ 0 mean one worker
-	// per CPU (runtime.GOMAXPROCS(0)); 1 runs UC and then CB on the calling
-	// goroutine. From 2 up the UC and CB sub-procedures run concurrently,
-	// one goroutine each: the two passes are the solver's one level of
-	// parallelism. Each pass keeps the classic schedule, recomputing one
-	// stale priority-queue entry at a time, so the solution and the work
-	// counters (GainEvals, PQPops) are identical for every worker count;
-	// only wall-clock time varies.
-	Workers int
 	// Scratch, when non-nil, supplies reusable solve state: one evaluator
 	// and priority-queue storage per pass, used by both the
 	// sequential path (which runs both passes on the UC slot) and the
@@ -152,7 +150,6 @@ func (s *Solver) Name() string { return "PHOcus" }
 // context stops the solve within one gain evaluation.
 func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
 	start := time.Now()
-	workers := pool.Resolve(s.Workers)
 	sc := s.Scratch
 	if sc == nil {
 		sc = &Scratch{}
@@ -172,7 +169,7 @@ func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, e
 		statsUC, statsCB Stats
 		err              error
 	)
-	if workers <= 1 {
+	if runtime.GOMAXPROCS(0) == 1 {
 		// Both passes reuse the UC slot's evaluator and queue storage. UC's
 		// solution aliases the evaluator, so it is copied into scratch-owned
 		// storage before CB resets it.
@@ -258,10 +255,9 @@ func (s *Solver) solveConcurrent(ctx context.Context, inst *par.Instance, sc *Sc
 // S0, indexed by photo ID (0 for the members of S0): the gains both
 // lazy-greedy passes compute before their first selection. They depend on
 // neither the budget nor the variant, which is what lets a Trace seed every
-// budget's passes. The evaluations fan out over workers goroutines (≤ 0
-// means one per CPU); every value is bit-identical to a sequential
-// Evaluator.Gain.
-func S0Gains(inst *par.Instance, workers int) []float64 {
+// budget's passes. The evaluations fan out over GOMAXPROCS goroutines;
+// every value is bit-identical to a sequential Evaluator.Gain.
+func S0Gains(inst *par.Instance) []float64 {
 	e := par.NewEvaluator(inst)
 	e.Seed()
 	ps := make([]par.PhotoID, inst.NumPhotos())
@@ -269,7 +265,7 @@ func S0Gains(inst *par.Instance, workers int) []float64 {
 		ps[p] = par.PhotoID(p)
 	}
 	gains := make([]float64, len(ps))
-	e.GainsInto(gains, ps, workers)
+	e.GainsInto(gains, ps)
 	return gains
 }
 
@@ -304,8 +300,8 @@ type traceEvent struct {
 
 // NewTrace returns a Trace holding inst's S0 gains (see S0Gains) and no
 // logs: a Solve from it runs seeded passes in full and records them.
-func NewTrace(inst *par.Instance, workers int) *Trace {
-	return &Trace{s0: S0Gains(inst, workers), budget: math.Inf(-1)}
+func NewTrace(inst *par.Instance) *Trace {
+	return &Trace{s0: S0Gains(inst), budget: math.Inf(-1)}
 }
 
 // Covers reports whether t holds logs recorded at a budget of at least

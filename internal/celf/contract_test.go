@@ -3,6 +3,7 @@ package celf
 import (
 	"testing"
 
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 	"phocus/internal/solvertest"
 )
@@ -15,8 +16,9 @@ func TestContextContract(t *testing.T) {
 	solvertest.CancelContract(t, func() par.Solver { return &Solver{} })
 }
 
-// TestContextContractSequential covers the Workers=1 path, whose cancel
+// TestContextContractSequential covers the GOMAXPROCS 1 path, whose cancel
 // check sits in the lazy-greedy loop rather than the concurrent harness.
 func TestContextContractSequential(t *testing.T) {
-	solvertest.CancelContract(t, func() par.Solver { return &Solver{Workers: 1} })
+	gomaxprocs.Set(t, 1)
+	solvertest.CancelContract(t, func() par.Solver { return &Solver{} })
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 )
 
@@ -22,45 +23,48 @@ func (l *selectionLog) Selected(p par.PhotoID, gain float64) {
 }
 
 // TestSolverWorkersEquivalence: the full Algorithm 1 solver (concurrent UC
-// and CB) returns an identical solution and work counters for every worker
-// count, and the buffered observer replay preserves the UC-then-CB selection
-// order.
+// and CB) returns an identical solution and work counters at every
+// GOMAXPROCS, and the buffered observer replay preserves the UC-then-CB
+// selection order of the sequential path GOMAXPROCS 1 takes.
 func TestSolverWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
 		inst := par.Random(rng, par.RandomConfig{
 			Photos: 50, Subsets: 20, BudgetFrac: 0.3,
 		})
-		var seqLog selectionLog
-		seq := Solver{Workers: 1, Observer: &seqLog}
-		seqSol, err := seq.Solve(context.Background(), inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8} {
+		var (
+			seqLog selectionLog
+			seq    Solver
+			seqSol par.Solution
+		)
+		gomaxprocs.Each(t, func(workers int) {
 			var log selectionLog
-			s := Solver{Workers: workers, Observer: &log}
+			s := Solver{Observer: &log}
 			sol, err := s.Solve(context.Background(), inst)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if workers == 1 { // the first level: the sequential reference
+				seqLog, seq, seqSol = log, s, sol
+				return
+			}
 			if !reflect.DeepEqual(sol.Photos, seqSol.Photos) {
-				t.Fatalf("trial %d workers=%d: photos %v, sequential %v",
+				t.Fatalf("trial %d GOMAXPROCS=%d: photos %v, sequential %v",
 					trial, workers, sol.Photos, seqSol.Photos)
 			}
 			if sol.Score != seqSol.Score || sol.Cost != seqSol.Cost {
-				t.Errorf("trial %d workers=%d: score/cost differ", trial, workers)
+				t.Errorf("trial %d GOMAXPROCS=%d: score/cost differ", trial, workers)
 			}
 			if s.LastStats.Winner != seq.LastStats.Winner || s.LastStats.Selected != seq.LastStats.Selected {
-				t.Errorf("trial %d workers=%d: stats winner/selected differ", trial, workers)
+				t.Errorf("trial %d GOMAXPROCS=%d: stats winner/selected differ", trial, workers)
 			}
 			if s.LastStats.GainEvals != seq.LastStats.GainEvals || s.LastStats.PQPops != seq.LastStats.PQPops {
-				t.Errorf("trial %d workers=%d: %d evals / %d pops, sequential %d / %d", trial, workers,
+				t.Errorf("trial %d GOMAXPROCS=%d: %d evals / %d pops, sequential %d / %d", trial, workers,
 					s.LastStats.GainEvals, s.LastStats.PQPops, seq.LastStats.GainEvals, seq.LastStats.PQPops)
 			}
 			if !reflect.DeepEqual(log.photos, seqLog.photos) {
-				t.Errorf("trial %d workers=%d: replayed selection order diverges", trial, workers)
+				t.Errorf("trial %d GOMAXPROCS=%d: replayed selection order diverges", trial, workers)
 			}
-		}
+		})
 	}
 }

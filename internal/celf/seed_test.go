@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"phocus/internal/dataset"
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 )
 
@@ -25,18 +26,18 @@ func (l *eventLog) Selected(p par.PhotoID, gain float64) {
 	l.events = append(l.events, fmt.Sprintf("s %d %x", p, math.Float64bits(gain)))
 }
 
-// solveSeededAndNot solves inst with and without a trace's S0 gains at the
-// given worker count and fails t unless both give the same photos, score and
-// cost bits, winner and observer stream. It returns both runs' stats.
-func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, tr *Trace, workers int) (plain, seeded Stats) {
+// solveSeededAndNot solves inst with and without a trace's S0 gains and
+// fails t unless both give the same photos, score and cost bits, winner and
+// observer stream. It returns both runs' stats.
+func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, tr *Trace) (plain, seeded Stats) {
 	t.Helper()
 	var plainLog, seededLog eventLog
-	ps := Solver{Workers: workers, Observer: &plainLog}
+	ps := Solver{Observer: &plainLog}
 	want, err := ps.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("%s: unseeded: %v", label, err)
 	}
-	ss := Solver{Workers: workers, Observer: &seededLog, Trace: tr, Scratch: &Scratch{}}
+	ss := Solver{Observer: &seededLog, Trace: tr, Scratch: &Scratch{}}
 	got, err := ss.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("%s: seeded: %v", label, err)
@@ -62,7 +63,7 @@ func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, tr *Trace
 
 // TestSeededSolverMatchesUnseeded: seeding both passes from a trace's S0
 // gains gives the unseeded solver's selections, score bits and observer
-// stream at every worker count, with retained sets, while doing fewer gain
+// stream at every GOMAXPROCS, with retained sets, while doing fewer gain
 // evaluations. The trace even covers the budget: a solve with an Observer
 // runs the seeded passes in full instead of continuing it.
 func TestSeededSolverMatchesUnseeded(t *testing.T) {
@@ -71,20 +72,20 @@ func TestSeededSolverMatchesUnseeded(t *testing.T) {
 		inst := par.Random(rng, par.RandomConfig{
 			Photos: 60, Subsets: 20, BudgetFrac: 0.15 + 0.1*float64(trial%4), RetainFrac: 0.1,
 		})
-		for _, workers := range []int{1, 2, 8} {
-			label := fmt.Sprintf("trial %d workers=%d", trial, workers)
-			rec := Solver{Workers: workers, Trace: NewTrace(inst, workers)}
+		gomaxprocs.Each(t, func(workers int) {
+			label := fmt.Sprintf("trial %d GOMAXPROCS=%d", trial, workers)
+			rec := Solver{Trace: NewTrace(inst)}
 			if _, err := rec.Solve(context.Background(), inst); err != nil {
 				t.Fatal(err)
 			}
 			if !rec.Trace.Covers(inst.Budget) {
 				t.Fatalf("%s: the full solve recorded no trace covering its budget", label)
 			}
-			plain, seeded := solveSeededAndNot(t, label, inst, rec.Trace, workers)
+			plain, seeded := solveSeededAndNot(t, label, inst, rec.Trace)
 			if seeded.GainEvals >= plain.GainEvals {
 				t.Errorf("%s: seeded solve made %d gain evals, unseeded %d", label, seeded.GainEvals, plain.GainEvals)
 			}
-		}
+		})
 	}
 }
 
@@ -111,11 +112,11 @@ func TestSeededSolverPublicLadders(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tr == nil {
-				tr = NewTrace(&inst, 0)
+				tr = NewTrace(&inst)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				solveSeededAndNot(t, fmt.Sprintf("%s f=%g workers=%d", spec.Name, f, workers), &inst, tr, workers)
-			}
+			gomaxprocs.Each(t, func(workers int) {
+				solveSeededAndNot(t, fmt.Sprintf("%s f=%g GOMAXPROCS=%d", spec.Name, f, workers), &inst, tr)
+			})
 		}
 	}
 }
@@ -133,7 +134,7 @@ func TestSeededObserverOrderCB(t *testing.T) {
 	if err := inst.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	s0 := S0Gains(inst, 1)
+	s0 := S0Gains(inst)
 	var plain, seeded eventLog
 	if _, _, err := lazyGreedy(context.Background(), inst, CB, nil, &plain, &passScratch{}, nil); err != nil {
 		t.Fatal(err)
@@ -149,27 +150,27 @@ func TestSeededObserverOrderCB(t *testing.T) {
 	}
 }
 
-// TestS0GainsWorkers: a trace's S0 gains are bit-identical for every
-// worker count and equal to a sequential Gain against S0.
+// TestS0GainsWorkers: a trace's S0 gains are bit-identical at every
+// GOMAXPROCS and equal to a sequential Gain against S0.
 func TestS0GainsWorkers(t *testing.T) {
 	inst := par.Random(rand.New(rand.NewSource(9)), par.RandomConfig{Photos: 80, Subsets: 30, BudgetFrac: 0.3, RetainFrac: 0.1})
 	e := par.NewEvaluator(inst)
 	e.Seed()
-	for _, workers := range []int{1, 2, 8} {
-		got := S0Gains(inst, workers)
+	gomaxprocs.Each(t, func(workers int) {
+		got := S0Gains(inst)
 		for p := range got {
 			if want := e.Gain(par.PhotoID(p)); math.Float64bits(got[p]) != math.Float64bits(want) {
-				t.Fatalf("workers=%d: photo %d gain %v, want %v", workers, p, got[p], want)
+				t.Fatalf("GOMAXPROCS=%d: photo %d gain %v, want %v", workers, p, got[p], want)
 			}
 		}
-	}
+	})
 }
 
 // TestSolverRejectsMismatchedS0Gains: a trace of another layout fails the
 // solve instead of seeding the queue with wrong keys.
 func TestSolverRejectsMismatchedS0Gains(t *testing.T) {
 	inst := par.Figure1Instance()
-	s := Solver{Workers: 1, Trace: &Trace{s0: make([]float64, inst.NumPhotos()+1)}}
+	s := Solver{Trace: &Trace{s0: make([]float64, inst.NumPhotos()+1)}}
 	if _, err := s.Solve(context.Background(), inst); err == nil {
 		t.Fatal("solve with a trace of the wrong length succeeded")
 	}

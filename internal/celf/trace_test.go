@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 )
 
@@ -73,7 +74,7 @@ func sameSolution(t *testing.T, label string, got, want par.Solution) {
 
 // checkTraceContinue records both passes at every budget of the ladder and
 // continues them at every budget at or below it: each continued pass, and
-// each continued Solve at workers 1, 2 and 8, must equal a fresh unseeded
+// each continued Solve at GOMAXPROCS 1, 2 and 8, must equal a fresh unseeded
 // one.
 func checkTraceContinue(t *testing.T, inst *par.Instance, budgets []float64) {
 	ctx := context.Background()
@@ -83,7 +84,7 @@ func checkTraceContinue(t *testing.T, inst *par.Instance, budgets []float64) {
 			t.Fatal(err)
 		}
 	}
-	s0 := S0Gains(inst, 1)
+	s0 := S0Gains(inst)
 	var ps passScratch
 	for j := range views {
 		rec := &Trace{s0: s0, budget: budgets[j]}
@@ -110,14 +111,14 @@ func checkTraceContinue(t *testing.T, inst *par.Instance, budgets []float64) {
 					t.Fatalf("%s: selected %d (prefix %d), want %d", label, stats.Selected, stats.TracePrefix, wantStats.Selected)
 				}
 			}
-			for _, workers := range []int{1, 2, 8} {
-				label := fmt.Sprintf("Solve workers=%d B=%g traced at %g", workers, budgets[i], budgets[j])
-				fresh := Solver{Workers: workers}
+			gomaxprocs.Each(t, func(workers int) {
+				label := fmt.Sprintf("Solve GOMAXPROCS=%d B=%g traced at %g", workers, budgets[i], budgets[j])
+				var fresh Solver
 				want, err := fresh.Solve(ctx, &views[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := Solver{Workers: workers, Trace: rec, Scratch: &Scratch{}}
+				s := Solver{Trace: rec, Scratch: &Scratch{}}
 				got, err := s.Solve(ctx, &views[i])
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -130,14 +131,14 @@ func checkTraceContinue(t *testing.T, inst *par.Instance, budgets []float64) {
 				if s.Trace != rec {
 					t.Fatalf("%s: a continued solve replaced the trace", label)
 				}
-			}
+			})
 		}
 	}
 }
 
 // FuzzTraceContinue: a pass continued from a trace recorded at any budget
 // B' ≥ B gives the photos, score and cost bits and selection count of a
-// fresh pass at B, for UC, CB and Algorithm 1 at every worker count, on
+// fresh pass at B, for UC, CB and Algorithm 1 at every GOMAXPROCS, on
 // random instances with retained sets, exact gain ties, and photos that do
 // not fit from the start.
 func FuzzTraceContinue(f *testing.F) {
@@ -170,11 +171,11 @@ func TestTraceRecordsAboveItsBudget(t *testing.T) {
 	if err := inst.ViewInto(&hi, budgets[1]); err != nil {
 		t.Fatal(err)
 	}
-	seed := NewTrace(inst, 1)
+	seed := NewTrace(inst)
 	if seed.Covers(0) {
 		t.Fatal("a trace without logs covers a budget")
 	}
-	s := Solver{Workers: 1, Trace: seed}
+	s := Solver{Trace: seed}
 	if _, err := s.Solve(ctx, &lo); err != nil {
 		t.Fatal(err)
 	}
@@ -212,18 +213,18 @@ func TestTraceRecordsAboveItsBudget(t *testing.T) {
 // context's error and leaves Solver.Trace as it was.
 func TestTraceCanceledSolveKeepsTrace(t *testing.T) {
 	inst := traceInstance(12, 0, 80)
-	seed := NewTrace(inst, 1)
-	for _, workers := range []int{1, 2} {
+	seed := NewTrace(inst)
+	gomaxprocs.Each(t, func(workers int) {
 		ctx := &pollCancelCtx{Context: context.Background()}
 		ctx.live.Store(20)
-		s := Solver{Workers: workers, Trace: seed}
+		s := Solver{Trace: seed}
 		if _, err := s.Solve(ctx, inst); err == nil {
-			t.Fatalf("workers=%d: canceled solve succeeded", workers)
+			t.Fatalf("GOMAXPROCS=%d: canceled solve succeeded", workers)
 		}
 		if s.Trace != seed {
-			t.Fatalf("workers=%d: canceled solve replaced the trace", workers)
+			t.Fatalf("GOMAXPROCS=%d: canceled solve replaced the trace", workers)
 		}
-	}
+	})
 }
 
 // pollCancelCtx reports no error for its first live Err calls and

@@ -3,9 +3,11 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"phocus/internal/embed"
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 )
 
@@ -343,19 +345,24 @@ func TestGeneratedSimilaritiesWellFormed(t *testing.T) {
 	}
 }
 
+// TestParallelFor: EC generation's parallel embedding pass gives the same
+// dataset at GOMAXPROCS 1, where it runs as a plain loop, and at 4.
 func TestParallelFor(t *testing.T) {
-	out := make([]int, 100)
-	parallelFor(100, func(i int) { out[i] = i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
+	spec := ECSpec{Domain: "Fashion", NumProducts: 120, NumQueries: 12, TopK: 8, Seed: 5}
+	var runs [2]*Dataset
+	for i, n := range []int{1, 4} {
+		gomaxprocs.Set(t, n)
+		ds, err := GenerateEC(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		runs[i] = ds
 	}
-	parallelFor(0, func(i int) { t.Fatal("called for n=0") })
-	single := 0
-	parallelFor(1, func(i int) { single++ })
-	if single != 1 {
-		t.Fatal("n=1 not executed exactly once")
+	if !reflect.DeepEqual(runs[0].Global, runs[1].Global) || !reflect.DeepEqual(runs[0].CtxVectors, runs[1].CtxVectors) {
+		t.Fatal("EC embeddings differ between GOMAXPROCS 1 and 4")
+	}
+	if a, b := runs[0].Instance, runs[1].Instance; a.NumPhotos() != b.NumPhotos() || a.TotalCost() != b.TotalCost() {
+		t.Fatal("EC instances differ between GOMAXPROCS 1 and 4")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"phocus/internal/embed"
 	"phocus/internal/imagesim"
 	"phocus/internal/par"
+	"phocus/internal/pool"
 	"phocus/internal/search"
 )
 
@@ -189,7 +190,7 @@ func GenerateEC(spec ECSpec) (*Dataset, error) {
 		semantic[p] = sem
 		docs[p] = search.Document{ID: p, Text: titles[p]}
 	}
-	parallelFor(spec.NumProducts, func(p int) {
+	pool.ForEach(spec.NumProducts, 0, func(p int) {
 		// The visual block is scaled down so the semantic facets carry most
 		// of the similarity signal: product photos of the same type/brand
 		// look alike anyway, and the facets are what the per-page contexts

@@ -45,8 +45,6 @@ type Options struct {
 	// below DriftFactor times the score a full solve achieved at the last
 	// checkpoint (default 0 = disabled).
 	DriftFactor float64
-	// Workers bounds the re-solve's parallelism (≤ 0 means one per CPU).
-	Workers int
 }
 
 // Verdict describes what happened to one arrival.
@@ -298,7 +296,6 @@ func (m *Maintainer) resolve(ctx context.Context) error {
 		Budget:    m.budget,
 		Algorithm: phocus.AlgoCELF,
 		SkipBound: true,
-		Workers:   m.opts.Workers,
 	})
 	if err != nil {
 		return err

@@ -56,7 +56,7 @@ func start(t *testing.T, inst *par.Instance, order []par.PhotoID, opts Options) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := phocus.Prepare(context.Background(), ds, phocus.PrepareOptions{Workers: 1})
+	prep, err := phocus.Prepare(context.Background(), ds, phocus.PrepareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

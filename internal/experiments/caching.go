@@ -42,7 +42,7 @@ func Caching(cfg Config, w io.Writer) error {
 		if err := ds.SetBudget(frac * total); err != nil {
 			return err
 		}
-		solver := phocus.PipelineSolver{Workers: cfg.Workers}
+		solver := phocus.PipelineSolver{}
 		sol, err := solver.Solve(cfg.ctx(), inst)
 		if err != nil {
 			return err

@@ -29,7 +29,7 @@ func Compression(cfg Config, w io.Writer) error {
 			return err
 		}
 		fig.XTicks = append(fig.XTicks, metrics.FormatBytes(frac*total))
-		s1 := phocus.PipelineSolver{Workers: cfg.Workers}
+		s1 := phocus.PipelineSolver{}
 		base, err := s1.Solve(cfg.ctx(), inst)
 		if err != nil {
 			return err
@@ -38,7 +38,7 @@ func Compression(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		s2 := phocus.PipelineSolver{Workers: cfg.Workers}
+		s2 := phocus.PipelineSolver{}
 		csol, err := s2.Solve(cfg.ctx(), ex.Instance)
 		if err != nil {
 			return err

@@ -51,11 +51,11 @@ func Dynamic(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	prep, err := phocus.Prepare(ctx, seedDS, phocus.PrepareOptions{Workers: cfg.Workers})
+	prep, err := phocus.Prepare(ctx, seedDS, phocus.PrepareOptions{})
 	if err != nil {
 		return err
 	}
-	m, err := dynamic.New(prep, inst.Budget, dynamic.Options{Workers: cfg.Workers})
+	m, err := dynamic.New(prep, inst.Budget, dynamic.Options{})
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"time"
 
@@ -22,7 +23,6 @@ import (
 	"phocus/internal/obs"
 	"phocus/internal/par"
 	"phocus/internal/phocus"
-	"phocus/internal/pool"
 )
 
 // Config parameterizes a run of any experiment.
@@ -41,10 +41,6 @@ type Config struct {
 	// vocabulary phocus-server exposes on /metrics (obs.RecordSolve), so
 	// paper experiments and live traffic share dashboards.
 	Metrics *obs.Registry
-	// Workers bounds the solve pipeline's parallelism for PHOcus runs (≤ 0
-	// means one worker per CPU, 1 forces the sequential path). Results are
-	// identical for every worker count; only running times change.
-	Workers int
 	// Context, when non-nil, bounds every engine call the experiments make
 	// (phocus-bench -timeout); canceling it aborts the run mid-solve.
 	Context context.Context
@@ -148,7 +144,7 @@ func qualityFigure(cfg Config, ds *dataset.Dataset, title string) (*metrics.Figu
 		baselines.NewGreedyNR(),
 		baselines.NewGreedyNCS(ds.GlobalSim),
 	}
-	prep, err := phocus.Prepare(cfg.ctx(), ds, phocus.PrepareOptions{Workers: cfg.Workers, Metrics: cfg.Metrics})
+	prep, err := phocus.Prepare(cfg.ctx(), ds, phocus.PrepareOptions{Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -178,13 +174,13 @@ func qualityFigure(cfg Config, ds *dataset.Dataset, title string) (*metrics.Figu
 		var stats celf.Stats
 		start := time.Now()
 		res, err := prep.Run(cfg.ctx(), phocus.RunOptions{
-			Budget: frac * total, SkipBound: true, Workers: cfg.Workers,
+			Budget: frac * total, SkipBound: true,
 			OnCELFStats: func(st celf.Stats) { stats = st },
 		})
 		if err != nil {
 			return nil, fmt.Errorf("PHOcus at %.0f%%: %w", 100*frac, err)
 		}
-		cfg.recordSolve(res.Algorithm, pool.Resolve(cfg.Workers), inst.NumPhotos(),
+		cfg.recordSolve(res.Algorithm, runtime.GOMAXPROCS(0), inst.NumPhotos(),
 			stats.GainEvals, stats.PQPops, time.Since(start))
 		add(res.Algorithm, res.Solution.Score, frac)
 	}

@@ -42,7 +42,7 @@ func SmallBudget(cfg Config, w io.Writer) error {
 	// through the mapping back to the full dataset's photos.
 	results := make(map[string]float64)
 	for _, s := range []par.Solver{
-		&phocus.PipelineSolver{Workers: cfg.Workers},
+		&phocus.PipelineSolver{},
 		baselines.NewGreedyNCS(func(p1, p2 par.PhotoID) float64 {
 			return full.GlobalSim(origPhotos[p1], origPhotos[p2])
 		}),
@@ -86,12 +86,12 @@ func OnlineBounds(cfg Config, w io.Writer) error {
 	}
 	worstCase := (1 - 1/math.E) / 2
 	minRatio := 1.0
-	prep, err := phocus.Prepare(cfg.ctx(), ds, phocus.PrepareOptions{Workers: cfg.Workers, Metrics: cfg.Metrics})
+	prep, err := phocus.Prepare(cfg.ctx(), ds, phocus.PrepareOptions{Metrics: cfg.Metrics})
 	if err != nil {
 		return err
 	}
 	for _, frac := range []float64{0.05, 0.1, 0.2, 0.5} {
-		res, err := prep.Run(cfg.ctx(), phocus.RunOptions{Budget: frac * total, Workers: cfg.Workers})
+		res, err := prep.Run(cfg.ctx(), phocus.RunOptions{Budget: frac * total})
 		if err != nil {
 			return err
 		}
@@ -135,11 +135,11 @@ func TauSweep(cfg Config, w io.Writer) error {
 	for _, tau := range []float64{0, 0.25, 0.5, 0.75, 0.9} {
 		// One Prepare per τ (the sweep's whole point is re-sparsifying); Run
 		// already rescores under the true objective.
-		prep, err := phocus.Prepare(cfg.ctx(), ds, phocus.PrepareOptions{Tau: tau, Workers: cfg.Workers, Metrics: cfg.Metrics})
+		prep, err := phocus.Prepare(cfg.ctx(), ds, phocus.PrepareOptions{Tau: tau, Metrics: cfg.Metrics})
 		if err != nil {
 			return err
 		}
-		res, err := prep.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true, Workers: cfg.Workers})
+		res, err := prep.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true})
 		if err != nil {
 			return err
 		}

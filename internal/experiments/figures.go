@@ -76,7 +76,7 @@ func Fig5d(cfg Config, w io.Writer) error {
 	}
 	total := sub.TotalCost()
 	fig := &metrics.Figure{Title: "Figure 5d: PHOcus vs Brute-Force (100-photo subset of P-1K)", XLabel: "budget"}
-	prep, err := phocus.Prepare(cfg.ctx(), &dataset.Dataset{Instance: sub}, phocus.PrepareOptions{Workers: cfg.Workers, Metrics: cfg.Metrics})
+	prep, err := phocus.Prepare(cfg.ctx(), &dataset.Dataset{Instance: sub}, phocus.PrepareOptions{Metrics: cfg.Metrics})
 	if err != nil {
 		return err
 	}
@@ -89,7 +89,7 @@ func Fig5d(cfg Config, w io.Writer) error {
 	for _, frac := range []float64{0.05, 0.1, 0.2, 1.0} {
 		budget := frac * total
 		fig.XTicks = append(fig.XTicks, metrics.FormatBytes(budget))
-		ph, err := prep.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true, Workers: cfg.Workers})
+		ph, err := prep.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true})
 		if err != nil {
 			return err
 		}
@@ -137,12 +137,12 @@ func sparsificationRun(cfg Config, ds *dataset.Dataset, label string) (qual, tim
 	qual = &metrics.Figure{Title: "Figure 5e: " + label + " quality (PHOcus vs PHOcus-NS)", XLabel: "budget"}
 	times = &metrics.Figure{Title: "Figure 5f: " + label + " solve time ms (PHOcus vs PHOcus-NS)", XLabel: "budget"}
 	sp, err := phocus.Prepare(cfg.ctx(), ds, phocus.PrepareOptions{
-		Tau: cfg.Tau, UseLSH: true, Seed: cfg.Seed + 9, Workers: cfg.Workers, Metrics: cfg.Metrics,
+		Tau: cfg.Tau, UseLSH: true, Seed: cfg.Seed + 9, Metrics: cfg.Metrics,
 	})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	ns, err := phocus.Prepare(cfg.ctx(), ds, phocus.PrepareOptions{Workers: cfg.Workers, Metrics: cfg.Metrics})
+	ns, err := phocus.Prepare(cfg.ctx(), ds, phocus.PrepareOptions{Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -154,11 +154,11 @@ func sparsificationRun(cfg Config, ds *dataset.Dataset, label string) (qual, tim
 		qual.XTicks = append(qual.XTicks, metrics.FormatBytes(budget))
 		times.XTicks = append(times.XTicks, metrics.FormatBytes(budget))
 
-		spRes, err := sp.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true, Workers: cfg.Workers})
+		spRes, err := sp.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true})
 		if err != nil {
 			return nil, nil, 0, 0, err
 		}
-		nsRes, err := ns.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true, Workers: cfg.Workers})
+		nsRes, err := ns.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true})
 		if err != nil {
 			return nil, nil, 0, 0, err
 		}

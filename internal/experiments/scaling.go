@@ -37,7 +37,7 @@ func Scaling(cfg Config, w io.Writer) error {
 		budget := 0.1 * ds.Instance.TotalCost()
 
 		sp, err := solveOnce(cfg, ds, budget, phocus.PrepareOptions{
-			Tau: cfg.Tau, UseLSH: true, Seed: cfg.Seed + 61, Workers: cfg.Workers,
+			Tau: cfg.Tau, UseLSH: true, Seed: cfg.Seed + 61,
 		})
 		if err != nil {
 			return err
@@ -50,7 +50,7 @@ func Scaling(cfg Config, w io.Writer) error {
 		// the paper reports for PHOcus-NS on its larger datasets.
 		nsCell, speedupCell := "-", "-"
 		if ds.Instance.NumPhotos() <= 30_000 {
-			ns, err := solveOnce(cfg, ds, budget, phocus.PrepareOptions{Workers: cfg.Workers})
+			ns, err := solveOnce(cfg, ds, budget, phocus.PrepareOptions{})
 			if err != nil {
 				return err
 			}
@@ -153,5 +153,5 @@ func solveOnce(cfg Config, ds *dataset.Dataset, budget float64, opts phocus.Prep
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true, Workers: cfg.Workers})
+	return p.Run(cfg.ctx(), phocus.RunOptions{Budget: budget, SkipBound: true})
 }

@@ -33,7 +33,7 @@ func Streaming(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cs := phocus.PipelineSolver{Workers: cfg.Workers}
+		cs := phocus.PipelineSolver{}
 		csol, err := cs.Solve(cfg.ctx(), inst)
 		if err != nil {
 			return err

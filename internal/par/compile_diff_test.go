@@ -10,6 +10,7 @@ import (
 	"phocus/internal/compress"
 	"phocus/internal/dataset"
 	"phocus/internal/dynamic"
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 	"phocus/internal/study"
 )
@@ -117,12 +118,11 @@ func finalized(t *testing.T, inst *par.Instance, wrap func(par.Similarity) par.S
 
 // TestCompileMatchesPerRowReference: the compile that reads each unordered
 // pair once and mirrors it gives slabs == to the per-row reference, which
-// reads every ordered pair, at workers 1, 2 and 8, on every similarity the
-// repository compiles. Wrapped so that every subset is tabulated, a subset
-// of k members costs exactly k(k−1)/2 + k Sim calls, each with its smaller
-// member first. Thresholding
-// any of those kernels over 1, 2 or 8 workers gives the sequential
-// reference's slabs and pair counts.
+// reads every ordered pair, at GOMAXPROCS 1, 2 and 8, on every similarity
+// the repository compiles. Wrapped so that every subset is tabulated, a
+// subset of k members costs exactly k(k−1)/2 + k Sim calls, each with its
+// smaller member first. Thresholding any of those kernels at GOMAXPROCS 1,
+// 2 or 8 gives the sequential reference's slabs and pair counts.
 func TestCompileMatchesPerRowReference(t *testing.T) {
 	split := false
 	for name, inst := range compileInputs(t) {
@@ -137,12 +137,14 @@ func TestCompileMatchesPerRowReference(t *testing.T) {
 		wrapped := finalized(t, inst, func(s par.Similarity) par.Similarity {
 			return countingSim{s, &calls, &reversed}
 		})
-		for _, w := range []int{1, 2, 8} {
-			par.SameSlabs(t, fmt.Sprintf("%s workers=%d", name, w), ref, par.CompileKernelWorkers(inst, w))
-		}
-		// A row's calls do not depend on the run it falls in, so one worker
-		// count prices every other.
-		par.SameSlabs(t, name+" counted", ref, par.CompileKernelWorkers(wrapped, 8))
+		gomaxprocs.Each(t, func(n int) {
+			par.SameSlabs(t, fmt.Sprintf("%s GOMAXPROCS=%d", name, n), ref, par.CompileKernel(inst))
+			if n == 8 {
+				// A row's calls do not depend on the run it falls in, so one
+				// GOMAXPROCS prices every other.
+				par.SameSlabs(t, name+" counted", ref, par.CompileKernel(wrapped))
+			}
+		})
 		if calls.Load() != pairs || reversed.Load() != 0 {
 			t.Fatalf("%s: %d Sim calls (%d larger member first), want %d pairs and diagonals",
 				name, calls.Load(), reversed.Load(), pairs)
@@ -150,14 +152,14 @@ func TestCompileMatchesPerRowReference(t *testing.T) {
 		split = split || ref.ThresholdRuns(8) >= 3
 		for _, tau := range []float64{1e-9, 0.4, 1} {
 			want, before, after := par.ThresholdRef(ref, tau)
-			for _, w := range []int{1, 2, 8} {
-				label := fmt.Sprintf("%s threshold τ=%g workers=%d", name, tau, w)
-				got, b, a := ref.ThresholdWorkers(tau, w)
+			gomaxprocs.Each(t, func(n int) {
+				label := fmt.Sprintf("%s threshold τ=%g GOMAXPROCS=%d", name, tau, n)
+				got, b, a := ref.Threshold(tau)
 				par.SameSlabs(t, label, want, got)
 				if b != before || a != after {
 					t.Fatalf("%s: pairs %d/%d, reference %d/%d", label, b, a, before, after)
 				}
-			}
+			})
 		}
 	}
 	if !split {

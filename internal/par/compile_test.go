@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"phocus/internal/gomaxprocs"
 )
 
 // compileKernelRef is the reference compile, the per-row pass: one
@@ -88,18 +90,18 @@ func sameSlabs(t testing.TB, label string, want, got *Kernel) {
 	}
 }
 
-// checkCompileWorkers holds compileKernel at workers 1, 2 and 8 to the
+// checkCompileWorkers holds CompileKernel at GOMAXPROCS 1, 2 and 8 to the
 // sequential reference.
 func checkCompileWorkers(t testing.TB, label string, inst *Instance) {
 	t.Helper()
 	ref := compileKernelRef(inst)
-	for _, w := range []int{1, 2, 8} {
-		sameSlabs(t, fmt.Sprintf("%s workers=%d", label, w), ref, compileKernel(inst, w))
-	}
+	gomaxprocs.Each(t, func(n int) {
+		sameSlabs(t, fmt.Sprintf("%s GOMAXPROCS=%d", label, n), ref, CompileKernel(inst))
+	})
 }
 
 // TestCompileKernelWorkers: the parallel compile's slabs, allocated once and
-// filled run by run, are == at every worker count and equal to the
+// filled run by run, are == at every GOMAXPROCS and equal to the
 // sequential reference's, on every similarity the repository ships, on
 // kernel views, canonical and after overlay churn (a compaction), and on
 // subsets large enough that their rows split over several runs.

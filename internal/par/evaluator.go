@@ -1,6 +1,10 @@
 package par
 
-import "phocus/internal/pool"
+import (
+	"runtime"
+
+	"phocus/internal/pool"
+)
 
 // Evaluator incrementally maintains the objective value of a growing
 // solution. It is the workhorse shared by every solver: computing the
@@ -82,37 +86,27 @@ func (e *Evaluator) Gain(p PhotoID) float64 {
 	return e.gainOf(p)
 }
 
-// Gains computes the marginal gain of every photo in ps against the current
-// solution, fanning the evaluations out over up to workers goroutines
-// (workers ≤ 0 means one per CPU). Each evaluation follows the read-only
-// Gain path — it touches the evaluator's state but never mutates it — so
-// concurrent evaluations are safe as long as no Add/Seed runs concurrently.
-// out[i] is exactly what Gain(ps[i]) would have returned sequentially: the
-// per-photo summation order is unchanged, so results are bit-identical for
-// every worker count. The gain-eval counter advances by len(ps) regardless
-// of worker count.
-func (e *Evaluator) Gains(ps []PhotoID, workers int) []float64 {
-	out := make([]float64, len(ps))
-	e.GainsInto(out, ps, workers)
-	return out
-}
-
-// GainsInto is Gains writing into a caller-owned buffer, for passes that
-// run once per solve (CELF's S0 gains) and would otherwise allocate a
-// fresh result slice each time. dst must have len(ps) slots; dst[i] receives
-// exactly what Gain(ps[i]) would return. Evaluations are fanned out in
-// chunks so a batch costs one closure dispatch per chunk rather than per
-// photo; with one worker the loop runs inline and allocates nothing.
-func (e *Evaluator) GainsInto(dst []float64, ps []PhotoID, workers int) {
+// GainsInto writes the marginal gain of every photo in ps against the
+// current solution into dst, which must have len(ps) slots, fanning the
+// evaluations out over GOMAXPROCS goroutines in chunks, so a batch costs
+// one closure dispatch per chunk rather than per photo. Each evaluation
+// follows the read-only Gain path — it touches the evaluator's state but
+// never mutates it — so concurrent evaluations are safe as long as no
+// Add/Seed runs concurrently. dst[i] is exactly what Gain(ps[i]) would
+// return sequentially: the per-photo summation order is unchanged, so
+// results are bit-identical for every GOMAXPROCS. The gain-eval counter
+// advances by len(ps). At GOMAXPROCS 1 the loop runs inline and allocates
+// nothing.
+func (e *Evaluator) GainsInto(dst []float64, ps []PhotoID) {
 	if len(dst) != len(ps) {
 		panic("par: GainsInto dst length does not match ps")
 	}
-	if pool.Resolve(workers) == 1 {
+	if runtime.GOMAXPROCS(0) == 1 {
 		for i, p := range ps {
 			dst[i] = e.gainOf(p)
 		}
 	} else {
-		pool.ForEachChunk(len(ps), workers, func(lo, hi int) {
+		pool.ForEachChunk(len(ps), 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dst[i] = e.gainOf(ps[i])
 			}

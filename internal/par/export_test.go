@@ -7,21 +7,14 @@ import "testing"
 // build their inputs with the packages that import par; these are the
 // unexported pieces they hold to each other.
 
-// CompileKernelWorkers is CompileKernel over the given number of workers.
-func CompileKernelWorkers(inst *Instance, workers int) *Kernel { return compileKernel(inst, workers) }
-
 // CompileKernelRef is the sequential per-row reference compile.
 func CompileKernelRef(inst *Instance) *Kernel { return compileKernelRef(inst) }
-
-// ThresholdWorkers is Threshold over the given number of workers.
-func (k *Kernel) ThresholdWorkers(tau float64, workers int) (*Kernel, int, int) {
-	return k.threshold(tau, workers)
-}
 
 // ThresholdRef is the sequential reference τ-sparsification.
 func ThresholdRef(k *Kernel, tau float64) (*Kernel, int, int) { return thresholdRef(k, tau) }
 
-// ThresholdRuns is the number of runs Threshold splits k into at workers.
+// ThresholdRuns is the number of runs Threshold splits k into at GOMAXPROCS
+// workers.
 func (k *Kernel) ThresholdRuns(workers int) int { return len(k.entryRuns(workers)) - 1 }
 
 // SameSlabs fails t unless got's slabs are == to want's.

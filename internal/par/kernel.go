@@ -3,6 +3,7 @@ package par
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -84,7 +85,7 @@ type Kernel struct {
 // live entries, which is how an overlaid kernel is compacted back to the
 // canonical layout.
 //
-// The rows are spread over one worker per CPU, in runs of about equal cost
+// The rows are spread over GOMAXPROCS workers, in runs of about equal cost
 // (a large subset's rows split over several runs), and every slab is
 // allocated once, at its final size. A subset whose similarity is neither a
 // NeighborLister nor UniformSim is first tabulated into one k×k buffer:
@@ -95,12 +96,8 @@ type Kernel struct {
 // kernel view row lengths, listed rows of other NeighborLister
 // similarities, every member for UniformSim. The last pass fills each
 // row's span of the slabs. A row's entries depend on the buffer and that
-// row alone, so the slabs are the same, == for ==, at every worker count.
-func CompileKernel(inst *Instance) *Kernel { return compileKernel(inst, 0) }
-
-// compileKernel is CompileKernel over up to workers goroutines (≤ 0 means
-// one per CPU).
-func compileKernel(inst *Instance, workers int) *Kernel {
+// row alone, so the slabs are the same, == for ==, at every GOMAXPROCS.
+func CompileKernel(inst *Instance) *Kernel {
 	if inst.occ == nil {
 		panic("par: CompileKernel before Finalize")
 	}
@@ -125,7 +122,7 @@ func compileKernel(inst *Instance, workers int) *Kernel {
 		panic("par: CompileKernel instance exceeds 2^31 similarity rows")
 	}
 	subOff[nSub] = int32(rows)
-	workers = pool.Resolve(workers)
+	workers := runtime.GOMAXPROCS(0)
 
 	// Pass 1: each unordered pair of a tabulated subset, computed once by
 	// the row of its larger member: row i computes Sim(mi, i) for mi ≤ i,
@@ -264,6 +261,11 @@ func compileKernel(inst *Instance, workers int) *Kernel {
 	return k
 }
 
+// thresholdRunEntries is the least number of entries in one run of rows
+// Threshold hands to a worker, so that a small kernel is thresholded on
+// the calling goroutine.
+const thresholdRunEntries = 1 << 18
+
 // Threshold returns the τ-sparsification of k (paper §4.3): the kernel of
 // k's layout that keeps exactly the entries with sim ≥ tau, in k's order,
 // which is the kernel CompileKernel builds over the instance whose
@@ -274,19 +276,10 @@ func compileKernel(inst *Instance, workers int) *Kernel {
 // weights and occurrence index included: a delta overlay grows and rewrites
 // each kernel's own copies, and a shared slab would take every batch twice.
 //
-// Large kernels are thresholded over one worker per CPU, in runs of whole
-// rows holding about equal entries; the slabs are the same at every worker
-// count.
-func (k *Kernel) Threshold(tau float64) (t *Kernel, before, after int) { return k.threshold(tau, 0) }
-
-// thresholdRunEntries is the least number of entries in one run of rows
-// Threshold hands to a worker, so that a small kernel is thresholded on
-// the calling goroutine.
-const thresholdRunEntries = 1 << 18
-
-// threshold is Threshold over up to workers goroutines (≤ 0 means one per
-// CPU).
-func (k *Kernel) threshold(tau float64, workers int) (t *Kernel, before, after int) {
+// Large kernels are thresholded over GOMAXPROCS goroutines, in runs of
+// whole rows holding about equal entries; the slabs are the same at every
+// GOMAXPROCS.
+func (k *Kernel) Threshold(tau float64) (t *Kernel, before, after int) {
 	if !k.Canonical() {
 		panic("par: Kernel.Threshold on a non-canonical kernel; compact first")
 	}
@@ -294,7 +287,7 @@ func (k *Kernel) threshold(tau float64, workers int) (t *Kernel, before, after i
 		panic("par: Kernel.Threshold above 1 would drop the self entries")
 	}
 	rows := k.Rows()
-	workers = pool.Resolve(workers)
+	workers := runtime.GOMAXPROCS(0)
 	runs := k.entryRuns(workers)
 	// Both passes keep an entry by adding the comparison's 0 or 1 rather
 	// than branching on it: whether a similarity clears τ is close to a

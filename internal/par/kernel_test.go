@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"phocus/internal/gomaxprocs"
 )
 
 // simVariants rewrites every subset's similarity to a different
@@ -66,19 +68,21 @@ func allPhotos(inst *Instance) []PhotoID {
 	return all
 }
 
-// sameGains fails t unless the production Evaluator's Gains equal the jagged
-// reference's Gain for every photo, bit for bit, at workers 1, 2 and 8.
+// sameGains fails t unless the production Evaluator's GainsInto equals the
+// jagged reference's Gain for every photo, bit for bit, at GOMAXPROCS 1, 2
+// and 8.
 func sameGains(t testing.TB, ref *jaggedEvaluator, ker *Evaluator, step string) {
 	t.Helper()
 	all := allPhotos(ref.inst)
-	for _, workers := range []int{1, 2, 8} {
-		got := ker.Gains(all, workers)
+	got := make([]float64, len(all))
+	gomaxprocs.Each(t, func(n int) {
+		ker.GainsInto(got, all)
 		for i, p := range all {
 			if want := ref.Gain(p); got[i] != want {
-				t.Fatalf("%s workers=%d: Gains[%d] %v (kernel) != %v (jagged)", step, workers, i, got[i], want)
+				t.Fatalf("%s GOMAXPROCS=%d: GainsInto[%d] %v (kernel) != %v (jagged)", step, n, i, got[i], want)
 			}
 		}
-	}
+	})
 }
 
 // TestKernelDifferential drives the jagged reference evaluator and the
@@ -531,7 +535,7 @@ func TestKernelSizeBytes(t *testing.T) {
 
 // FuzzKernelVsReference fuzzes instance shape, similarity implementation
 // and solution, holding the production Evaluator to the jagged reference
-// with == on every Gain, Add and Gains (workers 1, 2 and 8), and its score
+// with == on every Gain, Add and GainsInto (GOMAXPROCS 1, 2 and 8), and its score
 // to the first-principles Score within tolerance.
 func FuzzKernelVsReference(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(3), uint8(5), uint8(0))

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"phocus/internal/gomaxprocs"
 )
 
 func TestSparseSimDuplicateAddPanics(t *testing.T) {
@@ -106,10 +108,12 @@ func TestGainsMatchesGain(t *testing.T) {
 		want[i] = seq.Gain(p)
 	}
 	before := batch.GainEvals()
-	got := batch.Gains(photos, 4)
+	got := make([]float64, len(photos))
+	gomaxprocs.Set(t, 4)
+	batch.GainsInto(got, photos)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Gains[%d] (photo %d) = %g, want %g", i, photos[i], got[i], want[i])
+			t.Errorf("GainsInto[%d] (photo %d) = %g, want %g", i, photos[i], got[i], want[i])
 		}
 	}
 	if d := batch.GainEvals() - before; d != int64(len(photos)) {

@@ -2,8 +2,13 @@ package phocus
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
+
+// errPreparePanicked is what the waiters of a flight whose prepare panicked
+// receive; the panic itself goes on up the builder's stack.
+var errPreparePanicked = errors.New("phocus: prepare panicked")
 
 // PreparedCache is a bounded LRU of Prepared instances keyed by fingerprint
 // (the same reactive eviction idiom as internal/storage's LRUCache, applied
@@ -104,7 +109,10 @@ func (c *PreparedCache) Put(key string, p *Prepared) (evicted int) {
 // times). A successful build is inserted under the key; hit reports whether
 // the value came from the cache or a joined flight (both avoided a
 // prepare), and evicted how many entries the insert displaced. Errors are
-// returned to every waiter of the flight and never cached.
+// returned to every waiter of the flight and never cached. A prepare that
+// panics releases its flight all the same: its waiters get an error,
+// nothing is cached, the next call for the key builds afresh, and the
+// panic continues up the calling goroutine.
 func (c *PreparedCache) GetOrPrepare(key string, prepare func() (*Prepared, error)) (p *Prepared, hit bool, evicted int, err error) {
 	c.mu.Lock()
 	if el, ok := c.elems[key]; ok {
@@ -123,19 +131,21 @@ func (c *PreparedCache) GetOrPrepare(key string, prepare func() (*Prepared, erro
 		// avoided a prepare, so it reports as a hit.
 		return f.prep, true, 0, nil
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), err: errPreparePanicked}
 	c.flights[key] = f
 	c.stats.Misses++
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		c.mu.Unlock()
+		close(f.done)
+	}()
 
-	f.prep, f.err = prepare()
+	f.prep, f.err = prepare() // a panic leaves f.err at errPreparePanicked
 	if f.err == nil {
 		evicted = c.Put(key, f.prep)
 	}
-	c.mu.Lock()
-	delete(c.flights, key)
-	c.mu.Unlock()
-	close(f.done)
 	return f.prep, false, evicted, f.err
 }
 

@@ -260,3 +260,65 @@ func TestGetOrPrepareErrorNotCached(t *testing.T) {
 		t.Fatalf("prepare calls %d, want 2", calls)
 	}
 }
+
+// TestGetOrPreparePanicReleasesFlight: a prepare that panics (net/http
+// recovers a handler's panic, so the server lives on) still releases its
+// flight. The panic reaches the builder, the flight's waiters read an error
+// instead of blocking forever, nothing is cached, and the next call for the
+// key returns promptly, building afresh.
+func TestGetOrPreparePanicReleasesFlight(t *testing.T) {
+	c := NewPreparedCache(4, 0)
+	var f *flight
+	func() {
+		defer func() {
+			if r := recover(); r != "prepare panicked" {
+				t.Fatalf("recovered %v, want the prepare's panic", r)
+			}
+		}()
+		c.GetOrPrepare("k", func() (*Prepared, error) {
+			c.mu.Lock()
+			f = c.flights["k"]
+			c.mu.Unlock()
+			panic("prepare panicked")
+		})
+	}()
+	select {
+	case <-f.done:
+	default:
+		t.Fatal("the panicked flight was left open: its waiters would block forever")
+	}
+	if f.prep != nil || !errors.Is(f.err, errPreparePanicked) {
+		t.Fatalf("the flight's waiters read %v, %v; want nil and errPreparePanicked", f.prep, f.err)
+	}
+	if c.Len() != 0 {
+		t.Fatal("a panicked prepare left an entry")
+	}
+
+	p := preparedFixture(t)
+	type outcome struct {
+		p     *Prepared
+		hit   bool
+		err   error
+		calls int
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		o.p, o.hit, _, o.err = c.GetOrPrepare("k", func() (*Prepared, error) {
+			o.calls++
+			return p, nil
+		})
+		done <- o
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil || o.p != p || o.hit || o.calls != 1 {
+			t.Fatalf("call after the panic: %v hit=%v err=%v, %d prepares; want a fresh build", o.p, o.hit, o.err, o.calls)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the call after the panic is still blocked after 5 s")
+	}
+	if got, hit, _, err := c.GetOrPrepare("k", func() (*Prepared, error) { return nil, errProbeMiss }); got != p || !hit || err != nil {
+		t.Fatalf("third call: %v hit=%v err=%v; want the rebuilt entry", got, hit, err)
+	}
+}

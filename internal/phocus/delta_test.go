@@ -9,6 +9,7 @@ import (
 
 	"phocus/internal/celf"
 	"phocus/internal/dataset"
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 )
 
@@ -130,7 +131,7 @@ func randomChurn(rng *rand.Rand, inst *par.Instance, removed []bool, nRemove, nA
 func requireSameRun(t *testing.T, label string, live, cold *Prepared, budget float64, algo Algorithm) {
 	t.Helper()
 	ctx := context.Background()
-	opts := RunOptions{Budget: budget, Algorithm: algo, Workers: 1}
+	opts := RunOptions{Budget: budget, Algorithm: algo}
 	rl, err := live.Run(ctx, opts)
 	if err != nil {
 		t.Fatalf("%s: live Run(%s): %v", label, algo, err)
@@ -172,7 +173,7 @@ func TestApplyDeltaMatchesColdPrepare(t *testing.T) {
 				inst := par.Random(rng, par.RandomConfig{
 					Photos: 40, Subsets: 12, BudgetFrac: 0.4, RetainFrac: 0.1, SimDensity: 0.6,
 				})
-				opts := PrepareOptions{Tau: tau, Workers: 1, InstanceDigest: fmt.Sprintf("delta-%v-%d", tau, seed)}
+				opts := PrepareOptions{Tau: tau, InstanceDigest: fmt.Sprintf("delta-%v-%d", tau, seed)}
 				live, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -247,7 +248,7 @@ func TestApplyDeltaCompaction(t *testing.T) {
 	inst := par.Random(rng, par.RandomConfig{
 		Photos: 30, Subsets: 8, BudgetFrac: 0.5, SimDensity: 0.9, MaxSubset: 12,
 	})
-	opts := PrepareOptions{Tau: 0.2, Workers: 1, InstanceDigest: "compaction"}
+	opts := PrepareOptions{Tau: 0.2, InstanceDigest: "compaction"}
 	live, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +320,7 @@ func samePairs(t *testing.T, label string, got, want *Prepared) {
 		t.Fatalf("%s: pairs %d/%d, want %d/%d", label,
 			got.OriginalPairs, got.SparsifiedPairs, want.OriginalPairs, want.SparsifiedPairs)
 	}
-	res, err := got.Run(context.Background(), RunOptions{Workers: 1})
+	res, err := got.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatalf("%s: Run: %v", label, err)
 	}
@@ -354,7 +355,7 @@ func TestApplyDeltaValidation(t *testing.T) {
 	if len(inst.Retained) == 0 {
 		t.Fatal("test instance needs a retained photo")
 	}
-	opts := PrepareOptions{Workers: 1, InstanceDigest: "validation"}
+	opts := PrepareOptions{InstanceDigest: "validation"}
 	p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +364,7 @@ func TestApplyDeltaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := p.Run(ctx, RunOptions{Budget: 0.4 * inst.TotalCost(), Workers: 1})
+	base, err := p.Run(ctx, RunOptions{Budget: 0.4 * inst.TotalCost()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func TestApplyDeltaValidation(t *testing.T) {
 	if fp, _ := p.Fingerprint(); fp != fp0 {
 		t.Fatalf("fingerprint changed after rejected deltas: %s -> %s", fp0, fp)
 	}
-	after, err := p.Run(ctx, RunOptions{Budget: 0.4 * inst.TotalCost(), Workers: 1})
+	after, err := p.Run(ctx, RunOptions{Budget: 0.4 * inst.TotalCost()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +440,7 @@ func TestApplyDeltaLSHRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.3, UseLSH: true, Seed: 1, Workers: 1})
+	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.3, UseLSH: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestDeltaFingerprintDeterministic(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(9))
 	inst := par.Random(rng, par.RandomConfig{Photos: 20, Subsets: 6, BudgetFrac: 0.5, SimDensity: 0.6})
-	opts := PrepareOptions{Workers: 1, InstanceDigest: "fp-determinism"}
+	opts := PrepareOptions{InstanceDigest: "fp-determinism"}
 	d := randomChurn(rng, inst, nil, 2, 1, false)
 
 	var fps []string
@@ -495,7 +496,7 @@ func TestPublicChurnDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := PrepareOptions{Tau: 0.4, Workers: 1, InstanceDigest: "churn-gate"}
+	opts := PrepareOptions{Tau: 0.4, InstanceDigest: "churn-gate"}
 	live, err := Prepare(ctx, ds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +523,7 @@ func TestPublicChurnDifferential(t *testing.T) {
 
 // TestDeltaDropsS0Gains: the trace — S0 gains and recorded passes — belongs
 // to one layout. After Runs have filled it, ApplyDelta and a forced compaction
-// must drop it, so the next Run at every worker count matches a cold
+// must drop it, so the next Run at every GOMAXPROCS matches a cold
 // Prepare of the merged instance bit for bit. The removal-only batches
 // retire the photo a stale trace would rank first while keeping the photo
 // count, so the trace would still fit the new layout's shape.
@@ -534,7 +535,7 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 			inst := par.Random(rng, par.RandomConfig{
 				Photos: 50, Subsets: 14, BudgetFrac: 0.4, RetainFrac: 0.1, SimDensity: 0.7,
 			})
-			opts := PrepareOptions{Tau: tau, Workers: 1, InstanceDigest: fmt.Sprintf("s0-drop-%v", tau)}
+			opts := PrepareOptions{Tau: tau, InstanceDigest: fmt.Sprintf("s0-drop-%v", tau)}
 			live, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -547,9 +548,9 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: cold Prepare: %v", label, err)
 				}
-				for _, workers := range []int{1, 2, 8} {
+				gomaxprocs.Each(t, func(workers int) {
 					for _, frac := range []float64{0.25, 0.5} {
-						ro := RunOptions{Budget: frac * merged.TotalCost(), Workers: workers}
+						ro := RunOptions{Budget: frac * merged.TotalCost()}
 						rl, err := live.Run(ctx, ro)
 						if err != nil {
 							t.Fatalf("%s: live Run: %v", label, err)
@@ -559,10 +560,10 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 							t.Fatalf("%s: cold Run: %v", label, err)
 						}
 						if keyOf(rl) != keyOf(rc) {
-							t.Fatalf("%s workers=%d f=%g: live %+v, cold %+v", label, workers, frac, keyOf(rl), keyOf(rc))
+							t.Fatalf("%s GOMAXPROCS=%d f=%g: live %+v, cold %+v", label, workers, frac, keyOf(rl), keyOf(rc))
 						}
 					}
-				}
+				})
 				if live.trace == nil || !live.trace.Covers(0.5*merged.TotalCost()) {
 					t.Fatalf("%s: CELF Runs left no trace covering their budgets", label)
 				}
@@ -574,7 +575,7 @@ func TestDeltaDropsS0Gains(t *testing.T) {
 				// rank first.
 				d := randomChurn(rng, live.base, removed, 2, 2, false)
 				if batch%2 == 0 {
-					s0 := celf.S0Gains(live.solveTmpl, 1)
+					s0 := celf.S0Gains(live.solveTmpl)
 					order := make([]int, len(s0))
 					for p := range order {
 						order[p] = p

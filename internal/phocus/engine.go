@@ -2,10 +2,10 @@
 // can be amortized independently: Prepare covers the Data Representation
 // stage (finalize + τ-sparsify, exact or LSH) and produces an immutable
 // *Prepared; Run covers the Solver stage (solve + true-objective rescore +
-// online bound) and may be called many times — with different budgets,
-// algorithms and worker counts — against one Prepared. Every solve path in
-// the repository (CLI, server, bench, experiments, examples) goes through
-// this engine, and Prepare + Run is its only entry.
+// online bound) and may be called many times — with different budgets and
+// algorithms — against one Prepared. Every solve path in the repository
+// (CLI, server, bench, experiments, examples) goes through this engine, and
+// Prepare + Run is its only entry.
 package phocus
 
 import (
@@ -47,10 +47,6 @@ type PrepareOptions struct {
 	UseLSH bool
 	// Seed drives LSH randomness.
 	Seed int64
-	// Workers bounds the LSH sparsification's fan-out (≤ 0 means one per
-	// CPU). It is the only stage of Prepare it bounds: the kernel compile
-	// and the exact path's Threshold use every CPU whatever it says.
-	Workers int
 	// InstanceDigest, when non-empty, is a caller-supplied content digest of
 	// the instance (e.g. a sha256 over the raw request body) used verbatim
 	// for Fingerprint instead of re-serializing the instance — callers that
@@ -73,8 +69,6 @@ type RunOptions struct {
 	// the entries able to raise a slot above its best value, plus a sort of
 	// the photos with positive gain).
 	SkipBound bool
-	// Workers bounds the CELF solver's parallelism (≤ 0 means one per CPU).
-	Workers int
 	// ExactMaxNodes caps the branch-and-bound search (0 = unlimited).
 	ExactMaxNodes int64
 	// Observer receives the CELF lazy-greedy event stream.
@@ -223,7 +217,7 @@ func Prepare(ctx context.Context, ds *dataset.Dataset, opts PrepareOptions) (*Pr
 	case opts.Tau > 0 && opts.UseLSH:
 		p.KernelBuildTime = time.Since(kt)
 		rng := rand.New(rand.NewSource(opts.Seed))
-		sres, err := sparsify.WithLSH(rng, base, ds.CtxVectors, opts.Tau, opts.Workers)
+		sres, err := sparsify.WithLSH(rng, base, ds.CtxVectors, opts.Tau)
 		if err != nil {
 			return nil, err
 		}
@@ -445,18 +439,17 @@ type runScratch struct {
 }
 
 // traceFor returns the solve template's trace, computing its S0 gains on
-// first use with the run's workers. solveInst is a view of that template. A
-// Run whose ctx is already done gets ctx's error instead of paying for the
-// pass, and leaves the memo empty for the next Run. The caller holds mu
-// shared.
-func (p *Prepared) traceFor(ctx context.Context, solveInst *par.Instance, workers int) (*celf.Trace, error) {
+// first use. solveInst is a view of that template. A Run whose ctx is
+// already done gets ctx's error instead of paying for the pass, and leaves
+// the memo empty for the next Run. The caller holds mu shared.
+func (p *Prepared) traceFor(ctx context.Context, solveInst *par.Instance) (*celf.Trace, error) {
 	p.traceMu.Lock()
 	defer p.traceMu.Unlock()
 	if p.trace == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p.trace = celf.NewTrace(solveInst, workers)
+		p.trace = celf.NewTrace(solveInst)
 	}
 	return p.trace, nil
 }
@@ -494,12 +487,13 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 // than the largest one a CELF Run has solved since the last delta continues
 // that Run's recorded passes (celf.Trace); any other CELF Run solves in
 // full, and one above that budget records its passes as the new trace. So
-// a warm steady state — stable shapes, AlgoCELF, Workers 1, budgets the
-// trace covers, with or without the online bound — performs zero heap
-// allocations per call (testing.AllocsPerRun reports 0; the bench suite pins
-// it), and a Run that records allocates the trace's logs. At more workers
-// only the CELF passes' goroutine hand-offs allocate, a handful of objects
-// per call: the online bound is one sequential sweep at every worker count.
+// a warm steady state — stable shapes, AlgoCELF, budgets the trace covers,
+// with or without the online bound — performs zero heap allocations per
+// call at GOMAXPROCS 1 (testing.AllocsPerRun reports 0; the bench suite
+// pins it), and a Run that records allocates the trace's logs. At a larger
+// GOMAXPROCS only the CELF passes' goroutine hand-offs allocate, a handful
+// of objects per call: the online bound is one sequential sweep at every
+// GOMAXPROCS.
 // The previous contents of res are gone after the call, error or not.
 func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) error {
 	if err := ctx.Err(); err != nil {
@@ -547,11 +541,10 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 	switch opts.Algorithm {
 	case "", AlgoCELF:
 		var tr *celf.Trace
-		if tr, err = p.traceFor(ctx, solveInst, opts.Workers); err != nil {
+		if tr, err = p.traceFor(ctx, solveInst); err != nil {
 			break
 		}
 		sc.solver = celf.Solver{
-			Workers:  opts.Workers,
 			Observer: opts.Observer,
 			Scratch:  &sc.celf,
 			Trace:    tr,
@@ -656,8 +649,6 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 // tables): each Solve wraps the instance in a vector-less dataset and runs
 // Prepare + CELF Run with the solve's own budget, skipping the online bound.
 type PipelineSolver struct {
-	// Workers bounds the solver's parallelism (≤ 0 = one per CPU).
-	Workers int
 	// OnCELFStats receives the CELF work report after each solve.
 	OnCELFStats func(celf.Stats)
 }
@@ -667,14 +658,13 @@ func (s *PipelineSolver) Name() string { return AlgoCELF.DisplayName() }
 
 // Solve implements par.Solver by routing through the staged engine.
 func (s *PipelineSolver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, error) {
-	p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, PrepareOptions{Workers: s.Workers})
+	p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, PrepareOptions{})
 	if err != nil {
 		return par.Solution{}, err
 	}
 	res, err := p.Run(ctx, RunOptions{
 		Budget:      inst.Budget,
 		SkipBound:   true,
-		Workers:     s.Workers,
 		OnCELFStats: s.OnCELFStats,
 	})
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"phocus/internal/celf"
 	"phocus/internal/dataset"
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/obs"
 	"phocus/internal/par"
 )
@@ -48,8 +49,8 @@ func prepareRun(ds *dataset.Dataset, popts PrepareOptions, ropts RunOptions) (*R
 
 // TestPrepareRunMatchesSolve is the staged engine's equivalence guarantee:
 // preparing once and running a budget sweep yields exactly the results of a
-// fresh Prepare + Run at each budget — across worker counts and all three
-// sparsification modes (none, exact τ, LSH τ).
+// fresh Prepare + Run at each budget — at GOMAXPROCS 1, 2 and 8, in all
+// three sparsification modes (none, exact τ, LSH τ).
 func TestPrepareRunMatchesSolve(t *testing.T) {
 	ds := sweepDataset(t, 11)
 	total := ds.Instance.TotalCost()
@@ -62,39 +63,38 @@ func TestPrepareRunMatchesSolve(t *testing.T) {
 		{"lsh-sparsify", PrepareOptions{Tau: 0.5, UseLSH: true, Seed: 3}},
 	}
 	for _, mode := range modes {
-		for _, workers := range []int{1, 4} {
+		gomaxprocs.Each(t, func(workers int) {
 			opts := mode.prep
-			opts.Workers = workers
 			p, err := Prepare(context.Background(), ds, opts)
 			if err != nil {
-				t.Fatalf("%s workers=%d: Prepare: %v", mode.name, workers, err)
+				t.Fatalf("%s GOMAXPROCS=%d: Prepare: %v", mode.name, workers, err)
 			}
 			for _, frac := range []float64{0.2, 0.4, 0.7} {
 				budget := frac * total
-				got, err := p.Run(context.Background(), RunOptions{Budget: budget, Workers: workers})
+				got, err := p.Run(context.Background(), RunOptions{Budget: budget})
 				if err != nil {
-					t.Fatalf("%s workers=%d budget=%.0f%%: Run: %v", mode.name, workers, 100*frac, err)
+					t.Fatalf("%s GOMAXPROCS=%d budget=%.0f%%: Run: %v", mode.name, workers, 100*frac, err)
 				}
-				want, err := prepareRun(ds, opts, RunOptions{Budget: budget, Workers: workers})
+				want, err := prepareRun(ds, opts, RunOptions{Budget: budget})
 				if err != nil {
-					t.Fatalf("%s workers=%d budget=%.0f%%: fresh Prepare + Run: %v", mode.name, workers, 100*frac, err)
+					t.Fatalf("%s GOMAXPROCS=%d budget=%.0f%%: fresh Prepare + Run: %v", mode.name, workers, 100*frac, err)
 				}
 				if got.Solution.Score != want.Solution.Score ||
 					got.OnlineBound != want.OnlineBound ||
 					len(got.Solution.Photos) != len(want.Solution.Photos) {
-					t.Fatalf("%s workers=%d budget=%.0f%%: Run %.6f/%d (bound %.6f) vs fresh %.6f/%d (bound %.6f)",
+					t.Fatalf("%s GOMAXPROCS=%d budget=%.0f%%: Run %.6f/%d (bound %.6f) vs fresh %.6f/%d (bound %.6f)",
 						mode.name, workers, 100*frac,
 						got.Solution.Score, len(got.Solution.Photos), got.OnlineBound,
 						want.Solution.Score, len(want.Solution.Photos), want.OnlineBound)
 				}
 				for i := range got.Solution.Photos {
 					if got.Solution.Photos[i] != want.Solution.Photos[i] {
-						t.Fatalf("%s workers=%d budget=%.0f%%: selections diverge: %v vs %v",
+						t.Fatalf("%s GOMAXPROCS=%d budget=%.0f%%: selections diverge: %v vs %v",
 							mode.name, workers, 100*frac, got.Solution.Photos, want.Solution.Photos)
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -151,6 +151,20 @@ func firstCallAllocs(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
+}
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS 1 pin: the
+// heap allocations per call of f over runs calls, after one warm-up call,
+// at the caller's GOMAXPROCS, rounded down as AllocsPerRun rounds.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 // requireKernelsInPlace fails t unless p's base template — and its solve
@@ -212,7 +226,7 @@ func requireSharedLayout(t *testing.T, label string, p *Prepared) {
 // next Run would pay a full recompile.
 func TestEnginePathsNeverCompileLazily(t *testing.T) {
 	ctx := context.Background()
-	lsh, err := Prepare(ctx, sweepDataset(t, 11), PrepareOptions{Tau: 0.5, UseLSH: true, Seed: 3, Workers: 1})
+	lsh, err := Prepare(ctx, sweepDataset(t, 11), PrepareOptions{Tau: 0.5, UseLSH: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +341,7 @@ func TestRunConcurrentSharing(t *testing.T) {
 // publication.
 func TestConcurrentFirstRuns(t *testing.T) {
 	ds := sweepDataset(t, 16)
-	opts := RunOptions{Budget: 0.4 * ds.Instance.TotalCost(), Workers: 1}
+	opts := RunOptions{Budget: 0.4 * ds.Instance.TotalCost()}
 	want, err := prepareRun(ds, PrepareOptions{Tau: 0.5}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +384,7 @@ func TestConcurrentFirstRuns(t *testing.T) {
 func TestCompactCarriesCovers(t *testing.T) {
 	ctx := context.Background()
 	ds := sweepDataset(t, 17)
-	opts := RunOptions{Budget: 0.4 * ds.Instance.TotalCost(), Workers: 1}
+	opts := RunOptions{Budget: 0.4 * ds.Instance.TotalCost()}
 	built := func(p *Prepared) bool {
 		_, ok := p.base.Kernel().CoverBytes()
 		return ok
@@ -551,7 +565,7 @@ func TestPrepareKeepsCallerSimsAndFingerprint(t *testing.T) {
 		for _, tau := range []float64{0, 0.4} {
 			t.Run(fmt.Sprintf("%s/tau=%g", tc.name, tau), func(t *testing.T) {
 				src := tc.inst
-				opts := PrepareOptions{Tau: tau, Workers: 1}
+				opts := PrepareOptions{Tau: tau}
 				digest, err := InstanceDigest(src)
 				if err != nil {
 					t.Fatal(err)
@@ -696,15 +710,15 @@ func TestPipelineSolver(t *testing.T) {
 }
 
 // TestRunAllocs is the allocation-free Run gate: after one warm-up call, a
-// steady-state sequential CELF RunInto performs zero heap allocations per
-// run, with the online bound skipped or computed, and so does a sequential
-// ladder of budgets below the traced one, each Run continuing the trace. A
-// sequential Run that finds a trace with no logs solves in full and
-// allocates only the trace it records: the Trace and its two logs. At
-// more workers only the goroutine hand-offs of the concurrent CELF passes
-// allocate, which stays under 100 objects per run; at two workers a Run
-// with the online bound allocates no more than one without it, since the
-// bound is one sequential sweep.
+// steady-state CELF RunInto at GOMAXPROCS 1 performs zero heap allocations
+// per run, with the online bound skipped or computed, and so does a ladder
+// of budgets below the traced one, each Run continuing the trace. A Run at
+// GOMAXPROCS 1 that finds a trace with no logs solves in full and
+// allocates only the trace it records: the Trace and its two logs. At a
+// larger GOMAXPROCS only the goroutine hand-offs of the concurrent CELF
+// passes allocate, which stays under 100 objects per run; at GOMAXPROCS 2
+// a Run with the online bound allocates no more than one without it, since
+// the bound is one sequential sweep.
 func TestRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the non-race CI lane")
@@ -713,7 +727,7 @@ func TestRunAllocs(t *testing.T) {
 	for _, tau := range []float64{0, 0.4} {
 		t.Run(fmt.Sprintf("tau=%g", tau), func(t *testing.T) {
 			ds := sweepDataset(t, 29)
-			p, err := Prepare(ctx, ds, PrepareOptions{Tau: tau, Workers: 1, InstanceDigest: "allocs"})
+			p, err := Prepare(ctx, ds, PrepareOptions{Tau: tau, InstanceDigest: "allocs"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -721,7 +735,7 @@ func TestRunAllocs(t *testing.T) {
 			budget := 0.5 * total
 			// A log-free trace of the solve template: installed before each
 			// "seq-full" Run, it makes that Run solve in full and record.
-			empty := celf.NewTrace(p.solveTmpl, 1)
+			empty := celf.NewTrace(p.solveTmpl)
 			measured := map[string]float64{}
 			for _, tc := range []struct {
 				name    string
@@ -730,16 +744,20 @@ func TestRunAllocs(t *testing.T) {
 				full    bool      // drop the trace's logs before every Run
 				max     float64
 				like    string // an earlier case this one allocates no more than
+				procs   int    // GOMAXPROCS for the case; 0 keeps the default
 			}{
-				{"seq-nobound", RunOptions{Budget: budget, Workers: 1, SkipBound: true}, nil, false, 0, ""},
-				{"seq-bound", RunOptions{Budget: budget, Workers: 1}, nil, false, 0, ""},
-				{"default-bound", RunOptions{Budget: budget}, nil, false, 99, ""},
-				{"seq-ladder", RunOptions{Workers: 1}, []float64{0.3 * total, 0.4 * total}, false, 0, ""},
-				{"seq-full", RunOptions{Budget: budget, Workers: 1, SkipBound: true}, nil, true, 3, ""},
-				{"w2-nobound", RunOptions{Budget: budget, Workers: 2, SkipBound: true}, nil, false, 99, ""},
-				{"w2-bound", RunOptions{Budget: budget, Workers: 2}, nil, false, 99, "w2-nobound"},
+				{"seq-nobound", RunOptions{Budget: budget, SkipBound: true}, nil, false, 0, "", 1},
+				{"seq-bound", RunOptions{Budget: budget}, nil, false, 0, "", 1},
+				{"default-bound", RunOptions{Budget: budget}, nil, false, 99, "", 0},
+				{"seq-ladder", RunOptions{}, []float64{0.3 * total, 0.4 * total}, false, 0, "", 1},
+				{"seq-full", RunOptions{Budget: budget, SkipBound: true}, nil, true, 3, "", 1},
+				{"w2-nobound", RunOptions{Budget: budget, SkipBound: true}, nil, false, 99, "", 2},
+				{"w2-bound", RunOptions{Budget: budget}, nil, false, 99, "w2-nobound", 2},
 			} {
 				t.Run(tc.name, func(t *testing.T) {
+					if tc.procs > 0 {
+						gomaxprocs.Set(t, tc.procs)
+					}
 					budgets := tc.budgets
 					if budgets == nil {
 						budgets = []float64{tc.opts.Budget}
@@ -760,7 +778,7 @@ func TestRunAllocs(t *testing.T) {
 						}
 					}
 					runs := 0
-					allocs := testing.AllocsPerRun(10, func() {
+					allocs := allocsPerRun(10, func() {
 						opts.Budget = budgets[runs%len(budgets)]
 						runs++
 						if tc.full {
@@ -795,13 +813,13 @@ func TestRunAllocs(t *testing.T) {
 func TestRunIntoMatchesRun(t *testing.T) {
 	ctx := context.Background()
 	ds := sweepDataset(t, 31)
-	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.4, Workers: 1, InstanceDigest: "runinto"})
+	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.4, InstanceDigest: "runinto"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res Result
 	for _, frac := range []float64{0.2, 0.5, 0.8} {
-		opts := RunOptions{Budget: frac * ds.Instance.TotalCost(), Workers: 1}
+		opts := RunOptions{Budget: frac * ds.Instance.TotalCost()}
 		want, err := p.Run(ctx, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -837,7 +855,7 @@ func TestRunObserverMatchesUnseeded(t *testing.T) {
 	ctx := context.Background()
 	ds := sweepDataset(t, 37)
 	for _, tau := range []float64{0, 0.4} {
-		p, err := Prepare(ctx, ds, PrepareOptions{Tau: tau, Workers: 1, InstanceDigest: "observer"})
+		p, err := Prepare(ctx, ds, PrepareOptions{Tau: tau, InstanceDigest: "observer"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -848,29 +866,29 @@ func TestRunObserverMatchesUnseeded(t *testing.T) {
 			t.Fatal(err)
 		}
 		traced := p.trace
-		for _, workers := range []int{1, 2, 8} {
+		gomaxprocs.Each(t, func(workers int) {
 			for _, frac := range []float64{0.2, 0.5} {
 				budget := frac * ds.Instance.TotalCost()
 				var got, want observerLog
-				if _, err := p.Run(ctx, RunOptions{Budget: budget, Workers: workers, Observer: &got, SkipBound: true}); err != nil {
+				if _, err := p.Run(ctx, RunOptions{Budget: budget, Observer: &got, SkipBound: true}); err != nil {
 					t.Fatal(err)
 				}
 				if p.trace != traced {
-					t.Fatalf("tau=%g workers=%d f=%g: an Observer Run replaced the trace", tau, workers, frac)
+					t.Fatalf("tau=%g GOMAXPROCS=%d f=%g: an Observer Run replaced the trace", tau, workers, frac)
 				}
 				var view par.Instance
 				if err := tmpl.ViewInto(&view, budget); err != nil {
 					t.Fatal(err)
 				}
-				s := celf.Solver{Workers: workers, Observer: &want}
+				s := celf.Solver{Observer: &want}
 				if _, err := s.Solve(ctx, &view); err != nil {
 					t.Fatal(err)
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("tau=%g workers=%d f=%g: Run's observer stream (%d events) differs from the unseeded solver's (%d)",
+					t.Fatalf("tau=%g GOMAXPROCS=%d f=%g: Run's observer stream (%d events) differs from the unseeded solver's (%d)",
 						tau, workers, frac, len(got), len(want))
 				}
 			}
-		}
+		})
 	}
 }

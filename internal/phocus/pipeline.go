@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"hash"
 	"log/slog"
-	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -63,7 +63,6 @@ type Pipeline struct {
 	Metrics       *obs.Registry
 	SLO           *obs.SLOTracker
 	Logger        *slog.Logger
-	Workers       int
 	ExactMaxNodes int64
 
 	// deltaMu serializes deltas: ApplyDelta holds the Prepared's write lock
@@ -175,7 +174,7 @@ func (pl *Pipeline) Solve(ctx context.Context, req SolveRequest) (*Answer, error
 		decodeSpan.End("parsed", false, "bytes", len(req.Body))
 	}
 
-	popts := PrepareOptions{Tau: req.Tau, Workers: pl.Workers, InstanceDigest: digest, Metrics: pl.Metrics}
+	popts := PrepareOptions{Tau: req.Tau, InstanceDigest: digest, Metrics: pl.Metrics}
 	// The key excludes the budget (a Run parameter), so a budget sweep over
 	// one archive prepares exactly once. Run checks the budget against
 	// C(S0), on a hit and a miss alike.
@@ -218,11 +217,11 @@ func (pl *Pipeline) Solve(ctx context.Context, req SolveRequest) (*Answer, error
 	}
 
 	a := &Answer{Body: req.Body, Budget: budget}
-	ropts := RunOptions{Budget: budget, Algorithm: req.Algorithm, Workers: pl.Workers, ExactMaxNodes: pl.ExactMaxNodes}
+	ropts := RunOptions{Budget: budget, Algorithm: req.Algorithm, ExactMaxNodes: pl.ExactMaxNodes}
 	solveWorkers := 1 // only the CELF path is parallel; label others honestly
 	switch req.Algorithm {
 	case "", AlgoCELF:
-		solveWorkers = pl.Workers
+		solveWorkers = runtime.GOMAXPROCS(0)
 		ropts.OnCELFStats = func(st celf.Stats) {
 			a.GainEvals, a.PQPops, a.Winner, a.TracePrefix = st.GainEvals, st.PQPops, st.Winner.String(), st.TracePrefix
 		}
@@ -418,21 +417,22 @@ func (pl *Pipeline) loadSnapshot(ctx context.Context, fp, tenant string) (*Prepa
 		}
 		p, err = pl.Snapshots.Load(fp)
 	}
-	switch {
-	case err == nil:
+	if err == nil {
 		elapsed := time.Since(t0)
 		obs.RecordSnapshotLoad(pl.Metrics, elapsed)
 		logger.Info("prepared instance loaded from snapshot",
 			"fingerprint", shortFP(fp), "bytes", p.SizeBytes(), "load", elapsed.Round(time.Millisecond))
 		return p, nil
-	case errors.Is(err, ErrBadSnapshot):
+	}
+	switch classifySnapErr(err) {
+	case snapCorrupt:
 		obs.RecordSnapshotCorrupt(pl.Metrics)
 		if qerr := pl.Snapshots.Quarantine(fp); qerr != nil {
 			logger.Error("snapshot quarantine failed", "fingerprint", shortFP(fp), "err", qerr)
 		}
 		logger.Warn("corrupt snapshot quarantined", "fingerprint", shortFP(fp), "err", err)
-	case !os.IsNotExist(err):
-		// Environmental (permissions, I/O): the caller falls back, say why.
+	case snapUnreadable:
+		// The caller falls back; say why.
 		logger.Warn("snapshot load failed", "fingerprint", shortFP(fp), "err", err)
 	}
 	return nil, nil
@@ -467,10 +467,14 @@ func (pl *Pipeline) WarmFill() {
 		pl.Logger.Error("snapshot warm-fill", "err", err)
 		return
 	}
+	for _, f := range stats.Unreadable {
+		pl.Logger.Warn("snapshot load failed during warm-fill; left in place",
+			"fingerprint", shortFP(f.Fingerprint), "err", f.Err)
+	}
 	obs.RecordSnapshotTempSwept(pl.Metrics, int64(stats.TempSwept))
 	pl.Logger.Info("snapshot warm-fill done",
 		"dir", pl.Snapshots.Dir(), "loaded", stats.Loaded, "corrupt", stats.Corrupt,
-		"temp_swept", stats.TempSwept, "bytes", stats.Bytes,
+		"unreadable", len(stats.Unreadable), "temp_swept", stats.TempSwept, "bytes", stats.Bytes,
 		"elapsed", time.Since(t0).Round(time.Millisecond))
 }
 

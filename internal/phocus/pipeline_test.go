@@ -40,7 +40,6 @@ func testPipeline(t *testing.T, dir string) *Pipeline {
 		Metrics: obs.NewRegistry(),
 		SLO:     obs.NewSLOTracker(obs.SLOTrackerOptions{}),
 		Logger:  quietLogger,
-		Workers: 1,
 	}
 	if dir != "" {
 		store, err := OpenSnapshotStore(dir)
@@ -78,11 +77,11 @@ func pipelineArchive(t *testing.T) ([]byte, *par.Instance, float64) {
 func coldRun(t *testing.T, inst *par.Instance, budget float64) *Result {
 	t.Helper()
 	ctx := context.Background()
-	p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, PrepareOptions{Tau: pipeTau, Workers: 1})
+	p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, PrepareOptions{Tau: pipeTau})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(ctx, RunOptions{Budget: budget, Workers: 1})
+	res, err := p.Run(ctx, RunOptions{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func runAs(t *testing.T, pl *Pipeline, tenant, fp string, budget float64) *Resul
 	if err != nil {
 		t.Fatalf("resolve %.12s as %s: %v", fp, tenant, err)
 	}
-	res, err := p.Run(context.Background(), RunOptions{Budget: budget, Workers: 1})
+	res, err := p.Run(context.Background(), RunOptions{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,9 @@ func prepareSparsifyFirst(t *testing.T, ds *dataset.Dataset, opts PrepareOptions
 		var sres sparsify.Result
 		var err error
 		if opts.UseLSH {
-			sres, err = sparsify.WithLSH(rand.New(rand.NewSource(opts.Seed)), base, ds.CtxVectors, opts.Tau, opts.Workers)
+			sres, err = sparsify.WithLSH(rand.New(rand.NewSource(opts.Seed)), base, ds.CtxVectors, opts.Tau)
 		} else {
-			sres, err = sparsify.Exact(base, opts.Tau, opts.Workers)
+			sres, err = sparsify.Exact(base, opts.Tau)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -85,9 +85,8 @@ func TestPrepareKernelFirstMatchesSparsifyFirst(t *testing.T) {
 			{Tau: 0},
 			{Tau: 0.4},
 			{Tau: 0.4, UseLSH: true, Seed: 7},
-			{Tau: 0.4, Workers: 1},
 		} {
-			label := fmt.Sprintf("%s τ=%g lsh=%v workers=%d", in.name, opts.Tau, opts.UseLSH, opts.Workers)
+			label := fmt.Sprintf("%s τ=%g lsh=%v", in.name, opts.Tau, opts.UseLSH)
 			want := prepareSparsifyFirst(t, in.ds, opts)
 			got, err := Prepare(ctx, in.ds, opts)
 			if err != nil {
@@ -163,7 +162,7 @@ func TestThresholdAfterDeltas(t *testing.T) {
 				kb := par.CompileKernel(p.base)
 				for _, tau := range []float64{0, 0.3, 0.6} {
 					label := fmt.Sprintf("seed %d τ=%g batch %d threshold τ=%g", seed, prepTau, b, tau)
-					want, err := sparsify.Exact(p.base, tau, 1)
+					want, err := sparsify.Exact(p.base, tau)
 					if err != nil {
 						t.Fatal(err)
 					}

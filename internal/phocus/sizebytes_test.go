@@ -29,7 +29,7 @@ func TestPreparedSizeBytesAccounting(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.5, Workers: 1})
+	p, err := Prepare(ctx, ds, PrepareOptions{Tau: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func preparedForSnapDelta(t *testing.T, tau float64) (*Prepared, *rand.Rand) {
 		Photos: 32, Subsets: 9, BudgetFrac: 0.4, RetainFrac: 0.1, SimDensity: 0.6,
 	})
 	p, err := Prepare(context.Background(), &dataset.Dataset{Instance: inst},
-		PrepareOptions{Tau: tau, Workers: 1, InstanceDigest: "snap-delta"})
+		PrepareOptions{Tau: tau, InstanceDigest: "snap-delta"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"phocus/internal/dataset"
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 )
 
@@ -132,7 +132,7 @@ func sameSlabs(t *testing.T, label string, want, got *par.Kernel) {
 }
 
 // TestSnapshotRoundTripDifferential is the snapshot format's equivalence
-// guarantee: for every similarity variant × τ mode × workers ∈ {1, 2, 8}, a
+// guarantee: for every similarity variant × τ mode × GOMAXPROCS ∈ {1, 2, 8}, a
 // Prepared written to the snapshot format and loaded back produces
 // bit-identical kernels, base similarities bit-identical to the caller's
 // source similarities, and solve results equal to the in-memory Prepared's
@@ -190,22 +190,22 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 					}
 				}
 
-				for _, workers := range []int{1, 2, 8} {
+				gomaxprocs.Each(t, func(workers int) {
 					for _, frac := range []float64{0.3, 0.6} {
-						opts := RunOptions{Budget: frac * total, Workers: workers}
+						opts := RunOptions{Budget: frac * total}
 						want, err := p.Run(ctx, opts)
 						if err != nil {
-							t.Fatalf("workers=%d frac=%g: Run(mem): %v", workers, frac, err)
+							t.Fatalf("GOMAXPROCS=%d frac=%g: Run(mem): %v", workers, frac, err)
 						}
 						got, err := q.Run(ctx, opts)
 						if err != nil {
-							t.Fatalf("workers=%d frac=%g: Run(snap): %v", workers, frac, err)
+							t.Fatalf("GOMAXPROCS=%d frac=%g: Run(snap): %v", workers, frac, err)
 						}
 						if keyOf(got) != keyOf(want) {
-							t.Fatalf("workers=%d frac=%g: snapshot run %+v\n  want %+v", workers, frac, keyOf(got), keyOf(want))
+							t.Fatalf("GOMAXPROCS=%d frac=%g: snapshot run %+v\n  want %+v", workers, frac, keyOf(got), keyOf(want))
 						}
 					}
-				}
+				})
 			})
 		}
 	}
@@ -534,7 +534,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err == nil {
 			// Anything the decoder accepts must be a coherent Prepared: a
 			// solve over it must not panic either.
-			if _, rerr := p.Run(context.Background(), RunOptions{Workers: 1}); rerr != nil {
+			if _, rerr := p.Run(context.Background(), RunOptions{}); rerr != nil {
 				return // infeasible budgets etc. are fine; only panics matter
 			}
 		} else if !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, ErrNoCtxVectors) {
@@ -659,6 +659,80 @@ func TestSnapshotStore(t *testing.T) {
 	if err != nil || stats2.Loaded != 2 || stats2.Corrupt != 0 {
 		t.Fatalf("second WarmFill = %+v (%v), want Loaded=2 Corrupt=0", stats2, err)
 	}
+}
+
+// TestWarmFillLeavesUnreadableSnapshot: only a snapshot that fails
+// verification is quarantined. A <fp>.snap that cannot be read for another
+// reason stays in place through a warm-fill and through a solve's load,
+// and counts as no corruption, while a flipped byte in another snapshot is
+// still quarantined. The unreadable file is a symlink to a directory, which
+// reads as "is a directory": file modes cannot produce the fault when the
+// tests run as root.
+func TestWarmFillLeavesUnreadableSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenSnapshotStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(context.Background(), snapDataset(t, 41, snapSimVariants["dense"]),
+		PrepareOptions{Tau: 0.5, InstanceDigest: "digest-flipped"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped, _, err := store.Save(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xFF
+	if err := os.WriteFile(flipped, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fp := strings.Repeat("5a", 32)
+	link := store.Path(fp)
+	if err := os.Symlink(t.TempDir(), link); err != nil {
+		t.Fatal(err)
+	}
+	inPlace := func(when string) {
+		t.Helper()
+		if _, err := os.Lstat(link); err != nil {
+			t.Fatalf("%s: the unreadable snapshot was moved: %v", when, err)
+		}
+		if _, err := os.Lstat(link + ".corrupt"); !os.IsNotExist(err) {
+			t.Fatalf("%s: the unreadable snapshot was quarantined (%v)", when, err)
+		}
+	}
+
+	pl := testPipeline(t, dir)
+	pl.WarmFill()
+	if got := pl.Metrics.Counter("phocus_snapshot_corrupt_total").Value(); got != 1 {
+		t.Fatalf("warm-fill counted %d corrupt snapshots, want 1 (the flipped byte)", got)
+	}
+	if _, err := os.Stat(flipped + ".corrupt"); err != nil {
+		t.Fatalf("the flipped snapshot was not quarantined: %v", err)
+	}
+	inPlace("pipeline warm-fill")
+
+	stats, err := store.WarmFill(NewPreparedCache(8, 0), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Corrupt != 0 || stats.Loaded != 0 || len(stats.Unreadable) != 1 ||
+		stats.Unreadable[0].Fingerprint != fp || errors.Is(stats.Unreadable[0].Err, ErrBadSnapshot) {
+		t.Fatalf("store warm-fill = %+v, want the symlink alone, unreadable and not corrupt", stats)
+	}
+	inPlace("store warm-fill")
+
+	if got, err := pl.loadSnapshot(pipeCtx(), fp, "alice"); got != nil || err != nil {
+		t.Fatalf("solve-path load = %v, %v; want a fallback (nil, nil)", got, err)
+	}
+	if got := pl.Metrics.Counter("phocus_snapshot_corrupt_total").Value(); got != 1 {
+		t.Fatalf("the solve-path load counted corruption: %d, want 1", got)
+	}
+	inPlace("solve-path load")
 }
 
 // TestSnapshotStoreNameMismatch: a snapshot renamed to a different (valid-
@@ -804,11 +878,11 @@ func TestSnapshotLoadFaster(t *testing.T) {
 	}
 	ctx := context.Background()
 	// One core for both sides. Decode's Threshold, and Prepare's kernel
-	// compile and Threshold, fan out over GOMAXPROCS whatever Workers says,
-	// and with several cores the ratio moved with how much of the second
-	// core other processes (another package's tests) left free.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	opts := PrepareOptions{Tau: 0.4, Workers: 1, InstanceDigest: "digest-speed"}
+	// compile and Threshold, fan out over GOMAXPROCS, and with several
+	// cores the ratio moved with how much of the second core other
+	// processes (another package's tests) left free.
+	gomaxprocs.Set(t, 1)
+	opts := PrepareOptions{Tau: 0.4, InstanceDigest: "digest-speed"}
 	p, err := Prepare(ctx, generate(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,11 @@ package phocus
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -161,6 +163,9 @@ type WarmStats struct {
 	Loaded int
 	// Corrupt counts snapshots that failed verification and were quarantined.
 	Corrupt int
+	// Unreadable lists, in scan order, the snapshots that failed to read
+	// for another reason. They stay in place: the fault may pass.
+	Unreadable []WarmFailure
 	// TempSwept counts orphaned .tmp files (a crash between temp-write and
 	// rename) deleted during the scan.
 	TempSwept int
@@ -168,11 +173,40 @@ type WarmStats struct {
 	Bytes int64
 }
 
+// WarmFailure is one snapshot WarmFill could not read, and why.
+type WarmFailure struct {
+	Fingerprint string
+	Err         error
+}
+
+// snapFault is what a failed snapshot read means (classifySnapErr).
+type snapFault int
+
+const (
+	snapMissing    snapFault = iota // no file under the name: nothing to report
+	snapCorrupt                     // failed verification: quarantine the file
+	snapUnreadable                  // I/O, permissions, no regular file: may pass, leave the file
+)
+
+// classifySnapErr sorts a non-nil error of Load or Owner. Only
+// ErrBadSnapshot is corruption.
+func classifySnapErr(err error) snapFault {
+	switch {
+	case errors.Is(err, ErrBadSnapshot):
+		return snapCorrupt
+	case errors.Is(err, fs.ErrNotExist):
+		return snapMissing
+	}
+	return snapUnreadable
+}
+
 // WarmFill scans the directory and loads every *.snap into the cache under
 // its fingerprint, oldest first so the LRU keeps the newest when the cache's
 // bounds bite. Corrupt files are quarantined and counted, never fatal;
-// orphaned temp files from interrupted Saves are swept. The callbacks (both
-// optional) observe each outcome for metrics/logging.
+// files unreadable for another reason are left in place and listed in
+// WarmStats.Unreadable; orphaned temp files from interrupted Saves are
+// swept. The callbacks (both optional) observe each outcome for
+// metrics/logging.
 func (s *SnapshotStore) WarmFill(cache *PreparedCache, onLoad func(fp string, p *Prepared, d time.Duration), onCorrupt func(fp string, err error)) (WarmStats, error) {
 	var stats WarmStats
 	entries, err := os.ReadDir(s.dir)
@@ -212,10 +246,15 @@ func (s *SnapshotStore) WarmFill(cache *PreparedCache, onLoad func(fp string, p 
 		t0 := time.Now()
 		p, err := s.Load(c.fp)
 		if err != nil {
-			stats.Corrupt++
-			s.Quarantine(c.fp)
-			if onCorrupt != nil {
-				onCorrupt(c.fp, err)
+			switch classifySnapErr(err) {
+			case snapCorrupt:
+				stats.Corrupt++
+				s.Quarantine(c.fp)
+				if onCorrupt != nil {
+					onCorrupt(c.fp, err)
+				}
+			case snapUnreadable:
+				stats.Unreadable = append(stats.Unreadable, WarmFailure{Fingerprint: c.fp, Err: err})
 			}
 			continue
 		}

@@ -12,6 +12,7 @@ import (
 
 	"phocus/internal/celf"
 	"phocus/internal/dataset"
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 )
 
@@ -42,7 +43,7 @@ func firstRuns(t *testing.T, ref *Prepared, total float64) []runBits {
 	want := make([]runBits, len(traceLadder))
 	for i, f := range traceLadder {
 		ref.trace = nil
-		res, err := ref.Run(context.Background(), RunOptions{Budget: f * total, Workers: 1})
+		res, err := ref.Run(context.Background(), RunOptions{Budget: f * total})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,8 +54,8 @@ func firstRuns(t *testing.T, ref *Prepared, total float64) []runBits {
 
 // checkTraceLadders runs traceLadder over live in ascending, descending and
 // shuffled order, each order twice and each order on a live Prepared with
-// no trace, cycling the Run's workers through 1, 2 and 8 so that traces
-// recorded at one worker count are continued at another. Every answer must
+// no trace, cycling GOMAXPROCS through 1, 2 and 8 from Run to Run so that
+// traces recorded at one GOMAXPROCS are continued at another. Every answer must
 // match want bit for bit, and every order must continue a trace at least
 // once.
 func checkTraceLadders(t *testing.T, label string, live *Prepared, total float64, want []runBits) {
@@ -65,7 +66,7 @@ func checkTraceLadders(t *testing.T, label string, live *Prepared, total float64
 		"descending": {4, 3, 2, 1, 0},
 		"shuffled":   shuffled,
 	}
-	workers := []int{1, 2, 8}
+	levels := gomaxprocs.Levels
 	for _, name := range []string{"ascending", "descending", "shuffled"} {
 		live.trace = nil
 		continued := 0
@@ -75,17 +76,18 @@ func checkTraceLadders(t *testing.T, label string, live *Prepared, total float64
 				var st celf.Stats
 				opts := RunOptions{
 					Budget:      traceLadder[rung] * total,
-					Workers:     workers[k%len(workers)],
 					OnCELFStats: func(s celf.Stats) { st = s },
 				}
+				procs := levels[k%len(levels)]
+				gomaxprocs.Set(t, procs)
 				k++
 				res, err := live.Run(context.Background(), opts)
 				if err != nil {
 					t.Fatalf("%s %s: %v", label, name, err)
 				}
 				if got := bitsOf(res); got != want[rung] {
-					t.Fatalf("%s %s cycle %d rung %g workers=%d (trace prefix %d): got %+v, want %+v",
-						label, name, cycle, traceLadder[rung], opts.Workers, st.TracePrefix, got, want[rung])
+					t.Fatalf("%s %s cycle %d rung %g GOMAXPROCS=%d (trace prefix %d): got %+v, want %+v",
+						label, name, cycle, traceLadder[rung], procs, st.TracePrefix, got, want[rung])
 				}
 				if st.TracePrefix > 0 {
 					continued++
@@ -101,7 +103,7 @@ func checkTraceLadders(t *testing.T, label string, live *Prepared, total float64
 // TestTraceContinueLadders is the engine-level gate of trace continuation:
 // on P-1K and P-100K ×0.05, at τ 0 and 0.4, every rung of every ladder order
 // gives the first Run's selections, cost, score and online-bound bits,
-// whichever worker count recorded the trace it continues.
+// whichever GOMAXPROCS recorded the trace it continues.
 func TestTraceContinueLadders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates public-shape datasets")
@@ -195,7 +197,7 @@ func TestTraceConcurrentRunsRaceDelta(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(77))
 	inst := par.Random(rng, par.RandomConfig{Photos: 120, Subsets: 30, BudgetFrac: 0.4, RetainFrac: 0.05})
-	opts := PrepareOptions{Tau: 0.3, Workers: 1, InstanceDigest: "trace-race"}
+	opts := PrepareOptions{Tau: 0.3, InstanceDigest: "trace-race"}
 	live, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +221,7 @@ func TestTraceConcurrentRunsRaceDelta(t *testing.T) {
 	for layout := 0; ; layout++ {
 		for i, b := range budgets {
 			plan.trace = nil
-			res, err := plan.Run(ctx, RunOptions{Budget: b, Workers: 1})
+			res, err := plan.Run(ctx, RunOptions{Budget: b})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +245,7 @@ func TestTraceConcurrentRunsRaceDelta(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 24; k++ {
 				i := (g + k) % len(budgets)
-				res, err := live.Run(ctx, RunOptions{Budget: budgets[i], Workers: 1 + k%2})
+				res, err := live.Run(ctx, RunOptions{Budget: budgets[i]})
 				if err != nil {
 					errs <- err
 					return
@@ -284,40 +286,40 @@ func TestTraceCanceledRunInstallsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := 0.3*total, 0.6*total
-	for _, workers := range []int{1, 2} {
+	gomaxprocs.Each(t, func(workers int) {
 		p.trace = nil
 		// Two Err calls let the Run through its entry and S0 checks; the
 		// cancellation lands in the first CELF pass.
 		ctx := newPollCancelCtx(3)
-		if _, err := p.Run(ctx, RunOptions{Budget: lo, Workers: workers}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: Run err = %v, want context.Canceled", workers, err)
+		if _, err := p.Run(ctx, RunOptions{Budget: lo}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("GOMAXPROCS=%d: Run err = %v, want context.Canceled", workers, err)
 		}
 		if p.trace == nil || p.trace.Covers(0) {
-			t.Fatalf("workers=%d: canceled first Run installed a recorded trace", workers)
+			t.Fatalf("GOMAXPROCS=%d: canceled first Run installed a recorded trace", workers)
 		}
-		if _, err := p.Run(context.Background(), RunOptions{Budget: lo, Workers: workers}); err != nil {
+		if _, err := p.Run(context.Background(), RunOptions{Budget: lo}); err != nil {
 			t.Fatal(err)
 		}
 		installed := p.trace
 		ctx = newPollCancelCtx(3)
-		if _, err := p.Run(ctx, RunOptions{Budget: hi, Workers: workers}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: Run err = %v, want context.Canceled", workers, err)
+		if _, err := p.Run(ctx, RunOptions{Budget: hi}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("GOMAXPROCS=%d: Run err = %v, want context.Canceled", workers, err)
 		}
 		if p.trace != installed || p.trace.Covers(hi) {
-			t.Fatalf("workers=%d: canceled Run above the traced budget replaced the trace", workers)
+			t.Fatalf("GOMAXPROCS=%d: canceled Run above the traced budget replaced the trace", workers)
 		}
-		got, err := p.Run(context.Background(), RunOptions{Budget: hi, Workers: workers})
+		got, err := p.Run(context.Background(), RunOptions{Budget: hi})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := prepareRun(ds, PrepareOptions{Tau: 0.4}, RunOptions{Budget: hi, Workers: workers})
+		want, err := prepareRun(ds, PrepareOptions{Tau: 0.4}, RunOptions{Budget: hi})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bitsOf(got) != bitsOf(want) {
-			t.Fatalf("workers=%d: Run after the canceled one %+v, first Run %+v", workers, bitsOf(got), bitsOf(want))
+			t.Fatalf("GOMAXPROCS=%d: Run after the canceled one %+v, first Run %+v", workers, bitsOf(got), bitsOf(want))
 		}
-	}
+	})
 }
 
 // pollCancelCtx reports no error for its first live Err calls, from any

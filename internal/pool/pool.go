@@ -1,13 +1,15 @@
-// Package pool provides the worker-pool primitives behind the solve
-// pipeline's Workers knob. Every wide parallel pass — a Run's S0 gains
-// (Evaluator.GainsInto) and per-subset sparsification, exact or LSH — fans
-// its work out through ForEach, one level deep, so the whole
-// pipeline is controlled by a single integer and degrades to the plain
-// sequential loop when the knob is 1. The kernel compile (par.CompileKernel)
-// and τ-threshold (par.Kernel.Threshold) take no knob: they fan their row
-// runs out over one worker per CPU. CELF's own lazy-greedy passes do not
-// use it: the solver runs its UC and CB passes on one goroutine each, and
-// each pass recomputes its stale entries one at a time.
+// Package pool provides the fan-out primitives behind the solve pipeline's
+// parallel stages. Every stage sizes itself from runtime.GOMAXPROCS(0); no
+// stage takes a worker count. A Run's S0 gains (Evaluator.GainsInto), the
+// per-subset sparsification (exact or LSH), the kernel compile
+// (par.CompileKernel) and τ-threshold (par.Kernel.Threshold) and EC dataset
+// generation fan their work out through ForEach or ForEachChunk over
+// GOMAXPROCS workers, one level deep, and each degrades to the plain
+// sequential loop at GOMAXPROCS 1. The split wire decode passes
+// its split count instead, one goroutine per split. CELF's lazy-greedy
+// passes do not use it: the solver runs its UC and CB passes on one
+// goroutine each, and each pass recomputes its stale entries one at a
+// time. Sem is the counting semaphore that bounds concurrent solves.
 //
 // The contract every caller relies on: ForEach(n, w, fn) calls fn exactly
 // once for every index in [0, n), and the set of calls (not their order) is
@@ -22,7 +24,7 @@ import (
 	"sync/atomic"
 )
 
-// Resolve normalizes a Workers knob: any value ≤ 0 means "one worker per
+// Resolve normalizes a worker count: any value ≤ 0 means "one worker per
 // available CPU" (runtime.GOMAXPROCS(0)); positive values are returned
 // unchanged.
 func Resolve(workers int) int {

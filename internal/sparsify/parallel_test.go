@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"phocus/internal/gomaxprocs"
 	"phocus/internal/par"
 )
 
@@ -27,55 +28,53 @@ func subsetPairs(t *testing.T, inst *par.Instance) [][][]par.Neighbor {
 }
 
 // TestExactWorkerCountInvariant: the fanned-out exact sparsifier must
-// produce the same counters and similarity structure as the sequential path
-// for every worker count.
+// produce the same counters and similarity structure at every GOMAXPROCS
+// as the sequential path GOMAXPROCS 1 takes.
 func TestExactWorkerCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	inst := par.Random(rng, par.RandomConfig{Photos: 50, Subsets: 20, SimDensity: 0.7})
-	seq, err := Exact(inst, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRows := subsetPairs(t, seq.Instance)
-	for _, workers := range []int{2, 8} {
-		res, err := Exact(inst, 0.5, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.PairsBefore != seq.PairsBefore || res.PairsAfter != seq.PairsAfter {
-			t.Errorf("workers=%d: pairs %d/%d, sequential %d/%d",
-				workers, res.PairsAfter, res.PairsBefore, seq.PairsAfter, seq.PairsBefore)
-		}
-		if !reflect.DeepEqual(subsetPairs(t, res.Instance), seqRows) {
-			t.Errorf("workers=%d: sparsified similarities diverge", workers)
-		}
-	}
-}
-
-// TestWithLSHWorkerCountInvariant: with the same seed, the LSH sparsifier
-// is byte-identical for every worker count — the hasher families are drawn
-// before the fan-out, so the worker schedule cannot touch the randomness.
-func TestWithLSHWorkerCountInvariant(t *testing.T) {
-	inst, vecs := randomEmbeddedInstance(rand.New(rand.NewSource(5)), 60, 6)
-	run := func(workers int) Result {
-		res, err := WithLSH(rand.New(rand.NewSource(99)), inst, vecs, 0.7, workers)
+	sameAtEveryGOMAXPROCS(t, func() Result {
+		res, err := Exact(inst, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
-	}
-	seq := run(1)
-	seqRows := subsetPairs(t, seq.Instance)
-	for _, workers := range []int{2, 8} {
-		res := run(workers)
+	})
+}
+
+// TestWithLSHWorkerCountInvariant: with the same seed, the LSH sparsifier
+// is byte-identical at every GOMAXPROCS — the hasher families are drawn
+// before the fan-out, so the worker schedule cannot touch the randomness.
+func TestWithLSHWorkerCountInvariant(t *testing.T) {
+	inst, vecs := randomEmbeddedInstance(rand.New(rand.NewSource(5)), 60, 6)
+	sameAtEveryGOMAXPROCS(t, func() Result {
+		res, err := WithLSH(rand.New(rand.NewSource(99)), inst, vecs, 0.7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	})
+}
+
+// sameAtEveryGOMAXPROCS fails t unless run gives the counters and
+// similarity structure at GOMAXPROCS 2 and 8 that it gives at 1.
+func sameAtEveryGOMAXPROCS(t *testing.T, run func() Result) {
+	var seq Result
+	var seqRows [][][]par.Neighbor
+	gomaxprocs.Each(t, func(workers int) {
+		res := run()
+		if workers == 1 { // the first level: the sequential reference
+			seq, seqRows = res, subsetPairs(t, res.Instance)
+			return
+		}
 		if res.PairsBefore != seq.PairsBefore || res.PairsAfter != seq.PairsAfter {
-			t.Errorf("workers=%d: pairs %d/%d, sequential %d/%d",
+			t.Errorf("GOMAXPROCS=%d: pairs %d/%d, sequential %d/%d",
 				workers, res.PairsAfter, res.PairsBefore, seq.PairsAfter, seq.PairsBefore)
 		}
 		if !reflect.DeepEqual(subsetPairs(t, res.Instance), seqRows) {
-			t.Errorf("workers=%d: sparsified similarities diverge", workers)
+			t.Errorf("GOMAXPROCS=%d: sparsified similarities diverge", workers)
 		}
-	}
+	})
 }
 
 // TestWithLSHReportsPairsBefore is the regression test for the bug where the
@@ -85,7 +84,7 @@ func TestWithLSHWorkerCountInvariant(t *testing.T) {
 func TestWithLSHReportsPairsBefore(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	inst, vecs := randomEmbeddedInstance(rng, 60, 6)
-	res, err := WithLSH(rng, inst, vecs, 0.7, 1)
+	res, err := WithLSH(rng, inst, vecs, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestWithLSHMixedDims(t *testing.T) {
 			vecsA[qi][mi] = v
 		}
 	}
-	res, err := WithLSH(rand.New(rand.NewSource(8)), instA, vecsA, 0.7, 1)
+	res, err := WithLSH(rand.New(rand.NewSource(8)), instA, vecsA, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}

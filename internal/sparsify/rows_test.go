@@ -72,7 +72,7 @@ func masked(rng *rand.Rand, inst *par.Instance, frac float64) *par.Instance {
 func checkThreshold(t testing.TB, label string, ref, src *par.Instance, tau float64) {
 	t.Helper()
 	label = fmt.Sprintf("%s τ=%g", label, tau)
-	want, err := Exact(ref, tau, 1)
+	want, err := Exact(ref, tau)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,14 +40,13 @@ type Result struct {
 }
 
 // Exact builds the τ-sparsified instance by offering every positive pair
-// of every subset to the threshold, with the subsets fanned out over up to
-// workers goroutines (≤ 0 means one per CPU). Costs, retained set, budget,
-// weights and relevances are shared with the input instance; only
-// similarities are replaced (by SparseSim, so solvers automatically benefit
-// from neighbour iteration). The output is byte-identical for every worker
-// count.
-func Exact(inst *par.Instance, tau float64, workers int) (Result, error) {
-	return sparsifySubsets(time.Now(), inst, tau, workers, func(qi int, f *pairFilter) {
+// of every subset to the threshold, with the subsets fanned out over
+// GOMAXPROCS goroutines. Costs, retained set, budget, weights and
+// relevances are shared with the input instance; only similarities are
+// replaced (by SparseSim, so solvers automatically benefit from neighbour
+// iteration). The output is byte-identical for every GOMAXPROCS.
+func Exact(inst *par.Instance, tau float64) (Result, error) {
+	return sparsifySubsets(time.Now(), inst, tau, func(qi int, f *pairFilter) {
 		q := &inst.Subsets[qi]
 		k := len(q.Members)
 		// Pairs arrive in ascending order, so the builder's sort-once Build
@@ -70,12 +69,12 @@ func Exact(inst *par.Instance, tau float64, workers int) (Result, error) {
 // missed pairs only lower similarities (never raise them), so the result is
 // a valid — slightly more aggressive — sparsification.
 //
-// The subsets fan out over up to workers goroutines (≤ 0 means one per
-// CPU). All randomness is consumed up front: one SimHash family is drawn per
-// distinct embedding dimension, seeded from rng in first-seen subset order,
-// and shared read-only by every worker, so the output is byte-identical for
-// every worker count.
-func WithLSH(rng *rand.Rand, inst *par.Instance, ctxVectors [][]embed.Vector, tau float64, workers int) (Result, error) {
+// The subsets fan out over GOMAXPROCS goroutines. All randomness is
+// consumed up front: one SimHash family is drawn per distinct embedding
+// dimension, seeded from rng in first-seen subset order, and shared
+// read-only by every worker, so the output is byte-identical for every
+// GOMAXPROCS.
+func WithLSH(rng *rand.Rand, inst *par.Instance, ctxVectors [][]embed.Vector, tau float64) (Result, error) {
 	start := time.Now()
 	if len(ctxVectors) != len(inst.Subsets) {
 		return Result{}, fmt.Errorf("sparsify: %d vector groups for %d subsets", len(ctxVectors), len(inst.Subsets))
@@ -99,7 +98,7 @@ func WithLSH(rng *rand.Rand, inst *par.Instance, ctxVectors [][]embed.Vector, ta
 			hashers[dim] = lsh.New(rand.New(rand.NewSource(rng.Int63())), dim, bands, rows)
 		}
 	}
-	return sparsifySubsets(start, inst, tau, workers, func(qi int, f *pairFilter) {
+	return sparsifySubsets(start, inst, tau, func(qi int, f *pairFilter) {
 		vecs := ctxVectors[qi]
 		if len(vecs) < 2 {
 			return
@@ -140,13 +139,13 @@ type subsetResult struct {
 }
 
 // sparsifySubsets is the one construction behind Exact and WithLSH: it runs
-// filter over every subset on up to workers goroutines, then assembles the
+// filter over every subset on GOMAXPROCS goroutines, then assembles the
 // results in subset order and finalizes, so the output instance and the
 // counters do not depend on the worker schedule. start is when the caller's
 // sparsification began, for Result.Elapsed.
-func sparsifySubsets(start time.Time, inst *par.Instance, tau float64, workers int, filter func(qi int, f *pairFilter)) (Result, error) {
+func sparsifySubsets(start time.Time, inst *par.Instance, tau float64, filter func(qi int, f *pairFilter)) (Result, error) {
 	perSubset := make([]subsetResult, len(inst.Subsets))
-	pool.ForEach(len(inst.Subsets), workers, func(qi int) {
+	pool.ForEach(len(inst.Subsets), 0, func(qi int) {
 		f := pairFilter{tau: tau, bld: par.NewSparseSimBuilder(len(inst.Subsets[qi].Members))}
 		filter(qi, &f)
 		perSubset[qi] = subsetResult{sparse: f.bld.Build(), before: f.before, kept: f.kept}

@@ -16,7 +16,7 @@ import (
 
 func TestExactFigure1(t *testing.T) {
 	inst := par.Figure1Instance()
-	res, err := Exact(inst, 0.6, 1)
+	res, err := Exact(inst, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestSparsifiedScoreDominatedQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		inst := par.Random(rng, par.RandomConfig{Photos: 12, Subsets: 6})
-		res0, err := Exact(inst, 0, 1)
+		res0, err := Exact(inst, 0)
 		if err != nil {
 			return false
 		}
-		resT, err := Exact(inst, 0.5, 1)
+		resT, err := Exact(inst, 0.5)
 		if err != nil {
 			return false
 		}
@@ -117,11 +117,11 @@ func TestWithLSHMatchesExactOnCosineSim(t *testing.T) {
 	}
 
 	const tau = 0.85
-	exactRes, err := Exact(inst, tau, 1)
+	exactRes, err := Exact(inst, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lshRes, err := WithLSH(rng, inst, ctxVectors, tau, 1)
+	lshRes, err := WithLSH(rng, inst, ctxVectors, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,11 @@ func TestWithLSHMatchesExactOnCosineSim(t *testing.T) {
 func TestWithLSHShapeErrors(t *testing.T) {
 	inst := par.Figure1Instance()
 	rng := rand.New(rand.NewSource(1))
-	if _, err := WithLSH(rng, inst, nil, 0.5, 1); err == nil {
+	if _, err := WithLSH(rng, inst, nil, 0.5); err == nil {
 		t.Error("expected error for missing vector groups")
 	}
 	bad := make([][]embed.Vector, len(inst.Subsets))
-	if _, err := WithLSH(rng, inst, bad, 0.5, 1); err == nil {
+	if _, err := WithLSH(rng, inst, bad, 0.5); err == nil {
 		t.Error("expected error for wrong group sizes")
 	}
 }
@@ -173,7 +173,7 @@ func TestBoundHolds(t *testing.T) {
 		if rep.Alpha == 0 {
 			continue // bound is vacuous
 		}
-		res, err := Exact(inst, tau, 1)
+		res, err := Exact(inst, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestSparsifiedSolveQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exact(inst, 0.4, 1)
+	res, err := Exact(inst, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
