@@ -245,8 +245,7 @@ func TestSessionJob(t *testing.T) {
 		t.Errorf("instance not reachable under the session job's new fingerprint")
 	}
 
-	// A session batch the engine rejects fails the job (validation errors
-	// are not transient — no retry storm).
+	// A session batch the engine rejects fails the job on its one start.
 	resp, doc = submitJob(t, srv.URL, "?kind=session&fp="+solved.Fingerprint, `{"remove":[99]}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("invalid session submit status %d, want 202", resp.StatusCode)

@@ -84,7 +84,6 @@ func main() {
 	jobWorkers := flag.Int("job-workers", 0, "async job scheduler worker count, which also sizes the solve semaphore (≤ 0 = one per CPU, GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 32, "job queue depth cap; over it submissions get 429 (0 = unbounded)")
 	queueBytes := flag.Int64("queue-bytes", 1<<30, "job queue total payload byte cap (0 = unbounded)")
-	jobRetries := flag.Int("job-retries", 3, "max runner attempts per job for transient failures")
 	drainTimeout := flag.Duration("drain-timeout", 20*time.Second, "graceful-shutdown budget for running jobs before they are checkpointed back to the queue")
 	sloSolveP95 := flag.Duration("slo-solve-p95", 2*time.Second, "SLO: solve-stage p95 latency objective")
 	sloJobWaitP99 := flag.Duration("slo-job-wait-p99", 30*time.Second, "SLO: async job queue-wait p99 objective")
@@ -115,7 +114,6 @@ func main() {
 		JobWorkers:    *jobWorkers,
 		QueueDepth:    *queueDepth,
 		QueueBytes:    *queueBytes,
-		JobRetries:    *jobRetries,
 		SLOSolveP95:   *sloSolveP95,
 		SLOJobWaitP99: *sloJobWaitP99,
 		SLOHTTPP99:    *sloHTTPP99,
@@ -200,8 +198,6 @@ type serverConfig struct {
 	// QueueDepth / QueueBytes bound job admission (≤ 0 = unbounded).
 	QueueDepth int
 	QueueBytes int64
-	// JobRetries caps runner attempts per job (0 = jobs default).
-	JobRetries int
 	// JobStoreNoSync skips the per-append WAL fsync (tests/benchmarks).
 	JobStoreNoSync bool
 	// SLOSolveP95 / SLOJobWaitP99 / SLOHTTPP99 / SLO429Rate are the SLO
@@ -362,18 +358,16 @@ func newServer(logger *slog.Logger, cfg serverConfig) (*server, error) {
 	// The job service opens last: its workers may immediately resume
 	// recovered jobs through s.runJob, so the server must be fully wired.
 	svc, _, err := jobs.NewService(jobs.Config{
-		Dir:         cfg.DataDir,
-		Workers:     cfg.JobWorkers,
-		QueueDepth:  cfg.QueueDepth,
-		QueueBytes:  cfg.QueueBytes,
-		MaxAttempts: cfg.JobRetries,
-		JobTimeout:  cfg.SolveTimeout,
-		Seed:        1,
-		Metrics:     s.reg,
-		SLO:         s.slo,
-		Trace:       s.trace,
-		Logger:      logger,
-		Store:       jobs.StoreOptions{NoSync: cfg.JobStoreNoSync},
+		Dir:        cfg.DataDir,
+		Workers:    cfg.JobWorkers,
+		QueueDepth: cfg.QueueDepth,
+		QueueBytes: cfg.QueueBytes,
+		JobTimeout: cfg.SolveTimeout,
+		Metrics:    s.reg,
+		SLO:        s.slo,
+		Trace:      s.trace,
+		Logger:     logger,
+		Store:      jobs.StoreOptions{NoSync: cfg.JobStoreNoSync},
 	}, s.runJob)
 	if err != nil {
 		return nil, err

@@ -75,8 +75,10 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	s1, srv1 := snapServer(t, dir)
 	waitFor(t, "first server ready", func() bool { return s1.snapWarmed.Load() })
 	cold := postSolve(t, srv1.URL+"/solve?tau=0.6&budget=2.6", body)
-	// The write-back is off the request path; wait for the rename to land.
+	// The write-back is off the request path; wait for the rename to land,
+	// and for the write to be counted, which follows the rename.
 	waitFor(t, "snapshot write-back", func() bool { return len(snapFiles(t, dir)) == 1 })
+	waitFor(t, "snapshot write count", func() bool { return s1.reg.Counter("phocus_snapshot_write_total").Value() > 0 })
 	if got := s1.reg.Counter("phocus_snapshot_write_total").Value(); got != 1 {
 		t.Errorf("snapshot writes = %d, want 1", got)
 	}

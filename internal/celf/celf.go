@@ -82,11 +82,6 @@ type Stats struct {
 // solution and the work counters (GainEvals, PQPops) are identical for
 // every GOMAXPROCS; only wall-clock time varies.
 type Solver struct {
-	// Observer, when non-nil, receives the lazy-greedy events of both
-	// sub-procedure runs (all UC events, then all CB events; when the
-	// passes run concurrently their events are buffered and replayed in
-	// that order after both finish).
-	Observer Observer
 	// Scratch, when non-nil, supplies reusable solve state: one evaluator
 	// and priority-queue storage per pass, used by both the
 	// sequential path (which runs both passes on the UC slot) and the
@@ -103,10 +98,9 @@ type Solver struct {
 	// the trace covers, each pass instead replays the recorded pass up to
 	// its first selection that does not fit and continues from there (see
 	// lazyGreedy). At a budget above it, both passes run in full and Solve
-	// replaces Trace with their record, copied out of the scratch. A Solve
-	// with an Observer neither continues nor records. The solution,
-	// Stats.Selected and the Observer stream are identical with and without
-	// a trace; GainEvals and PQPops drop.
+	// replaces Trace with their record, copied out of the scratch. The
+	// solution and Stats.Selected are identical with and without a trace;
+	// GainEvals and PQPops drop.
 	Trace *Trace
 	// LastStats is populated by each Solve call.
 	LastStats Stats
@@ -118,7 +112,6 @@ type Solver struct {
 type Scratch struct {
 	uc, cb       passScratch
 	solUC        []par.PhotoID
-	recUC, recCB eventRecorder
 	logUC, logCB []traceEvent // the passes' logs while recording a Trace
 }
 
@@ -126,7 +119,6 @@ type Scratch struct {
 type passScratch struct {
 	eval  *par.Evaluator
 	items []candidate
-	order []candidate // the seeded observer replay's queue
 	last  []candidate // a seeded pass's latest entry per photo
 	seen  []bool
 }
@@ -160,7 +152,7 @@ func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, e
 	}
 	// Record both passes when they run in full from a trace.
 	var logUC, logCB *[]traceEvent
-	if tr != nil && s.Observer == nil && !tr.Covers(inst.Budget) {
+	if tr != nil && !tr.Covers(inst.Budget) {
 		sc.logUC, sc.logCB = sc.logUC[:0], sc.logCB[:0]
 		logUC, logCB = &sc.logUC, &sc.logCB
 	}
@@ -173,13 +165,13 @@ func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, e
 		// Both passes reuse the UC slot's evaluator and queue storage. UC's
 		// solution aliases the evaluator, so it is copied into scratch-owned
 		// storage before CB resets it.
-		solUC, statsUC, err = lazyGreedy(ctx, inst, UC, tr, s.Observer, &sc.uc, logUC)
+		solUC, statsUC, err = lazyGreedy(ctx, inst, UC, tr, &sc.uc, logUC)
 		if err != nil {
 			return par.Solution{}, err
 		}
 		sc.solUC = append(sc.solUC[:0], solUC.Photos...)
 		solUC.Photos = sc.solUC
-		solCB, statsCB, err = lazyGreedy(ctx, inst, CB, tr, s.Observer, &sc.uc, logCB)
+		solCB, statsCB, err = lazyGreedy(ctx, inst, CB, tr, &sc.uc, logCB)
 	} else {
 		// The concurrent branch lives in its own method: its goroutine
 		// closure must not capture these locals, or escape analysis would
@@ -222,31 +214,21 @@ func (s *Solver) Solve(ctx context.Context, inst *par.Instance) (par.Solution, e
 
 // solveConcurrent runs the two sub-procedures of Algorithm 1 at once, UC on
 // the calling goroutine and CB on a second one, each on its own scratch slot
-// over the shared read-only instance. Observer events are buffered per pass
-// and replayed in UC-then-CB order to preserve the documented event stream.
+// over the shared read-only instance.
 func (s *Solver) solveConcurrent(ctx context.Context, inst *par.Instance, sc *Scratch, logUC, logCB *[]traceEvent) (solUC, solCB par.Solution, statsUC, statsCB Stats, err error) {
-	var obsUC, obsCB Observer
-	if s.Observer != nil {
-		sc.recUC.events, sc.recCB.events = sc.recUC.events[:0], sc.recCB.events[:0]
-		obsUC, obsCB = &sc.recUC, &sc.recCB
-	}
 	var errCB error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		solCB, statsCB, errCB = lazyGreedy(ctx, inst, CB, s.Trace, obsCB, &sc.cb, logCB)
+		solCB, statsCB, errCB = lazyGreedy(ctx, inst, CB, s.Trace, &sc.cb, logCB)
 	}()
-	solUC, statsUC, err = lazyGreedy(ctx, inst, UC, s.Trace, obsUC, &sc.uc, logUC)
+	solUC, statsUC, err = lazyGreedy(ctx, inst, UC, s.Trace, &sc.uc, logUC)
 	<-done
 	if err == nil {
 		err = errCB
 	}
 	if err != nil {
 		return par.Solution{}, par.Solution{}, Stats{}, Stats{}, err
-	}
-	if s.Observer != nil {
-		sc.recUC.replay(s.Observer)
-		sc.recCB.replay(s.Observer)
 	}
 	return solUC, solCB, statsUC, statsCB, nil
 }
@@ -310,9 +292,9 @@ func (t *Trace) Covers(budget float64) bool {
 	return budget <= t.budget
 }
 
-// Observer receives the lazy-greedy events of one LazyGreedy run, in order.
-// It exists for demonstrations (the Figure 3 walkthrough) and debugging; a
-// nil Observer costs nothing.
+// Observer receives the lazy-greedy events of one LazyGreedy run, in order:
+// the pass's log, replayed after the pass. It exists for demonstrations
+// (the Figure 3 walkthrough) and debugging.
 type Observer interface {
 	// Recomputed fires when a stale priority-queue entry gets its marginal
 	// gain recomputed against the current solution (curr_p ← true).
@@ -322,11 +304,24 @@ type Observer interface {
 }
 
 // LazyGreedy is Algorithm 2: one lazy-greedy pass with the given ranking
-// rule, reporting its events to obs when non-nil. It checks ctx at every
-// priority-queue round. The instance must be finalized.
+// rule. With obs non-nil the pass records its log and then replays it into
+// obs, on error too, so a canceled pass still reports what it did. It
+// checks ctx at every priority-queue round. The instance must be finalized.
 func LazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, obs Observer) (par.Solution, Stats, error) {
 	var ps passScratch
-	sol, stats, err := lazyGreedy(ctx, inst, variant, nil, obs, &ps, nil)
+	var events []traceEvent
+	var log *[]traceEvent
+	if obs != nil {
+		log = &events
+	}
+	sol, stats, err := lazyGreedy(ctx, inst, variant, nil, &ps, log)
+	for _, ev := range events {
+		if ev.selected {
+			obs.Selected(ev.photo, ev.gain)
+		} else {
+			obs.Recomputed(ev.photo, ev.gain)
+		}
+	}
 	if err != nil {
 		return sol, stats, err
 	}
@@ -345,16 +340,19 @@ func LazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, obs Ob
 //     replayed into the evaluator, and every candidate that still fits is
 //     keyed by its last refresh before there (its S0 gain at epoch 0 if
 //     none), built with one heapify; the loop then resumes at epoch = the
-//     replayed prefix's length. Only a pass without obs at a budget tr
-//     covers replays its log; any other starts from an empty one, which is
-//     the state the unseeded pass reaches just before its first selection.
-//     With log non-nil the pass appends its events there, which is how a
-//     Solve records a Trace.
+//     replayed prefix's length. A pass at a budget tr does not cover starts
+//     from an empty log, which is the state the unseeded pass reaches just
+//     before its first selection.
+//
+// With log non-nil the pass appends its events there: a seeded pass's log
+// is the unseeded pass's events without the initial recomputation of every
+// candidate that fits. That is how a Solve records a Trace, and how
+// LazyGreedy feeds its Observer.
 //
 // All mutable state lives in ps, so a caller that keeps it across runs
 // (Solver.Scratch, the engine's per-solve pools) allocates nothing at
 // steady state; the returned Solution.Photos alias ps's evaluator.
-func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, tr *Trace, obs Observer, ps *passScratch, log *[]traceEvent) (par.Solution, Stats, error) {
+func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, tr *Trace, ps *passScratch, log *[]traceEvent) (par.Solution, Stats, error) {
 	start := time.Now()
 	e := ps.evaluator(inst)
 	e.Seed() // S ← S0
@@ -385,7 +383,7 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, tr *Tr
 		// strict total order, so the pops from here on are the uncontinued
 		// pass's, whatever the layout the heapify leaves.
 		var events []traceEvent
-		if obs == nil && tr.Covers(inst.Budget) {
+		if tr.Covers(inst.Budget) {
 			events = tr.logs[variant]
 		}
 		n := inst.NumPhotos()
@@ -415,21 +413,6 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, tr *Tr
 		pq.heapify()
 		stats.Selected = int(pq.epoch)
 		stats.TracePrefix = stats.Selected
-		if obs != nil {
-			// Replay the unseeded initial phase's events: its ∞-keyed
-			// entries pop in key order (photo ID order for UC, cost order
-			// for CB), each recomputed to its S0 gain.
-			order := gainQueue{variant: variant, cost: inst.Cost, items: ps.order[:0]}
-			for _, c := range pq.items {
-				order.items = append(order.items, order.entry(c.photo, inf, staleEpoch))
-			}
-			order.heapify()
-			for order.Len() > 0 {
-				c := order.pop()
-				obs.Recomputed(c.photo, tr.s0[c.photo])
-			}
-			ps.order = order.items[:0]
-		}
 	}
 
 	// (The queue storage is saved back into ps at every return — a deferred
@@ -454,9 +437,6 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, tr *Tr
 			gain := e.Add(top.photo)
 			stats.Selected++
 			pq.invalidate()
-			if obs != nil {
-				obs.Selected(top.photo, gain)
-			}
 			if log != nil {
 				*log = append(*log, traceEvent{photo: top.photo, selected: true, gain: gain})
 			}
@@ -465,9 +445,6 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, tr *Tr
 		// Recompute δ_p against the current solution and reinsert.
 		gain := e.Gain(top.photo)
 		pq.push(pq.entry(top.photo, gain, pq.epoch))
-		if obs != nil {
-			obs.Recomputed(top.photo, gain)
-		}
 		if log != nil {
 			*log = append(*log, traceEvent{photo: top.photo, gain: gain})
 		}
@@ -484,36 +461,6 @@ func lazyGreedy(ctx context.Context, inst *par.Instance, variant Variant, tr *Tr
 		return par.Solution{}, stats, fmt.Errorf("celf: produced infeasible solution (cost %.3f, budget %.3f)", sol.Cost, inst.Budget)
 	}
 	return sol, stats, nil
-}
-
-// eventRecorder buffers observer events so concurrent sub-procedure runs can
-// replay them in the documented order after both finish.
-type eventRecorder struct {
-	events []recordedEvent
-}
-
-type recordedEvent struct {
-	selected bool
-	photo    par.PhotoID
-	gain     float64
-}
-
-func (r *eventRecorder) Recomputed(p par.PhotoID, gain float64) {
-	r.events = append(r.events, recordedEvent{photo: p, gain: gain})
-}
-
-func (r *eventRecorder) Selected(p par.PhotoID, gain float64) {
-	r.events = append(r.events, recordedEvent{selected: true, photo: p, gain: gain})
-}
-
-func (r *eventRecorder) replay(obs Observer) {
-	for _, ev := range r.events {
-		if ev.selected {
-			obs.Selected(ev.photo, ev.gain)
-		} else {
-			obs.Recomputed(ev.photo, ev.gain)
-		}
-	}
 }
 
 // inf is the initial "∞" gain of Algorithm 2 line 4. Any real gain is

@@ -2,7 +2,9 @@ package celf
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,5 +122,27 @@ func TestObserverNilSafe(t *testing.T) {
 	inst := par.Figure1Instance()
 	if _, _, err := LazyGreedy(context.Background(), inst, CB, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObserverReplaysCanceledPass: an Observer hears the log of a pass
+// canceled mid-run, which is a prefix of the uncanceled pass's events.
+func TestObserverReplaysCanceledPass(t *testing.T) {
+	inst := par.Figure1Instance()
+	var full recordingObserver
+	if _, _, err := LazyGreedy(context.Background(), inst, UC, &full); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &pollCancelCtx{Context: context.Background()}
+	ctx.live.Store(10)
+	var cut recordingObserver
+	if _, _, err := LazyGreedy(ctx, inst, UC, &cut); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled pass returned %v, want context.Canceled", err)
+	}
+	if len(cut.events) == 0 || len(cut.events) >= len(full.events) {
+		t.Fatalf("canceled pass reported %d events, want some of the full pass's %d", len(cut.events), len(full.events))
+	}
+	if !slices.Equal(cut.events, full.events[:len(cut.events)]) {
+		t.Fatalf("canceled pass reported %v, want a prefix of %v", cut.events, full.events)
 	}
 }

@@ -10,22 +10,10 @@ import (
 	"phocus/internal/par"
 )
 
-// selectionLog records Selected events only.
-type selectionLog struct {
-	photos []par.PhotoID
-	gains  []float64
-}
-
-func (l *selectionLog) Recomputed(par.PhotoID, float64) {}
-func (l *selectionLog) Selected(p par.PhotoID, gain float64) {
-	l.photos = append(l.photos, p)
-	l.gains = append(l.gains, gain)
-}
-
 // TestSolverWorkersEquivalence: the full Algorithm 1 solver (concurrent UC
 // and CB) returns an identical solution and work counters at every
-// GOMAXPROCS, and the buffered observer replay preserves the UC-then-CB
-// selection order of the sequential path GOMAXPROCS 1 takes.
+// GOMAXPROCS, and a seeded solve records identical pass logs, the same as
+// the sequential passes GOMAXPROCS 1 takes.
 func TestSolverWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
@@ -33,19 +21,21 @@ func TestSolverWorkersEquivalence(t *testing.T) {
 			Photos: 50, Subsets: 20, BudgetFrac: 0.3,
 		})
 		var (
-			seqLog selectionLog
-			seq    Solver
-			seqSol par.Solution
+			seq, seqRec Solver
+			seqSol      par.Solution
 		)
 		gomaxprocs.Each(t, func(workers int) {
-			var log selectionLog
-			s := Solver{Observer: &log}
+			var s Solver
 			sol, err := s.Solve(context.Background(), inst)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rec := Solver{Trace: NewTrace(inst)}
+			if _, err := rec.Solve(context.Background(), inst); err != nil {
+				t.Fatal(err)
+			}
 			if workers == 1 { // the first level: the sequential reference
-				seqLog, seq, seqSol = log, s, sol
+				seq, seqRec, seqSol = s, rec, sol
 				return
 			}
 			if !reflect.DeepEqual(sol.Photos, seqSol.Photos) {
@@ -62,8 +52,8 @@ func TestSolverWorkersEquivalence(t *testing.T) {
 				t.Errorf("trial %d GOMAXPROCS=%d: %d evals / %d pops, sequential %d / %d", trial, workers,
 					s.LastStats.GainEvals, s.LastStats.PQPops, seq.LastStats.GainEvals, seq.LastStats.PQPops)
 			}
-			if !reflect.DeepEqual(log.photos, seqLog.photos) {
-				t.Errorf("trial %d GOMAXPROCS=%d: replayed selection order diverges", trial, workers)
+			if !reflect.DeepEqual(rec.Trace.logs, seqRec.Trace.logs) {
+				t.Errorf("trial %d GOMAXPROCS=%d: recorded pass logs diverge from the sequential ones", trial, workers)
 			}
 		})
 	}

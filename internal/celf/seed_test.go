@@ -13,59 +13,101 @@ import (
 	"phocus/internal/par"
 )
 
-// eventLog records the full observer stream, gains as raw bits.
-type eventLog struct {
-	events []string
+// passLog runs one pass of variant over inst, seeded from tr when non-nil,
+// and returns its log.
+func passLog(t *testing.T, inst *par.Instance, v Variant, tr *Trace) []traceEvent {
+	t.Helper()
+	var log []traceEvent
+	if _, _, err := lazyGreedy(context.Background(), inst, v, tr, &passScratch{}, &log); err != nil {
+		t.Fatal(err)
+	}
+	return log
 }
 
-func (l *eventLog) Recomputed(p par.PhotoID, gain float64) {
-	l.events = append(l.events, fmt.Sprintf("r %d %x", p, math.Float64bits(gain)))
+// requireSeededLog fails t unless seeded is the unseeded pass's log minus
+// its initial phase: n recomputations, one of each candidate that fits
+// under inst's budget, to its S0 gain. It returns n.
+func requireSeededLog(t *testing.T, label string, inst *par.Instance, s0 []float64, unseeded, seeded []traceEvent) int {
+	t.Helper()
+	e := par.NewEvaluator(inst)
+	e.Seed()
+	n := 0
+	for p := 0; p < inst.NumPhotos(); p++ {
+		if id := par.PhotoID(p); !e.Contains(id) && e.Fits(id) {
+			n++
+		}
+	}
+	if len(unseeded) < n {
+		t.Fatalf("%s: unseeded log of %d events, want at least %d initial recomputations", label, len(unseeded), n)
+	}
+	seen := map[par.PhotoID]bool{}
+	for i, ev := range unseeded[:n] {
+		if ev.selected || seen[ev.photo] || math.Float64bits(ev.gain) != math.Float64bits(s0[ev.photo]) {
+			t.Fatalf("%s: unseeded event %d = %+v, want the initial recomputation of a new photo to its S0 gain", label, i, ev)
+		}
+		seen[ev.photo] = true
+	}
+	if !reflect.DeepEqual(seeded, unseeded[n:]) {
+		t.Fatalf("%s: seeded log (%d events) is not the unseeded log (%d events) minus its %d initial recomputations",
+			label, len(seeded), len(unseeded), n)
+	}
+	return n
 }
 
-func (l *eventLog) Selected(p par.PhotoID, gain float64) {
-	l.events = append(l.events, fmt.Sprintf("s %d %x", p, math.Float64bits(gain)))
-}
-
-// solveSeededAndNot solves inst with and without a trace's S0 gains and
-// fails t unless both give the same photos, score and cost bits, winner and
-// observer stream. It returns both runs' stats.
+// solveSeededAndNot solves inst without a trace and from tr, and fails t
+// unless both give the same photos, score and cost bits, winner and
+// selection count; at a budget tr covers, the seeded solve must continue tr
+// rather than replace it. It then records both passes seeded from tr's S0
+// gains, requires that solve's answer too, and each recorded log to be the
+// unseeded pass's log minus its initial recomputations. It returns the stats
+// of the unseeded solve and of the recording one.
 func solveSeededAndNot(t *testing.T, label string, inst *par.Instance, tr *Trace) (plain, seeded Stats) {
 	t.Helper()
-	var plainLog, seededLog eventLog
-	ps := Solver{Observer: &plainLog}
+	var ps Solver
 	want, err := ps.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("%s: unseeded: %v", label, err)
 	}
-	ss := Solver{Observer: &seededLog, Trace: tr, Scratch: &Scratch{}}
+	same := func(kind string, s *Solver, got par.Solution) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Photos, want.Photos) {
+			t.Fatalf("%s: %s photos %v, unseeded %v", label, kind, got.Photos, want.Photos)
+		}
+		if math.Float64bits(got.Score) != math.Float64bits(want.Score) || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+			t.Fatalf("%s: %s score/cost %v/%v, unseeded %v/%v", label, kind, got.Score, got.Cost, want.Score, want.Cost)
+		}
+		if s.LastStats.Winner != ps.LastStats.Winner || s.LastStats.Selected != ps.LastStats.Selected {
+			t.Fatalf("%s: %s winner/selected %v/%d, unseeded %v/%d", label, kind,
+				s.LastStats.Winner, s.LastStats.Selected, ps.LastStats.Winner, ps.LastStats.Selected)
+		}
+	}
+	ss := Solver{Trace: tr, Scratch: &Scratch{}}
 	got, err := ss.Solve(context.Background(), inst)
 	if err != nil {
 		t.Fatalf("%s: seeded: %v", label, err)
 	}
-	if !reflect.DeepEqual(got.Photos, want.Photos) {
-		t.Fatalf("%s: seeded photos %v, unseeded %v", label, got.Photos, want.Photos)
+	same("seeded", &ss, got)
+	if tr.Covers(inst.Budget) && ss.Trace != tr {
+		t.Fatalf("%s: a solve the trace covers replaced it", label)
 	}
-	if math.Float64bits(got.Score) != math.Float64bits(want.Score) || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
-		t.Fatalf("%s: seeded score/cost %v/%v, unseeded %v/%v", label, got.Score, got.Cost, want.Score, want.Cost)
+	rec := Solver{Trace: &Trace{s0: tr.s0, budget: math.Inf(-1)}}
+	got, err = rec.Solve(context.Background(), inst)
+	if err != nil {
+		t.Fatalf("%s: recording: %v", label, err)
 	}
-	if ss.LastStats.Winner != ps.LastStats.Winner || ss.LastStats.Selected != ps.LastStats.Selected {
-		t.Fatalf("%s: seeded winner/selected %v/%d, unseeded %v/%d", label,
-			ss.LastStats.Winner, ss.LastStats.Selected, ps.LastStats.Winner, ps.LastStats.Selected)
+	same("recording", &rec, got)
+	for _, v := range []Variant{UC, CB} {
+		requireSeededLog(t, fmt.Sprintf("%s %v", label, v), inst, tr.s0, passLog(t, inst, v, nil), rec.Trace.logs[v])
 	}
-	if !reflect.DeepEqual(seededLog.events, plainLog.events) {
-		t.Fatalf("%s: observer streams differ: %d seeded events, %d unseeded", label, len(seededLog.events), len(plainLog.events))
-	}
-	if ss.Trace != tr {
-		t.Fatalf("%s: a solve with an Observer replaced the trace", label)
-	}
-	return ps.LastStats, ss.LastStats
+	return ps.LastStats, rec.LastStats
 }
 
 // TestSeededSolverMatchesUnseeded: seeding both passes from a trace's S0
-// gains gives the unseeded solver's selections, score bits and observer
-// stream at every GOMAXPROCS, with retained sets, while doing fewer gain
-// evaluations. The trace even covers the budget: a solve with an Observer
-// runs the seeded passes in full instead of continuing it.
+// gains gives the unseeded solver's selections and score bits at every
+// GOMAXPROCS, with retained sets, while doing fewer gain evaluations, and
+// the passes it records are the unseeded passes minus their initial
+// recomputations. The trace covers the budget, so the seeded solve also
+// continues it.
 func TestSeededSolverMatchesUnseeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
@@ -122,9 +164,9 @@ func TestSeededSolverPublicLadders(t *testing.T) {
 }
 
 // TestSeededObserverOrderCB: CB's unseeded pass recomputes its ∞-keyed
-// candidates cheapest first, so the seeded pass must replay them in that
-// order, not photo-ID order. Costs descending with photo ID make the two
-// orders differ everywhere.
+// candidates cheapest first, not in photo-ID order, and the seeded pass's
+// log is that pass's log minus those recomputations. Costs descending with
+// photo ID make the two orders differ everywhere.
 func TestSeededObserverOrderCB(t *testing.T) {
 	inst := par.Random(rand.New(rand.NewSource(5)), par.RandomConfig{Photos: 12, Subsets: 5, BudgetFrac: 0.5})
 	for p := range inst.Cost {
@@ -135,18 +177,16 @@ func TestSeededObserverOrderCB(t *testing.T) {
 		t.Fatal(err)
 	}
 	s0 := S0Gains(inst)
-	var plain, seeded eventLog
-	if _, _, err := lazyGreedy(context.Background(), inst, CB, nil, &plain, &passScratch{}, nil); err != nil {
-		t.Fatal(err)
+	plain := passLog(t, inst, CB, nil)
+	seeded := passLog(t, inst, CB, &Trace{s0: s0, budget: math.Inf(-1)})
+	n := requireSeededLog(t, "CB", inst, s0, plain, seeded)
+	if n != inst.NumPhotos() {
+		t.Fatalf("%d initial recomputations, want all %d photos", n, inst.NumPhotos())
 	}
-	if _, _, err := lazyGreedy(context.Background(), inst, CB, &Trace{s0: s0}, &seeded, &passScratch{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if plain.events[0] != fmt.Sprintf("r 11 %x", math.Float64bits(s0[11])) {
-		t.Fatalf("unseeded CB recomputed %q first, want the cheapest photo 11", plain.events[0])
-	}
-	if !reflect.DeepEqual(seeded.events, plain.events) {
-		t.Fatalf("CB streams differ:\nseeded   %v\nunseeded %v", seeded.events, plain.events)
+	for i, ev := range plain[:n] {
+		if want := par.PhotoID(n - 1 - i); ev.photo != want {
+			t.Fatalf("unseeded CB recomputed photo %d at %d, want the cheapest first (photo %d)", ev.photo, i, want)
+		}
 	}
 }
 

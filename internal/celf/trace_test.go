@@ -90,7 +90,7 @@ func checkTraceContinue(t *testing.T, inst *par.Instance, budgets []float64) {
 		rec := &Trace{s0: s0, budget: budgets[j]}
 		for _, v := range []Variant{UC, CB} {
 			var log []traceEvent
-			if _, _, err := lazyGreedy(ctx, &views[j], v, &Trace{s0: s0, budget: math.Inf(-1)}, nil, &ps, &log); err != nil {
+			if _, _, err := lazyGreedy(ctx, &views[j], v, &Trace{s0: s0, budget: math.Inf(-1)}, &ps, &log); err != nil {
 				t.Fatal(err)
 			}
 			rec.logs[v] = log
@@ -102,7 +102,7 @@ func checkTraceContinue(t *testing.T, inst *par.Instance, budgets []float64) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, stats, err := lazyGreedy(ctx, &views[i], v, rec, nil, &ps, nil)
+				got, stats, err := lazyGreedy(ctx, &views[i], v, rec, &ps, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

@@ -16,7 +16,6 @@ func benchThroughput(b *testing.B, dir string) {
 	s, _, err := NewService(Config{
 		Dir:     dir,
 		Workers: 4,
-		Seed:    1,
 		Store:   StoreOptions{NoSync: true, MaxTerminal: -1},
 	}, func(ctx context.Context, j Job) ([]byte, error) {
 		return []byte("{}"), nil

@@ -1,15 +1,15 @@
 // Package jobs turns solves into first-class asynchronous jobs with a
 // durable lifecycle: a write-ahead-logged Store that survives crashes, a
 // bounded Queue with admission control, and a Service that drains the queue
-// onto a worker pool with per-job deadlines, capped-backoff retries and
-// graceful shutdown. phocus-server mounts it behind POST /jobs so large
-// solves no longer hold an HTTP connection open and bursts get backpressure
-// (429) instead of unbounded queueing.
+// onto a worker pool with per-job deadlines and graceful shutdown.
+// phocus-server mounts it behind POST /jobs so large solves no longer hold
+// an HTTP connection open and bursts get backpressure (429) instead of
+// unbounded queueing.
 //
 // The state machine is
 //
 //	queued → running → done
-//	                 → failed    (after retries are exhausted)
+//	                 → failed    (the Runner's error, or the deadline)
 //	                 → canceled  (DELETE /jobs/{id} or pre-run cancel)
 //	        running → queued     (crash replay or shutdown checkpoint)
 //
@@ -75,7 +75,9 @@ type Job struct {
 	BodyBytes int64 `json:"body_bytes"`
 
 	State State `json:"state"`
-	// Attempts counts Runner invocations (retries included).
+	// Attempts counts the job's starts. A job runs once, unless a drain
+	// checkpoint or a crash requeue puts it back in the queue: then its
+	// next start counts again.
 	Attempts int `json:"attempts,omitempty"`
 	// Error is the final error chain of a failed job (or the cancel cause).
 	Error string `json:"error,omitempty"`
@@ -155,33 +157,3 @@ func (e *QueueFullError) Error() string {
 
 // Is makes errors.Is(err, ErrQueueFull) match.
 func (e *QueueFullError) Is(target error) bool { return target == ErrQueueFull }
-
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string   { return e.err.Error() }
-func (e *transientError) Unwrap() error   { return e.err }
-func (e *transientError) Transient() bool { return true }
-
-// MarkTransient wraps err so IsTransient reports true: the scheduler will
-// retry the job with backoff instead of failing it outright. A nil err
-// returns nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything in its chain) is marked
-// retryable — either wrapped by MarkTransient or implementing
-// interface{ Transient() bool }.
-func IsTransient(err error) bool {
-	for err != nil {
-		if t, ok := err.(interface{ Transient() bool }); ok && t.Transient() {
-			return true
-		}
-		err = errors.Unwrap(err)
-	}
-	return false
-}

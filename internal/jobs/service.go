@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
-	mrand "math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -20,11 +18,11 @@ import (
 	"phocus/internal/pool"
 )
 
-// Runner executes one job attempt: it interprets the job's Params and Body
-// and returns the result payload. A Runner must honor ctx cancellation
+// Runner executes one start of a job: it interprets the job's Params and
+// Body and returns the result payload. A Runner must honor ctx cancellation
 // promptly (phocus-server's runner routes it into par.Solver's ctx, so a
-// cancel stops the solve mid-run). Errors wrapped with MarkTransient are
-// retried with backoff; all others fail the job.
+// cancel stops the solve mid-run). An error fails the job, its message
+// kept.
 type Runner func(ctx context.Context, job Job) ([]byte, error)
 
 // Config tunes a Service.
@@ -37,27 +35,17 @@ type Config struct {
 	// QueueDepth / QueueBytes bound the queue (≤ 0 = unbounded).
 	QueueDepth int
 	QueueBytes int64
-	// MaxAttempts bounds Runner invocations per job, retries included
-	// (0 = default 3).
-	MaxAttempts int
-	// BackoffBase / BackoffCap shape the capped exponential retry backoff
-	// (defaults 100ms / 5s); each delay gets ±50% deterministic jitter from
-	// Seed.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// JobTimeout, when positive, deadlines each job's whole execution
-	// (all attempts); an expired job fails with the deadline error.
+	// JobTimeout, when positive, deadlines each start of a job; an expired
+	// job fails with the deadline error.
 	JobTimeout time.Duration
-	// Seed drives the backoff jitter.
-	Seed int64
 	// Metrics receives the phocus_jobs_* series (nil = a private registry).
 	Metrics *obs.Registry
 	// SLO, when set, receives the job-wait sliding-window series
 	// (obs.SLOJobWait) so wait-time objectives see async pressure live.
 	SLO *obs.SLOTracker
 	// Trace, when set, receives per-job lifecycle span timelines (enqueue,
-	// queue-wait, run attempts, retries, drain checkpoints) keyed by job
-	// ID, alongside whatever spans the Runner itself records.
+	// queue-wait, runs, drain checkpoints) keyed by job ID, alongside
+	// whatever spans the Runner itself records.
 	Trace *obs.TraceStore
 	// Logger receives job lifecycle events (nil = discard).
 	Logger *slog.Logger
@@ -95,9 +83,6 @@ type Service struct {
 	// acquires from the same Sem (shared admission).
 	sem *pool.Sem
 
-	rngMu sync.Mutex
-	rng   *mrand.Rand
-
 	popCtx    context.Context
 	popCancel context.CancelFunc
 	wg        sync.WaitGroup
@@ -124,15 +109,6 @@ func NewService(cfg Config, runner Runner) (*Service, ReplayStats, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 100 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 5 * time.Second
-	}
 	store, replay, err := Open(cfg.Dir, cfg.Store)
 	if err != nil {
 		return nil, replay, err
@@ -147,7 +123,6 @@ func NewService(cfg Config, runner Runner) (*Service, ReplayStats, error) {
 		timers:  make(map[string]*time.Timer),
 		queue:   NewQueue(cfg.QueueDepth, cfg.QueueBytes),
 		sem:     pool.NewSem(cfg.Workers),
-		rng:     mrand.New(mrand.NewSource(cfg.Seed)),
 	}
 	s.popCtx, s.popCancel = context.WithCancel(context.Background())
 
@@ -477,7 +452,8 @@ func (s *Service) worker() {
 	}
 }
 
-// runJob executes one job through its full attempt loop.
+// runJob starts one job: it runs the Runner once and records the outcome.
+// Job.Attempts counts the starts.
 func (s *Service) runJob(id string) {
 	s.mu.Lock()
 	j, ok := s.store.Get(id)
@@ -511,9 +487,9 @@ func (s *Service) runJob(id string) {
 	obs.SetJobsRunning(s.reg, s.running.Add(1))
 	s.logger.Info("job running", "job_id", id, "attempt", attempts, "wait", j.Wait().Round(time.Millisecond))
 
-	// Job attempts run under the same obs plumbing as a synchronous request:
-	// the job ID doubles as the request ID, spans the Runner starts land in
-	// the shared trace store, and every span log line carries the job ID.
+	// A job runs under the same obs plumbing as a synchronous request: the
+	// job ID doubles as the request ID, spans the Runner starts land in the
+	// shared trace store, and every span log line carries the job ID.
 	jctx = obs.WithRequestID(jctx, id)
 	jctx = obs.WithLogger(jctx, s.logger.With("job_id", id))
 	if s.cfg.Trace != nil {
@@ -526,47 +502,12 @@ func (s *Service) runJob(id string) {
 		runCtx, timeoutCancel = context.WithTimeout(jctx, s.cfg.JobTimeout)
 	}
 
-	var result []byte
-	var runErr error
-	for {
-		attemptCtx, attemptSpan := obs.StartSpan(runCtx, "run")
-		result, runErr = s.runner(attemptCtx, j)
-		if runErr != nil {
-			attemptSpan.End("attempt", attempts, "err", runErr.Error())
-		} else {
-			attemptSpan.End("attempt", attempts)
-		}
-		if runErr == nil || runCtx.Err() != nil {
-			break
-		}
-		if !IsTransient(runErr) || attempts >= s.cfg.MaxAttempts {
-			break
-		}
-		delay := s.backoff(attempts)
-		obs.RecordJobRetried(s.reg)
-		s.cfg.Trace.Add(id, obs.SpanRecord{
-			Name: "retry", Start: time.Now(),
-			DurationMS: float64(delay.Microseconds()) / 1000,
-			Attrs: map[string]string{
-				"attempt": strconv.Itoa(attempts),
-				"err":     runErr.Error(),
-			},
-		})
-		s.logger.Warn("job retrying", "job_id", id, "attempt", attempts, "delay", delay, "err", runErr)
-		select {
-		case <-runCtx.Done():
-		case <-time.After(delay):
-		}
-		if runCtx.Err() != nil {
-			break
-		}
-		attempts++
-		s.mu.Lock()
-		if _, err := s.update(&jobUpdate{ID: id, State: StateRunning, Attempts: attempts}); err != nil {
-			s.mu.Unlock()
-			break
-		}
-		s.mu.Unlock()
+	runCtx, span := obs.StartSpan(runCtx, "run")
+	result, runErr := s.runner(runCtx, j)
+	if runErr != nil {
+		span.End("attempt", attempts, "err", runErr.Error())
+	} else {
+		span.End("attempt", attempts)
 	}
 	if timeoutCancel != nil {
 		timeoutCancel()
@@ -587,8 +528,8 @@ func (s *Service) runJob(id string) {
 		// resumes the job instead of losing it.
 		up.State = StateQueued
 	default:
-		// Deadline expiry and exhausted retries land here; the error chain
-		// is preserved verbatim for GET /jobs/{id}.
+		// A runner error, deadline expiry included; the error chain is
+		// preserved verbatim for GET /jobs/{id}.
 		up.State = StateFailed
 		up.Error = runErr.Error()
 	}
@@ -615,19 +556,6 @@ func (s *Service) runJob(id string) {
 		s.logger.Info("job finished", "job_id", id, "state", up.State,
 			"attempts", attempts, "run", final.Run().Round(time.Millisecond), "err", up.Error)
 	}
-}
-
-// backoff returns the capped exponential delay for a retry after the given
-// attempt number, with ±50% deterministic jitter.
-func (s *Service) backoff(attempt int) time.Duration {
-	d := float64(s.cfg.BackoffBase) * math.Pow(2, float64(attempt-1))
-	if cap := float64(s.cfg.BackoffCap); d > cap {
-		d = cap
-	}
-	s.rngMu.Lock()
-	jitter := 0.5 + s.rng.Float64() // uniform in [0.5, 1.5)
-	s.rngMu.Unlock()
-	return time.Duration(d * jitter)
 }
 
 // BeginDrain flips the service out of ready (Submit → ErrDraining, /readyz

@@ -11,7 +11,6 @@ import "time"
 //	phocus_jobs_completed_total           jobs reaching state done
 //	phocus_jobs_failed_total              jobs reaching state failed
 //	phocus_jobs_canceled_total            jobs reaching state canceled
-//	phocus_jobs_retried_total             transient-failure retries
 //	phocus_jobs_requeued_total            running jobs checkpointed back to queued
 //	phocus_jobs_deferred_total            deferred admissions (retention reruns included)
 //	phocus_jobs_deferred                  gauge: jobs waiting out a NotBefore deadline
@@ -51,11 +50,6 @@ func RecordJobDone(reg *Registry, state string, run time.Duration) {
 		reg.Counter("phocus_jobs_canceled_total").Inc()
 	}
 	reg.Histogram("phocus_jobs_run_seconds", DefBuckets).Observe(run.Seconds())
-}
-
-// RecordJobRetried counts one transient-failure retry.
-func RecordJobRetried(reg *Registry) {
-	reg.Counter("phocus_jobs_retried_total").Inc()
 }
 
 // RecordJobRequeued counts running jobs checkpointed back to queued

@@ -17,8 +17,8 @@ import (
 //
 // The store is a bounded LRU over trace IDs: when a new ID would exceed the
 // capacity, the least-recently-touched timeline is dropped whole. Within
-// one timeline the span count is also capped so a pathological retry loop
-// cannot grow without bound. All methods are safe for concurrent use.
+// one timeline the span count is also capped, so no timeline can grow
+// without bound. All methods are safe for concurrent use.
 type TraceStore struct {
 	capacity int
 	maxSpans int

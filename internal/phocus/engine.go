@@ -3,9 +3,14 @@
 // stage (finalize + τ-sparsify, exact or LSH) and produces an immutable
 // *Prepared; Run covers the Solver stage (solve + true-objective rescore +
 // online bound) and may be called many times — with different budgets and
-// algorithms — against one Prepared. Every solve path in the repository
-// (CLI, server, bench, experiments, examples) goes through this engine, and
-// Prepare + Run is its only entry.
+// algorithms — against one Prepared. Prepare + Run is the engine's only
+// entry. The server, its jobs, the CLI's default solve, the benchmarks and
+// the experiments' PHOcus runs go through it (PipelineSolver wraps it as a
+// par.Solver). Some callers run a solver on a par.Instance directly
+// instead: cmd/phocus -compare, examples/{compression,ecommerce,
+// paperexample} and internal/study call celf.Solver through par.Solver, and
+// the Greedy-NR baseline and the lazy-versus-eager experiment call
+// celf.LazyGreedy.
 package phocus
 
 import (
@@ -71,8 +76,6 @@ type RunOptions struct {
 	SkipBound bool
 	// ExactMaxNodes caps the branch-and-bound search (0 = unlimited).
 	ExactMaxNodes int64
-	// Observer receives the CELF lazy-greedy event stream.
-	Observer celf.Observer
 	// OnCELFStats / OnSviridenkoStats / OnExactStats receive the solver's
 	// LastStats at the end of a successful run of the matching algorithm.
 	OnCELFStats       func(celf.Stats)
@@ -483,10 +486,10 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 
 // RunInto is Run writing into a caller-owned Result: scalar fields are
 // reset, and the Solution.Photos and Archived slices are truncated and
-// refilled in place. A CELF Run without an Observer at a budget no larger
-// than the largest one a CELF Run has solved since the last delta continues
-// that Run's recorded passes (celf.Trace); any other CELF Run solves in
-// full, and one above that budget records its passes as the new trace. So
+// refilled in place. A CELF Run at a budget no larger than the largest one
+// a CELF Run has solved since the last delta continues that Run's recorded
+// passes (celf.Trace); one above it solves in full and records its passes
+// as the new trace. So
 // a warm steady state — stable shapes, AlgoCELF, budgets the trace covers,
 // with or without the online bound — performs zero heap allocations per
 // call at GOMAXPROCS 1 (testing.AllocsPerRun reports 0; the bench suite
@@ -544,11 +547,7 @@ func (p *Prepared) RunInto(ctx context.Context, opts RunOptions, res *Result) er
 		if tr, err = p.traceFor(ctx, solveInst); err != nil {
 			break
 		}
-		sc.solver = celf.Solver{
-			Observer: opts.Observer,
-			Scratch:  &sc.celf,
-			Trace:    tr,
-		}
+		sc.solver = celf.Solver{Scratch: &sc.celf, Trace: tr}
 		res.Algorithm = sc.solver.Name()
 		sol, err = sc.solver.Solve(ctx, solveInst)
 		if err != nil {

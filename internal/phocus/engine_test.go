@@ -836,21 +836,12 @@ func TestRunIntoMatchesRun(t *testing.T) {
 	}
 }
 
-// observerLog records a RunOptions.Observer stream, gains as raw bits.
-type observerLog []string
-
-func (l *observerLog) Recomputed(p par.PhotoID, gain float64) {
-	*l = append(*l, fmt.Sprintf("r %d %x", p, math.Float64bits(gain)))
-}
-
-func (l *observerLog) Selected(p par.PhotoID, gain float64) {
-	*l = append(*l, fmt.Sprintf("s %d %x", p, math.Float64bits(gain)))
-}
-
-// TestRunObserverMatchesUnseeded: a Run seeds CELF from the S0 gains of the
-// Prepared's trace, yet its observer stream is event for event the one an
-// unseeded solver emits on the same budgeted view, even when the trace
-// covers the budget: an Observer Run solves in full.
+// TestRunObserverMatchesUnseeded: a Run above its Prepared's trace seeds
+// CELF from the trace's S0 gains and records both passes as the new trace.
+// At every GOMAXPROCS that trace equals the one a celf.Solver records from
+// a fresh trace of the same budgeted view, whose pass logs celf's tests
+// hold to the unseeded passes minus their initial recomputations. A Run the
+// trace covers continues it without replacing it.
 func TestRunObserverMatchesUnseeded(t *testing.T) {
 	ctx := context.Background()
 	ds := sweepDataset(t, 37)
@@ -860,34 +851,31 @@ func TestRunObserverMatchesUnseeded(t *testing.T) {
 			t.Fatal(err)
 		}
 		tmpl := p.solveTmpl
-		// A trace covering every budget: Observer Runs neither continue
-		// nor replace it.
-		if _, err := p.Run(ctx, RunOptions{SkipBound: true}); err != nil {
-			t.Fatal(err)
-		}
-		traced := p.trace
 		gomaxprocs.Each(t, func(workers int) {
+			p.trace = nil
 			for _, frac := range []float64{0.2, 0.5} {
 				budget := frac * ds.Instance.TotalCost()
-				var got, want observerLog
-				if _, err := p.Run(ctx, RunOptions{Budget: budget, Observer: &got, SkipBound: true}); err != nil {
+				if _, err := p.Run(ctx, RunOptions{Budget: budget, SkipBound: true}); err != nil {
 					t.Fatal(err)
-				}
-				if p.trace != traced {
-					t.Fatalf("tau=%g GOMAXPROCS=%d f=%g: an Observer Run replaced the trace", tau, workers, frac)
 				}
 				var view par.Instance
 				if err := tmpl.ViewInto(&view, budget); err != nil {
 					t.Fatal(err)
 				}
-				s := celf.Solver{Observer: &want}
+				s := celf.Solver{Trace: celf.NewTrace(&view)}
 				if _, err := s.Solve(ctx, &view); err != nil {
 					t.Fatal(err)
 				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("tau=%g GOMAXPROCS=%d f=%g: Run's observer stream (%d events) differs from the unseeded solver's (%d)",
-						tau, workers, frac, len(got), len(want))
+				if !reflect.DeepEqual(p.trace, s.Trace) {
+					t.Fatalf("tau=%g GOMAXPROCS=%d f=%g: the Run recorded another trace than the solver's", tau, workers, frac)
 				}
+			}
+			traced := p.trace
+			if _, err := p.Run(ctx, RunOptions{Budget: 0.2 * ds.Instance.TotalCost(), SkipBound: true}); err != nil {
+				t.Fatal(err)
+			}
+			if p.trace != traced {
+				t.Fatalf("tau=%g GOMAXPROCS=%d: a Run the trace covers replaced it", tau, workers)
 			}
 		})
 	}
