@@ -1,6 +1,7 @@
 package phocus
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -17,6 +18,7 @@ import (
 
 	"phocus/internal/dataset"
 	"phocus/internal/gomaxprocs"
+	"phocus/internal/par"
 )
 
 // The answer ledger pins the engine's answers across commits: every case
@@ -189,8 +191,43 @@ func snapshotAnswers(s answerSet, t *testing.T, label string, ds *dataset.Datase
 	}
 }
 
+// wireAnswers records, at each of answerProcs, the answers of an archive
+// that went through the wire format, as the server receives it: WriteJSON,
+// then DecodeJSONVectors at that GOMAXPROCS (one decoder at 1, split
+// decoders above), then Prepare and the ladder's CELF and streaming Runs,
+// plus the bytes of the decoded Prepare's snapshot.
+func wireAnswers(s answerSet, t *testing.T, label string, ds *dataset.Dataset, tau float64) {
+	var body bytes.Buffer
+	if err := par.WriteJSON(&body, ds.Instance); err != nil {
+		t.Fatal(err)
+	}
+	total := ds.Instance.TotalCost()
+	for _, procs := range answerProcs {
+		gomaxprocs.Set(t, procs)
+		inst, _, err := par.DecodeJSONVectors(body.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Prepare(context.Background(), &dataset.Dataset{Instance: inst}, PrepareOptions{Tau: tau, InstanceDigest: label})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := EncodeSnapshot(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf)
+		s.put(t, fmt.Sprintf("%s tau=%g snapshot bytes procs=%d", label, tau, procs), hex.EncodeToString(sum[:]))
+		for _, f := range answerLadder {
+			s.run(t, p, fmt.Sprintf("%s tau=%g celf rung=%g procs=%d", label, tau, f, procs), f*total, AlgoCELF)
+			s.run(t, p, fmt.Sprintf("%s tau=%g streaming rung=%g procs=%d", label, tau, f, procs), f*total, AlgoStreaming)
+		}
+	}
+}
+
 // TestAnswers checks this build's answers against the ledger. The tier-1
-// set runs P-1K in a few seconds; -answers.full adds the benchmarks' own
+// set runs P-1K (built in memory at τ 0, 0.4 and 0.75, and wire-decoded at
+// τ 0.4) in a few seconds; -answers.full adds the benchmarks' own
 // 5000-photo Runs. Without -answers.full, only the cases it ran are
 // compared, and -update keeps the file's other cases.
 func TestAnswers(t *testing.T) {
@@ -199,11 +236,12 @@ func TestAnswers(t *testing.T) {
 	}
 	got := answerSet{}
 	p1k := publicAnswerDataset(t, dataset.PublicSpecs(1)[0])
-	for _, tau := range []float64{0, 0.4} {
+	for _, tau := range []float64{0, 0.4, 0.75} {
 		ladderAnswers(got, t, "P-1K", p1k, tau)
 	}
 	churnAnswers(got, t, "P-1K", p1k, 0.4, 1, 0)
 	snapshotAnswers(got, t, "P-1K", p1k, 0.4)
+	wireAnswers(got, t, "P-1K wire", p1k, 0.4)
 	if *answersFull {
 		// The engine_sweep and engine_churn input at perfbench seed 1.
 		spec := dataset.PublicSpecs(0.05)[4]
