@@ -13,11 +13,14 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"phocus/internal/dataset"
 	"phocus/internal/fleet"
+	"phocus/internal/obs"
 	"phocus/internal/par"
 	"phocus/internal/phocus"
 )
@@ -236,4 +239,83 @@ func TestBodyBufferReuseKeepsAnswers(t *testing.T) {
 		t.Errorf("%d hits / %d misses: the interleaving needs both", st.Hits, st.Misses)
 	}
 	t.Logf("%d hits, %d misses", st.Hits, st.Misses)
+}
+
+// panicOnErr is a request context whose Err panics. Prepare checks its
+// context first thing, so a cold solve under it panics inside Prepare,
+// after the body was parsed.
+type panicOnErr struct{ context.Context }
+
+func (panicOnErr) Err() error { panic("prepare panicked") }
+
+// TestSolveDecodeRecyclesBody: the buffer a /solve body was read into goes
+// back to the free list once Solve returns, on a miss (the body parsed into
+// a cold Prepare), a hit and a 400 parse error alike; after a Prepare that
+// panicked it does not, since the state it left is unknown.
+func TestSolveDecodeRecyclesBody(t *testing.T) {
+	body := instanceBody(t, 2).Bytes()
+	s, h := newTestServer(t, nil)
+	for s.bufs.get() != nil {
+		// Empty the free list: each case below puts its own buffer on it.
+	}
+	// solve posts payload with buf alone on the free list, large enough
+	// that readBody reads into it, and reports whether buf is back on the
+	// list afterwards.
+	solve := func(name, tenant string, payload []byte, want int) bool {
+		t.Helper()
+		buf := make([]byte, 0, 2*len(body))
+		s.bufs.put(buf)
+		req := httptest.NewRequest(http.MethodPost, "/solve?budget=2", bytes.NewReader(payload))
+		req.Header.Set(fleet.TenantHeader, tenant)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != want {
+			t.Fatalf("%s: status %d, want %d: %s", name, rec.Code, want, rec.Body.String())
+		}
+		back := s.bufs.get()
+		return back != nil && unsafe.SliceData(back[:1]) == unsafe.SliceData(buf[:1])
+	}
+	var hits, misses int64
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		status  int
+		hit     bool
+	}{
+		{"miss", body, http.StatusOK, false},
+		{"hit", body, http.StatusOK, true},
+		{"parse error", []byte(`{"costs":[1],"budget":1,"subsets":[{]}`), http.StatusBadRequest, false},
+	} {
+		var back bool
+		h, m := cacheDelta(s, func() { back = solve(tc.name, "", tc.payload, tc.status) })
+		hits, misses = hits+h, misses+m
+		if !back {
+			t.Errorf("%s: the body's buffer is not back on the free list", tc.name)
+		}
+		if tc.hit && h != 1 || !tc.hit && m != 1 {
+			t.Errorf("%s: %d hits / %d misses", tc.name, h, m)
+		}
+	}
+
+	// A cold solve whose Prepare panics: the handler is called directly,
+	// under the panicking context, so the panic reaches this goroutine.
+	buf := make([]byte, 0, 2*len(body))
+	s.bufs.put(buf)
+	func() {
+		defer func() {
+			if r := recover(); r != "prepare panicked" {
+				t.Fatalf("recovered %v, want Prepare's panic", r)
+			}
+			if stack := string(debug.Stack()); !strings.Contains(stack, "phocus.Prepare(") {
+				t.Fatalf("the panic did not come from Prepare:\n%s", stack)
+			}
+		}()
+		req := httptest.NewRequest(http.MethodPost, "/solve?budget=2", bytes.NewReader(body))
+		req.Header.Set(fleet.TenantHeader, "panics")
+		ctx := obs.WithLogger(req.Context(), s.logger)
+		s.handleSolve(httptest.NewRecorder(), req.WithContext(panicOnErr{ctx}))
+	}()
+	if back := s.bufs.get(); back != nil && unsafe.SliceData(back[:1]) == unsafe.SliceData(buf[:1]) {
+		t.Error("the buffer of a solve whose Prepare panicked went back to the free list")
+	}
 }

@@ -626,8 +626,10 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	// The body read belongs to the decode stage: its span starts here. The
-	// body is hashed as it arrives, and the handler keeps no reference to
-	// it: a parse inside Solve leaves it to the GC, a hit hands it back.
+	// body is hashed as it arrives. Solve keeps no reference to it once it
+	// returns, parsed or not (a decoded instance shares no bytes with its
+	// body), so the buffer goes back to the free list then, whatever the
+	// answer. A Solve that panics never returns, and its buffer is dropped.
 	req.Tenant, req.Start, req.Timeout = tenant, time.Now(), s.solveTimeout
 	h := phocus.BodyHash(tenant)
 	req.Body, err = readBody(w, r, s.maxBody, s.bufs.get(), h)
@@ -635,6 +637,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		req.Digest = hex.EncodeToString(h.Sum(nil))
 		a, err = s.pipe.Solve(ctx, req)
+		s.bufs.put(req.Body)
 	}
 	if err != nil {
 		s.fail(w, r, err)
@@ -648,7 +651,6 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		logger.Error("encode response", "err", err)
 	}
 	encodeSpan.End()
-	s.bufs.put(a.Body)
 }
 
 // maxBodyPresize caps how much of a declared Content-Length readBody
@@ -700,8 +702,10 @@ func readAll(buf []byte, rd io.Reader, h hash.Hash) ([]byte, error) {
 }
 
 // bodyBufs is the free list of /solve and delta read buffers, one per solve
-// slot. It is a channel, not a sync.Pool: a pool keeps a buffer of several
-// MB in each P's private slot, which raised the server's peak RSS.
+// slot. A buffer goes back once the Solve or Apply that read it has
+// returned: neither keeps a reference to the bytes. It is a channel, not a
+// sync.Pool: a pool keeps a buffer of several MB in each P's private slot,
+// which raised the server's peak RSS.
 type bodyBufs chan []byte
 
 // get returns a free buffer, or nil when the list is empty.

@@ -72,11 +72,6 @@ func WriteBinary(w io.Writer, inst *Instance) error {
 	return bw.Flush()
 }
 
-type simPair struct {
-	i, j int
-	sim  float64
-}
-
 // collectPairs enumerates the positive off-diagonal pairs of a similarity,
 // using neighbour lists when available.
 func collectPairs(s Similarity) []simPair {
@@ -88,7 +83,7 @@ func collectPairs(s Similarity) []simPair {
 			row = nl.AppendNeighbors(row[:0], i)
 			for _, nb := range row {
 				if nb.Index > i {
-					pairs = append(pairs, simPair{i: i, j: nb.Index, sim: nb.Sim})
+					pairs = append(pairs, simPair{i: int32(i), j: int32(nb.Index), sim: nb.Sim})
 				}
 			}
 		}
@@ -97,7 +92,7 @@ func collectPairs(s Similarity) []simPair {
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			if v := s.Sim(i, j); v > 0 {
-				pairs = append(pairs, simPair{i: i, j: j, sim: v})
+				pairs = append(pairs, simPair{i: int32(i), j: int32(j), sim: v})
 			}
 		}
 	}
@@ -105,6 +100,9 @@ func collectPairs(s Similarity) []simPair {
 }
 
 // ReadBinary parses an instance written by WriteBinary and finalizes it.
+// Counts in the input are checked against maxEntities, and each array is
+// read until a read fails, growing as its values arrive, so a corrupt count
+// makes it allocate no more than the input backs.
 func ReadBinary(r io.Reader) (*Instance, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -129,6 +127,7 @@ func ReadBinary(r io.Reader) (*Instance, error) {
 		}
 		return v
 	}
+	readID := func() PhotoID { return PhotoID(readU32()) }
 	readU16 := func() uint16 {
 		var v uint16
 		if err := binary.Read(br, binary.LittleEndian, &v); err != nil && firstErr == nil {
@@ -146,18 +145,12 @@ func ReadBinary(r io.Reader) (*Instance, error) {
 	if n > maxEntities {
 		return nil, fmt.Errorf("par: implausible photo count %d", n)
 	}
-	inst.Cost = make([]float64, n)
-	for i := range inst.Cost {
-		inst.Cost[i] = readF64()
-	}
+	inst.Cost = readValues(n, readF64, &firstErr)
 	nr := int(readU32())
 	if nr > n {
 		return nil, fmt.Errorf("par: retained count %d exceeds photos %d", nr, n)
 	}
-	inst.Retained = make([]PhotoID, nr)
-	for i := range inst.Retained {
-		inst.Retained[i] = PhotoID(readU32())
-	}
+	inst.Retained = readValues(nr, readID, &firstErr)
 	ns := int(readU32())
 	if firstErr != nil {
 		return nil, fmt.Errorf("par: truncated: %w", firstErr)
@@ -179,14 +172,8 @@ func ReadBinary(r io.Reader) (*Instance, error) {
 		if k > maxEntities {
 			return nil, fmt.Errorf("par: implausible member count %d", k)
 		}
-		q.Members = make([]PhotoID, k)
-		for i := range q.Members {
-			q.Members[i] = PhotoID(readU32())
-		}
-		q.Relevance = make([]float64, k)
-		for i := range q.Relevance {
-			q.Relevance[i] = readF64()
-		}
+		q.Members = readValues(k, readID, &firstErr)
+		q.Relevance = readValues(k, readF64, &firstErr)
 		np := int(readU32())
 		if firstErr != nil {
 			return nil, fmt.Errorf("par: truncated subset %d: %w", qi, firstErr)
@@ -194,24 +181,34 @@ func ReadBinary(r io.Reader) (*Instance, error) {
 		if np > maxEntities {
 			return nil, fmt.Errorf("par: implausible pair count %d", np)
 		}
-		sim := NewSparseSim(k)
-		for e := 0; e < np; e++ {
+		// The pairs are checked in input order, and the first bad one is
+		// the error; a pair given twice is found when the pairs ahead of
+		// the first bad one (all of them, when none is) are built.
+		b := NewSparseSimBuilder(k)
+		var bad error
+		for e := 0; e < np && bad == nil; e++ {
 			i := int(readU32())
 			j := int(readU32())
 			v := readF64()
-			if firstErr != nil {
-				return nil, fmt.Errorf("par: truncated pairs of subset %d: %w", qi, firstErr)
+			switch {
+			case firstErr != nil:
+				bad = fmt.Errorf("par: truncated pairs of subset %d: %w", qi, firstErr)
+			case i < 0 || i >= k || j < 0 || j >= k || i == j:
+				bad = fmt.Errorf("par: subset %d pair (%d,%d) invalid", qi, i, j)
+			case v <= 0 || v > 1 || math.IsNaN(v):
+				bad = fmt.Errorf("par: subset %d pair similarity %g out of (0,1]", qi, v)
+			default:
+				b.Add(i, j, v)
 			}
-			if i < 0 || i >= k || j < 0 || j >= k || i == j {
-				return nil, fmt.Errorf("par: subset %d pair (%d,%d) invalid", qi, i, j)
-			}
-			if v <= 0 || v > 1 || math.IsNaN(v) {
-				return nil, fmt.Errorf("par: subset %d pair similarity %g out of (0,1]", qi, v)
-			}
-			if sim.Contains(i, j) {
-				return nil, fmt.Errorf("par: subset %d pair (%d,%d) given twice", qi, i, j)
-			}
-			sim.Add(i, j, v)
+		}
+		sim, err := b.build(func(i, j int) error {
+			return fmt.Errorf("par: subset %d pair (%d,%d) given twice", qi, i, j)
+		})
+		if err != nil {
+			return nil, err
+		}
+		if bad != nil {
+			return nil, bad
 		}
 		q.Sim = sim
 		inst.Subsets = append(inst.Subsets, q)
@@ -223,4 +220,14 @@ func ReadBinary(r io.Reader) (*Instance, error) {
 		return nil, err
 	}
 	return inst, nil
+}
+
+// readValues reads up to n values with read, stopping after the first one
+// that sets *failed, into a slice that grows as they arrive.
+func readValues[T any](n int, read func() T, failed *error) []T {
+	out := make([]T, 0, min(n, 1<<12))
+	for len(out) < n && *failed == nil {
+		out = append(out, read())
+	}
+	return out
 }

@@ -2,8 +2,10 @@ package par
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -139,4 +141,93 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("invalid score %g from loaded instance", s)
 		}
 	})
+}
+
+// TestReadBinaryPairErrorOrder pins which pair error ReadBinary names: the
+// pairs are checked in input order, so the first bad one wins, and a pair
+// given twice is named by its first repeat, ahead of any later bad pair or
+// truncation.
+func TestReadBinaryPairErrorOrder(t *testing.T) {
+	type pr struct {
+		i, j uint32
+		s    float64
+	}
+	body := func(declared int, pairs ...pr) *bytes.Buffer {
+		var buf bytes.Buffer
+		w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
+		buf.WriteString("PAR1")
+		w(float64(3))
+		w(uint32(3))
+		w([]float64{1, 1, 1})
+		w(uint32(0)) // retained
+		w(uint32(1)) // subsets
+		w(uint16(1))
+		buf.WriteString("q")
+		w(float64(1))
+		w(uint32(3))
+		w([]uint32{0, 1, 2})
+		w([]float64{0.5, 0.3, 0.2})
+		w(uint32(declared))
+		for _, p := range pairs {
+			w(p.i)
+			w(p.j)
+			w(p.s)
+		}
+		return &buf
+	}
+	for _, tc := range []struct {
+		body *bytes.Buffer
+		want string
+	}{
+		{body(4, pr{0, 1, 0.5}, pr{1, 2, 0.5}, pr{2, 1, 0.4}, pr{1, 0, 0.5}), "par: subset 0 pair (2,1) given twice"},
+		{body(3, pr{0, 1, 0.5}, pr{1, 0, 0.5}, pr{0, 5, 0.5}), "par: subset 0 pair (1,0) given twice"},
+		{body(3, pr{0, 5, 0.5}, pr{0, 1, 0.5}, pr{1, 0, 0.5}), "par: subset 0 pair (0,5) invalid"},
+		{body(2, pr{1, 1, 0.5}, pr{0, 1, 0.5}), "par: subset 0 pair (1,1) invalid"},
+		{body(3, pr{0, 1, 0.5}, pr{0, 2, 1.5}, pr{1, 0, 0.5}), "par: subset 0 pair similarity 1.5 out of (0,1]"},
+		{body(3, pr{0, 1, 0.5}, pr{1, 0, 0.5}), "par: subset 0 pair (1,0) given twice"},
+		{body(3, pr{0, 1, 0.5}, pr{1, 2, 0.5}), "par: truncated pairs of subset 0: EOF"},
+	} {
+		if _, err := ReadBinary(tc.body); err == nil || err.Error() != tc.want {
+			t.Errorf("error %v, want %q", err, tc.want)
+		}
+	}
+}
+
+// TestReadBinaryCorruptCountAllocatesLittle: a truncated body that declares
+// 2^24 photos, then a subset of 2^24 members, fails as truncated without
+// allocating for the counts it declares: each array grows only as its
+// values arrive.
+func TestReadBinaryCorruptCountAllocatesLittle(t *testing.T) {
+	var valid bytes.Buffer
+	if err := WriteBinary(&valid, Figure1Instance()); err != nil {
+		t.Fatal(err)
+	}
+	const huge = 1 << 24
+	photos := valid.Bytes()[:20]
+	binary.LittleEndian.PutUint32(photos[12:], huge)
+	var subset bytes.Buffer
+	w := func(v any) { binary.Write(&subset, binary.LittleEndian, v) }
+	subset.WriteString("PAR1")
+	w(float64(1))
+	w(uint32(1))
+	w(float64(1))
+	w(uint32(0))
+	w(uint32(1))
+	w(uint16(1))
+	subset.WriteString("q")
+	w(float64(1))
+	w(uint32(huge))
+	w(uint32(0))
+	for name, data := range map[string][]byte{"photos": photos, "members": subset.Bytes()} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("%s: error %v, want a truncation", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: a truncated body declaring %d allocated %d bytes", name, huge, got)
+		}
+	}
 }

@@ -82,7 +82,7 @@ func TestCheckSimilarityNeighborConsistency(t *testing.T) {
 	// A SparseSim whose rows were corrupted after construction.
 	s := NewSparseSim(3)
 	s.Add(0, 1, 0.5)
-	s.rows[0][1].Sim = 0.9 // corrupt one direction only
+	s.sim[s.start[0]+1] = 0.9 // corrupt one direction only
 	rng := rand.New(rand.NewSource(3))
 	err := CheckSimilarity(rng, badInstance(s), 400)
 	if err == nil {

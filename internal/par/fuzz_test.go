@@ -35,8 +35,10 @@ const twoMembers = `{"costs":[1,1],"budget":2,"subsets":[{"name":"q","weight":1,
 
 // FuzzReadJSON holds DecodeJSONVectors to the encoding/json reference
 // decoder: on every input both fail, or both succeed with identical
-// instances, similarity rows and vectors. A loaded instance must also score
-// within the objective's range and survive a round trip.
+// instances, similarity rows, vectors and compiled kernel slabs. Every
+// decoded row must keep SparseSim's invariants (checkSparseRows). A loaded
+// instance must also score within the objective's range and survive a
+// round trip.
 func FuzzReadJSON(f *testing.F) {
 	var fig bytes.Buffer
 	if err := par.WriteJSON(&fig, par.Figure1Instance()); err != nil {
@@ -184,6 +186,10 @@ func FuzzReadJSON(f *testing.F) {
 		if !reflect.DeepEqual(vecs, wantVecs) {
 			t.Fatalf("vectors %v, reference %v", vecs, wantVecs)
 		}
+		checkSparseRows(t, inst)
+		// The reference's kernel is compiled row by row from its listed
+		// neighbours, not by CompileKernel's SparseSim span copy.
+		sameKernel(t, par.CompileKernelRef(want), par.CompileKernel(inst))
 		// A successfully loaded instance must behave: scoring any prefix
 		// solution must not panic and must be within the objective's range.
 		n := inst.NumPhotos()
@@ -371,6 +377,114 @@ func sameInstance(t *testing.T, got, want *par.Instance) {
 	}
 }
 
+// checkSparseRows fails t unless every subset's similarity is a SparseSim
+// whose rows keep its invariants: each row strictly ascending, holding its
+// own member once with similarity 1, and every entry mirrored, bit for bit,
+// in its neighbour's row.
+func checkSparseRows(t *testing.T, inst *par.Instance) {
+	t.Helper()
+	for qi, q := range inst.Subsets {
+		sim, ok := q.Sim.(*par.SparseSim)
+		if !ok {
+			t.Fatalf("subset %d: similarity %T, want *par.SparseSim", qi, q.Sim)
+		}
+		var row []par.Neighbor
+		for i := 0; i < sim.Len(); i++ {
+			row = sim.AppendNeighbors(row[:0], i)
+			self := 0
+			for x, nb := range row {
+				if x > 0 && nb.Index <= row[x-1].Index {
+					t.Fatalf("subset %d row %d not strictly ascending: %v", qi, i, row)
+				}
+				if nb.Index == i {
+					self++
+					if nb.Sim != 1 {
+						t.Fatalf("subset %d row %d: self entry %g, want 1", qi, i, nb.Sim)
+					}
+				} else if m := sim.Sim(nb.Index, i); math.Float64bits(m) != math.Float64bits(nb.Sim) {
+					t.Fatalf("subset %d: Sim(%d,%d) = %g, mirrored %g", qi, i, nb.Index, nb.Sim, m)
+				}
+			}
+			if self != 1 {
+				t.Fatalf("subset %d row %d holds its own member %d times: %v", qi, i, self, row)
+			}
+		}
+	}
+}
+
+// sameKernel fails t unless got's slabs hold want's values: == on every
+// index and offset, bit for bit on every similarity and slot weight. A nil
+// slab and an empty one are equal: the reference compile appends its slabs,
+// and CompileKernel allocates them at their final size.
+func sameKernel(t *testing.T, want, got *par.Kernel) {
+	t.Helper()
+	w, g := want.Slabs(), got.Slabs()
+	if w.Photos != g.Photos || !slices.Equal(w.RowLen, g.RowLen) || !slices.Equal(w.RowStart, g.RowStart) ||
+		!slices.Equal(w.NbrIdx, g.NbrIdx) || !slices.Equal(w.OccStart, g.OccStart) || !slices.Equal(w.OccRow, g.OccRow) ||
+		!sameBits(w.NbrSim, g.NbrSim) || !sameBits(w.SlotWR, g.SlotWR) {
+		t.Fatalf("kernel slabs differ from the reference decode's")
+	}
+}
+
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestDecodeJSONSharesNoBytesWithBody: a decoded instance shares no bytes
+// with its body, serially and split, which is what lets the server reuse a
+// body's buffer once it is parsed. Each body is decoded, then every one of
+// its bytes is overwritten; the instance's names, members, costs, vectors
+// and compiled kernel slabs must still equal a decode of an intact copy.
+// The bodies are P-1K's and a random instance's whose names take both
+// string paths (plain, and escaped or non-ASCII) and whose subsets carry
+// context vectors.
+func TestDecodeJSONSharesNoBytesWithBody(t *testing.T) {
+	p1k, err := p1kBody()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(37))
+	inst := par.Random(rng, par.RandomConfig{Photos: 300, Subsets: 60, MaxSubset: 30, RetainFrac: 0.05})
+	vectors := make([][][]float64, len(inst.Subsets))
+	for qi := range inst.Subsets {
+		inst.Subsets[qi].Name = fmt.Sprintf("q%d", qi)
+		if qi%2 == 1 {
+			inst.Subsets[qi].Name = fmt.Sprintf("café \"%d\"", qi)
+		}
+		for range inst.Subsets[qi].Members {
+			vectors[qi] = append(vectors[qi], []float64{rng.NormFloat64(), rng.Float64()})
+		}
+	}
+	var random bytes.Buffer
+	if err := par.WriteJSONVectors(&random, inst, vectors); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{"p1k": p1k, "random": random.Bytes()} {
+		for _, splits := range []int{1, 2, 8} {
+			label := fmt.Sprintf("%s, %d splits", name, splits)
+			want, wantVecs, err := par.DecodeJSONVectorsSplit(body, splits, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			scratch := bytes.Clone(body)
+			got, gotVecs, err := par.DecodeJSONVectorsSplit(scratch, splits, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i := range scratch {
+				scratch[i] = 0xFF
+			}
+			for qi := range want.Subsets {
+				g, w := &got.Subsets[qi], &want.Subsets[qi]
+				if g.Name != w.Name || !slices.Equal(g.Members, w.Members) {
+					t.Fatalf("%s: subset %d is %q %v after the body was overwritten, want %q %v", label, qi, g.Name, g.Members, w.Name, w.Members)
+				}
+			}
+			if !sameBits(got.Cost, want.Cost) || !reflect.DeepEqual(gotVecs, wantVecs) {
+				t.Fatalf("%s: costs or vectors changed with the body", label)
+			}
+			par.SameSlabs(t, label, par.CompileKernel(want), par.CompileKernel(got))
+			sameInstance(t, got, want)
+		}
+	}
 }

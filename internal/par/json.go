@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"phocus/internal/pool"
 )
@@ -29,8 +30,9 @@ type subsetJSON struct {
 	// Vectors optionally carries one context-embedding vector per member
 	// (same order), enabling LSH sparsification on the receiving side.
 	Vectors [][]float64 `json:"vectors,omitempty"`
-	// sparse is Sim already built, by a split decoder, which let the
-	// triples go.
+	// trip holds a split decoder's triples, in its scratch, until finish
+	// builds them into sparse and lets them go.
+	trip   []simPair
 	sparse *SparseSim
 }
 
@@ -149,12 +151,13 @@ func (in *instanceJSON) build() (*Instance, [][][]float64, error) {
 		Subsets:  make([]Subset, len(in.Subsets)),
 	}
 	var vectors [][][]float64
+	var scratch []simPair
 	for qi, sj := range in.Subsets {
 		k := len(sj.Members)
 		sim := sj.sparse
 		if sim == nil {
 			var err error
-			if sim, err = buildSparseSim(qi, k, sj.Sim); err != nil {
+			if sim, err = buildSparseSim(qi, k, sj.Sim, &scratch); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -199,12 +202,13 @@ func (in *instanceJSON) build() (*Instance, [][][]float64, error) {
 }
 
 // buildSparseSim turns subset qi's similarity triples over k members into a
-// SparseSim. Pairs are checked in input order — index range, then the
-// implicit diagonal (skipped), then a similarity in (0,1], then a pair
-// given twice in either orientation — and the first bad one is the error.
-func buildSparseSim(qi, k int, pairs []pairJSON) (*SparseSim, error) {
-	b := NewSparseSimBuilder(k)
-	b.Grow(len(pairs))
+// SparseSim, using *scratch for the checked pairs. Pairs are checked in
+// input order — index range, then the implicit diagonal (skipped), then a
+// similarity in (0,1], then a pair given twice in either orientation — and
+// the first bad one is the error.
+func buildSparseSim(qi, k int, pairs []pairJSON, scratch *[]simPair) (*SparseSim, error) {
+	valid := slices.Grow((*scratch)[:0], len(pairs))
+	defer func() { *scratch = valid[:0] }()
 	var bad error
 	for _, p := range pairs {
 		if p.I < 0 || p.I >= k || p.J < 0 || p.J >= k {
@@ -218,21 +222,14 @@ func buildSparseSim(qi, k int, pairs []pairJSON) (*SparseSim, error) {
 			bad = fmt.Errorf("par: subset %d similarity %g out of (0,1]", qi, p.Sim)
 			break
 		}
-		b.Add(p.I, p.J, p.Sim)
+		valid = append(valid, simPair{int32(p.I), int32(p.J), p.Sim})
 	}
-	sim, err := b.TryBuild()
+	// A pair that repeats an earlier one comes before any bad pair, since
+	// only the pairs ahead of that are built.
+	sim, err := buildSparse(k, valid, func(i, j int) error {
+		return fmt.Errorf("par: subset %d similarity pair (%d,%d) given twice", qi, i, j)
+	})
 	if err != nil {
-		// Name the first pair that repeats an earlier one, as a loader
-		// checking each pair on arrival would. It comes before any bad
-		// pair, since the builder saw only the pairs ahead of that.
-		seen := make(map[[2]int]bool, len(pairs))
-		for _, p := range pairs {
-			key := [2]int{min(p.I, p.J), max(p.I, p.J)}
-			if p.I != p.J && seen[key] {
-				return nil, fmt.Errorf("par: subset %d similarity pair (%d,%d) given twice", qi, p.I, p.J)
-			}
-			seen[key] = true
-		}
 		return nil, err
 	}
 	if bad != nil {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"phocus/internal/pool"
 )
@@ -44,17 +45,18 @@ type jsonDecoder struct {
 	off   int
 	depth int // open objects and arrays, as encoding/json counts them
 	// pairs is the scratch a subset's first "sim" array decodes into
-	// before it is copied out at its exact length (or, in a split decoder,
-	// before the subset's SparseSim is built from it).
+	// before it is copied out at its exact length.
 	pairs []pairJSON
 
 	// splits is the most decoders a "subsets" array is split over, and
 	// splitFloor the fewest bytes from its start each of them must have;
 	// splits ≤ 1 decodes serially.
 	splits, splitFloor int
-	// build marks a split decoder, which builds each subset's SparseSim
+	// build marks a split decoder, which decodes a subset's triples into
+	// the compact scratch trip and builds the subset's SparseSim from it
 	// as soon as it has decoded the subset (subsetJSON.finish).
 	build bool
+	trip  []simPair
 	// splitAt is the offset of the "subsets" array the subsets in hand
 	// were split-decoded from, or 0 if they were decoded serially.
 	splitAt int
@@ -660,11 +662,22 @@ type splitPart struct {
 	ok      bool // it ended where its share ends
 }
 
+// tripleScratch holds the split decoders' triple scratch between decodes,
+// so each body's triples decode into memory an earlier body already grew.
+var tripleScratch = sync.Pool{New: func() any { return new([]simPair) }}
+
 // decodeSplit decodes whole subsets from start, which is the array for the
 // first split and an element for the others, until one ends at end (the
-// last split, end < 0: until the array closes).
+// last split, end < 0: until the array closes). A subset the split decoder
+// leaves to the serial one (subsetJSON.finish) ends the split there, not
+// kept.
 func (d *jsonDecoder) decodeSplit(start, end int, first bool) (p splitPart) {
-	sd := &jsonDecoder{data: d.data, off: start, depth: d.depth, build: true}
+	scratch := tripleScratch.Get().(*[]simPair)
+	sd := &jsonDecoder{data: d.data, off: start, depth: d.depth, build: true, trip: *scratch}
+	defer func() {
+		*scratch = sd.trip[:0]
+		tripleScratch.Put(scratch)
+	}()
 	if first {
 		if sd.open('[') != nil {
 			return p
@@ -685,10 +698,9 @@ func (d *jsonDecoder) decodeSplit(start, end int, first bool) (p splitPart) {
 		}
 		p.subsets = append(p.subsets, subsetJSON{})
 		q := &p.subsets[len(p.subsets)-1]
-		if sd.subset(q) != nil {
+		if sd.subset(q) != nil || !q.finish() {
 			return p
 		}
-		q.finish()
 		if end >= 0 && sd.off >= end {
 			p.off, p.ok = sd.off, sd.off == end
 			return p
@@ -696,16 +708,29 @@ func (d *jsonDecoder) decodeSplit(start, end int, first bool) (p splitPart) {
 	}
 }
 
-// finish builds a split-decoded subset's SparseSim from its triples in
-// the decoder's scratch. A subset whose triples fail a check keeps a copy
-// of them instead, for build to name the failure as a serial decode would.
-func (q *subsetJSON) finish() {
-	sim, err := buildSparseSim(0, len(q.Members), q.Sim)
-	if err != nil {
-		q.Sim = slices.Clone(q.Sim)
-		return
+// finish builds a split-decoded subset's SparseSim straight from its
+// triples in the decoder's scratch, dropping diagonal ones in place, and
+// reports whether it could. A triple that fails a check (build names the
+// failure) leaves the subset, and the rest of its split, to the serial
+// decoder, which decodes the triples as given and names it.
+func (q *subsetJSON) finish() bool {
+	k := len(q.Members)
+	pairs := q.trip[:0]
+	for _, p := range q.trip {
+		if p.i < 0 || int(p.i) >= k || p.j < 0 || int(p.j) >= k || p.i != p.j && (p.sim <= 0 || p.sim > 1) {
+			return false
+		}
+		if p.i != p.j {
+			pairs = append(pairs, p)
+		}
 	}
-	q.sparse, q.Sim = sim, nil
+	sim, err := buildSparse(k, pairs, nil)
+	q.trip = nil
+	if err != nil {
+		return false
+	}
+	q.sparse = sim
+	return true
 }
 
 // subset decodes one subset object; null leaves it unchanged.
@@ -724,6 +749,9 @@ func (d *jsonDecoder) subset(q *subsetJSON) error {
 		case is(key, "relevance"):
 			return array(d, &q.Relevance, d.float)
 		case is(key, "sim"):
+			if d.build {
+				return d.splitSim(q)
+			}
 			return d.sim(&q.Sim)
 		case is(key, "vectors"):
 			return array(d, &q.Vectors, d.vector)
@@ -735,25 +763,53 @@ func (d *jsonDecoder) subset(q *subsetJSON) error {
 // sim decodes a subset's similarity triples. The first "sim" key of a
 // subset decodes into the scratch the decoder reuses across subsets, so
 // the kept slice is allocated once, at its final length; a repeated key
-// decodes into the triples already there, as encoding/json does. A split
-// decoder keeps the scratch itself until finish, capped at the triples'
-// length, so a repeated key that grows them grows into zeros, as it does
-// past a copy, not into an earlier subset's triples.
+// decodes into the triples already there, as encoding/json does.
 func (d *jsonDecoder) sim(dst *[]pairJSON) error {
 	if *dst != nil {
 		return array(d, dst, d.pair)
 	}
 	pairs := d.pairs[:0]
 	err := array(d, &pairs, d.freshPair)
-	if d.build {
-		*dst = pairs[:len(pairs):len(pairs)]
-	} else {
-		*dst = slices.Clone(pairs)
-	}
+	*dst = slices.Clone(pairs)
 	if cap(pairs) > cap(d.pairs) {
 		d.pairs = pairs[:0]
 	}
 	return err
+}
+
+// errSerial stops a split decoder at a subset whose triples only the serial
+// decoder takes as encoding/json does.
+var errSerial = errors.New("par: subset left to the serial decoder")
+
+// splitSim decodes a split-decoded subset's triples into the compact
+// scratch trip, which finish builds the subset's SparseSim from. A repeated
+// "sim" key after a non-null array, whose triples merge into the first's,
+// and an index beyond int32 stop the split decoder (errSerial): the serial
+// decoder decodes that subset as encoding/json does.
+func (d *jsonDecoder) splitSim(q *subsetJSON) error {
+	if q.trip != nil {
+		return errSerial
+	}
+	trip := d.trip[:0]
+	err := array(d, &trip, d.compactPair)
+	q.trip = trip
+	if cap(trip) > cap(d.trip) {
+		d.trip = trip[:0]
+	}
+	return err
+}
+
+// compactPair decodes a triple into a compact scratch element.
+func (d *jsonDecoder) compactPair(p *simPair) error {
+	var t pairJSON
+	if err := d.pair(&t); err != nil {
+		return err
+	}
+	if t.I != int(int32(t.I)) || t.J != int(int32(t.J)) {
+		return errSerial
+	}
+	*p = simPair{int32(t.I), int32(t.J), t.Sim}
+	return nil
 }
 
 // freshPair decodes a triple into a scratch element, clearing what an

@@ -95,7 +95,7 @@ type Kernel struct {
 // then counts each row's entries: positive buffer cells, SparseSim and
 // kernel view row lengths, listed rows of other NeighborLister
 // similarities, every member for UniformSim. The last pass fills each
-// row's span of the slabs. A row's entries depend on the buffer and that
+// row's span of the slabs; a SparseSim row is copied span for span. A row's entries depend on the buffer and that
 // row alone, so the slabs are the same, == for ==, at every GOMAXPROCS.
 func CompileKernel(inst *Instance) *Kernel {
 	if inst.occ == nil {
@@ -208,6 +208,16 @@ func CompileKernel(inst *Instance) *Kernel {
 		off := subOff[qi]
 		m := len(q.Members)
 		switch sim := q.Sim.(type) {
+		case *SparseSim:
+			// The rows are already in kernel order: a copy of each span,
+			// its indices offset by the subset's first row.
+			for i := lo; i < hi; i++ {
+				t, a, b := k.rowStart[int(off)+i], sim.start[i], sim.start[i+1]
+				copy(k.nbrSim[t:], sim.sim[a:b])
+				for x, j := range sim.idx[a:b] {
+					k.nbrIdx[t+int64(x)] = off + j
+				}
+			}
 		case NeighborLister:
 			var row []Neighbor
 			for i := lo; i < hi; i++ {

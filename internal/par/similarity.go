@@ -96,24 +96,40 @@ func (d *DenseSim) Set(i, j int, sim float64) {
 
 // SparseSim stores, for each member, only the neighbours with positive
 // similarity. It is the natural representation after τ-sparsification and
-// wire decode. Rows are kept sorted by neighbour index, so point lookups
-// cost O(log deg) instead of a linear scan.
+// wire decode. The rows are compressed sparse rows: row i is entries
+// start[i] to start[i+1] of the parallel slabs idx (the neighbour's member
+// index) and sim (the similarity), ascending by index and holding i itself
+// with similarity 1. Point lookups binary-search a row, O(log deg), and
+// CompileKernel copies each row span into the kernel's slabs as it is.
 type SparseSim struct {
-	rows [][]Neighbor
+	start []int
+	idx   []int32
+	sim   []float64
 }
 
 // NewSparseSim returns a SparseSim over n members where every member's only
 // neighbour is itself.
 func NewSparseSim(n int) *SparseSim {
-	rows := make([][]Neighbor, n)
-	for i := range rows {
-		rows[i] = []Neighbor{{Index: i, Sim: 1}}
+	if n > math.MaxInt32 {
+		panic("par: SparseSim over more than MaxInt32 members")
 	}
-	return &SparseSim{rows: rows}
+	s := &SparseSim{start: make([]int, n+1), idx: make([]int32, n), sim: make([]float64, n)}
+	for i := range n {
+		s.start[i+1], s.idx[i], s.sim[i] = i+1, int32(i), 1
+	}
+	return s
 }
 
 // Len returns the number of members.
-func (s *SparseSim) Len() int { return len(s.rows) }
+func (s *SparseSim) Len() int { return len(s.start) - 1 }
+
+// find returns the position of j in row i's span of the slabs, or where it
+// would be inserted, and whether it is there.
+func (s *SparseSim) find(i, j int) (int, bool) {
+	a := s.start[i]
+	t, ok := slices.BinarySearch(s.idx[a:s.start[i+1]], int32(j))
+	return a + t, ok
+}
 
 // Sim returns the similarity of members i and j (0 if not neighbours) by
 // binary search over the sorted row.
@@ -121,10 +137,8 @@ func (s *SparseSim) Sim(i, j int) float64 {
 	if i == j {
 		return 1
 	}
-	row := s.rows[i]
-	k := sort.Search(len(row), func(x int) bool { return row[x].Index >= j })
-	if k < len(row) && row[k].Index == j {
-		return row[k].Sim
+	if t, ok := s.find(i, j); ok {
+		return s.sim[t]
 	}
 	return 0
 }
@@ -139,15 +153,21 @@ func (s *SparseSim) Contains(i, j int) bool {
 // AppendNeighbors appends the positive-similarity row of member i, sorted
 // by neighbour index, to dst.
 func (s *SparseSim) AppendNeighbors(dst []Neighbor, i int) []Neighbor {
-	return append(dst, s.rows[i]...)
+	a, b := s.start[i], s.start[i+1]
+	for t := a; t < b; t++ {
+		dst = append(dst, Neighbor{Index: int(s.idx[t]), Sim: s.sim[t]})
+	}
+	return dst
 }
 
-func (s *SparseSim) neighborCount(i int) int { return len(s.rows[i]) }
+func (s *SparseSim) neighborCount(i int) int { return s.start[i+1] - s.start[i] }
 
 // Add records similarity sim for the unordered pair {i, j} in both rows,
-// keeping the rows sorted. Re-adding a pair panics like the other
-// construction errors: a duplicate entry would silently double-count the
-// neighbour in every gain computation.
+// keeping the rows sorted. Each insert shifts every entry after it, so an
+// Add costs O(entries): build through SparseSimBuilder when the pairs are
+// known up front. Re-adding a pair panics like the other construction
+// errors: a duplicate entry would silently double-count the neighbour in
+// every gain computation.
 func (s *SparseSim) Add(i, j int, sim float64) {
 	if i == j {
 		panic("par: SparseSim.Add on diagonal")
@@ -155,38 +175,41 @@ func (s *SparseSim) Add(i, j int, sim float64) {
 	if sim <= 0 || sim > 1 {
 		panic("par: similarity out of (0,1]")
 	}
+	if i < 0 || j < 0 || i >= s.Len() || j >= s.Len() {
+		panic("par: SparseSim.Add index out of range")
+	}
 	s.insert(i, j, sim)
 	s.insert(j, i, sim)
 }
 
-// insert places {Index: j, Sim: sim} into row i at its sorted position.
+// insert places j with similarity sim into row i at its sorted position.
 func (s *SparseSim) insert(i, j int, sim float64) {
-	row := s.rows[i]
-	k := sort.Search(len(row), func(x int) bool { return row[x].Index >= j })
-	if k < len(row) && row[k].Index == j {
+	t, ok := s.find(i, j)
+	if ok {
 		panic("par: SparseSim.Add of duplicate pair")
 	}
-	row = append(row, Neighbor{})
-	copy(row[k+1:], row[k:])
-	row[k] = Neighbor{Index: j, Sim: sim}
-	s.rows[i] = row
+	s.idx = slices.Insert(s.idx, t, int32(j))
+	s.sim = slices.Insert(s.sim, t, sim)
+	for r := i + 1; r < len(s.start); r++ {
+		s.start[r]++
+	}
 }
 
 // SparseSimBuilder constructs a SparseSim from pairs known up front.
-// SparseSim.Add keeps rows sorted per insert, which costs O(deg) copies per
-// pair — O(deg²) per row — and dominates exact sparsification of dense
-// subsets; the builder records the pairs and lays all rows out at Build
-// time in one array, sorting each row at most once, so bulk construction is
-// O(deg log deg) per row and a handful of allocations per subset. Use Add
-// for incremental post-Build maintenance; use the builder whenever all pairs
-// are known up front.
+// SparseSim.Add shifts the slabs per insert, which costs O(entries) per
+// pair; the builder records the pairs and lays all rows out at Build time,
+// sorting a row only if the pairs did not arrive in ascending order, so
+// bulk construction allocates only the SparseSim's three slabs. Use Add
+// for incremental post-Build maintenance; use the builder whenever all
+// pairs are known up front.
 type SparseSimBuilder struct {
 	n     int
-	pairs []builderPair
+	pairs []simPair
 }
 
-// builderPair is one recorded pair, normalized so that i < j.
-type builderPair struct {
+// simPair is one similarity triple over member indices, as given: the
+// compact form the builder and the split wire decoder hold pairs in.
+type simPair struct {
 	i, j int32
 	sim  float64
 }
@@ -216,7 +239,7 @@ func (b *SparseSimBuilder) Add(i, j int, sim float64) {
 	if i < 0 || j < 0 || i >= b.n || j >= b.n {
 		panic("par: SparseSimBuilder.Add index out of range")
 	}
-	b.pairs = append(b.pairs, builderPair{int32(min(i, j)), int32(max(i, j)), sim})
+	b.pairs = append(b.pairs, simPair{int32(i), int32(j), sim})
 }
 
 // Build lays the rows out, sorted by neighbour index, and hands them over
@@ -237,47 +260,107 @@ var ErrDuplicatePair = errors.New("par: SparseSim.Add of duplicate pair")
 
 // TryBuild is Build for pairs from untrusted input: a pair added twice, in
 // either orientation, returns ErrDuplicatePair instead of panicking.
-func (b *SparseSimBuilder) TryBuild() (*SparseSim, error) {
-	// Row i is [lower neighbours, self, higher neighbours] in one shared
-	// array. Pairs added in ascending order, as sparsification and
-	// WriteJSON produce them, fill every row already sorted.
-	lo := make([]int, b.n) // row i's lower-neighbour count, then fill cursor
-	hi := make([]int, b.n) // row i's higher-neighbour count, then fill cursor
-	for _, p := range b.pairs {
-		lo[p.j]++
-		hi[p.i]++
-	}
-	backing := make([]Neighbor, b.n+2*len(b.pairs))
-	rows := make([][]Neighbor, b.n)
-	off := 0
-	for i := range rows {
-		n := lo[i] + 1 + hi[i]
-		// The capped capacity makes a later Add reallocate the row rather
-		// than overwrite the next one.
-		rows[i] = backing[off : off+n : off+n]
-		rows[i][lo[i]] = Neighbor{Index: i, Sim: 1}
-		lo[i], hi[i] = off, off+lo[i]+1
-		off += n
-	}
-	for _, p := range b.pairs {
-		backing[hi[p.i]] = Neighbor{Index: int(p.j), Sim: p.sim}
-		hi[p.i]++
-		backing[lo[p.j]] = Neighbor{Index: int(p.i), Sim: p.sim}
-		lo[p.j]++
-	}
+func (b *SparseSimBuilder) TryBuild() (*SparseSim, error) { return b.build(nil) }
+
+// build is TryBuild with a pair given twice named by repeat (buildSparse).
+func (b *SparseSimBuilder) build(repeat func(i, j int) error) (*SparseSim, error) {
+	s, err := buildSparse(b.n, b.pairs, repeat)
 	b.pairs = nil
-	byIndex := func(x, y Neighbor) int { return x.Index - y.Index }
-	for _, row := range rows {
-		if !slices.IsSortedFunc(row, byIndex) {
-			slices.SortFunc(row, byIndex)
+	return s, err
+}
+
+// buildSparse lays out the SparseSim over n members of pairs, which must be
+// off-diagonal, in range and of similarity in (0, 1]; it does not keep
+// pairs. A pair given twice, in either orientation, is the error repeat
+// returns for the first pair, in input order, that repeats an earlier one
+// (ErrDuplicatePair when repeat is nil).
+//
+// Row r is [lower neighbours, r, higher neighbours], each part in pair
+// order, so pairs in ascending order, as sparsification and WriteJSON
+// produce them, fill every row already sorted. The rows' starts double as
+// fill cursors: three passes (lower neighbours, self entries, higher
+// neighbours) advance start[r] to row r's end, and one shift restores it.
+func buildSparse(n int, pairs []simPair, repeat func(i, j int) error) (*SparseSim, error) {
+	start := make([]int, n+1)
+	for _, p := range pairs {
+		start[p.i+1]++
+		start[p.j+1]++
+	}
+	for r := range n {
+		start[r+1] += start[r] + 1
+	}
+	s := &SparseSim{start: start, idx: make([]int32, start[n]), sim: make([]float64, start[n])}
+	for _, p := range pairs {
+		lo, hi := min(p.i, p.j), max(p.i, p.j)
+		t := start[hi]
+		s.idx[t], s.sim[t] = lo, p.sim
+		start[hi]++
+	}
+	for r := range n {
+		t := start[r]
+		s.idx[t], s.sim[t] = int32(r), 1
+		start[r]++
+	}
+	for _, p := range pairs {
+		lo, hi := min(p.i, p.j), max(p.i, p.j)
+		t := start[lo]
+		s.idx[t], s.sim[t] = hi, p.sim
+		start[lo]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	for r := range n {
+		row := csrRow{s.idx[start[r]:start[r+1]], s.sim[start[r]:start[r+1]]}
+		if ascending(row.idx) {
+			continue
 		}
-		for t := 1; t < len(row); t++ {
-			if row[t].Index == row[t-1].Index {
+		sort.Sort(row)
+		if !ascending(row.idx) {
+			if repeat == nil {
 				return nil, ErrDuplicatePair
 			}
+			return nil, firstRepeat(pairs, repeat)
 		}
 	}
-	return &SparseSim{rows: rows}, nil
+	return s, nil
+}
+
+// ascending reports whether idx is strictly ascending: sorted, with no
+// index twice.
+func ascending(idx []int32) bool {
+	for t := 1; t < len(idx); t++ {
+		if idx[t] <= idx[t-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// firstRepeat returns repeat's error for the first pair, in input order,
+// that repeats an earlier one in either orientation; pairs must hold one.
+func firstRepeat(pairs []simPair, repeat func(i, j int) error) error {
+	seen := make(map[[2]int32]bool, len(pairs))
+	for _, p := range pairs {
+		key := [2]int32{min(p.i, p.j), max(p.i, p.j)}
+		if seen[key] {
+			return repeat(int(p.i), int(p.j))
+		}
+		seen[key] = true
+	}
+	panic("par: firstRepeat without a repeated pair")
+}
+
+// csrRow sorts one SparseSim row's spans of the two slabs together.
+type csrRow struct {
+	idx []int32
+	sim []float64
+}
+
+func (r csrRow) Len() int           { return len(r.idx) }
+func (r csrRow) Less(a, b int) bool { return r.idx[a] < r.idx[b] }
+func (r csrRow) Swap(a, b int) {
+	r.idx[a], r.idx[b] = r.idx[b], r.idx[a]
+	r.sim[a], r.sim[b] = r.sim[b], r.sim[a]
 }
 
 // FuncSim adapts an arbitrary function to the Similarity interface. It is

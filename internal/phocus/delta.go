@@ -561,13 +561,13 @@ func mergeSims(inst *par.Instance, plan *deltaPlan) {
 		}
 	}
 	for _, ns := range plan.newSubs {
-		ss := par.NewSparseSim(len(ns.members))
+		b := par.NewSparseSimBuilder(len(ns.members))
 		for pos, m := range ns.members {
 			for _, nb := range m.nbrs {
-				ss.Add(pos, nb.Index, nb.Sim)
+				b.Add(pos, nb.Index, nb.Sim)
 			}
 		}
-		inst.Subsets[ns.subset].Sim = ss
+		inst.Subsets[ns.subset].Sim = b.Build()
 	}
 }
 

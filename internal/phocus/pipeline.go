@@ -78,6 +78,8 @@ type Pipeline struct {
 // SolveRequest is one solve by body. The decode span starts at Start, when
 // reading Body began; Budget 0 keeps the body's own, which costs an up-front
 // parse. Tau must lie in [0, 1]; the τ-sparsification is always exact.
+// Solve keeps no reference to Body once it returns, so the caller may reuse
+// the buffer then.
 type SolveRequest struct {
 	Tenant string
 	Body   []byte
@@ -96,11 +98,6 @@ type SolveRequest struct {
 // takes), the budget, the solver's work report and the solve span's time.
 type Answer struct {
 	*Result
-	// Body is the request's body when Solve never parsed it (a cache hit,
-	// or a build another request started), handed back for the caller to
-	// reuse; nil once parsed, since the parse drops the bytes so that a cold
-	// Prepare's peak does not hold them.
-	Body              []byte
 	Fingerprint       string
 	Budget            float64
 	GainEvals, PQPops int64
@@ -150,18 +147,16 @@ func (pl *Pipeline) Solve(ctx context.Context, req SolveRequest) (*Answer, error
 	}
 	var inst *par.Instance
 	// parse decodes the body, ending span with parsed=true and the body's
-	// size, and drops the bytes so the GC can reclaim them while Prepare and
-	// Run allocate.
+	// size. The instance shares no bytes with the body, which stays the
+	// caller's buffer to reuse once Solve returns.
 	parse := func(span *obs.Span) error {
 		var err error
-		size := len(req.Body)
 		inst, _, err = par.DecodeJSONVectors(req.Body)
-		req.Body = nil
 		if err != nil {
-			span.End("parsed", true, "bytes", size, "err", err.Error())
+			span.End("parsed", true, "bytes", len(req.Body), "err", err.Error())
 			return Invalid(err)
 		}
-		span.End("parsed", true, "bytes", size, "photos", inst.NumPhotos(), "subsets", len(inst.Subsets))
+		span.End("parsed", true, "bytes", len(req.Body), "photos", inst.NumPhotos(), "subsets", len(inst.Subsets))
 		return nil
 	}
 	budget := req.Budget
@@ -216,7 +211,7 @@ func (pl *Pipeline) Solve(ctx context.Context, req SolveRequest) (*Answer, error
 		return nil, err
 	}
 
-	a := &Answer{Body: req.Body, Budget: budget}
+	a := &Answer{Budget: budget}
 	ropts := RunOptions{Budget: budget, Algorithm: req.Algorithm, ExactMaxNodes: pl.ExactMaxNodes}
 	solveWorkers := 1 // only the CELF path is parallel; label others honestly
 	switch req.Algorithm {

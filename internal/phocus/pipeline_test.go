@@ -368,33 +368,42 @@ func TestPipelineOwnerSetAtColdPrepare(t *testing.T) {
 	}
 }
 
-// TestSolveHandsBackUnparsedBody: Solve hands the body back on a hit, for
-// the caller to reuse, and not once it parsed it (a cold Prepare, or a solve
-// without a budget); a digest the caller supplies keys the cache as the one
-// Solve computes does.
-func TestSolveHandsBackUnparsedBody(t *testing.T) {
-	body, _, budget := pipelineArchive(t)
+// TestSolveLeavesBodyToCaller: once Solve returns, its body is the
+// caller's to reuse. A cold solve's body is overwritten with 0xFF right
+// after, for one tenant at a budget and for another with the body's own
+// (parsed up front); a hit on an intact copy must still answer as the cold
+// solve did. A digest the caller supplies keys the cache as the one Solve
+// computes does.
+func TestSolveLeavesBodyToCaller(t *testing.T) {
+	body, inst, budget := pipelineArchive(t)
 	pl := testPipeline(t, "")
-	if a := solveAs(t, pl, "alice", body, budget); a.Body != nil {
-		t.Errorf("a cold solve handed back the %d-byte body it parsed", len(a.Body))
-	}
-	req := SolveRequest{Tenant: "alice", Body: body, Digest: BodyDigest("alice", body), Start: time.Now(), Budget: budget, Tau: pipeTau}
-	a, err := pl.Solve(pipeCtx(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Body) != len(body) || &a.Body[0] != &body[0] {
-		t.Errorf("a hit handed back %d bytes, want the request's body", len(a.Body))
-	}
-	if st := pl.Cache.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("%d hits / %d misses, want the supplied digest to hit", st.Hits, st.Misses)
-	}
-	req.Budget = 0
-	if a, err = pl.Solve(pipeCtx(), req); err != nil {
-		t.Fatal(err)
-	}
-	if a.Body != nil {
-		t.Errorf("a solve without a budget handed back the %d-byte body it parsed", len(a.Body))
+	for i, tc := range []struct {
+		tenant string
+		budget float64
+	}{{"alice", budget}, {"bob", 0}} {
+		req := SolveRequest{Tenant: tc.tenant, Body: slices.Clone(body), Start: time.Now(), Budget: tc.budget, Tau: pipeTau}
+		cold, err := pl.Solve(pipeCtx(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := range req.Body {
+			req.Body[b] = 0xFF
+		}
+		req.Body, req.Digest, req.Budget = slices.Clone(body), BodyDigest(tc.tenant, body), cold.Budget
+		hit, err := pl.Solve(pipeCtx(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := pl.Cache.Stats(); st.Hits != int64(i+1) || st.Misses != int64(i+1) {
+			t.Errorf("%s: %d hits / %d misses, want the supplied digest to hit", tc.tenant, st.Hits, st.Misses)
+		}
+		if tc.budget == 0 && cold.Budget != inst.Budget {
+			t.Errorf("%s: budget %g, want the body's %g", tc.tenant, cold.Budget, inst.Budget)
+		}
+		if !slices.Equal(hit.Solution.Photos, cold.Solution.Photos) || math.Float64bits(hit.Solution.Score) != math.Float64bits(cold.Solution.Score) {
+			t.Errorf("%s: the hit after the body was overwritten answered %v (score %v), the cold solve %v (score %v)",
+				tc.tenant, hit.Solution.Photos, hit.Solution.Score, cold.Solution.Photos, cold.Solution.Score)
+		}
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"time"
 	"unsafe"
@@ -158,9 +159,23 @@ func slabView[T slab](b []byte) []T {
 
 // ---- encoding ------------------------------------------------------------
 
+// snapSection is one section of a snapshot: its payload is its chunks in
+// order, each a byte view of a live slab where the host allows it.
 type snapSection struct {
-	id   uint32
-	data []byte
+	id     uint32
+	chunks [][]byte
+}
+
+// section returns the section id whose payload is the wire bytes of the
+// slabs in order.
+func section[T slab](id uint32, slabs ...[]T) snapSection {
+	s := snapSection{id: id, chunks: make([][]byte, 0, len(slabs))}
+	for _, sl := range slabs {
+		if len(sl) > 0 {
+			s.chunks = append(s.chunks, slabBytes(sl))
+		}
+	}
+	return s
 }
 
 // snapMeta is the decoded META section.
@@ -333,48 +348,57 @@ func decodeSnapMeta(b []byte) (*snapMeta, error) {
 // Prepared must carry a compiled kernel (every engine-built Prepared does)
 // and a computable fingerprint, and must not be LSH-prepared: decode
 // derives the τ-kernel by thresholding the true kernel, which an LSH
-// τ-kernel is not. It holds the Prepared's read lock for the whole encode,
-// so the bytes are a consistent cut even while ApplyDelta traffic is
-// waiting; a delta'd Prepared whose true kernel carries an active mutation
-// overlay is serialized through a freshly compiled canonical twin (Slabs
-// refuses overlays), leaving p itself untouched.
+// τ-kernel is not. It is writeSnapshot into a buffer of the file's size.
 func EncodeSnapshot(p *Prepared) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, _, err := writeSnapshot(&buf, p); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// writeSnapshot writes p's snapshot file to w, the header block first and
+// then each section's slabs straight from p's arrays, and returns p's
+// fingerprint and the file's size. It holds p's read lock for the whole
+// write, so the bytes are a consistent cut even while ApplyDelta traffic
+// is waiting; a delta'd Prepared whose true kernel carries an active
+// mutation overlay is serialized through a freshly compiled canonical twin
+// (Slabs refuses overlays), leaving p itself untouched. A *bytes.Buffer w
+// grows once, to the file's size.
+func writeSnapshot(w io.Writer, p *Prepared) (string, int64, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.opts.UseLSH {
-		return nil, errors.New("phocus: snapshot of an LSH-prepared instance: decode could not rebuild its τ-kernel")
+		return "", 0, errors.New("phocus: snapshot of an LSH-prepared instance: decode could not rebuild its τ-kernel")
 	}
 	fp, err := p.fingerprintLocked()
 	if err != nil {
-		return nil, fmt.Errorf("phocus: snapshot fingerprint: %w", err)
+		return "", 0, fmt.Errorf("phocus: snapshot fingerprint: %w", err)
 	}
 	rawFP, err := hex.DecodeString(fp)
 	if err != nil || len(rawFP) != 32 {
-		return nil, fmt.Errorf("phocus: fingerprint %q is not a sha256 hex digest", fp)
+		return "", 0, fmt.Errorf("phocus: fingerprint %q is not a sha256 hex digest", fp)
 	}
 	base := p.base
 
-	var members []par.PhotoID
-	var relevance []float64
+	members := make([][]par.PhotoID, len(base.Subsets))
+	relevance := make([][]float64, len(base.Subsets))
 	for qi := range base.Subsets {
-		members = append(members, base.Subsets[qi].Members...)
-		relevance = append(relevance, base.Subsets[qi].Relevance...)
+		members[qi], relevance[qi] = base.Subsets[qi].Members, base.Subsets[qi].Relevance
 	}
 	kb := canonicalKernel(base).Slabs()
 
-	secs8 := []snapSection{
-		{secCost, slabBytes(base.Cost)},
-		{secRelevance, slabBytes(relevance)},
-		{secKBRowStart, slabBytes(kb.RowStart)},
-		{secKBNbrSim, slabBytes(kb.NbrSim)},
-	}
-	secs4 := []snapSection{
-		{secRetained, slabBytes(base.Retained)},
-		{secMembers, slabBytes(members)},
-		{secKBRowLen, slabBytes(kb.RowLen)},
-		{secKBNbrIdx, slabBytes(kb.NbrIdx)},
-		{secKBOccStart, slabBytes(kb.OccStart)},
-		{secKBOccRow, slabBytes(kb.OccRow)},
+	secs := []snapSection{
+		section(secCost, base.Cost),
+		section(secRelevance, relevance...),
+		section(secKBRowStart, kb.RowStart),
+		section(secKBNbrSim, kb.NbrSim),
+		section(secRetained, base.Retained),
+		section(secMembers, members...),
+		section(secKBRowLen, kb.RowLen),
+		section(secKBNbrIdx, kb.NbrIdx),
+		section(secKBOccStart, kb.OccStart),
+		section(secKBOccRow, kb.OccRow),
 	}
 	if removedCount(p.removed) > 0 {
 		husks := make([]par.PhotoID, 0, removedCount(p.removed))
@@ -383,10 +407,11 @@ func EncodeSnapshot(p *Prepared) ([]byte, error) {
 				husks = append(husks, par.PhotoID(id))
 			}
 		}
-		secs4 = append(secs4, snapSection{secRemoved, slabBytes(husks)})
+		secs = append(secs, section(secRemoved, husks))
 	}
-	secs := append(append(secs8, secs4...), snapSection{secMeta, encodeSnapMeta(p)})
-	return assembleSnapshot(rawFP, secs), nil
+	secs = append(secs, snapSection{secMeta, [][]byte{encodeSnapMeta(p)}})
+	n, err := writeSections(w, rawFP, secs)
+	return fp, n, err
 }
 
 // canonicalKernel returns tmpl's kernel, or, while a delta overlay is
@@ -398,35 +423,49 @@ func canonicalKernel(tmpl *par.Instance) *par.Kernel {
 	return par.CompileKernel(tmpl)
 }
 
-// assembleSnapshot lays out the header, section table and payloads of a
-// snapshot file carrying secs in order, with their checksums.
-func assembleSnapshot(rawFP []byte, secs []snapSection) []byte {
+// writeSections writes a snapshot file carrying secs in order to w: the
+// header block with the section table and checksums, then the payloads.
+// It returns the file's size.
+func writeSections(w io.Writer, rawFP []byte, secs []snapSection) (int64, error) {
 	n := len(secs)
 	headerLen := snapHeaderFixed + snapTableEntry*n + 8
-	total := headerLen
-	for _, s := range secs {
-		total += len(s.data)
-	}
-	out := make([]byte, total)
-	copy(out, snapMagic)
-	binary.LittleEndian.PutUint32(out[8:], snapVersion)
-	binary.LittleEndian.PutUint32(out[12:], uint32(n))
-	copy(out[16:snapHeaderFixed], rawFP)
+	head := make([]byte, headerLen)
+	copy(head, snapMagic)
+	binary.LittleEndian.PutUint32(head[8:], snapVersion)
+	binary.LittleEndian.PutUint32(head[12:], uint32(n))
+	copy(head[16:snapHeaderFixed], rawFP)
 	off := headerLen
 	for i, s := range secs {
-		e := out[snapHeaderFixed+snapTableEntry*i:]
+		size, crc := 0, uint32(0)
+		for _, c := range s.chunks {
+			size += len(c)
+			crc = crc32.Update(crc, snapCRC, c)
+		}
+		e := head[snapHeaderFixed+snapTableEntry*i:]
 		binary.LittleEndian.PutUint32(e, s.id)
-		binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(s.data, snapCRC))
+		binary.LittleEndian.PutUint32(e[4:], crc)
 		binary.LittleEndian.PutUint64(e[8:], uint64(off))
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.data)))
-		copy(out[off:], s.data)
-		off += len(s.data)
+		binary.LittleEndian.PutUint64(e[16:], uint64(size))
+		off += size
 	}
 	tableEnd := snapHeaderFixed + snapTableEntry*n
-	hcrc := crc32.Checksum(out[:tableEnd], snapCRC)
-	binary.LittleEndian.PutUint32(out[tableEnd:], hcrc)
-	binary.LittleEndian.PutUint32(out[tableEnd+4:], ^hcrc)
-	return out
+	hcrc := crc32.Checksum(head[:tableEnd], snapCRC)
+	binary.LittleEndian.PutUint32(head[tableEnd:], hcrc)
+	binary.LittleEndian.PutUint32(head[tableEnd+4:], ^hcrc)
+	if b, ok := w.(*bytes.Buffer); ok {
+		b.Grow(off)
+	}
+	if _, err := w.Write(head); err != nil {
+		return 0, fmt.Errorf("phocus: write snapshot: %w", err)
+	}
+	for _, s := range secs {
+		for _, c := range s.chunks {
+			if _, err := w.Write(c); err != nil {
+				return 0, fmt.Errorf("phocus: write snapshot: %w", err)
+			}
+		}
+	}
+	return int64(off), nil
 }
 
 // ---- decoding ------------------------------------------------------------

@@ -326,16 +326,36 @@ func TestSnapshotTruncation(t *testing.T) {
 	}
 }
 
+// rawSection is one section of an encoded snapshot, its payload copied.
+type rawSection struct {
+	id   uint32
+	data []byte
+}
+
+// assembleSnapshot lays out a snapshot file carrying secs in order, with
+// their checksums, as writeSnapshot does.
+func assembleSnapshot(rawFP []byte, secs []rawSection) []byte {
+	out := make([]snapSection, len(secs))
+	for i, s := range secs {
+		out[i] = snapSection{s.id, [][]byte{s.data}}
+	}
+	var buf bytes.Buffer
+	if _, err := writeSections(&buf, rawFP, out); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
 // snapSections splits an encoded snapshot into its raw fingerprint and its
 // sections, payloads copied, in file order; assembleSnapshot(rawFP, secs)
 // reproduces the file.
-func snapSections(data []byte) ([]byte, []snapSection) {
-	var secs []snapSection
+func snapSections(data []byte) ([]byte, []rawSection) {
+	var secs []rawSection
 	n := int(binary.LittleEndian.Uint32(data[12:]))
 	for i := 0; i < n; i++ {
 		e := data[snapHeaderFixed+snapTableEntry*i:]
 		off, l := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
-		secs = append(secs, snapSection{binary.LittleEndian.Uint32(e), bytes.Clone(data[off : off+l])})
+		secs = append(secs, rawSection{binary.LittleEndian.Uint32(e), bytes.Clone(data[off : off+l])})
 	}
 	return bytes.Clone(data[16:snapHeaderFixed]), secs
 }
@@ -376,7 +396,7 @@ func TestSnapshotRejectsV1(t *testing.T) {
 		t.Fatal("re-assembling the sections did not reproduce the file")
 	}
 	for _, id := range []uint32{3, 4, 7, 8, 9, 10, 11, 12, 38, 39, 40, 41} {
-		retired := append([]snapSection{{id, make([]byte, 64)}}, secs...)
+		retired := append([]rawSection{{id, make([]byte, 64)}}, secs...)
 		if _, err := DecodeSnapshot(assembleSnapshot(rawFP, retired)); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("retired section %d: error %v, want ErrBadSnapshot", id, err)
 		}
@@ -395,7 +415,7 @@ func TestSnapshotRejectsV1(t *testing.T) {
 func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 	data := smallSnapshot(t)
 	rawFP, pristine := snapSections(data)
-	at := func(secs []snapSection, id uint32) *snapSection {
+	at := func(secs []rawSection, id uint32) *rawSection {
 		for i := range secs {
 			if secs[i].id == id {
 				return &secs[i]
@@ -435,20 +455,20 @@ func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 	setI32 := func(b []byte, i int, v int32) { binary.LittleEndian.PutUint32(b[4*i:], uint32(v)) }
 	for _, tc := range []struct {
 		name, want string
-		fault      func(secs []snapSection)
+		fault      func(secs []rawSection)
 	}{
-		{"nan similarity", "out of (0,1]", func(secs []snapSection) {
+		{"nan similarity", "out of (0,1]", func(secs []rawSection) {
 			setF64(at(secs, secKBNbrSim).data, other, math.NaN())
 		}},
-		{"self similarity below 1", "self-similarity", func(secs []snapSection) {
+		{"self similarity below 1", "self-similarity", func(secs []rawSection) {
 			setF64(at(secs, secKBNbrSim).data, self, 0.5)
 		}},
-		{"cross-subset target", "outside", func(secs []snapSection) {
+		{"cross-subset target", "outside", func(secs []rawSection) {
 			// Row r's last entry now targets subset 1's first row: still
 			// ascending, still in range, but in another subset.
 			setI32(at(secs, secKBNbrIdx).data, hi-1, rowLen[0])
 		}},
-		{"unsorted row", "not strictly ascending", func(secs []snapSection) {
+		{"unsorted row", "not strictly ascending", func(secs []rawSection) {
 			idx, sim := at(secs, secKBNbrIdx).data, at(secs, secKBNbrSim).data
 			a, b := lo, lo+1
 			for k := 0; k < 4; k++ {
@@ -460,23 +480,23 @@ func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 		}},
 		// Decode thresholds the rows at META's τ, which must keep every
 		// self entry.
-		{"tau above 1", "out of [0,1]", func(secs []snapSection) {
+		{"tau above 1", "out of [0,1]", func(secs []rawSection) {
 			setF64(at(secs, secMeta).data[16:], 0, 1.5)
 		}},
-		{"nan tau", "out of [0,1]", func(secs []snapSection) {
+		{"nan tau", "out of [0,1]", func(secs []rawSection) {
 			setF64(at(secs, secMeta).data[16:], 0, math.NaN())
 		}},
 		// META's pair counts must be the true and τ-kernel's own: a stale
 		// count is a fault, not a value to report.
-		{"stale pair count", "pair counts", func(secs []snapSection) {
+		{"stale pair count", "pair counts", func(secs []rawSection) {
 			meta := at(secs, secMeta).data
 			binary.LittleEndian.PutUint64(meta[32:], binary.LittleEndian.Uint64(meta[32:])+1)
 		}},
-		{"stale sparsified pair count", "pair counts", func(secs []snapSection) {
+		{"stale sparsified pair count", "pair counts", func(secs []rawSection) {
 			meta := at(secs, secMeta).data
 			binary.LittleEndian.PutUint64(meta[40:], binary.LittleEndian.Uint64(meta[40:])-1)
 		}},
-		{"missing self entry", "missing its self entry", func(secs []snapSection) {
+		{"missing self entry", "missing its self entry", func(secs []rawSection) {
 			// Drop row r's self entry and shift every later row's offset.
 			idx, sim := at(secs, secKBNbrIdx), at(secs, secKBNbrSim)
 			idx.data = append(idx.data[:4*self:4*self], idx.data[4*self+4:]...)
@@ -488,9 +508,9 @@ func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			secs := make([]snapSection, len(pristine))
+			secs := make([]rawSection, len(pristine))
 			for i, s := range pristine {
-				secs[i] = snapSection{s.id, bytes.Clone(s.data)}
+				secs[i] = rawSection{s.id, bytes.Clone(s.data)}
 			}
 			tc.fault(secs)
 			_, err := DecodeSnapshot(assembleSnapshot(rawFP, secs))

@@ -1,7 +1,7 @@
 package phocus
 
 import (
-	"encoding/hex"
+	"bufio"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -44,26 +44,45 @@ func (s *SnapshotStore) Path(fp string) string {
 // Save serializes the Prepared and installs it under its fingerprint,
 // returning the path and file size. An existing snapshot for the same
 // fingerprint is replaced atomically (same content by construction — the
-// fingerprint covers everything that feeds Prepare).
+// fingerprint covers everything that feeds Prepare). The file is written
+// straight from the Prepared's slabs (writeSnapshot) to a temporary file
+// of its own, which the rename installs.
 func (s *SnapshotStore) Save(p *Prepared) (path string, size int64, err error) {
-	data, err := EncodeSnapshot(p)
+	f, err := os.CreateTemp(s.dir, "*.snap.tmp")
 	if err != nil {
-		return "", 0, err
-	}
-	// The fingerprint comes out of the encoded header rather than a second
-	// p.Fingerprint() call: an ApplyDelta landing between the two would
-	// otherwise install the pre-churn bytes under the post-churn name.
-	fp := hex.EncodeToString(data[16:snapHeaderFixed])
-	path = s.Path(fp)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return "", 0, fmt.Errorf("phocus: write snapshot: %w", err)
 	}
+	tmp := f.Name()
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	bw := bufio.NewWriterSize(f, 64<<10)
+	// The fingerprint comes out of the same read-locked write as the bytes
+	// rather than a second p.Fingerprint() call: an ApplyDelta landing
+	// between the two would otherwise install the pre-churn bytes under the
+	// post-churn name.
+	fp, size, err := writeSnapshot(bw, p)
+	if err != nil {
+		f.Close()
+		return "", 0, err
+	}
+	err = bw.Flush()
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return "", 0, fmt.Errorf("phocus: write snapshot: %w", err)
+	}
+	path = s.Path(fp)
 	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return "", 0, fmt.Errorf("phocus: install snapshot: %w", err)
 	}
-	return path, int64(len(data)), nil
+	return path, size, nil
 }
 
 // Load reads and decodes the snapshot for the fingerprint. A missing file
