@@ -739,8 +739,8 @@ func BenchmarkKernelV2(b *testing.B) {
 // surrogate, every subset's similarity par.UniformSim, whose B/op is the
 // kernel the direct-solver experiments build for it. The covers cell prices
 // the cover index the first bounded Run builds on the compiled kernel:
-// each op reassembles a fresh kernel over the compiled slabs untimed, then
-// builds its index.
+// each op reassembles a fresh kernel over the compiled entry slabs untimed,
+// as a snapshot decode does, then builds its index.
 func BenchmarkFinalizeCompile(b *testing.B) {
 	p1k := dataset.PublicSpecs(1)[0]
 	p1k.RetainFrac = 0.02
@@ -824,7 +824,7 @@ func BenchmarkFinalizeCompile(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				k, err := par.KernelFromSlabs(slabs)
+				k, err := par.KernelFromEntries(inst, slabs.RowStart, slabs.NbrIdx, slabs.NbrSim)
 				if err != nil {
 					b.Fatal(err)
 				}

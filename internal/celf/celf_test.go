@@ -140,7 +140,7 @@ func TestLazyMatchesEagerQuick(t *testing.T) {
 	}
 }
 
-// TestLazyGreedyKernelSelectionInvariant: a kernel reassembled from slabs
+// TestLazyGreedyKernelSelectionInvariant: a kernel reassembled from entry slabs
 // and attached, as a snapshot load does, must not change a single selection
 // against the lazily compiled one — photos, order, score, cost, or
 // gain-eval count — for either variant. This is the solver-level face of
@@ -159,7 +159,8 @@ func TestLazyGreedyKernelSelectionInvariant(t *testing.T) {
 		if err := twin.Finalize(); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := par.KernelFromSlabs(par.CompileKernel(twin).Slabs())
+		s := par.CompileKernel(twin).Slabs()
+		loaded, err := par.KernelFromEntries(twin, s.RowStart, s.NbrIdx, s.NbrSim)
 		if err != nil {
 			t.Fatal(err)
 		}

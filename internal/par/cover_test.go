@@ -175,12 +175,10 @@ func TestCoversRejectsMalformedKernels(t *testing.T) {
 				}
 				occStart[p+1] = int32(len(occRow))
 			}
-			s.OccStart, s.OccRow = occStart, occRow
-			mangled, err := KernelFromSlabs(s)
-			if err != nil {
-				t.Fatal(err)
+			return &Kernel{
+				photos: s.Photos, rowLen: s.RowLen, rowStart: s.RowStart, nbrIdx: s.NbrIdx,
+				nbrSim: s.NbrSim, slotWR: s.SlotWR, occStart: occStart, occRow: occRow,
 			}
-			return mangled
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,25 +204,28 @@ func TestCoversRejectsMalformedKernels(t *testing.T) {
 // TestCoversRejectCrossSubsetEntries: an entry may only target a row of its
 // own subset — the sweep hands out each subset's terms in that subset's
 // turn — so a kernel whose rows pair across subsets, however symmetric,
-// gets no cover index. KernelFromSlabs refuses such slabs outright, so the
-// kernel is assembled directly to reach the cover index's own check.
+// gets no cover index. KernelFromEntries refuses such entries outright, so
+// the kernel is assembled directly to reach the cover index's own check.
 func TestCoversRejectCrossSubsetEntries(t *testing.T) {
-	s := KernelSlabs{
-		Photos:   2,
-		RowLen:   []int32{1, 1},
-		RowStart: []int64{0, 2, 4},
-		NbrIdx:   []int32{0, 1, 0, 1},
-		NbrSim:   []float64{1, 0.5, 0.5, 1},
-		SlotWR:   []float64{1, 1},
-		OccStart: []int32{0, 1, 2},
-		OccRow:   []int32{0, 1},
-	}
-	if _, err := KernelFromSlabs(s); err == nil {
-		t.Fatal("KernelFromSlabs accepted cross-subset entries")
-	}
 	k := &Kernel{
-		photos: s.Photos, rowLen: s.RowLen, rowStart: s.RowStart, nbrIdx: s.NbrIdx,
-		nbrSim: s.NbrSim, slotWR: s.SlotWR, occStart: s.OccStart, occRow: s.OccRow,
+		photos:   2,
+		rowLen:   []int32{1, 1},
+		rowStart: []int64{0, 2, 4},
+		nbrIdx:   []int32{0, 1, 0, 1},
+		nbrSim:   []float64{1, 0.5, 0.5, 1},
+		slotWR:   []float64{1, 1},
+		occStart: []int32{0, 1, 2},
+		occRow:   []int32{0, 1},
+	}
+	inst := &Instance{
+		Cost: []float64{1, 1},
+		Subsets: []Subset{
+			{Weight: 1, Members: []PhotoID{0}, Relevance: []float64{1}},
+			{Weight: 1, Members: []PhotoID{1}, Relevance: []float64{1}},
+		},
+	}
+	if _, err := KernelFromEntries(inst, k.rowStart, k.nbrIdx, k.nbrSim); err == nil {
+		t.Fatal("KernelFromEntries accepted cross-subset entries")
 	}
 	if k.Covers() != nil {
 		t.Fatal("a kernel with cross-subset entries built a cover index")

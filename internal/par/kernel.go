@@ -75,7 +75,9 @@ type Kernel struct {
 }
 
 // CompileKernel flattens the instance's gain hot path into a Kernel. The
-// instance must be finalized (the occurrence index is part of the layout).
+// instance must be finalized. Its layout — row lengths, slot weights and
+// occurrence index — comes from kernelLayout; the passes below fill the
+// entry slabs.
 // Compilation costs one pass over the similarity structure — O(pairs) for
 // NeighborLister similarities, k(k+1)/2 Sim calls for a k-member subset of
 // any other similarity (each unordered pair once, and the diagonal), none
@@ -101,27 +103,23 @@ func CompileKernel(inst *Instance) *Kernel {
 	if inst.occ == nil {
 		panic("par: CompileKernel before Finalize")
 	}
+	k, err := kernelLayout(inst.NumPhotos(), inst.Subsets)
+	if err != nil {
+		panic(err) // a finalized instance can only be too large
+	}
 	nSub := len(inst.Subsets)
 	subOff := make([]int32, nSub+1)
-	rows := 0
-	k := &Kernel{photos: inst.NumPhotos(), rowLen: make([]int32, nSub)}
 	// tab[qi] is the k×k buffer of a tabulated subset, nil for the others.
 	tab := make([][]float64, nSub)
 	tabulated := false
-	for qi := range inst.Subsets {
-		members := len(inst.Subsets[qi].Members)
-		subOff[qi] = int32(rows)
-		k.rowLen[qi] = int32(members)
-		rows += members
+	for qi, members := range k.rowLen {
+		subOff[qi+1] = subOff[qi] + members
 		if tabulates(inst.Subsets[qi].Sim) {
-			tab[qi] = make([]float64, members*members)
+			tab[qi] = make([]float64, int(members)*int(members))
 			tabulated = true
 		}
 	}
-	if rows > 1<<31-2 {
-		panic("par: CompileKernel instance exceeds 2^31 similarity rows")
-	}
-	subOff[nSub] = int32(rows)
+	rows := int(subOff[nSub])
 	workers := runtime.GOMAXPROCS(0)
 
 	// Pass 1: each unordered pair of a tabulated subset, computed once by
@@ -157,16 +155,12 @@ func CompileKernel(inst *Instance) *Kernel {
 		return int64(len(inst.Subsets[qi].Members))
 	})
 
-	// Pass 2: slot weights and row lengths, each length parked at
-	// rowStart[r+1] until the prefix sum turns the lengths into offsets.
+	// Pass 2: row lengths, each parked at rowStart[r+1] until the prefix
+	// sum turns the lengths into offsets.
 	k.rowStart = make([]int64, rows+1)
-	k.slotWR = make([]float64, rows)
 	eachRun(inst, subOff, runs, workers, func(qi, lo, hi int) {
 		q := &inst.Subsets[qi]
 		off := int(subOff[qi])
-		for i := lo; i < hi; i++ {
-			k.slotWR[off+i] = q.Weight * q.Relevance[i]
-		}
 		lens := k.rowStart[off+1+lo : off+1+hi]
 		m := len(q.Members)
 		switch sim := q.Sim.(type) {
@@ -258,17 +252,75 @@ func CompileKernel(inst *Instance) *Kernel {
 		}
 	})
 
-	n := inst.NumPhotos()
-	k.occStart = make([]int32, n+1)
-	k.occRow = make([]int32, 0, rows)
-	for p := 0; p < n; p++ {
-		k.occStart[p] = int32(len(k.occRow))
-		for _, oc := range inst.occ[p] {
-			k.occRow = append(k.occRow, subOff[oc.Subset]+int32(oc.Index))
+	return k
+}
+
+// maxKernelRows is the most (subset, member) rows a kernel spans: the row
+// count plus one still fits the int32 that row indices are stored as.
+const maxKernelRows = 1<<31 - 2
+
+// kernelLayout returns a kernel of the given subsets over photos photos that
+// holds their layout and no entries yet: the member count of every subset,
+// the slot weight W(q)·R(q, member) of every row, and the occurrence index,
+// which lists each photo's rows in ascending order, the order Finalize
+// records its occurrences in. All of it follows from subset membership, so
+// it is the one place a kernel's layout is built: CompileKernel and
+// KernelFromEntries both call it, and only the entry slabs are ever data.
+//
+// The subsets need not be validated (Finalize may not have run): a member
+// outside [0, photos) or a relevance list whose length is not the member
+// count is an error, returned before either is used as an index.
+func kernelLayout(photos int, subsets []Subset) (*Kernel, error) {
+	rowLen := make([]int32, len(subsets))
+	rows := 0
+	for qi := range subsets {
+		q := &subsets[qi]
+		if len(q.Relevance) != len(q.Members) {
+			return nil, fmt.Errorf("par: kernel layout: subset %d has %d members but %d relevance scores",
+				qi, len(q.Members), len(q.Relevance))
+		}
+		if rows += len(q.Members); rows > maxKernelRows {
+			return nil, fmt.Errorf("par: kernel layout: more than %d similarity rows", maxKernelRows)
+		}
+		rowLen[qi] = int32(len(q.Members))
+	}
+	k := &Kernel{
+		photos:   photos,
+		rowLen:   rowLen,
+		slotWR:   make([]float64, 0, rows),
+		occStart: make([]int32, photos+1),
+		occRow:   make([]int32, rows),
+	}
+	// Count each photo's rows at occStart[p+1], then prefix-sum the counts
+	// into the photos' first occurrences.
+	for qi := range subsets {
+		q := &subsets[qi]
+		for i, p := range q.Members {
+			if p < 0 || int(p) >= photos {
+				return nil, fmt.Errorf("par: kernel layout: subset %d member %d is photo %d, outside [0,%d)",
+					qi, i, p, photos)
+			}
+			k.occStart[p+1]++
+			k.slotWR = append(k.slotWR, q.Weight*q.Relevance[i])
 		}
 	}
-	k.occStart[n] = int32(len(k.occRow))
-	return k
+	for p := range photos {
+		k.occStart[p+1] += k.occStart[p]
+	}
+	// Fill in row order with occStart[p] as photo p's cursor. Each cursor
+	// ends where the next photo's rows start, so shifting the slab up one
+	// photo restores the starts.
+	var r int32
+	for qi := range subsets {
+		for _, p := range subsets[qi].Members {
+			k.occRow[k.occStart[p]] = r
+			k.occStart[p]++
+			r++
+		}
+	}
+	copy(k.occStart[1:], k.occStart[:photos])
+	k.occStart[0] = 0
+	return k, nil
 }
 
 // thresholdRunEntries is the least number of entries in one run of rows

@@ -2,6 +2,7 @@ package phocus
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -224,5 +225,90 @@ func TestPreparedCacheRemove(t *testing.T) {
 	}
 	if cache.Remove("a") {
 		t.Fatal("second Remove(a) = true, want false")
+	}
+}
+
+// TestSnapshotKernelLayoutMatchesCompile: a snapshot stores only the true
+// kernel's entry slabs, and decode builds the rest of it — row lengths,
+// slot weights, occurrence index — from the decoded subsets. The decoded
+// kernel must be the one CompileKernel builds over the decoded instance,
+// slab for slab, whether the Prepared came from a cold Prepare, a chain of
+// deltas whose kernels still carry their overlays, or a compaction. The
+// decoded SizeBytes charges the layout decode built beside the loaded
+// region.
+func TestSnapshotKernelLayoutMatchesCompile(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	inst := par.Random(rng, par.RandomConfig{
+		Photos: 300, Subsets: 30, MaxSubset: 40, BudgetFrac: 0.4, RetainFrac: 0.05, SimDensity: 0.5,
+	})
+	p, err := Prepare(ctx, &dataset.Dataset{Instance: inst}, PrepareOptions{Tau: 0.3, InstanceDigest: "layout"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string) {
+		t.Helper()
+		buf, err := EncodeSnapshot(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := DecodeSnapshot(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb := q.base.Kernel()
+		sameSlabs(t, label, par.CompileKernel(q.base), kb)
+		s := kb.Slabs()
+		layout := 4*int64(len(s.RowLen)) + 8*int64(len(s.SlotWR)) + 4*int64(len(s.OccStart)) + 4*int64(len(s.OccRow))
+		want := int64(len(buf)) + layout + pendingCoverBytes(kb) + solveKernel(q).SizeBytes()
+		if got := q.SizeBytes(); got != want {
+			t.Fatalf("%s: decoded SizeBytes %d, want the file's %d + layout %d + pending cover + τ-kernel = %d",
+				label, got, len(buf), layout, want)
+		}
+		requireSameRun(t, label, p, q, 0.4*p.TotalCost(), AlgoCELF)
+	}
+	check("cold")
+	for i := 0; i < 3; i++ {
+		stats, err := p.ApplyDelta(ctx, randomChurn(rng, p.base, p.removed, 1, 1, i == 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Compacted {
+			t.Fatalf("delta %d compacted; the chain must leave its overlays in place", i)
+		}
+	}
+	if p.base.Kernel().Canonical() {
+		t.Fatal("the delta chain left no overlay on the true kernel")
+	}
+	check("delta chain")
+	if err := compactNow(p); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted")
+}
+
+// TestSnapshotRejectsRetainedOutOfRange: a delta'd Prepared's file carries
+// a husk list, which decode checks the retained set against. A retained
+// photo outside the photos, in a file resealed with fresh checksums, must
+// fail with ErrBadSnapshot before that check indexes the husk bitmap with
+// it.
+func TestSnapshotRejectsRetainedOutOfRange(t *testing.T) {
+	p, rng := preparedForSnapDelta(t, 0.3)
+	if _, err := p.ApplyDelta(context.Background(), randomChurn(rng, p.base, nil, 2, 2, false)); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := EncodeSnapshot(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawFP, secs := snapSections(buf)
+	sectionAt(t, secs, secRemoved) // the file must carry its husks
+	ret := sectionAt(t, secs, secRetained)
+	if len(ret.data) == 0 {
+		t.Fatal("no retained photo to corrupt")
+	}
+	binary.LittleEndian.PutUint32(ret.data, uint32(p.NumPhotos()+7))
+	if _, err := DecodeSnapshot(assembleSnapshot(rawFP, secs)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("error %v, want ErrBadSnapshot", err)
 	}
 }

@@ -7,15 +7,17 @@
 // does, and derives the τ-kernel from it with par.Kernel.Threshold, as
 // Prepare's exact path does, so a snapshot cannot carry a τ-kernel that
 // disagrees with its true kernel. An LSH-prepared instance, whose τ-kernel
-// is no threshold of its true kernel, is not snapshotted. The kernel's slot
-// weights are not stored either: decode derives them from META's subset
-// weights and the relevance section, so a snapshot cannot carry a W·R that
-// disagrees with its relevance. See DESIGN.md §9 for the wire format.
+// is no threshold of its true kernel, is not snapshotted. Of the kernel
+// only the entry slabs are stored: its layout — row lengths, slot weights
+// and occurrence index — follows from the members, relevance and META's
+// subset weights, and decode rebuilds it with the function CompileKernel
+// uses (par.KernelFromEntries), so a snapshot cannot carry a layout that
+// disagrees with its subsets. See DESIGN.md §9 for the wire format.
 //
 // Layout (all integers little-endian):
 //
 //	offset 0   magic "PHSNAP1\x00"                      8 bytes
-//	offset 8   version u32 (currently 5)                 4 bytes
+//	offset 8   version u32 (currently 6)                 4 bytes
 //	offset 12  section count N u32                       4 bytes
 //	offset 16  content fingerprint (raw sha256)         32 bytes
 //	offset 48  section table: N × {id u32, crc32c u32,
@@ -61,7 +63,7 @@ var ErrBadSnapshot = errors.New("bad snapshot")
 
 const (
 	snapMagic       = "PHSNAP1\x00"
-	snapVersion     = 5
+	snapVersion     = 6
 	snapHeaderFixed = 48 // magic + version + section count + raw fingerprint
 	snapTableEntry  = 24 // id + crc + offset + length
 	snapMaxSections = 64
@@ -73,7 +75,9 @@ const (
 // 8/9 held version 2's copies of the base and sparse similarities as CSR
 // neighbour lists, which the kernels already hold; 10/11 and 38–41 held the
 // sparse kernel's slabs up to version 4, which decode now derives from the
-// base kernel's.
+// base kernel's; 34, 36 and 37 held the base kernel's row lengths and
+// occurrence index up to version 5, which decode now builds from the
+// members.
 const (
 	// 8-byte-aligned slabs.
 	secCost       uint32 = 1 // f64[numPhotos]
@@ -81,13 +85,10 @@ const (
 	secKBRowStart uint32 = 5 // base kernel slabs …
 	secKBNbrSim   uint32 = 6
 	// 4-byte-aligned slabs.
-	secRetained   uint32 = 32 // i32[numRetained]
-	secMembers    uint32 = 33 // i32, all subsets concatenated
-	secKBRowLen   uint32 = 34
-	secKBNbrIdx   uint32 = 35
-	secKBOccStart uint32 = 36
-	secKBOccRow   uint32 = 37
-	secRemoved    uint32 = 42 // i32, ascending husked photo IDs (delta'd Prepared only)
+	secRetained uint32 = 32 // i32[numRetained]
+	secMembers  uint32 = 33 // i32, all subsets concatenated
+	secKBNbrIdx uint32 = 35
+	secRemoved  uint32 = 42 // i32, ascending husked photo IDs (delta'd Prepared only)
 	// Variable-length, always last.
 	secMeta uint32 = 63
 )
@@ -98,7 +99,7 @@ func secAlign(id uint32) int {
 	switch {
 	case id == secCost || id == secRelevance || id == secKBRowStart || id == secKBNbrSim:
 		return 8
-	case id >= secRetained && id <= secKBOccRow || id == secRemoved:
+	case id == secRetained || id == secMembers || id == secKBNbrIdx || id == secRemoved:
 		return 4
 	case id == secMeta:
 		return 1
@@ -395,10 +396,7 @@ func writeSnapshot(w io.Writer, p *Prepared) (string, int64, error) {
 		section(secKBNbrSim, kb.NbrSim),
 		section(secRetained, base.Retained),
 		section(secMembers, members...),
-		section(secKBRowLen, kb.RowLen),
 		section(secKBNbrIdx, kb.NbrIdx),
-		section(secKBOccStart, kb.OccStart),
-		section(secKBOccRow, kb.OccRow),
 	}
 	if removedCount(p.removed) > 0 {
 		husks := make([]par.PhotoID, 0, removedCount(p.removed))
@@ -549,10 +547,13 @@ func parseSnapHeader(head []byte, size int) (string, map[uint32]snapEntry, error
 // memory layout matches the wire format the returned Prepared's slabs are
 // views into buf, which therefore must not be modified afterwards; pass a
 // buffer whose base is 8-byte aligned (readAligned/LoadSnapshot do) to get
-// the zero-copy path. Every checksum, count and structural invariant is
-// verified before anything is trusted: any flipped byte, truncation or
-// inconsistency returns an error wrapping ErrBadSnapshot, never a panic and
-// never a Prepared that could serve wrong results.
+// the zero-copy path. The true kernel's entry slabs are such views; its
+// layout is rebuilt from the decoded subsets (par.KernelFromEntries), as
+// CompileKernel builds it, and its τ-kernel is thresholded from it. Every
+// checksum, count and structural invariant is verified before anything is
+// trusted: any flipped byte, truncation or inconsistency returns an error
+// wrapping ErrBadSnapshot, never a panic and never a Prepared that could
+// serve wrong results.
 func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	start := time.Now()
 	fp, table, err := parseSnapHeader(buf, len(buf))
@@ -574,7 +575,7 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	}
 	// The file holds exactly the sections META calls for.
 	want := []uint32{secMeta, secCost, secRetained, secMembers, secRelevance,
-		secKBRowLen, secKBRowStart, secKBNbrIdx, secKBNbrSim, secKBOccStart, secKBOccRow}
+		secKBRowStart, secKBNbrIdx, secKBNbrSim}
 	if m.hasRemoved {
 		want = append(want, secRemoved)
 	}
@@ -601,9 +602,20 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	members := slabView[par.PhotoID](memB)
 	relevance := slabView[float64](relB)
 
+	base := &par.Instance{Cost: cost, Retained: retained, Subsets: snapSubsets(m, members, relevance)}
+	base.Budget = base.TotalCost()
+	kernBase, err := par.KernelFromEntries(base, slabView[int64](secs[secKBRowStart]),
+		slabView[int32](secs[secKBNbrIdx]), slabView[float64](secs[secKBNbrSim]))
+	if err != nil {
+		return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
+	}
+	par.SetKernelSims(base.Subsets, kernBase)
+	if err := base.Finalize(); err != nil {
+		return nil, fmt.Errorf("phocus: snapshot instance invalid: %v: %w", err, ErrBadSnapshot)
+	}
 	// Husk bitmap of a delta'd Prepared; restoring it keeps the decoded value
 	// delta-capable (a husk must never be removed again or cited as a
-	// neighbour, see delta.go).
+	// neighbour, see delta.go). Finalize has range-checked the retained set.
 	var removed []bool
 	if m.hasRemoved {
 		husks := slabView[par.PhotoID](secs[secRemoved])
@@ -626,15 +638,6 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 		}
 	}
 
-	kernBase, err := decodeKernel(secs, m, relevance)
-	if err != nil {
-		return nil, err
-	}
-	base := &par.Instance{Cost: cost, Retained: retained, Subsets: snapSubsets(m, members, relevance, kernBase)}
-	base.Budget = base.TotalCost()
-	if err := base.Finalize(); err != nil {
-		return nil, fmt.Errorf("phocus: snapshot instance invalid: %v: %w", err, ErrBadSnapshot)
-	}
 	// META's pair counts are the Prepared's at encode time, which are its
 	// τ-kernel's own: zero without τ, and otherwise what thresholding the
 	// true kernel counts.
@@ -665,13 +668,14 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 	if err := p.setKernels(base, kernBase, kernSolve); err != nil {
 		return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
 	}
-	// The single loaded region backs every slab of the true kernel, so it is
-	// what the Prepared retains of it; counting it once is the snapshot
+	// The single loaded region backs the true kernel's entry slabs, so it is
+	// what the Prepared retains of them; counting it once is the snapshot
 	// path's answer to the shared-slab accounting the in-memory path has to
-	// sum piecewise. The derived slot weights, the true kernel's cover index,
+	// sum piecewise. The layout decode built, the true kernel's cover index,
 	// which a bounded Run builds, and the τ-kernel are the only kernel
 	// arrays outside it.
-	p.sizeBytes = int64(len(buf)) + 8*int64(totalMembers) + pendingCoverBytes(kernBase)
+	entryBytes := int64(len(secs[secKBRowStart]) + len(secs[secKBNbrIdx]) + len(secs[secKBNbrSim]))
+	p.sizeBytes = int64(len(buf)) + kernBase.SizeBytes() - entryBytes + pendingCoverBytes(kernBase)
 	if kernSolve != kernBase {
 		p.sizeBytes += kernSolve.SizeBytes()
 	}
@@ -683,8 +687,8 @@ func DecodeSnapshot(buf []byte) (*Prepared, error) {
 }
 
 // snapSubsets rebuilds the base subsets over the decoded Members/Relevance
-// views; each subset's Sim is a view of the base kernel.
-func snapSubsets(m *snapMeta, members []par.PhotoID, relevance []float64, k *par.Kernel) []par.Subset {
+// views; their Sims are set once the kernel is built.
+func snapSubsets(m *snapMeta, members []par.PhotoID, relevance []float64) []par.Subset {
 	subsets := make([]par.Subset, len(m.subMembers))
 	o := 0
 	for qi, n := range m.subMembers {
@@ -696,47 +700,5 @@ func snapSubsets(m *snapMeta, members []par.PhotoID, relevance []float64, k *par
 		}
 		o += n
 	}
-	par.SetKernelSims(subsets, k)
 	return subsets
-}
-
-// decodeKernel rebuilds the true kernel from its six slab sections
-// (rowLen, rowStart, nbrIdx, nbrSim, occStart, occRow) and validates it both
-// internally (par.KernelFromSlabs) and against the instance shape META
-// describes, so attaching it to the decoded instance cannot fail on a
-// snapshot this decode accepted. The slot weights are derived, not read:
-// row r of subset q weighs W(q)·R(q, member), the product CompileKernel
-// computes, taken from META's subset weights and the relevance section
-// (whose rows run in the kernel's canonical subset-major order).
-func decodeKernel(secs map[uint32][]byte, m *snapMeta, relevance []float64) (*par.Kernel, error) {
-	slabs := par.KernelSlabs{
-		Photos:   m.numPhotos,
-		RowLen:   slabView[int32](secs[secKBRowLen]),
-		RowStart: slabView[int64](secs[secKBRowStart]),
-		NbrIdx:   slabView[int32](secs[secKBNbrIdx]),
-		NbrSim:   slabView[float64](secs[secKBNbrSim]),
-		SlotWR:   make([]float64, 0, len(relevance)),
-		OccStart: slabView[int32](secs[secKBOccStart]),
-		OccRow:   slabView[int32](secs[secKBOccRow]),
-	}
-	o := 0
-	for qi, k := range m.subMembers {
-		for _, r := range relevance[o : o+k] {
-			slabs.SlotWR = append(slabs.SlotWR, m.subWeights[qi]*r)
-		}
-		o += k
-	}
-	if len(slabs.RowLen) != len(m.subMembers) {
-		return nil, fmt.Errorf("phocus: kernel covers %d subsets, meta has %d: %w", len(slabs.RowLen), len(m.subMembers), ErrBadSnapshot)
-	}
-	for qi, k := range m.subMembers {
-		if int(slabs.RowLen[qi]) != k {
-			return nil, fmt.Errorf("phocus: kernel subset %d has %d rows, meta has %d members: %w", qi, slabs.RowLen[qi], k, ErrBadSnapshot)
-		}
-	}
-	kern, err := par.KernelFromSlabs(slabs)
-	if err != nil {
-		return nil, fmt.Errorf("phocus: %v: %w", err, ErrBadSnapshot)
-	}
-	return kern, nil
 }

@@ -360,11 +360,22 @@ func snapSections(data []byte) ([]byte, []rawSection) {
 	return bytes.Clone(data[16:snapHeaderFixed]), secs
 }
 
-// TestSnapshotRejectsV1 pins the cut-overs to versions 2 to 5: version 1
+// sectionAt returns the section of secs with the given id.
+func sectionAt(t testing.TB, secs []rawSection, id uint32) *rawSection {
+	t.Helper()
+	i := slices.IndexFunc(secs, func(s rawSection) bool { return s.id == id })
+	if i < 0 {
+		t.Fatalf("no section %d", id)
+	}
+	return &secs[i]
+}
+
+// TestSnapshotRejectsV1 pins the cut-overs to versions 2 to 6: version 1
 // files stored a per-entry W·R slab per kernel, version 2 files a copy of
 // every similarity beside the kernels, version 3 files no owning tenant,
-// version 4 files the sparse kernel's slabs, and this build keeps no reader
-// for any of them. A file that says version 1 to 4 — with a header checksum
+// version 4 files the sparse kernel's slabs, version 5 files the true
+// kernel's row lengths and occurrence index, and this build keeps no reader
+// for any of them. A file that says version 1 to 5 — with a header checksum
 // that is otherwise valid — fails with
 // ErrBadSnapshot, which sends it down the quarantine and cold-Prepare path.
 // So does a current-version file carrying one of the retired section IDs.
@@ -374,7 +385,7 @@ func TestSnapshotRejectsV1(t *testing.T) {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 
-	for _, version := range []uint32{1, 2, 3, 4} {
+	for _, version := range []uint32{1, 2, 3, 4, 5} {
 		old := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(old[8:], version)
 		tableEnd := snapHeaderFixed + snapTableEntry*int(binary.LittleEndian.Uint32(old[12:]))
@@ -389,13 +400,14 @@ func TestSnapshotRejectsV1(t *testing.T) {
 	// Re-assemble the file with a retired section prepended: version 1's
 	// per-entry W·R slabs (7 base, 12 sparse), version 2's similarity CSR
 	// row offsets (3 base, 8 sparse) and neighbour lists (4 base, 9 sparse),
-	// and version 4's sparse kernel slabs (10, 11 and 38–41), each 64 bytes,
-	// a length every alignment accepts.
+	// version 4's sparse kernel slabs (10, 11 and 38–41) and version 5's row
+	// lengths (34) and occurrence index (36, 37), each 64 bytes, a length
+	// every alignment accepts.
 	rawFP, secs := snapSections(data)
 	if re := assembleSnapshot(rawFP, secs); !bytes.Equal(re, data) {
 		t.Fatal("re-assembling the sections did not reproduce the file")
 	}
-	for _, id := range []uint32{3, 4, 7, 8, 9, 10, 11, 12, 38, 39, 40, 41} {
+	for _, id := range []uint32{3, 4, 7, 8, 9, 10, 11, 12, 34, 36, 37, 38, 39, 40, 41} {
 		retired := append([]rawSection{{id, make([]byte, 64)}}, secs...)
 		if _, err := DecodeSnapshot(assembleSnapshot(rawFP, retired)); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("retired section %d: error %v, want ErrBadSnapshot", id, err)
@@ -415,17 +427,14 @@ func TestSnapshotRejectsV1(t *testing.T) {
 func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 	data := smallSnapshot(t)
 	rawFP, pristine := snapSections(data)
-	at := func(secs []rawSection, id uint32) *rawSection {
-		for i := range secs {
-			if secs[i].id == id {
-				return &secs[i]
-			}
-		}
-		t.Fatalf("no section %d", id)
-		return nil
+	at := func(secs []rawSection, id uint32) *rawSection { return sectionAt(t, secs, id) }
+	// The base kernel's row layout, read from the pristine file: subset
+	// sizes from META, entries from the kernel's slabs.
+	meta, err := decodeSnapMeta(at(pristine, secMeta).data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The base kernel's row layout, read from the pristine file.
-	rowLen := slabView[int32](at(pristine, secKBRowLen).data)
+	rowLen := meta.subMembers
 	rowStart := slabView[int64](at(pristine, secKBRowStart).data)
 	nbrIdx := slabView[int32](at(pristine, secKBNbrIdx).data)
 	if len(rowLen) < 2 {
@@ -433,7 +442,7 @@ func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 	}
 	// r is the last row of subset 0 with an entry besides its self entry.
 	r := -1
-	for i := 0; i < int(rowLen[0]); i++ {
+	for i := 0; i < rowLen[0]; i++ {
 		if rowStart[i+1]-rowStart[i] >= 2 {
 			r = i
 		}
@@ -466,7 +475,7 @@ func TestSnapshotRejectsBadKernelRows(t *testing.T) {
 		{"cross-subset target", "outside", func(secs []rawSection) {
 			// Row r's last entry now targets subset 1's first row: still
 			// ascending, still in range, but in another subset.
-			setI32(at(secs, secKBNbrIdx).data, hi-1, rowLen[0])
+			setI32(at(secs, secKBNbrIdx).data, hi-1, int32(rowLen[0]))
 		}},
 		{"unsorted row", "not strictly ascending", func(secs []rawSection) {
 			idx, sim := at(secs, secKBNbrIdx).data, at(secs, secKBNbrSim).data
@@ -549,6 +558,27 @@ func FuzzSnapshotDecode(f *testing.F) {
 	for i, s := range secs {
 		f.Add([]byte{}, uint8(i), s.data[:len(s.data)/2])
 	}
+	// Sections resealed with one value changed in place, each a fault only
+	// the checks past the CRCs can catch: a member outside the photos, a
+	// negative member and a member given twice, which the kernel layout and
+	// Finalize must refuse before the member indexes anything; a retained
+	// photo outside the photos; row offsets out of order; and a relevance
+	// no longer summing to 1.
+	edit := func(id uint32, fn func(b []byte)) {
+		b := bytes.Clone(sectionAt(f, secs, id).data)
+		fn(b)
+		f.Add([]byte{}, uint8(slices.IndexFunc(secs, func(s rawSection) bool { return s.id == id })), b)
+	}
+	photos := uint32(len(sectionAt(f, secs, secCost).data) / 8)
+	put32 := func(b []byte, i int, v uint32) { binary.LittleEndian.PutUint32(b[4*i:], v) }
+	edit(secMembers, func(b []byte) { put32(b, len(b)/8, photos) })
+	edit(secMembers, func(b []byte) { put32(b, 0, math.MaxUint32) })
+	edit(secMembers, func(b []byte) { copy(b[4:8], b[:4]) })
+	edit(secRetained, func(b []byte) { put32(b, 0, photos+3) })
+	edit(secKBRowStart, func(b []byte) { copy(b[8:16], b[len(b)-8:]) })
+	edit(secRelevance, func(b []byte) {
+		binary.LittleEndian.PutUint64(b, math.Float64bits(2*math.Float64frombits(binary.LittleEndian.Uint64(b))))
+	})
 	check := func(t *testing.T, b []byte) {
 		p, err := DecodeSnapshot(b)
 		if err == nil {
@@ -557,7 +587,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if _, rerr := p.Run(context.Background(), RunOptions{}); rerr != nil {
 				return // infeasible budgets etc. are fine; only panics matter
 			}
-		} else if !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, ErrNoCtxVectors) {
+		} else if !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("error %v does not wrap ErrBadSnapshot", err)
 		}
 	}
